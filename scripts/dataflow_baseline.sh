@@ -1,9 +1,10 @@
 #!/bin/sh
 # Canonical summary of `tquad check --dataflow` over every example, both
-# demo apps and the tiny wfs scenario.  CI regenerates this and diffs it
+# demo apps and the tiny wfs scenario, followed by the `tquad wcet` loop
+# listing and bound of every example.  CI regenerates this and diffs it
 # against the committed test/dataflow_baseline.txt — any change to trip
-# counts, access-pattern classification or diagnostic totals must come
-# with a baseline update in the same commit.
+# counts, access-pattern classification, diagnostic totals, loop nests or
+# WCET bounds must come with a baseline update in the same commit.
 #
 # Usage: scripts/dataflow_baseline.sh <path-to-tquad_cli.exe>
 set -e
@@ -22,3 +23,7 @@ for app in image-pipeline pointer-chase; do
 done
 echo "== wfs:tiny"
 "$CLI" check --dataflow --wfs tiny 2>/dev/null | summarize
+for f in examples/mc/*.mc; do
+  echo "== wcet $f"
+  "$CLI" wcet "$f" 2>&1 | grep -v '^$' || true
+done
