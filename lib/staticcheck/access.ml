@@ -95,7 +95,7 @@ let analyze (cfg : Cfg.t) =
   let df = Dataflow.analyze cfg in
   let li = Loopinfo.analyze df in
   let loops = Loopinfo.loops li in
-  let inner = Loopinfo.innermost li in
+  let inner = cfg.Cfg.innermost in
   let code = cfg.Cfg.code in
   let n = Rcode.n code in
   let accesses = ref [] in
@@ -128,7 +128,7 @@ let analyze (cfg : Cfg.t) =
            {
              lr_index = j;
              lr_head_addr = Loopinfo.header_addr li l;
-             lr_depth = l.Loopinfo.l_depth;
+             lr_depth = l.Loopinfo.l_nest.Cfg.depth;
              lr_trip = l.Loopinfo.l_trip;
              lr_ivs = l.Loopinfo.l_ivs;
            })

@@ -1,5 +1,14 @@
 type block = { id : int; first : int; last : int; succs : int list }
 
+type loop = {
+  header : int;
+  body : bool array;
+  blocks : int list;
+  latches : int list;
+  parent : int;
+  depth : int;
+}
+
 type t = {
   code : Rcode.t;
   blocks : block array;
@@ -7,8 +16,8 @@ type t = {
   preds : int list array;
   reachable : bool array;
   idom : int array;
-  back_edges : (int * int) list;
-  loop_depth : int array;
+  loops : loop array;
+  innermost : int array;
 }
 
 let ends_block (f : Rcode.flow) =
@@ -17,6 +26,11 @@ let ends_block (f : Rcode.flow) =
   | Return | Stop ->
       true
   | Seq | Call_known _ | Call_sym _ | Call_bad _ | Dynamic_call -> false
+
+(* does block [a] dominate block [b]? walk [b]'s idom chain *)
+let dominated ~idom ~reachable a b =
+  let rec up x = x = a || (x > 0 && up idom.(x)) in
+  reachable.(b) && up b
 
 let build (code : Rcode.t) =
   let n = Rcode.n code in
@@ -28,8 +42,8 @@ let build (code : Rcode.t) =
       preds = [||];
       reachable = [||];
       idom = [||];
-      back_edges = [];
-      loop_depth = [||];
+      loops = [||];
+      innermost = [||];
     }
   else begin
     (* leaders: entry, every control-flow target, every instruction after a
@@ -133,48 +147,61 @@ let build (code : Rcode.t) =
         rpo
     done;
     idom.(0) <- -1;
-    let dominates a b =
-      (* does a dominate b? walk b's idom chain *)
-      let rec up x = if x = a then true else if x <= 0 then a = 0 && x = 0 else up idom.(x) in
-      reachable.(b) && up b
+    let dom = dominated ~idom ~reachable in
+    (* back edges u -> h (h dominates u), grouped by header *)
+    let latches = Array.make nb [] in
+    for u = nb - 1 downto 0 do
+      if reachable.(u) then
+        List.iter
+          (fun h -> if dom h u then latches.(h) <- u :: latches.(h))
+          blocks.(u).succs
+    done;
+    (* natural loop of header h: h plus the reachable predecessor closure of
+       its latches that does not pass through h *)
+    let loops =
+      List.init nb Fun.id
+      |> List.filter (fun h -> latches.(h) <> [])
+      |> List.map (fun h ->
+             let body = Array.make nb false in
+             body.(h) <- true;
+             let rec pull u =
+               if not body.(u) then begin
+                 body.(u) <- true;
+                 List.iter (fun p -> if reachable.(p) then pull p) preds.(u)
+               end
+             in
+             List.iter pull latches.(h);
+             let blocks = List.filter (fun b -> body.(b)) (List.init nb Fun.id) in
+             { header = h; body; blocks; latches = latches.(h); parent = -1; depth = 1 })
+      |> Array.of_list
     in
-    let back_edges =
-      Array.to_list blocks
-      |> List.concat_map (fun b ->
-             if not reachable.(b.id) then []
-             else
-               List.filter_map
-                 (fun s -> if dominates s b.id then Some (b.id, s) else None)
-                 b.succs)
-    in
-    (* natural loops: body of back edge (u, h) = {h} ∪ predecessors-closure
-       of u not crossing h; depth = number of distinct headers whose body
-       contains the block *)
-    let headers = List.sort_uniq compare (List.map snd back_edges) in
-    let loop_depth = Array.make nb 0 in
-    List.iter
-      (fun h ->
-        let body = Array.make nb false in
-        body.(h) <- true;
-        let rec pull u =
-          if not body.(u) then begin
-            body.(u) <- true;
-            List.iter (fun p -> if reachable.(p) then pull p) preds.(u)
-          end
-        in
-        List.iter (fun (u, h') -> if h' = h then pull u) back_edges;
-        Array.iteri (fun b inb -> if inb then loop_depth.(b) <- loop_depth.(b) + 1) body)
-      headers;
-    { code; blocks; block_of; preds; reachable; idom; back_edges; loop_depth }
+    (* nest: visit loops outermost-first (a loop is strictly larger than any
+       loop nested in it); the parent of a loop is whichever loop last
+       claimed its header *)
+    let innermost = Array.make nb (-1) in
+    let size i = List.length loops.(i).blocks in
+    List.init (Array.length loops) Fun.id
+    |> List.stable_sort (fun i j -> compare (size j) (size i))
+    |> List.iter (fun i ->
+           let l = loops.(i) in
+           let parent = innermost.(l.header) in
+           let depth = if parent < 0 then 1 else loops.(parent).depth + 1 in
+           loops.(i) <- { l with parent; depth };
+           List.iter (fun b -> innermost.(b) <- i) l.blocks);
+    { code; blocks; block_of; preds; reachable; idom; loops; innermost }
   end
 
 let n_blocks t = Array.length t.blocks
 
+let dominates t = dominated ~idom:t.idom ~reachable:t.reachable
+
+let depth t b = match t.innermost.(b) with -1 -> 0 | l -> t.loops.(l).depth
+
 let render t =
   let buf = Buffer.create 512 in
   Buffer.add_string buf
-    (Printf.sprintf "cfg of %s (%d blocks, %d back edges):\n" t.code.Rcode.name
-       (n_blocks t) (List.length t.back_edges));
+    (Printf.sprintf "cfg of %s (%d blocks, %d loops):\n" t.code.Rcode.name
+       (n_blocks t) (Array.length t.loops));
   Array.iter
     (fun b ->
       let loc =
@@ -184,7 +211,7 @@ let render t =
       in
       Buffer.add_string buf
         (Printf.sprintf "  B%d [%s] %d ins depth %d -> {%s}%s\n" b.id loc
-           (b.last - b.first + 1) t.loop_depth.(b.id)
+           (b.last - b.first + 1) (depth t b.id)
            (String.concat "," (List.map string_of_int b.succs))
            (if t.reachable.(b.id) then "" else " unreachable")))
     t.blocks;

@@ -91,7 +91,7 @@ let ctx_of (cfg : Cfg.t) ~mode ~lw ~unknown_w =
   | Heuristic ->
       {
         block_weight =
-          (fun b -> lw ** float_of_int cfg.Cfg.loop_depth.(b));
+          (fun b -> lw ** float_of_int (Cfg.depth cfg b));
         pattern_of = (fun _ -> None);
         c_trips_known = 0;
         c_trips_total = 0;
@@ -114,19 +114,20 @@ let ctx_of (cfg : Cfg.t) ~mode ~lw ~unknown_w =
           | Loopinfo.Taffine _ -> incr known
           | Loopinfo.Tunknown _ -> ())
         loops;
+      (* product of the trip weights of every enclosing loop, outermost
+         first *)
+      let rec weight j =
+        if j < 0 then 1.0
+        else
+          let f =
+            match loops.(j).Loopinfo.l_trip with
+            | Loopinfo.Tconst n -> float_of_int (max n 0)
+            | _ -> !unknown_w
+          in
+          weight loops.(j).Loopinfo.l_nest.Cfg.parent *. f
+      in
       {
-        block_weight =
-          (fun b ->
-            List.fold_left
-              (fun acc j ->
-                let f =
-                  match loops.(j).Loopinfo.l_trip with
-                  | Loopinfo.Tconst n -> float_of_int (max n 0)
-                  | _ -> !unknown_w
-                in
-                acc *. f)
-              1.0
-              (Loopinfo.loops_of_block li b));
+        block_weight = (fun b -> weight cfg.Cfg.innermost.(b));
         pattern_of = Hashtbl.find_opt pat;
         c_trips_known = !known;
         c_trips_total = Array.length loops;
@@ -248,16 +249,16 @@ let per_kernel ?(mode = Heuristic) ?loop_weight:(lw = loop_weight) prog =
                     bk_add bk (bk_scale cbk cw) ))
             (reads, writes, bks) calls
         in
-        let headers = List.sort_uniq compare (List.map snd cfg.Cfg.back_edges) in
-        let max_depth = Array.fold_left max 0 cfg.Cfg.loop_depth in
         rows :=
           {
             routine = r;
             reads;
             writes;
             blocks = Cfg.n_blocks cfg;
-            loops = List.length headers;
-            max_depth;
+            loops = Array.length cfg.Cfg.loops;
+            max_depth =
+              Array.fold_left (fun d (l : Cfg.loop) -> max d l.Cfg.depth) 0
+                cfg.Cfg.loops;
             trips_known = ctx.c_trips_known;
             trips_total = ctx.c_trips_total;
             patterns = bks;

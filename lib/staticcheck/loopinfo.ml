@@ -36,59 +36,28 @@ type store_rec = {
 }
 
 type loop = {
-  l_header : int;
-  l_body : bool array;  (** per block id *)
-  l_blocks : int list;
-  l_latches : int list;
+  l_nest : Cfg.loop;
   l_exits : int list;  (** body blocks with a successor outside *)
-  mutable l_parent : int option;
-  mutable l_depth : int;
   l_has_call : bool;
   l_has_syscall : bool;
   l_wild_stack : bool;  (** a store through a computed address may hit the stack *)
   l_wild_data : bool;
   l_stores : store_rec list;  (** fixed-cell stores in the body *)
-  mutable l_ivs : (Dataflow.cell * int) list;  (** induction variable, step *)
-  mutable l_trip : trip;
+  l_ivs : (Dataflow.cell * int) list;  (** induction variable, step *)
+  l_trip : trip;
 }
 
-type t = {
-  df : Dataflow.t;
-  loops : loop array;
-  innermost : int array;  (** block id -> innermost containing loop index, -1 *)
-}
+type t = { df : Dataflow.t; loops : loop array }
 
-let dominates (cfg : Cfg.t) a b =
-  let rec up x = x = a || (x > 0 && up cfg.Cfg.idom.(x)) in
-  cfg.Cfg.reachable.(b) && up b
-
-(* Natural loop of back edges (tails -> header): header plus the
-   predecessor closure of the tails that does not pass through the
-   header. *)
-let loop_body (cfg : Cfg.t) header tails =
-  let nb = Cfg.n_blocks cfg in
-  let body = Array.make nb false in
-  body.(header) <- true;
-  let rec visit b =
-    if not body.(b) then begin
-      body.(b) <- true;
-      List.iter visit cfg.Cfg.preds.(b)
-    end
+(* Per-loop facts over the nest's body: exits, calls, wild and fixed-cell
+   stores.  Induction variables and the trip count come later.  Blocks are
+   walked last-first: see [analyze] on query order. *)
+let build_loop (df : Dataflow.t) (cfg : Cfg.t) (nest : Cfg.loop) =
+  let exits =
+    List.filter
+      (fun b -> List.exists (fun s -> not nest.Cfg.body.(s)) cfg.Cfg.blocks.(b).Cfg.succs)
+      nest.Cfg.blocks
   in
-  List.iter visit tails;
-  body
-
-let build_loop (df : Dataflow.t) (cfg : Cfg.t) header tails =
-  let body = loop_body cfg header tails in
-  let blocks = ref [] and exits = ref [] in
-  Array.iteri
-    (fun b inb ->
-      if inb && cfg.Cfg.reachable.(b) then begin
-        blocks := b :: !blocks;
-        if List.exists (fun s -> not body.(s)) cfg.Cfg.blocks.(b).Cfg.succs then
-          exits := b :: !exits
-      end)
-    body;
   let has_call = ref false
   and has_syscall = ref false
   and wild_stack = ref false
@@ -139,15 +108,10 @@ let build_loop (df : Dataflow.t) (cfg : Cfg.t) header tails =
                     wild_data := true))
         | _ -> ()
       done)
-    !blocks;
+    (List.rev nest.Cfg.blocks);
   {
-    l_header = header;
-    l_body = body;
-    l_blocks = List.sort compare !blocks;
-    l_latches = tails;
-    l_exits = List.sort compare !exits;
-    l_parent = None;
-    l_depth = 1;
+    l_nest = nest;
+    l_exits = exits;
     l_has_call = !has_call;
     l_has_syscall = !has_syscall;
     l_wild_stack = !wild_stack;
@@ -181,15 +145,9 @@ let iv_step t l c =
   ignore t;
   List.assoc_opt c l.l_ivs
 
-let loops_of_block t b =
-  let out = ref [] in
-  Array.iteri (fun i l -> if b < Array.length l.l_body && l.l_body.(b) then out := i :: !out) t.loops;
-  List.rev !out
-
 (* ---------- induction variables ---------- *)
 
-let find_ivs df innermost loops li =
-  let l = loops.(li) in
+let find_ivs df li l =
   let cfg = Dataflow.cfg df in
   let cells =
     List.sort_uniq compare (List.map (fun s -> s.s_cell) l.l_stores)
@@ -199,8 +157,8 @@ let find_ivs df innermost loops li =
       match List.filter (fun s -> s.s_cell = c) l.l_stores with
       | [ s ]
         when s.s_is_int_w8 && (not s.s_pred)
-             && innermost.(s.s_block) = li
-             && List.for_all (fun t -> dominates cfg s.s_block t) l.l_latches
+             && cfg.Cfg.innermost.(s.s_block) = li
+             && List.for_all (Cfg.dominates cfg s.s_block) l.l_nest.Cfg.latches
              && not (cell_clobbered_in df l c) -> (
           match s.s_value with
           | Dataflow.Lin { sp = 0; terms = [ (Dataflow.Tcell c', 1) ]; k }
@@ -223,15 +181,14 @@ let simulate ~i0 ~s ~test =
   in
   go i0 0
 
-let infer_trip df loops li =
-  let l = loops.(li) in
+let infer_trip df l =
   let cfg = Dataflow.cfg df in
   let code = cfg.Cfg.code in
   match l.l_exits with
   | [] -> Tunknown "no exit from loop"
   | _ :: _ :: _ -> Tunknown "multiple loop exits"
   | [ e ] -> (
-      if not (List.for_all (fun t -> dominates cfg e t) l.l_latches) then
+      if not (List.for_all (Cfg.dominates cfg e) l.l_nest.Cfg.latches) then
         Tunknown "exit block does not dominate the loop latches"
       else
         let last = cfg.Cfg.blocks.(e).Cfg.last in
@@ -251,9 +208,9 @@ let infer_trip df loops li =
                 let fall_b =
                   if last + 1 < n then Some cfg.Cfg.block_of.(last + 1) else None
                 in
-                let exit_taken = not l.l_body.(taken_b) in
+                let exit_taken = not l.l_nest.Cfg.body.(taken_b) in
                 let exit_fall =
-                  match fall_b with Some f -> not l.l_body.(f) | None -> false
+                  match fall_b with Some f -> not l.l_nest.Cfg.body.(f) | None -> false
                 in
                 if exit_taken = exit_fall then Tunknown "odd exit shape"
                 else
@@ -308,7 +265,7 @@ let infer_trip df loops li =
                               (fun (t, _) ->
                                 match t with
                                 | Dataflow.Tload j ->
-                                    l.l_body.(cfg.Cfg.block_of.(j))
+                                    l.l_nest.Cfg.body.(cfg.Cfg.block_of.(j))
                                 | _ -> false)
                               d.Dataflow.terms
                           then Tunknown "loop guard depends on an in-loop load"
@@ -351,11 +308,11 @@ let infer_trip df loops li =
                                       l.l_stores
                                   in
                                   let pos =
-                                    if e = l.l_header then
-                                      if step_store.s_block = l.l_header then
+                                    if e = l.l_nest.Cfg.header then
+                                      if step_store.s_block = l.l_nest.Cfg.header then
                                         `Bad
                                       else `Pre
-                                    else if List.mem e l.l_latches then `Post
+                                    else if List.mem e l.l_nest.Cfg.latches then `Post
                                     else `Mid
                                   in
                                   match pos with
@@ -366,9 +323,9 @@ let infer_trip df loops li =
                                         let pre =
                                           List.filter
                                             (fun p ->
-                                              not l.l_body.(p)
+                                              not l.l_nest.Cfg.body.(p)
                                               && cfg.Cfg.reachable.(p))
-                                            cfg.Cfg.preds.(l.l_header)
+                                            cfg.Cfg.preds.(l.l_nest.Cfg.header)
                                         in
                                         Dataflow.cell_const_out_join df pre c
                                       in
@@ -447,58 +404,16 @@ let infer_trip df loops li =
 
 let analyze (df : Dataflow.t) =
   let cfg = Dataflow.cfg df in
-  let nb = Cfg.n_blocks cfg in
-  (* group back edges by header *)
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (tail, header) ->
-      let cur = try Hashtbl.find tbl header with Not_found -> [] in
-      Hashtbl.replace tbl header (tail :: cur))
-    cfg.Cfg.back_edges;
-  let headers = Hashtbl.fold (fun h _ acc -> h :: acc) tbl [] |> List.sort compare in
-  let loops =
-    Array.of_list
-      (List.map (fun h -> build_loop df cfg h (Hashtbl.find tbl h)) headers)
-  in
-  let size l = List.length l.l_blocks in
-  (* parents: smallest strictly-larger loop containing the header *)
-  Array.iteri
-    (fun i l ->
-      let best = ref None in
-      Array.iteri
-        (fun j m ->
-          if j <> i && m.l_body.(l.l_header) && size m > size l then
-            match !best with
-            | Some (_, bs) when bs <= size m -> ()
-            | _ -> best := Some (j, size m))
-        loops;
-      l.l_parent <- Option.map fst !best)
-    loops;
-  let rec depth_of i =
-    let l = loops.(i) in
-    match l.l_parent with None -> 1 | Some p -> 1 + depth_of p
-  in
-  Array.iteri (fun i l -> l.l_depth <- depth_of i) loops;
-  let innermost = Array.make (max nb 1) (-1) in
-  for b = 0 to nb - 1 do
-    let best = ref None in
-    Array.iteri
-      (fun j m ->
-        if m.l_body.(b) then
-          match !best with
-          | Some (_, bs) when bs <= size m -> ()
-          | _ -> best := Some (j, size m))
-      loops;
-    innermost.(b) <- (match !best with Some (j, _) -> j | None -> -1)
-  done;
-  Array.iteri (fun i l -> l.l_ivs <- find_ivs df innermost loops i) loops;
-  Array.iteri (fun i l -> l.l_trip <- infer_trip df loops i) loops;
-  { df; loops; innermost }
+  (* Three passes over all loops, in this order, rather than one pass per
+     loop: Dataflow evaluates on demand and memoizes, and around
+     loop-carried cycles its answers depend on the order of the queries. *)
+  let loops = Array.map (build_loop df cfg) cfg.Cfg.loops in
+  let loops = Array.mapi (fun li l -> { l with l_ivs = find_ivs df li l }) loops in
+  { df; loops = Array.map (fun l -> { l with l_trip = infer_trip df l }) loops }
 
 let df t = t.df
 let loops t = t.loops
-let innermost t = t.innermost
 
 let header_addr t l =
   let cfg = Dataflow.cfg t.df in
-  Rcode.addr_of cfg.Cfg.code cfg.Cfg.blocks.(l.l_header).Cfg.first
+  Rcode.addr_of cfg.Cfg.code cfg.Cfg.blocks.(l.l_nest.Cfg.header).Cfg.first

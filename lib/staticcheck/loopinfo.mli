@@ -1,7 +1,6 @@
-(** Natural-loop structure with induction variables and symbolic trip
-    counts, built on {!Dataflow}.
+(** Induction variables and symbolic trip counts for the natural loops of
+    {!Cfg} (one record per {!Cfg.loop}, same index), built on {!Dataflow}.
 
-    One loop per header (multiple back edges to the same header merge).
     An {e induction variable} is a stack/data cell written exactly once in
     the loop body, unconditionally on every iteration, with [cell + step];
     the {e trip count} is recovered from the single exit test when the
@@ -29,20 +28,15 @@ type store_rec = {
 }
 
 type loop = {
-  l_header : int;  (** block id *)
-  l_body : bool array;  (** per block id *)
-  l_blocks : int list;
-  l_latches : int list;
-  l_exits : int list;
-  mutable l_parent : int option;  (** index into {!loops} *)
-  mutable l_depth : int;  (** 1 = outermost *)
+  l_nest : Cfg.loop;  (** header, body, latches, parent, depth *)
+  l_exits : int list;  (** body blocks with a successor outside, ascending *)
   l_has_call : bool;
   l_has_syscall : bool;
   l_wild_stack : bool;
   l_wild_data : bool;
   l_stores : store_rec list;
-  mutable l_ivs : (Dataflow.cell * int) list;
-  mutable l_trip : trip;
+  l_ivs : (Dataflow.cell * int) list;
+  l_trip : trip;
 }
 
 type t
@@ -50,12 +44,7 @@ type t
 val analyze : Dataflow.t -> t
 val df : t -> Dataflow.t
 val loops : t -> loop array
-val innermost : t -> int array
-(** Per block id: index of the innermost containing loop, or [-1]. *)
-
-val loops_of_block : t -> int -> int list
-(** Indices of every loop containing the block, outermost order not
-    guaranteed. *)
+(** Indexed like [(Dataflow.cfg df).loops]. *)
 
 val invariant_cell : t -> loop -> Dataflow.cell -> bool
 (** No instruction in the loop body can change the cell's content. *)
@@ -63,6 +52,3 @@ val invariant_cell : t -> loop -> Dataflow.cell -> bool
 val iv_step : t -> loop -> Dataflow.cell -> int option
 
 val header_addr : t -> loop -> int option
-
-val dominates : Cfg.t -> int -> int -> bool
-(** [dominates cfg a b]: block [a] dominates block [b]. *)

@@ -662,7 +662,7 @@ let check_invariant_load (cfg : Cfg.t) df li add =
   let code = cfg.Cfg.code in
   let n = Rcode.n code in
   let loops = Loopinfo.loops li in
-  let inner = Loopinfo.innermost li in
+  let inner = cfg.Cfg.innermost in
   let seen = Hashtbl.create 8 in
   for i = 0 to n - 1 do
     let b = cfg.Cfg.block_of.(i) in
