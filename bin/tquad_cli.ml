@@ -503,6 +503,16 @@ let footprint_cmd =
        ~doc:"Per-kernel unique-byte footprint by region (buffer sizing)")
     Term.(const run $ metrics_arg $ file_arg $ dir_arg)
 
+(* Exit-code contract (docs/CLI.md), exercised in full by the trace
+   subcommands (record, replay, trace-info, faultgen): 0 success, 2 usage
+   error, 3 input unreadable/unusable (bad container, unreadable/unwritable
+   file, fingerprint mismatch; for wcet, control flow the analysis cannot
+   bound), 4 partial replay failure (the trace was readable and at least
+   the decode pass ran, but one or more tools failed). *)
+let exit_usage = 2
+let exit_unreadable = 3
+let exit_partial = 4
+
 let wcet_cmd =
   let bound_arg =
     Arg.(
@@ -517,7 +527,15 @@ let wcet_cmd =
   in
   let run metrics file bound routine =
     obs_init "wcet" metrics;
+    if bound < 0 then begin
+      Printf.eprintf "wcet: --bound must be non-negative\n";
+      exit exit_usage
+    end;
     let prog = compile_file file in
+    if Tq_vm.Symtab.by_name prog.Tq_vm.Program.symtab routine = None then begin
+      Printf.eprintf "wcet: unknown routine %s\n" routine;
+      exit exit_usage
+    end;
     (* list loops per main-image routine *)
     Tq_vm.Symtab.iter
       (fun r ->
@@ -542,7 +560,7 @@ let wcet_cmd =
     | b -> Printf.printf "\nWCET(%s) <= %d instructions (uniform bound %d)\n" routine b bound
     | exception Tq_wcet.Wcet.Analysis_error msg ->
         Printf.eprintf "analysis error: %s\n" msg;
-        exit 1
+        exit exit_unreadable
   in
   Cmd.v
     (Cmd.info "wcet" ~doc:"Static worst-case execution time bound")
@@ -565,15 +583,6 @@ let wfs_arg =
     & info [ "wfs" ] ~docv:"SCENARIO"
         ~doc:"Use the built-in wfs case study (tiny, default or large) as the \
               program instead of a file.")
-
-(* Exit-code contract for the trace subcommands (record, replay, trace-info,
-   faultgen): 0 success, 2 usage error, 3 trace file unreadable/unusable
-   (bad container, unreadable/unwritable file, fingerprint mismatch),
-   4 partial replay failure (the trace was readable and at least the decode
-   pass ran, but one or more tools failed). *)
-let exit_usage = 2
-let exit_unreadable = 3
-let exit_partial = 4
 
 let load_reader ?mode ctx path =
   let r =
