@@ -624,16 +624,12 @@ let replay_bench () =
      (chunk-parallel decode, mergeable tool shards)";
   let tiny = Scenario.tiny in
   let prog = Harness.compile tiny in
-  let symtab = prog.Tq_vm.Program.symtab in
   let fuel = Harness.fuel tiny in
   let fresh () =
     Engine.create (Machine.create ~vfs:(Harness.make_vfs tiny) prog)
   in
-  let render_tquad t =
-    R.figure t ~metric:Tq.Read_incl ~kernels:(Tq.kernels t) ~title:"fig" ()
-  in
-  let render_quad q = R.quad_table (Q.rows q) in
-  let render_gprof g = R.flat_profile (G.flat_profile g) in
+  let render_tquad = Tq_serve.Toolset.render_tquad ~slice:2_000 in
+  let render_quad = Tq_serve.Toolset.render_quad in
   (* record once ... *)
   let path = Filename.temp_file "tquad_bench" ".trc" in
   let events, record_dt =
@@ -651,44 +647,13 @@ let replay_bench () =
     (Tq_util.Text_table.int_cell (Tq_trace.Reader.byte_size r0))
     record_dt
     (Tq_trace.Reader.n_chunks r0);
-  (* ... replay every tool from the one trace; every tool except the
-     order-sensitive cache simulator carries its shard capability *)
-  let job = Tq_trace.Replay.job in
+  (* ... replay every tool from the one trace, through the same job
+     registry as the CLI and the daemon *)
   let jobs =
-    [
-      job ~wants:Tq.interest
-        ~sharded:(Tq.sharded ~slice_interval:2_000 symtab ~render:render_tquad)
-        "tquad"
-        (fun () ->
-          let t = Tq.create ~slice_interval:2_000 symtab in
-          (Tq.consume t, fun () -> render_tquad t));
-      job ~wants:Q.interest ~sharded:(Q.sharded symtab ~render:render_quad)
-        "quad"
-        (fun () ->
-          let q = Q.create symtab in
-          (Q.consume q, fun () -> render_quad q));
-      job ~wants:G.interest
-        ~sharded:(G.sharded ~period:2_000 symtab ~render:render_gprof)
-        "gprof"
-        (fun () ->
-          let g = G.create ~period:2_000 symtab in
-          (G.consume g, fun () -> render_gprof g));
-      job ~wants:Tq_prof.Ins_mix.interest
-        ~sharded:(Tq_prof.Ins_mix.sharded prog ~render:Tq_prof.Ins_mix.render)
-        "mix"
-        (fun () ->
-          let mix = Tq_prof.Ins_mix.create prog in
-          (Tq_prof.Ins_mix.consume mix, fun () -> Tq_prof.Ins_mix.render mix));
-      job ~wants:Tq_prof.Cache_sim.interest "cache" (fun () ->
-          let c = Tq_prof.Cache_sim.create symtab in
-          (Tq_prof.Cache_sim.consume c, fun () -> Tq_prof.Cache_sim.render c));
-      job ~wants:Tq_prof.Footprint.interest
-        ~sharded:(Tq_prof.Footprint.sharded prog ~render:Tq_prof.Footprint.render)
-        "footprint"
-        (fun () ->
-          let f = Tq_prof.Footprint.create prog in
-          (Tq_prof.Footprint.consume f, fun () -> Tq_prof.Footprint.render f));
-    ]
+    List.map
+      (fun name ->
+        Result.get_ok (Tq_serve.Toolset.job ~prog ~slice:2_000 ~period:2_000 name))
+      Tq_serve.Toolset.names
   in
   (* Interleaved rounds, best-of per side: one-shot wall clocks on these
      sub-second runs swing with machine load and accumulated GC state, so
