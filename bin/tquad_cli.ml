@@ -743,7 +743,7 @@ let replay_cmd =
       value & opt int 0
       & info [ "domains" ] ~docv:"N"
           ~doc:"Worker domains for --all (0 = one per core; 1 with default \
-                --shards = sequential).")
+                --shards = one ordered pipeline walk on the calling domain).")
   in
   let shards_arg =
     Arg.(
@@ -848,72 +848,18 @@ let replay_cmd =
     let prepare jobs =
       match fail_tool with Some name -> sabotage name jobs | None -> jobs
     in
-    (* per-domain wall times and pipeline stats for the manifest's
-       ["replay"] section; captured into refs so one section carries both *)
-    let timings_ref = ref None and stats_ref = ref None in
-    let timings =
-      if Obs.Span.is_enabled !obs then Some (fun ts -> timings_ref := Some ts)
-      else None
-    in
-    let stats =
-      if Obs.Span.is_enabled !obs then Some (fun s -> stats_ref := Some s)
-      else None
-    in
-    let emit_replay_section () =
-      match !timings_ref with
-      | None -> ()
-      | Some ts ->
-          let n_domains =
-            match !stats_ref with
-            | Some s -> s.Tq_trace.Replay.rs_domains
-            | None ->
-                List.length
-                  (List.sort_uniq compare
-                     (List.map (fun t -> t.Tq_trace.Replay.domain) ts))
-          in
-          let stat_fields =
-            match !stats_ref with
-            | None -> []
-            | Some s ->
-                Tq_trace.Replay.
-                  [ ("shards", Obs.Json.Int s.rs_shards);
-                    ("batch", Obs.Json.Int s.rs_batch);
-                    ("chunks", Obs.Json.Int s.rs_chunks);
-                    ("events", Obs.Json.Int s.rs_events);
-                    ("peak_live_chunks", Obs.Json.Int s.rs_peak_live_chunks);
-                    ( "stage_s",
-                      Obs.Json.Obj
-                        [ ("decode", Obs.Json.Float s.rs_decode_s);
-                          ("ordered", Obs.Json.Float s.rs_ordered_s);
-                          ("shard", Obs.Json.Float s.rs_shard_s);
-                          ("merge", Obs.Json.Float s.rs_merge_s) ] ) ]
-          in
-          obs_section "replay"
-            (Obs.Json.Obj
-               (("domains", Obs.Json.Int n_domains)
-               :: stat_fields
-               @ [ ( "timings",
-                     Obs.Json.List
-                       (List.map
-                          (fun (t : Tq_trace.Replay.domain_timing) ->
-                            Obs.Json.Obj
-                              [ ("domain", Obs.Json.Int t.domain);
-                                ( "jobs",
-                                  Obs.Json.List
-                                    (List.map
-                                       (fun j -> Obs.Json.Str j)
-                                       t.jobs) );
-                                ("wall_s", Obs.Json.Float t.wall_s) ])
-                          ts) ) ]))
+    (* per-worker wall times (and, for --all, the pipeline's stats) feed
+       the manifest's ["replay"] section *)
+    let section ?stats timings =
+      obs_section "replay" (Tq_serve.Protocol.replay_section ?stats timings)
     in
     match (tool, all) with
     | Some name, false ->
         let jobs = prepare [ replay_job prog ~slice ~period name ] in
         let results =
           span "replay" (fun () ->
-              Tq_trace.Replay.sequential ?timings reader jobs)
+              Tq_trace.Replay.sequential ~timings:section reader jobs)
         in
-        emit_replay_section ();
         finish_results ~banner:false results
     | None, true ->
         let jobs =
@@ -921,16 +867,13 @@ let replay_cmd =
         in
         let results =
           span "replay" (fun () ->
-              if domains = 1 && shards <= 1 && batch <= 0 then
-                Tq_trace.Replay.sequential ?timings reader jobs
-              else
-                Tq_trace.Replay.parallel
-                  ?domains:(if domains > 0 then Some domains else None)
-                  ?shards:(if shards > 0 then Some shards else None)
-                  ?batch:(if batch > 0 then Some batch else None)
-                  ?timings ?stats reader jobs)
+              Tq_trace.Replay.parallel
+                ?domains:(if domains > 0 then Some domains else None)
+                ?shards:(if shards > 0 then Some shards else None)
+                ?batch:(if batch > 0 then Some batch else None)
+                ~stats:(fun s -> section ~stats:s s.Tq_trace.Replay.rs_timings)
+                reader jobs)
         in
-        emit_replay_section ();
         finish_results ~banner:true results
     | _ ->
         Printf.eprintf "replay: give exactly one of --tool or --all\n";

@@ -127,7 +127,13 @@ let check_replay v =
     (fun (k, x) ->
       let path = "replay." ^ k in
       match k with
-      | "domains" -> ignore (as_int path x)
+      | "domains" | "shards" | "batch" | "chunks" | "events"
+      | "peak_live_chunks" ->
+          ignore (as_int path x)
+      | "stage_s" ->
+          List.iter
+            (fun (k2, y) -> ignore (as_num (path ^ "." ^ k2) y))
+            (as_obj path x)
       | "timings" ->
           List.iteri
             (fun i tv ->

@@ -30,6 +30,7 @@ let () =
 type jrec = {
   spec : spec;
   mutable state : state;
+  mutable replay_stats : Replay.run_stats option;  (* set with [Finished] *)
   cancelled : string option Atomic.t;  (* Some reason once cancelled *)
   deadline : float option;  (* absolute, measured from submission *)
   budget_s : float option;  (* the relative budget, for the error text *)
@@ -79,9 +80,9 @@ type t = {
 
 (* ---------- execution ---------- *)
 
-(* The watchdog's cooperative checkpoint: runs between chunks of the
-   supervised iteration pass (chunk granularity keeps the hot dispatch loop
-   untouched).  Raising here fails every tool still live in the group — the
+(* The watchdog's cooperative checkpoint: runs before each chunk the replay
+   pipeline fetches (chunk granularity keeps the hot dispatch loop
+   untouched).  Raising here fails every tool still live in the job — the
    job comes back as a typed failure and the worker domain moves on, so a
    pathological trace can occupy its domain-pool slot for at most one chunk
    past its budget. *)
@@ -94,54 +95,46 @@ let checkpoint jr =
       raise (Deadline_exceeded (Option.value jr.budget_s ~default:0.))
   | _ -> ()
 
-(* Decode-or-hit dispatch pass: the cache-aware equivalent of
-   Reader.iter_tags.  ~64 bytes per boxed event plus per-array overhead is
-   the weight estimate — it only has to be proportionate, the budget is a
-   soft memory bound, not an accounting. *)
-let cached_iter ~check cache key reader per_tag =
-  for i = 0 to Reader.n_chunks reader - 1 do
-    check ();
-    let evs =
-      match Lru.find cache (key, i) with
-      | Some evs -> evs
-      | None ->
-          let evs = Reader.chunk_events reader i in
-          Lru.add cache (key, i) ~weight:((64 * Array.length evs) + 256) evs;
-          evs
-    in
-    Replay.dispatch per_tag evs
-  done
-
 let run_spec ~check cache spec =
-  let fail msg = Error Replay.{ exn = Failure msg; backtrace = "" } in
-  let built =
+  (* an unknown tool is a job whose factory fails: supervision reports it
+     alone, in request order *)
+  let jobs =
     List.map
       (fun name ->
-        ( name,
+        match
           Toolset.job ~prog:spec.prog ~slice:spec.slice ~period:spec.period
-            name ))
+            name
+        with
+        | Ok j -> j
+        | Error msg -> Replay.job name (fun () -> failwith msg))
       spec.tools
   in
-  let jobs =
-    List.filter_map (function _, Ok j -> Some j | _, Error _ -> None) built
+  (* The pipeline's chunk source: checkpoint, then decode-or-hit in the
+     shared cache.  ~64 bytes per boxed event plus per-array overhead is the
+     weight estimate — it only has to be proportionate, the budget is a soft
+     memory bound, not an accounting. *)
+  let chunk i =
+    check ();
+    match Lru.find cache (spec.trace_key, i) with
+    | Some evs -> evs
+    | None ->
+        let evs = Reader.chunk_events spec.reader i in
+        Lru.add cache (spec.trace_key, i)
+          ~weight:((64 * Array.length evs) + 256)
+          evs;
+        evs
   in
+  (* served jobs stay on their worker's domain: one ordered walk *)
+  let stats = ref None in
   let results =
-    Replay.supervised
-      ~iter:(cached_iter ~check cache spec.trace_key spec.reader)
-      jobs
+    Replay.parallel ~domains:1 ~chunk
+      ~stats:(fun s -> stats := Some s)
+      spec.reader jobs
   in
-  List.map
-    (fun (name, b) ->
-      match b with
-      | Error msg -> (name, fail msg)
-      | Ok _ -> (
-          match List.assoc_opt name results with
-          | Some o -> (name, o)
-          | None -> (name, fail "job produced no outcome")))
-    built
+  (results, !stats)
 
-(* The job-level verdict a finished outcome carries: the supervised pass
-   fails every live tool with the killing exception, so one probe suffices. *)
+(* The job-level verdict a finished outcome carries: the pipeline fails
+   every live tool with the killing exception, so one probe suffices. *)
 let killed outcome =
   List.find_map
     (fun (_, o) ->
@@ -157,17 +150,18 @@ let killed outcome =
    popped fails fast — its checkpoint raises before the first chunk. *)
 let execute t id jr =
   let t0 = Unix.gettimeofday () in
-  let results =
+  let results, replay_stats =
     try run_spec ~check:(fun () -> checkpoint jr) t.cache jr.spec
     with exn ->
       (* run_spec is not supposed to raise (supervision happens inside), but
          a job must never take a worker domain down with it *)
       let f = Replay.{ exn; backtrace = "" } in
-      List.map (fun name -> (name, Error f)) jr.spec.tools
+      (List.map (fun name -> (name, Error f)) jr.spec.tools, None)
   in
   let wall = Unix.gettimeofday () -. t0 in
   Mutex.lock t.lock;
   jr.state <- Finished results;
+  jr.replay_stats <- replay_stats;
   t.running <- t.running - 1;
   t.completed <- t.completed + 1;
   (match killed results with
@@ -267,6 +261,7 @@ let submit ?deadline_s t spec =
           {
             spec;
             state = Queued;
+            replay_stats = None;
             cancelled = Atomic.make None;
             (* the budget covers queue wait too: a job that sat past its
                deadline fails fast when popped instead of occupying a slot *)
@@ -297,6 +292,10 @@ let status t id =
       | None -> Unknown
       | Some { state = Finished r; _ } -> Done r
       | Some _ -> Pending)
+
+let replay_stats t id =
+  Mutex.protect t.lock (fun () ->
+      Option.bind (Hashtbl.find_opt t.jobs id) (fun jr -> jr.replay_stats))
 
 let wait t id =
   Mutex.lock t.lock;

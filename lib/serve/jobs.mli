@@ -2,9 +2,10 @@
     multiplexed over a shared pool of OCaml 5 worker domains.
 
     Each submitted {!spec} is one served replay — a trace, a program and a
-    tool subset — executed as a supervised job group
-    ({!Tq_trace.Replay.supervised}) fed from the shared decoded-chunk cache,
-    so per-tool failures stay per-tool and hot chunks decode once.
+    tool subset — executed by {!Tq_trace.Replay.parallel} on its worker's
+    domain ([~domains:1]: one ordered walk, no sharding), with the shared
+    decoded-chunk cache as the pipeline's chunk source, so per-tool failures
+    stay per-tool and hot chunks decode once.
 
     Backpressure is structural: the queue has a hard bound and {!submit}
     refuses (never blocks, never grows) when it is full — the server turns
@@ -80,8 +81,8 @@ val submit : ?deadline_s:float -> t -> spec -> (int, [ `Queue_full of int ]) res
 
     [deadline_s] overrides the pool's default wall-clock budget, measured
     from submission (queue wait counts: a stale job fails fast instead of
-    occupying a worker slot).  Enforcement is cooperative — the supervised
-    iteration pass checks between chunks — so an over-budget job dies
+    occupying a worker slot).  Enforcement is cooperative — the pipeline's
+    chunk source checks before each chunk — so an over-budget job dies
     within one chunk's work, its outcome a typed {!Deadline_exceeded}
     failure for every tool, and its worker-domain slot is freed. *)
 
@@ -93,6 +94,10 @@ val cancel : ?reason:string -> t -> int -> bool
     for every tool.  Used by the server when a job's client disconnects. *)
 
 val status : t -> int -> status
+
+val replay_stats : t -> int -> Tq_trace.Replay.run_stats option
+(** The {!Tq_trace.Replay.parallel} statistics of finished job [id], for
+    its manifest; [None] for an unknown, pending or never-replayed job. *)
 
 val killed : outcome -> [ `Deadline_exceeded | `Cancelled ] option
 (** The job-level verdict carried by a finished outcome: [Some] when the

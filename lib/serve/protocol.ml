@@ -1,5 +1,6 @@
 module Json = Tq_obs.Json
 module Reader = Tq_trace.Reader
+module Replay = Tq_trace.Replay
 
 let max_frame = 256 * 1024 * 1024
 
@@ -175,6 +176,35 @@ let trace_section ?(extra = []) r =
        ("fingerprint", Json.Str (Printf.sprintf "%016Lx" (Reader.fingerprint r)));
        ("last_icount", Json.Int (Reader.last_icount r)) ]
     @ compression @ salvage @ extra)
+
+let replay_section ?stats timings =
+  (* without stats this is the sequential oracle, which runs on one domain *)
+  let domains = match stats with Some s -> s.Replay.rs_domains | None -> 1 in
+  let pipeline =
+    match stats with
+    | None -> []
+    | Some s ->
+        [ ("shards", Json.Int s.rs_shards);
+          ("batch", Json.Int s.rs_batch);
+          ("chunks", Json.Int s.rs_chunks);
+          ("events", Json.Int s.rs_events);
+          ("peak_live_chunks", Json.Int s.rs_peak_live_chunks);
+          ( "stage_s",
+            Json.Obj
+              [ ("decode", Json.Float s.rs_decode_s);
+                ("ordered", Json.Float s.rs_ordered_s);
+                ("shard", Json.Float s.rs_shard_s);
+                ("merge", Json.Float s.rs_merge_s) ] ) ]
+  in
+  let timing (t : Replay.domain_timing) =
+    Json.Obj
+      [ ("domain", Json.Int t.domain);
+        ("jobs", Json.List (List.map (fun j -> Json.Str j) t.jobs));
+        ("wall_s", Json.Float t.wall_s) ]
+  in
+  Json.Obj
+    ((("domains", Json.Int domains) :: pipeline)
+    @ [ ("timings", Json.List (List.map timing timings)) ])
 
 (* ---------- response shapes ---------- *)
 

@@ -80,6 +80,17 @@ val trace_section :
     [trace-info] response, so the three can never drift.  [extra] members
     are appended after the standard ones. *)
 
+val replay_section :
+  ?stats:Tq_trace.Replay.run_stats ->
+  Tq_trace.Replay.domain_timing list ->
+  Tq_obs.Json.t
+(** The canonical ["replay"] manifest section: [domains], then with
+    [stats] the pipeline members (shards, batch, chunks, events,
+    peak_live_chunks, stage_s), then one [timings] entry per timing given
+    — [stats.rs_timings] for a pipeline run, {!Tq_trace.Replay.sequential}'s
+    per-job timings (one domain) otherwise.  Shared by
+    [tquad replay --metrics] and the serve daemon's per-job manifests. *)
+
 (** {1 Response shapes} *)
 
 val ok : (string * Tq_obs.Json.t) list -> Tq_obs.Json.t

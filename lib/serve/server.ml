@@ -186,12 +186,18 @@ let write_job_manifest s id =
                           ("error", Json.Str (Replay.failure_message f)) ] ))
               results
           in
+          let replay =
+            match Jobs.replay_stats s.jobs id with
+            | Some st ->
+                [ ("replay", Protocol.replay_section ~stats:st st.rs_timings) ]
+            | None -> []
+          in
           let doc =
             Obs.Manifest.make ~tool:"tquad-serve" ~subcommand:"job"
               ~extra:
-                [ ( "job",
-                    Json.Obj
-                      [ ("id", Json.Int id); ("tools", Json.Obj tools) ] ) ]
+                (( "job",
+                   Json.Obj [ ("id", Json.Int id); ("tools", Json.Obj tools) ] )
+                :: replay)
               Obs.Span.disabled Obs.Metrics.disabled
           in
           (try

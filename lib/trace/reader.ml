@@ -678,66 +678,6 @@ let of_string ?(verify = true) ?(mode = Strict) raw =
 
 let load ?verify ?mode path = of_string ?verify ?mode (read_file path)
 
-(* Same loop as [iter_chunk], dispatching on the event's tag instead of
-   through one composite sink: the replay driver keeps one fused sink per
-   tag, and routing here saves a closure hop per event.  Repeat chunks go
-   through the generic expansion with a dispatching sink — they are the
-   compressed minority of chunks, and expansion already amortizes the
-   decode. *)
-let iter_chunk_tags ~version ~verify ~verified ~chunks ~idx raw chunk
-    (per_tag : (Event.t -> unit) array) =
-  match chunk.c_kind with
-  | Repeat | Body ->
-      iter_chunk ~version ~verify ~verified ~chunks ~idx raw chunk (fun ev ->
-          per_tag.(Event.tag ev) ev)
-  | Plain ->
-      let n, first_icount, payload_len, payload_start =
-        if version >= 3 then begin
-          let v4 = version = 4 in
-          let ((_, n, fic, plen, _, _, _, pstart) as parts) =
-            parse_chunk ~v4 raw chunk.c_offset
-          in
-          if n <> chunk.c_events || fic <> chunk.c_first_icount then
-            fail "chunk at %d: header disagrees with index" chunk.c_offset;
-          if verify && not verified.(idx) then begin
-            check_crc ~v4 raw chunk.c_offset parts;
-            verified.(idx) <- true
-          end;
-          (n, fic, plen, pstart)
-        end
-        else begin
-          let pos = ref chunk.c_offset in
-          let n = leb_u raw pos in
-          let first_icount = leb_u raw pos in
-          let payload_len = leb_u raw pos in
-          if n < 0 || payload_len < 0 then
-            fail "chunk at %d: negative header field" chunk.c_offset;
-          (n, first_icount, payload_len, !pos)
-        end
-      in
-      let payload_end = payload_start + payload_len in
-      if payload_end > String.length raw then
-        fail "chunk at %d overruns file" chunk.c_offset;
-      let pos = ref payload_start in
-      let st = Event.fresh_state ~icount:first_icount () in
-      for _ = 1 to n do
-        match Event.decode st raw pos with
-        | ev -> per_tag.(Event.tag ev) ev
-        | exception Leb.Truncated p -> fail "truncated event at %d" p
-        | exception Failure msg -> fail "%s" msg
-      done;
-      if !pos <> payload_end then
-        fail "chunk at %d: payload length mismatch" chunk.c_offset
-
-let iter_tags t per_tag =
-  if Array.length per_tag <> Event.n_kinds then
-    invalid_arg "Trace.Reader.iter_tags: need one sink per event kind";
-  Array.iteri
-    (fun idx c ->
-      iter_chunk_tags ~version:t.version ~verify:t.verify ~verified:t.verified
-        ~chunks:t.chunks ~idx t.raw c per_tag)
-    t.chunks
-
 let iter ?from_icount t sink =
   let start =
     match from_icount with

@@ -1,9 +1,9 @@
 (** Reader for recorded traces (see {!Writer} for the file layout and
     [docs/TRACE.md] for the full wire-format specification).
 
-    A loaded reader is immutable — [iter] keeps all decoding state local —
-    so one reader can drive any number of concurrent replay domains over the
-    same in-memory image ({!Replay.parallel}).
+    A loaded reader is immutable — {!iter} and {!chunk_events} keep all
+    decoding state local — so one reader can drive any number of concurrent
+    replay domains over the same in-memory image ({!Replay.parallel}).
 
     All three live container versions load here: v2 (no checksums), v3
     (CRC + salvage) and v4 (redundancy-suppressed).  A v4 {e repeat chunk}
@@ -11,8 +11,8 @@
     to the {e body-def chunk} holding the loop body's events (interned:
     one def serves every repeat of the same body) — is expanded
     transparently during iteration, so every consumer ({!iter},
-    {!iter_tags}, {!chunk_events}, and everything built on them:
-    sequential, sharded and salvage replay) sees the exact event stream
+    {!chunk_events}, and everything built on them: sequential, pipeline
+    and salvage replay) sees the exact event stream
     the probe emitted.  Body refs are cross-checked against the def's
     payload CRC at load time, so a reference can never silently resolve to
     the wrong body; in [Salvage] mode a repeat chunk whose def was lost to
@@ -25,7 +25,7 @@
     chunk surfaces as {!Format_error}, never as a decode crash or silently
     wrong events.  Each chunk is verified {e at most once per process}: the
     reader keeps a per-chunk verified bit shared by every iteration pass
-    ({!iter}, {!iter_tags}, {!crc_check}, {!chunk_events}), so repeated
+    ({!iter}, {!crc_check}, {!chunk_events}), so repeated
     replays — or several replay domains walking the same reader — never pay
     the digest twice.  The bits are written without synchronization; a race
     between domains can at worst re-verify a chunk, never skip an unverified
@@ -73,13 +73,6 @@ val iter : ?from_icount:int -> t -> (Event.t -> unit) -> unit
     count are skipped — an O(log n) seek.
     @raise Format_error if a chunk fails its CRC check or is malformed. *)
 
-val iter_tags : t -> (Event.t -> unit) array -> unit
-(** Replay the whole trace, routing each event to the sink at index
-    {!Event.tag}[ ev] — the hot path under {!Replay.parallel}, where each
-    tag's sink fans out to the jobs interested in that kind.
-    @raise Invalid_argument unless given exactly {!Event.n_kinds} sinks.
-    @raise Format_error if a chunk fails its CRC check or is malformed. *)
-
 val crc_check : t -> int
 (** Ensure every chunk's CRC-32 has been verified, without decoding any
     events, and return the chunk count ([0] for a v2 container, which
@@ -93,7 +86,8 @@ val chunk_events : t -> int -> Event.t array
 (** Decode chunk [i] (0-based, [0 <= i < ]{!n_chunks}) into an array of its
     events, CRC-verifying it first if its verified bit is not yet set.
     Chunks decode independently (the delta-codec state resets at every chunk
-    boundary), so this is the chunk-granular read behind the serve layer's
+    boundary), so this is the chunk-granular read behind
+    {!Replay.parallel}'s default chunk source and the serve layer's
     decoded-chunk cache: a returned array is always a decoded-and-verified
     chunk, and re-reading a chunk never re-verifies it.
     @raise Invalid_argument if the index is out of range.

@@ -1,6 +1,6 @@
-(** Drive analysis tools from a recorded trace — sequentially, or through a
-    sharded streaming pipeline over OCaml 5 domains — with per-job fault
-    isolation.
+(** Drive analysis tools from a recorded trace — once per tool through the
+    sequential oracle, or all at once through the sharded streaming
+    pipeline over OCaml 5 domains — with per-job fault isolation.
 
     A {!job} is a named factory: it builds a fresh tool instance, returns its
     event sink and a [finish] callback producing the tool's rendered result.
@@ -99,8 +99,8 @@ type domain_timing = {
 type run_stats = {
   rs_domains : int;  (** workers actually used (caller included) *)
   rs_shards : int;  (** trace ranges per sharded job *)
-  rs_batch : int;  (** decode window (chunks decoded ahead); [0] = unbounded
-                       single-pass mode *)
+  rs_batch : int;  (** decode window: chunks decoded ahead of the slowest
+                       consumer (always [>= 1]) *)
   rs_chunks : int;
   rs_events : int;
   rs_decode_s : float;  (** summed across domains: chunk decode + CRC *)
@@ -111,6 +111,9 @@ type run_stats = {
       (** high-water mark of decoded chunks held at once — the pipeline's
           actual queue depth, bounded by the decode window plus in-flight
           consumers *)
+  rs_timings : domain_timing list;
+      (** one entry per worker, caller's domain first: each worker's wall
+          time, with every job listed on domain [0]'s row *)
 }
 (** One pipeline run's shape and per-stage cost, for the run manifest's
     [replay] section and the bench's scaling tables. *)
@@ -123,25 +126,19 @@ val is_trace_error : failure -> bool
 (** Did this job fail because the trace itself was unreadable
     ({!Reader.Format_error}) rather than because the tool raised? *)
 
-val dispatch : (Event.t -> unit) array -> Event.t array -> unit
-(** [dispatch per_tag evs] walks a decoded chunk, handing each event to the
-    sink at its {!Event.tag} — the inner loop of the pipeline's ordered
-    stage, exported so the serve layer's decoded-chunk-cache pass is the
-    same code. *)
-
 val supervised :
   iter:((Event.t -> unit) array -> unit) ->
   job list ->
   (string * outcome) list
-(** Run one supervised job group over a caller-supplied dispatch pass, on
-    the current domain.  [iter] receives one fused, guarded sink per event
-    tag ({!Event.n_kinds} of them, indexed by {!Event.tag}) and must deliver
-    every event of the trace to the sink at its tag — {!Reader.iter_tags}
-    partially applied is the canonical pass; the serve layer's
-    decoded-chunk-cache walk (built on {!dispatch}) is another.
-    Supervision matches {!parallel}: a job whose factory, sink or finish
-    raises is retired and reported as its own [Error]; an exception escaping
-    [iter] itself fails every job still live.  Never raises. *)
+(** Run one supervised job group over a push-fed event stream, on the
+    current domain — for streams that are not a recorded trace, such as a
+    {!Probe} feeding tools from a live engine.  [iter] receives one fused,
+    guarded sink per event tag ({!Event.n_kinds} of them, indexed by
+    {!Event.tag}) and must deliver every event of the stream to the sink at
+    its tag.  The group is built by the same routine as {!parallel}'s
+    ordered stage, so supervision matches: a job whose factory, sink or
+    finish raises is retired and reported as its own [Error]; an exception
+    escaping [iter] itself fails every job still live.  Never raises. *)
 
 val sequential :
   ?timings:(domain_timing list -> unit) ->
@@ -158,13 +155,16 @@ val parallel :
   ?domains:int ->
   ?shards:int ->
   ?batch:int ->
-  ?timings:(domain_timing list -> unit) ->
+  ?chunk:(int -> Event.t array) ->
   ?stats:(run_stats -> unit) ->
   Reader.t ->
   job list ->
   (string * outcome) list
-(** Replay through the sharded streaming pipeline.  Every chunk is decoded
-    and CRC-verified {e exactly once} into a pooled slot; the chunks then
+(** Replay through the sharded streaming pipeline — the one multi-tool
+    replay engine, behind [tquad replay --all] and every served job.  Every
+    chunk is decoded and CRC-verified {e exactly once} into a pooled slot
+    by [chunk] (default {!Reader.chunk_events}[ reader]; the serve layer
+    passes a cache lookup with its cancellation checkpoint); the chunks then
     flow through two kinds of consumers running concurrently on one shared
     domain pool:
 
@@ -184,23 +184,25 @@ val parallel :
 
     [domains] defaults to [Domain.recommended_domain_count ()] and is
     always capped by it — decode and analysis share the one pool, so
-    oversubscribing the machine only adds work.  [shards] defaults to the
-    domain count (capped at the chunk count); [shards > 1] with
-    [domains = 1] still runs the full pipeline on the calling domain, which
-    keeps the shard/merge path exercisable on any machine.  No domain is
-    spawned for an empty job list, a singleton non-shardable job, or a
-    [domains = 1] run without sharding — those stream the trace once on the
-    calling domain.
+    oversubscribing the machine only adds work.  The calling domain is
+    worker [0] and [domains - 1] more are spawned, so a [domains = 1] run
+    spawns none.  [shards] defaults to the domain count (capped at the
+    chunk count).  With one shard every job runs its plain [make] path in
+    the ordered stage, with no prefix tracker or merge: [~domains:1] with
+    default shards is one ordered walk on the calling domain.  [shards > 1]
+    with [domains = 1] still runs the full shard/merge path on the calling
+    domain, which keeps it exercisable on any machine.
 
     Supervision: a job whose factory, sink, merge or finish raises is
     retired (its remaining shard ranges drain without work) and reported as
-    [Error]; the other jobs run to completion.  Only an unreadable trace
-    (chunk decode raising {!Reader.Format_error}) fails every job still
-    live.  No exception escapes a domain.
+    [Error]; the other jobs run to completion.  Only an exception from
+    [chunk] (an unreadable trace raising {!Reader.Format_error}, or a
+    caller's cancellation) fails every job still live; a job that had
+    already failed keeps its own failure.  No exception escapes a domain.
 
-    [timings], if given, receives one {!domain_timing} per worker;
-    [stats] receives the pipeline's {!run_stats} — both before the call
-    returns. *)
+    [stats] receives the pipeline's {!run_stats}, per-worker wall times
+    included, before the call returns.  An empty job list returns [[]]
+    without touching the trace. *)
 
 val check_program : Reader.t -> Tq_vm.Program.t -> (unit, string) result
 (** Does this trace belong to this program?  [Error] explains a fingerprint

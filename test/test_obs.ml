@@ -270,6 +270,10 @@ let test_manifest_validate_negative () =
   invalid (with_member "trace" (Json.Obj [ ("events", Json.Str "many") ]));
   invalid
     (with_member "replay" (Json.Obj [ ("timings", Json.List [ Json.Obj [] ]) ]));
+  invalid (with_member "replay" (Json.Obj [ ("chunks", Json.Str "many") ]));
+  invalid
+    (with_member "replay"
+       (Json.Obj [ ("stage_s", Json.Obj [ ("decode", Json.Str "slow") ]) ]));
   (* unknown sections and unknown members of known sections are allowed *)
   match
     Manifest.validate
@@ -404,7 +408,7 @@ let test_parallel_timings () =
       let timings = ref [] in
       let results =
         Replay.parallel ~domains:2
-          ~timings:(fun ts -> timings := ts)
+          ~stats:(fun s -> timings := s.Replay.rs_timings)
           r
           (count_jobs [ "a"; "b"; "c" ])
       in

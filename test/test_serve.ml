@@ -468,6 +468,55 @@ let test_socket_roundtrip () =
   Alcotest.(check bool) "job manifest written" true
     (Sys.file_exists (Filename.concat mdir "job-1.json"))
 
+(* A served job's manifest carries the same ["replay"] section as
+   [tquad replay --all --metrics], and it validates. *)
+let test_job_manifest_replay_section () =
+  let prog, bytes = Lazy.force fixture in
+  let socket = tmp_socket () in
+  let mdir = Filename.temp_file "tq_serve_mdir" "" in
+  Sys.remove mdir;
+  Sys.mkdir mdir 0o755;
+  let cfg =
+    {
+      (Server.default ~socket_path:socket) with
+      Server.workers = 1;
+      manifest_dir = Some mdir;
+      manifest_period_s = 60.;
+    }
+  in
+  let th = start_server cfg in
+  let c = Result.get_ok (Client.connect socket) in
+  let id =
+    Result.get_ok (Client.upload ~program:(Objfile.encode prog) ~trace:bytes c)
+  in
+  let jid = Result.get_ok (Client.replay ~tools:[ "gprof"; "cache" ] c id) in
+  ignore (Result.get_ok (Client.report ~wait:true c jid));
+  Alcotest.(check bool) "shutdown" true (Client.shutdown c = Ok ());
+  Client.close c;
+  Thread.join th;
+  let doc = Tq_obs.Manifest.load (Filename.concat mdir "job-1.json") in
+  (match Tq_obs.Manifest.validate doc with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail ("job manifest invalid: " ^ msg));
+  let replay =
+    match Json.member "replay" doc with
+    | Some r -> r
+    | None -> Alcotest.fail "job manifest has no replay section"
+  in
+  let int k =
+    match Json.member k replay with
+    | Some (Json.Int n) -> n
+    | _ -> Alcotest.failf "replay.%s missing" k
+  in
+  Alcotest.(check int) "replay.chunks = the trace's chunks"
+    (Reader.n_chunks (Reader.of_string bytes))
+    (int "chunks");
+  Alcotest.(check int) "served jobs run on one domain" 1 (int "domains");
+  Alcotest.(check bool) "peak_live_chunks reported" true
+    (int "peak_live_chunks" >= 1);
+  Alcotest.(check bool) "stage times reported" true
+    (Json.member "stage_s" replay <> None)
+
 let test_socket_rate_limit_busy () =
   let prog, bytes = Lazy.force fixture in
   let socket = tmp_socket () in
@@ -529,5 +578,7 @@ let suites =
           test_trace_id;
         Alcotest.test_case "socket: upload/replay/report round-trip" `Quick
           test_socket_roundtrip;
+        Alcotest.test_case "socket: job manifests carry the replay section"
+          `Quick test_job_manifest_replay_section;
         Alcotest.test_case "socket: rate limiter refuses bursts with busy"
           `Quick test_socket_rate_limit_busy ] ) ]

@@ -124,9 +124,12 @@ let qcheck_seek =
           List.rev !out
           = List.filter (fun ev -> Event.icount ev >= from_icount) evs))
 
-let qcheck_iter_tags_partition =
-  QCheck.Test.make ~name:"iter_tags partitions the stream by kind" ~count:60
-    arb_events (fun evs ->
+(* A job sees exactly the kinds it wants: through the pipeline on one
+   domain, one [~wants:[kind]] job per kind collects the events of its kind,
+   in trace order. *)
+let qcheck_pipeline_partition =
+  QCheck.Test.make ~name:"pipeline partitions by kind" ~count:60 arb_events
+    (fun evs ->
       let path = Filename.temp_file "tq_trace" ".trc" in
       Fun.protect
         ~finally:(fun () -> Sys.remove path)
@@ -135,26 +138,24 @@ let qcheck_iter_tags_partition =
               List.iter (Writer.emit w) evs);
           let r = Reader.load path in
           let buckets = Array.make Event.n_kinds [] in
-          Reader.iter_tags r
-            (Array.init Event.n_kinds (fun tag ->
-                 fun ev -> buckets.(tag) <- ev :: buckets.(tag)));
+          let jobs =
+            List.map
+              (fun kind ->
+                let tag = Event.kind_tag kind in
+                Replay.job ~wants:[ kind ] (string_of_int tag) (fun () ->
+                    ( (fun ev -> buckets.(tag) <- ev :: buckets.(tag)),
+                      fun () -> "" )))
+              Event.all_kinds
+          in
           List.for_all
-            (fun kind ->
-              let tag = Event.kind_tag kind in
-              List.rev buckets.(tag)
-              = List.filter (fun ev -> Event.tag ev = tag) evs)
-            Event.all_kinds))
-
-let test_iter_tags_arity () =
-  let path = Filename.temp_file "tq_trace" ".trc" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Writer.with_file path (fun _ -> ());
-      let r = Reader.load path in
-      Alcotest.check_raises "wrong sink count"
-        (Invalid_argument "Trace.Reader.iter_tags: need one sink per event kind")
-        (fun () -> Reader.iter_tags r (Array.make 3 ignore)))
+            (fun (_, o) -> o = Ok "")
+            (Replay.parallel ~domains:1 r jobs)
+          && List.for_all
+               (fun kind ->
+                 let tag = Event.kind_tag kind in
+                 List.rev buckets.(tag)
+                 = List.filter (fun ev -> Event.tag ev = tag) evs)
+               Event.all_kinds))
 
 let test_corrupt_trace () =
   let path = Filename.temp_file "tq_trace" ".trc" in
@@ -485,6 +486,63 @@ let qcheck_sharded_salvage_identity =
           outcomes_equal (Replay.sequential r1 jobs)
             (Replay.parallel ~domains ~shards ~batch r2 jobs))
 
+(* The chunk source is where a whole pass dies: an exception from [chunk]
+   fails every job still live with that exception, while a job whose own
+   sink raised earlier keeps its own failure.  A caching source changes no
+   report, and a second run through it decodes nothing. *)
+exception Source_died of int
+
+let test_chunk_source () =
+  let prog, evs = Lazy.force micro_recording in
+  let r = Reader.of_string (reencode ~chunk_bytes:512 evs) in
+  let c = Reader.n_chunks r in
+  Alcotest.(check bool) "enough chunks to fail mid-trace" true (c >= 16);
+  let k = c / 2 in
+  let bomb =
+    Replay.job "bomb" (fun () ->
+        ((fun _ -> failwith "early sink crash"), fun () -> "unreachable"))
+  in
+  let dying i =
+    if i = k then raise (Source_died i) else Reader.chunk_events r i
+  in
+  let check_dead results =
+    List.iter
+      (fun (name, o) ->
+        match (name, o) with
+        | "bomb", Error { Replay.exn = Failure msg; _ } ->
+            Alcotest.(check string) "bomb keeps its own failure"
+              "early sink crash" msg
+        | "bomb", _ -> Alcotest.fail "bomb lost its own failure"
+        | _, Error { Replay.exn = Source_died i; _ } ->
+            Alcotest.(check int) (name ^ " fails at the source's chunk") k i
+        | _ -> Alcotest.failf "%s: expected the chunk source's failure" name)
+      results
+  in
+  let jobs = bomb :: sharded_jobs prog in
+  check_dead (Replay.parallel ~domains:1 ~chunk:dying r jobs);
+  check_dead (Replay.parallel ~domains:1 ~shards:3 ~chunk:dying r jobs);
+  let lock = Mutex.create () and cache = Hashtbl.create 64 in
+  let decodes = ref 0 in
+  let cached i =
+    Mutex.protect lock (fun () ->
+        match Hashtbl.find_opt cache i with
+        | Some evs -> evs
+        | None ->
+            incr decodes;
+            let evs = Reader.chunk_events r i in
+            Hashtbl.add cache i evs;
+            evs)
+  in
+  let seq = Replay.sequential r (sharded_jobs prog) in
+  Alcotest.(check bool) "cached ordered walk = sequential" true
+    (outcomes_equal seq
+       (Replay.parallel ~domains:1 ~chunk:cached r (sharded_jobs prog)));
+  Alcotest.(check bool) "cached sharded run = sequential" true
+    (outcomes_equal seq
+       (Replay.parallel ~domains:2 ~shards:3 ~chunk:cached r
+          (sharded_jobs prog)));
+  Alcotest.(check int) "each chunk decoded once across both runs" c !decodes
+
 (* ---------- crash safety of the writer ---------- *)
 
 let test_writer_atomic_rename () =
@@ -658,8 +716,7 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_codec_roundtrip;
         QCheck_alcotest.to_alcotest qcheck_file_roundtrip;
         QCheck_alcotest.to_alcotest qcheck_seek;
-        QCheck_alcotest.to_alcotest qcheck_iter_tags_partition;
-        Alcotest.test_case "iter_tags arity check" `Quick test_iter_tags_arity;
+        QCheck_alcotest.to_alcotest qcheck_pipeline_partition;
         Alcotest.test_case "corrupt file rejected" `Quick test_corrupt_trace;
         Alcotest.test_case "record: reader stats sane" `Quick
           test_record_reader_stats;
@@ -669,6 +726,8 @@ let suites =
           test_supervised_replay;
         QCheck_alcotest.to_alcotest qcheck_sharded_identity;
         QCheck_alcotest.to_alcotest qcheck_sharded_salvage_identity;
+        Alcotest.test_case "chunk source fails live jobs" `Quick
+          test_chunk_source;
         Alcotest.test_case "writer streams to .tmp, renames on close" `Quick
           test_writer_atomic_rename;
         QCheck_alcotest.to_alcotest qcheck_v2_backcompat;
