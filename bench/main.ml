@@ -788,7 +788,7 @@ let replay_bench () =
     (List.length results) domains_used shards_used
     (Domain.recommended_domain_count ())
     replay_dt;
-  Printf.printf "  sequential oracle (single pass, all tools): %.2fs\n" seq_dt;
+  Printf.printf "  sequential oracle (one decode pass per tool): %.2fs\n" seq_dt;
   Printf.printf "  sharded reports byte-identical to sequential oracle: %b\n"
     all_identical;
   Printf.printf "  tquad replay byte-identical to live run: %b\n"
