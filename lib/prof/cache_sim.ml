@@ -36,6 +36,18 @@ type t = {
   stack : Call_stack.t;
 }
 
+(* [find_way] returns the way in [w, stop) holding [tag], or -1.  It and
+   [swap] are top-level so a line access builds no closure. *)
+let rec find_way (tags : int array) tag w stop =
+  if w >= stop then -1
+  else if tags.(w) = tag then w
+  else find_way tags tag (w + 1) stop
+
+let swap (a : int array) i j =
+  let v = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- v
+
 (* Access one line; returns a bitmask (bit 0 = missed, bit 1 = caused a
    writeback) rather than a tuple — this runs per line of every access, and
    the tuple allocation is measurable. *)
@@ -48,10 +60,9 @@ let touch_line t line_addr ~write ~demand:_ =
   (* a tag appears at most once per set, so stop at the first hit;
      move-to-front (below) makes way 0 the overwhelmingly common hit, so
      probe it before entering the scan *)
-  let rec find w stop = if w >= stop then -1 else if t.tags.(w) = tag then w else find (w + 1) stop in
   let found =
     if t.tags.(base) = tag then base
-    else find (base + 1) (base + t.config.assoc)
+    else find_way t.tags tag (base + 1) (base + t.config.assoc)
   in
   if found >= 0 then begin
     (* move-to-front: a set is an unordered (tag, dirty, age) collection —
@@ -60,7 +71,6 @@ let touch_line t line_addr ~write ~demand:_ =
     let w =
       if found = base then found
       else begin
-        let swap (a : int array) i j = let v = a.(i) in a.(i) <- a.(j); a.(j) <- v in
         swap t.tags found base;
         swap t.age found base;
         let d = t.dirty.(found) in

@@ -92,35 +92,80 @@ let empty_stats = { unique_bytes = 0; pages = 0; lo = 0; hi = 0 }
 
 (* stack classification here is positional (the stack region of the address
    space), independent of the momentary stack pointer *)
+let stack_lo = Layout.stack_top - 0x1000_0000
+
 let classify t addr =
-  if addr >= Layout.stack_top - 0x1000_0000 && addr < Layout.stack_top then Stack
+  if addr >= stack_lo && addr < Layout.stack_top then Stack
   else if addr >= t.data_end then Heap
   else Data
 
+let region_index = function Data -> 0 | Heap -> 1 | Stack -> 2
+
+(* bit tricks on the 32-bit words of [Bitset.iter_words] (never zero); the
+   popcount is [Paged_bitset]'s, kept in this module so it inlines *)
+let popcount32 x =
+  let x = x - ((x lsr 1) land 0x55555555) in
+  let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
+  let x = (x + (x lsr 4)) land 0x0f0f0f0f in
+  ((x * 0x01010101) lsr 24) land 0xff
+
+let lowest_bit w = popcount32 ((w land -w) - 1)
+
+let highest_bit w =
+  let w = w lor (w lsr 1) in
+  let w = w lor (w lsr 2) in
+  let w = w lor (w lsr 4) in
+  let w = w lor (w lsr 8) in
+  popcount32 (w lor (w lsr 16)) - 1
+
+(* Word-at-a-time over the ascending touched set: a word lies in one 4 KiB
+   page, so a region's page count grows when its page index changes, and
+   only a word a region boundary cuts through is split bit by bit. *)
 let region_rollup t id =
   let bits = t.touched.(id) in
   if Bitset.cardinal bits = 0 then []
   else begin
-    let acc = Hashtbl.create 3 in
-    let page_seen = Hashtbl.create 64 in
-    Bitset.iter
-      (fun addr ->
-        let r = classify t addr in
-        let cur = Option.value ~default:empty_stats (Hashtbl.find_opt acc r) in
-        let page = (r, addr lsr 12) in
-        let new_page = not (Hashtbl.mem page_seen page) in
-        if new_page then Hashtbl.replace page_seen page ();
-        Hashtbl.replace acc r
-          {
-            unique_bytes = cur.unique_bytes + 1;
-            pages = (cur.pages + if new_page then 1 else 0);
-            lo = (if cur.unique_bytes = 0 then addr else cur.lo);
-            hi = addr;
-          })
+    let bytes = Array.make 3 0 and pages = Array.make 3 0 in
+    let lo = Array.make 3 0 and hi = Array.make 3 0 in
+    let last_page = Array.make 3 (-1) in
+    let add r base word =
+      if bytes.(r) = 0 then lo.(r) <- base + lowest_bit word;
+      bytes.(r) <- bytes.(r) + popcount32 word;
+      hi.(r) <- base + highest_bit word;
+      let page = base lsr 12 in
+      if page <> last_page.(r) then begin
+        pages.(r) <- pages.(r) + 1;
+        last_page.(r) <- page
+      end
+    in
+    let cuts base b = b > base && b < base + 32 in
+    Bitset.iter_words
+      (fun base word ->
+        if
+          cuts base t.data_end || cuts base stack_lo
+          || cuts base Layout.stack_top
+        then begin
+          let masks = Array.make 3 0 in
+          for b = 0 to 31 do
+            if word land (1 lsl b) <> 0 then begin
+              let r = region_index (classify t (base + b)) in
+              masks.(r) <- masks.(r) lor (1 lsl b)
+            end
+          done;
+          Array.iteri (fun r m -> if m <> 0 then add r base m) masks
+        end
+        else add (region_index (classify t base)) base word)
       bits;
-    [ Data; Heap; Stack ]
-    |> List.filter_map (fun r ->
-           Hashtbl.find_opt acc r |> Option.map (fun s -> (r, s)))
+    List.filter_map
+      (fun r ->
+        let i = region_index r in
+        if bytes.(i) = 0 then None
+        else
+          Some
+            ( r,
+              { unique_bytes = bytes.(i); pages = pages.(i); lo = lo.(i);
+                hi = hi.(i) } ))
+      [ Data; Heap; Stack ]
   end
 
 let stats t routine region =

@@ -15,9 +15,12 @@ type edge = {
 
 (* Deferred producer charges for a shard that starts mid-trace: a read whose
    byte has no producer in the shard's own shadow may still have one in an
-   earlier trace range, so the charge (keyed by address and consumer) waits
-   until [merge_into] can resolve it against the earlier range's shadow. *)
-type pend = { mutable p_incl : int; mutable p_excl : int }
+   earlier trace range, so the charge waits until [merge_into] can resolve it
+   against the earlier range's shadow.  Charges are counted per 64-byte
+   block: [block_bytes] incl counters followed by as many excl counters. *)
+let block_bits = 6
+let block_bytes = 1 lsl block_bits
+let block_mask = block_bytes - 1
 
 type t = {
   symtab : Symtab.t;
@@ -33,15 +36,19 @@ type t = {
   write_unma_excl : Bitset.t array;
   write_unma_incl : Bitset.t array;
   edges : (int, edge) Hashtbl.t;  (** key: producer * 2^20 + consumer *)
-  pending : (int * int, pend) Hashtbl.t option;
-      (** key: (addr, consumer) — a boxed pair, not a packed int: stack
-          addresses reach 2^47 and would overflow a shifted key.  [Some]
-          only for mid-trace shards *)
+  pending : (int, int array) Hashtbl.t array;
+      (** per consumer routine id, keyed by block index [addr lsr 6] — the
+          block index is the whole key, so any non-negative address fits.
+          Empty unless the analyser runs in pending mode (mid-trace shards) *)
   mutable touched : bool array;  (** routines with any traffic *)
   (* last edge charged: a multi-byte access usually has one producer, so
      this skips the hash lookup almost always *)
   mutable last_edge_key : int;
   mutable last_edge : edge;
+  (* last pending block, same idea: a deferred run stays in one block *)
+  mutable last_pend_consumer : int;
+  mutable last_pend_block : int;
+  mutable last_pend : int array;
 }
 
 let edge_key p c = (p lsl 20) lor c
@@ -80,18 +87,40 @@ let charge t kernel_id p addr len ~stack =
   if not stack then e.e_bytes_excl <- e.e_bytes_excl + len;
   Bitset.add_range e.e_addrs addr len
 
-let defer tbl kernel_id addr ~stack =
-  let pd =
-    let key = (addr, kernel_id) in
-    match Hashtbl.find_opt tbl key with
-    | Some pd -> pd
-    | None ->
-        let pd = { p_incl = 0; p_excl = 0 } in
-        Hashtbl.add tbl key pd;
-        pd
-  in
-  pd.p_incl <- pd.p_incl + 1;
-  if not stack then pd.p_excl <- pd.p_excl + 1
+let pend_block t c blk =
+  if blk = t.last_pend_block && c = t.last_pend_consumer then t.last_pend
+  else begin
+    let tbl = t.pending.(c) in
+    let counts =
+      match Hashtbl.find_opt tbl blk with
+      | Some a -> a
+      | None ->
+          let a = Array.make (2 * block_bytes) 0 in
+          Hashtbl.add tbl blk a;
+          a
+    in
+    t.last_pend_consumer <- c;
+    t.last_pend_block <- blk;
+    t.last_pend <- counts;
+    counts
+  end
+
+(* Count one producer-less read of [addr, addr + len) against consumer [c]. *)
+let defer t c addr len ~stack =
+  let i = ref addr and stop = addr + len in
+  while !i < stop do
+    let counts = pend_block t c (!i lsr block_bits) in
+    let off = !i land block_mask in
+    let n = min (stop - !i) (block_bytes - off) in
+    for b = off to off + n - 1 do
+      Array.unsafe_set counts b (Array.unsafe_get counts b + 1)
+    done;
+    if not stack then
+      for b = block_bytes + off to block_bytes + off + n - 1 do
+        Array.unsafe_set counts b (Array.unsafe_get counts b + 1)
+      done;
+    i := !i + n
+  done
 
 let on_read t kernel_id ea size sp =
   t.touched.(kernel_id) <- true;
@@ -123,13 +152,8 @@ let on_read t kernel_id ea size sp =
           done;
           if p >= 0 then
             charge t kernel_id p (addr + run0) (!k - run0) ~stack:lo_stack
-          else
-            match t.pending with
-            | None -> ()
-            | Some tbl ->
-                for b = run0 to !k - 1 do
-                  defer tbl kernel_id (addr + b) ~stack:lo_stack
-                done
+          else if Array.length t.pending > 0 then
+            defer t kernel_id (addr + run0) (!k - run0) ~stack:lo_stack
         done;
         pos := !pos + span
       done
@@ -145,10 +169,8 @@ let on_read t kernel_id ea size sp =
         end;
         let p = Shadow.get t.shadow addr in
         if p >= 0 then charge t kernel_id p addr 1 ~stack:is_stack
-        else
-          match t.pending with
-          | None -> ()
-          | Some tbl -> defer tbl kernel_id addr ~stack:is_stack
+        else if Array.length t.pending > 0 then
+          defer t kernel_id addr 1 ~stack:is_stack
       done
   end
 
@@ -186,10 +208,14 @@ let create ?(policy = Call_stack.Main_image_only) ?stack ?(pending = false)
     write_unma_excl = Array.init n (fun _ -> Bitset.create ());
     write_unma_incl = Array.init n (fun _ -> Bitset.create ());
     edges = Hashtbl.create 256;
-    pending = (if pending then Some (Hashtbl.create 256) else None);
+    pending =
+      (if pending then Array.init n (fun _ -> Hashtbl.create 16) else [||]);
     touched = Array.make n false;
     last_edge_key = -1;
     last_edge = no_edge;
+    last_pend_consumer = -1;
+    last_pend_block = -1;
+    last_pend = [||];
   }
 
 (* A zero-length block copy still marks the kernel as touched (on_read /
@@ -220,6 +246,39 @@ let consume t (ev : Event.t) =
 let interest =
   Event.[ KRtn_entry; KRet; KLoad; KStore; KBlock_copy ]
 
+(* One deferred block of consumer [c] against [a]'s shadow: each maximal run
+   of counted bytes with one producer is one charge. *)
+let resolve_block a c blk counts =
+  let base = blk lsl block_bits in
+  let page = Shadow.page_ro a.shadow base in
+  let off = base land Shadow.page_mask in
+  let k = ref 0 in
+  while !k < block_bytes do
+    if Array.unsafe_get counts !k = 0 then incr k
+    else begin
+      let run0 = !k in
+      let p = Array.unsafe_get page (off + run0) in
+      let incl = ref 0 and excl = ref 0 in
+      while
+        !k < block_bytes
+        && Array.unsafe_get counts !k <> 0
+        && Array.unsafe_get page (off + !k) = p
+      do
+        incl := !incl + Array.unsafe_get counts !k;
+        excl := !excl + Array.unsafe_get counts (block_bytes + !k);
+        incr k
+      done;
+      if p >= 0 then begin
+        a.out_incl.(p) <- a.out_incl.(p) + !incl;
+        a.out_excl.(p) <- a.out_excl.(p) + !excl;
+        let e = edge_of a (edge_key p c) in
+        e.e_bytes_incl <- e.e_bytes_incl + !incl;
+        e.e_bytes_excl <- e.e_bytes_excl + !excl;
+        Bitset.add_range e.e_addrs (base + run0) (!k - run0)
+      end
+    end
+  done
+
 (* [a] must cover the trace from its start up to where [b]'s range begins:
    [b]'s deferred reads resolve against [a]'s shadow (the byte's last writer
    before [b] began), and a miss there means the byte genuinely has no
@@ -229,21 +288,7 @@ let interest =
    UnMA and edge address sets union, [b]'s shadow overwrites [a]'s where
    both wrote. *)
 let merge_into a b =
-  (match b.pending with
-  | None -> ()
-  | Some tbl ->
-      Hashtbl.iter
-        (fun (addr, c) pd ->
-          let p = Shadow.get a.shadow addr in
-          if p >= 0 then begin
-            a.out_incl.(p) <- a.out_incl.(p) + pd.p_incl;
-            a.out_excl.(p) <- a.out_excl.(p) + pd.p_excl;
-            let e = edge_of a (edge_key p c) in
-            e.e_bytes_incl <- e.e_bytes_incl + pd.p_incl;
-            e.e_bytes_excl <- e.e_bytes_excl + pd.p_excl;
-            Bitset.add e.e_addrs addr
-          end)
-        tbl);
+  Array.iteri (fun c tbl -> Hashtbl.iter (resolve_block a c) tbl) b.pending;
   let n = Array.length a.in_excl in
   for id = 0 to n - 1 do
     a.in_excl.(id) <- a.in_excl.(id) + b.in_excl.(id);

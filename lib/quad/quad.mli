@@ -29,14 +29,20 @@ val create :
     main-image caller.  [stack] seeds the internal call stack and [pending]
     (default false) defers producer charges for reads whose byte has no
     producer yet — both are shard-mode knobs used by {!sharded} to start
-    mid-trace; a lone analyser needs neither. *)
+    mid-trace; a lone analyser needs neither.
+
+    Deferred charges are block counters: per consumer kernel, each 64-byte
+    block holding a producer-less read gets an incl and an excl read count
+    per byte.  Budget: 1 KiB per (64-byte block, consumer) pair with such a
+    read, independent of how often the block is read. *)
 
 val merge_into : t -> t -> unit
 (** [merge_into a b] folds [b] (the adjacent later trace range) into [a]:
     byte counters add, UnMA and binding address sets union, [b]'s deferred
-    producer charges resolve against [a]'s shadow map, then [b]'s shadow
-    writes supersede [a]'s.  [a] must cover the trace from its beginning up
-    to where [b] starts. *)
+    block counters resolve against [a]'s shadow map — each maximal run of
+    counted bytes with one producer is charged to that producer's binding
+    in one step — then [b]'s shadow writes supersede [a]'s.  [a] must cover
+    the trace from its beginning up to where [b] starts. *)
 
 val sharded :
   ?policy:Tq_prof.Call_stack.policy ->

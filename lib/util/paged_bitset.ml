@@ -108,7 +108,7 @@ let mem t x =
 
 let cardinal t = t.count
 
-let iter f t =
+let iter_words f t =
   let idxs = Hashtbl.fold (fun k _ acc -> k :: acc) t.pages [] in
   let idxs = List.sort compare idxs in
   List.iter
@@ -117,12 +117,17 @@ let iter f t =
       let base = idx lsl page_bits in
       for w = 0 to words_per_page - 1 do
         let word = page.(w) in
-        if word <> 0 then
-          for b = 0 to 31 do
-            if word land (1 lsl b) <> 0 then f (base + (w * 32) + b)
-          done
+        if word <> 0 then f (base + (w * 32)) word
       done)
     idxs
+
+let iter f t =
+  iter_words
+    (fun base word ->
+      for b = 0 to 31 do
+        if word land (1 lsl b) <> 0 then f (base + b)
+      done)
+    t
 
 let union dst src =
   Hashtbl.iter

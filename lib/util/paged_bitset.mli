@@ -23,6 +23,12 @@ val cardinal : t -> int
 val iter : (int -> unit) -> t -> unit
 (** Iterate members in ascending order. *)
 
+val iter_words : (int -> int -> unit) -> t -> unit
+(** [iter_words f t] calls [f base word] for every non-zero 32-bit word, in
+    ascending [base] order: bit [b] of [word] set means [base + b] is a
+    member.  [base] is a multiple of 32, so a word never straddles an
+    aligned 4 KiB page. *)
+
 val union : t -> t -> unit
 (** [union dst src] adds every member of [src] to [dst] ([src] unchanged).
     Word-at-a-time with an incremental cardinality update — the merge

@@ -80,6 +80,77 @@ let test_kernel_separation () =
   Alcotest.(check bool) "render mentions regions" true
     (Astring_contains.contains (F.render f) "data")
 
+(* [rows] against a per-byte reference: every touched byte classified on its
+   own, pages and extents taken from the byte set.  [data_end] is moved to
+   four offsets within a 32-bit word so a touched word straddles it; the
+   ranges also cross both bounds of the stack region and reach past
+   [stack_top], which counts as heap. *)
+let test_rows_match_per_byte_reference () =
+  let prog =
+    Tq_rt.Rt.link
+      [ Tq_minic.Driver.compile_unit ~image:"app" "int main() { return 0; }" ]
+  in
+  let main = Option.get (Symtab.by_name prog.Program.symtab "main") in
+  let stack_top = Layout.stack_top in
+  let stack_lo = stack_top - 0x1000_0000 in
+  let rng = Random.State.make [| 15 |] in
+  List.iter
+    (fun shift ->
+      let data_end = (prog.Program.data_end land lnot 31) + 64 + shift in
+      let f = F.create { prog with Program.data_end } in
+      let ranges =
+        [ (0x1000_0000, 40); (data_end - 5, 12); (data_end + 4000, 300);
+          (stack_lo - 7, 20); (stack_lo + 4090, 9); (stack_top - 100, 130);
+          (stack_top + (1 lsl 20), 8); ((1 lsl 61) + 3, 70) ]
+        @ List.init 200 (fun _ ->
+              (data_end - 2048 + Random.State.int rng 8192,
+               1 + Random.State.int rng 3))
+      in
+      let module IS = Set.Make (Int) in
+      let bytes = ref IS.empty in
+      List.iter
+        (fun (ea, size) ->
+          F.consume f
+            (Tq_trace.Event.Load
+               { icount = 0; static = main.Symtab.id; ea; size; sp = 0 });
+          for a = ea to ea + size - 1 do
+            bytes := IS.add a !bytes
+          done)
+        ranges;
+      let classify a =
+        if a >= stack_lo && a < stack_top then F.Stack
+        else if a >= data_end then F.Heap
+        else F.Data
+      in
+      let expected =
+        List.filter_map
+          (fun r ->
+            let s = IS.filter (fun a -> classify a = r) !bytes in
+            if IS.is_empty s then None
+            else
+              let pages = IS.map (fun a -> a lsr 12) s in
+              Some
+                ( r,
+                  { F.unique_bytes = IS.cardinal s; pages = IS.cardinal pages;
+                    lo = IS.min_elt s; hi = IS.max_elt s } ))
+          [ F.Data; F.Heap; F.Stack ]
+      in
+      let show rs =
+        List.map
+          (fun (r, s) ->
+            Printf.sprintf "%s %d B %d pages 0x%x..0x%x" (F.region_name r)
+              s.F.unique_bytes s.F.pages s.F.lo s.F.hi)
+          rs
+      in
+      match F.rows f with
+      | [ (r, got) ] ->
+          Alcotest.(check string) "one kernel" "main" r.Symtab.name;
+          Alcotest.(check (list string))
+            (Printf.sprintf "regions, data_end offset %d" shift)
+            (show expected) (show got)
+      | rows -> Alcotest.failf "expected one kernel, got %d" (List.length rows))
+    [ 0; 1; 13; 31 ]
+
 (* the paper's buffer-sizing story on the case study *)
 let test_wfs_buffer_sizing () =
   let scen = Tq_wfs.Scenario.tiny in
@@ -109,5 +180,7 @@ let suites =
         Alcotest.test_case "block moves" `Quick test_block_moves_counted;
         Alcotest.test_case "kernel separation" `Quick test_kernel_separation;
         Alcotest.test_case "wfs buffer sizing" `Quick test_wfs_buffer_sizing;
+        Alcotest.test_case "rows = per-byte reference" `Quick
+          test_rows_match_per_byte_reference;
       ] );
   ]

@@ -127,6 +127,94 @@ let test_quad_dot () =
     (Astring_contains.contains dot "\"producer\" -> \"consumer\"");
   Alcotest.(check bool) "shadow pages allocated" true (Tq_quad.Quad.shadow_pages q > 0)
 
+(* A mid-trace pending shard merged into the analyser of the range before it
+   must reproduce one sequential analyser's rows and bindings.  The reads of
+   the later ranges hit bytes written only in earlier ones: a run that
+   crosses 64-byte blocks and a 4 KiB page with a producer change inside, a
+   read straddling the stack boundary (per-byte stack classification), two
+   consumers on one block, a byte read twice, an address above 2^61, and
+   bytes nobody wrote.  The later range also overwrites a byte it already
+   read, which must not steal the earlier producer's charge. *)
+let test_quad_pending_merge () =
+  let module Q = Tq_quad.Quad in
+  let routine (id, name, entry) =
+    {
+      Symtab.id;
+      name;
+      entry;
+      size = 0x100;
+      image = "app";
+      is_main_image = true;
+    }
+  in
+  let symtab =
+    Symtab.build
+      (List.map routine
+         [ (0, "main", 0x1000); (1, "producer", 0x2000); (2, "c1", 0x3000);
+           (3, "c2", 0x4000) ])
+  in
+  let id name = (Option.get (Symtab.by_name symtab name)).Symtab.id in
+  let main = id "main" and prod = id "producer" in
+  let c1 = id "c1" and c2 = id "c2" in
+  let sp = Layout.stack_top - 0x1_0000 in
+  (* the stack boundary of a read made with [sp] is [sp - red_zone] *)
+  let edge = sp - Layout.stack_red_zone in
+  let big = (1 lsl 61) + 0x37 in
+  let load static ea size =
+    Tq_trace.Event.Load { icount = 0; static; ea; size; sp }
+  and store static ea size =
+    Tq_trace.Event.Store { icount = 0; static; ea; size; sp }
+  in
+  let first =
+    [ store prod 0x1000_0FC0 0x80; store main 0x1000_1010 8;
+      store prod (edge - 8) 16; store prod big 16; load c1 0x1000_0FC0 8 ]
+  and second =
+    [ load c1 0x1000_0FB0 0x90; load c2 0x1000_0FD0 16;
+      load c1 0x1000_0FC0 8; load c2 (edge - 12) 24; load c1 big 16;
+      store c2 0x1000_0FC0 8; load c1 0x1000_0FC0 8;
+      load c2 (big + 8) 2 ]
+  and third =
+    [ load c2 0x1000_1000 0x20; load c1 big 32; store main 0x1000_0FD0 4;
+      load c2 0x1000_0FCC 8 ]
+  in
+  let seq = Q.create symtab in
+  List.iter (Q.consume seq) (first @ second @ third);
+  let shard evs =
+    let t =
+      Q.create ~stack:(Tq_prof.Call_stack.create Main_image_only)
+        ~pending:true symtab
+    in
+    List.iter (Q.consume t) evs;
+    t
+  in
+  let a = shard first and b = shard second and c = shard third in
+  let binds t =
+    List.map
+      (fun (x : Q.binding) ->
+        Printf.sprintf "%s->%s %d/%d B, %d UnMA" x.producer.Symtab.name
+          x.consumer.Symtab.name x.bytes x.bytes_incl x.unma)
+      (Q.bindings t)
+  in
+  Alcotest.(check bool) "later shard alone misses the producer" false
+    (List.exists
+       (fun (x : Q.binding) -> x.producer.Symtab.name = "producer")
+       (Q.bindings b));
+  Q.merge_into a b;
+  Q.merge_into a c;
+  Alcotest.(check bool) "rows equal the sequential analyser's" true
+    (Q.rows a = Q.rows seq);
+  Alcotest.(check (list string))
+    "bindings equal the sequential analyser's" (binds seq) (binds a);
+  (* the straddling read charges its stack bytes to incl only *)
+  let pc2 =
+    List.find
+      (fun (x : Q.binding) ->
+        x.producer.Symtab.name = "producer" && x.consumer.Symtab.name = "c2")
+      (Q.bindings seq)
+  in
+  Alcotest.(check bool) "stack bytes split incl from excl" true
+    (pc2.bytes_incl > pc2.bytes)
+
 (* ---------- gprofsim ---------- *)
 
 let gprof_src =
@@ -403,6 +491,8 @@ let suites =
           test_quad_library_attribution;
         Alcotest.test_case "track all" `Quick test_quad_track_all;
         Alcotest.test_case "dot output" `Quick test_quad_dot;
+        Alcotest.test_case "pending shard merge = sequential" `Quick
+          test_quad_pending_merge;
       ] );
     ( "gprofsim",
       [

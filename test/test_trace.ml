@@ -486,6 +486,46 @@ let qcheck_sharded_salvage_identity =
           outcomes_equal (Replay.sequential r1 jobs)
             (Replay.parallel ~domains ~shards ~batch r2 jobs))
 
+(* The wfs micro recording above touches little memory per shard, so its
+   shards rarely read a byte an earlier shard wrote.  A pointer chase links
+   its whole node pool and then walks it, so every later shard defers reads
+   of that dense working set and the merge must resolve them all against
+   the earlier shards' shadows. *)
+let chase_recording =
+  lazy
+    (let path = Filename.temp_file "tq_chase" ".trc" in
+     Fun.protect
+       ~finally:(fun () -> Sys.remove path)
+       (fun () ->
+         let prog =
+           Tq_apps.Apps.pointer_chase_program ~nodes:256 ~rounds:2 ()
+         in
+         let eng = Engine.create (Machine.create prog) in
+         let _events : int = Probe.record eng ~path in
+         let r = Reader.load path in
+         let out = ref [] in
+         Reader.iter r (fun ev -> out := ev :: !out);
+         (prog, List.rev !out)))
+
+let qcheck_sharded_chase_identity =
+  QCheck.Test.make
+    ~name:"sharded replay = sequential on a pointer chase (2-8 shards)"
+    ~count:8
+    (QCheck.make
+       ~print:(fun (cb, s, b) ->
+         Printf.sprintf "chunk_bytes=%d shards=%d batch=%d" cb s b)
+       QCheck.Gen.(triple (int_range 256 4096) (int_range 2 8) (int_range 1 6)))
+    (fun (chunk_bytes, shards, batch) ->
+      let prog, evs = Lazy.force chase_recording in
+      let raw = reencode ~chunk_bytes evs in
+      let jobs = sharded_jobs prog in
+      let seq = Replay.sequential (Reader.of_string raw) jobs in
+      let par =
+        Replay.parallel ~domains:1 ~shards ~batch (Reader.of_string raw) jobs
+      in
+      List.for_all (fun (_, o) -> Result.is_ok o) seq
+      && outcomes_equal seq par)
+
 (* The chunk source is where a whole pass dies: an exception from [chunk]
    fails every job still live with that exception, while a job whose own
    sink raised earlier keeps its own failure.  A caching source changes no
@@ -726,6 +766,7 @@ let suites =
           test_supervised_replay;
         QCheck_alcotest.to_alcotest qcheck_sharded_identity;
         QCheck_alcotest.to_alcotest qcheck_sharded_salvage_identity;
+        QCheck_alcotest.to_alcotest qcheck_sharded_chase_identity;
         Alcotest.test_case "chunk source fails live jobs" `Quick
           test_chunk_source;
         Alcotest.test_case "writer streams to .tmp, renames on close" `Quick

@@ -102,6 +102,25 @@ let qcheck_bitset_matches_set =
       && List.for_all (fun x -> Paged_bitset.mem s x) xs
       && (not (Paged_bitset.mem s 200_001)))
 
+let qcheck_bitset_iter_words =
+  QCheck.Test.make ~name:"paged_bitset iter_words agrees with iter"
+    ~count:200
+    QCheck.(list (pair (int_bound 300_000) (int_bound 100)))
+    (fun ranges ->
+      let s = Paged_bitset.create () in
+      List.iter (fun (x, n) -> Paged_bitset.add_range s x n) ranges;
+      Paged_bitset.add s ((1 lsl 61) + 5);
+      let bits = ref [] and words = ref [] in
+      Paged_bitset.iter (fun x -> bits := x :: !bits) s;
+      Paged_bitset.iter_words
+        (fun base word ->
+          assert (base land 31 = 0 && word <> 0 && word lsr 32 = 0);
+          for b = 0 to 31 do
+            if word land (1 lsl b) <> 0 then words := (base + b) :: !words
+          done)
+        s;
+      !words = !bits)
+
 let feq = Alcotest.float 1e-9
 
 let test_stats_basic () =
@@ -247,6 +266,7 @@ let suites =
         Alcotest.test_case "range/iter" `Quick test_bitset_range_iter;
         Alcotest.test_case "sparse pages" `Quick test_bitset_sparse_pages;
         QCheck_alcotest.to_alcotest qcheck_bitset_matches_set;
+        QCheck_alcotest.to_alcotest qcheck_bitset_iter_words;
       ] );
     ( "util.stats",
       [
