@@ -420,16 +420,16 @@ let ablation () =
 let cache () =
   section "Extension: per-kernel cache behaviour (vTune-style complement)";
   List.iter
-    (fun (label, config) ->
+    (fun (label, geometry) ->
       let eng = fresh_engine () in
-      let c = Tq_prof.Cache_sim.attach ~config eng in
+      let c = Tq_prof.Cache_sim.attach ~geometry eng in
       let (), dt = timed (fun () -> Engine.run ~fuel:(Harness.fuel scen) eng) in
       let acc, miss = Tq_prof.Cache_sim.totals c in
       Printf.printf "  %-22s %9d accesses %8d misses (%5.2f%%)  [%.1fs]\n" label
         acc miss
         (100. *. Tq_prof.Cache_sim.miss_rate c)
         dt;
-      if config == Tq_prof.Cache_sim.default_l1 then begin
+      if geometry == Tq_prof.Cache_sim.default_l1 then begin
         List.iteri
           (fun i (r : Tq_prof.Cache_sim.krow) ->
             if i < 6 then

@@ -193,17 +193,6 @@ let finish ?(console = stdout) m =
   | None -> Printf.fprintf console "[did not exit]\n");
   flush console
 
-(* ---------- tool report renderers ----------
-
-   Shared by the live subcommands, the trace-replay path and the serve
-   daemon (Tq_serve.Toolset is the single definition), so a replayed or a
-   served analysis prints byte-identical report sections. *)
-
-let render_gprof = Tq_serve.Toolset.render_gprof
-let render_quad = Tq_serve.Toolset.render_quad
-let render_tquad = Tq_serve.Toolset.render_tquad
-let render_mix = Tq_serve.Toolset.render_mix
-
 (* The instrumented tool subcommands route the program's own console output
    (and write-back notices) to stderr so their stdout is exactly the analysis
    report — byte-identical to what [replay --tool=...] prints for the same
@@ -286,10 +275,26 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Compile and execute a MiniC program (uninstrumented)")
     Term.(const run $ metrics_arg $ file_arg $ dir_arg)
 
+(* --slice and --period: a non-positive value is a usage error (exit 2),
+   caught here instead of inside the tool. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let period_arg =
   Arg.(
-    value & opt int 10_000
+    value & opt positive_int 10_000
     & info [ "period" ] ~docv:"N" ~doc:"Instructions between PC samples.")
+
+let slice_arg =
+  Arg.(
+    value & opt positive_int 10_000
+    & info [ "slice" ] ~docv:"N"
+        ~doc:"tQUAD time-slice interval in instructions.")
 
 let gprof_cmd =
   let run metrics file dir period =
@@ -297,7 +302,7 @@ let gprof_cmd =
     let g, _ =
       run_under file dir (fun eng -> Tq_gprofsim.Gprofsim.attach ~period eng)
     in
-    print_string (render_gprof g)
+    print_string (Tq_serve.Toolset.render_gprof g)
   in
   Cmd.v
     (Cmd.info "gprof" ~doc:"Profile a MiniC program with the sampling profiler")
@@ -325,7 +330,7 @@ let quad_cmd =
       else Tq_prof.Call_stack.Main_image_only
     in
     let q, _ = run_under file dir (fun eng -> Tq_quad.Quad.attach ~policy eng) in
-    print_string (render_quad q);
+    print_string (Tq_serve.Toolset.render_quad q);
     match dot with
     | None -> ()
     | Some path ->
@@ -339,11 +344,6 @@ let quad_cmd =
     Term.(const run $ metrics_arg $ file_arg $ dir_arg $ track_all_arg $ dot_arg)
 
 let tquad_cmd =
-  let slice_arg =
-    Arg.(
-      value & opt int 10_000
-      & info [ "slice" ] ~docv:"N" ~doc:"Time-slice interval in instructions.")
-  in
   let phases_arg =
     Arg.(value & flag & info [ "phases" ] ~doc:"Run phase identification.")
   in
@@ -374,7 +374,7 @@ let tquad_cmd =
           Tq_tquad.Tquad.attach ~slice_interval:slice ~policy eng)
     in
     let kernels = Tq_tquad.Tquad.kernels t in
-    print_string (render_tquad ~slice t);
+    print_string (Tq_serve.Toolset.render_tquad ~slice t);
     if phases then begin
       let total = Tq_tquad.Tquad.total_slices t in
       let window = max 8 (total / 40) and min_len = max 16 (total / 20) in
@@ -413,7 +413,7 @@ let mix_cmd =
     obs_init "mix" metrics;
     let mix, m = run_under file dir (fun eng -> Tq_prof.Ins_mix.attach eng) in
     ignore m;
-    print_string (render_mix mix)
+    print_string (Tq_serve.Toolset.render_mix mix)
   in
   Cmd.v
     (Cmd.info "mix" ~doc:"Instruction-mix profile (loads/stores/ALU/branches)")
@@ -445,16 +445,16 @@ let cache_cmd =
   in
   let run metrics file dir size_kib assoc line =
     obs_init "cache" metrics;
-    let config =
+    let geometry =
       { Tq_prof.Cache_sim.size_bytes = size_kib * 1024; line_bytes = line; assoc }
     in
-    (match Tq_prof.Cache_sim.validate config with
+    (match Tq_prof.Cache_sim.validate geometry with
     | Ok () -> ()
     | Error msg ->
         Printf.eprintf "bad cache config: %s\n" msg;
         exit 2);
     let c, _ =
-      run_under file dir (fun eng -> Tq_prof.Cache_sim.attach ~config eng)
+      run_under file dir (fun eng -> Tq_prof.Cache_sim.attach ~geometry eng)
     in
     print_string (Tq_prof.Cache_sim.render c)
   in
@@ -760,12 +760,6 @@ let replay_cmd =
           ~doc:"Decode window: chunks decoded ahead of the slowest consumer \
                 (0 = twice the domain count, at least 4).  Bounds replay's \
                 resident decoded-event memory.")
-  in
-  let slice_arg =
-    Arg.(
-      value & opt int 10_000
-      & info [ "slice" ] ~docv:"N"
-        ~doc:"tquad time-slice interval in instructions.")
   in
   let salvage_arg =
     Arg.(
@@ -1265,12 +1259,6 @@ let check_cmd =
             "Also print the static per-kernel bandwidth estimate, run the \
              program once under the tQUAD profiler, and compare the static \
              ranking against the measured per-kernel bytes.")
-  in
-  let slice_arg =
-    Arg.(
-      value & opt int 10_000
-      & info [ "slice" ] ~docv:"N"
-          ~doc:"tQUAD time-slice interval for the --bandwidth run.")
   in
   let app_arg =
     Arg.(
@@ -1881,12 +1869,6 @@ let client_cmd =
             ~doc:
               "Tool to replay through (repeatable); default: every tool.")
     in
-    let slice_arg =
-      Arg.(
-        value & opt int 10_000
-        & info [ "slice" ] ~docv:"N"
-            ~doc:"tquad time-slice interval in instructions.")
-    in
     let wait_arg =
       Arg.(
         value & flag
@@ -2137,16 +2119,20 @@ let () =
       else if resolve a <> None then `Pass
       else `Unknown a
   in
+  (* unknown flags and malformed option values (--slice 0) are usage
+     errors: exit 2, where cmdliner's default would be 124 *)
+  let eval ?argv () =
+    match Cmd.eval_value ?argv main_cmd with
+    | Ok _ -> 0
+    | Error (`Parse | `Term) -> exit_usage
+    | Error `Exn -> Cmd.Exit.internal_error
+  in
   match verdict with
-  | `Pass ->
-      (* unknown flags and malformed options are usage errors: exit 2 (the
-         cmdliner default would be 124) *)
-      exit (Cmd.eval ~term_err:exit_usage main_cmd)
+  | `Pass -> exit (eval ())
   | `Help_toplevel ->
       print_usage stdout;
       exit 0
-  | `Help_sub n ->
-      exit (Cmd.eval ~term_err:exit_usage ~argv:[| "tquad"; n; "--help" |] main_cmd)
+  | `Help_sub n -> exit (eval ~argv:[| "tquad"; n; "--help" |] ())
   | `Missing ->
       prerr_string "tquad: missing subcommand\n\n";
       print_usage stderr;

@@ -1,6 +1,4 @@
 module Isa = Tq_isa.Isa
-module Engine = Tq_dbi.Engine
-module Machine = Tq_vm.Machine
 module Symtab = Tq_vm.Symtab
 module Call_stack = Tq_prof.Call_stack
 module Event = Tq_trace.Event
@@ -8,7 +6,6 @@ module Event = Tq_trace.Event
 type t = {
   symtab : Symtab.t;
   period : int;
-  clock_hz : float;
   samples : int array;  (** per routine id *)
   calls : int array;
   arc_counts : (int, int) Hashtbl.t;  (** caller * 2^20 + callee *)
@@ -19,23 +16,32 @@ type t = {
 
 let arc_key a b = (a lsl 20) lor b
 
-let create ?(period = 10_000) ?(clock_hz = 1e9) ?stack ?next_sample symtab =
-  if period <= 0 then invalid_arg "Gprofsim.create: period must be positive";
-  let n = Symtab.count symtab in
+(* simulated instructions per second: sampled instruction counts convert
+   to seconds at this rate *)
+let clock_hz = 1e9
+
+type config = int
+type seed = Call_stack.t * int
+
+let check_period period =
+  if period <= 0 then invalid_arg "Gprofsim.create: period must be positive"
+
+let seeded period (prog : Tq_vm.Program.t) (stack, next_sample) =
+  check_period period;
+  let n = Symtab.count prog.symtab in
   {
-    symtab;
+    symtab = prog.symtab;
     period;
-    clock_hz;
     samples = Array.make n 0;
     calls = Array.make n 0;
     arc_counts = Hashtbl.create 64;
-    stack =
-      (match stack with
-      | Some s -> s
-      | None -> Call_stack.create Call_stack.Track_all);
-    next_sample = (match next_sample with Some v -> v | None -> period);
+    stack;
+    next_sample;
     n_samples = 0;
   }
+
+let create period prog =
+  seeded period prog (Call_stack.create Call_stack.Track_all, period)
 
 (* PC sampling (timer-interrupt analogue): a sample fires on the first
    instruction whose retired count reaches [next_sample].  The sampled
@@ -98,21 +104,19 @@ let merge_into a b =
   a.n_samples <- a.n_samples + b.n_samples;
   if b.next_sample > a.next_sample then a.next_sample <- b.next_sample
 
-let sharded ?(period = 10_000) ?clock_hz symtab ~render =
-  Tq_trace.Replay.Sharded
+let shard =
+  Some
     {
-      prefix_wants = Event.[ KRtn_entry; KRet; KBlock_exec ];
+      Tq_trace.Tool.prefix_wants = Event.[ KRtn_entry; KRet; KBlock_exec ];
       prefix =
-        (fun () ->
-          if period <= 0 then
-            invalid_arg "Gprofsim.sharded: period must be positive";
-          let st = Call_stack.create Call_stack.Track_all in
+        (fun period prog ->
+          check_period period;
+          let stack_sink, stack =
+            Call_stack.prefix prog.Tq_vm.Program.symtab Call_stack.Track_all
+          in
           let next = ref period in
           let sink (ev : Event.t) =
             match ev with
-            | Event.Rtn_entry { routine; sp; _ } ->
-                Call_stack.on_entry st (Symtab.by_id symtab routine) ~sp
-            | Event.Ret { sp; _ } -> Call_stack.on_ret st ~sp
             | Event.Block_exec { icount; n; _ } ->
                 (* closed form of [sample_block]'s phase advance: after a
                    block whose last instruction retires at [e >= next], the
@@ -121,23 +125,14 @@ let sharded ?(period = 10_000) ?clock_hz symtab ~render =
                   let e = icount + n - 1 in
                   if e >= !next then next := period * ((e / period) + 1)
                 end
-            | _ -> ()
+            | _ -> stack_sink ev
           in
-          (sink, fun () -> (Call_stack.copy st, !next)));
-      shard =
-        (fun (stack, next_sample) ->
-          let t = create ~period ?clock_hz ~stack ~next_sample symtab in
-          (consume t, fun () -> t));
-      merge = merge_into;
-      render;
+          (sink, fun () -> (stack (), !next)));
+      seeded;
+      merge_into;
     }
 
-let attach ?period ?clock_hz engine =
-  let machine = Engine.machine engine in
-  let symtab = (Machine.program machine).Tq_vm.Program.symtab in
-  let t = create ?period ?clock_hz symtab in
-  Tq_trace.Probe.attach engine (consume t);
-  t
+let attach ?(period = 10_000) = Tq_trace.Tool.attach (create period) consume
 
 (* ---------- flat profile with gprof time propagation ---------- *)
 
@@ -249,7 +244,7 @@ let totals (t : t) =
      routines alone in a non-recursive component report self + children *)
   Array.init n (fun v -> comp_total.(comp.(v)))
 
-let seconds_of_samples (t : t) s = float_of_int s *. float_of_int t.period /. t.clock_hz
+let seconds_of_samples (t : t) s = float_of_int s *. float_of_int t.period /. clock_hz
 
 let flat_profile ?(main_image_only = true) (t : t) =
   let total_samples = Array.fold_left ( + ) 0 t.samples in
@@ -266,7 +261,7 @@ let flat_profile ?(main_image_only = true) (t : t) =
         let self_seconds = seconds_of_samples t s in
         let calls = t.calls.(id) in
         let total_seconds =
-          totals.(id) *. float_of_int t.period /. t.clock_hz
+          totals.(id) *. float_of_int t.period /. clock_hz
         in
         rows :=
           {
@@ -331,7 +326,7 @@ let call_graph_report ?(main_image_only = true) (t : t) =
       Buffer.add_string buf
         (Printf.sprintf "[%s] self %.4fs, total %.4fs, %d calls\n"
            row.routine.Symtab.name row.self_seconds
-           (totals.(id) *. float_of_int t.period /. t.clock_hz)
+           (totals.(id) *. float_of_int t.period /. clock_hz)
            row.calls);
       List.iter
         (fun (caller, callee, count) ->

@@ -16,53 +16,30 @@
     which is also gprof's behaviour for cycles.
 
     Sampled instruction counts convert to "seconds" through a declared
-    simulated clock rate, preserving the paper's platform-independent
+    simulated clock rate of 1e9 instructions per second, preserving the paper's platform-independent
     instruction-count timing. *)
 
 type t
 
-val create :
-  ?period:int ->
-  ?clock_hz:float ->
-  ?stack:Tq_prof.Call_stack.t ->
-  ?next_sample:int ->
-  Tq_vm.Symtab.t ->
-  t
-(** Build an unattached profiler; feed it events with {!consume}, live or
-    replayed.  [period] instructions between samples (default 10_000 — the
-    analogue of gprof's 10 ms tick); [clock_hz] simulated instructions per
-    second (default 1e9).  [stack] and [next_sample] seed the internal call
-    stack and the sampling phase — used by {!sharded} to start a mid-trace
-    shard exactly where the prefix left off. *)
+include
+  Tq_trace.Tool.S
+    with type t := t
+     and type config = int
+     and type seed = Tq_prof.Call_stack.t * int
+(** The config is the sampling period: instructions between samples (the
+    analogue of gprof's 10 ms tick); it must be positive.  {!consume}
+    derives samples from [Block_exec] events (the recorded block's address
+    and instruction count reconstruct each pc), calls and arcs from
+    [Rtn_entry]/[Ret].
 
-val merge_into : t -> t -> unit
-(** [merge_into a b] folds [b] (the adjacent later trace range) into [a]:
-    samples, calls, call-graph arcs and the total sample count all add. *)
+    [shard] is [Some]: the ordered prefix maintains the [Track_all] call
+    stack and the sampling phase (a closed form of the per-block advance) —
+    the seed is that stack and the next sample's instruction count — and
+    samples, calls, call-graph arcs and the total sample count merge by
+    addition. *)
 
-val sharded :
-  ?period:int ->
-  ?clock_hz:float ->
-  Tq_vm.Symtab.t ->
-  render:(t -> string) ->
-  Tq_trace.Replay.sharded
-(** Shard-parallel capability for {!Tq_trace.Replay.parallel}: the ordered
-    prefix maintains the [Track_all] call stack and the sampling phase (a
-    closed form of the per-block advance), shards seed from a stack copy +
-    phase, counters merge by addition — byte-identical to the sequential
-    profile. *)
-
-val interest : Tq_trace.Event.kind list
-(** Event kinds {!consume} does work on — pass as [?wants] to
-    {!Tq_trace.Replay.job} so replay skips the rest. *)
-
-val consume : t -> Tq_trace.Event.t -> unit
-(** Process one event.  Samples are derived from [Block_exec] events (the
-    recorded block's address and instruction count reconstruct each pc),
-    calls and arcs from [Rtn_entry]/[Ret]; live and replayed runs produce
-    bit-identical profiles. *)
-
-val attach : ?period:int -> ?clock_hz:float -> Tq_dbi.Engine.t -> t
-(** [create] + {!Tq_trace.Probe.attach}. *)
+val attach : ?period:int -> Tq_dbi.Engine.t -> t
+(** [create] + {!Tq_trace.Probe.attach}; [period] defaults to 10_000. *)
 
 type row = {
   routine : Tq_vm.Symtab.routine;

@@ -1,10 +1,8 @@
 module Isa = Tq_isa.Isa
-module Engine = Tq_dbi.Engine
-module Machine = Tq_vm.Machine
 module Symtab = Tq_vm.Symtab
 module Event = Tq_trace.Event
 
-type config = { size_bytes : int; line_bytes : int; assoc : int }
+type geometry = { size_bytes : int; line_bytes : int; assoc : int }
 
 let default_l1 = { size_bytes = 32 * 1024; line_bytes = 64; assoc = 8 }
 
@@ -21,7 +19,7 @@ let validate c =
 
 (* One set: parallel arrays of tags (-1 = invalid), dirty flags and ages. *)
 type t = {
-  config : config;
+  geometry : geometry;
   sets : int;
   line_shift : int;  (** log2 line_bytes; [validate] guarantees a power of 2 *)
   tags : int array;  (** sets * assoc *)
@@ -55,14 +53,14 @@ let touch_line t line_addr ~write ~demand:_ =
   let set = line_addr land (t.sets - 1) in
   (* "tags" store the full line address, making comparisons exact *)
   let tag = line_addr in
-  let base = set * t.config.assoc in
+  let base = set * t.geometry.assoc in
   t.clock <- t.clock + 1;
   (* a tag appears at most once per set, so stop at the first hit;
      move-to-front (below) makes way 0 the overwhelmingly common hit, so
      probe it before entering the scan *)
   let found =
     if t.tags.(base) = tag then base
-    else find_way t.tags tag (base + 1) (base + t.config.assoc)
+    else find_way t.tags tag (base + 1) (base + t.geometry.assoc)
   in
   if found >= 0 then begin
     (* move-to-front: a set is an unordered (tag, dirty, age) collection —
@@ -86,7 +84,7 @@ let touch_line t line_addr ~write ~demand:_ =
   else begin
     (* miss: evict LRU way *)
     let victim = ref base in
-    for w = base to base + t.config.assoc - 1 do
+    for w = base to base + t.geometry.assoc - 1 do
       if t.tags.(w) = -1 then victim := w
       else if t.tags.(!victim) <> -1 && t.age.(w) < t.age.(!victim) then
         victim := w
@@ -113,20 +111,22 @@ let on_access t kernel_id addr size ~write ~demand =
     done
   end
 
-let create ?(config = default_l1) ?(policy = Call_stack.Main_image_only)
-    symtab =
-  (match validate config with
+type config = { geometry : geometry; policy : Call_stack.policy }
+type seed = unit
+
+let create { geometry; policy } (prog : Tq_vm.Program.t) =
+  (match validate geometry with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Cache_sim.create: " ^ msg));
-  let n = Symtab.count symtab in
-  let sets = config.size_bytes / (config.line_bytes * config.assoc) in
-  let ways = sets * config.assoc in
+  let n = Symtab.count prog.symtab in
+  let sets = geometry.size_bytes / (geometry.line_bytes * geometry.assoc) in
+  let ways = sets * geometry.assoc in
   let line_shift =
     let rec go i n = if n <= 1 then i else go (i + 1) (n lsr 1) in
-    go 0 config.line_bytes
+    go 0 geometry.line_bytes
   in
   {
-    config;
+    geometry;
     sets;
     line_shift;
     tags = Array.make ways (-1);
@@ -136,7 +136,7 @@ let create ?(config = default_l1) ?(policy = Call_stack.Main_image_only)
     k_accesses = Array.make n 0;
     k_misses = Array.make n 0;
     k_writebacks = Array.make n 0;
-    symtab;
+    symtab = prog.symtab;
     stack = Call_stack.create policy;
   }
 
@@ -165,12 +165,11 @@ let consume t (ev : Event.t) =
 let interest =
   Event.[ KRtn_entry; KRet; KLoad; KStore; KBlock_copy; KPrefetch ]
 
-let attach ?config ?policy engine =
-  let machine = Engine.machine engine in
-  let symtab = (Machine.program machine).Tq_vm.Program.symtab in
-  let t = create ?config ?policy symtab in
-  Tq_trace.Probe.attach engine (consume t);
-  t
+(* replacement state is order-sensitive and has no merge *)
+let shard = None
+
+let attach ?(geometry = default_l1) ?(policy = Call_stack.Main_image_only) =
+  Tq_trace.Tool.attach (create { geometry; policy }) consume
 
 type krow = {
   routine : Symtab.routine;
@@ -191,7 +190,7 @@ let rows t =
             accesses;
             misses = t.k_misses.(id);
             writebacks = t.k_writebacks.(id);
-            mem_bytes = (t.k_misses.(id) + t.k_writebacks.(id)) * t.config.line_bytes;
+            mem_bytes = (t.k_misses.(id) + t.k_writebacks.(id)) * t.geometry.line_bytes;
           }
           :: !out)
     t.k_accesses;
@@ -210,7 +209,7 @@ let render t =
   Buffer.add_string buf
     (Printf.sprintf
        "cache %d KiB, %d-way, %dB lines: %d accesses, %d misses (%.2f%%)\n"
-       (t.config.size_bytes / 1024) t.config.assoc t.config.line_bytes acc miss
+       (t.geometry.size_bytes / 1024) t.geometry.assoc t.geometry.line_bytes acc miss
        (100. *. miss_rate t));
   List.iter
     (fun r ->

@@ -12,41 +12,44 @@
     Prefetch instructions touch the cache (that is their purpose) but are
     not counted as demand accesses. *)
 
-type config = {
+type geometry = {
   size_bytes : int;
   line_bytes : int;  (** power of two *)
   assoc : int;  (** ways per set; [size = sets * assoc * line] *)
 }
 
-val default_l1 : config
+val default_l1 : geometry
 (** 32 KiB, 64-byte lines, 8-way (the paper's Q9550 L1D shape). *)
 
-val validate : config -> (unit, string) result
+val validate : geometry -> (unit, string) result
 (** [Error] explains a non-power-of-two line size, a non-positive field or
     a size that is not [sets * assoc * line]-consistent. *)
 
 type t
 
-val create :
-  ?config:config -> ?policy:Call_stack.policy -> Tq_vm.Symtab.t -> t
-(** Build an unattached simulator; feed it events with {!consume}, live or
-    replayed.  [policy] defaults to [Main_image_only] attribution like the
-    other profilers. *)
+type config = {
+  geometry : geometry;
+  policy : Call_stack.policy;
+      (** [Main_image_only] attributes like the other profilers *)
+}
 
-val consume : t -> Tq_trace.Event.t -> unit
-(** Process one event; live and replayed runs produce bit-identical
-    results (the cache-state sequence only depends on event order). *)
-
-val interest : Tq_trace.Event.kind list
-(** Event kinds {!consume} does work on — pass as [?wants] to
-    {!Tq_trace.Replay.job} so replay skips the rest. *)
+include
+  Tq_trace.Tool.S
+    with type t := t
+     and type config := config
+     and type seed = unit
+(** [create] raises [Invalid_argument] if the geometry does not
+    {!validate}.  [shard] is [None]: replacement state is order-sensitive
+    and has no merge, so the replay job runs on the pipeline's ordered
+    walk. *)
 
 val attach :
-  ?config:config ->
+  ?geometry:geometry ->
   ?policy:Call_stack.policy ->
   Tq_dbi.Engine.t ->
   t
-(** Register the tool: [create] + {!Tq_trace.Probe.attach}. *)
+(** Register the tool: [create] + {!Tq_trace.Probe.attach}.  Defaults:
+    {!default_l1}, [Main_image_only]. *)
 
 type krow = {
   routine : Tq_vm.Symtab.routine;

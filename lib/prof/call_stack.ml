@@ -56,3 +56,14 @@ let attribute_id t symtab static =
         match t.frames with
         | [] -> -1
         | f :: _ -> f.routine.Tq_vm.Symtab.id)
+
+let prefix symtab policy =
+  let st = create policy in
+  let sink (ev : Tq_trace.Event.t) =
+    match ev with
+    | Rtn_entry { routine; sp; _ } ->
+        on_entry st (Tq_vm.Symtab.by_id symtab routine) ~sp
+    | Ret { sp; _ } -> on_ret st ~sp
+    | _ -> ()
+  in
+  (sink, fun () -> copy st)

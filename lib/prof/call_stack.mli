@@ -56,3 +56,10 @@ val attribute_id : t -> Tq_vm.Symtab.t -> int -> int
 (** [attribute_id t symtab static] is [attribute] over routine ids with
     [-1] meaning "no routine" — an allocation-free variant for per-access
     hot paths. *)
+
+val prefix :
+  Tq_vm.Symtab.t -> policy -> (Tq_trace.Event.t -> unit) * (unit -> t)
+(** The shard-seed prefix tracker of every stack-dependent tool: a sink that
+    keeps a fresh stack of the given policy in step with the
+    [Rtn_entry]/[Ret] events it is fed (others are ignored), and a snapshot
+    returning an independent {!copy} of it. *)

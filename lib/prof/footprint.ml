@@ -1,6 +1,4 @@
 module Isa = Tq_isa.Isa
-module Engine = Tq_dbi.Engine
-module Machine = Tq_vm.Machine
 module Symtab = Tq_vm.Symtab
 module Layout = Tq_vm.Layout
 module Event = Tq_trace.Event
@@ -17,17 +15,18 @@ type t = {
   stack : Call_stack.t;
 }
 
-let create ?(policy = Call_stack.Main_image_only) ?stack
-    (prog : Tq_vm.Program.t) =
+type config = Call_stack.policy
+type seed = Call_stack.t
+
+let seeded _ (prog : Tq_vm.Program.t) stack =
   {
-    symtab = prog.Tq_vm.Program.symtab;
-    data_end = prog.Tq_vm.Program.data_end;
-    touched =
-      Array.init (Symtab.count prog.Tq_vm.Program.symtab) (fun _ ->
-          Bitset.create ());
-    stack =
-      (match stack with Some s -> s | None -> Call_stack.create policy);
+    symtab = prog.symtab;
+    data_end = prog.data_end;
+    touched = Array.init (Symtab.count prog.symtab) (fun _ -> Bitset.create ());
+    stack;
   }
+
+let create policy prog = seeded policy prog (Call_stack.create policy)
 
 let mark t static ea n =
   if n > 0 then begin
@@ -55,36 +54,18 @@ let interest =
 let merge_into a b =
   Array.iteri (fun id bits -> Bitset.union a.touched.(id) bits) b.touched
 
-let sharded ?(policy = Call_stack.Main_image_only) (prog : Tq_vm.Program.t)
-    ~render =
-  let symtab = prog.Tq_vm.Program.symtab in
-  Tq_trace.Replay.Sharded
+let shard =
+  Some
     {
-      prefix_wants = Event.[ KRtn_entry; KRet ];
+      Tq_trace.Tool.prefix_wants = Event.[ KRtn_entry; KRet ];
       prefix =
-        (fun () ->
-          let st = Call_stack.create policy in
-          let sink (ev : Event.t) =
-            match ev with
-            | Event.Rtn_entry { routine; sp; _ } ->
-                Call_stack.on_entry st (Symtab.by_id symtab routine) ~sp
-            | Event.Ret { sp; _ } -> Call_stack.on_ret st ~sp
-            | _ -> ()
-          in
-          (sink, fun () -> Call_stack.copy st));
-      shard =
-        (fun seed ->
-          let t = create ~policy ~stack:seed prog in
-          (consume t, fun () -> t));
-      merge = merge_into;
-      render;
+        (fun policy prog -> Call_stack.prefix prog.Tq_vm.Program.symtab policy);
+      seeded;
+      merge_into;
     }
 
-let attach ?policy engine =
-  let machine = Engine.machine engine in
-  let t = create ?policy (Machine.program machine) in
-  Tq_trace.Probe.attach engine (consume t);
-  t
+let attach ?(policy = Call_stack.Main_image_only) =
+  Tq_trace.Tool.attach (create policy) consume
 
 type region_stats = { unique_bytes : int; pages : int; lo : int; hi : int }
 

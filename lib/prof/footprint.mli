@@ -16,36 +16,18 @@ val region_name : region -> string
 
 type t
 
-val create :
-  ?policy:Call_stack.policy -> ?stack:Call_stack.t -> Tq_vm.Program.t -> t
-(** Build an unattached tool; feed it events with {!consume}, live or
-    replayed.  [stack], if given, seeds the internal call stack — used by
-    {!sharded} to start a mid-trace shard from the boundary's stack. *)
+include
+  Tq_trace.Tool.S
+    with type t := t
+     and type config = Call_stack.policy
+     and type seed = Call_stack.t
+(** [shard] is [Some]: a stack-only ordered prefix ({!Call_stack.prefix}),
+    stack-seeded shards, and a merge that unions the per-kernel
+    touched-address sets. *)
 
-val merge_into : t -> t -> unit
-(** [merge_into a b] unions [b]'s per-kernel touched-address sets into
-    [a]'s ([b] covers the adjacent later trace range). *)
-
-val sharded :
-  ?policy:Call_stack.policy ->
-  Tq_vm.Program.t ->
-  render:(t -> string) ->
-  Tq_trace.Replay.sharded
-(** Shard-parallel capability for {!Tq_trace.Replay.parallel}: stack-only
-    ordered prefix, {!Call_stack.copy} seeds, bitset-union merge —
-    byte-identical to the sequential report. *)
-
-val consume : t -> Tq_trace.Event.t -> unit
-(** Process one event; live and replayed runs produce bit-identical
-    results. *)
-
-val interest : Tq_trace.Event.kind list
-(** Event kinds {!consume} does work on — pass as [?wants] to
-    {!Tq_trace.Replay.job} so replay skips the rest. *)
-
-val attach :
-  ?policy:Call_stack.policy -> Tq_dbi.Engine.t -> t
-(** Register the tool: [create] + {!Tq_trace.Probe.attach}. *)
+val attach : ?policy:Call_stack.policy -> Tq_dbi.Engine.t -> t
+(** Register the tool: [create] + {!Tq_trace.Probe.attach}; [policy]
+    defaults to [Main_image_only]. *)
 
 type region_stats = {
   unique_bytes : int;  (** distinct addresses touched *)

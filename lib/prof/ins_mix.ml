@@ -1,5 +1,4 @@
 module Isa = Tq_isa.Isa
-module Engine = Tq_dbi.Engine
 module Symtab = Tq_vm.Symtab
 module Program = Tq_vm.Program
 module Event = Tq_trace.Event
@@ -68,11 +67,13 @@ type t = {
           totals, so [snapshot] folds over these too *)
 }
 
-let create program =
-  let symtab = program.Program.symtab in
+type config = unit
+type seed = unit
+
+let create () program =
   {
     program;
-    symtab;
+    symtab = program.Program.symtab;
     blocks = Array.make (Array.length program.Program.code) None;
     displaced = [];
   }
@@ -139,17 +140,14 @@ let merge_into a b =
     b.blocks;
   a.displaced <- b.displaced @ a.displaced
 
-let sharded program ~render =
-  Tq_trace.Replay.Sharded
+(* Block summaries carry no cross-range state: shards need no seed. *)
+let shard =
+  Some
     {
-      prefix_wants = [];
-      prefix = (fun () -> ((fun (_ : Event.t) -> ()), fun () -> ()));
-      shard =
-        (fun () ->
-          let t = create program in
-          (consume t, fun () -> t));
-      merge = merge_into;
-      render;
+      Tq_trace.Tool.prefix_wants = [];
+      prefix = (fun () _ -> ((fun (_ : Event.t) -> ()), Fun.id));
+      seeded = (fun () program () -> create () program);
+      merge_into;
     }
 
 (* Fold every block summary (weighted by its execution count) into overall
@@ -182,11 +180,7 @@ let snapshot t =
   List.iter fold t.displaced;
   (totals, kernels)
 
-let attach engine =
-  let machine = Engine.machine engine in
-  let t = create (Tq_vm.Machine.program machine) in
-  Tq_trace.Probe.attach engine (consume t);
-  t
+let attach = Tq_trace.Tool.attach (create ()) consume
 
 let total t c =
   let totals, _ = snapshot t in

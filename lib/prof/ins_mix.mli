@@ -16,33 +16,16 @@ val categories : category list
 
 type t
 
-val create : Tq_vm.Program.t -> t
-(** Build an unattached profiler; feed it events with {!consume}, live or
-    replayed.  Needs the program image to refetch and classify the
-    instructions named by [Block_exec] events. *)
-
-val consume : t -> Tq_trace.Event.t -> unit
-(** Process one event ([Block_exec] carries the instruction stream); live
-    and replayed runs produce bit-identical results. *)
-
-val interest : Tq_trace.Event.kind list
-(** Event kinds {!consume} does work on — pass as [?wants] to
-    {!Tq_trace.Replay.job} so replay skips the rest. *)
+include
+  Tq_trace.Tool.S with type t := t and type config = unit and type seed = unit
+(** [create] keeps the program image to refetch and classify the
+    instructions named by [Block_exec] events.  [shard] is [Some], with an
+    empty prefix: block summaries carry no cross-range state.  Merging adds
+    per-block execution counts; a block re-summarized at a different length
+    displaces the earlier summary, as in a sequential run. *)
 
 val attach : Tq_dbi.Engine.t -> t
 (** Register the tool: [create] + {!Tq_trace.Probe.attach}. *)
-
-val merge_into : t -> t -> unit
-(** [merge_into a b] folds [b] (the adjacent later trace range) into [a]:
-    per-block execution counts add; a block re-summarized at a different
-    length displaces the earlier summary, as in a sequential run. *)
-
-val sharded :
-  Tq_vm.Program.t -> render:(t -> string) -> Tq_trace.Replay.sharded
-(** Shard-parallel capability for {!Tq_trace.Replay.parallel}.  Block
-    summaries carry no cross-range state, so shards need no seed (empty
-    prefix) and merge by adding execution counts — byte-identical to the
-    sequential report. *)
 
 val total : t -> category -> int
 (** Retired instructions of that category over the whole run. *)

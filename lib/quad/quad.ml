@@ -1,6 +1,4 @@
 module Isa = Tq_isa.Isa
-module Engine = Tq_dbi.Engine
-module Machine = Tq_vm.Machine
 module Symtab = Tq_vm.Symtab
 module Layout = Tq_vm.Layout
 module Call_stack = Tq_prof.Call_stack
@@ -192,12 +190,14 @@ let on_write t kernel_id ea size sp =
     Shadow.set_range t.shadow ea size kernel_id
   end
 
-let create ?(policy = Call_stack.Main_image_only) ?stack ?(pending = false)
-    symtab =
-  let n = Symtab.count symtab in
+type config = Call_stack.policy
+type seed = Call_stack.t
+
+let make ~pending (prog : Tq_vm.Program.t) stack =
+  let n = Symtab.count prog.symtab in
   {
-    symtab;
-    stack = (match stack with Some s -> s | None -> Call_stack.create policy);
+    symtab = prog.symtab;
+    stack;
     shadow = Shadow.create ();
     in_excl = Array.make n 0;
     in_incl = Array.make n 0;
@@ -217,6 +217,8 @@ let create ?(policy = Call_stack.Main_image_only) ?stack ?(pending = false)
     last_pend_block = -1;
     last_pend = [||];
   }
+
+let create policy prog = make ~pending:false prog (Call_stack.create policy)
 
 (* A zero-length block copy still marks the kernel as touched (on_read /
    on_write run with size 0), matching the original instrumentation where
@@ -310,40 +312,20 @@ let merge_into a b =
     b.edges;
   Shadow.merge_into a.shadow b.shadow
 
-let sharded ?policy symtab ~render =
-  Tq_trace.Replay.Sharded
+(* A mid-trace shard runs in pending mode: its producer-less reads wait in
+   block counters for [merge_into] to resolve. *)
+let shard =
+  Some
     {
-      prefix_wants = Event.[ KRtn_entry; KRet ];
+      Tq_trace.Tool.prefix_wants = Event.[ KRtn_entry; KRet ];
       prefix =
-        (fun () ->
-          let st =
-            Call_stack.create
-              (match policy with
-              | Some p -> p
-              | None -> Call_stack.Main_image_only)
-          in
-          let sink (ev : Event.t) =
-            match ev with
-            | Event.Rtn_entry { routine; sp; _ } ->
-                Call_stack.on_entry st (Symtab.by_id symtab routine) ~sp
-            | Event.Ret { sp; _ } -> Call_stack.on_ret st ~sp
-            | _ -> ()
-          in
-          (sink, fun () -> Call_stack.copy st));
-      shard =
-        (fun seed ->
-          let t = create ?policy ~stack:seed ~pending:true symtab in
-          (consume t, fun () -> t));
-      merge = merge_into;
-      render;
+        (fun policy prog -> Call_stack.prefix prog.Tq_vm.Program.symtab policy);
+      seeded = (fun _ prog stack -> make ~pending:true prog stack);
+      merge_into;
     }
 
-let attach ?policy engine =
-  let machine = Engine.machine engine in
-  let symtab = (Machine.program machine).Tq_vm.Program.symtab in
-  let t = create ?policy symtab in
-  Tq_trace.Probe.attach engine (consume t);
-  t
+let attach ?(policy = Call_stack.Main_image_only) =
+  Tq_trace.Tool.attach (create policy) consume
 
 type krow = {
   routine : Symtab.routine;

@@ -17,55 +17,35 @@
 
 type t
 
-val create :
-  ?policy:Tq_prof.Call_stack.policy ->
-  ?stack:Tq_prof.Call_stack.t ->
-  ?pending:bool ->
-  Tq_vm.Symtab.t ->
-  t
-(** Build an unattached analyser over [symtab]; feed it events with
-    {!consume}, live or replayed.  [policy] defaults to [Main_image_only]:
-    traffic performed by library/OS routines is attributed to the innermost
-    main-image caller.  [stack] seeds the internal call stack and [pending]
-    (default false) defers producer charges for reads whose byte has no
-    producer yet — both are shard-mode knobs used by {!sharded} to start
-    mid-trace; a lone analyser needs neither.
+include
+  Tq_trace.Tool.S
+    with type t := t
+     and type config = Tq_prof.Call_stack.policy
+     and type seed = Tq_prof.Call_stack.t
+(** The config is the call-stack policy: [Main_image_only] attributes
+    traffic performed by library/OS routines to the innermost main-image
+    caller.
 
-    Deferred charges are block counters: per consumer kernel, each 64-byte
-    block holding a producer-less read gets an incl and an excl read count
-    per byte.  Budget: 1 KiB per (64-byte block, consumer) pair with such a
-    read, independent of how often the block is read. *)
+    [shard] is [Some].  The ordered prefix tracks only the call stack
+    ({!Tq_prof.Call_stack.prefix}).  A seeded analyser starts mid-trace in
+    {e pending} mode: a read whose byte has no producer in its own range is
+    deferred into block counters — per consumer kernel, each 64-byte block
+    holding such a read gets an incl and an excl read count per byte.
+    Budget: 1 KiB per (64-byte block, consumer) pair with such a read,
+    independent of how often the block is read.
 
-val merge_into : t -> t -> unit
-(** [merge_into a b] folds [b] (the adjacent later trace range) into [a]:
+    [merge_into a b] folds [b] (the adjacent later trace range) into [a]:
     byte counters add, UnMA and binding address sets union, [b]'s deferred
     block counters resolve against [a]'s shadow map — each maximal run of
     counted bytes with one producer is charged to that producer's binding
     in one step — then [b]'s shadow writes supersede [a]'s.  [a] must cover
     the trace from its beginning up to where [b] starts. *)
 
-val sharded :
-  ?policy:Tq_prof.Call_stack.policy ->
-  Tq_vm.Symtab.t ->
-  render:(t -> string) ->
-  Tq_trace.Replay.sharded
-(** Shard-parallel capability for {!Tq_trace.Replay.parallel}: the ordered
-    prefix tracks only the call stack, each shard runs with a seeded stack
-    in pending mode, and {!merge_into} resolves cross-shard producer/
-    consumer bindings — byte-identical to the sequential report. *)
-
-val consume : t -> Tq_trace.Event.t -> unit
-(** Process one event.  Live instrumentation and trace replay share this
-    entry point, so both produce bit-identical results. *)
-
-val interest : Tq_trace.Event.kind list
-(** Event kinds {!consume} does work on — pass as [?wants] to
-    {!Tq_trace.Replay.job} so replay skips the rest. *)
-
 val attach :
   ?policy:Tq_prof.Call_stack.policy -> Tq_dbi.Engine.t -> t
 (** Register QUAD's instrumentation on the engine (must happen before the
-    engine runs): [create] + {!Tq_trace.Probe.attach}. *)
+    engine runs): [create] + {!Tq_trace.Probe.attach}.  [policy] defaults to
+    [Main_image_only]. *)
 
 type krow = {
   routine : Tq_vm.Symtab.routine;

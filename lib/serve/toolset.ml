@@ -63,63 +63,31 @@ let render_mix mix =
     (Tq_prof.Ins_mix.per_kernel mix);
   Buffer.contents buf
 
-(* Each job carries its tool's shard capability where one exists, so
-   [Replay.parallel] can split the trace; cache_sim's replacement state is
-   inherently order-sensitive, so it stays an ordered (non-sharded) job and
-   replays on the in-order walk. *)
+(* One row per tool: its module, config and renderer.  [Tool.job] derives
+   the rest — wants, the plain path and, for every tool but cache (its
+   replacement state has no merge, so it replays on the ordered walk), the
+   shard spec [Replay.parallel] splits the trace with. *)
 let job ~prog ~slice ~period name =
-  let symtab = prog.Tq_vm.Program.symtab in
+  let open Tq_prof in
+  let row (type c t)
+      (module T : Tq_trace.Tool.S with type config = c and type t = t)
+      (config : c) render =
+    Ok (Tq_trace.Tool.job (module T) name config prog ~render)
+  in
+  let policy = Call_stack.Main_image_only in
   match name with
   | "tquad" ->
-      Ok
-        (Tq_trace.Replay.job ~wants:Tq_tquad.Tquad.interest
-           ~sharded:
-             (Tq_tquad.Tquad.sharded ~slice_interval:slice symtab
-                ~render:(render_tquad ~slice))
-           "tquad"
-           (fun () ->
-             let t = Tq_tquad.Tquad.create ~slice_interval:slice symtab in
-             (Tq_tquad.Tquad.consume t, fun () -> render_tquad ~slice t)))
-  | "quad" ->
-      Ok
-        (Tq_trace.Replay.job ~wants:Tq_quad.Quad.interest
-           ~sharded:(Tq_quad.Quad.sharded symtab ~render:render_quad)
-           "quad"
-           (fun () ->
-             let q = Tq_quad.Quad.create symtab in
-             (Tq_quad.Quad.consume q, fun () -> render_quad q)))
-  | "gprof" ->
-      Ok
-        (Tq_trace.Replay.job ~wants:Tq_gprofsim.Gprofsim.interest
-           ~sharded:
-             (Tq_gprofsim.Gprofsim.sharded ~period symtab ~render:render_gprof)
-           "gprof"
-           (fun () ->
-             let g = Tq_gprofsim.Gprofsim.create ~period symtab in
-             (Tq_gprofsim.Gprofsim.consume g, fun () -> render_gprof g)))
-  | "mix" ->
-      Ok
-        (Tq_trace.Replay.job ~wants:Tq_prof.Ins_mix.interest
-           ~sharded:(Tq_prof.Ins_mix.sharded prog ~render:render_mix)
-           "mix"
-           (fun () ->
-             let mix = Tq_prof.Ins_mix.create prog in
-             (Tq_prof.Ins_mix.consume mix, fun () -> render_mix mix)))
+      row (module Tq_tquad.Tquad)
+        { Tq_tquad.Tquad.slice_interval = slice; policy }
+        (render_tquad ~slice)
+  | "quad" -> row (module Tq_quad.Quad) policy render_quad
+  | "gprof" -> row (module Tq_gprofsim.Gprofsim) period render_gprof
+  | "mix" -> row (module Ins_mix) () render_mix
   | "cache" ->
-      Ok
-        (Tq_trace.Replay.job ~wants:Tq_prof.Cache_sim.interest "cache"
-           (fun () ->
-             let c = Tq_prof.Cache_sim.create symtab in
-             (Tq_prof.Cache_sim.consume c, fun () -> Tq_prof.Cache_sim.render c)))
-  | "footprint" ->
-      Ok
-        (Tq_trace.Replay.job ~wants:Tq_prof.Footprint.interest
-           ~sharded:
-             (Tq_prof.Footprint.sharded prog ~render:Tq_prof.Footprint.render)
-           "footprint"
-           (fun () ->
-             let f = Tq_prof.Footprint.create prog in
-             (Tq_prof.Footprint.consume f, fun () -> Tq_prof.Footprint.render f)))
+      row (module Cache_sim)
+        { Cache_sim.geometry = Cache_sim.default_l1; policy }
+        Cache_sim.render
+  | "footprint" -> row (module Footprint) policy Footprint.render
   | other ->
       Error
         (Printf.sprintf "unknown tool %s (have: %s)" other

@@ -17,9 +17,12 @@ val job :
   period:int ->
   string ->
   (Tq_trace.Replay.job, string) result
-(** Build the named tool's replay job.  [slice] is the tquad time-slice
-    interval (instructions), [period] the gprof sampling period.  Every tool
-    except [cache] carries its shard capability, so {!Tq_trace.Replay.parallel}
+(** Build the named tool's replay job with {!Tq_trace.Tool.job}, from the
+    tool's {!Tq_trace.Tool.S} module, its config and its renderer.  [slice]
+    is the tquad time-slice interval (instructions), [period] the gprof
+    sampling period; the other configs are the defaults (main-image
+    attribution, {!Tq_prof.Cache_sim.default_l1}).  Every tool except
+    [cache] carries its shard capability, so {!Tq_trace.Replay.parallel}
     can split the trace into chunk ranges; cache simulation is
     order-sensitive and replays on the ordered walk.  [Error] names the
     unknown tool and lists the valid ones. *)

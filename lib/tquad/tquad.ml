@@ -1,6 +1,4 @@
 module Isa = Tq_isa.Isa
-module Engine = Tq_dbi.Engine
-module Machine = Tq_vm.Machine
 module Symtab = Tq_vm.Symtab
 module Layout = Tq_vm.Layout
 module Call_stack = Tq_prof.Call_stack
@@ -70,19 +68,22 @@ let record t id ~read ~icount ~sp ea size =
     if global_bytes > 0 then Dyn.add_at ( + ) k.kw_excl slice global_bytes
   end
 
-let create ?(slice_interval = 10_000) ?(policy = Call_stack.Main_image_only)
-    ?stack symtab =
-  if slice_interval <= 0 then
+type config = { slice_interval : int; policy : Call_stack.policy }
+type seed = Call_stack.t
+
+let seeded config (prog : Tq_vm.Program.t) stack =
+  if config.slice_interval <= 0 then
     invalid_arg "Tquad.create: slice_interval must be positive";
   {
-    symtab;
-    interval = slice_interval;
-    stack =
-      (match stack with Some s -> s | None -> Call_stack.create policy);
-    data = Array.make (Symtab.count symtab) None;
+    symtab = prog.symtab;
+    interval = config.slice_interval;
+    stack;
+    data = Array.make (Symtab.count prog.symtab) None;
     max_slice = -1;
     any = false;
   }
+
+let create config prog = seeded config prog (Call_stack.create config.policy)
 
 (* EnterFC analogue on [Rtn_entry]; IncreaseRead/IncreaseWrite return
     immediately on prefetches, so [Prefetch] events are discarded. *)
@@ -136,36 +137,19 @@ let merge_into a b =
           add ka.kw_excl kb.kw_excl)
     b.data
 
-let sharded ?slice_interval ?(policy = Call_stack.Main_image_only) symtab
-    ~render =
-  Tq_trace.Replay.Sharded
+let shard =
+  Some
     {
-      prefix_wants = Event.[ KRtn_entry; KRet ];
+      Tq_trace.Tool.prefix_wants = Event.[ KRtn_entry; KRet ];
       prefix =
-        (fun () ->
-          let st = Call_stack.create policy in
-          let sink (ev : Event.t) =
-            match ev with
-            | Event.Rtn_entry { routine; sp; _ } ->
-                Call_stack.on_entry st (Symtab.by_id symtab routine) ~sp
-            | Event.Ret { sp; _ } -> Call_stack.on_ret st ~sp
-            | _ -> ()
-          in
-          (sink, fun () -> Call_stack.copy st));
-      shard =
-        (fun seed ->
-          let t = create ?slice_interval ~policy ~stack:seed symtab in
-          (consume t, fun () -> t));
-      merge = merge_into;
-      render;
+        (fun config prog ->
+          Call_stack.prefix prog.Tq_vm.Program.symtab config.policy);
+      seeded;
+      merge_into;
     }
 
-let attach ?slice_interval ?policy engine =
-  let machine = Engine.machine engine in
-  let symtab = (Machine.program machine).Tq_vm.Program.symtab in
-  let t = create ?slice_interval ?policy symtab in
-  Tq_trace.Probe.attach engine (consume t);
-  t
+let attach ?(slice_interval = 10_000) ?(policy = Call_stack.Main_image_only) =
+  Tq_trace.Tool.attach (create { slice_interval; policy }) consume
 
 type metric = Read_incl | Read_excl | Write_incl | Write_excl
 

@@ -25,43 +25,20 @@
 
 type t
 
-val create :
-  ?slice_interval:int ->
-  ?policy:Tq_prof.Call_stack.policy ->
-  ?stack:Tq_prof.Call_stack.t ->
-  Tq_vm.Symtab.t ->
-  t
-(** Build an unattached analyzer over [symtab].  Feed it events with
-    {!consume} — either live (via {!attach}) or replayed from a recorded
-    trace.  [slice_interval] defaults to 10_000 instructions; [policy] to
-    [Main_image_only].  [stack], if given, seeds the internal call stack
-    (overriding [policy]'s fresh one) — used by {!sharded} to start a
-    mid-trace shard from the boundary's reconstructed stack. *)
+type config = {
+  slice_interval : int;  (** instructions per time slice; must be positive *)
+  policy : Tq_prof.Call_stack.policy;
+}
 
-val merge_into : t -> t -> unit
-(** [merge_into a b] folds [b] — the analysis of the trace range adjacent
-    {e after} [a]'s — into [a]: per-kernel per-slice byte counts add,
-    activity unions.  [b] is not usable afterwards. *)
-
-val sharded :
-  ?slice_interval:int ->
-  ?policy:Tq_prof.Call_stack.policy ->
-  Tq_vm.Symtab.t ->
-  render:(t -> string) ->
-  Tq_trace.Replay.sharded
-(** Shard-parallel capability for {!Tq_trace.Replay.parallel}: the ordered
-    prefix maintains only the call stack (entries/returns), each shard runs
-    a full analyzer seeded with a {!Tq_prof.Call_stack.copy} of the
-    boundary stack, and {!merge_into} recombines — reports are
-    byte-identical to the sequential path. *)
-
-val consume : t -> Tq_trace.Event.t -> unit
-(** Process one event.  Live instrumentation and trace replay go through
-    this same entry point, so both produce bit-identical results. *)
-
-val interest : Tq_trace.Event.kind list
-(** Event kinds {!consume} does work on — pass as [?wants] to
-    {!Tq_trace.Replay.job} so replay skips the rest. *)
+include
+  Tq_trace.Tool.S
+    with type t := t
+     and type config := config
+     and type seed = Tq_prof.Call_stack.t
+(** [shard] is [Some]: the ordered prefix maintains only the call stack
+    ({!Tq_prof.Call_stack.prefix}), each shard runs a full analyzer seeded
+    with the boundary's stack, and merging adds the per-kernel per-slice
+    byte counts (activity unions). *)
 
 val attach :
   ?slice_interval:int ->
@@ -69,7 +46,8 @@ val attach :
   Tq_dbi.Engine.t ->
   t
 (** [create] + {!Tq_trace.Probe.attach}: register instrumentation that
-    feeds the engine's live event flow into {!consume}. *)
+    feeds the engine's live event flow into {!consume}.  [slice_interval]
+    defaults to 10_000 instructions; [policy] to [Main_image_only]. *)
 
 type metric = Read_incl | Read_excl | Write_incl | Write_excl
 

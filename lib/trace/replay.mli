@@ -83,7 +83,8 @@ val job :
     replay driver skip the sink call for the rest; it must stay a superset
     of the consumed kinds or the tool silently loses events.  [sharded], if
     given, lets {!parallel} shard the job across trace ranges; the spec's
-    reports must be byte-identical to the [make] path's. *)
+    reports must be byte-identical to the [make] path's.  The analysis
+    tools get theirs from {!Tool.job}; a raw job is for ad-hoc sinks. *)
 
 type domain_timing = {
   domain : int;  (** worker index; [0] is the caller's own domain *)

@@ -1,0 +1,44 @@
+type ('config, 'seed, 't) shard = {
+  prefix_wants : Event.kind list;
+  prefix : 'config -> Tq_vm.Program.t -> (Event.t -> unit) * (unit -> 'seed);
+  seeded : 'config -> Tq_vm.Program.t -> 'seed -> 't;
+  merge_into : 't -> 't -> unit;
+}
+
+module type S = sig
+  type t
+  type config
+  type seed
+
+  val interest : Event.kind list
+  val consume : t -> Event.t -> unit
+  val create : config -> Tq_vm.Program.t -> t
+  val shard : (config, seed, t) shard option
+end
+
+let job (type c t) (module T : S with type config = c and type t = t) name
+    (config : c) prog ~render =
+  let sharded =
+    Option.map
+      (fun sh ->
+        Replay.Sharded
+          {
+            prefix_wants = sh.prefix_wants;
+            prefix = (fun () -> sh.prefix config prog);
+            shard =
+              (fun seed ->
+                let t = sh.seeded config prog seed in
+                (T.consume t, fun () -> t));
+            merge = sh.merge_into;
+            render;
+          })
+      T.shard
+  in
+  Replay.job ~wants:T.interest ?sharded name (fun () ->
+      let t = T.create config prog in
+      (T.consume t, fun () -> render t))
+
+let attach create consume engine =
+  let t = create (Tq_vm.Machine.program (Tq_dbi.Engine.machine engine)) in
+  Probe.attach engine (consume t);
+  t

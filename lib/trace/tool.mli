@@ -1,0 +1,64 @@
+(** The one signature every analysis tool implements.
+
+    QUAD, tQUAD, gprofsim, the instruction mix, the cache simulator and the
+    footprint tool are companion analyses over a single event stream: each
+    is built from a config and the program, consumes {!Event.t}s, and —
+    where its state merges — splits into trace-range shards.  {!S} states
+    that once; {!job} and {!attach} derive the replay job (plain and
+    sharded paths) and the live attachment from it, so no tool wires
+    either by hand. *)
+
+type ('config, 'seed, 't) shard = {
+  prefix_wants : Event.kind list;
+      (** event kinds [prefix] consumes; [[]] if shards need no seed *)
+  prefix : 'config -> Tq_vm.Program.t -> (Event.t -> unit) * (unit -> 'seed);
+      (** the ordered prefix tracker and its snapshot — see
+          {!Replay.shard_spec}[.prefix] *)
+  seeded : 'config -> Tq_vm.Program.t -> 'seed -> 't;
+      (** a fresh analyser starting mid-trace from a boundary's seed *)
+  merge_into : 't -> 't -> unit;
+      (** [merge_into a b] folds [b], the adjacent later trace range, into
+          [a]; after a left-to-right fold the first state reports exactly
+          what one sequential analyser would *)
+}
+(** How a tool splits across trace ranges. *)
+
+module type S = sig
+  type t
+  type config
+      (** the parameters [create] takes (slice interval, sampling period,
+          call-stack policy, cache geometry; [unit] if none) *)
+
+  type seed  (** shard seed: a call stack, a sampling phase, or [unit] *)
+
+  val interest : Event.kind list
+  (** Event kinds {!consume} does work on; replay delivers no others. *)
+
+  val consume : t -> Event.t -> unit
+  (** Process one event — the one entry point for live and replayed runs. *)
+
+  val create : config -> Tq_vm.Program.t -> t
+  (** A fresh analyser for a run starting at the first event. *)
+
+  val shard : (config, seed, t) shard option
+  (** [None] for tools whose state is order-sensitive with no merge. *)
+end
+
+val job :
+  (module S with type config = 'c and type t = 't) ->
+  string ->
+  'c ->
+  Tq_vm.Program.t ->
+  render:('t -> string) ->
+  Replay.job
+(** [job (module T) name config prog ~render] is the tool's replay job:
+    [wants = T.interest], a [make] path that renders a {!S.create}d
+    analyser, and — when [T.shard] is [Some] — the matching
+    {!Replay.sharded} spec whose merged state goes through the same
+    [render]. *)
+
+val attach :
+  (Tq_vm.Program.t -> 't) -> ('t -> Event.t -> unit) -> Tq_dbi.Engine.t -> 't
+(** [attach create consume engine] builds the analyser over the engine's
+    program and feeds it the live event flow through {!Probe.attach} — every
+    tool's [attach].  Must happen before the engine runs. *)

@@ -136,7 +136,7 @@ let test_small_direct_mapped_conflicts () =
   in
   let eng = Engine.create (Machine.create prog) in
   let c =
-    Cache.attach ~config:{ Cache.size_bytes = 128; line_bytes = 64; assoc = 1 }
+    Cache.attach ~geometry:{ Cache.size_bytes = 128; line_bytes = 64; assoc = 1 }
       ~policy:Tq_prof.Call_stack.Track_all eng
   in
   Engine.run eng;

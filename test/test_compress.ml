@@ -118,7 +118,7 @@ let test_compressed_seek () =
    exact full-state render functions the replay-equivalence tests use, so
    string equality here is full-tool-state equality. *)
 
-let replay_jobs = Test_trace.sharded_jobs
+let replay_jobs = Test_trace.tool_jobs
 let outcomes_equal = Test_trace.outcomes_equal
 
 let test_report_identity () =

@@ -97,7 +97,7 @@ let test_rows_match_per_byte_reference () =
   List.iter
     (fun shift ->
       let data_end = (prog.Program.data_end land lnot 31) + 64 + shift in
-      let f = F.create { prog with Program.data_end } in
+      let f = F.create Main_image_only { prog with Program.data_end } in
       let ranges =
         [ (0x1000_0000, 40); (data_end - 5, 12); (data_end + 4000, 300);
           (stack_lo - 7, 20); (stack_lo + 4090, 9); (stack_top - 100, 130);

@@ -177,12 +177,14 @@ let test_quad_pending_merge () =
     [ load c2 0x1000_1000 0x20; load c1 big 32; store main 0x1000_0FD0 4;
       load c2 0x1000_0FCC 8 ]
   in
-  let seq = Q.create symtab in
+  let prog = { Program.code = [||]; entry = 0; data = []; data_end = 0; symtab } in
+  let seq = Q.create Main_image_only prog in
   List.iter (Q.consume seq) (first @ second @ third);
+  let sh = Option.get Q.shard in
   let shard evs =
     let t =
-      Q.create ~stack:(Tq_prof.Call_stack.create Main_image_only)
-        ~pending:true symtab
+      sh.seeded Main_image_only prog
+        (Tq_prof.Call_stack.create Main_image_only)
     in
     List.iter (Q.consume t) evs;
     t
@@ -199,8 +201,8 @@ let test_quad_pending_merge () =
     (List.exists
        (fun (x : Q.binding) -> x.producer.Symtab.name = "producer")
        (Q.bindings b));
-  Q.merge_into a b;
-  Q.merge_into a c;
+  sh.merge_into a b;
+  sh.merge_into a c;
   Alcotest.(check bool) "rows equal the sequential analyser's" true
     (Q.rows a = Q.rows seq);
   Alcotest.(check (list string))

@@ -128,7 +128,9 @@ let golden_tquad () =
   let id name = (Option.get (Symtab.by_name symtab name)).Symtab.id in
   let alpha = id "alpha" and beta = id "beta" in
   let t =
-    Tq.create ~slice_interval:10 ~policy:Tq_prof.Call_stack.Track_all symtab
+    Tq.create
+      { slice_interval = 10; policy = Track_all }
+      { Program.code = [||]; entry = 0; data = []; data_end = 0; symtab }
   in
   let open Tq_trace.Event in
   let sp = 0x7eff_0000_0000 in

@@ -243,27 +243,24 @@ let record_trace path =
   in
   prog
 
-let replay_jobs prog =
-  let symtab = prog.Program.symtab in
+(* The six tools through [Tool.job], with the full-state renderers above:
+   every tool but cache carries its shard spec, so the same table drives the
+   sequential oracle, the live = replay check and the sharded properties. *)
+let tool_jobs prog =
+  let open Tq_prof in
+  let policy = Call_stack.Main_image_only in
+  let job = Tq_trace.Tool.job in
   [
-    Replay.job ~wants:Tq_tquad.Tquad.interest "tquad" (fun () ->
-        let t = Tq_tquad.Tquad.create ~slice_interval:slice symtab in
-        (Tq_tquad.Tquad.consume t, fun () -> render_tquad t));
-    Replay.job ~wants:Tq_quad.Quad.interest "quad" (fun () ->
-        let q = Tq_quad.Quad.create symtab in
-        (Tq_quad.Quad.consume q, fun () -> render_quad q));
-    Replay.job ~wants:Tq_gprofsim.Gprofsim.interest "gprof" (fun () ->
-        let g = Tq_gprofsim.Gprofsim.create ~period symtab in
-        (Tq_gprofsim.Gprofsim.consume g, fun () -> render_gprof g));
-    Replay.job ~wants:Tq_prof.Ins_mix.interest "mix" (fun () ->
-        let mix = Tq_prof.Ins_mix.create prog in
-        (Tq_prof.Ins_mix.consume mix, fun () -> Tq_prof.Ins_mix.render mix));
-    Replay.job ~wants:Tq_prof.Cache_sim.interest "cache" (fun () ->
-        let c = Tq_prof.Cache_sim.create symtab in
-        (Tq_prof.Cache_sim.consume c, fun () -> Tq_prof.Cache_sim.render c));
-    Replay.job ~wants:Tq_prof.Footprint.interest "footprint" (fun () ->
-        let f = Tq_prof.Footprint.create prog in
-        (Tq_prof.Footprint.consume f, fun () -> Tq_prof.Footprint.render f));
+    job (module Tq_tquad.Tquad) "tquad"
+      { Tq_tquad.Tquad.slice_interval = slice; policy } prog
+      ~render:render_tquad;
+    job (module Tq_quad.Quad) "quad" policy prog ~render:render_quad;
+    job (module Tq_gprofsim.Gprofsim) "gprof" period prog ~render:render_gprof;
+    job (module Ins_mix) "mix" () prog ~render:Ins_mix.render;
+    job (module Cache_sim) "cache"
+      { Cache_sim.geometry = Cache_sim.default_l1; policy } prog
+      ~render:Cache_sim.render;
+    job (module Footprint) "footprint" policy prog ~render:Footprint.render;
   ]
 
 (* Every job in these equivalence runs must succeed; unwrap its report. *)
@@ -279,7 +276,7 @@ let test_replay_equivalence () =
       let live = live_reports () in
       let prog = record_trace path in
       let reader = Reader.load path in
-      let jobs = replay_jobs prog in
+      let jobs = tool_jobs prog in
       let seq = Replay.sequential reader jobs in
       let par = Replay.parallel ~domains:2 reader jobs in
       List.iter2
@@ -309,7 +306,7 @@ let test_supervised_replay () =
                 if !seen = 3 then failwith "synthetic tool crash"),
               fun () -> "unreachable" ))
       in
-      let jobs = bomb :: replay_jobs prog in
+      let jobs = bomb :: tool_jobs prog in
       let check results =
         (match List.assoc "bomb" results with
         | Error f ->
@@ -364,50 +361,6 @@ let micro_recording =
          Reader.iter r (fun ev -> out := ev :: !out);
          (prog, List.rev !out)))
 
-(* [replay_jobs] plus each tool's shard capability — the same render
-   functions on both paths, so string equality is full-state equality.
-   cache stays order-sensitive (replacement state has no merge) and rides
-   the pipeline's ordered stage. *)
-let sharded_jobs prog =
-  let symtab = prog.Program.symtab in
-  [
-    Replay.job ~wants:Tq_tquad.Tquad.interest
-      ~sharded:
-        (Tq_tquad.Tquad.sharded ~slice_interval:slice symtab
-           ~render:render_tquad)
-      "tquad"
-      (fun () ->
-        let t = Tq_tquad.Tquad.create ~slice_interval:slice symtab in
-        (Tq_tquad.Tquad.consume t, fun () -> render_tquad t));
-    Replay.job ~wants:Tq_quad.Quad.interest
-      ~sharded:(Tq_quad.Quad.sharded symtab ~render:render_quad)
-      "quad"
-      (fun () ->
-        let q = Tq_quad.Quad.create symtab in
-        (Tq_quad.Quad.consume q, fun () -> render_quad q));
-    Replay.job ~wants:Tq_gprofsim.Gprofsim.interest
-      ~sharded:(Tq_gprofsim.Gprofsim.sharded ~period symtab ~render:render_gprof)
-      "gprof"
-      (fun () ->
-        let g = Tq_gprofsim.Gprofsim.create ~period symtab in
-        (Tq_gprofsim.Gprofsim.consume g, fun () -> render_gprof g));
-    Replay.job ~wants:Tq_prof.Ins_mix.interest
-      ~sharded:(Tq_prof.Ins_mix.sharded prog ~render:Tq_prof.Ins_mix.render)
-      "mix"
-      (fun () ->
-        let mix = Tq_prof.Ins_mix.create prog in
-        (Tq_prof.Ins_mix.consume mix, fun () -> Tq_prof.Ins_mix.render mix));
-    Replay.job ~wants:Tq_prof.Cache_sim.interest "cache" (fun () ->
-        let c = Tq_prof.Cache_sim.create symtab in
-        (Tq_prof.Cache_sim.consume c, fun () -> Tq_prof.Cache_sim.render c));
-    Replay.job ~wants:Tq_prof.Footprint.interest
-      ~sharded:(Tq_prof.Footprint.sharded prog ~render:Tq_prof.Footprint.render)
-      "footprint"
-      (fun () ->
-        let f = Tq_prof.Footprint.create prog in
-        (Tq_prof.Footprint.consume f, fun () -> Tq_prof.Footprint.render f));
-  ]
-
 (* Outcome lists match when every job agrees by name and payload; failures
    compare by message (backtraces are environment-dependent). *)
 let outcomes_equal a b =
@@ -453,7 +406,7 @@ let qcheck_sharded_identity =
     (fun (chunk_bytes, shards, domains, batch) ->
       let prog, evs = Lazy.force micro_recording in
       let raw = reencode ~chunk_bytes evs in
-      let jobs = sharded_jobs prog in
+      let jobs = tool_jobs prog in
       let seq = Replay.sequential (Reader.of_string raw) jobs in
       let par =
         Replay.parallel ~domains ~shards ~batch (Reader.of_string raw) jobs
@@ -475,7 +428,7 @@ let qcheck_sharded_salvage_identity =
       let raw = reencode ~chunk_bytes evs in
       let mutation = Tq_faultgen.Faultgen.random ~seed raw in
       let mutated = Tq_faultgen.Faultgen.apply mutation raw in
-      let jobs = sharded_jobs prog in
+      let jobs = tool_jobs prog in
       match Reader.of_string ~mode:Reader.Salvage mutated with
       | exception Reader.Format_error _ -> (
           match Reader.of_string ~mode:Reader.Salvage mutated with
@@ -518,7 +471,7 @@ let qcheck_sharded_chase_identity =
     (fun (chunk_bytes, shards, batch) ->
       let prog, evs = Lazy.force chase_recording in
       let raw = reencode ~chunk_bytes evs in
-      let jobs = sharded_jobs prog in
+      let jobs = tool_jobs prog in
       let seq = Replay.sequential (Reader.of_string raw) jobs in
       let par =
         Replay.parallel ~domains:1 ~shards ~batch (Reader.of_string raw) jobs
@@ -558,7 +511,7 @@ let test_chunk_source () =
         | _ -> Alcotest.failf "%s: expected the chunk source's failure" name)
       results
   in
-  let jobs = bomb :: sharded_jobs prog in
+  let jobs = bomb :: tool_jobs prog in
   check_dead (Replay.parallel ~domains:1 ~chunk:dying r jobs);
   check_dead (Replay.parallel ~domains:1 ~shards:3 ~chunk:dying r jobs);
   let lock = Mutex.create () and cache = Hashtbl.create 64 in
@@ -573,15 +526,106 @@ let test_chunk_source () =
             Hashtbl.add cache i evs;
             evs)
   in
-  let seq = Replay.sequential r (sharded_jobs prog) in
+  let seq = Replay.sequential r (tool_jobs prog) in
   Alcotest.(check bool) "cached ordered walk = sequential" true
     (outcomes_equal seq
-       (Replay.parallel ~domains:1 ~chunk:cached r (sharded_jobs prog)));
+       (Replay.parallel ~domains:1 ~chunk:cached r (tool_jobs prog)));
   Alcotest.(check bool) "cached sharded run = sequential" true
     (outcomes_equal seq
        (Replay.parallel ~domains:2 ~shards:3 ~chunk:cached r
-          (sharded_jobs prog)));
+          (tool_jobs prog)));
   Alcotest.(check int) "each chunk decoded once across both runs" c !decodes
+
+(* ---------- the tool registry ---------- *)
+
+let interests =
+  [
+    ("tquad", Tq_tquad.Tquad.interest);
+    ("quad", Tq_quad.Quad.interest);
+    ("gprof", Tq_gprofsim.Gprofsim.interest);
+    ("mix", Tq_prof.Ins_mix.interest);
+    ("cache", Tq_prof.Cache_sim.interest);
+    ("footprint", Tq_prof.Footprint.interest);
+  ]
+
+let registry_job prog name =
+  match Tq_serve.Toolset.job ~prog ~slice ~period name with
+  | Ok j -> j
+  | Error msg -> Alcotest.fail msg
+
+(* Every registered tool's job is derived from its [Tool.S]: the job wants
+   exactly the tool's interest, and every tool but cache can shard. *)
+let test_registry () =
+  let prog, _ = Lazy.force micro_recording in
+  Alcotest.(check (list string))
+    "the six tools, in canonical order" (List.map fst interests)
+    Tq_serve.Toolset.names;
+  List.iter
+    (fun name ->
+      let j = registry_job prog name in
+      Alcotest.(check string) "job name" name j.Replay.name;
+      Alcotest.(check bool)
+        (name ^ ": wants = interest") true
+        (j.wants = List.assoc name interests);
+      Alcotest.(check bool)
+        (name ^ ": sharded unless cache") (name <> "cache")
+        (Option.is_some j.sharded))
+    Tq_serve.Toolset.names;
+  match Tq_serve.Toolset.job ~prog ~slice ~period "nosuch" with
+  | Ok _ -> Alcotest.fail "unknown tool accepted"
+  | Error msg ->
+      List.iter
+        (fun name ->
+          Alcotest.(check bool)
+            ("error lists " ^ name) true
+            (Astring_contains.contains msg name))
+        Tq_serve.Toolset.names
+
+(* The [interest] contract: a tool does no work on the kinds it leaves out,
+   so delivering every event kind changes no report — on the plain path
+   and on the sharded one. *)
+let test_interest_contract () =
+  let prog, evs = Lazy.force micro_recording in
+  let raw = reencode ~chunk_bytes:1024 evs in
+  let jobs = List.map (registry_job prog) Tq_serve.Toolset.names in
+  let all_kinds =
+    List.map (fun (j : Replay.job) -> { j with wants = Event.all_kinds }) jobs
+  in
+  let narrow = Replay.sequential (Reader.of_string raw) jobs in
+  Alcotest.(check bool) "every tool reports" true
+    (List.for_all (fun (_, o) -> Result.is_ok o) narrow);
+  Alcotest.(check bool) "all kinds = interest (sequential)" true
+    (outcomes_equal narrow (Replay.sequential (Reader.of_string raw) all_kinds));
+  Alcotest.(check bool) "all kinds = interest (sharded)" true
+    (outcomes_equal narrow
+       (Replay.parallel ~domains:1 ~shards:3 (Reader.of_string raw) all_kinds))
+
+(* --slice and --period must be positive: every subcommand taking them
+   refuses 0 (or less) as a usage error, before any tool is built. *)
+let test_cli_positive_args () =
+  let src = Test_dataflow.write_tmp ".mc" "int main() { return 0; }\n" in
+  let trc = Filename.temp_file "tq_cli" ".trc" in
+  let rc args = Test_dataflow.run_cli (Printf.sprintf args src) in
+  Alcotest.(check int) "record: 0" 0
+    (Test_dataflow.run_cli (Printf.sprintf "record %s -o %s" src trc));
+  Alcotest.(check int) "tquad --slice 1: 0" 0 (rc "tquad %s --slice 1");
+  Alcotest.(check int) "tquad --slice 0: 2" 2 (rc "tquad %s --slice 0");
+  Alcotest.(check int) "tquad --slice=-5: 2" 2 (rc "tquad %s --slice=-5");
+  Alcotest.(check int) "gprof --period 0: 2" 2 (rc "gprof %s --period 0");
+  Alcotest.(check int) "callgraph --period 0: 2" 2
+    (rc "callgraph %s --period 0");
+  Alcotest.(check int) "diff --period 0: 2" 2
+    (Test_dataflow.run_cli (Printf.sprintf "diff %s %s --period 0" src src));
+  Alcotest.(check int) "check --bandwidth --slice 0: 2" 2
+    (rc "check %s --bandwidth --slice 0");
+  let replay args =
+    Test_dataflow.run_cli (Printf.sprintf "replay %s %s %s" trc src args)
+  in
+  Alcotest.(check int) "replay --all: 0" 0 (replay "--all");
+  Alcotest.(check int) "replay --all --slice 0: 2" 2 (replay "--all --slice 0");
+  Alcotest.(check int) "replay --tool gprof --period 0: 2" 2
+    (replay "--tool gprof --period 0");
+  List.iter Sys.remove [ src; trc ]
 
 (* ---------- crash safety of the writer ---------- *)
 
@@ -769,6 +813,12 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_sharded_chase_identity;
         Alcotest.test_case "chunk source fails live jobs" `Quick
           test_chunk_source;
+        Alcotest.test_case "registry: jobs derive from each tool" `Quick
+          test_registry;
+        Alcotest.test_case "registry: all kinds = interest for every tool"
+          `Quick test_interest_contract;
+        Alcotest.test_case "cli: non-positive --slice/--period exit 2" `Quick
+          test_cli_positive_args;
         Alcotest.test_case "writer streams to .tmp, renames on close" `Quick
           test_writer_atomic_rename;
         QCheck_alcotest.to_alcotest qcheck_v2_backcompat;
