@@ -1,14 +1,16 @@
 (* tquad — command-line front end.
 
    Compile MiniC programs to the simulated machine and analyse them with the
-   tQUAD / QUAD / gprof-sim profilers, or run the built-in wfs case study.
+   tQUAD / QUAD / gprof-sim profilers.  Every subcommand that takes a
+   program accepts a FILE, the built-in wfs case study (--wfs) or a demo
+   application (--app).
 
      tquad disasm app.mc
      tquad run app.mc --dir data/
      tquad gprof app.mc --period 5000
-     tquad quad app.mc --dot qdu.dot
+     tquad quad --app pointer-chase --dot qdu.dot
      tquad tquad app.mc --slice 2000 --phases --csv series.csv
-     tquad wfs --scenario tiny --tool tquad *)
+     tquad tquad --wfs tiny --slice 2000 *)
 
 open Cmdliner
 module Machine = Tq_vm.Machine
@@ -122,43 +124,6 @@ let read_file path =
   close_in ic;
   s
 
-(* .mc files are MiniC (linked against the runtime image, entry via the
-   runtime's _start -> main); .s files are assembly providing their own
-   _start, linked with the runtime available for calls *)
-let compile_file_raw path =
-  let source = read_file path in
-  if Tq_vm.Objfile.is_objfile source then begin
-    match Tq_vm.Objfile.decode source with
-    | prog -> prog
-    | exception Tq_vm.Objfile.Format_error msg ->
-        Printf.eprintf "%s: %s\n" path msg;
-        exit 1
-  end
-  else if Filename.check_suffix path ".s" then begin
-    match Tq_asm.Link.link [ Tq_asm.Asm_parse.parse source; Tq_rt.Rt.unit_no_start ] with
-    | prog -> prog
-    | exception Tq_asm.Asm_parse.Asm_error { line; msg } ->
-        Printf.eprintf "%s:%d: %s\n" path line msg;
-        exit 1
-    | exception Tq_asm.Link.Link_error msg ->
-        Printf.eprintf "%s: link error: %s\n" path msg;
-        exit 1
-  end
-  else
-    match Tq_rt.Rt.link [ Tq_minic.Driver.compile_unit ~image:"app" source ] with
-    | prog -> prog
-    | exception Tq_minic.Driver.Compile_error msg ->
-        Printf.eprintf "%s: %s\n" path msg;
-        exit 1
-
-let compile_file path =
-  let instructions = ref 0 in
-  span ~attrs:(fun () -> [ ("instructions", !instructions) ]) "compile"
-    (fun () ->
-      let prog = compile_file_raw path in
-      instructions := Array.length prog.Tq_vm.Program.code;
-      prog)
-
 let vfs_of_dir dir =
   let vfs = Vfs.create () in
   (match dir with
@@ -193,35 +158,214 @@ let finish ?(console = stdout) m =
   | None -> Printf.fprintf console "[did not exit]\n");
   flush console
 
+(* Exit-code contract (docs/CLI.md): 0 success, 1 the program failed (trap,
+   out of fuel; for [run], a non-zero or missing exit), 2 usage error, 3
+   input unreadable/unusable (a program that cannot be read or compiled, a
+   bad container, an unreadable/unwritable file, a fingerprint mismatch;
+   for wcet, control flow the analysis cannot bound), 4 partial failure
+   (the input was readable, but replay tools failed or check diagnostics
+   fired). *)
+let exit_usage = 2
+let exit_unreadable = 3
+let exit_partial = 4
+
+(* ---------- the program ----------
+
+   Every subcommand that takes a program names it the same way: a FILE, the
+   built-in wfs case study (--wfs) or a demo application (--app).  One
+   loader turns the name into a [target] and one executor runs it. *)
+
+type target = {
+  prog : Tq_vm.Program.t;
+  bounds : Tq_staticcheck.Staticcheck.bounds option;
+      (* static-data layout for check's bounds checker: source files only,
+         since object files carry no per-object sizes *)
+  make_vfs : string option -> Vfs.t;  (* from --dir, if the subcommand has it *)
+  fuel : int option;
+}
+
+(* Every data object of the linked units with its address and size. *)
+let bounds_of units (prog : Tq_vm.Program.t) syms =
+  let objects = ref [] in
+  List.iter
+    (fun (u : Tq_asm.Link.cunit) ->
+      List.iter
+        (fun (d : Tq_asm.Link.datum) ->
+          match Hashtbl.find_opt syms d.Tq_asm.Link.dname with
+          | None -> ()
+          | Some addr ->
+              let size =
+                match d.Tq_asm.Link.init with
+                | Tq_asm.Link.Zero n -> n
+                | Tq_asm.Link.Bytes s -> String.length s
+              in
+              objects := (d.Tq_asm.Link.dname, addr, size) :: !objects)
+        u.Tq_asm.Link.data)
+    units;
+  Some
+    {
+      Tq_staticcheck.Staticcheck.b_objects =
+        List.sort (fun (_, a, _) (_, b, _) -> compare a b) !objects;
+      b_data_end = prog.Tq_vm.Program.data_end;
+    }
+
+(* An object file (from [build]) loads as is; .s files are assembly
+   providing their own _start, linked with the runtime available for calls;
+   anything else is MiniC, linked against the runtime image (entry via the
+   runtime's _start -> main).  A file that cannot be read or built exits
+   3. *)
+let load_file path =
+  let fail fmt =
+    Printf.ksprintf (fun msg -> prerr_endline msg; exit exit_unreadable) fmt
+  in
+  let link units =
+    match Tq_asm.Link.link_with_symbols units with
+    | prog, syms -> (prog, bounds_of units prog syms)
+    | exception Tq_asm.Link.Link_error msg -> fail "%s: link error: %s" path msg
+  in
+  match read_file path with
+  | exception Sys_error msg -> fail "tquad: %s" msg
+  | source when Tq_vm.Objfile.is_objfile source -> (
+      match Tq_vm.Objfile.decode source with
+      | prog -> (prog, None)
+      | exception Tq_vm.Objfile.Format_error msg -> fail "%s: %s" path msg)
+  | source when Filename.check_suffix path ".s" -> (
+      match Tq_asm.Asm_parse.parse source with
+      | u -> link [ u; Tq_rt.Rt.unit_no_start ]
+      | exception Tq_asm.Asm_parse.Asm_error { line; msg } ->
+          fail "%s:%d: %s" path line msg)
+  | source -> (
+      match Tq_minic.Driver.compile_unit ~image:"app" source with
+      | u -> link [ u; Tq_rt.Rt.unit_ ]
+      | exception Tq_minic.Driver.Compile_error msg -> fail "%s: %s" path msg)
+
+let load source =
+  let instructions = ref 0 in
+  span ~attrs:(fun () -> [ ("instructions", !instructions) ]) "compile"
+    (fun () ->
+      let plain prog =
+        { prog; bounds = None; make_vfs = vfs_of_dir; fuel = None }
+      in
+      let t =
+        match source with
+        | `File path ->
+            let prog, bounds = load_file path in
+            { (plain prog) with bounds }
+        | `Wfs scen ->
+            {
+              prog = Tq_wfs.Harness.compile scen;
+              bounds = None;
+              (* the scenario synthesizes its own input files *)
+              make_vfs = (fun _ -> Tq_wfs.Harness.make_vfs scen);
+              fuel = Some (Tq_wfs.Harness.fuel scen);
+            }
+        | `App `Image_pipeline -> plain (Tq_apps.Apps.image_pipeline_program ())
+        | `App `Pointer_chase -> plain (Tq_apps.Apps.pointer_chase_program ())
+      in
+      instructions := Array.length t.prog.Tq_vm.Program.code;
+      t)
+
+let scenario_enum =
+  [ ("tiny", Tq_wfs.Scenario.tiny);
+    ("default", Tq_wfs.Scenario.default);
+    ("large", Tq_wfs.Scenario.large) ]
+
+(* The program term: FILE at positional [n], --wfs or --app.  It yields a
+   loader, called once the subcommand has set up its manifest; the loader
+   returns [None] when no program was named (only when [required] is false)
+   and exits 2 when more than one was. *)
+let program_term ~required n =
+  let file_arg =
+    Arg.(
+      value
+      & pos n (some string) None
+      & info [] ~docv:"FILE"
+          ~doc:
+            "The program: MiniC source, or assembly if it ends in .s, or an \
+             object file written by $(b,build).")
+  in
+  let wfs_arg =
+    Arg.(
+      value
+      & opt (some (enum scenario_enum)) None
+      & info [ "wfs" ] ~docv:"SCENARIO"
+          ~doc:
+            "Use the built-in wfs case study (tiny, default or large) as the \
+             program instead of a file.")
+  in
+  let app_arg =
+    Arg.(
+      value
+      & opt
+          (some
+             (enum
+                [ ("image-pipeline", `Image_pipeline);
+                  ("pointer-chase", `Pointer_chase) ]))
+          None
+      & info [ "app" ] ~docv:"NAME"
+          ~doc:
+            "Use a built-in demo application (image-pipeline or \
+             pointer-chase) as the program instead of a file.")
+  in
+  let pick file wfs app () =
+    let named =
+      List.filter_map Fun.id
+        [ Option.map (fun f -> `File f) file;
+          Option.map (fun s -> `Wfs s) wfs;
+          Option.map (fun a -> `App a) app ]
+    in
+    match named with
+    | [ source ] -> Some (load source)
+    | [] when not required -> None
+    | _ ->
+        Printf.eprintf "tquad: give %s one of FILE, --wfs or --app\n"
+          (if required then "exactly" else "at most");
+        exit exit_usage
+  in
+  Term.(const pick $ file_arg $ wfs_arg $ app_arg)
+
+let program ?(pos = 0) () =
+  Term.(
+    const (fun pick () -> Option.get (pick ()))
+    $ program_term ~required:true pos)
+
+(* The one place a program runs: [go] drives the engine to the end (or to
+   the fuel budget).  A trap or running out of fuel is a program-level
+   failure, exit 1. *)
+let execute ?(name = "execute") ?(attrs = fun () -> []) eng go =
+  let m = Engine.machine eng in
+  let result =
+    span
+      ~attrs:(fun () -> attrs () @ [ ("instructions", Machine.instr_count m) ])
+      name
+      (fun () ->
+        try go () with
+        | Machine.Trap { ip; reason } ->
+            Printf.eprintf "trap at 0x%x: %s\n" ip reason;
+            exit 1
+        | Tq_vm.Executor.Out_of_fuel n ->
+            Printf.eprintf "out of fuel after %d instructions\n" n;
+            exit 1)
+  in
+  obs_engine_sections eng m;
+  result
+
 (* The instrumented tool subcommands route the program's own console output
    (and write-back notices) to stderr so their stdout is exactly the analysis
    report — byte-identical to what [replay --tool=...] prints for the same
    trace.  [run] passes [~console:stdout] to keep plain execution unchanged. *)
-let run_under ?(console = stderr) file dir attach =
-  let prog = compile_file file in
-  let vfs = vfs_of_dir dir in
+let run_under ?(console = stderr) t dir attach =
+  let vfs = t.make_vfs dir in
   let before = Vfs.list vfs in
-  let m = Machine.create ~vfs prog in
+  let m = Machine.create ~vfs t.prog in
   let eng = Engine.create m in
   let tool = attach eng in
-  span ~attrs:(fun () -> [ ("instructions", Machine.instr_count m) ]) "execute"
-    (fun () ->
-      try Engine.run eng with
-      | Machine.Trap { ip; reason } ->
-          Printf.eprintf "trap at 0x%x: %s\n" ip reason;
-          exit 1
-      | Tq_vm.Executor.Out_of_fuel n ->
-          Printf.eprintf "out of fuel after %d instructions\n" n;
-          exit 1);
-  obs_engine_sections eng m;
+  execute eng (fun () -> Engine.run ?fuel:t.fuel eng);
   finish ~console m;
   write_back ~console dir vfs before;
   (tool, m)
 
 (* ---------- common args ---------- *)
-
-let file_arg =
-  Arg.(required & pos 0 (some non_dir_file) None & info [] ~docv:"FILE.mc")
 
 let dir_arg =
   Arg.(
@@ -242,9 +386,9 @@ let build_cmd =
       & opt (some string) None
       & info [ "o"; "output" ] ~docv:"PATH" ~doc:"Output object file.")
   in
-  let run metrics file out =
+  let run metrics program out =
     obs_init "build" metrics;
-    let prog = compile_file file in
+    let prog = (program ()).prog in
     Tq_vm.Objfile.write_file out prog;
     Printf.printf "wrote %s (%d instructions, %d symbols)\n" out
       (Array.length prog.Tq_vm.Program.code)
@@ -255,25 +399,28 @@ let build_cmd =
        ~doc:
          "Compile and link to an on-disk binary; all other subcommands accept \
           the resulting .bin directly")
-    Term.(const run $ metrics_arg $ file_arg $ out_arg)
+    Term.(const run $ metrics_arg $ program () $ out_arg)
 
 let disasm_cmd =
-  let run metrics file =
+  let run metrics program =
     obs_init "disasm" metrics;
-    print_string (Tq_vm.Program.disassemble (compile_file file))
+    print_string (Tq_vm.Program.disassemble (program ()).prog)
   in
-  Cmd.v (Cmd.info "disasm" ~doc:"Compile a MiniC file and print the disassembly")
-    Term.(const run $ metrics_arg $ file_arg)
+  Cmd.v (Cmd.info "disasm" ~doc:"Compile a program and print the disassembly")
+    Term.(const run $ metrics_arg $ program ())
 
 let run_cmd =
-  let run metrics file dir =
+  let run metrics program dir =
     obs_init "run" metrics;
-    let _, _ = run_under ~console:stdout file dir (fun _ -> ()) in
-    ()
+    let (), m = run_under ~console:stdout (program ()) dir ignore in
+    if Machine.exit_code m <> Some 0 then exit 1
   in
   Cmd.v
-    (Cmd.info "run" ~doc:"Compile and execute a MiniC program (uninstrumented)")
-    Term.(const run $ metrics_arg $ file_arg $ dir_arg)
+    (Cmd.info "run"
+       ~doc:
+         "Compile and execute a program (uninstrumented); exits 1 if the \
+          program exits non-zero or does not exit")
+    Term.(const run $ metrics_arg $ program () $ dir_arg)
 
 (* --slice and --period: a non-positive value is a usage error (exit 2),
    caught here instead of inside the tool. *)
@@ -297,16 +444,16 @@ let slice_arg =
         ~doc:"tQUAD time-slice interval in instructions.")
 
 let gprof_cmd =
-  let run metrics file dir period =
+  let run metrics program dir period =
     obs_init "gprof" metrics;
     let g, _ =
-      run_under file dir (fun eng -> Tq_gprofsim.Gprofsim.attach ~period eng)
+      run_under (program ()) dir (Tq_gprofsim.Gprofsim.attach ~period)
     in
     print_string (Tq_serve.Toolset.render_gprof g)
   in
   Cmd.v
     (Cmd.info "gprof" ~doc:"Profile a MiniC program with the sampling profiler")
-    Term.(const run $ metrics_arg $ file_arg $ dir_arg $ period_arg)
+    Term.(const run $ metrics_arg $ program () $ dir_arg $ period_arg)
 
 let track_all_arg =
   Arg.(
@@ -323,13 +470,13 @@ let quad_cmd =
       & opt (some string) None
       & info [ "dot" ] ~docv:"PATH" ~doc:"Write the QDU graph in DOT format.")
   in
-  let run metrics file dir track_all dot =
+  let run metrics program dir track_all dot =
     obs_init "quad" metrics;
     let policy =
       if track_all then Tq_prof.Call_stack.Track_all
       else Tq_prof.Call_stack.Main_image_only
     in
-    let q, _ = run_under file dir (fun eng -> Tq_quad.Quad.attach ~policy eng) in
+    let q, _ = run_under (program ()) dir (Tq_quad.Quad.attach ~policy) in
     print_string (Tq_serve.Toolset.render_quad q);
     match dot with
     | None -> ()
@@ -341,7 +488,7 @@ let quad_cmd =
   in
   Cmd.v
     (Cmd.info "quad" ~doc:"Analyse producer/consumer memory bindings (QUAD)")
-    Term.(const run $ metrics_arg $ file_arg $ dir_arg $ track_all_arg $ dot_arg)
+    Term.(const run $ metrics_arg $ program () $ dir_arg $ track_all_arg $ dot_arg)
 
 let tquad_cmd =
   let phases_arg =
@@ -363,14 +510,14 @@ let tquad_cmd =
             "Write the kernel activity timeline as Chrome trace-event JSON \
              (chrome://tracing, Perfetto).")
   in
-  let run metrics file dir track_all slice phases csv trace =
+  let run metrics program dir track_all slice phases csv trace =
     obs_init "tquad" metrics;
     let policy =
       if track_all then Tq_prof.Call_stack.Track_all
       else Tq_prof.Call_stack.Main_image_only
     in
     let t, _ =
-      run_under file dir (fun eng ->
+      run_under (program ()) dir (fun eng ->
           Tq_tquad.Tquad.attach ~slice_interval:slice ~policy eng)
     in
     let kernels = Tq_tquad.Tquad.kernels t in
@@ -405,31 +552,30 @@ let tquad_cmd =
     (Cmd.info "tquad"
        ~doc:"Temporal memory bandwidth analysis (the paper's tQUAD tool)")
     Term.(
-      const run $ metrics_arg $ file_arg $ dir_arg $ track_all_arg $ slice_arg
+      const run $ metrics_arg $ program () $ dir_arg $ track_all_arg $ slice_arg
       $ phases_arg $ csv_arg $ trace_arg)
 
 let mix_cmd =
-  let run metrics file dir =
+  let run metrics program dir =
     obs_init "mix" metrics;
-    let mix, m = run_under file dir (fun eng -> Tq_prof.Ins_mix.attach eng) in
-    ignore m;
+    let mix, _ = run_under (program ()) dir Tq_prof.Ins_mix.attach in
     print_string (Tq_serve.Toolset.render_mix mix)
   in
   Cmd.v
     (Cmd.info "mix" ~doc:"Instruction-mix profile (loads/stores/ALU/branches)")
-    Term.(const run $ metrics_arg $ file_arg $ dir_arg)
+    Term.(const run $ metrics_arg $ program () $ dir_arg)
 
 let callgraph_cmd =
-  let run metrics file dir period =
+  let run metrics program dir period =
     obs_init "callgraph" metrics;
     let g, _ =
-      run_under file dir (fun eng -> Tq_gprofsim.Gprofsim.attach ~period eng)
+      run_under (program ()) dir (Tq_gprofsim.Gprofsim.attach ~period)
     in
     print_string (Tq_gprofsim.Gprofsim.call_graph_report g)
   in
   Cmd.v
     (Cmd.info "callgraph" ~doc:"gprof-style call-graph report")
-    Term.(const run $ metrics_arg $ file_arg $ dir_arg $ period_arg)
+    Term.(const run $ metrics_arg $ program () $ dir_arg $ period_arg)
 
 let cache_cmd =
   let size_arg =
@@ -443,7 +589,7 @@ let cache_cmd =
   let line_arg =
     Arg.(value & opt int 64 & info [ "line" ] ~docv:"N" ~doc:"Line size in bytes.")
   in
-  let run metrics file dir size_kib assoc line =
+  let run metrics program dir size_kib assoc line =
     obs_init "cache" metrics;
     let geometry =
       { Tq_prof.Cache_sim.size_bytes = size_kib * 1024; line_bytes = line; assoc }
@@ -454,31 +600,26 @@ let cache_cmd =
         Printf.eprintf "bad cache config: %s\n" msg;
         exit 2);
     let c, _ =
-      run_under file dir (fun eng -> Tq_prof.Cache_sim.attach ~geometry eng)
+      run_under (program ()) dir (Tq_prof.Cache_sim.attach ~geometry)
     in
     print_string (Tq_prof.Cache_sim.render c)
   in
   Cmd.v
     (Cmd.info "cache" ~doc:"Per-kernel cache hit/miss simulation")
     Term.(
-      const run $ metrics_arg $ file_arg $ dir_arg $ size_arg $ assoc_arg
+      const run $ metrics_arg $ program () $ dir_arg $ size_arg $ assoc_arg
       $ line_arg)
 
 let diff_cmd =
-  let file2_arg =
-    Arg.(required & pos 1 (some non_dir_file) None & info [] ~docv:"AFTER.mc")
+  let file_arg n docv =
+    Arg.(required & pos n (some string) None & info [] ~docv)
   in
   let run metrics before after period =
     obs_init "diff" metrics;
     let profile file =
-      let prog = compile_file file in
-      let m = Machine.create prog in
-      let eng = Engine.create m in
-      let g = Tq_gprofsim.Gprofsim.attach ~period eng in
-      (try Engine.run eng with
-      | Machine.Trap { ip; reason } ->
-          Printf.eprintf "%s: trap at 0x%x: %s\n" file ip reason;
-          exit 1);
+      let g, _ =
+        run_under (load (`File file)) None (Tq_gprofsim.Gprofsim.attach ~period)
+      in
       Tq_gprofsim.Gprofsim.flat_profile g
     in
     print_string
@@ -490,28 +631,20 @@ let diff_cmd =
        ~doc:
          "Compare the flat profiles of two program versions (the \
           profile-revise-reprofile workflow)")
-    Term.(const run $ metrics_arg $ file_arg $ file2_arg $ period_arg)
+    Term.(
+      const run $ metrics_arg $ file_arg 0 "BEFORE" $ file_arg 1 "AFTER"
+      $ period_arg)
 
 let footprint_cmd =
-  let run metrics file dir =
+  let run metrics program dir =
     obs_init "footprint" metrics;
-    let f, _ = run_under file dir (fun eng -> Tq_prof.Footprint.attach eng) in
+    let f, _ = run_under (program ()) dir Tq_prof.Footprint.attach in
     print_string (Tq_prof.Footprint.render f)
   in
   Cmd.v
     (Cmd.info "footprint"
        ~doc:"Per-kernel unique-byte footprint by region (buffer sizing)")
-    Term.(const run $ metrics_arg $ file_arg $ dir_arg)
-
-(* Exit-code contract (docs/CLI.md), exercised in full by the trace
-   subcommands (record, replay, trace-info, faultgen): 0 success, 2 usage
-   error, 3 input unreadable/unusable (bad container, unreadable/unwritable
-   file, fingerprint mismatch; for wcet, control flow the analysis cannot
-   bound), 4 partial replay failure (the trace was readable and at least
-   the decode pass ran, but one or more tools failed). *)
-let exit_usage = 2
-let exit_unreadable = 3
-let exit_partial = 4
+    Term.(const run $ metrics_arg $ program () $ dir_arg)
 
 let wcet_cmd =
   let bound_arg =
@@ -525,13 +658,13 @@ let wcet_cmd =
       value & opt string "_start"
       & info [ "routine" ] ~docv:"NAME" ~doc:"Routine to analyse.")
   in
-  let run metrics file bound routine =
+  let run metrics program bound routine =
     obs_init "wcet" metrics;
     if bound < 0 then begin
       Printf.eprintf "wcet: --bound must be non-negative\n";
       exit exit_usage
     end;
-    let prog = compile_file file in
+    let prog = (program ()).prog in
     if Tq_vm.Symtab.by_name prog.Tq_vm.Program.symtab routine = None then begin
       Printf.eprintf "wcet: unknown routine %s\n" routine;
       exit exit_usage
@@ -564,25 +697,9 @@ let wcet_cmd =
   in
   Cmd.v
     (Cmd.info "wcet" ~doc:"Static worst-case execution time bound")
-    Term.(const run $ metrics_arg $ file_arg $ bound_arg $ routine_arg)
-
-let scenario_enum =
-  [ ("tiny", Tq_wfs.Scenario.tiny);
-    ("default", Tq_wfs.Scenario.default);
-    ("large", Tq_wfs.Scenario.large) ]
+    Term.(const run $ metrics_arg $ program () $ bound_arg $ routine_arg)
 
 (* ---------- record / replay ---------- *)
-
-(* Either a MiniC/asm/object file (optional positional) or a built-in wfs
-   scenario; record and replay must agree on the program image, since the
-   trace stores routine ids and code addresses, not the image itself. *)
-let wfs_arg =
-  Arg.(
-    value
-    & opt (some (enum scenario_enum)) None
-    & info [ "wfs" ] ~docv:"SCENARIO"
-        ~doc:"Use the built-in wfs case study (tiny, default or large) as the \
-              program instead of a file.")
 
 let load_reader ?mode ctx path =
   let r =
@@ -606,9 +723,6 @@ let print_salvage ~ctx ~events (s : Tq_trace.Reader.salvage) =
     s.dropped_bytes s.reason
 
 let record_cmd =
-  let file_opt_arg =
-    Arg.(value & pos 0 (some non_dir_file) None & info [] ~docv:"FILE.mc")
-  in
   let out_arg =
     Arg.(
       required
@@ -624,44 +738,25 @@ let record_cmd =
              bodies are stored once with per-iteration operand strides.  \
              Replay output is byte-identical to an uncompressed recording.")
   in
-  let run metrics file wfs dir out compress =
+  let run metrics program dir out compress =
     obs_init "record" metrics;
-    let prog, vfs, fuel =
-      match (file, wfs) with
-      | Some f, None -> (compile_file f, vfs_of_dir dir, None)
-      | None, Some scen ->
-          ( span "compile" (fun () -> Tq_wfs.Harness.compile scen),
-            Tq_wfs.Harness.make_vfs scen,
-            Some (Tq_wfs.Harness.fuel scen) )
-      | _ ->
-          Printf.eprintf "record: give exactly one of FILE.mc or --wfs\n";
-          exit exit_usage
-    in
-    let m = Machine.create ~vfs prog in
+    let t = program () in
+    let m = Machine.create ~vfs:(t.make_vfs dir) t.prog in
     let eng = Engine.create m in
     let events_ref = ref 0 in
     let events =
-      span
-        ~attrs:(fun () ->
-          [ ("events", !events_ref); ("instructions", Machine.instr_count m) ])
-        "record"
+      execute ~name:"record"
+        ~attrs:(fun () -> [ ("events", !events_ref) ])
+        eng
         (fun () ->
-          try
-            let n = Tq_trace.Probe.record ?fuel ~compress eng ~path:out in
-            events_ref := n;
-            n
-          with
-          | Sys_error msg ->
+          match Tq_trace.Probe.record ?fuel:t.fuel ~compress eng ~path:out with
+          | n ->
+              events_ref := n;
+              n
+          | exception Sys_error msg ->
               Printf.eprintf "record: %s\n" msg;
-              exit exit_unreadable
-          | Machine.Trap { ip; reason } ->
-              Printf.eprintf "trap at 0x%x: %s\n" ip reason;
-              exit 1
-          | Tq_vm.Executor.Out_of_fuel n ->
-              Printf.eprintf "out of fuel after %d instructions\n" n;
-              exit 1)
+              exit exit_unreadable)
     in
-    obs_engine_sections eng m;
     if Obs.Metrics.is_enabled !obs_metrics then
       Obs.Metrics.add
         (Obs.Metrics.counter !obs_metrics ~unit_:"events" "events_recorded")
@@ -692,8 +787,7 @@ let record_cmd =
          "Execute once under the event recorder and stream the trace to disk; \
           any analysis tool can then replay it without re-running the program")
     Term.(
-      const run $ metrics_arg $ file_opt_arg $ wfs_arg $ dir_arg $ out_arg
-      $ compress_arg)
+      const run $ metrics_arg $ program () $ dir_arg $ out_arg $ compress_arg)
 
 let all_tool_names = Tq_serve.Toolset.names
 
@@ -720,9 +814,6 @@ let sabotage name jobs =
 let replay_cmd =
   let trace_pos_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"TRACE")
-  in
-  let file_pos_arg =
-    Arg.(value & pos 1 (some non_dir_file) None & info [] ~docv:"FILE.mc")
   in
   let tool_arg =
     Arg.(
@@ -780,17 +871,12 @@ let replay_cmd =
             "Testing aid: make TOOL's replay job raise on its first event, \
              to exercise the partial-failure exit code (4).")
   in
-  let run metrics trace file wfs tool all domains shards batch slice period
+  let run metrics trace program tool all domains shards batch slice period
       salvage fail_tool =
     obs_init "replay" metrics;
-    let prog =
-      match (file, wfs) with
-      | Some f, None -> compile_file f
-      | None, Some scen -> span "compile" (fun () -> Tq_wfs.Harness.compile scen)
-      | _ ->
-          Printf.eprintf "replay: give exactly one of FILE.mc or --wfs\n";
-          exit exit_usage
-    in
+    (* the trace stores routine ids and code addresses, not the image, so
+       the program must be the recorded one (checked by fingerprint) *)
+    let prog = (program ()).prog in
     let mode =
       if salvage then Tq_trace.Reader.Salvage else Tq_trace.Reader.Strict
     in
@@ -870,7 +956,7 @@ let replay_cmd =
         in
         finish_results ~banner:true results
     | _ ->
-        Printf.eprintf "replay: give exactly one of --tool or --all\n";
+        Printf.eprintf "replay: give either --tool TOOL or --all\n";
         exit exit_usage
   in
   Cmd.v
@@ -882,8 +968,8 @@ let replay_cmd =
           unreadable, 4 partial replay failure (some tools failed, the \
           survivors' reports were printed)")
     Term.(
-      const run $ metrics_arg $ trace_pos_arg $ file_pos_arg $ wfs_arg
-      $ tool_arg $ all_arg $ domains_arg $ shards_arg $ batch_arg $ slice_arg
+      const run $ metrics_arg $ trace_pos_arg $ program ~pos:1 () $ tool_arg
+      $ all_arg $ domains_arg $ shards_arg $ batch_arg $ slice_arg
       $ period_arg $ salvage_arg $ fail_tool_arg)
 
 (* ---------- trace inspection / fault injection ---------- *)
@@ -1096,77 +1182,6 @@ let faultgen_cmd =
 
 (* ---------- static verification ---------- *)
 
-(* Compile an input file under the check exit contract: unreadable or
-   uncompilable input exits 3 (the same "bad input" code the trace tools
-   use), and source-level inputs also yield the static-data layout for the
-   [Oob_access] bounds checker.  Object files carry no per-object sizes and
-   the built-in programs are constructed in memory, so those check without
-   bounds. *)
-let compile_for_check path =
-  let bounds_of units (prog : Tq_vm.Program.t) syms =
-    let objects = ref [] in
-    List.iter
-      (fun (u : Tq_asm.Link.cunit) ->
-        List.iter
-          (fun (d : Tq_asm.Link.datum) ->
-            match Hashtbl.find_opt syms d.Tq_asm.Link.dname with
-            | None -> ()
-            | Some addr ->
-                let size =
-                  match d.Tq_asm.Link.init with
-                  | Tq_asm.Link.Zero n -> n
-                  | Tq_asm.Link.Bytes s -> String.length s
-                in
-                objects := (d.Tq_asm.Link.dname, addr, size) :: !objects)
-          u.Tq_asm.Link.data)
-      units;
-    Some
-      {
-        Tq_staticcheck.Staticcheck.b_objects =
-          List.sort (fun (_, a, _) (_, b, _) -> compare a b) !objects;
-        b_data_end = prog.Tq_vm.Program.data_end;
-      }
-  in
-  let source =
-    try read_file path
-    with Sys_error msg ->
-      Printf.eprintf "check: %s\n" msg;
-      exit exit_unreadable
-  in
-  if Tq_vm.Objfile.is_objfile source then begin
-    match Tq_vm.Objfile.decode source with
-    | prog -> (prog, None)
-    | exception Tq_vm.Objfile.Format_error msg ->
-        Printf.eprintf "%s: %s\n" path msg;
-        exit exit_unreadable
-  end
-  else if Filename.check_suffix path ".s" then begin
-    match Tq_asm.Asm_parse.parse source with
-    | u -> (
-        let units = [ u; Tq_rt.Rt.unit_no_start ] in
-        match Tq_asm.Link.link_with_symbols units with
-        | prog, syms -> (prog, bounds_of units prog syms)
-        | exception Tq_asm.Link.Link_error msg ->
-            Printf.eprintf "%s: link error: %s\n" path msg;
-            exit exit_unreadable)
-    | exception Tq_asm.Asm_parse.Asm_error { line; msg } ->
-        Printf.eprintf "%s:%d: %s\n" path line msg;
-        exit exit_unreadable
-  end
-  else
-    match Tq_minic.Driver.compile_unit ~image:"app" source with
-    | u -> (
-        (* Rt.link_with_symbols appends the runtime unit; mirror that for
-           the bounds objects so runtime globals are covered too *)
-        match Tq_rt.Rt.link_with_symbols [ u ] with
-        | prog, syms -> (prog, bounds_of [ u; Tq_rt.Rt.unit_ ] prog syms)
-        | exception Tq_asm.Link.Link_error msg ->
-            Printf.eprintf "%s: link error: %s\n" path msg;
-            exit exit_unreadable)
-    | exception Tq_minic.Driver.Compile_error msg ->
-        Printf.eprintf "%s: %s\n" path msg;
-        exit exit_unreadable
-
 (* The "check" manifest section (docs/METRICS.md): severity counts always;
    loop/access/kernel statistics when the dataflow layer ran. *)
 let check_section ~routines ~instructions ~errors ~warns ~infos ~dataflow rep
@@ -1248,9 +1263,6 @@ let check_section ~routines ~instructions ~errors ~warns ~infos ~dataflow rep
   Obs.Json.Obj (base @ extra)
 
 let check_cmd =
-  let file_opt_arg =
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"FILE.mc")
-  in
   let bandwidth_arg =
     Arg.(
       value & flag
@@ -1259,20 +1271,6 @@ let check_cmd =
             "Also print the static per-kernel bandwidth estimate, run the \
              program once under the tQUAD profiler, and compare the static \
              ranking against the measured per-kernel bytes.")
-  in
-  let app_arg =
-    Arg.(
-      value
-      & opt
-          (some
-             (enum
-                [ ("image-pipeline", `Image_pipeline);
-                  ("pointer-chase", `Pointer_chase) ]))
-          None
-      & info [ "app" ] ~docv:"NAME"
-          ~doc:
-            "Check a built-in demo application (image-pipeline or \
-             pointer-chase) instead of a file.")
   in
   let dataflow_arg =
     Arg.(
@@ -1305,32 +1303,19 @@ let check_cmd =
              diagnostics still render on stderr.  Incompatible with \
              --bandwidth.")
   in
-  let run metrics file wfs app dir bandwidth slice dataflow lw json =
+  let run metrics program dir bandwidth slice dataflow lw json =
     obs_init "check" metrics;
     if json && bandwidth then begin
       Printf.eprintf "check: --json cannot be combined with --bandwidth\n";
       exit exit_usage
     end;
-    let prog, bounds, vfs, fuel =
-      match (file, wfs, app) with
-      | Some f, None, None ->
-          let prog, bounds = span "compile" (fun () -> compile_for_check f) in
-          (prog, bounds, vfs_of_dir dir, None)
-      | None, Some scen, None ->
-          ( span "compile" (fun () -> Tq_wfs.Harness.compile scen),
-            None,
-            Tq_wfs.Harness.make_vfs scen,
-            Some (Tq_wfs.Harness.fuel scen) )
-      | None, None, Some `Image_pipeline ->
-          (Tq_apps.Apps.image_pipeline_program (), None, vfs_of_dir dir, None)
-      | None, None, Some `Pointer_chase ->
-          (Tq_apps.Apps.pointer_chase_program (), None, vfs_of_dir dir, None)
-      | _ ->
-          Printf.eprintf "check: give exactly one of FILE.mc, --wfs or --app\n";
-          exit exit_usage
-    in
+    let target = program () in
+    let prog = target.prog in
     let module Sc = Tq_staticcheck.Staticcheck in
-    let diags = span "verify" (fun () -> Sc.check_program ?bounds ~dataflow prog) in
+    let diags =
+      span "verify" (fun () ->
+          Sc.check_program ?bounds:target.bounds ~dataflow prog)
+    in
     let count s =
       List.length (List.filter (fun d -> Sc.severity_of d.Sc.cls = s) diags)
     in
@@ -1402,22 +1387,9 @@ let check_cmd =
         print_newline ();
         print_string (Tq_staticcheck.Estimate.render ~mode ~loop_weight:lw rows)
       end;
-      let m = Machine.create ~vfs prog in
-      let eng = Engine.create m in
-      let t = Tq_tquad.Tquad.attach ~slice_interval:slice eng in
-      span
-        ~attrs:(fun () -> [ ("instructions", Machine.instr_count m) ])
-        "execute"
-        (fun () ->
-          try Engine.run ?fuel eng with
-          | Machine.Trap { ip; reason } ->
-              Printf.eprintf "trap at 0x%x: %s\n" ip reason;
-              exit 1
-          | Tq_vm.Executor.Out_of_fuel n ->
-              Printf.eprintf "out of fuel after %d instructions\n" n;
-              exit 1);
-      obs_engine_sections eng m;
-      finish ~console:stderr m;
+      let t, _ =
+        run_under target dir (Tq_tquad.Tquad.attach ~slice_interval:slice)
+      in
       let dynamic r =
         let tot = Tq_tquad.Tquad.totals t r in
         float_of_int (tot.Tq_tquad.Tquad.read_incl + tot.write_incl)
@@ -1450,67 +1422,8 @@ let check_cmd =
           measured run; exits 4 if any non-informational diagnostic fires, \
           3 if the input cannot be read or compiled, 2 on usage errors")
     Term.(
-      const run $ metrics_arg $ file_opt_arg $ wfs_arg $ app_arg $ dir_arg
-      $ bandwidth_arg $ slice_arg $ dataflow_arg $ loop_weight_arg $ json_arg)
-
-let wfs_cmd =
-  let scenario_arg =
-    Arg.(
-      value
-      & opt (enum scenario_enum) Tq_wfs.Scenario.tiny
-      & info [ "scenario" ] ~docv:"NAME" ~doc:"Workload size: tiny, default or large.")
-  in
-  let tool_arg =
-    Arg.(
-      value
-      & opt (enum [ ("run", `Run); ("gprof", `Gprof); ("quad", `Quad); ("tquad", `Tquad) ])
-          `Tquad
-      & info [ "tool" ] ~docv:"TOOL" ~doc:"run, gprof, quad or tquad.")
-  in
-  let run metrics scen tool =
-    obs_init "wfs" metrics;
-    Printf.printf "%s\n" (Tq_wfs.Scenario.describe scen);
-    let m =
-      Machine.create
-        ~vfs:(Tq_wfs.Harness.make_vfs scen)
-        (span "compile" (fun () -> Tq_wfs.Harness.compile scen))
-    in
-    let eng = Engine.create m in
-    let fuel = Tq_wfs.Harness.fuel scen in
-    let execute () =
-      span
-        ~attrs:(fun () -> [ ("instructions", Machine.instr_count m) ])
-        "execute"
-        (fun () -> Engine.run ~fuel eng)
-    in
-    (match tool with
-    | `Run ->
-        execute ();
-        finish m
-    | `Gprof ->
-        let g = Tq_gprofsim.Gprofsim.attach ~period:2_000 eng in
-        execute ();
-        finish m;
-        print_string
-          (Tq_report.Report.flat_profile (Tq_gprofsim.Gprofsim.flat_profile g))
-    | `Quad ->
-        let q = Tq_quad.Quad.attach eng in
-        execute ();
-        finish m;
-        print_string (Tq_report.Report.quad_table (Tq_quad.Quad.rows q))
-    | `Tquad ->
-        let t = Tq_tquad.Tquad.attach ~slice_interval:2_000 eng in
-        execute ();
-        finish m;
-        let kernels = Tq_tquad.Tquad.kernels t in
-        print_string
-          (Tq_report.Report.figure t ~metric:Tq_tquad.Tquad.Read_incl ~kernels
-             ~title:"wfs read bandwidth (stack incl.)" ()));
-    obs_engine_sections eng m
-  in
-  Cmd.v
-    (Cmd.info "wfs" ~doc:"Run the built-in hArtes-wfs case study")
-    Term.(const run $ metrics_arg $ scenario_arg $ tool_arg)
+      const run $ metrics_arg $ program () $ dir_arg $ bandwidth_arg $ slice_arg
+      $ dataflow_arg $ loop_weight_arg $ json_arg)
 
 (* ---------- serve daemon and its client ----------
 
@@ -1796,16 +1709,13 @@ let client_cmd =
     let trace_pos_arg =
       Arg.(required & pos 0 (some string) None & info [] ~docv:"TRACE")
     in
-    let file_pos_arg =
-      Arg.(value & pos 1 (some non_dir_file) None & info [] ~docv:"FILE.mc")
-    in
     let name_arg =
       Arg.(
         value
         & opt (some string) None
         & info [ "name" ] ~docv:"NAME" ~doc:"Display name for the trace.")
     in
-    let run socket trace file wfs name retry =
+    let run socket trace program name retry =
       let bytes =
         try read_file trace
         with Sys_error msg ->
@@ -1813,16 +1723,7 @@ let client_cmd =
           exit exit_unreadable
       in
       let program =
-        match (file, wfs) with
-        | Some f, None -> Some (Tq_vm.Objfile.encode (compile_file f))
-        | None, Some scen ->
-            Some
-              (Tq_vm.Objfile.encode
-                 (span "compile" (fun () -> Tq_wfs.Harness.compile scen)))
-        | None, None -> None
-        | Some _, Some _ ->
-            Printf.eprintf "client upload: give at most one of FILE.mc or --wfs\n";
-            exit exit_usage
+        Option.map (fun t -> Tq_vm.Objfile.encode t.prog) (program ())
       in
       let id =
         with_client ~ctx:"upload" retry socket
@@ -1833,11 +1734,11 @@ let client_cmd =
     Cmd.v
       (Cmd.info "upload"
          ~doc:
-           "Upload a recorded trace (and, with FILE.mc or --wfs, its \
+           "Upload a recorded trace (and, with FILE, --wfs or --app, its \
             program) to the daemon; prints the trace id.  Idempotent for \
             identical bytes")
       Term.(
-        const run $ socket_arg $ trace_pos_arg $ file_pos_arg $ wfs_arg
+        const run $ socket_arg $ trace_pos_arg $ program_term ~required:false 1
         $ name_arg $ retry_args)
   in
   let info_cmd =
@@ -2041,7 +1942,7 @@ let version_cmd =
 let subcommands =
   [ build_cmd; disasm_cmd; run_cmd; gprof_cmd; callgraph_cmd; quad_cmd;
     tquad_cmd; mix_cmd; cache_cmd; footprint_cmd; wcet_cmd; diff_cmd;
-    record_cmd; replay_cmd; trace_info_cmd; faultgen_cmd; check_cmd; wfs_cmd;
+    record_cmd; replay_cmd; trace_info_cmd; faultgen_cmd; check_cmd;
     serve_cmd; client_cmd; version_cmd ]
 
 let main_cmd =
@@ -2075,7 +1976,6 @@ let usage_lines =
     ("trace-info", "inspect a trace (version, counts; salvage fallback)");
     ("faultgen", "corrupt a trace deterministically (robustness testing)");
     ("check", "static binary verification and bandwidth estimate");
-    ("wfs", "run the built-in hArtes-wfs case study");
     ("serve", "run the trace-analysis daemon on a Unix socket");
     ("client", "talk to a running serve daemon");
     ("version", "print the tquad version") ]

@@ -731,23 +731,8 @@ let qcheck_wire_storm_never_kills_server =
 
 (* ---------- CLI exit-code contract for the serve path ---------- *)
 
-let cli_path () =
-  let candidates =
-    [
-      "../bin/tquad_cli.exe";
-      "_build/default/bin/tquad_cli.exe";
-      Filename.concat (Filename.dirname Sys.executable_name)
-        "../bin/tquad_cli.exe";
-    ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None -> Alcotest.fail "tquad_cli.exe not built"
-
-let run_cli args =
-  Sys.command (Printf.sprintf "%s %s >/dev/null 2>&1" (cli_path ()) args)
-
 let test_cli_exit_codes () =
+  let run_cli = Test_dataflow.run_cli in
   let prog, bytes = Lazy.force fixture in
   let socket = tmp_socket () in
   let cfg = { (Server.default ~socket_path:socket) with Server.workers = 1 } in

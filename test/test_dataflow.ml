@@ -241,25 +241,52 @@ let write_tmp ext content =
 let run_cli args =
   Sys.command (Printf.sprintf "%s %s >/dev/null 2>&1" (cli_path ()) args)
 
+(* check's own codes, then the program codes every subcommand shares: a
+   program that cannot be read or compiled exits 3, two programs exit 2. *)
 let test_exit_codes () =
   let clean = write_tmp ".mc" "int main() { return 0; }\n" in
+  let seven = write_tmp ".mc" "int main() { return 7; }\n" in
   let diag =
     write_tmp ".mc" "int g[4];\nint main() { int x; return g[9] + x; }\n"
   in
   let garbage = write_tmp ".mc" "int main( {\n" in
+  let bad_asm = write_tmp ".s" ".func _start\n  bogus x1\n.endfunc\n" in
+  let out = Filename.temp_file "tq_dataflow" ".out" in
+  let trc = Filename.temp_file "tq_dataflow" ".trc" in
   Alcotest.(check int) "clean program: 0" 0
     (run_cli (Printf.sprintf "check %s" clean));
   Alcotest.(check int) "unknown flag: 2" 2
     (run_cli (Printf.sprintf "check --no-such-flag %s" clean));
   Alcotest.(check int) "--json with --bandwidth: 2" 2
     (run_cli (Printf.sprintf "check --json --bandwidth %s" clean));
-  Alcotest.(check int) "missing file: 3" 3
-    (run_cli "check /nonexistent/input.mc");
-  Alcotest.(check int) "unparseable source: 3" 3
-    (run_cli (Printf.sprintf "check %s" garbage));
   Alcotest.(check int) "diagnostics: 4" 4
     (run_cli (Printf.sprintf "check --dataflow %s" diag));
-  List.iter Sys.remove [ clean; diag; garbage ]
+  Alcotest.(check int) "record: 0" 0
+    (run_cli (Printf.sprintf "record %s -o %s" clean trc));
+  Alcotest.(check int) "run, program exits 0: 0" 0 (run_cli ("run " ^ clean));
+  Alcotest.(check int) "run, program exits 7: 1" 1 (run_cli ("run " ^ seven));
+  let programs =
+    [ ("missing file", "/nonexistent/input.mc", 3);
+      ("unparseable source", garbage, 3);
+      ("bad assembly", bad_asm, 3);
+      ("FILE --wfs", clean ^ " --wfs tiny", 2);
+      ("--app --wfs", "--app pointer-chase --wfs tiny", 2) ]
+  in
+  List.iter
+    (fun (before, after) ->
+      List.iter
+        (fun (what, program, code) ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s, %s: %d" before what code)
+            code
+            (run_cli (String.concat " " [ before; program; after ])))
+        programs)
+    [ ("run", ""); ("build", "-o " ^ out); ("disasm", ""); ("gprof", "");
+      ("tquad", ""); ("wcet", ""); ("record", "-o " ^ out);
+      ("replay " ^ trc, "--tool gprof"); ("check", "") ];
+  List.iter
+    (fun f -> if Sys.file_exists f then Sys.remove f)
+    [ clean; seven; diag; garbage; bad_asm; out; trc ]
 
 let test_json_manifest () =
   let clean =

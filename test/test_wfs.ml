@@ -130,6 +130,27 @@ let test_delay_gain_physics () =
   Alcotest.(check bool) "channel energies differ (spatialization)" true
     (Float.abs (left -. right) > 0.001 *. (left +. right))
 
+(* Figs 6 and 7 come from the CLI: the live tquad subcommand on the wfs
+   program writes the bandwidth series as CSV and the Chrome timeline. *)
+let test_cli_figures () =
+  let csv = Filename.temp_file "tq_fig" ".csv" in
+  let timeline = Filename.temp_file "tq_fig" ".json" in
+  Alcotest.(check int) "exit 0" 0
+    (Test_dataflow.run_cli
+       (Printf.sprintf
+          "tquad --wfs tiny --slice 2000 --phases --csv %s --trace %s" csv
+          timeline));
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let header =
+    String.split_on_char ',' (List.hd (String.split_on_char '\n' (read csv)))
+  in
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) (k ^ " in the CSV header") true (List.mem k header))
+    [ "wav_store"; "fft1d" ];
+  ignore (Tq_obs.Json.of_string (read timeline));
+  List.iter Sys.remove [ csv; timeline ]
+
 let suites =
   [
     ( "wfs",
@@ -145,5 +166,7 @@ let suites =
         Alcotest.test_case "instrumentation transparency" `Quick
           test_instrumented_run_transparent;
         Alcotest.test_case "spatialization physics" `Quick test_delay_gain_physics;
+        Alcotest.test_case "Figs 6/7 from the CLI (--wfs --csv --trace)" `Quick
+          test_cli_figures;
       ] );
   ]
