@@ -68,38 +68,6 @@ let render diags =
     diags;
   Buffer.contents buf
 
-(* ---------- per-instruction register uses and definitions ---------- *)
-
-let operand_reg = function Isa.Reg r -> [ r ] | Isa.Imm _ -> []
-let pred_reg = function Some p -> [ p ] | None -> []
-
-(* (int uses, float uses, int defs, float defs) *)
-let uses_defs (i : Isa.ins) =
-  match i with
-  | Isa.Nop | Isa.Halt | Isa.Ret | Isa.Jmp _ -> ([], [], [], [])
-  | Isa.Li (rd, _) -> ([], [], [ rd ], [])
-  | Isa.Mov (rd, rs) -> ([ rs ], [], [ rd ], [])
-  | Isa.Bin (_, rd, rs, o) -> (rs :: operand_reg o, [], [ rd ], [])
-  | Isa.Fli (fd, _) -> ([], [], [], [ fd ])
-  | Isa.Fmov (fd, fs) -> ([], [ fs ], [], [ fd ])
-  | Isa.Fbin (_, fd, fa, fb) -> ([], [ fa; fb ], [], [ fd ])
-  | Isa.Fun (_, fd, fs) -> ([], [ fs ], [], [ fd ])
-  | Isa.Fcmp (_, rd, fa, fb) -> ([], [ fa; fb ], [ rd ], [])
-  | Isa.I2f (fd, rs) -> ([ rs ], [], [], [ fd ])
-  | Isa.F2i (rd, fs) -> ([], [ fs ], [ rd ], [])
-  | Isa.Load { dst; base; pred; _ } -> (base :: pred_reg pred, [], [ dst ], [])
-  | Isa.Loads { dst; base; _ } -> ([ base ], [], [ dst ], [])
-  | Isa.Store { src; base; pred; _ } -> (src :: base :: pred_reg pred, [], [], [])
-  | Isa.Fload { dst; base; pred; _ } -> (base :: pred_reg pred, [], [], [ dst ])
-  | Isa.Fstore { src; base; pred; _ } -> (base :: pred_reg pred, [ src ], [], [])
-  | Isa.Prefetch { base; _ } -> ([ base ], [], [], [])
-  | Isa.Movs { dst; src; len } -> ([ dst; src; len ], [], [], [])
-  | Isa.Jr r -> ([ r ], [], [], [])
-  | Isa.Bz (r, _) | Isa.Bnz (r, _) -> ([ r ], [], [], [])
-  | Isa.Call _ -> ([], [], [ Isa.reg_rv ], [ Isa.freg_rv ])
-  | Isa.Callr r -> ([ r ], [], [ Isa.reg_rv ], [ Isa.freg_rv ])
-  | Isa.Syscall _ -> ([], [], [ Isa.reg_rv ], [])
-
 (* ---------- use-before-def (must-defined forward dataflow) ----------
 
    A register is "defined" at entry unless it is one of the code
@@ -143,7 +111,7 @@ let check_use_before_def (cfg : Cfg.t) add =
       let di = ref (fst (in_of b)) and df = ref (snd (in_of b)) in
       let blk = cfg.Cfg.blocks.(b) in
       for i = blk.Cfg.first to blk.Cfg.last do
-        let ui, uf, wi, wf = uses_defs code.Rcode.ins.(i) in
+        let ui, uf, wi, wf = Dataflow.uses_defs code.Rcode.ins.(i) in
         if report then begin
           List.iter
             (fun r ->
@@ -222,7 +190,7 @@ let stack_transfer st (i : Isa.ins) =
       set_value st rd (value_of st rs)
   | Isa.Call _ | Isa.Callr _ | Isa.Syscall _ -> st
   | i ->
-      let _, _, wi, _ = uses_defs i in
+      let _, _, wi, _ = Dataflow.uses_defs i in
       List.fold_left (fun st r -> set_value st r Unknown) st wi
 
 let check_stack (cfg : Cfg.t) add =
@@ -337,7 +305,7 @@ let check_addresses (cfg : Cfg.t) add =
               in
               def rd v
           | i ->
-              let _, _, wi, _ = uses_defs i in
+              let _, _, wi, _ = Dataflow.uses_defs i in
               List.iter (fun r -> def r None) wi)
         done
       end)

@@ -1,9 +1,6 @@
-let passes ~run ~slices ~kernel ~metric =
+let passes ts ~kernel ~metric =
   List.filter_map
-    (fun slice_interval ->
-      if slice_interval <= 0 then
-        invalid_arg "Multi: slice intervals must be positive";
-      let t = run ~slice_interval in
+    (fun t ->
       match
         List.find_opt
           (fun r -> r.Tq_vm.Symtab.name = kernel)
@@ -13,16 +10,16 @@ let passes ~run ~slices ~kernel ~metric =
       | Some r ->
           let v = Tquad.avg_bpi t r metric in
           if v > 0. then Some v else None)
-    slices
+    ts
 
-let avg_bpi ~run ~slices ~kernel ~metric =
-  match passes ~run ~slices ~kernel ~metric with
+let avg_bpi ts ~kernel ~metric =
+  match passes ts ~kernel ~metric with
   | [] -> None
   | vs ->
       Some (List.fold_left ( +. ) 0. vs /. float_of_int (List.length vs))
 
-let spread ~run ~slices ~kernel ~metric =
-  match passes ~run ~slices ~kernel ~metric with
+let spread ts ~kernel ~metric =
+  match passes ts ~kernel ~metric with
   | [] -> None
   | v :: vs ->
       Some

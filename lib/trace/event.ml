@@ -205,6 +205,8 @@ type state = {
 let fresh_state ?(icount = 0) () =
   { s_icount = icount; s_ea = 0; s_sp = 0; s_baddr = 0 }
 
+let copy_state st = { st with s_icount = st.s_icount }
+
 let tag_rtn_entry = 0
 let tag_ret = 1
 let tag_load = 2
@@ -280,6 +282,13 @@ let encode st buf ev =
       st.s_baddr <- addr;
       Leb.write_u buf n
   | End { icount } -> put_tag st buf tag_end icount
+
+let min_encoded_bytes = function
+  | End _ -> 1
+  | Ret _ -> 2
+  | Rtn_entry _ | Prefetch _ | Block_exec _ -> 3
+  | Load _ | Store _ -> 5
+  | Block_copy _ -> 6
 
 let get_sp st s pos =
   st.s_sp <- st.s_sp + Leb.read_s s pos;

@@ -119,6 +119,13 @@ type state
 
 val fresh_state : ?icount:int -> unit -> state
 
+val copy_state : state -> state
+(** An independent copy: encoding against it leaves the original as is. *)
+
+val min_encoded_bytes : t -> int
+(** The fewest bytes {!encode} can spend on the event, whatever the state:
+    its tag byte and one byte per further field. *)
+
 val encode : state -> Buffer.t -> t -> unit
 (** @raise Invalid_argument if [icount] regresses w.r.t. the state. *)
 

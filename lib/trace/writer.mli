@@ -50,7 +50,9 @@
     (its file offset and payload CRC — a reference can never silently
     resolve to the wrong body) and per-numeric-field stride/literal tables;
     {!Reader} expands them transparently.  A def always precedes every
-    repeat chunk that references it.  v4 chunk CRCs additionally cover the
+    repeat chunk that references it.  A committed run whose repeat chunk,
+    new def and plain-chunk split would cost more than its plain encoding
+    is written as plain events.  v4 chunk CRCs additionally cover the
     kind byte, so a flipped kind cannot masquerade as a valid chunk of the
     other kind. *)
 

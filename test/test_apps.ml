@@ -118,34 +118,42 @@ let test_chase_same_bandwidth () =
 
 let test_multi_pass_average () =
   let prog = Tq_apps.Apps.pointer_chase_program ~nodes:512 ~rounds:2 () in
-  let run ~slice_interval =
-    let eng = Tq_dbi.Engine.create (Machine.create prog) in
-    let t = Tq_tquad.Tquad.attach ~slice_interval eng in
-    Tq_dbi.Engine.run eng;
-    t
+  let passes =
+    List.map
+      (fun slice_interval ->
+        let eng = Tq_dbi.Engine.create (Machine.create prog) in
+        let t = Tq.attach ~slice_interval eng in
+        Tq_dbi.Engine.run eng;
+        t)
+      [ 500; 2_000; 10_000 ]
   in
-  let slices = [ 500; 2_000; 10_000 ] in
-  (match
-     Tq_tquad.Multi.avg_bpi ~run ~slices ~kernel:"walk_seq"
-       ~metric:Tq_tquad.Tquad.Read_incl
-   with
-  | None -> Alcotest.fail "kernel not observed"
-  | Some avg -> Alcotest.(check bool) "positive average" true (avg > 0.));
-  (match
-     Tq_tquad.Multi.spread ~run ~slices ~kernel:"walk_seq"
-       ~metric:Tq_tquad.Tquad.Read_incl
-   with
-  | None -> Alcotest.fail "no spread"
-  | Some (lo, hi) ->
-      Alcotest.(check bool) "spread ordered" true (lo <= hi);
-      Alcotest.(check bool) "slice quantization visible but bounded" true
-        (hi <= 3. *. lo));
+  let metric = Tq.Read_incl in
+  let per_pass =
+    List.filter_map
+      (fun t ->
+        let r =
+          List.find (fun r -> r.Symtab.name = "walk_seq") (Tq.kernels t)
+        in
+        let v = Tq.avg_bpi t r metric in
+        if v > 0. then Some v else None)
+      passes
+  in
+  Alcotest.(check int) "walk_seq active in every pass" 3 (List.length per_pass);
+  let mean = List.fold_left ( +. ) 0. per_pass /. 3. in
+  Alcotest.(check (option (float 1e-12))) "mean of the per-pass averages"
+    (Some mean)
+    (Tq_tquad.Multi.avg_bpi passes ~kernel:"walk_seq" ~metric);
+  let lo = List.fold_left min infinity per_pass
+  and hi = List.fold_left max neg_infinity per_pass in
+  Alcotest.(check (option (pair (float 0.) (float 0.))))
+    "(min, max) of the per-pass averages" (Some (lo, hi))
+    (Tq_tquad.Multi.spread passes ~kernel:"walk_seq" ~metric);
+  Alcotest.(check bool) "slice quantization visible but bounded" true
+    (hi <= 3. *. lo);
   Alcotest.(check (option (float 0.))) "unknown kernel" None
-    (Tq_tquad.Multi.avg_bpi ~run ~slices ~kernel:"nope"
-       ~metric:Tq_tquad.Tquad.Read_incl);
-  Alcotest.(check (option (float 0.))) "empty slices" None
-    (Tq_tquad.Multi.avg_bpi ~run ~slices:[] ~kernel:"walk_seq"
-       ~metric:Tq_tquad.Tquad.Read_incl)
+    (Tq_tquad.Multi.avg_bpi passes ~kernel:"nope" ~metric);
+  Alcotest.(check (option (float 0.))) "no passes" None
+    (Tq_tquad.Multi.avg_bpi [] ~kernel:"walk_seq" ~metric)
 
 let suites =
   [

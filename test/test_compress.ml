@@ -206,33 +206,114 @@ let test_affine_loop_compresses () =
 
 (* ---------- random MiniC programs: compressed record = plain record ----- *)
 
+(* Record [src] plain (v3) and compressed (v4); both raw container
+   images. *)
+let record_minic src =
+  let prog = Tq_rt.Rt.link [ Tq_minic.Driver.compile_unit ~image:"gen" src ] in
+  let record ~compress =
+    let path = Filename.temp_file "tq_cmp" ".trc" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        let eng = Engine.create (Machine.create prog) in
+        (* a generated program may exhaust the fuel budget — the probe
+           still finalizes the container, and execution is deterministic,
+           so both recordings truncate at the same event *)
+        (try ignore (Probe.record ~fuel:200_000 ~compress eng ~path : int)
+         with Tq_vm.Executor.Out_of_fuel _ -> ());
+        read_all path)
+  in
+  (record ~compress:false, record ~compress:true)
+
 let qcheck_minic_record_identity =
   QCheck.Test.make
     ~name:"record --compress = record on random MiniC programs" ~count:20
     (QCheck.make ~print:Fun.id Test_fuzz.gen_minic_valid)
     (fun src ->
-      let prog =
-        Tq_rt.Rt.link [ Tq_minic.Driver.compile_unit ~image:"gen" src ]
-      in
-      let record ~compress =
-        let path = Filename.temp_file "tq_cmp" ".trc" in
-        Fun.protect
-          ~finally:(fun () -> Sys.remove path)
-          (fun () ->
-            let eng = Engine.create (Machine.create prog) in
-            (* a generated program may exhaust the fuel budget — the probe
-               still finalizes the container, and execution is deterministic,
-               so both recordings truncate at the same event *)
-            (try ignore (Probe.record ~fuel:200_000 ~compress eng ~path : int)
-             with Tq_vm.Executor.Out_of_fuel _ -> ());
-            read_all path)
-      in
-      let plain = record ~compress:false in
-      let compressed = record ~compress:true in
+      let plain, compressed = record_minic src in
       let rp = Reader.of_string plain and rc = Reader.of_string compressed in
       Reader.version rc = 4
       && events_of rp = events_of rc
       && String.length compressed <= String.length plain)
+
+(* A generated program whose 83-event trace holds one short committed
+   loop run (3 iterations of 11 events).  As a repeat — its chunk, a new
+   body def and the split of the open plain chunk — it costs more than the
+   events it elides (430 B against 427 B plain), so the writer must keep it
+   plain. *)
+let short_run_src =
+  "int f(int a0) { int a; int b; int c; a = 0; b = 1; c = 2; if (a) { \
+    return b; } else { c = (c + (47 + 82)); if (4) { return a; c = 57; \
+    for (c = 0; c < 4; c = c + 1) { b = (a * (81 == b)); c = c; } } \
+    else { return c; if (4) { c = b; } else { return b; } if (b) { b = \
+    ((7 * 77) - (75 - 85)); c = 14; } else { c = ((93 * 14) - 18); b = \
+    17; return b; } a = c; } c = ((99 < a) + (34 + 66)); for (c = 0; c \
+    < 3; c = c + 1) { for (c = 0; c < 3; c = c + 1) { continue; } if \
+    (c) { break; b = ((a - b) - b); b = 56; } else { c = (95 + 67); b \
+    = (a - (63 + b)); b = (b * (c - c)); break; } } } return (c - c); \
+    if (b) { if ((85 + 7)) { b = 36; a = ((84 + b) == b); } else { if \
+    ((97 + 56)) { c = ((53 * c) - a); return ((b < c) + (68 + 55)); b \
+    = 20; c = a; } else { b = a; c = c; } for (c = 0; c < 8; c = c + \
+    1) { a = (a + (38 - c)); return (96 == (a + 95)); continue; } c = \
+    ((44 - c) - (b - c)); } if (16) { if (95) { return ((c > c) > 27); \
+    c = (c > 48); a = (52 == c); c = ((b * b) - (b * c)); } else { a = \
+    b; } a = ((33 == a) > (b + c)); for (c = 0; c < 6; c = c + 1) { \
+    continue; b = (14 * 38); } for (c = 0; c < 4; c = c + 1) { b = (c \
+    < b); } } else { c = ((a * a) - (c - c)); } c = (c - b); } else { \
+    if ((79 - 48)) { a = a; c = a; } else { for (c = 0; c < 9; c = c + \
+    1) { break; } a = c; } b = 70; } return (c + (94 < 59)); return a; \
+    }\n\
+    int g() { int a; int b; int c; a = 0; b = 1; c = 2; for (c = 0; c \
+    < 3; c = c + 1) { a = ((c > b) > (a - 85)); b = c; } return b; if \
+    ((64 == 10)) { a = ((b > b) + c); b = ((c + 33) - (1 * c)); b = b; \
+    } else { for (c = 0; c < 7; c = c + 1) { if ((a + a)) { continue; \
+    break; c = ((b - 4) - (63 - 74)); } else { b = b; break; return \
+    (44 - 48); } c = (c + 10); c = a; if (b) { a = ((28 * c) - (b * \
+    a)); } else { a = a; } } } for (c = 0; c < 9; c = c + 1) { for (c \
+    = 0; c < 9; c = c + 1) { c = (36 == (28 == a)); if ((a < a)) { \
+    continue; } else { b = 17; break; continue; } } b = b; return c; } \
+    return a; }\n\
+    int main() { int a; int b; int c; a = f(3); b = g(); c = 0; if ((a \
+    * 25)) { b = ((a < c) > (76 < a)); for (c = 0; c < 7; c = c + 1) { \
+    if (c) { c = a; } else { a = ((b < 50) * (a + b)); break; break; } \
+    } } else { if (75) { return 30; return a; if ((b - 37)) { c = ((0 \
+    + b) - (88 - c)); } else { c = 49; return c; } } else { for (c = \
+    0; c < 3; c = c + 1) { break; b = ((b == b) > b); c = (68 - 80); \
+    return ((c * 52) < 74); } if (b) { b = (65 + (79 - 49)); } else { \
+    a = a; } } if (6) { if (b) { a = (c - a); return a; } else { \
+    return 13; } for (c = 0; c < 1; c = c + 1) { b = ((a - 50) * (c - \
+    c)); } a = 61; b = a; } else { if (a) { b = (c * b); a = (2 - c); \
+    } else { a = 79; return ((c == a) == 6); a = (a == 44); } c = b; a \
+    = (a - (29 * b)); a = (b + (42 * 60)); } for (c = 0; c < 5; c = c \
+    + 1) { b = (a == a); b = (46 * (c - 35)); break; } } if ((2 + b)) \
+    { if ((b * a)) { for (c = 0; c < 6; c = c + 1) { break; } b = a; \
+    for (c = 0; c < 2; c = c + 1) { c = (0 - a); } } else { a = 82; } \
+    b = 56; for (c = 0; c < 7; c = c + 1) { continue; a = 48; b = c; \
+    continue; } } else { return 44; if ((98 == c)) { if ((a + 73)) { a \
+    = b; a = (59 > (c * a)); a = b; } else { b = (c + a); a = 46; \
+    return ((21 == a) * (66 + b)); } for (c = 0; c < 9; c = c + 1) { b \
+    = 63; a = a; } for (c = 0; c < 3; c = c + 1) { return ((c > c) - \
+    a); break; a = (b * (b + c)); return 49; } b = (c + (b - a)); } \
+    else { for (c = 0; c < 2; c = c + 1) { b = b; } b = (57 + (b * \
+    45)); for (c = 0; c < 6; c = c + 1) { return (b - (11 + b)); } } \
+    if (c) { for (c = 0; c < 6; c = c + 1) { continue; } c = ((20 - c) \
+    - (51 + 44)); return c; if ((a + c)) { return 99; b = 49; b = (a + \
+    (46 - b)); b = (a == (83 + 87)); } else { b = b; c = c; } } else { \
+    if (b) { a = ((c * c) < (13 - b)); b = (2 - (a * c)); b = (a - \
+    19); a = (76 == (94 < c)); } else { a = 16; c = ((49 * 96) * (b - \
+    64)); b = c; } a = a; b = 55; } c = a; } for (c = 0; c < 3; c = c \
+    + 1) { for (c = 0; c < 7; c = c + 1) { c = a; for (c = 0; c < 9; c \
+    = c + 1) { continue; return 73; c = 95; c = b; } return b; } \
+    continue; b = 50; } return a + b; }"
+
+let test_short_run_stays_plain () =
+  let plain, compressed = record_minic short_run_src in
+  let rp = Reader.of_string plain and rc = Reader.of_string compressed in
+  Alcotest.(check int) "v4" 4 (Reader.version rc);
+  Alcotest.(check bool) "same events" true (events_of rp = events_of rc);
+  if String.length compressed > String.length plain then
+    Alcotest.failf "compressed %d B > plain %d B" (String.length compressed)
+      (String.length plain)
 
 (* ---------- salvage of corrupted v4 containers ---------- *)
 
@@ -530,6 +611,8 @@ let suites =
         Alcotest.test_case "affine loop commits repeat chunks" `Quick
           test_affine_loop_compresses;
         QCheck_alcotest.to_alcotest qcheck_minic_record_identity;
+        Alcotest.test_case "a short loop run costing more as a repeat stays plain"
+          `Quick test_short_run_stays_plain;
         QCheck_alcotest.to_alcotest qcheck_v4_salvage_identity;
         Alcotest.test_case "torn repeat chunk: salvage resyncs" `Quick
           test_torn_repeat_chunk_salvage;
