@@ -23,6 +23,27 @@ type binop =
   | And | Or | Xor | Sll | Srl | Sra
   | Slt | Sltu | Seq | Sne | Sle | Sge | Sgt
 
+let eval_iop op a b =
+  match op with
+  | Add -> Some (a + b)
+  | Sub -> Some (a - b)
+  | Mul -> Some (a * b)
+  | Div -> if b = 0 then None else Some (a / b)
+  | Rem -> if b = 0 then None else Some (a mod b)
+  | And -> Some (a land b)
+  | Or -> Some (a lor b)
+  | Xor -> Some (a lxor b)
+  | Sll -> Some (a lsl (b land 63))
+  | Srl -> Some (a lsr (b land 63))
+  | Sra -> Some (a asr (b land 63))
+  | Slt -> Some (if a < b then 1 else 0)
+  | Sltu -> Some (if a lxor min_int < b lxor min_int then 1 else 0)
+  | Seq -> Some (if a = b then 1 else 0)
+  | Sne -> Some (if a <> b then 1 else 0)
+  | Sle -> Some (if a <= b then 1 else 0)
+  | Sge -> Some (if a >= b then 1 else 0)
+  | Sgt -> Some (if a > b then 1 else 0)
+
 type fbinop = Fadd | Fsub | Fmul | Fdiv
 
 type funop = Fneg | Fabs | Fsqrt | Fsin | Fcos | Ffloor

@@ -58,6 +58,12 @@ type binop =
   | And | Or | Xor | Sll | Srl | Sra
   | Slt | Sltu | Seq | Sne | Sle | Sge | Sgt
 
+val eval_iop : binop -> int -> int -> int option
+(** The integer ALU: [a op b] as the machine computes it (shift amounts
+    taken [land 63], [sltu] unsigned, comparisons 0/1), or [None] for a
+    [div]/[rem] by zero, where the machine traps.  The compiler's constant
+    folder and the static dataflow layer fold through the same function. *)
+
 type fbinop = Fadd | Fsub | Fmul | Fdiv
 
 type funop = Fneg | Fabs | Fsqrt | Fsin | Fcos | Ffloor

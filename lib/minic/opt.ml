@@ -18,27 +18,6 @@ let log2 n =
   let rec go k v = if v <= 1 then k else go (k + 1) (v / 2) in
   go 0 n
 
-let eval_iop op a b =
-  match op with
-  | Isa.Add -> Some (a + b)
-  | Sub -> Some (a - b)
-  | Mul -> Some (a * b)
-  | Div -> if b = 0 then None else Some (a / b)
-  | Rem -> if b = 0 then None else Some (a mod b)
-  | And -> Some (a land b)
-  | Or -> Some (a lor b)
-  | Xor -> Some (a lxor b)
-  | Sll -> Some (a lsl (b land 63))
-  | Srl -> Some (a lsr (b land 63))
-  | Sra -> Some (a asr (b land 63))
-  | Slt -> Some (if a < b then 1 else 0)
-  | Sltu -> Some (if a lxor min_int < b lxor min_int then 1 else 0)
-  | Seq -> Some (if a = b then 1 else 0)
-  | Sne -> Some (if a <> b then 1 else 0)
-  | Sle -> Some (if a <= b then 1 else 0)
-  | Sge -> Some (if a >= b then 1 else 0)
-  | Sgt -> Some (if a > b then 1 else 0)
-
 let eval_fop op a b =
   match op with
   | Isa.Fadd -> a +. b
@@ -105,7 +84,7 @@ let rec expr e =
 and iop op a b =
   match (a, b) with
   | Const_i x, Const_i y -> (
-      match eval_iop op x y with
+      match Isa.eval_iop op x y with
       | Some v -> Const_i v
       | None -> Iop (op, a, b) (* division by zero: trap at runtime *))
   | _ -> (

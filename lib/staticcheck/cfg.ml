@@ -197,6 +197,75 @@ let dominates t = dominated ~idom:t.idom ~reachable:t.reachable
 
 let depth t b = match t.innermost.(b) with -1 -> 0 | l -> t.loops.(l).depth
 
+let forward t ~entry ~join ~equal ~transfer =
+  let nb = n_blocks t in
+  let in_ = Array.make nb None and out = Array.make nb None in
+  let dirty = Array.init nb (fun b -> b = 0) in
+  let pending = ref true in
+  while !pending do
+    pending := false;
+    for b = 0 to nb - 1 do
+      if dirty.(b) then begin
+        dirty.(b) <- false;
+        (* the old in-state joined with every reached predecessor's out:
+           in-states only rise *)
+        let init = match in_.(b) with None when b = 0 -> Some entry | o -> o in
+        let st =
+          List.fold_left
+            (fun acc p ->
+              match (acc, out.(p)) with
+              | acc, None -> acc
+              | None, s -> s
+              | Some a, Some s -> Some (join a s))
+            init t.preds.(b)
+        in
+        match (in_.(b), st) with
+        | Some old, Some st when equal old st -> ()
+        | _, None -> ()
+        | _, Some st ->
+            in_.(b) <- Some st;
+            out.(b) <- Some (transfer t.blocks.(b) st);
+            List.iter
+              (fun s ->
+                dirty.(s) <- true;
+                pending := true)
+              t.blocks.(b).succs
+      end
+    done
+  done;
+  in_
+
+let backward t ~exit ~join ~equal ~transfer =
+  let nb = n_blocks t in
+  let out = Array.make nb exit and in_ = Array.make nb None in
+  let dirty = Array.copy t.reachable in
+  let pending = ref true in
+  while !pending do
+    pending := false;
+    for b = nb - 1 downto 0 do
+      if dirty.(b) then begin
+        dirty.(b) <- false;
+        let st =
+          List.fold_left
+            (fun acc s -> match in_.(s) with None -> acc | Some x -> join acc x)
+            out.(b) t.blocks.(b).succs
+        in
+        if Option.is_none in_.(b) || not (equal out.(b) st) then begin
+          out.(b) <- st;
+          in_.(b) <- Some (transfer t.blocks.(b) st);
+          List.iter
+            (fun p ->
+              if t.reachable.(p) then begin
+                dirty.(p) <- true;
+                pending := true
+              end)
+            t.preds.(b)
+        end
+      end
+    done
+  done;
+  out
+
 let render t =
   let buf = Buffer.create 512 in
   Buffer.add_string buf

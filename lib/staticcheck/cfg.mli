@@ -50,5 +50,46 @@ val dominates : t -> int -> int -> bool
 val depth : t -> int -> int
 (** Loop-nesting depth of a block: 0 outside every loop. *)
 
+(** {2 The block solver}
+
+    Every dataflow pass over a routine — the register and cell-constant
+    fixpoints of {!Dataflow}, and the verifier's register, stack, local and
+    liveness checks — runs through these two functions.  Blocks are swept
+    in id order (descending for {!backward}) until no state changes; a
+    block's state only ever rises (the [join] of its old state and the new
+    contributions), so the solver terminates whenever [join] has finite
+    height, and it keeps no state between calls.
+
+    What it guarantees: for a monotone [transfer] the result is the least
+    solution of the block equations, so it does not depend on the order
+    in which blocks are visited; and for any [transfer] it depends only on
+    the graph and the functions given — never on earlier queries.
+    [transfer] must not mutate its argument. *)
+
+val forward :
+  t ->
+  entry:'a ->
+  join:('a -> 'a -> 'a) ->
+  equal:('a -> 'a -> bool) ->
+  transfer:(block -> 'a -> 'a) ->
+  'a option array
+(** Per block, the state before its first instruction: the [join] of its
+    predecessors' out-states (its in-state through [transfer]), and of
+    [entry] for block 0; [None] for an unreachable block. *)
+
+val backward :
+  t ->
+  exit:'a ->
+  join:('a -> 'a -> 'a) ->
+  equal:('a -> 'a -> bool) ->
+  transfer:(block -> 'a -> 'a) ->
+  'a array
+(** The backward counterpart (liveness): per block, the state after its
+    last instruction, the [join] of its successors' states before their
+    first instruction ([transfer] maps a block's after-state to its
+    before-state).  Every block starts from [exit], which is also what a
+    block without successors ends with, so [exit] must be the least state
+    (the [join]'s identity); unreachable blocks keep it. *)
+
 val render : t -> string
 (** Compact textual dump (blocks, depths, edges, reachability). *)

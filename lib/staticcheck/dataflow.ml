@@ -123,226 +123,21 @@ let cell_of_lin l =
 let has_load_term l =
   List.exists (fun (t, _) -> match t with Tload _ -> true | _ -> false) l.terms
 
-(* ---------- reaching definitions ---------- *)
+(* ---------- symbolic evaluation: a forward register fixpoint ---------- *)
 
-type def = D_entry | D_ins of int
-
-module Bits = struct
-  type t = int array
-
-  let create n = Array.make ((n + 62) / 63) 0
-  let get b i = b.(i / 63) land (1 lsl (i mod 63)) <> 0
-  let set b i = b.(i / 63) <- b.(i / 63) lor (1 lsl (i mod 63))
-  let clear b i = b.(i / 63) <- b.(i / 63) land lnot (1 lsl (i mod 63))
-  let copy = Array.copy
-
-  let union_into dst src =
-    let changed = ref false in
-    Array.iteri
-      (fun i w ->
-        let nw = dst.(i) lor w in
-        if nw <> dst.(i) then begin
-          dst.(i) <- nw;
-          changed := true
-        end)
-      src;
-    !changed
-end
-
-(* Def ids: 0 .. num_regs-1 are the entry pseudo-definitions (one per
-   register); real definition sites follow. *)
-type rd = {
-  ndefs : int;
-  defs_of_reg : int list array;  (* reg -> all def ids incl. the entry one *)
-  ins_defs : (int * int) list array;  (* ins index -> (def id, reg) *)
-  rd_in : Bits.t array;  (* per block: defs that may reach block entry *)
-}
-
-let build_rd (cfg : Cfg.t) =
+(* Register environments per block, solved by {!Cfg.forward}: at entry sp is
+   the entry stack pointer and every other register is unknown; where paths
+   meet, a register keeps its value only if all of them agree.  Unreachable
+   blocks are evaluated once from an all-[Top] environment.  [lookup]
+   optionally folds a load from a known cell into a constant (supplied by a
+   previous constant-propagation pass).  The result answers [value_before i
+   r]: the value of register [r] just before instruction [i]. *)
+let make_eval (cfg : Cfg.t) ~trust_data ~lookup =
   let code = cfg.Cfg.code in
-  let n = Rcode.n code in
-  let nb = Cfg.n_blocks cfg in
-  let defs_of_reg = Array.init Isa.num_regs (fun r -> [ r ]) in
-  let ins_defs = Array.make (max n 1) [] in
-  let next = ref Isa.num_regs in
-  for i = 0 to n - 1 do
-    List.iter
-      (fun r ->
-        let id = !next in
-        incr next;
-        defs_of_reg.(r) <- id :: defs_of_reg.(r);
-        ins_defs.(i) <- (id, r) :: ins_defs.(i))
-      (int_clobbers code.Rcode.ins.(i))
-  done;
-  let ndefs = !next in
-  let rd_in = Array.init (max nb 1) (fun _ -> Bits.create ndefs) in
-  if nb > 0 then begin
-    let entry_bits = Bits.create ndefs in
-    for r = 0 to Isa.num_regs - 1 do
-      Bits.set entry_bits r
-    done;
-    ignore (Bits.union_into rd_in.(0) entry_bits);
-    let out_of b =
-      (* flow the block's in-set through its instructions *)
-      let bits = Bits.copy rd_in.(b) in
-      let blk = cfg.Cfg.blocks.(b) in
-      for i = blk.Cfg.first to blk.Cfg.last do
-        List.iter
-          (fun (id, r) ->
-            List.iter (fun d -> Bits.clear bits d) defs_of_reg.(r);
-            Bits.set bits id)
-          ins_defs.(i)
-      done;
-      bits
-    in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      for b = 0 to nb - 1 do
-        if cfg.Cfg.reachable.(b) then begin
-          let out = out_of b in
-          List.iter
-            (fun s ->
-              if Bits.union_into rd_in.(s) out then changed := true)
-            cfg.Cfg.blocks.(b).Cfg.succs
-        end
-      done
-    done
-  end;
-  { ndefs; defs_of_reg; ins_defs; rd_in }
-
-let reaching_rd (cfg : Cfg.t) rd i r =
-  let b = cfg.Cfg.block_of.(i) in
-  let bits = Bits.copy rd.rd_in.(b) in
-  let blk = cfg.Cfg.blocks.(b) in
-  for j = blk.Cfg.first to i - 1 do
-    List.iter
-      (fun (id, r') ->
-        List.iter (fun d -> Bits.clear bits d) rd.defs_of_reg.(r');
-        Bits.set bits id)
-      rd.ins_defs.(j)
-  done;
-  List.filter_map
-    (fun id ->
-      if Bits.get bits id then
-        Some (if id < Isa.num_regs then D_entry else D_ins id)
-      else None)
-    rd.defs_of_reg.(r)
-  |> List.map (function
-       | D_ins id ->
-           (* recover the ins index of a real def id *)
-           D_ins id
-       | d -> d)
-
-(* ---------- symbolic evaluation over reaching definitions ---------- *)
-
-(* One evaluation "generation": [lookup] optionally folds a load from a
-   known cell into a constant (supplied by a previous constant-propagation
-   pass).  Cycles through loop-carried registers collapse to [Top]. *)
-(* Raised when a demand evaluation re-enters a (instruction, register) query
-   already on the stack — a loop-carried dependency. *)
-exception Cycle
-
-let make_eval (cfg : Cfg.t) rd ~trust_data ~lookup =
-  let code = cfg.Cfg.code in
-  let memo : (int * int, value) Hashtbl.t = Hashtbl.create 256 in
-  let inprog : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
-  let def_site = Hashtbl.create 64 in
-  Array.iteri
-    (fun i defs -> List.iter (fun (id, r) -> Hashtbl.replace def_site id (i, r)) defs)
-    rd.ins_defs;
-  let rec value_before i r : value =
-    if r = Isa.reg_zero then lin_const 0
-    else
-      let key = (i, r) in
-      match Hashtbl.find_opt memo key with
-      | Some v -> v
-      | None ->
-          if Hashtbl.mem inprog key then raise_notrace Cycle
-          else begin
-            Hashtbl.add inprog key ();
-            let v =
-              match compute i r with
-              | v -> v
-              | exception e ->
-                  Hashtbl.remove inprog key;
-                  raise e
-            in
-            Hashtbl.remove inprog key;
-            Hashtbl.replace memo key v;
-            v
-          end
-  and compute i r =
-    let def_value = function
-      | D_entry ->
-          if r = Isa.reg_sp then Lin { sp = 1; terms = []; k = 0 } else Top
-      | D_ins id ->
-          let j, _ = Hashtbl.find def_site id in
-          value_of_def j r
-    in
-    match reaching_rd cfg rd i r with
-    | [] -> Top
-    | [ d ] -> def_value d
-    | defs ->
-        (* join over several reaching definitions: they must all agree.
-           Definitions only reached through a cycle (loop-carried, e.g. the
-           sp save/restore around an in-loop call) are first assumed to
-           agree with the acyclic ones, then re-evaluated once under that
-           assumption; on mismatch everything derived from the assumption
-           is dropped. *)
-        let acyclic = ref [] and cyclic = ref [] in
-        List.iter
-          (fun d ->
-            match def_value d with
-            | v -> acyclic := v :: !acyclic
-            | exception Cycle -> cyclic := d :: !cyclic)
-          defs;
-        let v =
-          match !acyclic with
-          | [] -> Top
-          | v :: rest -> if List.for_all (fun w -> w = v) rest then v else Top
-        in
-        if !cyclic = [] || v = Top then v
-        else begin
-          Hashtbl.replace memo (i, r) v;
-          (* re-evaluate under the assumption in a fresh in-progress
-             context: the outer query may have entered the cycle at an
-             interior point, leaving part of it marked in-progress, and
-             those marks would re-raise [Cycle] here even though the
-             tentative memo entry already breaks the cycle *)
-          let saved = Hashtbl.copy inprog in
-          Hashtbl.reset inprog;
-          let ok =
-            List.for_all
-              (fun d ->
-                match def_value d with w -> w = v | exception Cycle -> false)
-              !cyclic
-          in
-          Hashtbl.reset inprog;
-          Hashtbl.iter (fun k () -> Hashtbl.replace inprog k ()) saved;
-          if ok then v
-          else begin
-            (* every memoized value computed under the assumption is
-               suspect; drop the whole cache, keep only the refutation *)
-            Hashtbl.reset memo;
-            Top
-          end
-        end
-  and value_of_def j r =
-    match code.Rcode.ins.(j) with
-    | Isa.Li (rd_, n) when rd_ = r -> lin_const n
-    | Isa.Mov (rd_, rs) when rd_ = r -> value_before j rs
-    | Isa.Bin (op, rd_, rs, o) when rd_ = r -> eval_bin j op rs o
-    | Isa.Load { width = Isa.W8; dst; base; off; pred = None } when dst = r ->
-        eval_load j ~base ~off
-    | Isa.Loads { width = Isa.W8; dst; base; off } when dst = r ->
-        eval_load j ~base ~off
-    | Isa.Load { dst; _ } when dst = r -> opaque j
-    | Isa.Loads { dst; _ } when dst = r -> opaque j
-    | _ -> Top (* calls, syscalls, fcmp, f2i, clobbers *)
-  and opaque j = Lin { sp = 0; terms = [ (Tload j, 1) ]; k = 0 }
-  and eval_load j ~base ~off =
-    match lin_of (value_before j base) with
+  let get env r = if r = Isa.reg_zero then lin_const 0 else env.(r) in
+  let opaque j = Lin { sp = 0; terms = [ (Tload j, 1) ]; k = 0 } in
+  let eval_load env j ~base ~off =
+    match lin_of (get env base) with
     | None -> opaque j
     | Some a -> (
         let a = lin_add a (const off) in
@@ -356,13 +151,15 @@ let make_eval (cfg : Cfg.t) rd ~trust_data ~lookup =
             | Some v -> lin_const v
             | None -> Lin { sp = 0; terms = [ (Tcell c, 1) ]; k = 0 })
         | None -> opaque j)
-  and eval_bin j op rs o =
-    let a = value_before j rs in
-    let b = match o with Isa.Imm k -> lin_const k | Isa.Reg rr -> value_before j rr in
+  in
+  let eval_bin env j op rs o =
+    let a = get env rs in
+    let b = match o with Isa.Imm k -> lin_const k | Isa.Reg rr -> get env rr in
     match (lin_of a, lin_of b) with
     | Some la, Some lb -> (
-        let c2 f =
-          if lin_is_const la && lin_is_const lb then Some (lin_const (f la.k lb.k))
+        let fold =
+          if lin_is_const la && lin_is_const lb then
+            Option.map lin_const (Isa.eval_iop op la.k lb.k)
           else None
         in
         match op with
@@ -372,42 +169,18 @@ let make_eval (cfg : Cfg.t) rd ~trust_data ~lookup =
             if lin_is_const lb then Lin (lin_scale la lb.k)
             else if lin_is_const la then Lin (lin_scale lb la.k)
             else opaque j
-        | Isa.Sll ->
-            if lin_is_const lb && lb.k >= 0 && lb.k < 62 then
-              Lin (lin_scale la (1 lsl lb.k))
-            else if lin_is_const la && lin_is_const lb then
-              Lin (const (la.k lsl lb.k))
-            else opaque j
-        | Isa.Div -> (
-            match c2 (fun a b -> if b = 0 then 0 else a / b) with
-            | Some v -> v
-            | None -> opaque j)
-        | Isa.Rem -> (
-            match c2 (fun a b -> if b = 0 then 0 else a mod b) with
-            | Some v -> v
-            | None -> opaque j)
-        | Isa.And -> ( match c2 ( land ) with Some v -> v | None -> opaque j)
-        | Isa.Or -> ( match c2 ( lor ) with Some v -> v | None -> opaque j)
-        | Isa.Xor -> ( match c2 ( lxor ) with Some v -> v | None -> opaque j)
-        | Isa.Srl | Isa.Sra -> (
-            match c2 (fun a b -> if b < 0 || b > 62 then 0 else a asr b) with
-            | Some v -> v
-            | None -> opaque j)
-        | Isa.Slt | Isa.Sle | Isa.Sgt | Isa.Sge | Isa.Seq | Isa.Sne | Isa.Sltu ->
-            if lin_is_const la && lin_is_const lb then
-              let t =
-                match op with
-                | Isa.Slt -> la.k < lb.k
-                | Isa.Sle -> la.k <= lb.k
-                | Isa.Sgt -> la.k > lb.k
-                | Isa.Sge -> la.k >= lb.k
-                | Isa.Seq -> la.k = lb.k
-                | Isa.Sne -> la.k <> lb.k
-                | _ -> false (* Sltu: leave symbolic comparisons alone *)
-              in
-              if op = Isa.Sltu then Cmp (op, la, lb)
-              else lin_const (if t then 1 else 0)
-            else Cmp (op, la, lb))
+        | Isa.Sll when lin_is_const lb && lb.k >= 0 && lb.k < 62 ->
+            Lin (lin_scale la (1 lsl lb.k))
+        | Isa.Sll | Isa.Div | Isa.Rem | Isa.And | Isa.Or | Isa.Xor | Isa.Srl
+        | Isa.Sra ->
+            (* a zero divisor traps: no constant *)
+            Option.value fold ~default:(opaque j)
+        | Isa.Slt | Isa.Sle | Isa.Sgt | Isa.Sge | Isa.Seq | Isa.Sne | Isa.Sltu
+          -> (
+            (* unsigned comparisons stay symbolic *)
+            match fold with
+            | Some v when op <> Isa.Sltu -> v
+            | _ -> Cmp (op, la, lb)))
     | _ -> (
         (* the code generator booleanizes comparisons ([sne r, r, 0]) and
            negates them ([seq r, r, 0]); fold both so loop guards stay
@@ -428,7 +201,52 @@ let make_eval (cfg : Cfg.t) rd ~trust_data ~lookup =
             match negate c with Some c' -> Cmp (c', x, y) | None -> Top)
         | _ -> Top)
   in
-  fun i r -> try value_before i r with Cycle -> Top
+  let value_of_def env j r =
+    match code.Rcode.ins.(j) with
+    | Isa.Li (rd_, n) when rd_ = r -> lin_const n
+    | Isa.Mov (rd_, rs) when rd_ = r -> get env rs
+    | Isa.Bin (op, rd_, rs, o) when rd_ = r -> eval_bin env j op rs o
+    | Isa.Load { width = Isa.W8; dst; base; off; pred = None } when dst = r ->
+        eval_load env j ~base ~off
+    | Isa.Loads { width = Isa.W8; dst; base; off } when dst = r ->
+        eval_load env j ~base ~off
+    | Isa.Load { dst; _ } when dst = r -> opaque j
+    | Isa.Loads { dst; _ } when dst = r -> opaque j
+    | _ -> Top (* calls, syscalls, fcmp, f2i, clobbers *)
+  in
+  (* instruction [j]'s effect, in place *)
+  let step env j =
+    List.map (fun r -> (r, value_of_def env j r)) (int_clobbers code.Rcode.ins.(j))
+    |> List.iter (fun (r, v) -> env.(r) <- v)
+  in
+  let transfer (blk : Cfg.block) env =
+    let env = Array.copy env in
+    for j = blk.Cfg.first to blk.Cfg.last do
+      step env j
+    done;
+    env
+  in
+  let entry = Array.make Isa.num_regs Top in
+  entry.(Isa.reg_sp) <- Lin { sp = 1; terms = []; k = 0 };
+  let ins =
+    Cfg.forward cfg ~entry
+      ~join:(Array.map2 (fun x y -> if x = y then x else Top))
+      ~equal:( = ) ~transfer
+  in
+  let before = Array.make (Rcode.n code) [||] in
+  Array.iteri
+    (fun b (blk : Cfg.block) ->
+      let env =
+        match ins.(b) with
+        | Some env -> Array.copy env
+        | None -> Array.make Isa.num_regs Top
+      in
+      for j = blk.Cfg.first to blk.Cfg.last do
+        before.(j) <- Array.copy env;
+        step env j
+      done)
+    cfg.Cfg.blocks;
+  fun i r -> get before.(i) r
 
 (* ---------- frame shape and escape ---------- *)
 
@@ -506,6 +324,14 @@ module CellMap = Map.Make (struct
   let compare = compare
 end)
 
+(* [transfer] over instructions [first .. upto - 1] *)
+let run_ins transfer st first upto =
+  let st = ref st in
+  for j = first to upto - 1 do
+    st := transfer !st j
+  done;
+  !st
+
 type cp = {
   cp_in : int CellMap.t option array;  (* per block; None = unreached *)
   cp_transfer : int CellMap.t -> int -> int CellMap.t;
@@ -514,7 +340,6 @@ type cp = {
 
 let constprop (cfg : Cfg.t) ~eval ~trust_data ~escapes ~frame_size =
   let code = cfg.Cfg.code in
-  let nb = Cfg.n_blocks cfg in
   let addr_cell i base off =
     match lin_of (eval i base) with
     | None -> `Top
@@ -566,75 +391,28 @@ let constprop (cfg : Cfg.t) ~eval ~trust_data ~escapes ~frame_size =
     | Isa.Syscall _ -> CellMap.empty
     | _ -> st
   in
-  let cp_in = Array.make (max nb 1) None in
-  if nb > 0 then begin
-    cp_in.(0) <- Some CellMap.empty;
-    let meet a b =
-      CellMap.merge
-        (fun _ x y -> match (x, y) with Some v, Some w when v = w -> Some v | _ -> None)
-        a b
-    in
-    let out_of b =
-      match cp_in.(b) with
-      | None -> None
-      | Some st ->
-          let blk = cfg.Cfg.blocks.(b) in
-          let st = ref st in
-          for i = blk.Cfg.first to blk.Cfg.last do
-            st := transfer !st i
-          done;
-          Some !st
-    in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      for b = 0 to nb - 1 do
-        if cfg.Cfg.reachable.(b) then
-          match out_of b with
-          | None -> ()
-          | Some out ->
-              List.iter
-                (fun s ->
-                  match cp_in.(s) with
-                  | None ->
-                      cp_in.(s) <- Some out;
-                      changed := true
-                  | Some cur ->
-                      let nw = meet cur out in
-                      (* semantic equality: two equal maps can differ in
-                         tree shape, and structural (<>) would loop *)
-                      if not (CellMap.equal ( = ) cur nw) then begin
-                        cp_in.(s) <- Some nw;
-                        changed := true
-                      end)
-                cfg.Cfg.blocks.(b).Cfg.succs
-      done
-    done
-  end;
+  let cp_in =
+    Cfg.forward cfg ~entry:CellMap.empty
+      ~join:
+        (CellMap.merge (fun _ x y ->
+             match (x, y) with Some v, Some w when v = w -> Some v | _ -> None))
+        (* semantic equality: two equal maps can differ in tree shape *)
+      ~equal:(CellMap.equal ( = ))
+      ~transfer:(fun blk st ->
+        run_ins transfer st blk.Cfg.first (blk.Cfg.last + 1))
+  in
   { cp_in; cp_transfer = transfer }
 
-let cp_at (cfg : Cfg.t) cp i c =
-  let b = cfg.Cfg.block_of.(i) in
-  match cp.cp_in.(b) with
-  | None -> None
-  | Some st ->
-      let blk = cfg.Cfg.blocks.(b) in
-      let st = ref st in
-      for j = blk.Cfg.first to i - 1 do
-        st := cp.cp_transfer !st j
-      done;
-      CellMap.find_opt c !st
+(* the content of cell [c] in block [b] just before instruction [upto] *)
+let cp_before (cfg : Cfg.t) cp b upto c =
+  Option.bind cp.cp_in.(b) (fun st ->
+      CellMap.find_opt c
+        (run_ins cp.cp_transfer st cfg.Cfg.blocks.(b).Cfg.first upto))
+
+let cp_at (cfg : Cfg.t) cp i c = cp_before cfg cp cfg.Cfg.block_of.(i) i c
 
 let cp_out (cfg : Cfg.t) cp b c =
-  match cp.cp_in.(b) with
-  | None -> None
-  | Some st ->
-      let blk = cfg.Cfg.blocks.(b) in
-      let st = ref st in
-      for j = blk.Cfg.first to blk.Cfg.last do
-        st := cp.cp_transfer !st j
-      done;
-      CellMap.find_opt c !st
+  cp_before cfg cp b (cfg.Cfg.blocks.(b).Cfg.last + 1) c
 
 (* ---------- the analysis record ---------- *)
 
@@ -645,26 +423,24 @@ type t = {
   escapes : esc;
   eval : int -> int -> value;
   cp : cp;
-  rd : rd;
 }
 
 let analyze (cfg : Cfg.t) =
   let trust_data = cfg.Cfg.code.Rcode.base_addr <> None in
-  let rd = build_rd cfg in
-  let eval0 = make_eval cfg rd ~trust_data ~lookup:(fun _ _ -> None) in
+  let eval0 = make_eval cfg ~trust_data ~lookup:(fun _ _ -> None) in
   let escapes = compute_escapes cfg eval0 in
   let frame_size = detect_frame cfg in
   (* two rounds: constants found by round one feed loads evaluated in round
      two (e.g. i = 0; j = i), then a final evaluator folds both *)
   let cp1 = constprop cfg ~eval:eval0 ~trust_data ~escapes ~frame_size in
   let eval1 =
-    make_eval cfg rd ~trust_data ~lookup:(fun i c -> cp_at cfg cp1 i c)
+    make_eval cfg ~trust_data ~lookup:(fun i c -> cp_at cfg cp1 i c)
   in
   let cp2 = constprop cfg ~eval:eval1 ~trust_data ~escapes ~frame_size in
   let eval2 =
-    make_eval cfg rd ~trust_data ~lookup:(fun i c -> cp_at cfg cp2 i c)
+    make_eval cfg ~trust_data ~lookup:(fun i c -> cp_at cfg cp2 i c)
   in
-  { cfg; trust_data; frame_size; escapes; eval = eval2; cp = cp2; rd }
+  { cfg; trust_data; frame_size; escapes; eval = eval2; cp = cp2 }
 
 let cfg t = t.cfg
 let trust_data t = t.trust_data
@@ -672,19 +448,6 @@ let frame_size t = t.frame_size
 let escapes t = esc_any t.escapes
 let escaped_offset t o = esc_mem t.escapes o
 let value_before t i r = t.eval i r
-
-let reaching t i r =
-  reaching_rd t.cfg t.rd i r
-  |> List.map (function
-       | D_entry -> D_entry
-       | D_ins id ->
-           let rec find j =
-             if List.exists (fun (id', _) -> id' = id) t.rd.ins_defs.(j) then j
-             else find (j + 1)
-           in
-           D_ins (find 0))
-
-let cell_const_before t i c = cp_at t.cfg t.cp i c
 
 let cell_const_out_join t blocks c =
   match blocks with

@@ -1,6 +1,16 @@
-(** Register dataflow over a routine {!Cfg}: reaching definitions,
-    symbolic value reconstruction, and flow-sensitive constant propagation
-    through stack/data memory cells.
+(** Register dataflow over a routine {!Cfg}: symbolic register values and
+    flow-sensitive constant propagation through stack/data memory cells.
+
+    Both are forward fixpoints solved by {!Cfg.forward} when the routine is
+    analyzed, so every query below answers from finished results and never
+    depends on which queries ran before.  Register environments start with
+    the entry stack pointer in sp and [Top] everywhere else; where paths
+    meet, a register keeps its value only if every path agrees, else
+    [Top]; unreachable blocks are evaluated from an all-[Top] environment.
+    Cell constants are propagated twice: the constants of the first round
+    fold the loads the second round evaluates.  Constant folds use
+    [Tq_isa.Isa.eval_iop], so a folded value is the one the VM computes
+    (and a zero divisor folds to no constant).
 
     The value domain is linear expressions over {e cells} (fixed stack
     slots, addressed relative to the stack pointer at routine entry, and
@@ -31,8 +41,6 @@ type lin = {
 
 type value = Lin of lin | Cmp of Tq_isa.Isa.binop * lin * lin | Top
 
-type def = D_entry | D_ins of int  (** instruction index of the definition *)
-
 type t
 
 val analyze : Cfg.t -> t
@@ -59,14 +67,6 @@ val escaped_offset : t -> int -> bool
 val value_before : t -> int -> int -> value
 (** [value_before t i r]: symbolic value of integer register [r] just
     before instruction [i] executes. *)
-
-val reaching : t -> int -> int -> def list
-(** Reaching definitions of register [r] at instruction [i] (the def-use
-    chain query). *)
-
-val cell_const_before : t -> int -> cell -> int option
-(** Constant content of a cell just before instruction [i], when the
-    constant-propagation fixpoint proves one. *)
 
 val cell_const_out_join : t -> int list -> cell -> int option
 (** Constant content of a cell agreed on by the {e exits} of all the given

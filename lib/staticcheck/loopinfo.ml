@@ -50,8 +50,7 @@ type loop = {
 type t = { df : Dataflow.t; loops : loop array }
 
 (* Per-loop facts over the nest's body: exits, calls, wild and fixed-cell
-   stores.  Induction variables and the trip count come later.  Blocks are
-   walked last-first: see [analyze] on query order. *)
+   stores.  Induction variables and the trip count come later. *)
 let build_loop (df : Dataflow.t) (cfg : Cfg.t) (nest : Cfg.loop) =
   let exits =
     List.filter
@@ -108,7 +107,7 @@ let build_loop (df : Dataflow.t) (cfg : Cfg.t) (nest : Cfg.loop) =
                     wild_data := true))
         | _ -> ()
       done)
-    (List.rev nest.Cfg.blocks);
+    nest.Cfg.blocks;
   {
     l_nest = nest;
     l_exits = exits;
@@ -404,12 +403,12 @@ let infer_trip df l =
 
 let analyze (df : Dataflow.t) =
   let cfg = Dataflow.cfg df in
-  (* Three passes over all loops, in this order, rather than one pass per
-     loop: Dataflow evaluates on demand and memoizes, and around
-     loop-carried cycles its answers depend on the order of the queries. *)
-  let loops = Array.map (build_loop df cfg) cfg.Cfg.loops in
-  let loops = Array.mapi (fun li l -> { l with l_ivs = find_ivs df li l }) loops in
-  { df; loops = Array.map (fun l -> { l with l_trip = infer_trip df l }) loops }
+  let loop li nest =
+    let l = build_loop df cfg nest in
+    let l = { l with l_ivs = find_ivs df li l } in
+    { l with l_trip = infer_trip df l }
+  in
+  { df; loops = Array.mapi loop cfg.Cfg.loops }
 
 let df t = t.df
 let loops t = t.loops

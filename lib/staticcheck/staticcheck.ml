@@ -68,6 +68,15 @@ let render diags =
     diags;
   Buffer.contents buf
 
+(* Solve a forward check over {!Cfg.forward}, then walk every reachable
+   block once more from its in-state with reports on. *)
+let forward_check (cfg : Cfg.t) ~entry ~join flow =
+  Cfg.forward cfg ~entry ~join ~equal:( = ) ~transfer:(flow ~report:false)
+  |> Array.iteri (fun b st ->
+         Option.iter
+           (fun st -> ignore (flow ~report:true cfg.Cfg.blocks.(b) st))
+           st)
+
 (* ---------- use-before-def (must-defined forward dataflow) ----------
 
    A register is "defined" at entry unless it is one of the code
@@ -91,64 +100,35 @@ let entry_defined_f =
   done;
   !m
 
-let full_mask = (1 lsl Isa.num_regs) - 1
-
 let check_use_before_def (cfg : Cfg.t) add =
   let code = cfg.Cfg.code in
-  let nb = Cfg.n_blocks cfg in
-  if nb > 0 then begin
-    let out_i = Array.make nb full_mask and out_f = Array.make nb full_mask in
-    let in_of b =
-      if b = 0 then (entry_defined_i, entry_defined_f)
-      else
-        List.fold_left
-          (fun (ai, af) p ->
-            if cfg.Cfg.reachable.(p) then (ai land out_i.(p), af land out_f.(p))
-            else (ai, af))
-          (full_mask, full_mask) cfg.Cfg.preds.(b)
-    in
-    let flow_block ~report b =
-      let di = ref (fst (in_of b)) and df = ref (snd (in_of b)) in
-      let blk = cfg.Cfg.blocks.(b) in
-      for i = blk.Cfg.first to blk.Cfg.last do
-        let ui, uf, wi, wf = Dataflow.uses_defs code.Rcode.ins.(i) in
-        if report then begin
-          List.iter
-            (fun r ->
-              if !di land (1 lsl r) = 0 then
-                add i Use_before_def
-                  (Printf.sprintf "reads x%d before any definition" r))
-            ui;
-          List.iter
-            (fun r ->
-              if !df land (1 lsl r) = 0 then
-                add i Use_before_def
-                  (Printf.sprintf "reads f%d before any definition" r))
-            uf
-        end;
-        List.iter (fun r -> di := !di lor (1 lsl r)) wi;
-        List.iter (fun r -> df := !df lor (1 lsl r)) wf
-      done;
-      (!di, !df)
-    in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      for b = 0 to nb - 1 do
-        if cfg.Cfg.reachable.(b) then begin
-          let oi, of_ = flow_block ~report:false b in
-          if oi <> out_i.(b) || of_ <> out_f.(b) then begin
-            out_i.(b) <- oi;
-            out_f.(b) <- of_;
-            changed := true
-          end
-        end
-      done
+  let flow_block ~report (blk : Cfg.block) (di, df) =
+    let di = ref di and df = ref df in
+    for i = blk.Cfg.first to blk.Cfg.last do
+      let ui, uf, wi, wf = Dataflow.uses_defs code.Rcode.ins.(i) in
+      if report then begin
+        List.iter
+          (fun r ->
+            if !di land (1 lsl r) = 0 then
+              add i Use_before_def
+                (Printf.sprintf "reads x%d before any definition" r))
+          ui;
+        List.iter
+          (fun r ->
+            if !df land (1 lsl r) = 0 then
+              add i Use_before_def
+                (Printf.sprintf "reads f%d before any definition" r))
+          uf
+      end;
+      List.iter (fun r -> di := !di lor (1 lsl r)) wi;
+      List.iter (fun r -> df := !df lor (1 lsl r)) wf
     done;
-    for b = 0 to nb - 1 do
-      if cfg.Cfg.reachable.(b) then ignore (flow_block ~report:true b)
-    done
-  end
+    (!di, !df)
+  in
+  forward_check cfg
+    ~entry:(entry_defined_i, entry_defined_f)
+    ~join:(fun (ai, af) (bi, bf) -> (ai land bi, af land bf))
+    flow_block
 
 (* ---------- stack discipline ----------
 
@@ -195,57 +175,26 @@ let stack_transfer st (i : Isa.ins) =
 
 let check_stack (cfg : Cfg.t) add =
   let code = cfg.Cfg.code in
-  let nb = Cfg.n_blocks cfg in
-  if nb > 0 then begin
-    let entry = { s_sp = Rel (Sp0, 0); s_fp = Rel (Fp0, 0) } in
-    let out : sstate option array = Array.make nb None in
-    let in_of b =
-      if b = 0 then entry
-      else
-        List.fold_left
-          (fun acc p ->
-            match (out.(p), acc) with
-            | None, acc -> acc
-            | Some s, None -> Some s
-            | Some s, Some a -> Some (meet_state a s))
-          None cfg.Cfg.preds.(b)
-        |> Option.value ~default:entry
-    in
-    let flow_block ~report b =
-      let st = ref (in_of b) in
-      let blk = cfg.Cfg.blocks.(b) in
-      for i = blk.Cfg.first to blk.Cfg.last do
-        (if report && code.Rcode.flow.(i) = Rcode.Return then
-           match !st.s_sp with
-           | Rel (Sp0, 0) -> ()
-           | Rel (Sp0, k) ->
-               add i Stack_imbalance
-                 (Printf.sprintf "ret with sp = entry%+d (unbalanced stack)" k)
-           | Rel (Fp0, _) | Unknown ->
-               add i Stack_imbalance
-                 "ret with unprovable stack depth (sp not restored to its \
-                  entry value)");
-        st := stack_transfer !st code.Rcode.ins.(i)
-      done;
-      !st
-    in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      for b = 0 to nb - 1 do
-        if cfg.Cfg.reachable.(b) then begin
-          let o = flow_block ~report:false b in
-          if out.(b) <> Some o then begin
-            out.(b) <- Some o;
-            changed := true
-          end
-        end
-      done
+  let flow_block ~report (blk : Cfg.block) st =
+    let st = ref st in
+    for i = blk.Cfg.first to blk.Cfg.last do
+      (if report && code.Rcode.flow.(i) = Rcode.Return then
+         match !st.s_sp with
+         | Rel (Sp0, 0) -> ()
+         | Rel (Sp0, k) ->
+             add i Stack_imbalance
+               (Printf.sprintf "ret with sp = entry%+d (unbalanced stack)" k)
+         | Rel (Fp0, _) | Unknown ->
+             add i Stack_imbalance
+               "ret with unprovable stack depth (sp not restored to its \
+                entry value)");
+      st := stack_transfer !st code.Rcode.ins.(i)
     done;
-    for b = 0 to nb - 1 do
-      if cfg.Cfg.reachable.(b) then ignore (flow_block ~report:true b)
-    done
-  end
+    !st
+  in
+  forward_check cfg
+    ~entry:{ s_sp = Rel (Sp0, 0); s_fp = Rel (Fp0, 0) }
+    ~join:meet_state flow_block
 
 (* ---------- provably bad constant addresses ----------
 
@@ -392,180 +341,115 @@ let fp_based code i =
       base = Isa.reg_fp
   | _ -> false
 
+(* The local cells accessed by the reachable instructions [keep] selects,
+   numbered in address order of their first access. *)
+let index_locals (cfg : Cfg.t) df keep =
+  let idx = ref CellMap.empty in
+  for i = 0 to Rcode.n cfg.Cfg.code - 1 do
+    if cfg.Cfg.reachable.(cfg.Cfg.block_of.(i)) && keep i then
+      match Dataflow.access df i with
+      | Some { Dataflow.a_cell = Some c; _ }
+        when local_cell c && not (CellMap.mem c !idx) ->
+          idx := CellMap.add c (CellMap.cardinal !idx) !idx
+      | _ -> ()
+  done;
+  !idx
+
 (* A local read on some path before any store to it (must-defined forward
    analysis over frame cells, refined by the dataflow layer's address
    reconstruction — unlike [check_use_before_def], which only sees
    registers). *)
 let check_uninit (cfg : Cfg.t) df add =
   let code = cfg.Cfg.code in
-  let n = Rcode.n code in
-  let nb = Cfg.n_blocks cfg in
-  let idx = ref CellMap.empty in
-  let cells = ref [] in
-  for i = 0 to n - 1 do
-    if cfg.Cfg.reachable.(cfg.Cfg.block_of.(i)) && fp_based code i then
-      match Dataflow.access df i with
-      | Some { Dataflow.a_cell = Some c; _ } when local_cell c ->
-          if not (CellMap.mem c !idx) then begin
-            idx := CellMap.add c (List.length !cells) !idx;
-            cells := c :: !cells
-          end
-      | _ -> ()
-  done;
-  let nc = List.length !cells in
-  if nc > 0 && nb > 0 then begin
-    let out = Array.init nb (fun _ -> Array.make nc true) in
-    let in_of b =
-      if b = 0 then Array.make nc false
-      else begin
-        let acc = Array.make nc true in
-        List.iter
-          (fun p ->
-            if cfg.Cfg.reachable.(p) then
-              for k = 0 to nc - 1 do
-                acc.(k) <- acc.(k) && out.(p).(k)
-              done)
-          cfg.Cfg.preds.(b);
-        acc
-      end
-    in
-    let flow_block ~report b =
-      let defined = in_of b in
-      let blk = cfg.Cfg.blocks.(b) in
-      for i = blk.Cfg.first to blk.Cfg.last do
-        match code.Rcode.ins.(i) with
-        | Isa.Movs _ | Isa.Syscall _ -> Array.fill defined 0 nc true
-        | Isa.Call _ | Isa.Callr _ ->
-            if Dataflow.escapes df then Array.fill defined 0 nc true
-        | _ -> (
-            match Dataflow.access df i with
-            | None -> ()
-            | Some a -> (
-                match a.Dataflow.a_cell with
-                | Some c -> (
-                    match CellMap.find_opt c !idx with
-                    | Some k ->
-                        if a.Dataflow.a_is_store then begin
-                          if not a.Dataflow.a_pred then defined.(k) <- true
-                        end
-                        else if
-                          report && fp_based code i && (not a.Dataflow.a_pred)
-                          && not defined.(k)
-                        then
-                          add i Uninit_local
-                            (Printf.sprintf
-                               "local %s may be read before it is written"
-                               (Dataflow.string_of_cell c))
-                    | None -> ())
-                | None ->
-                    if a.Dataflow.a_is_store then
-                      (* a store through an unknown pointer may initialize
-                         any local: suppress, don't report *)
-                      Array.fill defined 0 nc true))
-      done;
-      defined
-    in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      for b = 0 to nb - 1 do
-        if cfg.Cfg.reachable.(b) then begin
-          let o = flow_block ~report:false b in
-          if o <> out.(b) then begin
-            out.(b) <- o;
-            changed := true
-          end
-        end
-      done
+  let idx = index_locals cfg df (fp_based code) in
+  let nc = CellMap.cardinal idx in
+  let flow_block ~report (blk : Cfg.block) defined =
+    let defined = Array.copy defined in
+    for i = blk.Cfg.first to blk.Cfg.last do
+      match code.Rcode.ins.(i) with
+      | Isa.Movs _ | Isa.Syscall _ -> Array.fill defined 0 nc true
+      | Isa.Call _ | Isa.Callr _ ->
+          if Dataflow.escapes df then Array.fill defined 0 nc true
+      | _ -> (
+          match Dataflow.access df i with
+          | None -> ()
+          | Some a -> (
+              match a.Dataflow.a_cell with
+              | Some c -> (
+                  match CellMap.find_opt c idx with
+                  | Some k ->
+                      if a.Dataflow.a_is_store then begin
+                        if not a.Dataflow.a_pred then defined.(k) <- true
+                      end
+                      else if
+                        report && fp_based code i && (not a.Dataflow.a_pred)
+                        && not defined.(k)
+                      then
+                        add i Uninit_local
+                          (Printf.sprintf
+                             "local %s may be read before it is written"
+                             (Dataflow.string_of_cell c))
+                  | None -> ())
+              | None ->
+                  if a.Dataflow.a_is_store then
+                    (* a store through an unknown pointer may initialize
+                       any local: suppress, don't report *)
+                    Array.fill defined 0 nc true))
     done;
-    for b = 0 to nb - 1 do
-      if cfg.Cfg.reachable.(b) then ignore (flow_block ~report:true b)
-    done
-  end
+    defined
+  in
+  if nc > 0 then
+    forward_check cfg ~entry:(Array.make nc false) ~join:(Array.map2 ( && ))
+      flow_block
 
 (* A store to a local that no path ever reads again (backward liveness over
    frame cells).  Reads through computed pointers, block moves, and calls
    with an escaped frame make every local live. *)
 let check_dead_store (cfg : Cfg.t) df add =
   let code = cfg.Cfg.code in
-  let n = Rcode.n code in
-  let nb = Cfg.n_blocks cfg in
-  let idx = ref CellMap.empty in
-  let ncells = ref 0 in
-  for i = 0 to n - 1 do
-    if cfg.Cfg.reachable.(cfg.Cfg.block_of.(i)) then
-      match Dataflow.access df i with
-      | Some { Dataflow.a_cell = Some c; _ } when local_cell c ->
-          if not (CellMap.mem c !idx) then begin
-            idx := CellMap.add c !ncells !idx;
-            incr ncells
-          end
-      | _ -> ()
-  done;
-  let nc = !ncells in
-  if nc > 0 && nb > 0 then begin
-    let live_in = Array.init nb (fun _ -> Array.make nc false) in
-    let flow_block ~report b =
-      let live = Array.make nc false in
-      List.iter
-        (fun (blk : Cfg.block) ->
-          List.iter
-            (fun s ->
-              for k = 0 to nc - 1 do
-                live.(k) <- live.(k) || live_in.(s).(k)
-              done)
-            blk.Cfg.succs)
-        [ cfg.Cfg.blocks.(b) ];
-      let blk = cfg.Cfg.blocks.(b) in
-      for i = blk.Cfg.last downto blk.Cfg.first do
-        (match code.Rcode.ins.(i) with
-        | Isa.Movs _ -> Array.fill live 0 nc true
-        | Isa.Syscall _ | Isa.Call _ | Isa.Callr _ ->
-            if Dataflow.escapes df then Array.fill live 0 nc true
-        | _ -> (
-            match Dataflow.access df i with
-            | None -> ()
-            | Some a -> (
-                match a.Dataflow.a_cell with
-                | Some c -> (
-                    match CellMap.find_opt c !idx with
-                    | Some k ->
-                        if not a.Dataflow.a_is_store then live.(k) <- true
-                        else if not a.Dataflow.a_pred then begin
-                          if report && fp_based code i && not live.(k) then
-                            add i Dead_store
-                              (Printf.sprintf
-                                 "store to local %s is dead (no later read \
-                                  on any path)"
-                                 (Dataflow.string_of_cell c));
-                          live.(k) <- false
-                        end
-                    | None -> ())
-                | None ->
-                    if not a.Dataflow.a_is_store then
-                      (* a read through an unknown pointer may read any
-                         local *)
-                      Array.fill live 0 nc true)))
-      done;
-      live
-    in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      for b = nb - 1 downto 0 do
-        if cfg.Cfg.reachable.(b) then begin
-          let l = flow_block ~report:false b in
-          if l <> live_in.(b) then begin
-            live_in.(b) <- l;
-            changed := true
-          end
-        end
-      done
+  let idx = index_locals cfg df (fun _ -> true) in
+  let nc = CellMap.cardinal idx in
+  (* from the live set after the block to the one before it *)
+  let flow_block ~report (blk : Cfg.block) live =
+    let live = Array.copy live in
+    for i = blk.Cfg.last downto blk.Cfg.first do
+      match code.Rcode.ins.(i) with
+      | Isa.Movs _ -> Array.fill live 0 nc true
+      | Isa.Syscall _ | Isa.Call _ | Isa.Callr _ ->
+          if Dataflow.escapes df then Array.fill live 0 nc true
+      | _ -> (
+          match Dataflow.access df i with
+          | None -> ()
+          | Some a -> (
+              match a.Dataflow.a_cell with
+              | Some c -> (
+                  match CellMap.find_opt c idx with
+                  | Some k ->
+                      if not a.Dataflow.a_is_store then live.(k) <- true
+                      else if not a.Dataflow.a_pred then begin
+                        if report && fp_based code i && not live.(k) then
+                          add i Dead_store
+                            (Printf.sprintf
+                               "store to local %s is dead (no later read on \
+                                any path)"
+                               (Dataflow.string_of_cell c));
+                        live.(k) <- false
+                      end
+                  | None -> ())
+              | None ->
+                  if not a.Dataflow.a_is_store then
+                    (* a read through an unknown pointer may read any
+                       local *)
+                    Array.fill live 0 nc true))
     done;
-    for b = 0 to nb - 1 do
-      if cfg.Cfg.reachable.(b) then ignore (flow_block ~report:true b)
-    done
-  end
+    live
+  in
+  if nc > 0 then
+    Cfg.backward cfg ~exit:(Array.make nc false) ~join:(Array.map2 ( || ))
+      ~equal:( = ) ~transfer:(flow_block ~report:false)
+    |> Array.iteri (fun b live ->
+           if cfg.Cfg.reachable.(b) then
+             ignore (flow_block ~report:true cfg.Cfg.blocks.(b) live))
 
 (* ---------- provably out-of-bounds constant-index accesses ---------- *)
 

@@ -90,25 +90,12 @@ let fetch t =
 let ucmp_lt a b = a lxor min_int < b lxor min_int
 
 let eval_binop t op a b =
-  match op with
-  | Isa.Add -> a + b
-  | Sub -> a - b
-  | Mul -> a * b
-  | Div -> if b = 0 then trap t "integer division by zero" else a / b
-  | Rem -> if b = 0 then trap t "integer remainder by zero" else a mod b
-  | And -> a land b
-  | Or -> a lor b
-  | Xor -> a lxor b
-  | Sll -> a lsl (b land 63)
-  | Srl -> a lsr (b land 63)
-  | Sra -> a asr (b land 63)
-  | Slt -> if a < b then 1 else 0
-  | Sltu -> if ucmp_lt a b then 1 else 0
-  | Seq -> if a = b then 1 else 0
-  | Sne -> if a <> b then 1 else 0
-  | Sle -> if a <= b then 1 else 0
-  | Sge -> if a >= b then 1 else 0
-  | Sgt -> if a > b then 1 else 0
+  match Isa.eval_iop op a b with
+  | Some v -> v
+  | None ->
+      trap t
+        (if op = Isa.Div then "integer division by zero"
+         else "integer remainder by zero")
 
 let eval_fbinop op a b =
   match op with

@@ -475,6 +475,137 @@ let qcheck_static_vs_dynamic =
       | ls -> QCheck.Test.fail_reportf "expected 2 loops, got %d" (List.length ls));
       true)
 
+(* ---------- query-order independence ---------- *)
+
+(* Every answer depends only on the routine: on two fresh analyses, each
+   store's access and stored value, asked first to last on one and last to
+   first on the other, must agree; and the loops found on an analysis that
+   has already answered those queries must equal a fresh analysis's. *)
+let store_answers df order =
+  let code = (Dataflow.cfg df).Cfg.code in
+  List.map
+    (fun i ->
+      match code.Rcode.ins.(i) with
+      | Isa.Store { src; _ } ->
+          (Dataflow.access df i, Dataflow.value_before df i src)
+      | _ -> assert false)
+    order
+
+let order_dependent prog =
+  let bad = ref [] in
+  Symtab.iter
+    (fun r ->
+      if r.Symtab.size > 0 then begin
+        let cfg = Cfg.build (Rcode.of_routine prog r) in
+        let code = cfg.Cfg.code in
+        let stores =
+          List.filter
+            (fun i -> match code.Rcode.ins.(i) with Isa.Store _ -> true | _ -> false)
+            (List.init (Rcode.n code) Fun.id)
+        in
+        let asc = store_answers (Dataflow.analyze cfg) stores in
+        let df = Dataflow.analyze cfg in
+        let desc = List.rev (store_answers df (List.rev stores)) in
+        List.iter2
+          (fun i (a, b) ->
+            if a <> b then
+              bad := Printf.sprintf "%s store i%d" r.Symtab.name i :: !bad)
+          stores (List.combine asc desc);
+        let fresh = Loopinfo.loops (Loopinfo.analyze (Dataflow.analyze cfg)) in
+        if Loopinfo.loops (Loopinfo.analyze df) <> fresh then
+          bad := Printf.sprintf "%s loops" r.Symtab.name :: !bad
+      end)
+    prog.Program.symtab;
+  List.rev !bad
+
+let test_order_independent () =
+  List.iter
+    (fun (what, prog) ->
+      match order_dependent prog with
+      | [] -> ()
+      | bad ->
+          Alcotest.failf "%s: %d answer(s) depend on query order, e.g. %s" what
+            (List.length bad) (List.hd bad))
+    [
+      ("wfs tiny", Tq_wfs.Harness.compile Tq_wfs.Scenario.tiny);
+      ("image-pipeline", Tq_apps.Apps.image_pipeline_program ());
+      ("pointer-chase", Tq_apps.Apps.pointer_chase_program ());
+    ]
+
+let qcheck_order_independent_nests =
+  QCheck.Test.make ~count:20 ~name:"random loop nests: answers ignore query order"
+    (QCheck.make
+       ~print:(fun (n, s, k, c, m) ->
+         Printf.sprintf "N=%d STEP=%d K=%d C=%d M=%d" n s k c m)
+       gen_params)
+    (fun params ->
+      match order_dependent (compile (src_of params)) with
+      | [] -> true
+      | bad -> QCheck.Test.fail_reportf "order-dependent: %s" (String.concat ", " bad))
+
+(* ---------- integer ALU: constant folds agree with the VM ---------- *)
+
+let binops =
+  Isa.
+    [ Add; Sub; Mul; Div; Rem; And; Or; Xor; Sll; Srl; Sra;
+      Slt; Sltu; Seq; Sne; Sle; Sge; Sgt ]
+
+let gen_alu =
+  QCheck.Gen.(
+    let word =
+      oneof
+        [ int_range (-1000) 1000; int;
+          oneofl [ min_int; max_int; -16; -1; 0; 1 ] ]
+    in
+    oneofl binops >>= fun op ->
+    word >>= fun a ->
+    (match op with
+    | Isa.Sll | Isa.Srl | Isa.Sra -> int_range (-70) 130
+    | _ -> frequency [ (1, return 0); (3, word) ])
+    >|= fun b -> (op, a, b))
+
+(* [li x10, a; li x11, b; op x12, x10, x11]: the value the dataflow layer
+   reports for x12 must be the VM's, and must not be a constant when the VM
+   traps.  Only [sltu] may stay a symbolic comparison. *)
+let qcheck_alu_folds =
+  QCheck.Test.make ~count:400 ~name:"dataflow constant folds = VM binops"
+    (QCheck.make
+       ~print:(fun (op, a, b) ->
+         Isa.to_string (Isa.Bin (op, 12, 10, Isa.Reg 11))
+         ^ Printf.sprintf " with x10=%d x11=%d" a b)
+       gen_alu)
+    (fun (op, a, b) ->
+      let body =
+        [ Isa.Li (10, a); Isa.Li (11, b); Isa.Bin (op, 12, 10, Isa.Reg 11); Isa.Halt ]
+      in
+      let prog =
+        Tq_asm.Link.link
+          [ Tq_asm.Asm_parse.parse
+              (".func _start\n"
+              ^ String.concat "" (List.map (fun i -> "  " ^ Isa.to_string i ^ "\n") body)
+              ^ ".endfunc\n") ]
+      in
+      let r = Option.get (Symtab.by_name prog.Program.symtab "_start") in
+      let df = Dataflow.analyze (Cfg.build (Rcode.of_routine prog r)) in
+      let folded =
+        match Dataflow.value_before df 3 12 with
+        | Dataflow.Lin l when Dataflow.lin_is_const l -> Some l.Dataflow.k
+        | _ -> None
+      in
+      let m = Machine.create prog in
+      match Executor.run ~fuel:10 m with
+      | () -> (
+          let vm = Machine.reg m 12 in
+          match folded with
+          | Some v when v = vm -> true
+          | None when op = Isa.Sltu -> true
+          | Some v -> QCheck.Test.fail_reportf "folded %d, VM computed %d" v vm
+          | None -> QCheck.Test.fail_reportf "not folded, VM computed %d" vm)
+      | exception Machine.Trap _ -> (
+          match folded with
+          | None -> true
+          | Some v -> QCheck.Test.fail_reportf "folded %d where the VM traps" v))
+
 let suites =
   [
     ( "dataflow",
@@ -502,5 +633,9 @@ let suites =
         Alcotest.test_case "CLI --json manifest validates" `Quick
           test_json_manifest;
         QCheck_alcotest.to_alcotest qcheck_static_vs_dynamic;
+        Alcotest.test_case "answers ignore query order (wfs, apps)" `Quick
+          test_order_independent;
+        QCheck_alcotest.to_alcotest qcheck_order_independent_nests;
+        QCheck_alcotest.to_alcotest qcheck_alu_folds;
       ] );
   ]

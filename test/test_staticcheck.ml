@@ -184,6 +184,21 @@ let test_crafted_stack_imbalance () =
   Alcotest.(check bool) "ret with sp off by 8" true
     (Sc.has_class Sc.Stack_imbalance d)
 
+let test_crafted_entry_loop_stack () =
+  (* a loop whose header is the routine entry: the back edge joins the
+     entry state, so sp at the ret is not provably entry-8 *)
+  let b = Builder.create () in
+  let top = Builder.fresh_label b in
+  Builder.place b top;
+  Builder.ins b (Isa.Bin (Isa.Sub, Isa.reg_sp, Isa.reg_sp, Isa.Imm 8));
+  Builder.bnz b Isa.reg_rv top;
+  Builder.ins b Isa.Ret;
+  let d = Sc.check_items ~name:"entry-loop" (Builder.items b) in
+  Alcotest.(check (list string))
+    "ret after an entry loop"
+    [ "ret with unprovable stack depth (sp not restored to its entry value)" ]
+    (List.map (fun d -> d.Sc.message) d)
+
 let test_crafted_bad_address () =
   let items =
     unit_of (fun b ->
@@ -294,6 +309,8 @@ let suites =
           test_crafted_use_before_def;
         Alcotest.test_case "crafted: stack imbalance" `Quick
           test_crafted_stack_imbalance;
+        Alcotest.test_case "crafted: stack after a loop at the entry" `Quick
+          test_crafted_entry_loop_stack;
         Alcotest.test_case "crafted: bad constant address" `Quick
           test_crafted_bad_address;
         Alcotest.test_case "crafted: dynamic flow" `Quick
