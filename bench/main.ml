@@ -1053,12 +1053,9 @@ let serve_bench () =
       rounds
   in
   let target = Minic src in
-  (* one recording, shared (by idempotent upload) across every client;
-     small chunks so the LRU sees a meaningful working set *)
+  (* one recording, shared (by idempotent upload) across every client *)
   let path = Filename.temp_file "tquad_serve_bench" ".trc" in
-  let events =
-    Tq_trace.Probe.record ~chunk_bytes:(64 * 1024) (engine target) ~path
-  in
+  let events = Tq_trace.Probe.record (engine target) ~path in
   let trace =
     let ic = open_in_bin path in
     Fun.protect

@@ -154,7 +154,7 @@ let trace_section ?(extra = []) r =
                 ("reason", Json.Str s.reason) ] ) ]
   in
   (* the v4 redundancy-suppression accounting; present for every version
-     (a v2/v3 trace reports stored = events and zero repeat/body chunks) so
+     (a v3 trace reports stored = events and zero repeat/body chunks) so
      consumers need no version-conditional parsing *)
   let compression =
     let stored = Reader.stored_events r in

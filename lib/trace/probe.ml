@@ -104,11 +104,11 @@ let attach ?block_sink engine sink =
         !actions
       end)
 
-let record ?fuel ?chunk_bytes ?compress engine ~path =
+let record ?fuel ?compress engine ~path =
   let fingerprint =
     Tq_vm.Program.fingerprint (Machine.program (Engine.machine engine))
   in
-  Writer.with_file ?chunk_bytes ~fingerprint ?compress path (fun w ->
+  Writer.with_file ~fingerprint ?compress path (fun w ->
       attach engine (Writer.emit w)
         ~block_sink:(fun ~trace_id ev -> Writer.emit_boundary w ~trace_id ev);
       Engine.run ?fuel engine;

@@ -28,7 +28,6 @@ val attach :
 
 val record :
   ?fuel:int ->
-  ?chunk_bytes:int ->
   ?compress:bool ->
   Tq_dbi.Engine.t ->
   path:string ->

@@ -28,7 +28,7 @@ type salvage = {
 
 type t = {
   raw : string;
-  version : int;  (* 2, 3 or 4 *)
+  version : int;  (* 3 or 4 *)
   verify : bool;
   chunks : chunk array;
   verified : bool array;
@@ -73,12 +73,21 @@ let le64 raw pos =
   done;
   !v
 
-(* Parse a v3/v4 chunk's fixed part at [offset]: kind byte, the three
-   self-delimiting header fields, the stored CRC.  Returns the kind, the
-   header fields, the CRC, the [meta] slice the CRC covers (header fields),
-   the payload bounds.  [v4] admits the repeat- and body-def-chunk kind
-   bytes.  Raises [Format_error] on anything malformed — the strict path's
-   vocabulary. *)
+(* A chunk's fixed part: kind byte, the three self-delimiting header fields
+   (the "meta" the CRC covers, starting right after the kind byte), the
+   stored CRC and the payload bounds. *)
+type header = {
+  kind : ckind;
+  n : int;
+  first_icount : int;
+  meta_len : int;
+  crc : int;
+  pstart : int;
+  plen : int;
+}
+
+(* Parse a chunk's fixed part at [offset].  [v4] admits the repeat- and
+   body-def-chunk kind bytes.  Raises [Format_error] on anything malformed. *)
 let parse_chunk ~v4 raw offset =
   let len = String.length raw in
   if offset >= len then fail "chunk at %d: bad chunk magic" offset;
@@ -89,57 +98,107 @@ let parse_chunk ~v4 raw offset =
     else fail "chunk at %d: bad chunk magic" offset
   in
   let pos = ref (offset + 1) in
-  let meta_start = !pos in
   let n = leb_u raw pos in
   let first_icount = leb_u raw pos in
-  let payload_len = leb_u raw pos in
-  let meta_len = !pos - meta_start in
-  if n < 0 || first_icount < 0 || payload_len < 0 then
+  let plen = leb_u raw pos in
+  let meta_len = !pos - offset - 1 in
+  if n < 0 || first_icount < 0 || plen < 0 then
     fail "chunk at %d: negative header field" offset;
   let crc = le32 raw pos in
-  let payload_start = !pos in
-  if payload_len > len - payload_start then fail "chunk at %d overruns file" offset;
-  (kind, n, first_icount, payload_len, crc, meta_start, meta_len, payload_start)
+  if plen > len - !pos then fail "chunk at %d overruns file" offset;
+  { kind; n; first_icount; meta_len; crc; pstart = !pos; plen }
 
 (* v4 chunk CRCs cover the kind byte too (a flipped kind must not verify as
    a chunk of the other kind); v3 CRCs start at the header fields. *)
-let check_crc ~v4 raw offset
-    (_, _, _, payload_len, crc, meta_start, meta_len, payload_start) =
+let check_crc ~v4 raw offset h =
   let computed = if v4 then Crc32.digest ~pos:offset ~len:1 raw else 0 in
-  let computed = Crc32.digest ~crc:computed ~pos:meta_start ~len:meta_len raw in
-  let computed = Crc32.digest ~crc:computed ~pos:payload_start ~len:payload_len raw in
-  if computed <> crc then
-    fail "chunk at %d: CRC mismatch (stored %08x, computed %08x)" offset crc
+  let computed = Crc32.digest ~crc:computed ~pos:(offset + 1) ~len:h.meta_len raw in
+  let computed = Crc32.digest ~crc:computed ~pos:h.pstart ~len:h.plen raw in
+  if computed <> h.crc then
+    fail "chunk at %d: CRC mismatch (stored %08x, computed %08x)" offset h.crc
       computed
+
+let check_caps offset ~b ~iters =
+  if b > Squash.max_body || iters > Squash.max_raw || b * iters > Squash.max_raw
+  then
+    fail "chunk at %d: %d x %d events exceeds the caps (B <= %d, B x iters <= %d)"
+      offset b iters Squash.max_body Squash.max_raw
 
 (* Peek a repeat chunk's fixed fields at the head of its payload — body
    event count, iteration count, body-def reference (the def chunk's file
    offset) and the def's payload CRC — validating the counts against the
-   header's raw count.  A reference must point strictly backwards: the
-   writer always emits a def before any repeat that uses it. *)
-let repeat_meta raw ~offset ~n ~payload_len ~payload_start =
-  let pos = ref payload_start in
+   header's raw count and the squasher's caps.  A reference must point
+   strictly backwards: the writer always emits a def before any repeat that
+   uses it. *)
+let repeat_meta raw ~offset h =
+  let pos = ref h.pstart in
   let b = leb_u raw pos in
   let iters = leb_u raw pos in
   let bref = leb_u raw pos in
   let bcrc = leb_u raw pos in
-  if b < 1 || iters < 1 || b * iters <> n then
+  check_caps offset ~b ~iters;
+  if b < 1 || iters < 1 || b * iters <> h.n then
     fail "chunk at %d: inconsistent repeat counts (%d x %d <> %d)" offset b
-      iters n;
-  if !pos - payload_start > payload_len then
+      iters h.n;
+  if !pos - h.pstart > h.plen then
     fail "chunk at %d: truncated repeat header" offset;
   if bref >= offset then fail "chunk at %d: forward body reference %d" offset bref;
   (b, iters, bref, bcrc, !pos)
 
-(* Peek a body-def chunk's event count at the head of its payload.  Every
-   encoded event costs at least one byte, so a count exceeding the payload
-   length is corrupt. *)
-let body_meta raw ~offset ~payload_len ~payload_start =
-  let pos = ref payload_start in
-  let b = leb_u raw pos in
-  if b < 1 || b > payload_len then
-    fail "chunk at %d: inconsistent body-def event count %d" offset b;
-  (b, !pos)
+(* The one chunk classifier, shared by the strict and the salvage load:
+   parse the chunk at [offset] and return its table entry and its header.
+   Every per-chunk count rule lives here, so it holds in both modes.  Every
+   encoded event costs at least one byte, so a plain chunk holds
+   1 <= n_events <= payload_len events and a body-def 1 <= B <= payload_len
+   body events; a body-def claims no stream events; repeats and defs keep to
+   the squasher's caps ({!Squash.max_body}, {!Squash.max_raw}). *)
+let classify ~v4 raw offset =
+  let h = parse_chunk ~v4 raw offset in
+  let c_events, c_stored =
+    match h.kind with
+    | Plain ->
+        if h.n < 1 || h.n > h.plen then
+          fail "chunk at %d: %d events in a %d-byte payload" offset h.n h.plen;
+        (h.n, h.n)
+    | Body ->
+        if h.n <> 0 then fail "chunk at %d: body-def claims %d events" offset h.n;
+        let b = leb_u raw (ref h.pstart) in
+        if b < 1 || b > h.plen then
+          fail "chunk at %d: inconsistent body-def event count %d" offset b;
+        check_caps offset ~b ~iters:1;
+        (0, b)
+    | Repeat ->
+        ignore (repeat_meta raw ~offset h);
+        (h.n, 0)
+  in
+  ( {
+      c_offset = offset;
+      c_first_icount = h.first_icount;
+      c_events;
+      c_kind = h.kind;
+      c_stored;
+    },
+    h )
+
+(* The one body-reference check, over the chunks accepted so far in file
+   order (defs always precede their users): [defs] maps each body-def's
+   offset to its payload CRC and body length, and a repeat must reference a
+   def whose CRC and length match what it recorded, so a reference can
+   never silently resolve to the wrong body. *)
+let check_body_ref defs raw c h =
+  match c.c_kind with
+  | Plain -> ()
+  | Body ->
+      Hashtbl.replace defs c.c_offset
+        (Crc32.digest ~pos:h.pstart ~len:h.plen raw, c.c_stored)
+  | Repeat -> (
+      let b, _, bref, bcrc, _ = repeat_meta raw ~offset:c.c_offset h in
+      match Hashtbl.find_opt defs bref with
+      | Some (pcrc, db) when pcrc = bcrc && db = b -> ()
+      | Some _ ->
+          fail "chunk at %d: body reference %d does not match its def"
+            c.c_offset bref
+      | None -> fail "chunk at %d: dangling body reference %d" c.c_offset bref)
 
 (* Binary search the (offset-sorted) chunk table for the chunk starting at
    exactly [off]. *)
@@ -164,35 +223,32 @@ let read_u8 raw pos limit =
 (* Decode one repeat chunk and expand it to its [n] raw events: the body
    decodes once from the body-def chunk it references (re-seeded at this
    repeat's [first_icount] — the def's blob is icount-relative precisely so
-   many repeats can share it), then each further iteration is reconstructed
-   by advancing the numeric fields — one add per field for affine strides, a
-   pre-decoded literal delta otherwise.  This is the replay-speedup path:
-   iterations 1..N-1 pay no varint decoding for affine fields (the common
-   case).  The reference was cross-checked against the def's payload CRC at
-   load (strict) or scan (salvage) time; here only structural bounds are
-   re-validated. *)
-let iter_repeat ~verify ~verified ~chunks raw ~offset ~n ~first_icount
-    ~payload_len ~payload_start sink =
-  let payload_end = payload_start + payload_len in
-  let b, iters, bref, _bcrc, tables_start =
-    repeat_meta raw ~offset ~n ~payload_len ~payload_start
-  in
+   many repeats can share it), the field tables are read, and
+   {!Squash.expand} rebuilds every iteration — one add per field for affine
+   strides, a pre-decoded literal delta otherwise.  This is the
+   replay-speedup path: iterations 1..N-1 pay no varint decoding for affine
+   fields (the common case).  The reference was cross-checked against the
+   def's payload CRC at load time; here only structural bounds are
+   re-validated, all before the first event reaches [sink]. *)
+let iter_repeat t ~offset h sink =
+  let raw = t.raw in
+  let payload_end = h.pstart + h.plen in
+  let b, iters, bref, _bcrc, tables_start = repeat_meta raw ~offset h in
   let def_idx =
-    match find_chunk_at chunks bref with
-    | Some i when chunks.(i).c_kind = Body -> i
+    match find_chunk_at t.chunks bref with
+    | Some i when t.chunks.(i).c_kind = Body -> i
     | _ -> fail "chunk at %d: dangling body reference %d" offset bref
   in
-  let _, _, _, dplen, _, _, _, dpstart = parse_chunk ~v4:true raw bref in
-  if verify && not verified.(def_idx) then begin
-    check_crc ~v4:true raw bref (parse_chunk ~v4:true raw bref);
-    verified.(def_idx) <- true
+  let d = parse_chunk ~v4:true raw bref in
+  if t.verify && not t.verified.(def_idx) then begin
+    check_crc ~v4:true raw bref d;
+    t.verified.(def_idx) <- true
   end;
-  let dpos = ref dpstart in
+  let dpos = ref d.pstart in
   let db = leb_u raw dpos in
   if db <> b then
     fail "chunk at %d: body length disagrees with its def at %d" offset bref;
-  let dend = dpstart + dplen in
-  let st = Event.fresh_state ~icount:first_icount () in
+  let st = Event.fresh_state ~icount:h.first_icount () in
   let body = Array.make b (Event.End { icount = 0 }) in
   for k = 0 to b - 1 do
     match Event.decode st raw dpos with
@@ -200,17 +256,9 @@ let iter_repeat ~verify ~verified ~chunks raw ~offset ~n ~first_icount
     | exception Leb.Truncated p -> fail "truncated event at %d" p
     | exception Failure msg -> fail "%s" msg
   done;
-  if !dpos <> dend then fail "chunk at %d: body overruns its def" bref;
+  if !dpos <> d.pstart + d.plen then fail "chunk at %d: body overruns its def" bref;
+  let nf = Array.fold_left (fun n ev -> n + Event.num_fields ev) 0 body in
   let pos = ref tables_start in
-  let foff = Array.make (b + 1) 0 in
-  for k = 0 to b - 1 do
-    foff.(k + 1) <- foff.(k) + Event.num_fields body.(k)
-  done;
-  let nf = foff.(b) in
-  let vals = Array.make (max nf 1) 0 in
-  for k = 0 to b - 1 do
-    ignore (Event.read_num_fields body.(k) vals foff.(k))
-  done;
   let literal = Array.make (max nf 1) false in
   let stride = Array.make (max nf 1) 0 in
   let lits = Array.make (max nf 1) [||] in
@@ -227,7 +275,7 @@ let iter_repeat ~verify ~verified ~chunks raw ~offset ~n ~first_icount
     if literal.(f) then begin
       (* each literal delta costs at least one byte, so a valid table
          cannot claim more iterations than the payload holds *)
-      if iters - 1 > payload_len then
+      if iters - 1 > h.plen then
         fail "chunk at %d: literal table overruns payload" offset;
       let a = Array.make (max (iters - 1) 1) 0 in
       for i = 0 to iters - 2 do
@@ -239,271 +287,97 @@ let iter_repeat ~verify ~verified ~chunks raw ~offset ~n ~first_icount
   done;
   if !pos <> payload_end then
     fail "chunk at %d: payload length mismatch" offset;
-  (* iteration 0: the body itself *)
-  for k = 0 to b - 1 do
-    sink body.(k)
-  done;
-  for i = 1 to iters - 1 do
-    for k = 0 to b - 1 do
-      let lo = foff.(k) in
-      let hi = foff.(k + 1) in
-      for f = lo to hi - 1 do
-        vals.(f) <-
-          vals.(f)
-          + (if literal.(f) then lits.(f).(i - 1) else stride.(f))
-      done;
-      sink (Event.with_num_fields body.(k) vals lo)
-    done
-  done
+  Squash.expand ~body ~iters ~literal ~stride ~lits sink
 
-(* Decode one chunk's events starting at its header offset.  For v3/v4 the
-   chunk's CRC is verified (unless the reader was loaded with
-   [~verify:false]) before any event is decoded, so a corrupt payload
-   surfaces as [Format_error], never as garbage events.  [verified] carries
-   the per-chunk already-verified bits ([idx] indexes it): a chunk whose bit
-   is set skips the digest, and a chunk that verifies here sets its bit, so
-   each chunk pays the CRC at most once per process no matter how many
-   replay passes or domains walk the trace. *)
-let iter_chunk ~version ~verify ~verified ~chunks ~idx raw chunk sink =
-  if version >= 3 then begin
-    let v4 = version = 4 in
-    let ((kind, n, fic, plen, _, _, _, pstart) as parts) =
-      parse_chunk ~v4 raw chunk.c_offset
-    in
-    if n <> chunk.c_events || fic <> chunk.c_first_icount then
-      fail "chunk at %d: header disagrees with index" chunk.c_offset;
-    if verify && not verified.(idx) then begin
-      check_crc ~v4 raw chunk.c_offset parts;
-      verified.(idx) <- true
-    end;
-    match kind with
-    | Body -> ()  (* referenced storage, not stream events *)
-    | Repeat ->
-        iter_repeat ~verify ~verified ~chunks raw ~offset:chunk.c_offset ~n
-          ~first_icount:fic ~payload_len:plen ~payload_start:pstart sink
-    | Plain ->
-        let payload_end = pstart + plen in
-        let pos = ref pstart in
-        let st = Event.fresh_state ~icount:fic () in
-        (* only decode failures are container corruption; an exception
-           raised by the sink itself (a replayed tool crashing) must pass
-           through untouched so replay supervision can attribute it to the
-           tool, not the trace *)
-        for _ = 1 to n do
-          match Event.decode st raw pos with
-          | ev -> sink ev
-          | exception Leb.Truncated p -> fail "truncated event at %d" p
-          | exception Failure msg -> fail "%s" msg
-        done;
-        if !pos <> payload_end then
-          fail "chunk at %d: payload length mismatch" chunk.c_offset
-  end
-  else begin
-    let pos = ref chunk.c_offset in
-    let n = leb_u raw pos in
-    let first_icount = leb_u raw pos in
-    let payload_len = leb_u raw pos in
-    if n < 0 || payload_len < 0 then
-      fail "chunk at %d: negative header field" chunk.c_offset;
-    let payload_start = !pos in
-    let payload_end = payload_start + payload_len in
-    if payload_end > String.length raw then
-      fail "chunk at %d overruns file" chunk.c_offset;
-    let st = Event.fresh_state ~icount:first_icount () in
-    for _ = 1 to n do
-      match Event.decode st raw pos with
-      | ev -> sink ev
-      | exception Leb.Truncated p -> fail "truncated event at %d" p
-      | exception Failure msg -> fail "%s" msg
-    done;
-    if !pos <> payload_end then
-      fail "chunk at %d: payload length mismatch" chunk.c_offset
-  end
+(* Decode chunk [idx]'s events.  The chunk's CRC is verified (unless the
+   reader was loaded with [~verify:false]) before any event is decoded, so a
+   corrupt payload surfaces as [Format_error], never as garbage events.  The
+   verified bit of a chunk that passes is set, and a chunk whose bit is set
+   skips the digest, so each chunk pays the CRC at most once per process no
+   matter how many replay passes or domains walk the trace. *)
+let iter_chunk t idx sink =
+  let c = t.chunks.(idx) in
+  let v4 = t.version = 4 in
+  let h = parse_chunk ~v4 t.raw c.c_offset in
+  if h.n <> c.c_events || h.first_icount <> c.c_first_icount then
+    fail "chunk at %d: header disagrees with index" c.c_offset;
+  if t.verify && not t.verified.(idx) then begin
+    check_crc ~v4 t.raw c.c_offset h;
+    t.verified.(idx) <- true
+  end;
+  match h.kind with
+  | Body -> ()  (* referenced storage, not stream events *)
+  | Repeat -> iter_repeat t ~offset:c.c_offset h sink
+  | Plain ->
+      let payload_end = h.pstart + h.plen in
+      let pos = ref h.pstart in
+      let st = Event.fresh_state ~icount:h.first_icount () in
+      (* only decode failures are container corruption; an exception
+         raised by the sink itself (a replayed tool crashing) must pass
+         through untouched so replay supervision can attribute it to the
+         tool, not the trace *)
+      for _ = 1 to h.n do
+        match Event.decode st t.raw pos with
+        | ev ->
+            if !pos > payload_end then
+              fail "chunk at %d: event overruns the payload" c.c_offset;
+            sink ev
+        | exception Leb.Truncated p -> fail "truncated event at %d" p
+        | exception Failure msg -> fail "%s" msg
+      done;
+      if !pos <> payload_end then
+        fail "chunk at %d: payload length mismatch" c.c_offset
+
+(* The trailer's 8-byte LE index offset, just before the trailer magic. *)
+let trailer_index_offset raw =
+  let tlen = String.length Writer.trailer_magic in
+  Int64.to_int (le64 raw (String.length raw - tlen - 8))
 
 (* ---------- strict load ---------- *)
 
-let parse_index raw ~version ~hlen ~index_offset =
-  let len = String.length raw in
-  let pos = ref index_offset in
-  let n_chunks = leb_u raw pos in
-  (* a corrupted count must fail cleanly, not OOM in Array.init: every chunk
-     costs at least 5 bytes on disk *)
-  if n_chunks < 0 || n_chunks > len then fail "chunk count %d out of range" n_chunks;
-  let off = ref 0 and ic = ref 0 in
-  let chunks =
-    Array.init n_chunks (fun _ ->
-        off := !off + leb_u raw pos;
-        ic := !ic + leb_u raw pos;
-        let c_events = leb_u raw pos in
-        if !off < hlen || !off >= index_offset then
-          fail "chunk offset %d out of range" !off;
-        {
-          c_offset = !off;
-          c_first_icount = !ic;
-          c_events;
-          c_kind = Plain;
-          c_stored = c_events;
-        })
-  in
-  if version >= 3 then begin
-    let v4 = version = 4 in
-    (* the chunks listed by the index must exactly tile the chunk region —
-       a tampered index cannot silently select, duplicate or skip chunks.
-       The same pass resolves each chunk's kind and stored-event count, and
-       cross-checks every repeat chunk's body reference against the def
-       chunks seen so far (defs always precede their users): the referenced
-       offset must hold a def whose payload CRC and event count match what
-       the repeat recorded, so a reference can never silently resolve to
-       the wrong body. *)
-    let expect = ref hlen in
-    let defs = Hashtbl.create 16 in  (* def offset -> (payload crc, b) *)
-    let chunks =
-      Array.map
-        (fun c ->
-          if c.c_offset <> !expect then
-            fail "index does not tile the chunk region (chunk at %d, expected %d)"
-              c.c_offset !expect;
-          let kind, n, fic, plen, _, _, _, pstart =
-            parse_chunk ~v4 raw c.c_offset
-          in
-          if n <> c.c_events || fic <> c.c_first_icount then
-            fail "chunk at %d: header disagrees with index" c.c_offset;
-          expect := pstart + plen;
-          match kind with
-          | Plain -> c
-          | Body ->
-              let b, _ =
-                body_meta raw ~offset:c.c_offset ~payload_len:plen
-                  ~payload_start:pstart
-              in
-              Hashtbl.replace defs c.c_offset
-                (Crc32.digest ~pos:pstart ~len:plen raw, b);
-              { c with c_kind = Body; c_stored = b }
-          | Repeat ->
-              let b, _, bref, bcrc, _ =
-                repeat_meta raw ~offset:c.c_offset ~n ~payload_len:plen
-                  ~payload_start:pstart
-              in
-              (match Hashtbl.find_opt defs bref with
-              | Some (pcrc, db) when pcrc = bcrc && db = b -> ()
-              | Some _ ->
-                  fail "chunk at %d: body reference %d does not match its def"
-                    c.c_offset bref
-              | None ->
-                  fail "chunk at %d: dangling body reference %d" c.c_offset
-                    bref);
-              { c with c_kind = Repeat; c_stored = 0 })
-        chunks
-    in
-    if !expect <> index_offset then
-      fail "chunk region ends at %d but index starts at %d" !expect index_offset;
-    chunks
-  end
-  else chunks
-
-let of_raw ~verify raw =
-  let mlen = String.length Writer.magic in
-  if String.length raw < mlen then fail "bad magic (file shorter than a header)";
-  let version =
-    match String.sub raw 0 mlen with
-    | m when m = Writer.magic -> 3
-    | m when m = Writer.magic_v4 -> 4
-    | m when m = Writer.magic_v2 -> 2
-    | _ -> fail "bad magic (not a tquad trace, or an unknown container version)"
-  in
+(* The index must list chunks that exactly tile the chunk region — a
+   tampered index cannot silently select, duplicate or skip chunks — and
+   every chunk's header must agree with its index entry.  Each chunk is
+   classified and its body reference checked as the walk reaches it. *)
+let strict_index ~v4 raw =
   let hlen = Writer.header_bytes in
   let tlen = String.length Writer.trailer_magic in
   let len = String.length raw in
   if len < hlen + 8 + tlen
      || String.sub raw (len - tlen) tlen <> Writer.trailer_magic
   then fail "bad trailer (truncated recording? try salvage)";
-  let fingerprint = le64 raw mlen in
-  let index_offset =
-    let v = ref 0 in
-    for i = 7 downto 0 do
-      v := (!v lsl 8) lor Char.code raw.[len - tlen - 8 + i]
-    done;
-    !v
-  in
+  let index_offset = trailer_index_offset raw in
   if index_offset < hlen || index_offset > len - tlen - 8 then
     fail "index offset %d out of range" index_offset;
-  let chunks = parse_index raw ~version ~hlen ~index_offset in
-  let n_chunks = Array.length chunks in
-  let verified = Array.make n_chunks false in
-  let n_events = Array.fold_left (fun acc c -> acc + c.c_events) 0 chunks in
-  let last_icount = ref 0 in
-  (* the last chunk with events — body-def chunks decode to none *)
-  let li = ref (n_chunks - 1) in
-  while !li >= 0 && chunks.(!li).c_events = 0 do
-    decr li
-  done;
-  if !li >= 0 then
-    iter_chunk ~version ~verify ~verified ~chunks ~idx:!li raw chunks.(!li)
-      (fun ev -> last_icount := Event.icount ev);
-  {
-    raw;
-    version;
-    verify;
-    chunks;
-    verified;
-    n_events;
-    last_icount = !last_icount;
-    fingerprint;
-    salvage = None;
-  }
+  let pos = ref index_offset in
+  let n_chunks = leb_u raw pos in
+  (* a corrupted count must fail cleanly, not OOM in Array.init: every chunk
+     costs at least 5 bytes on disk *)
+  if n_chunks < 0 || n_chunks > len then fail "chunk count %d out of range" n_chunks;
+  let off = ref 0 and ic = ref 0 and expect = ref hlen in
+  let defs = Hashtbl.create 16 in
+  let chunks =
+    Array.init n_chunks (fun _ ->
+        off := !off + leb_u raw pos;
+        ic := !ic + leb_u raw pos;
+        let n = leb_u raw pos in
+        if !off < hlen || !off >= index_offset then
+          fail "chunk offset %d out of range" !off;
+        if !off <> !expect then
+          fail "index does not tile the chunk region (chunk at %d, expected %d)"
+            !off !expect;
+        let c, h = classify ~v4 raw !off in
+        if n <> c.c_events || !ic <> c.c_first_icount then
+          fail "chunk at %d: header disagrees with index" !off;
+        check_body_ref defs raw c h;
+        expect := h.pstart + h.plen;
+        c)
+  in
+  if !expect <> index_offset then
+    fail "chunk region ends at %d but index starts at %d" !expect index_offset;
+  chunks
 
 (* ---------- salvage load ---------- *)
-
-(* CRC-verify a candidate chunk at [offset]; [None] if anything about it is
-   implausible.  A verifying chunk is, with probability 1 - 2^-32, a chunk
-   the writer actually flushed. *)
-let try_chunk ~v4 raw offset =
-  match parse_chunk ~v4 raw offset with
-  | (kind, n, fic, plen, _, _, _, pstart) as parts ->
-      let plausible =
-        plen >= 1 && (match kind with Body -> n = 0 | Plain | Repeat -> n >= 1)
-      in
-      if not plausible then None
-      else begin
-        match
-          check_crc ~v4 raw offset parts;
-          (match kind with
-          | Plain ->
-              {
-                c_offset = offset;
-                c_first_icount = fic;
-                c_events = n;
-                c_kind = Plain;
-                c_stored = n;
-              }
-          | Body ->
-              let b, _ =
-                body_meta raw ~offset ~payload_len:plen ~payload_start:pstart
-              in
-              {
-                c_offset = offset;
-                c_first_icount = fic;
-                c_events = 0;
-                c_kind = Body;
-                c_stored = b;
-              }
-          | Repeat ->
-              let _ =
-                repeat_meta raw ~offset ~n ~payload_len:plen
-                  ~payload_start:pstart
-              in
-              {
-                c_offset = offset;
-                c_first_icount = fic;
-                c_events = n;
-                c_kind = Repeat;
-                c_stored = 0;
-              })
-        with
-        | c -> Some (c, pstart + plen)
-        | exception Format_error _ -> None
-      end
-  | exception Format_error _ -> None
 
 (* Does the byte range [gap_start, len) hold exactly the index + trailer of
    an intact container?  Then the trailing "gap" of a clean forward scan is
@@ -513,21 +387,18 @@ let tail_is_index raw gap_start =
   let len = String.length raw in
   len - gap_start >= 8 + tlen
   && String.sub raw (len - tlen) tlen = Writer.trailer_magic
-  && (let v = ref 0 in
-      for i = 7 downto 0 do
-        v := (!v lsl 8) lor Char.code raw.[len - tlen - 8 + i]
-      done;
-      !v = gap_start)
+  && trailer_index_offset raw = gap_start
 
+(* Rebuild the chunk table by scanning forward from the header, keeping
+   every chunk the classifier accepts whose CRC verifies — with probability
+   1 - 2^-32 a chunk the writer actually flushed. *)
 let salvage_scan ~v4 raw =
   let len = String.length raw in
-  let hlen = Writer.header_bytes in
   let chunks = ref [] in
-  let n_chunks = ref 0 in
+  let defs = Hashtbl.create 16 in
   let dropped_chunks = ref 0 and dropped_bytes = ref 0 in
   let last_span = ref None in  (* (offset, end) of the last accepted chunk *)
   let gap_start = ref (-1) in
-  let intact_tail = ref false in
   let note_gap upto =
     if !gap_start >= 0 then begin
       incr dropped_chunks;
@@ -535,10 +406,15 @@ let salvage_scan ~v4 raw =
       gap_start := -1
     end
   in
-  let pos = ref hlen in
+  let pos = ref Writer.header_bytes in
   while !pos < len do
-    match try_chunk ~v4 raw !pos with
-    | Some (c, cend) ->
+    match
+      let c, h = classify ~v4 raw !pos in
+      check_crc ~v4 raw !pos h;
+      (c, h)
+    with
+    | c, h ->
+        let cend = h.pstart + h.plen in
         note_gap !pos;
         (* a duplicated chunk is byte-identical to its predecessor; dropping
            the copy keeps the salvaged events a subsequence of the original *)
@@ -549,70 +425,33 @@ let salvage_scan ~v4 raw =
               && String.sub raw poff (pend - poff) = String.sub raw !pos (cend - !pos)
           | None -> false
         in
-        if not dup then begin
-          chunks := c :: !chunks;
-          incr n_chunks
-        end;
+        (if not dup then
+           match check_body_ref defs raw c h with
+           | () -> chunks := c :: !chunks
+           | exception Format_error _ ->
+               (* a repeat is only as good as its body-def: if the def fell
+                  inside a corrupt region (or the surviving bytes at the
+                  referenced offset no longer match the recorded payload
+                  CRC), the repeat cannot be expanded and is dropped like
+                  any other damaged region.  Orphaned defs are kept — they
+                  decode to no events and cost nothing. *)
+               incr dropped_chunks;
+               dropped_bytes := !dropped_bytes + (cend - !pos));
         last_span := Some (!pos, cend);
         pos := cend
-    | None ->
+    | exception Format_error _ ->
         (* resync: skip forward one byte at a time until the next verifying
            chunk; everything skipped is one dropped region *)
         if !gap_start < 0 then gap_start := !pos;
         incr pos
   done;
-  if !gap_start >= 0 && tail_is_index raw !gap_start then begin
-    intact_tail := true;
-    gap_start := -1
-  end;
+  let intact_tail = !gap_start >= 0 && tail_is_index raw !gap_start in
+  if intact_tail then gap_start := -1;
   note_gap len;
-  (* a repeat chunk is only as good as its body-def: if the def fell inside
-     a corrupt region (or the surviving bytes at the referenced offset no
-     longer match the recorded payload CRC), the repeat cannot be expanded
-     and is dropped like any other damaged region.  Orphaned defs are kept —
-     they decode to no events and cost nothing. *)
-  let scanned = Array.of_list (List.rev !chunks) in
-  let chunks_kept =
-    if not v4 then scanned
-    else begin
-      let defs = Hashtbl.create 16 in
-      Array.iter
-        (fun c ->
-          if c.c_kind = Body then begin
-            let _, _, _, plen, _, _, _, pstart = parse_chunk ~v4 raw c.c_offset in
-            Hashtbl.replace defs c.c_offset
-              (Crc32.digest ~pos:pstart ~len:plen raw, c.c_stored)
-          end)
-        scanned;
-      let kept =
-        List.filter
-          (fun c ->
-            match c.c_kind with
-            | Plain | Body -> true
-            | Repeat ->
-                let _, _, _, plen, _, _, _, pstart =
-                  parse_chunk ~v4 raw c.c_offset
-                in
-                let b, _, bref, bcrc, _ =
-                  repeat_meta raw ~offset:c.c_offset ~n:c.c_events
-                    ~payload_len:plen ~payload_start:pstart
-                in
-                (match Hashtbl.find_opt defs bref with
-                | Some (pcrc, db) when pcrc = bcrc && db = b -> true
-                | _ ->
-                    incr dropped_chunks;
-                    dropped_bytes :=
-                      !dropped_bytes + (pstart + plen - c.c_offset);
-                    false))
-          (Array.to_list scanned)
-      in
-      Array.of_list kept
-    end
-  in
-  n_chunks := Array.length chunks_kept;
+  let chunks = Array.of_list (List.rev !chunks) in
   let reason =
     if !dropped_chunks = 0 then
-      if !intact_tail then "all chunks verified; container intact"
+      if intact_tail then "all chunks verified; container intact"
       else
         "all chunks verified; trailer/index missing (recording not \
          finalized?)"
@@ -622,106 +461,75 @@ let salvage_scan ~v4 raw =
          by the forward scan"
         !dropped_chunks !dropped_bytes
   in
-  ( chunks_kept,
+  ( chunks,
     {
-      salvaged_chunks = !n_chunks;
+      salvaged_chunks = Array.length chunks;
       dropped_chunks = !dropped_chunks;
       dropped_bytes = !dropped_bytes;
       reason;
     } )
 
-let of_raw_salvage ~verify raw =
+let of_string ?(verify = true) ?(mode = Strict) raw =
   let mlen = String.length Writer.magic in
   if String.length raw < mlen then fail "bad magic (file shorter than a header)";
-  let version =
+  let v4 =
     match String.sub raw 0 mlen with
-    | m when m = Writer.magic -> 3
-    | m when m = Writer.magic_v4 -> 4
-    | m when m = Writer.magic_v2 ->
-        fail "salvage needs a v3/v4 container (v2 chunks carry no checksums)"
+    | m when m = Writer.magic -> false
+    | m when m = Writer.magic_v4 -> true
     | _ -> fail "bad magic (not a tquad trace, or an unknown container version)"
   in
-  if String.length raw < Writer.header_bytes then fail "truncated header";
-  let fingerprint = le64 raw mlen in
-  let chunks, info = salvage_scan ~v4:(version = 4) raw in
-  let n_chunks = Array.length chunks in
-  (* the forward scan only kept CRC-verified chunks, so they are all born
-     verified *)
-  let verified = Array.make n_chunks true in
-  let n_events = Array.fold_left (fun acc c -> acc + c.c_events) 0 chunks in
-  let last_icount = ref 0 in
-  (* the last chunk with events — a trailing orphaned def decodes to none *)
-  let li = ref (n_chunks - 1) in
+  let chunks, salvage =
+    match mode with
+    | Strict -> (strict_index ~v4 raw, None)
+    | Salvage ->
+        if String.length raw < Writer.header_bytes then fail "truncated header";
+        let chunks, info = salvage_scan ~v4 raw in
+        (chunks, Some info)
+  in
+  let t =
+    {
+      raw;
+      version = (if v4 then 4 else 3);
+      verify;
+      chunks;
+      (* the forward scan only kept CRC-verified chunks, so a salvaged
+         reader's chunks are all born verified *)
+      verified = Array.make (Array.length chunks) (mode = Salvage);
+      n_events = Array.fold_left (fun acc c -> acc + c.c_events) 0 chunks;
+      last_icount = 0;
+      fingerprint = le64 raw mlen;
+      salvage;
+    }
+  in
+  (* the last chunk with events — body-def chunks decode to none *)
+  let li = ref (Array.length chunks - 1) in
   while !li >= 0 && chunks.(!li).c_events = 0 do
     decr li
   done;
-  if !li >= 0 then
-    iter_chunk ~version ~verify:true ~verified ~chunks ~idx:!li raw
-      chunks.(!li)
-      (fun ev -> last_icount := Event.icount ev);
-  {
-    raw;
-    version;
-    verify;
-    chunks;
-    verified;
-    n_events;
-    last_icount = !last_icount;
-    fingerprint;
-    salvage = Some info;
-  }
-
-let of_string ?(verify = true) ?(mode = Strict) raw =
-  match mode with
-  | Strict -> of_raw ~verify raw
-  | Salvage -> of_raw_salvage ~verify raw
+  if !li < 0 then t
+  else begin
+    let last_icount = ref 0 in
+    iter_chunk t !li (fun ev -> last_icount := Event.icount ev);
+    { t with last_icount = !last_icount }
+  end
 
 let load ?verify ?mode path = of_string ?verify ?mode (read_file path)
 
-let iter ?from_icount t sink =
-  let start =
-    match from_icount with
-    | None -> 0
-    | Some target ->
-        (* last chunk whose first_icount <= target; events are icount-sorted
-           across chunks, so earlier chunks hold nothing >= target that this
-           chunk misses *)
-        let lo = ref 0 and hi = ref (Array.length t.chunks - 1) in
-        let best = ref 0 in
-        while !lo <= !hi do
-          let mid = (!lo + !hi) / 2 in
-          if t.chunks.(mid).c_first_icount <= target then begin
-            best := mid;
-            lo := mid + 1
-          end
-          else hi := mid - 1
-        done;
-        !best
-  in
-  let sink =
-    match from_icount with
-    | None -> sink
-    | Some target -> fun ev -> if Event.icount ev >= target then sink ev
-  in
-  for i = start to Array.length t.chunks - 1 do
-    iter_chunk ~version:t.version ~verify:t.verify ~verified:t.verified
-      ~chunks:t.chunks ~idx:i t.raw t.chunks.(i) sink
+let iter t sink =
+  for i = 0 to Array.length t.chunks - 1 do
+    iter_chunk t i sink
   done
 
 let crc_check t =
-  if t.version < 3 then 0 (* v2 carries no checksums *)
-  else begin
-    let v4 = t.version = 4 in
-    Array.iteri
-      (fun idx chunk ->
-        if not t.verified.(idx) then begin
-          check_crc ~v4 t.raw chunk.c_offset
-            (parse_chunk ~v4 t.raw chunk.c_offset);
-          t.verified.(idx) <- true
-        end)
-      t.chunks;
-    Array.length t.chunks
-  end
+  let v4 = t.version = 4 in
+  Array.iteri
+    (fun idx c ->
+      if not t.verified.(idx) then begin
+        check_crc ~v4 t.raw c.c_offset (parse_chunk ~v4 t.raw c.c_offset);
+        t.verified.(idx) <- true
+      end)
+    t.chunks;
+  Array.length t.chunks
 
 let verified_chunks t =
   Array.fold_left (fun acc v -> if v then acc + 1 else acc) 0 t.verified
@@ -737,12 +545,10 @@ let chunk_events t idx =
   let c = t.chunks.(idx) in
   let out = Array.make c.c_events (Event.End { icount = 0 }) in
   let k = ref 0 in
-  iter_chunk ~version:t.version ~verify:t.verify ~verified:t.verified
-    ~chunks:t.chunks ~idx t.raw c
+  iter_chunk t idx
     (fun ev ->
-      (* v2 indexes are not cross-checked against chunk headers at load
-         time, so a lying v2 index must surface as Format_error here, not
-         as an array bounds crash *)
+      (* the count was cross-checked at load; a decoder yielding more events
+         than it must still surfaces as Format_error, not a bounds crash *)
       if !k >= c.c_events then
         fail "chunk at %d: more events than the index records" c.c_offset;
       out.(!k) <- ev;

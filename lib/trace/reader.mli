@@ -5,22 +5,29 @@
     decoding state local — so one reader can drive any number of concurrent
     replay domains over the same in-memory image ({!Replay.parallel}).
 
-    All three live container versions load here: v2 (no checksums), v3
-    (CRC + salvage) and v4 (redundancy-suppressed).  A v4 {e repeat chunk}
-    — an iteration count, per-field stride/literal tables and a reference
-    to the {e body-def chunk} holding the loop body's events (interned:
-    one def serves every repeat of the same body) — is expanded
-    transparently during iteration, so every consumer ({!iter},
-    {!chunk_events}, and everything built on them: sequential, pipeline
-    and salvage replay) sees the exact event stream
-    the probe emitted.  Body refs are cross-checked against the def's
-    payload CRC at load time, so a reference can never silently resolve to
-    the wrong body; in [Salvage] mode a repeat chunk whose def was lost to
-    corruption is dropped and counted.  All event counts exposed here
-    ({!n_events}, {!chunk_event_count}, the index) are {e raw} (decoded)
-    counts; {!stored_events} is the physically-encoded count.
+    Both container versions load here: v3 (CRC + salvage) and v4
+    (redundancy-suppressed).  A v4 {e repeat chunk} — an iteration count,
+    per-field stride/literal tables and a reference to the {e body-def
+    chunk} holding the loop body's events (interned: one def serves every
+    repeat of the same body) — is expanded transparently during iteration
+    by {!Squash.expand}, the writer's own expander, so every consumer
+    ({!iter}, {!chunk_events}, and everything built on them: sequential,
+    pipeline and salvage replay) sees the exact event stream the probe
+    emitted.  Body refs are cross-checked against the def's payload CRC at
+    load time, so a reference can never silently resolve to the wrong body;
+    in [Salvage] mode a repeat chunk whose def was lost to corruption is
+    dropped and counted.  All event counts exposed here ({!n_events},
+    {!chunk_event_count}, the index) are {e raw} (decoded) counts;
+    {!stored_events} is the physically-encoded count.
 
-    Fault tolerance: v3/v4 chunks carry a CRC-32 that is verified lazily, per
+    One classifier builds the chunk table in both modes and bounds what each
+    chunk may claim: a plain chunk at most one event per payload byte, a
+    repeat or body-def at most {!Squash.max_body} body events and
+    {!Squash.max_raw} raw events.  A chunk breaking a bound is a
+    {!Format_error} at load, so no decode allocates or loops beyond what
+    the file holds.
+
+    Fault tolerance: chunks carry a CRC-32 that is verified lazily, per
     chunk, before any of its events are decoded — corruption anywhere in a
     chunk surfaces as {!Format_error}, never as a decode crash or silently
     wrong events.  Each chunk is verified {e at most once per process}: the
@@ -43,7 +50,7 @@ type mode =
   | Strict  (** require an intact trailer, index and chunk tiling (default) *)
   | Salvage
       (** rebuild the chunk list by forward scan; only CRC-verified chunks
-          are kept (v3/v4 containers only — v2 has no checksums) *)
+          are kept *)
 
 type salvage = {
   salvaged_chunks : int;  (** chunks recovered (CRC-verified) *)
@@ -58,25 +65,20 @@ val load : ?verify:bool -> ?mode:mode -> string -> t
 (** Read the whole file, validate magic and (in [Strict] mode) trailer and
     index, decode the chunk index.  [verify] (default [true]) controls the
     lazy per-chunk CRC check during iteration; salvage scanning always
-    verifies.  v2 containers load in [Strict] mode with no CRC verification
-    (the format has none).
+    verifies.
     @raise Format_error on a corrupt or truncated file.
     @raise Sys_error if the file cannot be read. *)
 
 val of_string : ?verify:bool -> ?mode:mode -> string -> t
 (** [load] on an in-memory container image (no file involved). *)
 
-val iter : ?from_icount:int -> t -> (Event.t -> unit) -> unit
-(** Replay events in recording order.  With [from_icount], decoding starts at
-    the last chunk whose first instruction count is [<= from_icount]
-    (binary search over the index) and events with a smaller instruction
-    count are skipped — an O(log n) seek.
+val iter : t -> (Event.t -> unit) -> unit
+(** Replay events in recording order.
     @raise Format_error if a chunk fails its CRC check or is malformed. *)
 
 val crc_check : t -> int
 (** Ensure every chunk's CRC-32 has been verified, without decoding any
-    events, and return the chunk count ([0] for a v2 container, which
-    carries no checksums).  Chunks already verified this process (their
+    events, and return the chunk count.  Chunks already verified this process (their
     verified bit is set) are skipped; the rest are digested and marked.  The
     full-file verification pass behind a manifest's [trace.crc_verify_s]
     timing.
@@ -120,23 +122,23 @@ val byte_size : t -> int
 (** On-disk size of the trace, in bytes. *)
 
 val version : t -> int
-(** Container version of the loaded file: [4], [3] or [2]. *)
+(** Container version of the loaded file: [4] or [3]. *)
 
 val stored_events : t -> int
 (** Events physically encoded in the container: plain events plus one body
     per body-def chunk (a body shared by many repeats is counted once).
-    [= n_events] for v2/v3; [n_events t / stored_events t] is the
+    [= n_events] for v3; [n_events t / stored_events t] is the
     event-level compression ratio of a v4 trace. *)
 
 val plain_chunks : t -> int
-(** Plain event chunks in the container ([= n_chunks] for v2/v3). *)
+(** Plain event chunks in the container ([= n_chunks] for v3). *)
 
 val repeat_chunks : t -> int
-(** v4 repeat (suppressed loop) chunks in the container ([0] for v2/v3). *)
+(** v4 repeat (suppressed loop) chunks in the container ([0] for v3). *)
 
 val body_chunks : t -> int
 (** v4 body-def chunks (interned loop bodies referenced by repeat chunks)
-    in the container ([0] for v2/v3).  A def decodes to no events of its
+    in the container ([0] for v3).  A def decodes to no events of its
     own — {!chunk_event_count} reports [0] for it. *)
 
 val salvage_info : t -> salvage option

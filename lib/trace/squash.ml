@@ -43,6 +43,47 @@ type field_enc =
   | Literal of string
       (** concatenated SLEB128 per-iteration deltas, [iters - 1] of them *)
 
+(* A run commits once it covers [min_iters] iterations and [min_raw] raw
+   events.  [max_body] caps a body (and the pending window); [max_raw] caps
+   the raw events of one record.  The two caps are wire rules: the reader
+   refuses a chunk that exceeds them. *)
+let min_iters = 2
+let min_raw = 32
+let max_body = 512
+let max_raw = 65536
+
+(* The one repeat expander, shared by the reader (decode) and the writer
+   (pricing a run's plain encoding): iteration 0 is the body itself, and each
+   further iteration advances every numeric field by its stride, or by its
+   next literal delta when [literal.(f)], then rebuilds each body event from
+   its slice of the fields.  One add per affine field and no closure per
+   field: this loop is where compressed replay spends its time. *)
+let expand ~body ~iters ~literal ~stride ~lits sink =
+  let b = Array.length body in
+  let foff = Array.make (b + 1) 0 in
+  for k = 0 to b - 1 do
+    foff.(k + 1) <- foff.(k) + Event.num_fields body.(k)
+  done;
+  let vals = Array.make (max foff.(b) 1) 0 in
+  for k = 0 to b - 1 do
+    ignore (Event.read_num_fields body.(k) vals foff.(k))
+  done;
+  for k = 0 to b - 1 do
+    sink body.(k)
+  done;
+  for i = 1 to iters - 1 do
+    for k = 0 to b - 1 do
+      let lo = foff.(k) in
+      let hi = foff.(k + 1) in
+      for f = lo to hi - 1 do
+        vals.(f) <-
+          vals.(f)
+          + (if literal.(f) then lits.(f).(i - 1) else stride.(f))
+      done;
+      sink (Event.with_num_fields body.(k) vals lo)
+    done
+  done
+
 type out = {
   out_plain : Event.t -> unit;
   out_repeat : body:Event.t array -> iters:int -> fields:field_enc array -> unit;
@@ -76,32 +117,13 @@ type state = Idle | Matching of run
 
 type t = {
   o : out;
-  min_iters : int;
-  min_raw : int;
-  max_body : int;
-  max_raw : int;
   mutable pending : seg list;  (* reversed: newest segment first *)
   mutable pending_events : int;
   mutable cur : (int * Event.t list * int) option;  (* key, rev events, count *)
   mutable st : state;
 }
 
-let create ?(min_iters = 2) ?(min_raw = 32) ?(max_body = 512)
-    ?(max_raw = 65536) o =
-  if min_iters < 2 then invalid_arg "Trace.Squash.create: min_iters < 2";
-  if max_body < 1 || max_raw < max_body then
-    invalid_arg "Trace.Squash.create: bad caps";
-  {
-    o;
-    min_iters;
-    min_raw;
-    max_body;
-    max_raw;
-    pending = [];
-    pending_events = 0;
-    cur = None;
-    st = Idle;
-  }
+let create o = { o; pending = []; pending_events = 0; cur = None; st = Idle }
 
 let emit_seg_plain t s = List.iter t.o.out_plain (List.rev s.s_evs)
 
@@ -125,7 +147,7 @@ let shrink_pending t =
 let push_seg t s =
   t.pending <- s :: t.pending;
   t.pending_events <- t.pending_events + s.s_n;
-  while t.pending_events > t.max_body do
+  while t.pending_events > max_body do
     shrink_pending t
   done
 
@@ -272,13 +294,13 @@ let complete_iteration t run =
   let b = Array.length run.r_body in
   if not run.r_committed then begin
     run.r_raw <- List.rev_append (List.rev run.r_cur) run.r_raw;
-    if run.r_iters >= t.min_iters && run.r_iters * b >= t.min_raw then begin
+    if run.r_iters >= min_iters && run.r_iters * b >= min_raw then begin
       run.r_committed <- true;
       run.r_raw <- []
     end
   end;
   run.r_cur <- [];
-  if (run.r_iters + 1) * b > t.max_raw then begin
+  if (run.r_iters + 1) * b > max_raw then begin
     (* the next iteration would overflow the record: flush and restart
        detection (costs one plain iteration per cap hit) *)
     flush_run t run;

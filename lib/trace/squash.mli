@@ -18,16 +18,46 @@
     (hand-built writers, container re-encodes).
 
     Guarantees: the concatenation of everything flushed — plain events plus
-    each repeat record expanded to [iters] copies of its body with the
-    field tables applied — is exactly the input event stream, in order.
-    Memory is bounded by the pending window, the body cap and the
+    each repeat record expanded ({!expand}) to [iters] copies of its body
+    with the field tables applied — is exactly the input event stream, in
+    order.  Memory is bounded by the pending window, the body cap and the
     uncommitted-iteration buffer; a run reaching the raw-event cap is
-    flushed and detection restarts. *)
+    flushed and detection restarts.
+
+    A run is committed to a repeat record once it covers at least 2
+    iterations {e and} 32 raw events; shorter runs replay as plain events
+    (tiny repeat chunks would cost more than they save). *)
 
 type field_enc =
   | Affine of int  (** the field advances by this stride every iteration *)
   | Literal of string
       (** concatenated SLEB128 per-iteration deltas, [iters - 1] of them *)
+
+val max_body : int
+(** Cap on a repeat's body length in events (512), also the pending-window
+    size.  A wire rule: {!Reader} refuses a repeat or body-def chunk whose
+    body is longer. *)
+
+val max_raw : int
+(** Cap on the raw events one repeat record covers (65536), bounding the
+    decoder's per-chunk expansion.  A wire rule: {!Reader} refuses a repeat
+    chunk with [B × iters] above it. *)
+
+val expand :
+  body:Event.t array ->
+  iters:int ->
+  literal:bool array ->
+  stride:int array ->
+  lits:int array array ->
+  (Event.t -> unit) ->
+  unit
+(** [expand ~body ~iters ~literal ~stride ~lits sink] passes a repeat's
+    [B × iters] raw events to [sink], in order: the body, then [iters - 1]
+    iterations in which every numeric field [f] (flattened
+    {!Event.num_fields} order over the body) advances by
+    [lits.(f).(i - 1)] when [literal.(f)], else by [stride.(f)].  The one
+    definition of what a repeat means: the reader decodes repeat chunks
+    through it and the writer prices a run's plain encoding through it. *)
 
 type out = {
   out_plain : Event.t -> unit;  (** one event the suppressor won't elide *)
@@ -39,21 +69,8 @@ type out = {
 
 type t
 
-val create :
-  ?min_iters:int ->
-  ?min_raw:int ->
-  ?max_body:int ->
-  ?max_raw:int ->
-  out ->
-  t
-(** [min_iters] (default 2) and [min_raw] (default 32): a run is committed
-    to a repeat record once it covers at least [min_iters] iterations {e
-    and} [min_raw] raw events — shorter runs replay as plain events (tiny
-    repeat chunks would cost more than they save).  [max_body] (default
-    512): cap on body length in events, also the pending-window size.
-    [max_raw] (default 65536): cap on raw events covered by one record
-    (bounds the decoder's per-chunk expansion).
-    @raise Invalid_argument on nonsensical caps. *)
+val create : out -> t
+(** A suppressor flushing to [out]. *)
 
 val feed : t -> Event.t -> unit
 (** Feed one event.  [Block_exec] events are treated as segment boundaries

@@ -2,7 +2,6 @@ module Leb = Tq_util.Leb128
 module Crc32 = Tq_util.Crc32
 
 let magic = "TQTRC3\n"
-let magic_v2 = "TQTRC2\n"
 let magic_v4 = "TQTRC4\n"
 let chunk_magic = '\xA7'
 let repeat_magic = '\xA8'
@@ -125,7 +124,7 @@ let flush_chunk w =
     w.chunk_events <- 0
   end
 
-(* Append one event to the open plain chunk (the v2/v3 write path; under
+(* Append one event to the open plain chunk (the v3 write path; under
    compression, the events the suppressor decided not to elide). *)
 let emit_plain w ev =
   if w.chunk_events = 0 then begin
@@ -172,33 +171,13 @@ let define_body w ~blob ~payload ~b ~first_icount =
   w.dict_bytes <- w.dict_bytes + String.length blob;
   (off, pcrc)
 
-(* A committed run's raw events, rebuilt from its body and field tables. *)
-let expand ~body ~iters ~fields =
-  let foff = Array.make (Array.length body + 1) 0 in
-  Array.iteri (fun k ev -> foff.(k + 1) <- foff.(k) + Event.num_fields ev) body;
-  let vals = Array.make (max foff.(Array.length body) 1) 0 in
-  Array.iteri (fun k ev -> ignore (Event.read_num_fields ev vals foff.(k))) body;
-  let lit_pos = Array.map (fun _ -> ref 0) fields in
-  let advance f = function
-    | Squash.Affine stride -> vals.(f) <- vals.(f) + stride
-    | Squash.Literal lits -> vals.(f) <- vals.(f) + Leb.read_s lits lit_pos.(f)
-  in
-  let evs = ref [] in
-  for i = 0 to iters - 1 do
-    if i > 0 then Array.iteri advance fields;
-    Array.iteri
-      (fun k ev -> evs := Event.with_num_fields ev vals foff.(k) :: !evs)
-      body
-  done;
-  List.rev !evs
-
 (* Write one committed run.  As a repeat it is a reference to the
    interned body-def chunk (file offset + payload CRC, so a reference can
    never silently resolve to the wrong body) plus the per-field
    stride/literal tables.  The header's event count is the {e raw} count
    [B * iters], so the index — and everything built on it: [n_events],
-   seeks, shard bounds, the serve chunk cache — keeps speaking
-   decoded-event units.
+   shard bounds, the serve chunk cache — keeps speaking decoded-event
+   units.
 
    A short run can cost more as a repeat than as plain events: its own
    chunk, a body-def chunk unless the body is interned already and, when
@@ -206,7 +185,8 @@ let expand ~body ~iters ~fields =
    frame if the open chunk had to be split, and its fresh delta state.
    Such a run is written as plain events instead.  Only a run whose plain
    floor ({!Event.min_encoded_bytes}) does not already exceed the repeat's
-   cost is expanded to price its plain encoding. *)
+   cost is expanded ({!Squash.expand}, the reader's own expander) to price
+   its plain encoding. *)
 let write_run w ~followed (body, iters, fields) =
   let b = Array.length body in
   let first_icount = Event.icount body.(0) in
@@ -220,6 +200,24 @@ let write_run w ~followed (body, iters, fields) =
     Buffer.add_string p blob;
     Buffer.contents p
   in
+  let literal =
+    Array.map (function Squash.Literal _ -> true | Affine _ -> false) fields
+  in
+  let expand sink =
+    let stride =
+      Array.map (function Squash.Affine s -> s | Literal _ -> 0) fields
+    in
+    let lits =
+      Array.map
+        (function
+          | Squash.Literal l ->
+              let pos = ref 0 in
+              Array.init (iters - 1) (fun _ -> Leb.read_s l pos)
+          | Affine _ -> [||])
+        fields
+    in
+    Squash.expand ~body ~iters ~literal ~stride ~lits sink
+  in
   (* field tables: a literal-mode bitmap (bit f set = field f is literal;
      one mode byte per field would double the table cost of the dominant
      all-affine case), then each field's data in canonical order *)
@@ -229,10 +227,7 @@ let write_run w ~followed (body, iters, fields) =
     let v = ref 0 in
     for bit = 0 to 7 do
       let f = (byte * 8) + bit in
-      if
-        f < nf
-        && match fields.(f) with Squash.Literal _ -> true | _ -> false
-      then v := !v lor (1 lsl bit)
+      if f < nf && literal.(f) then v := !v lor (1 lsl bit)
     done;
     Buffer.add_uint8 tables !v
   done;
@@ -282,39 +277,38 @@ let write_run w ~followed (body, iters, fields) =
     let restart_max =
       if followed then max 0 (String.length blob - iter_floor) else 0
     in
-    if iters * iter_floor > repeat_cost + restart_max then None
+    if iters * iter_floor > repeat_cost + restart_max then false
     else
-      let evs = expand ~body ~iters ~fields in
       let st =
         if w.chunk_events = 0 then Event.fresh_state ~icount:first_icount ()
         else Event.copy_state w.st
       in
       let buf = Buffer.create (4 * n_raw) in
-      List.iter (Event.encode st buf) evs;
+      expand (Event.encode st buf);
       let plain_bytes = Buffer.length buf in
       let restart =
         if followed then max 0 (String.length blob - (plain_bytes / iters))
         else 0
       in
-      if plain_bytes <= repeat_cost + restart then Some evs else None
+      plain_bytes <= repeat_cost + restart
   in
-  match plain with
-  | Some evs -> List.iter (emit_plain w) evs
-  | None ->
-      flush_chunk w;
-      let bref =
-        match interned with
-        | Some entry -> entry
-        | None -> define_body w ~blob ~payload:def_payload ~b ~first_icount
-      in
-      let payload = repeat_payload bref in
-      ignore
-        (write_raw_chunk w ~kind:repeat_magic
-           ~meta:
-             (render_meta ~n:n_raw ~first_icount
-                ~payload_len:(String.length payload))
-           ~payload ~events:n_raw ~first_icount);
-      w.repeat_chunks <- w.repeat_chunks + 1
+  if plain then expand (emit_plain w)
+  else begin
+    flush_chunk w;
+    let bref =
+      match interned with
+      | Some entry -> entry
+      | None -> define_body w ~blob ~payload:def_payload ~b ~first_icount
+    in
+    let payload = repeat_payload bref in
+    ignore
+      (write_raw_chunk w ~kind:repeat_magic
+         ~meta:
+           (render_meta ~n:n_raw ~first_icount
+              ~payload_len:(String.length payload))
+         ~payload ~events:n_raw ~first_icount);
+    w.repeat_chunks <- w.repeat_chunks + 1
+  end
 
 (* A committed run is written once the writer knows what follows it:
    plain events ([followed]), another run, or the end of the trace. *)

@@ -1,7 +1,7 @@
 (** Streaming writer for the on-disk trace container (versions 3 and 4).
 
-    The complete wire-format specification — all three live container
-    versions, chunk framing, the event codec, CRC coverage, index, trailer
+    The complete wire-format specification — both container versions,
+    chunk framing, the event codec, CRC coverage, index, trailer
     and salvage rules — is [docs/TRACE.md]; this comment is the summary.
 
     File layout (all integers LEB128 unless noted):
@@ -23,11 +23,12 @@
 
     Each chunk's payload is a run of {!Event.t} delta-encoded against a
     fresh {!Event.state} seeded with the chunk's [first_icount], so any chunk
-    decodes without its predecessors; the index maps instruction counts to
-    chunk offsets for O(log n) seeks.  Index entries always count {e raw}
-    (decoded) events, so seeks and shard bounds are version-agnostic.
+    decodes without its predecessors; the index lists every chunk's offset,
+    first instruction count and event count, so a reader can place shard
+    bounds without decoding.  Index entries always count {e raw} (decoded)
+    events, so shard bounds are version-agnostic.
 
-    v3 (vs the v2 container, which {!Reader} still loads):
+    Both versions share the robustness rules:
 
     - every chunk starts with a kind byte and stores a CRC-32
       ({!Tq_util.Crc32}) of its header fields and payload, so corruption is
@@ -59,9 +60,6 @@
 val magic : string
 (** v3 container magic. *)
 
-val magic_v2 : string
-(** The v2 container's magic; {!Reader} still accepts it. *)
-
 val magic_v4 : string
 (** v4 (redundancy-suppressed) container magic. *)
 
@@ -78,7 +76,7 @@ val body_magic : char
 val trailer_magic : string
 
 val header_bytes : int
-(** Size of the fixed header (magic + fingerprint); identical in v2/v3/v4. *)
+(** Size of the fixed header (magic + fingerprint); identical in v3/v4. *)
 
 type t
 

@@ -7,7 +7,6 @@
    never dies and keeps serving healthy clients byte-identical reports. *)
 
 open Tq_vm
-open Tq_dbi
 module Reader = Tq_trace.Reader
 module Replay = Tq_trace.Replay
 module Probe = Tq_trace.Probe
@@ -20,34 +19,9 @@ module Client = Tq_serve.Client
 module Wire = Tq_faultgen.Wire
 module Json = Tq_obs.Json
 
-(* ---------- fixture (same shape as test_serve's, recorded once) ---------- *)
+(* ---------- fixture: test_serve's recording ---------- *)
 
-let src =
-  "int buf[256];\n\
-   void fill(int k) { for (int i = 0; i < 256; i++) buf[i] = i + k; }\n\
-   int total() { int s; s = 0; for (int i = 0; i < 256; i++) s += buf[i];\n\
-  \              return s; }\n\
-   int main() { int t; t = 0;\n\
-  \             for (int r = 0; r < 40; r++) { fill(r); t += total(); }\n\
-  \             return t - t; }"
-
-let fixture =
-  lazy
-    (let prog =
-       Tq_rt.Rt.link [ Tq_minic.Driver.compile_unit ~image:"app" src ]
-     in
-     let m = Machine.create prog in
-     let eng = Engine.create m in
-     let path = Filename.temp_file "tq_chaos_test" ".trc" in
-     let _events : int = Probe.record ~chunk_bytes:4096 eng ~path in
-     let ic = open_in_bin path in
-     let bytes =
-       Fun.protect
-         ~finally:(fun () -> close_in_noerr ic)
-         (fun () -> really_input_string ic (in_channel_length ic))
-     in
-     Sys.remove path;
-     (prog, bytes))
+let fixture = Test_serve.fixture
 
 let fresh_reader () =
   let _, bytes = Lazy.force fixture in

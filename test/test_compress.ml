@@ -93,25 +93,6 @@ let test_reader_stats () =
   Alcotest.(check int) "crc_check covers every chunk" (Reader.n_chunks r)
     (Reader.crc_check r)
 
-(* ---------- seek equivalence on the compressed container ---------- *)
-
-let test_compressed_seek () =
-  let _, plain, compressed = Lazy.force wfs_recording in
-  let rp = Reader.of_string plain and rc = Reader.of_string compressed in
-  let last = Reader.last_icount rp in
-  List.iter
-    (fun from_icount ->
-      let tail r =
-        let out = ref [] in
-        Reader.iter ~from_icount r (fun ev -> out := ev :: !out);
-        List.rev !out
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "seek to %d agrees" from_icount)
-        true
-        (tail rp = tail rc))
-    [ 0; 1; last / 3; last / 2; last - 1; last; last + 1 ]
-
 (* ---------- report identity: live vs sequential vs sharded ----------
 
    The jobs, renderers and outcome comparator are [Test_trace]'s own — the
@@ -437,13 +418,12 @@ let test_kind_flip_detected () =
 
 (* ---------- golden fixtures: the wire format is pinned ---------- *)
 
-(* Hand-assemble a v4 container with one plain chunk, one body-def chunk
-   and one repeat chunk referencing it, byte by byte, straight from
-   docs/TRACE.md.  If this fixture stops decoding, the wire format changed
-   — which is a compatibility break, not a refactor. *)
-let build_v4_golden () =
+(* Hand-assemble a container straight from docs/TRACE.md: header, the
+   chunks [build] adds through [add_chunk] (which returns the chunk's file
+   offset), index and trailer.  v4 CRCs cover the kind byte, v3's do not. *)
+let assemble ~v4 build =
   let buf = Buffer.create 256 in
-  Buffer.add_string buf "TQTRC4\n";
+  Buffer.add_string buf (if v4 then "TQTRC4\n" else "TQTRC3\n");
   Buffer.add_int64_le buf 0L (* fingerprint *);
   let chunks = ref [] in
   let add_chunk ~kind ~n ~first_icount payload =
@@ -453,7 +433,7 @@ let build_v4_golden () =
     Tq_util.Leb128.write_u meta first_icount;
     Tq_util.Leb128.write_u meta (String.length payload);
     let meta = Buffer.contents meta in
-    let crc = Tq_util.Crc32.digest (String.make 1 kind) in
+    let crc = if v4 then Tq_util.Crc32.digest (String.make 1 kind) else 0 in
     let crc = Tq_util.Crc32.digest ~crc meta in
     let crc = Tq_util.Crc32.digest ~crc payload in
     Buffer.add_char buf kind;
@@ -462,45 +442,10 @@ let build_v4_golden () =
     Bytes.set_int32_le b 0 (Int32.of_int crc);
     Buffer.add_bytes buf b;
     Buffer.add_string buf payload;
-    chunks := (off, first_icount, n) :: !chunks
+    chunks := (off, first_icount, n) :: !chunks;
+    off
   in
-  (* plain chunk: two events *)
-  let payload = Buffer.create 32 in
-  let st = Event.fresh_state ~icount:100 () in
-  Event.encode st payload (Event.Rtn_entry { icount = 100; routine = 1; sp = 4096 });
-  Event.encode st payload (Event.Load { icount = 101; static = 1; ea = 64; size = 8; sp = 4096 });
-  add_chunk ~kind:'\xA7' ~n:2 ~first_icount:100 (Buffer.contents payload);
-  (* body-def chunk: the loop body [Load; Store] stored once, encoded
-     relative to its own first icount (110), prefixed by its event count *)
-  let body = Buffer.create 32 in
-  Tq_util.Leb128.write_u body 2 (* body length B *);
-  let st = Event.fresh_state ~icount:110 () in
-  Event.encode st body (Event.Load { icount = 110; static = 2; ea = 200; size = 4; sp = 4096 });
-  Event.encode st body (Event.Store { icount = 111; static = 2; ea = 999; size = 4; sp = 4096 });
-  let body = Buffer.contents body in
-  let def_off = Buffer.length buf in
-  add_chunk ~kind:'\xA9' ~n:0 ~first_icount:110 body;
-  (* repeat chunk: 3 iterations of the def's body.
-     Loads at ea 200,208,216 (affine +8); stores at 999,1000,900 (literal).
-     icounts advance by 10 per iteration; sp fixed (affine 0). *)
-  let payload = Buffer.create 64 in
-  Tq_util.Leb128.write_u payload 2 (* body length B *);
-  Tq_util.Leb128.write_u payload 3 (* iters *);
-  Tq_util.Leb128.write_u payload def_off (* bref: the def's file offset *);
-  Tq_util.Leb128.write_u payload (Tq_util.Crc32.digest body) (* bcrc *);
-  (* field tables, canonical order: Load.icount, Load.ea, Load.sp,
-     Store.icount, Store.ea, Store.sp.  Mode bitmap first: 6 fields, one
-     byte, bit 4 (Store.ea) set = literal. *)
-  Buffer.add_uint8 payload 0b0001_0000;
-  Tq_util.Leb128.write_s payload 10;  (* Load.icount +10 *)
-  Tq_util.Leb128.write_s payload 8;   (* Load.ea +8 *)
-  Tq_util.Leb128.write_s payload 0;   (* Load.sp +0 *)
-  Tq_util.Leb128.write_s payload 10;  (* Store.icount +10 *)
-  Tq_util.Leb128.write_s payload 1; Tq_util.Leb128.write_s payload (-100);
-                                      (* Store.ea literal: +1, -100 *)
-  Tq_util.Leb128.write_s payload 0;   (* Store.sp +0 *)
-  add_chunk ~kind:'\xA8' ~n:6 ~first_icount:110 (Buffer.contents payload);
-  (* index + trailer *)
+  build add_chunk;
   let chunks = List.rev !chunks in
   let index_offset = Buffer.length buf in
   Tq_util.Leb128.write_u buf (List.length chunks);
@@ -516,6 +461,60 @@ let build_v4_golden () =
   Buffer.add_int64_le buf (Int64.of_int index_offset);
   Buffer.add_string buf "TQTRIX1\n";
   Buffer.contents buf
+
+let encode_events ~icount evs =
+  let buf = Buffer.create 32 in
+  let st = Event.fresh_state ~icount () in
+  List.iter (Event.encode st buf) evs;
+  Buffer.contents buf
+
+(* A v4 container with one plain chunk, one body-def chunk and one repeat
+   chunk referencing it.  If this fixture stops decoding, the wire format
+   changed — which is a compatibility break, not a refactor. *)
+let build_v4_golden () =
+  assemble ~v4:true (fun add_chunk ->
+      (* plain chunk: two events *)
+      ignore
+        (add_chunk ~kind:'\xA7' ~n:2 ~first_icount:100
+           (encode_events ~icount:100
+              [
+                Event.Rtn_entry { icount = 100; routine = 1; sp = 4096 };
+                Event.Load { icount = 101; static = 1; ea = 64; size = 8; sp = 4096 };
+              ]));
+      (* body-def chunk: the loop body [Load; Store] stored once, encoded
+         relative to its own first icount (110), prefixed by its event
+         count *)
+      let body = Buffer.create 32 in
+      Tq_util.Leb128.write_u body 2 (* body length B *);
+      Buffer.add_string body
+        (encode_events ~icount:110
+           [
+             Event.Load { icount = 110; static = 2; ea = 200; size = 4; sp = 4096 };
+             Event.Store { icount = 111; static = 2; ea = 999; size = 4; sp = 4096 };
+           ]);
+      let body = Buffer.contents body in
+      let def_off = add_chunk ~kind:'\xA9' ~n:0 ~first_icount:110 body in
+      (* repeat chunk: 3 iterations of the def's body.
+         Loads at ea 200,208,216 (affine +8); stores at 999,1000,900 (literal).
+         icounts advance by 10 per iteration; sp fixed (affine 0). *)
+      let payload = Buffer.create 64 in
+      Tq_util.Leb128.write_u payload 2 (* body length B *);
+      Tq_util.Leb128.write_u payload 3 (* iters *);
+      Tq_util.Leb128.write_u payload def_off (* bref: the def's file offset *);
+      Tq_util.Leb128.write_u payload (Tq_util.Crc32.digest body) (* bcrc *);
+      (* field tables, canonical order: Load.icount, Load.ea, Load.sp,
+         Store.icount, Store.ea, Store.sp.  Mode bitmap first: 6 fields, one
+         byte, bit 4 (Store.ea) set = literal. *)
+      Buffer.add_uint8 payload 0b0001_0000;
+      Tq_util.Leb128.write_s payload 10;  (* Load.icount +10 *)
+      Tq_util.Leb128.write_s payload 8;   (* Load.ea +8 *)
+      Tq_util.Leb128.write_s payload 0;   (* Load.sp +0 *)
+      Tq_util.Leb128.write_s payload 10;  (* Store.icount +10 *)
+      Tq_util.Leb128.write_s payload 1; Tq_util.Leb128.write_s payload (-100);
+                                          (* Store.ea literal: +1, -100 *)
+      Tq_util.Leb128.write_s payload 0;   (* Store.sp +0 *)
+      ignore
+        (add_chunk ~kind:'\xA8' ~n:6 ~first_icount:110 (Buffer.contents payload)))
 
 let test_v4_golden_fixture () =
   let raw = build_v4_golden () in
@@ -551,6 +550,72 @@ let test_v4_golden_fixture () =
   Alcotest.(check int) "salvage keeps all chunks" 3 (Reader.n_chunks s);
   Alcotest.(check bool) "salvage stream identical" true (events_of s = expect)
 
+(* ---------- crafted containers: a chunk claiming more than it holds ------
+
+   Each container has valid CRCs, a valid index and a valid last chunk, so
+   only the reader's per-chunk bounds stand between it and a decoder asked
+   for more events than the file holds. *)
+
+(* A v3 plain chunk claiming 2^61 events over a 2-byte payload (one [Ret]),
+   then a plain [End]. *)
+let build_overclaiming_plain () =
+  assemble ~v4:false (fun add_chunk ->
+      ignore
+        (add_chunk ~kind:'\xA7' ~n:(1 lsl 61) ~first_icount:0
+           (encode_events ~icount:0 [ Event.Ret { icount = 0; sp = 0 } ]));
+      ignore
+        (add_chunk ~kind:'\xA7' ~n:1 ~first_icount:10
+           (encode_events ~icount:10 [ Event.End { icount = 10 } ])))
+
+(* A v4 repeat of a one-event body for 2^40 iterations (all fields affine),
+   its body def, then a plain [End]. *)
+let build_overcapped_repeat () =
+  let iters = 1 lsl 40 in
+  assemble ~v4:true (fun add_chunk ->
+      let body = Buffer.create 16 in
+      Tq_util.Leb128.write_u body 1;
+      Buffer.add_string body
+        (encode_events ~icount:0
+           [ Event.Load { icount = 0; static = 0; ea = 0; size = 4; sp = 0 } ]);
+      let body = Buffer.contents body in
+      let def_off = add_chunk ~kind:'\xA9' ~n:0 ~first_icount:0 body in
+      let payload = Buffer.create 32 in
+      List.iter (Tq_util.Leb128.write_u payload)
+        [ 1; iters; def_off; Tq_util.Crc32.digest body ];
+      Buffer.add_uint8 payload 0 (* 3 fields, all affine *);
+      List.iter (Tq_util.Leb128.write_s payload) [ 1; 4; 0 ];
+      ignore
+        (add_chunk ~kind:'\xA8' ~n:iters ~first_icount:0
+           (Buffer.contents payload));
+      ignore
+        (add_chunk ~kind:'\xA7' ~n:1 ~first_icount:iters
+           (encode_events ~icount:iters [ Event.End { icount = iters } ])))
+
+(* A strict load refuses the container; a salvage load drops the chunk and
+   keeps the [End] (salvage answers every container with a whole header);
+   strict replay exits 3 for every tool. *)
+let check_crafted_refused raw () =
+  (match Reader.of_string raw with
+  | _ -> Alcotest.fail "strict load accepted the crafted chunk"
+  | exception Reader.Format_error _ -> ());
+  let s = Reader.of_string ~mode:Reader.Salvage raw in
+  Alcotest.(check int) "salvage keeps only the End" 1 (Reader.n_events s);
+  Alcotest.(check bool) "salvage reports the drop" true
+    ((Option.get (Reader.salvage_info s)).Reader.dropped_chunks >= 1);
+  let src = Test_dataflow.write_tmp ".mc" "int main() { return 0; }\n" in
+  let trc = Test_dataflow.write_tmp ".trc" raw in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ src; trc ])
+    (fun () ->
+      List.iter
+        (fun args ->
+          Alcotest.(check int) ("replay " ^ args ^ ": 3") 3
+            (Test_dataflow.run_cli
+               (Printf.sprintf "replay %s %s %s" trc src args)))
+        ("--all"
+        :: List.map (( ^ ) "--tool ")
+             [ "tquad"; "quad"; "gprof"; "mix"; "cache"; "footprint" ]))
+
 (* The v4 writer's own output for a fixed stream is pinned byte-for-byte
    against the same hand-assembly — writer drift breaks old readers. *)
 let test_v4_writer_matches_golden () =
@@ -566,9 +631,10 @@ let test_v4_writer_matches_golden () =
           w_chunks := `R (body, iters, fields) :: !w_chunks);
     }
   in
-  let sq = Squash.create ~min_iters:2 ~min_raw:4 out in
-  (* 3 iterations of [Block_exec; Load] with affine ea *)
-  for i = 0 to 2 do
+  let sq = Squash.create out in
+  (* 16 iterations of [Block_exec; Load] with affine ea: 32 raw events, the
+     fewest a run commits with *)
+  for i = 0 to 15 do
     Squash.feed_boundary sq ~key:42
       (Event.Block_exec { icount = i * 10; addr = 0x40; n = 5 });
     Squash.feed sq
@@ -585,7 +651,7 @@ let test_v4_writer_matches_golden () =
   match repeats with
   | [ (body, iters, fields) ] ->
       Alcotest.(check int) "body length" 2 (Array.length body);
-      Alcotest.(check int) "iterations" 3 iters;
+      Alcotest.(check int) "iterations" 16 iters;
       (* fields: Block_exec.icount, Load.icount, Load.ea, Load.sp *)
       Alcotest.(check int) "field count" 4 (Array.length fields);
       Alcotest.(check bool) "all affine" true
@@ -603,8 +669,6 @@ let suites =
           test_wfs_identity_and_ratio;
         Alcotest.test_case "reader raw/stored accounting" `Quick
           test_reader_stats;
-        Alcotest.test_case "seek agrees with uncompressed" `Quick
-          test_compressed_seek;
         Alcotest.test_case "reports byte-identical (seq + sharded)" `Quick
           test_report_identity;
         QCheck_alcotest.to_alcotest qcheck_compress_roundtrip;
@@ -624,5 +688,9 @@ let suites =
           test_v4_golden_fixture;
         Alcotest.test_case "squash emits expected repeat record" `Quick
           test_v4_writer_matches_golden;
+        Alcotest.test_case "crafted: plain chunk over-claiming its payload"
+          `Quick (check_crafted_refused (build_overclaiming_plain ()));
+        Alcotest.test_case "crafted: repeat beyond the squasher's caps" `Quick
+          (check_crafted_refused (build_overcapped_repeat ()));
       ] );
   ]

@@ -42,7 +42,12 @@ let fixture =
      let m = Machine.create prog in
      let eng = Engine.create m in
      let path = Filename.temp_file "tq_serve_test" ".trc" in
-     let _events : int = Probe.record ~chunk_bytes:4096 eng ~path in
+     let _events : int = Probe.record eng ~path in
+     (* re-chunked at 4 KiB, so the chunk cache sees many chunks *)
+     let r = Reader.load path in
+     Tq_trace.Writer.with_file ~chunk_bytes:4096
+       ~fingerprint:(Reader.fingerprint r) path (fun w ->
+         Reader.iter r (Tq_trace.Writer.emit w));
      let ic = open_in_bin path in
      let bytes =
        Fun.protect

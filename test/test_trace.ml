@@ -108,22 +108,6 @@ let qcheck_file_roundtrip =
           Reader.iter r (fun ev -> out := ev :: !out);
           List.rev !out = evs && Reader.n_events r = List.length evs))
 
-let qcheck_seek =
-  QCheck.Test.make ~name:"iter ~from_icount = filter (icount >=)" ~count:60
-    QCheck.(pair arb_events (int_bound 0x3FFF))
-    (fun (evs, from_icount) ->
-      let path = Filename.temp_file "tq_trace" ".trc" in
-      Fun.protect
-        ~finally:(fun () -> Sys.remove path)
-        (fun () ->
-          Writer.with_file ~chunk_bytes:128 path (fun w ->
-              List.iter (Writer.emit w) evs);
-          let r = Reader.load path in
-          let out = ref [] in
-          Reader.iter ~from_icount r (fun ev -> out := ev :: !out);
-          List.rev !out
-          = List.filter (fun ev -> Event.icount ev >= from_icount) evs))
-
 (* A job sees exactly the kinds it wants: through the pipeline on one
    domain, one [~wants:[kind]] job per kind collects the events of its kind,
    in trace order. *)
@@ -658,75 +642,6 @@ let test_writer_atomic_rename () =
         (Invalid_argument "Trace.Writer.emit: closed") (fun () ->
           Writer.emit w (Event.Ret { icount = 2; sp = 0 })))
 
-(* ---------- v2 container back-compat ---------- *)
-
-(* Hand-assemble a v2 container (no chunk magic, no CRCs) the way the old
-   writer laid it out, so pre-upgrade recordings keep loading. *)
-let build_v2 ~chunk_events events =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "TQTRC2\n";
-  Buffer.add_int64_le buf 0L;
-  let chunks = ref [] in
-  let rec split = function
-    | [] -> []
-    | evs ->
-        let rec take n = function
-          | x :: tl when n > 0 ->
-              let a, b = take (n - 1) tl in
-              (x :: a, b)
-          | rest -> ([], rest)
-        in
-        let head, tail = take chunk_events evs in
-        head :: split tail
-  in
-  List.iter
-    (fun evs ->
-      let first_icount = Event.icount (List.hd evs) in
-      let payload = Buffer.create 256 in
-      let st = Event.fresh_state ~icount:first_icount () in
-      List.iter (Event.encode st payload) evs;
-      chunks := (Buffer.length buf, first_icount, List.length evs) :: !chunks;
-      Tq_util.Leb128.write_u buf (List.length evs);
-      Tq_util.Leb128.write_u buf first_icount;
-      Tq_util.Leb128.write_u buf (Buffer.length payload);
-      Buffer.add_buffer buf payload)
-    (split events);
-  let chunks = List.rev !chunks in
-  let index_offset = Buffer.length buf in
-  Tq_util.Leb128.write_u buf (List.length chunks);
-  let prev_off = ref 0 and prev_ic = ref 0 in
-  List.iter
-    (fun (off, ic, n) ->
-      Tq_util.Leb128.write_u buf (off - !prev_off);
-      Tq_util.Leb128.write_u buf (ic - !prev_ic);
-      Tq_util.Leb128.write_u buf n;
-      prev_off := off;
-      prev_ic := ic)
-    chunks;
-  Buffer.add_int64_le buf (Int64.of_int index_offset);
-  Buffer.add_string buf "TQTRIX1\n";
-  Buffer.contents buf
-
-let qcheck_v2_backcompat =
-  QCheck.Test.make ~name:"v2 containers still load (no CRCs, no salvage)"
-    ~count:40 arb_events (fun evs ->
-      QCheck.assume (evs <> []);
-      let raw = build_v2 ~chunk_events:7 evs in
-      let r = Reader.of_string raw in
-      let out = ref [] in
-      Reader.iter r (fun ev -> out := ev :: !out);
-      let loads_ok =
-        Reader.version r = 2
-        && List.rev !out = evs
-        && Reader.n_events r = List.length evs
-      in
-      let salvage_refused =
-        match Reader.of_string ~mode:Reader.Salvage raw with
-        | _ -> false
-        | exception Reader.Format_error _ -> true
-      in
-      loads_ok && salvage_refused)
-
 let test_v3_is_default () =
   let path = Filename.temp_file "tq_trace" ".trc" in
   Fun.protect
@@ -799,7 +714,6 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_leb_roundtrip;
         QCheck_alcotest.to_alcotest qcheck_codec_roundtrip;
         QCheck_alcotest.to_alcotest qcheck_file_roundtrip;
-        QCheck_alcotest.to_alcotest qcheck_seek;
         QCheck_alcotest.to_alcotest qcheck_pipeline_partition;
         Alcotest.test_case "corrupt file rejected" `Quick test_corrupt_trace;
         Alcotest.test_case "record: reader stats sane" `Quick
@@ -821,7 +735,6 @@ let suites =
           test_cli_positive_args;
         Alcotest.test_case "writer streams to .tmp, renames on close" `Quick
           test_writer_atomic_rename;
-        QCheck_alcotest.to_alcotest qcheck_v2_backcompat;
         Alcotest.test_case "new recordings are v3" `Quick test_v3_is_default;
         Alcotest.test_case "fingerprint binds trace to program" `Quick
           test_fingerprint_guard;
