@@ -422,8 +422,9 @@ let run_cmd =
           program exits non-zero or does not exit")
     Term.(const run $ metrics_arg $ program () $ dir_arg)
 
-(* --slice and --period: a non-positive value is a usage error (exit 2),
-   caught here instead of inside the tool. *)
+(* --slice, --period and replay's --domains/--shards/--batch: a
+   non-positive value is a usage error (exit 2), caught here instead of
+   inside the tool or the pipeline. *)
 let positive_int =
   let parse s =
     match int_of_string_opt s with
@@ -831,26 +832,27 @@ let replay_cmd =
   in
   let domains_arg =
     Arg.(
-      value & opt int 0
+      value & opt (some positive_int) None
       & info [ "domains" ] ~docv:"N"
-          ~doc:"Worker domains for --all (0 = one per core; 1 with default \
-                --shards = one ordered pipeline walk on the calling domain).")
+          ~doc:"Worker domains for --all (default: one per core; 1 with \
+                default --shards = one ordered pipeline walk on the calling \
+                domain).")
   in
   let shards_arg =
     Arg.(
-      value & opt int 0
+      value & opt (some positive_int) None
       & info [ "shards" ] ~docv:"N"
-          ~doc:"Trace ranges per shardable tool for --all (0 = one per \
+          ~doc:"Trace ranges per shardable tool for --all (default: one per \
                 domain).  Tools that cannot shard consume the ordered chunk \
                 walk instead.")
   in
   let batch_arg =
     Arg.(
-      value & opt int 0
+      value & opt (some positive_int) None
       & info [ "batch" ] ~docv:"N"
           ~doc:"Decode window: chunks decoded ahead of the slowest consumer \
-                (0 = twice the domain count, at least 4).  Bounds replay's \
-                resident decoded-event memory.")
+                (default: twice the domain count, at least 4).  Bounds \
+                replay's resident decoded-event memory.")
   in
   let salvage_arg =
     Arg.(
@@ -947,10 +949,7 @@ let replay_cmd =
         in
         let results =
           span "replay" (fun () ->
-              Tq_trace.Replay.parallel
-                ?domains:(if domains > 0 then Some domains else None)
-                ?shards:(if shards > 0 then Some shards else None)
-                ?batch:(if batch > 0 then Some batch else None)
+              Tq_trace.Replay.parallel ?domains ?shards ?batch
                 ~stats:(fun s -> section ~stats:s s.Tq_trace.Replay.rs_timings)
                 reader jobs)
         in
@@ -1939,11 +1938,29 @@ let version_cmd =
     (Cmd.info "version" ~doc:"Print the tquad version and exit")
     Term.(const run $ const ())
 
+(* Every subcommand with its one-line purpose: the cmdliner group and the
+   usage block below are both built from this list. *)
 let subcommands =
-  [ build_cmd; disasm_cmd; run_cmd; gprof_cmd; callgraph_cmd; quad_cmd;
-    tquad_cmd; mix_cmd; cache_cmd; footprint_cmd; wcet_cmd; diff_cmd;
-    record_cmd; replay_cmd; trace_info_cmd; faultgen_cmd; check_cmd;
-    serve_cmd; client_cmd; version_cmd ]
+  [ (build_cmd, "compile and link to an on-disk binary");
+    (disasm_cmd, "print the disassembly of a compiled program");
+    (run_cmd, "compile and execute (uninstrumented)");
+    (gprof_cmd, "sampling flat profile");
+    (callgraph_cmd, "gprof-style call-graph report");
+    (quad_cmd, "producer/consumer memory bindings (QUAD)");
+    (tquad_cmd, "temporal memory bandwidth analysis (the paper's tool)");
+    (mix_cmd, "instruction-mix profile");
+    (cache_cmd, "per-kernel cache hit/miss simulation");
+    (footprint_cmd, "per-kernel unique-byte footprint by region");
+    (wcet_cmd, "static worst-case execution time bound");
+    (diff_cmd, "compare the flat profiles of two program versions");
+    (record_cmd, "execute once, stream the event trace to disk");
+    (replay_cmd, "replay a recorded trace through analysis tools");
+    (trace_info_cmd, "inspect a trace (version, counts; salvage fallback)");
+    (faultgen_cmd, "corrupt a trace deterministically (robustness testing)");
+    (check_cmd, "static binary verification and bandwidth estimate");
+    (serve_cmd, "run the trace-analysis daemon on a Unix socket");
+    (client_cmd, "talk to a running serve daemon");
+    (version_cmd, "print the tquad version") ]
 
 let main_cmd =
   Cmd.group
@@ -1951,34 +1968,13 @@ let main_cmd =
        ~doc:
          "Temporal memory bandwidth usage analysis on a simulated machine \
           (reproduction of tQUAD, ICPP 2010)")
-    subcommands
+    (List.map fst subcommands)
 
 (* One unified usage block for a missing, unknown or ambiguous subcommand —
    every subcommand with its one-line purpose, instead of cmdliner's paged
    manual — printed to stderr with exit status 2.  Anything else (a known
    name, a unique prefix, or a leading option like --help) goes to cmdliner
    unchanged. *)
-let usage_lines =
-  [ ("build", "compile and link to an on-disk binary");
-    ("disasm", "print the disassembly of a compiled program");
-    ("run", "compile and execute (uninstrumented)");
-    ("gprof", "sampling flat profile");
-    ("callgraph", "gprof-style call-graph report");
-    ("quad", "producer/consumer memory bindings (QUAD)");
-    ("tquad", "temporal memory bandwidth analysis (the paper's tool)");
-    ("mix", "instruction-mix profile");
-    ("cache", "per-kernel cache hit/miss simulation");
-    ("footprint", "per-kernel unique-byte footprint by region");
-    ("wcet", "static worst-case execution time bound");
-    ("diff", "compare the flat profiles of two program versions");
-    ("record", "execute once, stream the event trace to disk");
-    ("replay", "replay a recorded trace through analysis tools");
-    ("trace-info", "inspect a trace (version, counts; salvage fallback)");
-    ("faultgen", "corrupt a trace deterministically (robustness testing)");
-    ("check", "static binary verification and bandwidth estimate");
-    ("serve", "run the trace-analysis daemon on a Unix socket");
-    ("client", "talk to a running serve daemon");
-    ("version", "print the tquad version") ]
 
 let print_usage ch =
   Printf.fprintf ch
@@ -1986,13 +1982,13 @@ let print_usage ch =
      Temporal memory bandwidth usage analysis on a simulated machine\n\
      (reproduction of tQUAD, ICPP 2010).  Subcommands:\n\n";
   List.iter
-    (fun (name, doc) -> Printf.fprintf ch "  %-10s %s\n" name doc)
-    usage_lines;
+    (fun (cmd, doc) -> Printf.fprintf ch "  %-10s %s\n" (Cmd.name cmd) doc)
+    subcommands;
   Printf.fprintf ch
     "\nRun 'tquad help SUBCOMMAND' for that subcommand's options.\n"
 
 let () =
-  let names = List.map Cmd.name subcommands in
+  let names = List.map (fun (cmd, _) -> Cmd.name cmd) subcommands in
   let resolve a =
     (* a known name or a unique prefix of one, like cmdliner resolves it *)
     if List.mem a names then Some a

@@ -11,10 +11,6 @@
     scan, and run-length encoding.  The program prints deterministic
     checksums and the compressed size. *)
 
-val image_pipeline : ?width:int -> ?height:int -> unit -> string
-(** MiniC source; [width]/[height] default 64 and must be multiples of 8.
-    @raise Invalid_argument otherwise. *)
-
 val image_pipeline_program :
   ?width:int -> ?height:int -> unit -> Tq_vm.Program.t
 (** Compiled and linked against the runtime. *)

@@ -142,10 +142,10 @@ let compile t addr0 =
   | trace_fns ->
       let n = Array.length trace in
       (* the compiled trace's identity: its ordinal in compilation order.
-         Stable for the lifetime of the code cache (recompilation after
-         [invalidate_cache], or under [~use_code_cache:false], assigns fresh
-         ids) — callers treating it as a dictionary key see a new basic
-         block sequence, which is always sound, at worst less compact. *)
+         Stable for the lifetime of the code cache (recompilation under
+         [~use_code_cache:false] assigns fresh ids) — callers treating it as
+         a dictionary key see a new basic block sequence, which is always
+         sound, at worst less compact. *)
       let id = t.n_traces in
       let block_actions =
         List.concat_map (fun f -> f ~id ~addr:addr0 ~n) trace_fns
@@ -295,5 +295,3 @@ let stats t =
     chain_hits = t.n_chain_hits;
     closure_instructions = t.n_closure_ins;
   }
-
-let invalidate_cache t = Hashtbl.reset t.cache

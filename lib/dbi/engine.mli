@@ -47,8 +47,6 @@ module Ins_view : sig
 
   val routine : view -> Tq_vm.Symtab.routine option
   (** The routine containing this instruction. *)
-
-  val is_routine_entry : view -> bool
 end
 
 val create : ?use_code_cache:bool -> Tq_vm.Machine.t -> t
@@ -72,7 +70,7 @@ val add_trace_instrumenter :
 (** Trace (basic-block) granularity instrumentation, Pin's
     [TRACE_AddInstrumentFunction] analogue.  The callback sees the compiled
     trace's identity [id] (its ordinal in compilation order — the code
-    cache's name for the trace, stable until {!invalidate_cache}), the
+    cache's name for the trace), the
     block's start address and its instruction count at compile time; the
     returned actions run on every execution of the block, before any
     routine- or instruction-level actions of its first instruction.  Because
@@ -102,8 +100,3 @@ type stats = {
 }
 
 val stats : t -> stats
-
-val invalidate_cache : t -> unit
-(** Drop all compiled traces (they will be re-instrumented on next touch).
-    Successor links live inside the dropped traces, so chaining state goes
-    with them; takes effect at the next hashtable dispatch. *)

@@ -4,13 +4,6 @@
     application implements the identical operation ordering, so its output
     can be compared against this module bit-for-bit. *)
 
-val bitrev : int -> int -> int
-(** [bitrev i bits] reverses the low [bits] bits of [i]. *)
-
-val perm : float array -> float array -> unit
-(** In-place bit-reversal permutation of a power-of-two-length signal
-    (re, im). *)
-
 val fft : float array -> float array -> dir:int -> unit
 (** In-place transform; [dir = 1] forward, [dir = -1] inverse (scales by
     1/N).  Length must be a power of two ≥ 2 and equal for both arrays.

@@ -14,20 +14,6 @@ type mutation =
   | Mid_frame_disconnect of { claim : int; sent : int }
   | Stall_then_resume of { split : int; stall_s : float }
 
-let describe = function
-  | Torn_header { keep } ->
-      Printf.sprintf "torn header: %d of 4 length bytes, then close" keep
-  | Oversized_length { claim } ->
-      Printf.sprintf "oversized length prefix: claims %d bytes" claim
-  | Negative_length -> "negative length prefix (high bit set)"
-  | Garbage_payload { len; seed } ->
-      Printf.sprintf "well-framed garbage payload: %d bytes (seed %d)" len seed
-  | Mid_frame_disconnect { claim; sent } ->
-      Printf.sprintf "mid-frame disconnect: %d of %d payload bytes" sent claim
-  | Stall_then_resume { split; stall_s } ->
-      Printf.sprintf "stall %.3fs after %d bytes, then finish a valid ping"
-        stall_s split
-
 let slug = function
   | Torn_header _ -> "torn-header"
   | Oversized_length _ -> "oversized-length"

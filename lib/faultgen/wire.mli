@@ -32,16 +32,9 @@ type mutation =
           frame, stall, then finish it — completes if the stall beats the
           server's frame timeout, reaps otherwise; both are correct *)
 
-val describe : mutation -> string
-(** Human-readable, e.g. for logging which strike a storm delivered. *)
-
 val slug : mutation -> string
 (** Short kebab-case kind name (["torn-header"], ["stall-resume"], ...)
     for summaries and CLI output. *)
-
-val random : seed:int -> mutation
-(** A mutation chosen deterministically from [seed].  Same seed = same
-    mutation. *)
 
 (** How the server answered a strike.  Every constructor except
     {!Unreachable} means the server survived. *)
@@ -53,12 +46,6 @@ type verdict =
   | Unreachable of string  (** could not connect — the server is gone *)
 
 val verdict_slug : verdict -> string
-
-val strike : ?wait_s:float -> socket:string -> mutation -> verdict
-(** Deliver one mutation to the daemon at [socket] on a fresh connection
-    and classify the response.  [wait_s] (default [2.]) bounds the wait for
-    a reply frame.  Never raises — connection failure is the
-    {!Unreachable} verdict. *)
 
 val ping : ?wait_s:float -> socket:string -> unit -> (unit, string) result
 (** The health probe between strikes: one hand-rolled, {e valid} ping

@@ -302,10 +302,6 @@ let arcs (t : t) =
          | 0 -> compare (ca.Symtab.id, ea.Symtab.id) (cb.Symtab.id, eb.Symtab.id)
          | c -> c)
 
-let total_samples t = t.n_samples
-
-let total_seconds t = seconds_of_samples t t.n_samples
-
 let call_graph_report ?(main_image_only = true) (t : t) =
   let rows = flat_profile ~main_image_only:false t in
   let totals = totals t in

@@ -56,13 +56,6 @@ val flat_profile : ?main_image_only:bool -> t -> row list
     (default true) hides runtime-library routines, as the paper's tables
     do. *)
 
-val arcs : t -> (Tq_vm.Symtab.routine * Tq_vm.Symtab.routine * int) list
-(** (caller, callee, count), heaviest first. *)
-
-val total_samples : t -> int
-
-val total_seconds : t -> float
-
 val call_graph_report : ?main_image_only:bool -> t -> string
 (** gprof's second section: for each routine, its callers (with arc counts
     and the share of the routine's calls they account for) and its callees.

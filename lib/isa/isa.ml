@@ -112,7 +112,6 @@ let predicate_of = function
     -> pred
   | _ -> None
 
-let is_call = function Call _ | Callr _ -> true | _ -> false
 let is_ret = function Ret -> true | _ -> false
 
 let is_control = function

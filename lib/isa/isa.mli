@@ -131,14 +131,9 @@ val is_block_move : ins -> bool
 val predicate_of : ins -> reg option
 (** The guard register of a predicated access, if any. *)
 
-val is_call : ins -> bool
-
 val is_ret : ins -> bool
 
 val is_control : ins -> bool
 (** Any instruction that may divert control flow (ends a basic block). *)
-
-val pp : Format.formatter -> ins -> unit
-(** Disassembly, e.g. [Format.asprintf "%a" pp i]. *)
 
 val to_string : ins -> string

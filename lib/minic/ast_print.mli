@@ -5,10 +5,6 @@
     roundtrip property tested in [test/test_ast_print.ml]).  Used by the CLI
     and tests; also handy for dumping the generated wfs source. *)
 
-val expr : Ast.expr -> string
-
-val stmt : ?indent:int -> Ast.stmt -> string
-
 val program : Ast.program -> string
 
 val strip_positions : Ast.program -> Ast.program

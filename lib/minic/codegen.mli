@@ -20,7 +20,5 @@ exception Codegen_error of string
 (** Raised when an expression needs more than the 18 temporaries per class
     (in practice: pathological expression nesting). *)
 
-val gen_func : Mir.mfunc -> Tq_asm.Link.routine
-
 val gen_unit : image:string -> Mir.program -> Tq_asm.Link.cunit
 (** Package a lowered program as a main-image compilation unit. *)

@@ -13,6 +13,3 @@ val compile_unit :
     ({!Tq_staticcheck.Staticcheck.check_items}) and fails compilation if any
     diagnostic fires.
     @raise Compile_error on any static error. *)
-
-val parse_and_lower : string -> Mir.program
-(** The front half only (for tests and tooling). @raise Compile_error *)

@@ -16,6 +16,3 @@ exception Type_error of { pos : Ast.pos; msg : string }
 val lower : Ast.program -> Mir.program
 (** @raise Type_error on any static error (unknown names, type mismatches,
     [break] outside a loop, missing or ill-typed [main], ...). *)
-
-val builtin_names : string list
-(** Names reserved by the runtime; user programs may not redefine them. *)

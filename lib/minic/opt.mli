@@ -12,6 +12,4 @@
     how compiler optimization changes a memory-bandwidth profile
     ([bench/main.exe ablation]). *)
 
-val expr : Mir.mexpr -> Mir.mexpr
-
 val program : Mir.program -> Mir.program

@@ -227,12 +227,3 @@ let write path doc =
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc (Json.to_string doc))
-
-let load path =
-  let ic = open_in_bin path in
-  let raw =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  Json.of_string raw

@@ -15,10 +15,6 @@
     accepts unknown sections — the rule that lets the schema grow without
     breaking older readers. *)
 
-val schema_version : int
-(** Currently [1].  Bumped on any incompatible change to the required
-    members or the shape of a known section. *)
-
 val make :
   tool:string ->
   subcommand:string ->
@@ -42,7 +38,3 @@ val validate : Json.t -> (unit, string) result
 val write : string -> Json.t -> unit
 (** Render to the given path (trailing newline, deterministic member
     order).  @raise Sys_error if the file cannot be written. *)
-
-val load : string -> Json.t
-(** Parse a manifest file back into JSON (no validation).
-    @raise Json.Parse_error or [Sys_error]. *)

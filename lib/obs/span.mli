@@ -1,6 +1,6 @@
 (** Pipeline spans: timed stages of one run.
 
-    A {!recorder} collects one {!span} per pipeline stage — compile, link,
+    A {!recorder} collects one span per pipeline stage — compile, link,
     verify, execute, record, replay, salvage — with the stage's wall time,
     the GC heap high-water mark when the stage closed, and free-form integer
     attributes (instructions retired, events produced, ...).  Like
@@ -9,16 +9,6 @@
 
     Spans may nest; each records its own start offset and duration, so the
     manifest preserves the stage structure without an explicit tree. *)
-
-type span = {
-  name : string;
-  start_s : float;  (** offset from the recorder's creation, seconds *)
-  wall_s : float;
-  top_heap_words : int;
-      (** [Gc.((quick_stat ()).top_heap_words)] when the span closed — the
-          major-heap high-water mark, a peak-live-memory proxy *)
-  attrs : (string * int) list;  (** e.g. [("instructions", n)] *)
-}
 
 type recorder
 
@@ -33,10 +23,10 @@ val with_span :
     still recorded — with a [("failed", 1)] attribute instead of [attrs] —
     and the exception passes through. *)
 
-val spans : recorder -> span list
-(** All closed spans, ordered by start time (outer spans before the inner
-    spans they contain). *)
-
 val to_json : recorder -> Json.t
-(** The manifest's ["spans"] section: a list of objects with [name],
-    [start_s], [wall_s], [top_heap_words] and an [attrs] object. *)
+(** The manifest's ["spans"] section, ordered by start time (outer spans
+    before the inner spans they contain): a list of objects with [name],
+    [start_s] (offset from the recorder's creation, seconds), [wall_s],
+    [top_heap_words] ([Gc.((quick_stat ()).top_heap_words)] when the span
+    closed — the major-heap high-water mark, a peak-live-memory proxy) and
+    an [attrs] object of integers (e.g. [("instructions", n)]). *)

@@ -5,11 +5,9 @@ type frame = { routine : Tq_vm.Symtab.routine; entry_sp : int }
 type t = {
   policy : policy;
   mutable frames : frame list;
-  mutable depth : int;
-  mutable max_depth : int;
 }
 
-let create policy = { policy; frames = []; depth = 0; max_depth = 0 }
+let create policy = { policy; frames = [] }
 let copy t = { t with policy = t.policy }
 let policy t = t.policy
 
@@ -17,35 +15,16 @@ let tracked t (r : Tq_vm.Symtab.routine) =
   match t.policy with Track_all -> true | Main_image_only -> r.is_main_image
 
 let on_entry t routine ~sp =
-  if tracked t routine then begin
-    t.frames <- { routine; entry_sp = sp } :: t.frames;
-    t.depth <- t.depth + 1;
-    if t.depth > t.max_depth then t.max_depth <- t.depth
-  end
+  if tracked t routine then t.frames <- { routine; entry_sp = sp } :: t.frames
 
 let on_ret t ~sp =
   match t.frames with
-  | { entry_sp; _ } :: rest when entry_sp = sp ->
-      t.frames <- rest;
-      t.depth <- t.depth - 1
+  | { entry_sp; _ } :: rest when entry_sp = sp -> t.frames <- rest
   | _ -> ()
 
 let top t =
   match t.frames with [] -> None | f :: _ -> Some f.routine
 
-let depth t = t.depth
-let max_depth t = t.max_depth
-
-let attribute t static =
-  match t.policy with
-  | Track_all -> static
-  | Main_image_only -> (
-      match static with
-      | Some r when r.Tq_vm.Symtab.is_main_image -> static
-      | _ -> top t)
-
-(* Allocation-free variant of [attribute] over routine ids (-1 = none) for
-   per-access hot paths: same policy semantics, no option boxing. *)
 let attribute_id t symtab static =
   match t.policy with
   | Track_all -> static

@@ -19,12 +19,6 @@ type t
 
 val create : policy -> t
 
-val copy : t -> t
-(** An independent snapshot: pushes/pops on the copy do not affect the
-    original (frames are immutable, so the spine is shared).  Used to seed
-    trace-range shards of the sharded replay pipeline with the exact stack
-    state at the shard boundary. *)
-
 val policy : t -> policy
 (** The policy the stack was created with. *)
 
@@ -39,27 +33,17 @@ val on_ret : t -> sp:int -> unit
 val top : t -> Tq_vm.Symtab.routine option
 (** The innermost tracked frame. *)
 
-val depth : t -> int
-(** Number of tracked frames currently on the stack. *)
-
-val max_depth : t -> int
-(** High-water mark, for reporting. *)
-
-val attribute :
-  t -> Tq_vm.Symtab.routine option -> Tq_vm.Symtab.routine option
-(** [attribute t static] resolves the kernel an event should be charged to:
-    under [Track_all] it is the routine statically containing the
-    instruction; under [Main_image_only], library-code events are charged to
-    the innermost main-image frame. *)
-
 val attribute_id : t -> Tq_vm.Symtab.t -> int -> int
-(** [attribute_id t symtab static] is [attribute] over routine ids with
-    [-1] meaning "no routine" — an allocation-free variant for per-access
-    hot paths. *)
+(** [attribute_id t symtab static] resolves the kernel an event should be
+    charged to, over routine ids with [-1] meaning "no routine": under
+    [Track_all] it is [static], the routine statically containing the
+    instruction; under [Main_image_only], library-code events are charged
+    to the innermost main-image frame.  Allocation-free, for per-access hot
+    paths. *)
 
 val prefix :
   Tq_vm.Symtab.t -> policy -> (Tq_trace.Event.t -> unit) * (unit -> t)
 (** The shard-seed prefix tracker of every stack-dependent tool: a sink that
     keeps a fresh stack of the given policy in step with the
     [Rtn_entry]/[Ret] events it is fed (others are ignored), and a snapshot
-    returning an independent {!copy} of it. *)
+    returning an independent copy of it. *)

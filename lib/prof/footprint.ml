@@ -69,8 +69,6 @@ let attach ?(policy = Call_stack.Main_image_only) =
 
 type region_stats = { unique_bytes : int; pages : int; lo : int; hi : int }
 
-let empty_stats = { unique_bytes = 0; pages = 0; lo = 0; hi = 0 }
-
 (* stack classification here is positional (the stack region of the address
    space), independent of the momentary stack pointer *)
 let stack_lo = Layout.stack_top - 0x1000_0000
@@ -148,11 +146,6 @@ let region_rollup t id =
                 hi = hi.(i) } ))
       [ Data; Heap; Stack ]
   end
-
-let stats t routine region =
-  match List.assoc_opt region (region_rollup t routine.Symtab.id) with
-  | Some s -> s
-  | None -> empty_stats
 
 let rows t =
   let out = ref [] in

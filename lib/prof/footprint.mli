@@ -36,10 +36,6 @@ type region_stats = {
   hi : int;  (** highest touched address *)
 }
 
-val stats : t -> Tq_vm.Symtab.routine -> region -> region_stats
-(** One kernel's footprint in one region (all-zero if it never touched
-    it). *)
-
 val rows : t -> (Tq_vm.Symtab.routine * (region * region_stats) list) list
 (** Kernels with any traffic, ordered by total unique bytes (descending);
     only non-empty regions are listed. *)

@@ -182,10 +182,6 @@ let snapshot t =
 
 let attach = Tq_trace.Tool.attach (create ()) consume
 
-let total t c =
-  let totals, _ = snapshot t in
-  totals.(index c)
-
 let per_kernel t =
   let _, kernels = snapshot t in
   let out = ref [] in

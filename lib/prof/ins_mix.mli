@@ -27,9 +27,6 @@ include
 val attach : Tq_dbi.Engine.t -> t
 (** Register the tool: [create] + {!Tq_trace.Probe.attach}. *)
 
-val total : t -> category -> int
-(** Retired instructions of that category over the whole run. *)
-
 val per_kernel : t -> (Tq_vm.Symtab.routine * int array) list
 (** Counts indexed in [categories] order, for kernels with any retired
     instruction, in symbol-table order. *)

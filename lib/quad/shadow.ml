@@ -28,9 +28,6 @@ let page_of t idx =
     p
   end
 
-let set t addr producer =
-  (page_of t (addr lsr page_bits)).(addr land (page_size - 1)) <- producer
-
 (* Page-split bulk write: one [page_of] plus an [Array.fill] per touched
    page instead of a lookup per byte — the write path of every Store and
    Block_copy, so this is QUAD's hottest producer-side loop. *)

@@ -10,13 +10,10 @@ type t
 
 val create : unit -> t
 
-val set : t -> int -> int -> unit
-(** [set t addr producer_id] records the last writer of one byte. *)
-
 val set_range : t -> int -> int -> int -> unit
 (** [set_range t addr len producer_id] records the last writer of [len]
     consecutive bytes — page-split [Array.fill]s, equivalent to [len]
-    {!set}s. *)
+    single-byte writes. *)
 
 val get : t -> int -> int
 (** [-1] if the byte has never been written. *)

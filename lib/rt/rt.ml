@@ -166,4 +166,3 @@ let unit_no_start =
   { unit_ with Link.routines = List.filter (fun r -> r.Link.rname <> "_start") unit_.Link.routines }
 
 let link units = Link.link (units @ [ unit_ ])
-let link_with_symbols units = Link.link_with_symbols (units @ [ unit_ ])

@@ -20,6 +20,3 @@ val unit_no_start : Tq_asm.Link.cunit
 val link : Tq_asm.Link.cunit list -> Tq_vm.Program.t
 (** [link units] links user units together with the runtime image; execution
     starts at the runtime's [_start]. *)
-
-val link_with_symbols :
-  Tq_asm.Link.cunit list -> Tq_vm.Program.t * (string, int) Hashtbl.t

@@ -36,11 +36,6 @@ val connect : ?timeout_s:float -> ?attempt:int -> string -> (t, err) result
 
 val close : t -> unit
 
-val request : t -> Tq_obs.Json.t -> (Tq_obs.Json.t, err) result
-(** Send one raw frame, wait for the reply.  [Ok] is the whole response
-    object of a [{"ok": true}] reply; refusals and transport failures are
-    [Error]. *)
-
 (** {1 Typed operations} *)
 
 val ping : t -> (unit, err) result
@@ -110,22 +105,6 @@ val default_policy : policy
 (** [retries = 0] (opt-in), [base_s = 0.1], [factor = 2.], [max_s = 5.],
     [jitter = 0.25]. *)
 
-val retryable : err -> bool
-(** [busy], [transport] and [timeout] errors are worth retrying; every
-    other kind ([bad-request], [not-found], [bad-trace], [shutting-down],
-    [server-error]) fails identically on retry and is terminal. *)
-
-val backoff_delay :
-  ?rand:(float -> float) ->
-  policy ->
-  attempt:int ->
-  retry_after_s:float option ->
-  float
-(** The sleep before retrying after failed attempt [attempt] (1-based):
-    capped exponential backoff, jittered downward by [jitter], floored at
-    the server's [retry_after_s] hint when present.  [rand] defaults to
-    {!Random.float}; tests inject a deterministic one. *)
-
 val with_retry :
   ?policy:policy ->
   ?sleep:(float -> unit) ->
@@ -133,9 +112,14 @@ val with_retry :
   (attempt:int -> ('a, err) result) ->
   ('a, err) result
 (** [with_retry f] runs [f ~attempt:1] and re-runs it (with incremented
-    [attempt]) after each {!retryable} failure, sleeping {!backoff_delay}
-    in between, for at most [policy.retries] retries.  Terminal errors and
-    exhausted budgets return the last error.  [f] should establish its own
-    connection per attempt (pass [attempt] to {!connect} so the server can
-    count the retry) — a transport failure usually means the old connection
-    is dead.  [sleep] and [rand] are injectable for tests. *)
+    [attempt]) after each retryable failure ([busy], [transport] or
+    [timeout]; every other kind fails identically on retry and is
+    terminal), for at most [policy.retries] retries.  Before retry [n] it
+    sleeps the capped exponential backoff [min max_s (base_s * factor^(n-1))],
+    jittered downward by [jitter] and floored at the server's
+    [retry_after_s] hint when present.  Terminal errors and exhausted
+    budgets return the last error.  [f] should establish its own connection
+    per attempt (pass [attempt] to {!connect} so the server can count the
+    retry) — a transport failure usually means the old connection is dead.
+    [sleep] and [rand] (default {!Random.float}) are injectable for
+    tests. *)

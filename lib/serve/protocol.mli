@@ -4,7 +4,7 @@
     One frame = a 4-byte big-endian length followed by that many bytes of
     {!Tq_obs.Json} text.  Both directions use the same framing; binary
     payloads (trace containers, object files) ride inside [Json.Str]
-    members, which hold arbitrary bytes.  Frames larger than {!max_frame}
+    members, which hold arbitrary bytes.  Frames larger than 256 MiB
     are refused on read and on write — a malformed peer cannot make the
     server allocate unboundedly.
 
@@ -13,9 +13,6 @@
     {!val-busy} … {!val-shutting_down} constants — clients dispatch on the
     kind, humans read the reason.  See docs/SERVE.md for the full request
     and response schemas. *)
-
-val max_frame : int
-(** Upper bound on a frame's payload length (bytes). *)
 
 exception Frame_error of string
 (** A malformed frame: oversized or negative length prefix, or a payload
@@ -54,7 +51,7 @@ val write_frame :
     peer that stops reading cannot pin the writer); writes retry on
     [EINTR]/[EAGAIN]/[EWOULDBLOCK].
     @raise Frame_error if the rendering exceeds [max_frame]
-    (default {!max_frame}).
+    (default 256 MiB).
     @raise Timeout when the deadline expires. *)
 
 (** {1 Trace identity} *)

@@ -7,17 +7,12 @@ type pattern =
   | Indirect
   | Unknown of string
 
-let pattern_name = function
+let pattern_to_string = function
   | Scalar -> "scalar"
   | Sequential -> "sequential"
-  | Strided _ -> "strided"
-  | Indirect -> "indirect"
-  | Unknown _ -> "unknown"
-
-let pattern_to_string = function
   | Strided k -> Printf.sprintf "strided(%+d)" k
+  | Indirect -> "indirect"
   | Unknown why -> "unknown: " ^ why
-  | p -> pattern_name p
 
 type acc = {
   index : int;

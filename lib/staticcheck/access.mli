@@ -21,9 +21,6 @@ type pattern =
   | Indirect
   | Unknown of string
 
-val pattern_name : pattern -> string
-val pattern_to_string : pattern -> string
-
 type acc = {
   index : int;  (** instruction index *)
   addr : int option;  (** code address, when linked *)
@@ -46,8 +43,6 @@ type routine = {
   loops : loop_report list;
   accesses : acc list;
 }
-
-val classify : Loopinfo.t -> Loopinfo.loop -> Dataflow.access -> pattern
 
 val analyze : Cfg.t -> Loopinfo.t * routine
 

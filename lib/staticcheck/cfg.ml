@@ -265,23 +265,3 @@ let backward t ~exit ~join ~equal ~transfer =
     done
   done;
   out
-
-let render t =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf "cfg of %s (%d blocks, %d loops):\n" t.code.Rcode.name
-       (n_blocks t) (Array.length t.loops));
-  Array.iter
-    (fun b ->
-      let loc =
-        match Rcode.addr_of t.code b.first with
-        | Some a -> Printf.sprintf "0x%x" a
-        | None -> Printf.sprintf "i%d" b.first
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "  B%d [%s] %d ins depth %d -> {%s}%s\n" b.id loc
-           (b.last - b.first + 1) (depth t b.id)
-           (String.concat "," (List.map string_of_int b.succs))
-           (if t.reachable.(b.id) then "" else " unreachable")))
-    t.blocks;
-  Buffer.contents buf

@@ -90,6 +90,3 @@ val backward :
     before-state).  Every block starts from [exit], which is also what a
     block without successors ends with, so [exit] must be the least state
     (the [join]'s identity); unreachable blocks keep it. *)
-
-val render : t -> string
-(** Compact textual dump (blocks, depths, edges, reachability). *)

@@ -64,33 +64,6 @@ let string_of_cell = function
   | Stack o -> Printf.sprintf "[entry%+d]" o
   | Data a -> Printf.sprintf "[0x%x]" a
 
-let string_of_lin l =
-  let buf = Buffer.create 16 in
-  let sep () = if Buffer.length buf > 0 then Buffer.add_string buf " + " in
-  if l.sp <> 0 then begin
-    sep ();
-    if l.sp <> 1 then Buffer.add_string buf (string_of_int l.sp ^ "*");
-    Buffer.add_string buf "sp0"
-  end;
-  List.iter
-    (fun (t, c) ->
-      sep ();
-      if c <> 1 then Buffer.add_string buf (string_of_int c ^ "*");
-      match t with
-      | Tcell cell -> Buffer.add_string buf (string_of_cell cell)
-      | Tload i -> Buffer.add_string buf (Printf.sprintf "load@i%d" i))
-    l.terms;
-  if l.k <> 0 || Buffer.length buf = 0 then begin
-    sep ();
-    Buffer.add_string buf (string_of_int l.k)
-  end;
-  Buffer.contents buf
-
-let string_of_value = function
-  | Lin l -> string_of_lin l
-  | Cmp (_, _, _) -> "<comparison>"
-  | Top -> "<unknown>"
-
 let merge_terms ta tb =
   let add acc (t, c) =
     match List.assoc_opt t acc with
@@ -268,7 +241,6 @@ let detect_frame (cfg : Cfg.t) =
       | _ -> scan (i + 1)
   in
   scan 0
-
 
 (* Does the address of any frame slot leave the frame?  A stored value,
    block-copy source or syscall argument that is sp-relative means a callee

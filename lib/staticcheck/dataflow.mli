@@ -91,19 +91,10 @@ val access : t -> int -> access option
 val uses_defs : Tq_isa.Isa.ins -> int list * int list * int list * int list
 (** (int uses, float uses, int defs, float defs) of one instruction. *)
 
-val int_clobbers : Tq_isa.Isa.ins -> int list
-(** Integer registers whose value is unpredictable after the instruction
-    (includes all caller-saved temporaries for calls). *)
-
 val const : int -> lin
-val lin_const : int -> value
 val lin_add : lin -> lin -> lin
 val lin_sub : lin -> lin -> lin
 val lin_scale : lin -> int -> lin
-val lin_of : value -> lin option
 val lin_is_const : lin -> bool
-val cell_of_lin : lin -> cell option
 val has_load_term : lin -> bool
 val string_of_cell : cell -> string
-val string_of_lin : lin -> string
-val string_of_value : value -> string

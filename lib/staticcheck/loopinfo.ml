@@ -410,7 +410,6 @@ let analyze (df : Dataflow.t) =
   in
   { df; loops = Array.mapi loop cfg.Cfg.loops }
 
-let df t = t.df
 let loops t = t.loops
 
 let header_addr t l =

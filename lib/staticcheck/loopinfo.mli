@@ -42,7 +42,6 @@ type loop = {
 type t
 
 val analyze : Dataflow.t -> t
-val df : t -> Dataflow.t
 val loops : t -> loop array
 (** Indexed like [(Dataflow.cfg df).loops]. *)
 

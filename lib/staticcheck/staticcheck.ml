@@ -46,8 +46,6 @@ type diagnostic = {
   message : string;
 }
 
-let has_class c diags = List.exists (fun d -> d.cls = c) diags
-
 let render diags =
   let buf = Buffer.create 256 in
   List.iter

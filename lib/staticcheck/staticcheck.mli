@@ -44,9 +44,6 @@ type cls =
   | Dead_store
   | Invariant_load
 
-val class_name : cls -> string
-(** Stable kebab-case name, e.g. ["use-before-def"]. *)
-
 type severity = Error | Warn | Info
 
 val severity_of : cls -> severity
@@ -62,8 +59,6 @@ type diagnostic = {
   message : string;
 }
 
-val has_class : cls -> diagnostic list -> bool
-
 val render : diagnostic list -> string
 (** One line per diagnostic: [routine+addr: [class] message]; warnings and
     infos tag the class as [[warn class]] / [[info class]]. *)
@@ -75,10 +70,6 @@ type bounds = {
       (** (name, start address, byte size), sorted by start address *)
   b_data_end : int;  (** first address past the static-data region *)
 }
-
-val check_cfg : ?bounds:bounds -> ?dataflow:bool -> Cfg.t -> diagnostic list
-
-val check_rcode : ?bounds:bounds -> ?dataflow:bool -> Rcode.t -> diagnostic list
 
 val check_items : name:string -> Tq_asm.Builder.item array -> diagnostic list
 (** Check one unlinked assembler unit (label-resolved, symbols opaque).

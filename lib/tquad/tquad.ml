@@ -278,14 +278,3 @@ let range_bytes t routine metric ~lo ~hi =
         acc := !acc + Dyn.get_or d i 0
       done;
       !acc
-
-let active_set t slice =
-  let out = ref [] in
-  Array.iteri
-    (fun id d ->
-      match d with
-      | Some k when slice_active k slice ->
-          out := Symtab.by_id t.symtab id :: !out
-      | _ -> ())
-    t.data;
-  List.rev !out

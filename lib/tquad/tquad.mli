@@ -97,6 +97,3 @@ val active_in : t -> Tq_vm.Symtab.routine -> lo:int -> hi:int -> int
 val range_bytes : t -> Tq_vm.Symtab.routine -> metric -> lo:int -> hi:int -> int
 
 val max_rw_in : t -> Tq_vm.Symtab.routine -> incl:bool -> lo:int -> hi:int -> float
-
-val active_set : t -> int -> Tq_vm.Symtab.routine list
-(** Kernels with any traffic in the given slice. *)

@@ -24,7 +24,7 @@ type ('state, 'seed) shard_spec = {
           stage), and a snapshot function capturing the tracker's current
           state as a fresh, independent ['seed].  The snapshot is taken at
           each shard boundary, so it must be callable repeatedly and cheap —
-          e.g. {!Tq_prof.Call_stack.copy} for stack-dependent tools. *)
+          e.g. {!Tq_prof.Call_stack.prefix} for stack-dependent tools. *)
   shard : 'seed -> (Event.t -> unit) * (unit -> 'state);
       (** Build one shard from the seed captured at its range's start: a sink
           fed the range's events (filtered by the job's [wants], in order

@@ -25,9 +25,6 @@ type t = {
   mutable chunks : chunk list;  (* reversed *)
   mutable written : int;  (* bytes written to [oc] so far *)
   mutable total_events : int;
-  mutable stored_events : int;
-  mutable repeat_chunks : int;
-  mutable body_chunks : int;
   body_dict : (string, int * int) Hashtbl.t;
       (* body blob -> (def chunk offset, def payload CRC) *)
   mutable dict_bytes : int;
@@ -64,9 +61,6 @@ let create ?(chunk_bytes = 64 * 1024) ?(fingerprint = 0L) ?(compress = false)
           chunks = [];
           written = header_bytes;
           total_events = 0;
-          stored_events = 0;
-          repeat_chunks = 0;
-          body_chunks = 0;
           body_dict = Hashtbl.create 64;
           dict_bytes = 0;
           held = None;
@@ -134,7 +128,6 @@ let emit_plain w ev =
   end;
   Event.encode w.st w.payload ev;
   w.chunk_events <- w.chunk_events + 1;
-  w.stored_events <- w.stored_events + 1;
   if Buffer.length w.payload >= w.chunk_bytes then flush_chunk w
 
 (* A chunk's framing on disk: kind byte, meta, CRC, and its index entry,
@@ -153,15 +146,13 @@ let framing ~n ~first_icount ~payload_len =
    future body gets re-defined, never a wrong reference.  [define_body]
    writes the def chunk of a body not in the dictionary; [payload] is the
    def's payload: the body length, then the blob. *)
-let define_body w ~blob ~payload ~b ~first_icount =
+let define_body w ~blob ~payload ~first_icount =
   let off =
     write_raw_chunk w ~kind:body_magic
       ~meta:(render_meta ~n:0 ~first_icount ~payload_len:(String.length payload))
       ~payload ~events:0 ~first_icount
   in
   let pcrc = Crc32.digest payload in
-  w.body_chunks <- w.body_chunks + 1;
-  w.stored_events <- w.stored_events + b;
   if Hashtbl.length w.body_dict >= 8192 || w.dict_bytes > 8 * 1024 * 1024
   then begin
     Hashtbl.reset w.body_dict;
@@ -298,7 +289,7 @@ let write_run w ~followed (body, iters, fields) =
     let bref =
       match interned with
       | Some entry -> entry
-      | None -> define_body w ~blob ~payload:def_payload ~b ~first_icount
+      | None -> define_body w ~blob ~payload:def_payload ~first_icount
     in
     let payload = repeat_payload bref in
     ignore
@@ -306,8 +297,7 @@ let write_run w ~followed (body, iters, fields) =
          ~meta:
            (render_meta ~n:n_raw ~first_icount
               ~payload_len:(String.length payload))
-         ~payload ~events:n_raw ~first_icount);
-    w.repeat_chunks <- w.repeat_chunks + 1
+         ~payload ~events:n_raw ~first_icount)
   end
 
 (* A committed run is written once the writer knows what follows it:
@@ -351,10 +341,6 @@ let emit_boundary w ~trace_id ev =
   else emit_plain w ev
 
 let events w = w.total_events
-let stored_events w = w.stored_events
-let repeat_chunks w = w.repeat_chunks
-let body_chunks w = w.body_chunks
-let version w = if w.compress then 4 else 3
 
 let close w =
   if not w.closed then begin

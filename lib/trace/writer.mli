@@ -37,10 +37,10 @@
     - chunks are fully self-delimiting, so a reader can rebuild the index by
       scanning forward from the file header when the trailer or index is
       missing or corrupt ({!Reader.load}[ ~mode:Salvage]);
-    - the writer streams to ["path.tmp"] and atomically renames to [path] in
-      {!close} — a finished trace is never observed half-written, and a
-      recorder killed mid-run leaves a salvageable [.tmp] instead of a
-      truncated file under the final name.
+    - the writer streams to ["path.tmp"] and atomically renames to [path]
+      when {!with_file} finishes — a finished trace is never observed
+      half-written, and a recorder killed mid-run leaves a salvageable
+      [.tmp] instead of a truncated file under the final name.
 
     v4 ([~compress:true]) adds redundancy suppression ({!Squash}): a
     repeated loop-body event run is stored as one {e body-def chunk} (kind
@@ -80,18 +80,6 @@ val header_bytes : int
 
 type t
 
-val create :
-  ?chunk_bytes:int -> ?fingerprint:int64 -> ?compress:bool -> string -> t
-(** Open ["path.tmp"] for writing and emit the header.  A chunk is flushed
-    once its payload reaches [chunk_bytes] (default 64 KiB).  [fingerprint]
-    is the recorded program's {!Tq_vm.Program.fingerprint} (default [0L] =
-    unknown); replay refuses a trace whose fingerprint does not match the
-    program it is replayed against.  [compress] (default [false]) writes a
-    v4 container and routes events through the {!Squash} redundancy
-    suppressor; the decoded event stream is identical either way.  If
-    anything after opening the channel raises, the channel is closed and the
-    temp file removed (no leaked fd). *)
-
 val emit : t -> Event.t -> unit
 (** Append one event.  Under [~compress], [Block_exec] events act as
     detection boundaries keyed by their address; use {!emit_boundary} when
@@ -106,30 +94,6 @@ val emit_boundary : t -> trace_id:int -> Event.t -> unit
 val events : t -> int
 (** Events emitted so far (raw count — what a reader will decode). *)
 
-val stored_events : t -> int
-(** Events physically encoded so far: plain events plus one body per
-    body-def chunk (a body referenced by many repeat chunks is counted
-    once).  [events w / stored_events w] is the event-level compression
-    ratio (1x for uncompressed writers).  Only final after {!close} — the
-    suppressor buffers a bounded window. *)
-
-val repeat_chunks : t -> int
-(** Repeat chunks written so far ([0] for uncompressed writers). *)
-
-val body_chunks : t -> int
-(** Body-def chunks written so far ([0] for uncompressed writers).  At most
-    [repeat_chunks w] — fewer when interning shares a body across repeats. *)
-
-val version : t -> int
-(** Container version being written: [4] under [~compress], else [3]. *)
-
-val close : t -> unit
-(** Flush the suppressor and the last chunk, append the index and trailer,
-    close the file and rename ["path.tmp"] to [path].  Idempotent —
-    including when the finalization itself fails: the writer is marked
-    closed before any syscall, and on error the channel is torn down with
-    [close_out_noerr] and the [.tmp] file is left on disk for salvage. *)
-
 val with_file :
   ?chunk_bytes:int ->
   ?fingerprint:int64 ->
@@ -137,5 +101,15 @@ val with_file :
   string ->
   (t -> 'a) ->
   'a
-(** [create] / [close] bracket; the file is closed (index written, temp file
-    renamed) even if the callback raises. *)
+(** [with_file path f] opens ["path.tmp"], writes the header and runs [f]
+    on the writer; then, even if [f] raises, it flushes the suppressor and
+    the last chunk, appends the index and trailer and renames the temp file
+    to [path].  A chunk is flushed once its payload reaches [chunk_bytes]
+    (default 64 KiB).  [fingerprint] is the recorded program's
+    {!Tq_vm.Program.fingerprint} (default [0L] = unknown); replay refuses a
+    trace whose fingerprint does not match the program it is replayed
+    against.  [compress] (default [false]) writes a v4 container and routes
+    events through the {!Squash} redundancy suppressor; the decoded event
+    stream is identical either way.  If the finalization fails, the channel
+    is torn down and the [.tmp] file is left on disk for salvage.  After
+    [with_file] returns, {!emit} on the writer raises [Invalid_argument]. *)

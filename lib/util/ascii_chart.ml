@@ -64,22 +64,3 @@ let strip_chart ?(width = 96) ?(log_scale = true) ~title ~unit_label series =
       Buffer.add_string buf (Printf.sprintf "| peak %.4f\n" peak))
     series;
   Buffer.contents buf
-
-let bar_chart ?(width = 60) ~title series =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf title;
-  Buffer.add_char buf '\n';
-  let vmax = List.fold_left (fun a (_, v) -> max a v) 0. series in
-  let name_w =
-    List.fold_left (fun acc (n, _) -> max acc (String.length n)) 0 series
-  in
-  List.iter
-    (fun (name, v) ->
-      let n =
-        if vmax <= 0. then 0
-        else int_of_float (v /. vmax *. float_of_int width)
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "  %-*s | %s %.4f\n" name_w name (String.make n '#') v))
-    series;
-  Buffer.contents buf

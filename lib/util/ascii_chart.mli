@@ -20,7 +20,3 @@ val strip_chart :
     range of bandwidths.  Each row is annotated with the series' peak value.
 
     @raise Invalid_argument if series lengths differ or the list is empty. *)
-
-val bar_chart :
-  ?width:int -> title:string -> (string * float) list -> string
-(** Horizontal bar chart of labelled scalars, for summary comparisons. *)

@@ -19,5 +19,3 @@ let row cells = String.concat "," (List.map escape cells)
 
 let to_string rows =
   String.concat "" (List.map (fun r -> row r ^ "\n") rows)
-
-let write oc rows = output_string oc (to_string rows)

@@ -1,13 +1,4 @@
 (** Minimal CSV writer (RFC-4180 quoting) for exporting profile series so the
     figures can be re-plotted outside the terminal. *)
 
-val escape : string -> string
-(** Quote a field if it contains a comma, quote, or newline. *)
-
-val row : string list -> string
-(** One CSV line (no trailing newline). *)
-
-val write : out_channel -> string list list -> unit
-(** Write all rows, newline-terminated. *)
-
 val to_string : string list list -> string

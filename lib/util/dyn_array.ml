@@ -34,10 +34,6 @@ let get t i =
   check t i;
   t.data.(i)
 
-let set t i x =
-  check t i;
-  t.data.(i) <- x
-
 let ensure t n =
   if n > t.len then begin
     grow_to t n;
@@ -63,10 +59,4 @@ let fold f acc t =
   done;
   !acc
 
-let to_list t = List.init t.len (fun i -> t.data.(i))
-
 let to_array t = Array.sub t.data 0 t.len
-
-let clear t = t.len <- 0
-
-let last t = if t.len = 0 then None else Some t.data.(t.len - 1)

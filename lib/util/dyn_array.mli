@@ -17,12 +17,6 @@ val get : 'a t -> int -> 'a
 (** [get t i] is the [i]-th element.  @raise Invalid_argument if out of
     bounds. *)
 
-val set : 'a t -> int -> 'a -> unit
-(** [set t i x] overwrites position [i], which must be [< length t]. *)
-
-val ensure : 'a t -> int -> unit
-(** [ensure t n] extends [t] with dummies so that [length t >= n]. *)
-
 val get_or : 'a t -> int -> 'a -> 'a
 (** [get_or t i default] is [get t i] if in bounds, else [default]. *)
 
@@ -34,10 +28,4 @@ val iteri : (int -> 'a -> unit) -> 'a t -> unit
 
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 
-val to_list : 'a t -> 'a list
-
 val to_array : 'a t -> 'a array
-
-val clear : 'a t -> unit
-
-val last : 'a t -> 'a option

@@ -97,15 +97,6 @@ let add_range t x n =
     end
   end
 
-let mem t x =
-  if x < 0 then false
-  else
-    match Hashtbl.find_opt t.pages (x lsr page_bits) with
-    | None -> false
-    | Some page ->
-        let off = x land (page_size - 1) in
-        page.(off lsr 5) land (1 lsl (off land 31)) <> 0
-
 let cardinal t = t.count
 
 let iter_words f t =
@@ -120,14 +111,6 @@ let iter_words f t =
         if word <> 0 then f (base + (w * 32)) word
       done)
     idxs
-
-let iter f t =
-  iter_words
-    (fun base word ->
-      for b = 0 to 31 do
-        if word land (1 lsl b) <> 0 then f (base + b)
-      done)
-    t
 
 let union dst src =
   Hashtbl.iter
@@ -145,11 +128,3 @@ let union dst src =
         end
       done)
     src.pages
-
-let page_count t = Hashtbl.length t.pages
-
-let clear t =
-  Hashtbl.reset t.pages;
-  t.count <- 0;
-  t.last_idx <- min_int;
-  t.last_page <- [||]

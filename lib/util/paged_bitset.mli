@@ -15,13 +15,8 @@ val add : t -> int -> unit
 val add_range : t -> int -> int -> unit
 (** [add_range t x n] inserts [x], [x+1], ..., [x+n-1]. *)
 
-val mem : t -> int -> bool
-
 val cardinal : t -> int
 (** Number of distinct members; O(1) (maintained incrementally). *)
-
-val iter : (int -> unit) -> t -> unit
-(** Iterate members in ascending order. *)
 
 val iter_words : (int -> int -> unit) -> t -> unit
 (** [iter_words f t] calls [f base word] for every non-zero 32-bit word, in
@@ -33,8 +28,3 @@ val union : t -> t -> unit
 (** [union dst src] adds every member of [src] to [dst] ([src] unchanged).
     Word-at-a-time with an incremental cardinality update — the merge
     primitive for sharded tool states. *)
-
-val page_count : t -> int
-(** Number of allocated pages (for memory accounting / tests). *)
-
-val clear : t -> unit

@@ -1,32 +1,3 @@
-let sum xs = Array.fold_left ( +. ) 0. xs
-
-let mean xs =
-  let n = Array.length xs in
-  if n = 0 then 0. else sum xs /. float_of_int n
-
-let variance xs =
-  let n = Array.length xs in
-  if n < 2 then 0.
-  else begin
-    let m = mean xs in
-    let acc = ref 0. in
-    Array.iter
-      (fun x ->
-        let d = x -. m in
-        acc := !acc +. (d *. d))
-      xs;
-    !acc /. float_of_int n
-  end
-
-let stddev xs = sqrt (variance xs)
-
-let min_max xs =
-  if Array.length xs = 0 then invalid_arg "Stats.min_max: empty";
-  Array.fold_left
-    (fun (lo, hi) x -> (min lo x, max hi x))
-    (xs.(0), xs.(0))
-    xs
-
 let percentile xs p =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Stats.percentile: empty";
@@ -41,31 +12,3 @@ let percentile xs p =
     let frac = rank -. float_of_int lo in
     (sorted.(lo) *. (1. -. frac)) +. (sorted.(hi) *. frac)
   end
-
-type running = {
-  mutable n : int;
-  mutable m : float;
-  mutable s : float;
-  mutable lo : float;
-  mutable hi : float;
-}
-
-let running_create () =
-  { n = 0; m = 0.; s = 0.; lo = infinity; hi = neg_infinity }
-
-let running_add r x =
-  r.n <- r.n + 1;
-  let d = x -. r.m in
-  r.m <- r.m +. (d /. float_of_int r.n);
-  r.s <- r.s +. (d *. (x -. r.m));
-  if x < r.lo then r.lo <- x;
-  if x > r.hi then r.hi <- x
-
-let running_mean r = if r.n = 0 then 0. else r.m
-
-let running_stddev r =
-  if r.n < 2 then 0. else sqrt (r.s /. float_of_int r.n)
-
-let running_count r = r.n
-let running_min r = if r.n = 0 then 0. else r.lo
-let running_max r = if r.n = 0 then 0. else r.hi

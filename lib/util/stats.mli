@@ -1,29 +1,5 @@
-(** Small descriptive-statistics helpers used by the report generators. *)
-
-val mean : float array -> float
-(** Arithmetic mean; 0. on the empty array. *)
-
-val variance : float array -> float
-(** Population variance; 0. on arrays shorter than 2. *)
-
-val stddev : float array -> float
-
-val min_max : float array -> float * float
-(** @raise Invalid_argument on the empty array. *)
+(** Order statistics over latency samples. *)
 
 val percentile : float array -> float -> float
 (** [percentile xs p] with [p] in [0,100]; linear interpolation between
     closest ranks.  @raise Invalid_argument on the empty array. *)
-
-val sum : float array -> float
-
-type running
-(** Single-pass running accumulator (Welford). *)
-
-val running_create : unit -> running
-val running_add : running -> float -> unit
-val running_mean : running -> float
-val running_stddev : running -> float
-val running_count : running -> int
-val running_min : running -> float
-val running_max : running -> float

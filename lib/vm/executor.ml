@@ -7,11 +7,3 @@ let run ?(fuel = 2_000_000_000) m =
     Machine.exec m (Machine.fetch m);
     incr executed
   done
-
-let run_steps m n =
-  let executed = ref 0 in
-  while (not (Machine.halted m)) && !executed < n do
-    Machine.exec m (Machine.fetch m);
-    incr executed
-  done;
-  !executed

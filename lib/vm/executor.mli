@@ -8,7 +8,3 @@ exception Out_of_fuel of int
 val run : ?fuel:int -> Machine.t -> unit
 (** Step until the machine halts.  [fuel] (default 2_000_000_000) bounds the
     number of instructions to catch runaway programs. *)
-
-val run_steps : Machine.t -> int -> int
-(** [run_steps m n] executes at most [n] instructions, returning how many
-    actually retired (less than [n] only if the machine halted). *)

@@ -50,7 +50,6 @@ let reg t r = if r = Isa.reg_zero then 0 else t.regs.(r)
 let set_reg t r v = if r <> Isa.reg_zero then t.regs.(r) <- v
 
 let freg t r = t.fregs.(r)
-let set_freg t r v = t.fregs.(r) <- v
 let sp t = t.regs.(Isa.reg_sp)
 let instr_count t = t.count
 let halted t = t.is_halted
@@ -77,9 +76,6 @@ let write_ea t ins =
 (* Dynamic byte count of a block-move; 0 for other instructions. *)
 let block_len t ins =
   match ins with Isa.Movs { len; _ } -> max 0 (reg t len) | _ -> 0
-
-let predicate_true t ins =
-  match Isa.predicate_of ins with None -> true | Some p -> reg t p <> 0
 
 let fetch t =
   match Program.fetch t.prog t.pc with

@@ -24,9 +24,6 @@ val vfs : t -> Vfs.t
 
 val ip : t -> int
 val reg : t -> Tq_isa.Isa.reg -> int
-val set_reg : t -> Tq_isa.Isa.reg -> int -> unit
-val freg : t -> Tq_isa.Isa.freg -> float
-val set_freg : t -> Tq_isa.Isa.freg -> float -> unit
 val sp : t -> int
 val instr_count : t -> int
 val halted : t -> bool
@@ -51,10 +48,6 @@ val write_ea : t -> Tq_isa.Isa.ins -> int
 val block_len : t -> Tq_isa.Isa.ins -> int
 (** Dynamic byte count of a [Movs] block move (0 for anything else) — the
     value analysis routines must use in place of the static widths. *)
-
-val predicate_true : t -> Tq_isa.Isa.ins -> bool
-(** Whether a predicated access will actually execute (true for
-    non-predicated instructions). *)
 
 (** {2 Execution} *)
 

@@ -318,13 +318,6 @@ let write_file path p =
   output_string oc (encode p);
   close_out oc
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  decode s
-
 let is_objfile s =
   String.length s >= String.length magic
   && String.sub s 0 (String.length magic) = magic

@@ -24,15 +24,7 @@ val decode : string -> Program.t
 
 val write_file : string -> Program.t -> unit
 
-val read_file : string -> Program.t
-(** @raise Format_error (including on missing magic); raises [Sys_error] on
-    I/O failure. *)
-
 val is_objfile : string -> bool
 (** Does the byte string start with the magic? *)
 
 (** {2 Varint encoding (exposed for tests)} *)
-
-val sleb128 : Buffer.t -> int -> unit
-
-val read_sleb128 : string -> int ref -> int

@@ -14,10 +14,6 @@ let contents t path =
   Hashtbl.find_opt t.files path
   |> Option.map (fun f -> Bytes.sub_string f.data 0 f.size)
 
-let exists t path = Hashtbl.mem t.files path
-let size t path = Hashtbl.find_opt t.files path |> Option.map (fun f -> f.size)
-let remove t path = Hashtbl.remove t.files path
-
 let list t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.files [] |> List.sort compare
 

@@ -14,12 +14,6 @@ val install : t -> string -> string -> unit
 
 val contents : t -> string -> string option
 
-val exists : t -> string -> bool
-
-val size : t -> string -> int option
-
-val remove : t -> string -> unit
-
 val list : t -> string list
 (** Paths in lexicographic order. *)
 

@@ -1,8 +1,5 @@
 type t = { sample_rate : int; channels : float array array }
 
-let num_frames t =
-  if Array.length t.channels = 0 then 0 else Array.length t.channels.(0)
-
 let clamp x = if x < -1. then -1. else if x > 1. then 1. else x
 
 let pcm_of_float x =
@@ -108,19 +105,3 @@ let decode s =
           end
     end
   with Invalid_argument _ -> Error "malformed file"
-
-let max_abs_diff a b =
-  if
-    Array.length a.channels <> Array.length b.channels
-    || num_frames a <> num_frames b
-  then invalid_arg "Wav.max_abs_diff: shape mismatch";
-  let worst = ref 0. in
-  Array.iteri
-    (fun c ca ->
-      Array.iteri
-        (fun i v ->
-          let d = Float.abs (v -. b.channels.(c).(i)) in
-          if d > !worst then worst := d)
-        ca)
-    a.channels;
-  !worst

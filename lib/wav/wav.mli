@@ -21,9 +21,3 @@ val decode : string -> (t, string) result
 (** Accepts the canonical layout produced by [encode] (and by the simulated
     application): "fmt " and "data" chunks, PCM16; other chunks are
     skipped. *)
-
-val num_frames : t -> int
-
-val max_abs_diff : t -> t -> float
-(** Largest per-sample absolute difference (layouts must match).
-    @raise Invalid_argument on shape mismatch. *)

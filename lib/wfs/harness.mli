@@ -10,9 +10,6 @@ val make_vfs : Scenario.t -> Tq_vm.Vfs.t
     source) and [config.bin] (sample rate and chunk count, two
     little-endian 64-bit integers). *)
 
-val machine : Scenario.t -> Tq_vm.Machine.t
-(** [compile] + [make_vfs] + loader: a machine ready to run. *)
-
 val run_plain : Scenario.t -> Tq_vm.Machine.t
 (** Execute uninstrumented to completion (the "native run").
     @raise Failure if the application exits non-zero. *)

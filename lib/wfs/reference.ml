@@ -205,9 +205,3 @@ let render (scen : Scenario.t) =
     energy := !energy +. (mon_re.(k) *. mon_re.(k)) +. (mon_im.(k) *. mon_im.(k))
   done;
   (Bytes.to_string out, !energy)
-
-let output_wav scen =
-  let bytes, _ = render scen in
-  match Wav.decode bytes with
-  | Ok w -> w
-  | Error msg -> failwith ("Reference.output_wav: " ^ msg)

@@ -9,6 +9,3 @@
 val render : Scenario.t -> string * float
 (** [(wav_bytes, spectral_energy)]: the exact expected contents of
     [output.wav] and the spectral-monitor energy the application prints. *)
-
-val output_wav : Scenario.t -> Tq_wav.Wav.t
-(** Decoded form of [render]'s wav bytes. *)

@@ -24,7 +24,7 @@ let test_deterministic () =
 let test_dimension_validation () =
   Alcotest.(check bool) "rejects non-multiple-of-8" true
     (try
-       ignore (Tq_apps.Apps.image_pipeline ~width:60 ());
+       ignore (Tq_apps.Apps.image_pipeline_program ~width:60 ());
        false
      with Invalid_argument _ -> true)
 

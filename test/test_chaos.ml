@@ -336,18 +336,25 @@ let test_backoff_jitter_bounds () =
   let policy =
     Client.{ retries = 1; base_s = 1.; factor = 2.; max_s = 4.; jitter = 0.5 }
   in
+  (* the sleep before each of [retries] retries of an always-failing call *)
+  let sleeps ~retries rand =
+    let sleeps = ref [] in
+    ignore
+      (Client.with_retry ~policy:{ policy with retries } ~rand
+         ~sleep:(fun d -> sleeps := d :: !sleeps)
+         (fun ~attempt:_ ->
+           Error Client.{ kind = "transport"; reason = "gone"; retry_after_s = None }));
+    List.rev !sleeps
+  in
   (* rand pinned high: the full jitter fraction is shaved off *)
   Alcotest.(check (float 1e-9)) "max jitter shaves half" 0.5
-    (Client.backoff_delay ~rand:(fun _ -> 1.0) policy ~attempt:1
-       ~retry_after_s:None);
+    (List.hd (sleeps ~retries:1 (fun _ -> 1.0)));
   (* rand pinned low: the undithered exponential *)
   Alcotest.(check (float 1e-9)) "zero jitter keeps the exponential" 2.
-    (Client.backoff_delay ~rand:(fun _ -> 0.) policy ~attempt:2
-       ~retry_after_s:None);
+    (List.nth (sleeps ~retries:2 (fun _ -> 0.)) 1);
   (* deep attempts cap at max_s before jitter *)
   Alcotest.(check (float 1e-9)) "cap holds" 4.
-    (Client.backoff_delay ~rand:(fun _ -> 0.) policy ~attempt:10
-       ~retry_after_s:None)
+    (List.nth (sleeps ~retries:10 (fun _ -> 0.)) 9)
 
 (* ---------- server under fire ---------- *)
 
@@ -648,22 +655,24 @@ let qcheck_wire_storm_never_kills_server =
     QCheck.Test.make ~name:"wire storm: server survives any byte stream"
       ~count:40 QCheck.small_int (fun seed ->
         ensure_server ();
-        let mut = Wire.random ~seed in
-        let verdict = Wire.strike ~wait_s:5. ~socket mut in
+        let mut, verdict =
+          match Wire.storm ~wait_s:5. ~socket ~seed ~rounds:1 () with
+          | [ { Wire.mutation; verdict } ] -> (Wire.slug mutation, verdict)
+          | evs -> QCheck.Test.fail_reportf "one round, %d strikes" (List.length evs)
+        in
         (match verdict with
         | Wire.Unreachable why ->
-            QCheck.Test.fail_reportf "server unreachable after %s: %s"
-              (Wire.describe mut) why
+            QCheck.Test.fail_reportf "server unreachable after %s (seed %d): %s"
+              mut seed why
         | Wire.Silent ->
-            QCheck.Test.fail_reportf "server went silent on %s"
-              (Wire.describe mut)
+            QCheck.Test.fail_reportf "server went silent on %s (seed %d)" mut seed
         | Wire.Rejected _ | Wire.Accepted | Wire.Closed -> ());
         (* the next healthy client must still be served *)
         match Wire.ping ~socket () with
         | Ok () -> true
         | Error why ->
-            QCheck.Test.fail_reportf "health probe failed after %s: %s"
-              (Wire.describe mut) why)
+            QCheck.Test.fail_reportf "health probe failed after %s (seed %d): %s"
+              mut seed why)
   in
   (* wrap so the server is torn down (and the byte-identical final check
      runs) whatever order alcotest executes in *)

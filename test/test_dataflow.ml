@@ -19,6 +19,16 @@ module Loopinfo = Tq_staticcheck.Loopinfo
 module Access = Tq_staticcheck.Access
 module Estimate = Tq_staticcheck.Estimate
 
+let has_class c = List.exists (fun (d : Sc.diagnostic) -> d.Sc.cls = c)
+
+(* failure-message form of an access pattern *)
+let show_pattern : Access.pattern -> string = function
+  | Scalar -> "scalar"
+  | Sequential -> "sequential"
+  | Strided k -> Printf.sprintf "strided(%+d)" k
+  | Indirect -> "indirect"
+  | Unknown why -> "unknown: " ^ why
+
 let compile src = Tq_rt.Rt.link [ Tq_minic.Driver.compile_unit ~image:"app" src ]
 
 let rep_of prog name =
@@ -156,13 +166,13 @@ let diag_classes src =
 
 let test_diag_uninit () =
   let ds = diag_classes "int main() { int x; return x; }\n" in
-  Alcotest.(check bool) "uninit-local fires" true (Sc.has_class Sc.Uninit_local ds)
+  Alcotest.(check bool) "uninit-local fires" true (has_class Sc.Uninit_local ds)
 
 let test_diag_dead_store () =
   let ds =
     diag_classes "int main() { int x; x = 5; x = 6; return x; }\n"
   in
-  Alcotest.(check bool) "dead-store fires" true (Sc.has_class Sc.Dead_store ds)
+  Alcotest.(check bool) "dead-store fires" true (has_class Sc.Dead_store ds)
 
 let test_diag_invariant_load () =
   let ds =
@@ -172,7 +182,7 @@ let test_diag_invariant_load () =
        g; return s; }\n"
   in
   Alcotest.(check bool) "invariant-load fires" true
-    (Sc.has_class Sc.Invariant_load ds)
+    (has_class Sc.Invariant_load ds)
 
 let test_diag_clean_stays_clean () =
   (* turning the dataflow layer on must not invent errors or warnings for
@@ -443,8 +453,8 @@ let qcheck_static_vs_dynamic =
           in
           if buf_store.Access.pattern <> expect then
             QCheck.Test.fail_reportf "buf store classified %s, expected %s"
-              (Access.pattern_to_string buf_store.Access.pattern)
-              (Access.pattern_to_string expect);
+              (show_pattern buf_store.Access.pattern)
+              (show_pattern expect);
           (* every classified in-loop access keeps its address promise *)
           List.iter
             (fun (a : Access.acc) ->
@@ -458,7 +468,7 @@ let qcheck_static_vs_dynamic =
                         QCheck.Test.fail_reportf
                           "access 0x%x (%s): observed delta %d, promised %d"
                           ad
-                          (Access.pattern_to_string a.Access.pattern)
+                          (show_pattern a.Access.pattern)
                           got d)
                     (deltas (ea_trace ad))
               | _ -> ())

@@ -6,6 +6,9 @@ let setup src =
   let prog = Tq_rt.Rt.link [ Tq_minic.Driver.compile_unit ~image:"app" src ] in
   Engine.create (Machine.create prog)
 
+(* one kernel's footprint in one region, as [rows] lists it *)
+let stats f routine region = List.assoc region (List.assoc routine (F.rows f))
+
 let test_regions () =
   let eng =
     setup
@@ -24,9 +27,9 @@ let test_regions () =
       (fun r -> r.Symtab.name = "main")
       (List.map fst (F.rows f))
   in
-  let data = F.stats f main F.Data in
-  let heap = F.stats f main F.Heap in
-  let stack = F.stats f main F.Stack in
+  let data = stats f main F.Data in
+  let heap = stats f main F.Heap in
+  let stack = stats f main F.Stack in
   (* 1024 B of g[] plus the allocator's 8-byte __rt_heap cell, which
      malloc (library code) touches on behalf of main *)
   Alcotest.(check int) "data footprint = g[] + allocator cell" 1032
@@ -51,7 +54,7 @@ let test_block_moves_counted () =
   let main =
     List.find (fun r -> r.Symtab.name = "main") (List.map fst (F.rows f))
   in
-  let data = F.stats f main F.Data in
+  let data = stats f main F.Data in
   (* both arrays fully touched (8 KiB), through the block move for b *)
   Alcotest.(check int) "both arrays in footprint" 8192 data.F.unique_bytes;
   Alcotest.(check int) "two pages" 2 data.F.pages

@@ -54,8 +54,6 @@ let test_control_classification () =
   List.iter
     (fun ins -> Alcotest.(check bool) "not control" false (Isa.is_control ins))
     [ Isa.Nop; load Isa.W8; store Isa.W8; Isa.Movs { dst = 1; src = 2; len = 3 } ];
-  Alcotest.(check bool) "call" true (Isa.is_call (Isa.Call 0));
-  Alcotest.(check bool) "callr" true (Isa.is_call (Isa.Callr 1));
   Alcotest.(check bool) "ret" true (Isa.is_ret Isa.Ret);
   Alcotest.(check bool) "prefetch" true
     (Isa.is_prefetch (Isa.Prefetch { base = 1; off = 0 }))

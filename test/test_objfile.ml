@@ -9,10 +9,10 @@ let qcheck_sleb128_roundtrip =
           oneofl [ 0; -1; 1; min_int; max_int; 63; 64; -64; -65 ] ])
     (fun v ->
       let buf = Buffer.create 12 in
-      Obj.sleb128 buf v;
+      Tq_util.Leb128.write_s buf v;
       let s = Buffer.contents buf in
       let pos = ref 0 in
-      Obj.read_sleb128 s pos = v && !pos = String.length s)
+      Tq_util.Leb128.read_s s pos = v && !pos = String.length s)
 
 let wfs_program () = Tq_wfs.Harness.compile Tq_wfs.Scenario.tiny
 
@@ -58,7 +58,7 @@ let test_file_io () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Obj.write_file path p;
-      let p2 = Obj.read_file path in
+      let p2 = Obj.decode (In_channel.with_open_bin path In_channel.input_all) in
       Alcotest.(check bool) "file roundtrip" true
         (p.Program.code = p2.Program.code))
 

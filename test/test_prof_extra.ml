@@ -7,44 +7,45 @@ module Call_stack = Tq_prof.Call_stack
 let mk id name main =
   { Symtab.id; name; entry = 4 * id; size = 4; image = "x"; is_main_image = main }
 
+let top cs = Option.map (fun r -> r.Symtab.name) (Call_stack.top cs)
+
 let test_call_stack_basic () =
   let cs = Call_stack.create Call_stack.Track_all in
-  Alcotest.(check (option string)) "empty" None
-    (Option.map (fun r -> r.Symtab.name) (Call_stack.top cs));
+  Alcotest.(check (option string)) "empty" None (top cs);
   Call_stack.on_entry cs (mk 0 "a" true) ~sp:1000;
   Call_stack.on_entry cs (mk 1 "b" true) ~sp:900;
-  Alcotest.(check int) "depth" 2 (Call_stack.depth cs);
-  Alcotest.(check (option string)) "top" (Some "b")
-    (Option.map (fun r -> r.Symtab.name) (Call_stack.top cs));
+  Alcotest.(check (option string)) "top" (Some "b") (top cs);
   (* ret at non-matching sp: no pop (e.g. an untracked frame returning) *)
   Call_stack.on_ret cs ~sp:800;
-  Alcotest.(check int) "no pop on mismatch" 2 (Call_stack.depth cs);
+  Alcotest.(check (option string)) "no pop on mismatch" (Some "b") (top cs);
   Call_stack.on_ret cs ~sp:900;
-  Alcotest.(check (option string)) "popped to a" (Some "a")
-    (Option.map (fun r -> r.Symtab.name) (Call_stack.top cs));
-  Alcotest.(check int) "max depth tracked" 2 (Call_stack.max_depth cs)
+  Alcotest.(check (option string)) "popped to a" (Some "a") (top cs);
+  Call_stack.on_ret cs ~sp:1000;
+  Alcotest.(check (option string)) "popped to empty" None (top cs)
 
 let test_call_stack_policy () =
+  let app = mk 0 "app" true and libfn = mk 1 "libfn" false in
+  let symtab = Symtab.build [ app; libfn; mk 2 "other" true ] in
+  let attribute cs id =
+    match Call_stack.attribute_id cs symtab id with
+    | -1 -> None
+    | id -> Some (Symtab.by_id symtab id).Symtab.name
+  in
   let cs = Call_stack.create Call_stack.Main_image_only in
-  Call_stack.on_entry cs (mk 0 "app" true) ~sp:1000;
-  Call_stack.on_entry cs (mk 1 "libfn" false) ~sp:900;
+  Alcotest.(check (option string)) "no frame, nothing to charge" None
+    (attribute cs 1);
+  Call_stack.on_entry cs app ~sp:1000;
+  Call_stack.on_entry cs libfn ~sp:900;
   (* library frame not pushed *)
-  Alcotest.(check int) "library frame skipped" 1 (Call_stack.depth cs);
+  Alcotest.(check (option string)) "library frame skipped" (Some "app") (top cs);
   (* attribution: library code charged to innermost main frame *)
   Alcotest.(check (option string)) "attribute library to caller" (Some "app")
-    (Option.map
-       (fun r -> r.Symtab.name)
-       (Call_stack.attribute cs (Some (mk 1 "libfn" false))));
+    (attribute cs 1);
   Alcotest.(check (option string)) "main image attributed to itself"
-    (Some "other")
-    (Option.map
-       (fun r -> r.Symtab.name)
-       (Call_stack.attribute cs (Some (mk 2 "other" true))));
+    (Some "other") (attribute cs 2);
   let cs_all = Call_stack.create Call_stack.Track_all in
   Alcotest.(check (option string)) "track_all uses static" (Some "libfn")
-    (Option.map
-       (fun r -> r.Symtab.name)
-       (Call_stack.attribute cs_all (Some (mk 1 "libfn" false))))
+    (attribute cs_all 1)
 
 (* ---------- call graph report ---------- *)
 
@@ -84,47 +85,36 @@ let test_ins_mix () =
        memcpy((char*) a, (char*) a, 64); float f; f = 1.5 * 2.0; \n\
        return (int) f; }"
   in
-  let mix = Tq_prof.Ins_mix.attach eng in
+  let module M = Tq_prof.Ins_mix in
+  let mix = M.attach eng in
   Engine.run eng;
   let m = Engine.machine eng in
-  let all =
-    List.fold_left
-      (fun acc c -> acc + Tq_prof.Ins_mix.total mix c)
-      0 Tq_prof.Ins_mix.categories
-  in
-  Alcotest.(check int) "categories partition retired instructions"
-    (Machine.instr_count m) all;
-  Alcotest.(check int) "exactly one block move" 1
-    (Tq_prof.Ins_mix.total mix Tq_prof.Ins_mix.Block_move);
-  Alcotest.(check bool) "loads counted" true
-    (Tq_prof.Ins_mix.total mix Tq_prof.Ins_mix.Load > 0);
-  Alcotest.(check bool) "float alu counted" true
-    (Tq_prof.Ins_mix.total mix Tq_prof.Ins_mix.Float_alu > 0);
-  let per = Tq_prof.Ins_mix.per_kernel mix in
+  let per = M.per_kernel mix in
   Alcotest.(check bool) "main has per-kernel counts" true
     (List.exists (fun (r, _) -> r.Symtab.name = "main") per);
+  (* one category's count over the whole run, summed over the kernels *)
+  let total c =
+    let i = Option.get (List.find_index (( = ) c) M.categories) in
+    List.fold_left (fun acc (_, counts) -> acc + counts.(i)) 0 per
+  in
+  let all = List.fold_left (fun acc c -> acc + total c) 0 M.categories in
+  Alcotest.(check int) "categories partition retired instructions"
+    (Machine.instr_count m) all;
+  Alcotest.(check int) "exactly one block move" 1 (total M.Block_move);
+  Alcotest.(check bool) "loads counted" true (total M.Load > 0);
+  Alcotest.(check bool) "float alu counted" true (total M.Float_alu > 0);
+  (* the report's overall totals agree with the per-kernel sums *)
+  let report = M.render mix in
   Alcotest.(check bool) "render has header" true
-    (Astring_contains.contains (Tq_prof.Ins_mix.render mix) "instruction mix");
-  (* per-kernel counts also partition the total *)
-  let per_sum =
-    List.fold_left
-      (fun acc (_, counts) -> acc + Array.fold_left ( + ) 0 counts)
-      0 per
-  in
-  Alcotest.(check int) "per-kernel sums to total" all per_sum
-
-(* ---------- engine extras ---------- *)
-
-let test_invalidate_cache () =
-  let eng =
-    setup "int main() { int s; s = 0; for (int i = 0; i < 5; i++) s += i; return s; }"
-  in
-  Engine.add_ins_instrumenter eng (fun _ -> []);
-  Engine.run eng;
-  let before = (Engine.stats eng).Engine.compiled_traces in
-  Engine.invalidate_cache eng;
-  (* a fresh machine run would recompile; just assert the stats survive *)
-  Alcotest.(check bool) "traces were compiled" true (before > 0)
+    (Astring_contains.contains report
+       (Printf.sprintf "instruction mix (%d retired)" all));
+  List.iter
+    (fun c ->
+      if total c > 0 then
+        Alcotest.(check bool) (M.category_name c ^ " total rendered") true
+          (Astring_contains.contains report
+             (Printf.sprintf "  %-10s %10d  " (M.category_name c) (total c))))
+    M.categories
 
 let suites =
   [
@@ -134,6 +124,5 @@ let suites =
         Alcotest.test_case "call stack policy" `Quick test_call_stack_policy;
         Alcotest.test_case "call graph report" `Quick test_call_graph_report;
         Alcotest.test_case "instruction mix" `Quick test_ins_mix;
-        Alcotest.test_case "invalidate cache" `Quick test_invalidate_cache;
       ] );
   ]

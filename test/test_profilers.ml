@@ -262,12 +262,22 @@ let test_gprof_flat_profile () =
 
 let test_gprof_arcs () =
   let g = gprof_run ~period:1000 gprof_src in
-  let arcs = Tq_gprofsim.Gprofsim.arcs g in
+  let report = Tq_gprofsim.Gprofsim.call_graph_report ~main_image_only:false g in
+  (* the a -> b arc count, read off a's section of the call graph *)
   let count a b =
-    List.fold_left
-      (fun acc (x, y, n) ->
-        if x.Symtab.name = a && y.Symtab.name = b then acc + n else acc)
-      0 arcs
+    let rec section = function
+      | [] -> []
+      | l :: rest ->
+          if String.starts_with ~prefix:("[" ^ a ^ "]") l then rest else section rest
+    in
+    let rec arc = function
+      | [] | "" :: _ -> 0
+      | l :: rest -> (
+          match Scanf.sscanf l "    -> %s %d%!" (fun n c -> (n, c)) with
+          | n, c when n = b -> c
+          | _ | (exception _) -> arc rest)
+    in
+    arc (section (String.split_on_char '\n' report))
   in
   Alcotest.(check int) "main->busy arcs" 2 (count "main" "busy");
   Alcotest.(check int) "main->light arcs" 3 (count "main" "light");
@@ -288,10 +298,11 @@ let test_gprof_recursion () =
   (* cycle handling: total must be finite and >= self *)
   Alcotest.(check bool) "total finite" true
     (Float.is_finite w.Tq_gprofsim.Gprofsim.total_ms_per_call);
+  let all = Tq_gprofsim.Gprofsim.flat_profile ~main_image_only:false g in
   Alcotest.(check bool) "samples recorded" true
-    (Tq_gprofsim.Gprofsim.total_samples g > 0);
+    (List.exists (fun r -> r.Tq_gprofsim.Gprofsim.samples > 0) all);
   Alcotest.(check bool) "seconds positive" true
-    (Tq_gprofsim.Gprofsim.total_seconds g > 0.)
+    (List.exists (fun r -> r.Tq_gprofsim.Gprofsim.self_seconds > 0.) all)
 
 (* ---------- tQUAD ---------- *)
 

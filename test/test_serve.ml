@@ -20,6 +20,8 @@ module Server = Tq_serve.Server
 module Client = Tq_serve.Client
 module Json = Tq_obs.Json
 
+let load_json path = Json.of_string (In_channel.with_open_bin path In_channel.input_all)
+
 (* ---------- fixture: a small multi-chunk recording ---------- *)
 
 let src =
@@ -466,7 +468,7 @@ let test_socket_roundtrip () =
   Client.close c;
   Thread.join th;
   Alcotest.(check bool) "socket removed" false (Sys.file_exists socket);
-  let manifest = Tq_obs.Manifest.load (Filename.concat mdir "server.json") in
+  let manifest = load_json (Filename.concat mdir "server.json") in
   (match Tq_obs.Manifest.validate manifest with
   | Ok () -> ()
   | Error msg -> Alcotest.fail ("server manifest invalid: " ^ msg));
@@ -499,7 +501,7 @@ let test_job_manifest_replay_section () =
   Alcotest.(check bool) "shutdown" true (Client.shutdown c = Ok ());
   Client.close c;
   Thread.join th;
-  let doc = Tq_obs.Manifest.load (Filename.concat mdir "job-1.json") in
+  let doc = load_json (Filename.concat mdir "job-1.json") in
   (match Tq_obs.Manifest.validate doc with
   | Ok () -> ()
   | Error msg -> Alcotest.fail ("job manifest invalid: " ^ msg));

@@ -609,6 +609,14 @@ let test_cli_positive_args () =
   Alcotest.(check int) "replay --all --slice 0: 2" 2 (replay "--all --slice 0");
   Alcotest.(check int) "replay --tool gprof --period 0: 2" 2
     (replay "--tool gprof --period 0");
+  Alcotest.(check int) "replay --all --domains 1 --shards 2 --batch 1: 0" 0
+    (replay "--all --domains 1 --shards 2 --batch 1");
+  List.iter
+    (fun arg ->
+      Alcotest.(check int) (Printf.sprintf "replay --all %s: 2" arg) 2
+        (replay ("--all " ^ arg)))
+    [ "--domains 0"; "--domains=-3"; "--shards 0"; "--shards=-2"; "--batch 0";
+      "--batch=-5" ];
   List.iter Sys.remove [ src; trc ]
 
 (* ---------- crash safety of the writer ---------- *)
@@ -624,20 +632,22 @@ let test_writer_atomic_rename () =
       List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ path; tmp ];
       Sys.rmdir dir)
     (fun () ->
-      let w = Writer.create path in
-      Writer.emit w (Event.Load { icount = 1; static = 0; ea = 8; size = 4; sp = 0 });
-      Alcotest.(check bool) "streams to .tmp while recording" true
-        (Sys.file_exists tmp);
-      Alcotest.(check bool) "final path absent until close" false
-        (Sys.file_exists path);
-      Writer.close w;
+      let w =
+        Writer.with_file path (fun w ->
+            Writer.emit w
+              (Event.Load { icount = 1; static = 0; ea = 8; size = 4; sp = 0 });
+            Alcotest.(check bool) "streams to .tmp while recording" true
+              (Sys.file_exists tmp);
+            Alcotest.(check bool) "final path absent until close" false
+              (Sys.file_exists path);
+            w)
+      in
       Alcotest.(check bool) ".tmp gone after close" false (Sys.file_exists tmp);
       Alcotest.(check bool) "final path appears atomically" true
         (Sys.file_exists path);
       Alcotest.(check int) "renamed container loads" 1
         (Reader.n_events (Reader.load path));
-      (* close is idempotent; emit after close is a hard error *)
-      Writer.close w;
+      (* emit after close is a hard error *)
       Alcotest.check_raises "emit after close"
         (Invalid_argument "Trace.Writer.emit: closed") (fun () ->
           Writer.emit w (Event.Ret { icount = 2; sp = 0 })))

@@ -413,21 +413,6 @@ let test_executor_fuel () =
        false
      with Executor.Out_of_fuel n -> n >= 1000)
 
-let test_run_steps () =
-  let p, _ =
-    build
-      [
-        routine "_start" (fun b ->
-            let loop = Builder.fresh_label b in
-            Builder.place b loop;
-            Builder.ins b Isa.Nop;
-            Builder.jmp b loop);
-      ]
-  in
-  let m = Machine.create p in
-  Alcotest.(check int) "run_steps steps exactly" 17 (Executor.run_steps m 17);
-  Alcotest.(check int) "instr_count agrees" 17 (Machine.instr_count m)
-
 (* ---------- memory unit ---------- *)
 
 let test_memory_cross_page () =
@@ -647,7 +632,6 @@ let suites =
         Alcotest.test_case "file io" `Quick test_file_io;
         Alcotest.test_case "brk" `Quick test_brk;
         Alcotest.test_case "fuel" `Quick test_executor_fuel;
-        Alcotest.test_case "run_steps" `Quick test_run_steps;
       ] );
     ( "vm.memory",
       [
