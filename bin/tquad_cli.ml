@@ -422,16 +422,29 @@ let run_cmd =
           program exits non-zero or does not exit")
     Term.(const run $ metrics_arg $ program () $ dir_arg)
 
-(* --slice, --period and replay's --domains/--shards/--batch: a
-   non-positive value is a usage error (exit 2), caught here instead of
-   inside the tool or the pipeline. *)
-let positive_int =
+(* Every numeric option parses through one of these: an out-of-range value
+   (and, for floats, NaN or an infinity) is a usage error (exit 2), caught
+   here instead of inside the tool, the pipeline or the server. *)
+let checked_conv of_string pp ~what ok =
   let parse s =
-    match int_of_string_opt s with
-    | Some n when n > 0 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+    match of_string s with
+    | Some x when ok x -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" what s))
   in
-  Arg.conv (parse, Format.pp_print_int)
+  Arg.conv (parse, pp)
+
+let int_conv = checked_conv int_of_string_opt Format.pp_print_int
+let positive_int = int_conv ~what:"a positive integer" (fun n -> n > 0)
+let non_negative_int = int_conv ~what:"a non-negative integer" (fun n -> n >= 0)
+
+let float_conv ~what ok =
+  checked_conv float_of_string_opt Format.pp_print_float ~what (fun x ->
+      Float.is_finite x && ok x)
+
+let positive_float = float_conv ~what:"a finite positive number" (fun x -> x > 0.)
+
+let non_negative_float =
+  float_conv ~what:"a finite non-negative number" (fun x -> x >= 0.)
 
 let period_arg =
   Arg.(
@@ -650,7 +663,7 @@ let footprint_cmd =
 let wcet_cmd =
   let bound_arg =
     Arg.(
-      value & opt int 1024
+      value & opt non_negative_int 1024
       & info [ "bound" ] ~docv:"N"
           ~doc:"Uniform loop bound (max header executions per loop entry).")
   in
@@ -661,10 +674,6 @@ let wcet_cmd =
   in
   let run metrics program bound routine =
     obs_init "wcet" metrics;
-    if bound < 0 then begin
-      Printf.eprintf "wcet: --bound must be non-negative\n";
-      exit exit_usage
-    end;
     let prog = (program ()).prog in
     if Tq_vm.Symtab.by_name prog.Tq_vm.Program.symtab routine = None then begin
       Printf.eprintf "wcet: unknown routine %s\n" routine;
@@ -1285,7 +1294,7 @@ let check_cmd =
   let loop_weight_arg =
     Arg.(
       value
-      & opt float Tq_staticcheck.Estimate.loop_weight
+      & opt positive_float Tq_staticcheck.Estimate.loop_weight
       & info [ "loop-weight" ] ~docv:"W"
           ~doc:
             "Assumed trip count per loop-nesting level for the heuristic \
@@ -1441,7 +1450,7 @@ let socket_arg =
 let serve_cmd =
   let domains_arg =
     Arg.(
-      value & opt int 0
+      value & opt non_negative_int 0
       & info [ "domains" ] ~docv:"N"
           ~doc:
             "Worker domains for replay jobs (0 = one per core, minus the \
@@ -1449,7 +1458,7 @@ let serve_cmd =
   in
   let queue_arg =
     Arg.(
-      value & opt int 32
+      value & opt positive_int 32
       & info [ "queue-limit" ] ~docv:"N"
           ~doc:
             "Job-queue bound; submissions beyond it are refused with a \
@@ -1457,31 +1466,31 @@ let serve_cmd =
   in
   let cache_arg =
     Arg.(
-      value & opt int 64
+      value & opt positive_int 64
       & info [ "cache-mb" ] ~docv:"MB"
           ~doc:"Decoded-chunk cache budget in MiB.")
   in
   let rate_arg =
     Arg.(
-      value & opt float 50.
+      value & opt positive_float 50.
       & info [ "rate" ] ~docv:"R"
           ~doc:"Replay admissions per second (token-bucket refill rate).")
   in
   let burst_arg =
     Arg.(
-      value & opt int 100
+      value & opt positive_int 100
       & info [ "burst" ] ~docv:"N"
           ~doc:"Token-bucket depth (burst capacity).")
   in
   let max_traces_arg =
     Arg.(
-      value & opt int 64
+      value & opt positive_int 64
       & info [ "max-traces" ] ~docv:"N"
           ~doc:"Resident uploaded traces; further uploads are refused busy.")
   in
   let max_connections_arg =
     Arg.(
-      value & opt int 64
+      value & opt non_negative_int 64
       & info [ "max-connections" ] ~docv:"N"
           ~doc:
             "Concurrent connection cap; over it new peers get a typed busy \
@@ -1489,7 +1498,7 @@ let serve_cmd =
   in
   let idle_timeout_arg =
     Arg.(
-      value & opt float 300.
+      value & opt non_negative_float 300.
       & info [ "idle-timeout" ] ~docv:"SECONDS"
           ~doc:
             "Reap connections idle between requests for this long (0 \
@@ -1497,7 +1506,7 @@ let serve_cmd =
   in
   let frame_timeout_arg =
     Arg.(
-      value & opt float 10.
+      value & opt non_negative_float 10.
       & info [ "frame-timeout" ] ~docv:"SECONDS"
           ~doc:
             "Budget for completing a started frame or response write — the \
@@ -1505,7 +1514,7 @@ let serve_cmd =
   in
   let job_timeout_arg =
     Arg.(
-      value & opt float 120.
+      value & opt non_negative_float 120.
       & info [ "job-timeout" ] ~docv:"SECONDS"
           ~doc:
             "Default wall-clock budget per replay job, measured from \
@@ -1525,30 +1534,12 @@ let serve_cmd =
   in
   let manifest_period_arg =
     Arg.(
-      value & opt float 5.
+      value & opt positive_float 5.
       & info [ "manifest-period" ] ~docv:"SECONDS"
           ~doc:"Server-manifest rewrite period.")
   in
   let run socket domains queue cache_mb rate burst max_traces max_conns
       idle_timeout frame_timeout job_timeout mdir mperiod =
-    if
-      domains < 0 || queue < 1 || cache_mb < 1 || rate <= 0. || burst < 1
-      || max_traces < 1 || mperiod <= 0.
-    then begin
-      Printf.eprintf
-        "serve: limits must be positive (queue-limit, cache-mb, rate, \
-         burst, max-traces, manifest-period) and --domains non-negative\n";
-      exit exit_usage
-    end;
-    if
-      max_conns < 0 || idle_timeout < 0. || frame_timeout < 0.
-      || job_timeout < 0.
-    then begin
-      Printf.eprintf
-        "serve: --max-connections, --idle-timeout, --frame-timeout and \
-         --job-timeout must be non-negative (0 disables)\n";
-      exit exit_usage
-    end;
     (match mdir with
     | Some d when not (Sys.file_exists d) -> (
         try Sys.mkdir d 0o755
@@ -1616,7 +1607,7 @@ let client_fail ctx (e : Tq_serve.Client.err) =
 let retry_args =
   let retries_arg =
     Arg.(
-      value & opt int 0
+      value & opt non_negative_int 0
       & info [ "retries" ] ~docv:"N"
           ~doc:
             "Retry busy/transport/timeout failures up to N times with \
@@ -1626,7 +1617,7 @@ let retry_args =
   in
   let timeout_arg =
     Arg.(
-      value & opt float 0.
+      value & opt non_negative_float 0.
       & info [ "timeout" ] ~docv:"SECONDS"
           ~doc:
             "Bound every send and response wait; an unresponsive server \
@@ -1634,17 +1625,11 @@ let retry_args =
   in
   let backoff_arg =
     Arg.(
-      value & opt float 0.1
+      value & opt positive_float 0.1
       & info [ "backoff" ] ~docv:"SECONDS"
           ~doc:"Base delay before the first retry (doubles per attempt).")
   in
   let mk retries timeout backoff =
-    if retries < 0 || timeout < 0. || backoff <= 0. then begin
-      Printf.eprintf
-        "client: --retries and --timeout must be non-negative, --backoff \
-         positive\n";
-      exit exit_usage
-    end;
     (retries, (if timeout > 0. then Some timeout else None), backoff)
   in
   Term.(const mk $ retries_arg $ timeout_arg $ backoff_arg)
@@ -1781,7 +1766,7 @@ let client_cmd =
     in
     let deadline_arg =
       Arg.(
-        value & opt float 0.
+        value & opt non_negative_float 0.
         & info [ "deadline" ] ~docv:"SECONDS"
             ~doc:
               "Tighten the server's wall-clock budget for this job (it can \
@@ -1790,10 +1775,6 @@ let client_cmd =
     in
     let run socket id tools slice period wait deadline retry =
       let tools = if tools = [] then None else Some tools in
-      if deadline < 0. then begin
-        Printf.eprintf "client replay: --deadline must be non-negative\n";
-        exit exit_usage
-      end;
       let deadline_s = if deadline > 0. then Some deadline else None in
       let outcome =
         with_client ~ctx:"replay" retry socket (fun c ->
@@ -1876,21 +1857,16 @@ let client_cmd =
     in
     let rounds_arg =
       Arg.(
-        value & opt int 32
+        value & opt positive_int 32
         & info [ "rounds" ] ~docv:"N" ~doc:"Number of strikes to deliver.")
     in
     let wait_arg =
       Arg.(
-        value & opt float 2.
+        value & opt positive_float 2.
         & info [ "wait" ] ~docv:"SECONDS"
             ~doc:"Per-strike wait for the server's answer.")
     in
     let run socket seed rounds wait_s =
-      if rounds < 1 || wait_s <= 0. then begin
-        Printf.eprintf
-          "client chaos: --rounds and --wait must be positive\n";
-        exit exit_usage
-      end;
       let module W = Tq_faultgen.Wire in
       let events = W.storm ~wait_s ~socket ~seed ~rounds () in
       List.iteri

@@ -56,7 +56,7 @@ type t = {
   cache : (int, ctrace) Hashtbl.t;
   mutable ins_instrumenters : (Ins_view.view -> action list) list; (* reversed *)
   mutable rtn_instrumenters : (Symtab.routine -> action list) list;
-  mutable trace_instrumenters : (id:int -> addr:int -> n:int -> action list) list;
+  mutable trace_instrumenters : (addr:int -> n:int -> action list) list;
   mutable running : bool;
   mutable n_traces : int;
   mutable n_compiled_ins : int;
@@ -141,14 +141,8 @@ let compile t addr0 =
   | [] -> ()
   | trace_fns ->
       let n = Array.length trace in
-      (* the compiled trace's identity: its ordinal in compilation order.
-         Stable for the lifetime of the code cache (recompilation under
-         [~use_code_cache:false] assigns fresh ids) — callers treating it as
-         a dictionary key see a new basic block sequence, which is always
-         sound, at worst less compact. *)
-      let id = t.n_traces in
       let block_actions =
-        List.concat_map (fun f -> f ~id ~addr:addr0 ~n) trace_fns
+        List.concat_map (fun f -> f ~addr:addr0 ~n) trace_fns
       in
       if block_actions <> [] then begin
         let s0 = trace.(0) in

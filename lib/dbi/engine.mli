@@ -65,20 +65,19 @@ val add_rtn_instrumenter : t -> (Tq_vm.Symtab.routine -> action list) -> unit
     control reaches the routine's entry instruction, before any
     instruction-level actions for it. *)
 
-val add_trace_instrumenter :
-  t -> (id:int -> addr:int -> n:int -> action list) -> unit
+val add_trace_instrumenter : t -> (addr:int -> n:int -> action list) -> unit
 (** Trace (basic-block) granularity instrumentation, Pin's
-    [TRACE_AddInstrumentFunction] analogue.  The callback sees the compiled
-    trace's identity [id] (its ordinal in compilation order — the code
-    cache's name for the trace), the
-    block's start address and its instruction count at compile time; the
-    returned actions run on every execution of the block, before any
-    routine- or instruction-level actions of its first instruction.  Because
-    the ISA ends a block at {e any} control-transfer instruction (including
+    [TRACE_AddInstrumentFunction] analogue.  The callback sees the block's
+    start address and its instruction count at compile time; the returned
+    actions run on every execution of the block, before any routine- or
+    instruction-level actions of its first instruction.  Because the ISA
+    ends a block at {e any} control-transfer instruction (including
     [Syscall] and [Halt]), a dispatched block always retires all [n]
-    instructions.  [id] is what lets a recorder key a repeated-body
-    dictionary on the engine's own trace identity ({!Tq_trace.Writer}
-    compression). *)
+    instructions.  The start address names the compiled trace: the code
+    cache is keyed by it and never evicts (and the reference path compiles
+    the same block from the same address every time), so one address is
+    one trace for the whole run; the v4 recorder keys repeated loop bodies
+    on it ({!Tq_trace.Squash}). *)
 
 val predicated : t -> Ins_view.view -> action -> action
 (** [predicated t v a] is [a] guarded by [v]'s predicate register (no-op

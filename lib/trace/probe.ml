@@ -3,22 +3,12 @@ module Engine = Tq_dbi.Engine
 module Machine = Tq_vm.Machine
 module Symtab = Tq_vm.Symtab
 
-let attach ?block_sink engine sink =
+let attach engine sink =
   let m = Engine.machine engine in
-  (* [block_sink] lets the recorder route block dispatches through the
-     writer's boundary entry point with the engine's compiled-trace id —
-     the dictionary key of v4 redundancy suppression; live tools just see
-     the event *)
-  let bsink =
-    match block_sink with
-    | Some f -> f
-    | None -> fun ~trace_id:_ ev -> sink ev
-  in
-  Engine.add_trace_instrumenter engine (fun ~id ~addr ~n ->
+  Engine.add_trace_instrumenter engine (fun ~addr ~n ->
       [
         (fun () ->
-          bsink ~trace_id:id
-            (Event.Block_exec { icount = Machine.instr_count m; addr; n }));
+          sink (Event.Block_exec { icount = Machine.instr_count m; addr; n }));
       ]);
   Engine.add_rtn_instrumenter engine (fun r ->
       let routine = r.Symtab.id in
@@ -109,8 +99,7 @@ let record ?fuel ?compress engine ~path =
     Tq_vm.Program.fingerprint (Machine.program (Engine.machine engine))
   in
   Writer.with_file ~fingerprint ?compress path (fun w ->
-      attach engine (Writer.emit w)
-        ~block_sink:(fun ~trace_id ev -> Writer.emit_boundary w ~trace_id ev);
+      attach engine (Writer.emit w);
       Engine.run ?fuel engine;
       let m = Engine.machine engine in
       Writer.emit w (Event.End { icount = Machine.instr_count m });

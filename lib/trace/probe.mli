@@ -13,18 +13,13 @@
     the guard is true ([INS_InsertPredicatedCall] semantics); prefetches
     come out as [Prefetch]; block copies carry their dynamic length. *)
 
-val attach :
-  ?block_sink:(trace_id:int -> Event.t -> unit) ->
-  Tq_dbi.Engine.t ->
-  (Event.t -> unit) ->
-  unit
+val attach : Tq_dbi.Engine.t -> (Event.t -> unit) -> unit
 (** Register the probe's instrumentation.  Must be called before the engine
     runs.  Multiple probes (one per live tool) may coexist on one engine;
-    each synthesizes its own stream.  [block_sink], when given, receives
-    the [Block_exec] events instead of [sink], together with the engine's
-    compiled-trace id — the recorder uses it to key the v4 redundancy
-    suppressor's dictionary on the code cache's own trace identity
-    ({!Writer.emit_boundary}). *)
+    each synthesizes its own stream.  The recorder is [attach] with
+    {!Writer.emit} as the sink: a [Block_exec]'s address names the
+    engine's compiled trace (the code cache is keyed by it), so the v4
+    suppressor needs nothing from the engine beyond the event itself. *)
 
 val record :
   ?fuel:int ->

@@ -10,14 +10,14 @@ module Leb = Tq_util.Leb128
    body's events once, an iteration count, and per numeric field either a
    single stride (affine) or the explicit per-iteration deltas (literal).
 
-   Detection is keyed on the engine's own compiled-trace identity: the
-   probe forwards each [Block_exec] with the trace id the code cache
-   assigned ({!Tq_dbi.Engine.add_trace_instrumenter}), so a "segment" here
-   is one dispatched compiled trace plus the events its instructions
-   emitted, and a candidate loop body is the segment window between two
-   dispatches of the same trace id.  Streams without engine identity
-   (hand-built writers, re-encodes) fall back to the block's address as the
-   key — same dictionary, coarser name.
+   Detection is keyed on the block address of each [Block_exec]: a
+   "segment" here is one dispatched basic block plus the events its
+   instructions emitted, and a candidate loop body is the segment window
+   between two dispatches of the same address.  The address is the engine's
+   name for the compiled trace — its code cache is keyed by it and never
+   evicts — so this module alone decides what a loop body is, from the
+   event stream alone: a recording and a re-encode of its events produce
+   the same container.
 
    The state machine:
 
@@ -360,26 +360,18 @@ let idle_boundary t key ev =
 
 (* ---------- public entry points ---------- *)
 
-let rec feed_boundary t ~key ev =
+let rec feed t ev =
   match t.st with
   | Matching run ->
       if not (match_ev t run ev) then begin
+        (* leaves the suppressor Idle: [ev] is re-dispatched exactly once *)
         do_break t run;
-        feed_boundary t ~key ev
+        feed t ev
       end
-  | Idle -> idle_boundary t key ev
-
-let feed t ev =
-  match ev with
-  | Event.Block_exec { addr; _ } -> feed_boundary t ~key:addr ev
-  | _ -> (
-      match t.st with
-      | Matching run ->
-          if not (match_ev t run ev) then begin
-            do_break t run;
-            idle_plain t ev
-          end
-      | Idle -> idle_plain t ev)
+  | Idle -> (
+      match ev with
+      | Event.Block_exec { addr; _ } -> idle_boundary t addr ev
+      | _ -> idle_plain t ev)
 
 let flush t =
   (match t.st with

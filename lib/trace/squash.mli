@@ -10,12 +10,11 @@
     deltas (see docs/TRACE.md for the wire encoding, {!Event.num_fields}
     for the canonical field order).
 
-    Detection is keyed on the engine's compiled-trace identity: the probe
-    feeds each block dispatch through {!feed_boundary} with the trace id
-    the code cache assigned, so a candidate body is the segment window
-    between two dispatches of the same compiled trace.  {!feed} falls back
-    to the block address as the key for streams without engine identity
-    (hand-built writers, container re-encodes).
+    Detection is keyed on the block address: a candidate body is the
+    segment window between two [Block_exec] events with the same [addr].
+    The address names the engine's compiled trace one to one (the code
+    cache is keyed by it and never evicts), so the key needs nothing
+    beyond the event stream, and a container is a function of its events.
 
     Guarantees: the concatenation of everything flushed — plain events plus
     each repeat record expanded ({!expand}) to [iters] copies of its body
@@ -73,12 +72,8 @@ val create : out -> t
 (** A suppressor flushing to [out]. *)
 
 val feed : t -> Event.t -> unit
-(** Feed one event.  [Block_exec] events are treated as segment boundaries
-    keyed by their address. *)
-
-val feed_boundary : t -> key:int -> Event.t -> unit
-(** Feed a block-dispatch event using [key] (the engine's compiled-trace
-    id) as the dictionary key instead of the block address. *)
+(** Feed one event.  [Block_exec] events are segment boundaries keyed by
+    their address. *)
 
 val flush : t -> unit
 (** Flush all buffered state: the open run (as a repeat record if

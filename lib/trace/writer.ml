@@ -334,12 +334,6 @@ let emit w ev =
   w.total_events <- w.total_events + 1;
   if w.compress then Squash.feed (squash w) ev else emit_plain w ev
 
-let emit_boundary w ~trace_id ev =
-  if w.closed then invalid_arg "Trace.Writer.emit_boundary: closed";
-  w.total_events <- w.total_events + 1;
-  if w.compress then Squash.feed_boundary (squash w) ~key:trace_id ev
-  else emit_plain w ev
-
 let events w = w.total_events
 
 let close w =

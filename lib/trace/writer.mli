@@ -82,14 +82,8 @@ type t
 
 val emit : t -> Event.t -> unit
 (** Append one event.  Under [~compress], [Block_exec] events act as
-    detection boundaries keyed by their address; use {!emit_boundary} when
-    the engine's compiled-trace identity is available (the probe does). *)
-
-val emit_boundary : t -> trace_id:int -> Event.t -> unit
-(** [emit] for a block-dispatch event carrying the engine's compiled-trace
-    id ({!Tq_dbi.Engine.add_trace_instrumenter}), the preferred dictionary
-    key for repetition detection.  Equivalent to {!emit} for uncompressed
-    writers. *)
+    repetition-detection boundaries keyed by their block address
+    ({!Squash.feed}). *)
 
 val events : t -> int
 (** Events emitted so far (raw count — what a reader will decode). *)

@@ -635,7 +635,7 @@ let test_v4_writer_matches_golden () =
   (* 16 iterations of [Block_exec; Load] with affine ea: 32 raw events, the
      fewest a run commits with *)
   for i = 0 to 15 do
-    Squash.feed_boundary sq ~key:42
+    Squash.feed sq
       (Event.Block_exec { icount = i * 10; addr = 0x40; n = 5 });
     Squash.feed sq
       (Event.Load
@@ -660,6 +660,48 @@ let test_v4_writer_matches_golden () =
       | Squash.Affine s -> Alcotest.(check int) "ea stride" 8 s
       | _ -> Alcotest.fail "ea field not affine")
   | l -> Alcotest.failf "expected exactly one repeat record, got %d" (List.length l)
+
+(* ---------- a v4 container is a function of its event stream ----------
+
+   The recorder keys repeated loop bodies on nothing but the events it is
+   fed: re-encoding a recording's decoded stream through a fresh
+   compressing writer must reproduce the recorded file byte for byte.  Any
+   engine state leaking into the writer (a compiled-trace id, a cache
+   generation) would break this. *)
+
+let reencode r =
+  let path = Filename.temp_file "tq_reenc" ".trc" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Writer.with_file ~compress:true ~fingerprint:(Reader.fingerprint r) path
+        (fun w -> Reader.iter r (Writer.emit w));
+      read_all path)
+
+let test_container_is_function_of_stream () =
+  let check what recorded =
+    let r = Reader.of_string recorded in
+    Alcotest.(check int) (what ^ ": recorded as v4") 4 (Reader.version r);
+    Alcotest.(check bool) (what ^ ": repeat chunks present") true
+      (Reader.repeat_chunks r > 0);
+    Alcotest.(check bool) (what ^ ": re-encode is byte-identical") true
+      (String.equal recorded (reencode r))
+  in
+  let _, _, wfs = Lazy.force wfs_recording in
+  check "wfs tiny" wfs;
+  let chase =
+    let path = Filename.temp_file "tq_chase" ".trc" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        let prog = Tq_apps.Apps.pointer_chase_program () in
+        let _n : int =
+          Probe.record ~compress:true (Engine.create (Machine.create prog))
+            ~path
+        in
+        read_all path)
+  in
+  check "pointer-chase" chase
 
 let suites =
   [
@@ -688,6 +730,8 @@ let suites =
           test_v4_golden_fixture;
         Alcotest.test_case "squash emits expected repeat record" `Quick
           test_v4_writer_matches_golden;
+        Alcotest.test_case "v4 container is a function of its event stream"
+          `Quick test_container_is_function_of_stream;
         Alcotest.test_case "crafted: plain chunk over-claiming its payload"
           `Quick (check_crafted_refused (build_overclaiming_plain ()));
         Alcotest.test_case "crafted: repeat beyond the squasher's caps" `Quick

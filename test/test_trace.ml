@@ -617,7 +617,45 @@ let test_cli_positive_args () =
         (replay ("--all " ^ arg)))
     [ "--domains 0"; "--domains=-3"; "--shards 0"; "--shards=-2"; "--batch 0";
       "--batch=-5" ];
-  List.iter Sys.remove [ src; trc ]
+  (* serve and client options: the socket path's parent is a regular file,
+     so a value the parser wrongly accepted ends in a bind/connect failure
+     (3), never in a running daemon or a hang *)
+  let sock = Filename.concat (Filename.temp_file "tq_cli" ".d") "s.sock" in
+  let bad ~cmd ~positive opts =
+    let values =
+      [ "nan"; "inf"; "-inf"; "-1" ] @ if positive then [ "0" ] else []
+    in
+    List.iter
+      (fun opt ->
+        List.iter
+          (fun v ->
+            let args = Printf.sprintf "%s --%s=%s" cmd opt v in
+            Alcotest.(check int) (args ^ ": 2") 2 (Test_dataflow.run_cli args))
+          values)
+      opts
+  in
+  let serve = "serve --socket " ^ sock in
+  bad ~cmd:serve ~positive:true
+    [ "queue-limit"; "cache-mb"; "rate"; "burst"; "max-traces";
+      "manifest-period" ];
+  bad ~cmd:serve ~positive:false
+    [ "domains"; "max-connections"; "idle-timeout"; "frame-timeout";
+      "job-timeout" ];
+  bad ~cmd:("client ping --socket " ^ sock) ~positive:false
+    [ "retries"; "timeout" ];
+  bad ~cmd:("client ping --socket " ^ sock) ~positive:true [ "backoff" ];
+  bad ~cmd:("client replay 1 --socket " ^ sock) ~positive:false [ "deadline" ];
+  bad ~cmd:("client chaos --socket " ^ sock) ~positive:true [ "rounds"; "wait" ];
+  bad ~cmd:("check " ^ src) ~positive:true [ "loop-weight" ];
+  bad ~cmd:("wcet " ^ src) ~positive:false [ "bound" ];
+  Alcotest.(check int) "check --bandwidth --loop-weight 0.5: 0" 0
+    (rc "check %s --bandwidth --loop-weight 0.5");
+  Alcotest.(check int) "wcet --bound 0: 0" 0 (rc "wcet %s --bound 0");
+  Alcotest.(check int) "serve, zero disables the timeouts: bind fails, 3" 3
+    (Test_dataflow.run_cli
+       (serve ^ " --domains 0 --max-connections 0 --idle-timeout 0"
+      ^ " --frame-timeout 0 --job-timeout 0"));
+  List.iter Sys.remove [ src; trc; Filename.dirname sock ]
 
 (* ---------- crash safety of the writer ---------- *)
 
