@@ -258,7 +258,7 @@ let table3 () =
               let tot = Tq.totals t k in
               instr_cost_per_byte
               *. float_of_int (tot.Tq.read_excl + tot.Tq.write_excl)
-              /. 1e9 (* simulated clock: instructions -> seconds *)
+              /. G.clock_hz
         in
         (name, r.self_seconds +. extra))
       base
@@ -288,12 +288,14 @@ let wfs_phase_groups =
 
 (* Phase detection over a tQUAD run: the window must span several periods
    of the program's outer loop (wfs: chunks) so per-period kernel rotation
-   is not mistaken for a phase change; [floor] bounds it on short runs. *)
+   is not mistaken for a phase change; [floor] bounds it on short runs (the
+   paper tables use 16, above [Phases.detect]'s own floor of 8).  The gap is
+   the default's, taken from this window. *)
 let phases ?(floor = 16) ~threshold t =
   let total = Tq.total_slices t in
   let window = max floor (total / 40) in
   let min_len = max (2 * floor) (total / 20) in
-  Ph.detect ~threshold ~window ~gap:(max 2 (window / 6)) ~min_len t
+  Ph.detect ~threshold ~window ~min_len t
 
 let table4 () =
   section "Table IV: phases in the execution path (slice = 2000 instr)";
@@ -302,8 +304,9 @@ let table4 () =
   print_string (R.phase_table t wfs_phase_groups);
   Printf.printf "\nautomatic phase identification (contiguous segments):\n";
   print_string (R.detected_phases (phases ~threshold:0.2 t));
-  Printf.printf
-    "(the short initialization/load phases fall below the segmentation      resolution; the role-based table above recovers them)\n";
+  print_string
+    "(the short initialization/load phases fall below the segmentation \
+     resolution; the role-based table above recovers them)\n";
   (* the paper's multi-pass methodology: average the B/instr figures over
      several slice granularities, one pass per slice *)
   Printf.printf "\nmulti-pass averages (slices 1000/2000/5000), read incl.:\n";

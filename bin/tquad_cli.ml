@@ -448,12 +448,12 @@ let non_negative_float =
 
 let period_arg =
   Arg.(
-    value & opt positive_int 10_000
+    value & opt positive_int Tq_gprofsim.Gprofsim.default_period
     & info [ "period" ] ~docv:"N" ~doc:"Instructions between PC samples.")
 
 let slice_arg =
   Arg.(
-    value & opt positive_int 10_000
+    value & opt positive_int Tq_tquad.Tquad.default_slice_interval
     & info [ "slice" ] ~docv:"N"
         ~doc:"tQUAD time-slice interval in instructions.")
 
@@ -537,14 +537,8 @@ let tquad_cmd =
     let kernels = Tq_tquad.Tquad.kernels t in
     print_string (Tq_serve.Toolset.render_tquad ~slice t);
     if phases then begin
-      let total = Tq_tquad.Tquad.total_slices t in
-      let window = max 8 (total / 40) and min_len = max 16 (total / 20) in
-      let ph =
-        Tq_tquad.Phases.detect ~threshold:0.2 ~window
-          ~gap:(max 2 (window / 6)) ~min_len t
-      in
       print_newline ();
-      print_string (Tq_tquad.Phases.render ph)
+      print_string (Tq_tquad.Phases.render (Tq_tquad.Phases.detect t))
     end;
     (match csv with
     | None -> ()
@@ -594,25 +588,34 @@ let callgraph_cmd =
 let cache_cmd =
   let size_arg =
     Arg.(
-      value & opt int 32
-      & info [ "size-kib" ] ~docv:"N" ~doc:"Cache size in KiB.")
+      value & opt positive_int 32
+      & info [ "size-kib" ] ~docv:"N"
+          ~doc:"Cache size in KiB (at most 16384).")
   in
   let assoc_arg =
-    Arg.(value & opt int 8 & info [ "assoc" ] ~docv:"N" ~doc:"Ways per set.")
+    Arg.(
+      value & opt positive_int 8
+      & info [ "assoc" ] ~docv:"N" ~doc:"Ways per set.")
   in
   let line_arg =
-    Arg.(value & opt int 64 & info [ "line" ] ~docv:"N" ~doc:"Line size in bytes.")
+    Arg.(
+      value & opt positive_int 64
+      & info [ "line" ] ~docv:"N" ~doc:"Line size in bytes (a power of two).")
   in
   let run metrics program dir size_kib assoc line =
     obs_init "cache" metrics;
+    (* saturate rather than wrap: validate refuses any size above its cap *)
+    let size_bytes =
+      if size_kib > max_int / 1024 then max_int else size_kib * 1024
+    in
     let geometry =
-      { Tq_prof.Cache_sim.size_bytes = size_kib * 1024; line_bytes = line; assoc }
+      { Tq_prof.Cache_sim.size_bytes; line_bytes = line; assoc }
     in
     (match Tq_prof.Cache_sim.validate geometry with
     | Ok () -> ()
     | Error msg ->
         Printf.eprintf "bad cache config: %s\n" msg;
-        exit 2);
+        exit exit_usage);
     let c, _ =
       run_under (program ()) dir (Tq_prof.Cache_sim.attach ~geometry)
     in
@@ -821,6 +824,22 @@ let sabotage name jobs =
               finish )))
     jobs
 
+(* The one printer of a multi-tool job's outcome, for `replay` and `client
+   replay` alike: each surviving tool's report on stdout, separated by
+   === name === banners when the job ran more than one tool (a single-tool
+   report prints bare, byte-identical to the live subcommand), then each
+   failed tool on stderr.  Exit codes stay with the caller. *)
+let print_tool_reports ~ctx reports failures =
+  let banner = List.length reports + List.length failures > 1 in
+  List.iter
+    (fun (name, report) ->
+      if banner then Printf.printf "=== %s ===\n" name;
+      print_string report)
+    reports;
+  List.iter
+    (fun (name, msg) -> Printf.eprintf "%s: tool %s failed: %s\n" ctx name msg)
+    failures
+
 let replay_cmd =
   let trace_pos_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"TRACE")
@@ -904,7 +923,7 @@ let replay_cmd =
     (* Surviving tools print their reports (byte-identical to live runs);
        failed tools are listed on stderr.  Exit 4 for a partial failure, 3
        when nothing ran because the trace itself was unreadable. *)
-    let finish_results ~banner results =
+    let finish_results results =
       let ok, failed =
         List.partition_map
           (fun (name, outcome) ->
@@ -921,16 +940,10 @@ let replay_cmd =
           (Obs.Metrics.counter !obs_metrics ~unit_:"tools" "tools_failed")
           (List.length failed)
       end;
-      List.iter
-        (fun (name, report) ->
-          if banner then Printf.printf "=== %s ===\n" name;
-          print_string report)
-        ok;
-      List.iter
-        (fun (name, f) ->
-          Printf.eprintf "replay: tool %s failed: %s\n" name
-            (Tq_trace.Replay.failure_message f))
-        failed;
+      print_tool_reports ~ctx:"replay" ok
+        (List.map
+           (fun (name, f) -> (name, Tq_trace.Replay.failure_message f))
+           failed);
       if failed = [] then ()
       else if ok = [] && List.for_all (fun (_, f) -> Tq_trace.Replay.is_trace_error f) failed
       then exit exit_unreadable
@@ -951,7 +964,7 @@ let replay_cmd =
           span "replay" (fun () ->
               Tq_trace.Replay.sequential ~timings:section reader jobs)
         in
-        finish_results ~banner:false results
+        finish_results results
     | None, true ->
         let jobs =
           prepare (List.map (replay_job prog ~slice ~period) all_tool_names)
@@ -962,7 +975,7 @@ let replay_cmd =
                 ~stats:(fun s -> section ~stats:s s.Tq_trace.Replay.rs_timings)
                 reader jobs)
         in
-        finish_results ~banner:true results
+        finish_results results
     | _ ->
         Printf.eprintf "replay: give either --tool TOOL or --all\n";
         exit exit_usage
@@ -1454,7 +1467,7 @@ let serve_cmd =
       & info [ "domains" ] ~docv:"N"
           ~doc:
             "Worker domains for replay jobs (0 = one per core, minus the \
-             listener).")
+             listener; at most one per core).")
   in
   let queue_arg =
     Arg.(
@@ -1465,8 +1478,13 @@ let serve_cmd =
              typed busy response, never queued unboundedly.")
   in
   let cache_arg =
+    let mib = 1024 * 1024 in
+    let mib_count =
+      int_conv ~what:"a positive number of MiB whose byte count fits an int"
+        (fun n -> n > 0 && n <= max_int / mib)
+    in
     Arg.(
-      value & opt positive_int 64
+      value & opt mib_count 64
       & info [ "cache-mb" ] ~docv:"MB"
           ~doc:"Decoded-chunk cache budget in MiB.")
   in
@@ -1657,24 +1675,10 @@ let print_served_report (r : Tq_serve.Client.report) =
   if not r.Tq_serve.Client.done_ then
     Printf.printf "job %d: pending\n" r.Tq_serve.Client.job
   else begin
-    (* banner rule mirrors `tquad replay`: a single-tool job prints the bare
-       report, multi-tool jobs separate the sections with === name === *)
-    let banner =
-      List.length r.Tq_serve.Client.reports
-      + List.length r.Tq_serve.Client.failures
-      > 1
-    in
-    List.iter
-      (fun (name, rep) ->
-        if banner then Printf.printf "=== %s ===\n" name;
-        print_string rep)
-      r.Tq_serve.Client.reports;
     (match r.Tq_serve.Client.killed with
     | Some how -> Printf.eprintf "client: job killed: %s\n" how
     | None -> ());
-    List.iter
-      (fun (name, msg) ->
-        Printf.eprintf "client: tool %s failed: %s\n" name msg)
+    print_tool_reports ~ctx:"client" r.Tq_serve.Client.reports
       r.Tq_serve.Client.failures;
     if r.Tq_serve.Client.failures <> [] then exit exit_partial
   end

@@ -31,11 +31,6 @@ let () =
     (Tq_report.Report.figure tquad ~metric:Tquad.Read_incl ~kernels
        ~title:"image pipeline: read bandwidth per kernel over time" ());
 
-  let total = Tquad.total_slices tquad in
-  let window = max 8 (total / 40) and min_len = max 16 (total / 20) in
-  let phases =
-    Tq_tquad.Phases.detect ~threshold:0.2 ~window ~gap:(max 2 (window / 6))
-      ~min_len tquad
-  in
+  let phases = Tq_tquad.Phases.detect tquad in
   Printf.printf "\n%d phases detected:\n%s" (List.length phases)
     (Tq_tquad.Phases.render phases)

@@ -37,11 +37,7 @@ let () =
     (Tquad.kernels tquad);
 
   (* automatic phase identification *)
-  let total = Tquad.total_slices tquad in
-  let window = max 8 (total / 40) and min_len = max 16 (total / 20) in
-  let phases =
-    Phases.detect ~threshold:0.2 ~window ~gap:(max 2 (window / 6)) ~min_len tquad
-  in
+  let phases = Phases.detect tquad in
   Printf.printf "\n%d phases detected:\n" (List.length phases);
   print_string (Phases.render phases);
 

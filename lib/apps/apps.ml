@@ -174,29 +174,15 @@ int main() {
 let image_pipeline ?(width = 64) ?(height = 64) () =
   if width <= 0 || height <= 0 || width mod 8 <> 0 || height mod 8 <> 0 then
     invalid_arg "Apps.image_pipeline: dimensions must be positive multiples of 8";
-  let replace key value text =
-    let kl = String.length key in
-    let buf = Buffer.create (String.length text) in
-    let i = ref 0 in
-    let n = String.length text in
-    while !i < n do
-      if !i + kl <= n && String.sub text !i kl = key then begin
-        Buffer.add_string buf value;
-        i := !i + kl
-      end
-      else begin
-        Buffer.add_char buf text.[!i];
-        incr i
-      end
-    done;
-    Buffer.contents buf
-  in
-  template
-  |> replace "{W}" (string_of_int width)
-  |> replace "{H}" (string_of_int height)
-  |> replace "{PIXELS}" (string_of_int (width * height))
-  |> replace "{STREAM}" (string_of_int (width * height * 2))
-  |> replace "{PI}" (Printf.sprintf "%.17g" Float.pi)
+  Tq_minic.Driver.fill_template
+    [
+      ("{W}", string_of_int width);
+      ("{H}", string_of_int height);
+      ("{PIXELS}", string_of_int (width * height));
+      ("{STREAM}", string_of_int (width * height * 2));
+      ("{PI}", Printf.sprintf "%.17g" Float.pi);
+    ]
+    template
 
 let image_pipeline_program ?width ?height () =
   Tq_rt.Rt.link
@@ -288,26 +274,9 @@ int main() {
 let pointer_chase ?(nodes = 4096) ?(rounds = 4) () =
   if nodes < 2 || rounds < 1 then
     invalid_arg "Apps.pointer_chase: need nodes >= 2 and rounds >= 1";
-  let replace key value text =
-    let kl = String.length key in
-    let buf = Buffer.create (String.length text) in
-    let i = ref 0 in
-    let n = String.length text in
-    while !i < n do
-      if !i + kl <= n && String.sub text !i kl = key then begin
-        Buffer.add_string buf value;
-        i := !i + kl
-      end
-      else begin
-        Buffer.add_char buf text.[!i];
-        incr i
-      end
-    done;
-    Buffer.contents buf
-  in
-  chase_template
-  |> replace "{N}" (string_of_int nodes)
-  |> replace "{R}" (string_of_int rounds)
+  Tq_minic.Driver.fill_template
+    [ ("{N}", string_of_int nodes); ("{R}", string_of_int rounds) ]
+    chase_template
 
 let pointer_chase_program ?nodes ?rounds () =
   Tq_rt.Rt.link

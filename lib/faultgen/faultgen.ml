@@ -180,11 +180,7 @@ let apply mut raw =
           offset;
       flip raw offset bit
 
-(* ---------- seeded deterministic generation ----------
-
-   A tiny self-contained LCG (Java's 48-bit parameters): mutations must be
-   reproducible from the seed alone, independent of [Random]'s global
-   state. *)
+(* ---------- seeded deterministic generation ---------- *)
 
 type rng = { mutable s : int }
 

@@ -62,3 +62,18 @@ val random : seed:int -> string -> mutation
 val sweep : seed:int -> count:int -> string -> (mutation * string) list
 (** [count] independent seeded mutations of the same container, each paired
     with the mutated image. *)
+
+(** {2 Seeded generator}
+
+    The self-contained LCG (Java's 48-bit parameters) behind every seeded
+    draw here and in [Wire]: reproducible from the seed alone, independent
+    of [Random]'s global state. *)
+
+type rng
+
+val rng : int -> rng
+val next : rng -> int
+(** The next draw, a non-negative 29-bit integer. *)
+
+val pick : rng -> int -> int
+(** [pick r bound] draws from [0, bound), or is 0 when [bound <= 0]. *)

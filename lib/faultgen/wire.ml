@@ -4,7 +4,7 @@ module Json = Tq_obs.Json
    to attack Tq_serve.Protocol's framing, so it must not frame through it.
    One frame = 4-byte big-endian length + that many bytes of JSON. *)
 
-let frame_cap = 256 * 1024 * 1024 (* mirrors Protocol.max_frame *)
+let max_frame = Tq_serve.Protocol.max_frame
 
 type mutation =
   | Torn_header of { keep : int }
@@ -22,23 +22,16 @@ let slug = function
   | Mid_frame_disconnect _ -> "mid-frame-disconnect"
   | Stall_then_resume _ -> "stall-resume"
 
-(* Same self-contained LCG as Faultgen's container mutations (Java's 48-bit
-   parameters) — chaos must be reproducible from the seed alone. *)
-type rng = { mutable s : int }
-
-let rng seed = { s = (seed lxor 0x5DEECE66D) land 0x3FFFFFFFFFFF }
-
-let next r =
-  r.s <- ((r.s * 0x5DEECE66D) + 0xB) land 0x3FFFFFFFFFFF;
-  r.s lsr 17
-
-let pick r bound = if bound <= 0 then 0 else next r mod bound
+(* Faultgen's seeded LCG: chaos must be reproducible from the seed alone. *)
+let rng = Faultgen.rng
+let next = Faultgen.next
+let pick = Faultgen.pick
 
 let random ~seed =
   let r = rng seed in
   match pick r 6 with
   | 0 -> Torn_header { keep = pick r 4 }
-  | 1 -> Oversized_length { claim = frame_cap + 1 + pick r 4096 }
+  | 1 -> Oversized_length { claim = max_frame + 1 + pick r 4096 }
   | 2 -> Negative_length
   | 3 -> Garbage_payload { len = 1 + pick r 4096; seed = next r }
   | 4 ->
@@ -118,7 +111,7 @@ let read_verdict ~deadline fd =
   | Ok () -> (
       let hdr = Buffer.to_bytes buf in
       let len = Int32.to_int (Bytes.get_int32_be hdr 0) in
-      if len < 0 || len > frame_cap then Rejected "unparseable"
+      if len < 0 || len > max_frame then Rejected "unparseable"
       else
         match fill (4 + len) with
         | Error v -> v

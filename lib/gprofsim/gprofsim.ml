@@ -16,8 +16,6 @@ type t = {
 
 let arc_key a b = (a lsl 20) lor b
 
-(* simulated instructions per second: sampled instruction counts convert
-   to seconds at this rate *)
 let clock_hz = 1e9
 
 type config = int
@@ -132,7 +130,10 @@ let shard =
       merge_into;
     }
 
-let attach ?(period = 10_000) = Tq_trace.Tool.attach (create period) consume
+let default_period = 10_000
+
+let attach ?(period = default_period) =
+  Tq_trace.Tool.attach (create period) consume
 
 (* ---------- flat profile with gprof time propagation ---------- *)
 
@@ -244,7 +245,7 @@ let totals (t : t) =
      routines alone in a non-recursive component report self + children *)
   Array.init n (fun v -> comp_total.(comp.(v)))
 
-let seconds_of_samples (t : t) s = float_of_int s *. float_of_int t.period /. clock_hz
+let seconds (t : t) samples = samples *. float_of_int t.period /. clock_hz
 
 let flat_profile ?(main_image_only = true) (t : t) =
   let total_samples = Array.fold_left ( + ) 0 t.samples in
@@ -258,11 +259,9 @@ let flat_profile ?(main_image_only = true) (t : t) =
         && ((not main_image_only) || routine.Symtab.is_main_image)
       in
       if visible then begin
-        let self_seconds = seconds_of_samples t s in
+        let self_seconds = seconds t (float_of_int s) in
         let calls = t.calls.(id) in
-        let total_seconds =
-          totals.(id) *. float_of_int t.period /. clock_hz
-        in
+        let total_seconds = seconds t totals.(id) in
         rows :=
           {
             routine;
@@ -322,7 +321,7 @@ let call_graph_report ?(main_image_only = true) (t : t) =
       Buffer.add_string buf
         (Printf.sprintf "[%s] self %.4fs, total %.4fs, %d calls\n"
            row.routine.Symtab.name row.self_seconds
-           (totals.(id) *. float_of_int t.period /. clock_hz)
+           (seconds t totals.(id))
            row.calls);
       List.iter
         (fun (caller, callee, count) ->

@@ -38,8 +38,18 @@ include
     samples, calls, call-graph arcs and the total sample count merge by
     addition. *)
 
+val clock_hz : float
+(** The simulated clock, 1e9 instructions per second: the one rate at which
+    instruction counts become seconds, in this profile and in every
+    timeline. *)
+
+val default_period : int
+(** 10_000 instructions between samples: the period of every tool front end
+    that is not given one. *)
+
 val attach : ?period:int -> Tq_dbi.Engine.t -> t
-(** [create] + {!Tq_trace.Probe.attach}; [period] defaults to 10_000. *)
+(** [create] + {!Tq_trace.Probe.attach}; [period] defaults to
+    {!default_period}. *)
 
 type row = {
   routine : Tq_vm.Symtab.routine;

@@ -44,11 +44,43 @@ let eval_iop op a b =
   | Sge -> Some (if a >= b then 1 else 0)
   | Sgt -> Some (if a > b then 1 else 0)
 
+let negate_cmp = function
+  | Slt -> Some Sge
+  | Sle -> Some Sgt
+  | Sgt -> Some Sle
+  | Sge -> Some Slt
+  | Seq -> Some Sne
+  | Sne -> Some Seq
+  | _ -> None
+
 type fbinop = Fadd | Fsub | Fmul | Fdiv
 
 type funop = Fneg | Fabs | Fsqrt | Fsin | Fcos | Ffloor
 
 type fcmp = Feq | Fne | Flt | Fle
+
+let eval_fop op a b =
+  match op with
+  | Fadd -> a +. b
+  | Fsub -> a -. b
+  | Fmul -> a *. b
+  | Fdiv -> a /. b
+
+let eval_funop op a =
+  match op with
+  | Fneg -> -.a
+  | Fabs -> Float.abs a
+  | Fsqrt -> Float.sqrt a
+  | Fsin -> sin a
+  | Fcos -> cos a
+  | Ffloor -> Float.floor a
+
+let eval_fcmp c a b =
+  match c with
+  | Feq -> a = b
+  | Fne -> a <> b
+  | Flt -> a < b
+  | Fle -> a <= b
 
 type operand = Reg of reg | Imm of int
 

@@ -64,11 +64,24 @@ val eval_iop : binop -> int -> int -> int option
     [div]/[rem] by zero, where the machine traps.  The compiler's constant
     folder and the static dataflow layer fold through the same function. *)
 
+val negate_cmp : binop -> binop option
+(** The signed comparison that holds exactly when the given one fails
+    ([slt] <-> [sge], [sle] <-> [sgt], [seq] <-> [sne]); [None] for
+    [sltu], which has no complement in the set, and for the
+    non-comparisons. *)
+
 type fbinop = Fadd | Fsub | Fmul | Fdiv
 
 type funop = Fneg | Fabs | Fsqrt | Fsin | Fcos | Ffloor
 
 type fcmp = Feq | Fne | Flt | Fle
+
+(** The float ALU, shared by the machine and the compiler's constant folder
+    like {!eval_iop}. *)
+
+val eval_fop : fbinop -> float -> float -> float
+val eval_funop : funop -> float -> float
+val eval_fcmp : fcmp -> float -> float -> bool
 
 type operand = Reg of reg | Imm of int
 

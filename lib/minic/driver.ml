@@ -1,5 +1,25 @@
 exception Compile_error of string
 
+let fill_template substitutions template =
+  let replace text (key, value) =
+    let kl = String.length key in
+    let buf = Buffer.create (String.length text) in
+    let i = ref 0 in
+    let n = String.length text in
+    while !i < n do
+      if !i + kl <= n && String.sub text !i kl = key then begin
+        Buffer.add_string buf value;
+        i := !i + kl
+      end
+      else begin
+        Buffer.add_char buf text.[!i];
+        incr i
+      end
+    done;
+    Buffer.contents buf
+  in
+  List.fold_left replace template substitutions
+
 let fail_at (pos : Ast.pos) msg =
   raise (Compile_error (Printf.sprintf "%d:%d: %s" pos.line pos.col msg))
 

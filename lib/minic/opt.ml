@@ -18,29 +18,6 @@ let log2 n =
   let rec go k v = if v <= 1 then k else go (k + 1) (v / 2) in
   go 0 n
 
-let eval_fop op a b =
-  match op with
-  | Isa.Fadd -> a +. b
-  | Fsub -> a -. b
-  | Fmul -> a *. b
-  | Fdiv -> a /. b
-
-let eval_funop op a =
-  match op with
-  | Isa.Fneg -> -.a
-  | Fabs -> Float.abs a
-  | Fsqrt -> Float.sqrt a
-  | Fsin -> sin a
-  | Fcos -> cos a
-  | Ffloor -> Float.floor a
-
-let eval_fcmp c a b =
-  match c with
-  | Isa.Feq -> a = b
-  | Fne -> a <> b
-  | Flt -> a < b
-  | Fle -> a <= b
-
 let rec expr e =
   match e with
   | Const_i _ | Const_f _ | Sym_addr _ | Frame_addr _ -> e
@@ -56,15 +33,15 @@ let rec expr e =
       | a -> F2i a)
   | Funop (op, a) -> (
       match expr a with
-      | Const_f f -> Const_f (eval_funop op f)
+      | Const_f f -> Const_f (Isa.eval_funop op f)
       | a -> Funop (op, a))
   | Fop (op, a, b) -> (
       match (expr a, expr b) with
-      | Const_f x, Const_f y -> Const_f (eval_fop op x y)
+      | Const_f x, Const_f y -> Const_f (Isa.eval_fop op x y)
       | a, b -> Fop (op, a, b))
   | Fcmp (c, a, b) -> (
       match (expr a, expr b) with
-      | Const_f x, Const_f y -> Const_i (if eval_fcmp c x y then 1 else 0)
+      | Const_f x, Const_f y -> Const_i (if Isa.eval_fcmp c x y then 1 else 0)
       | a, b -> Fcmp (c, a, b))
   | Andalso (a, b) -> (
       match (expr a, expr b) with

@@ -8,10 +8,20 @@ let default_l1 = { size_bytes = 32 * 1024; line_bytes = 64; assoc = 8 }
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
+(* the model is allocated up front (see [validate]); 16 MiB covers any cache
+   level of the paper's era *)
+let max_size_bytes = 16 * 1024 * 1024
+
 let validate c =
   if not (is_pow2 c.line_bytes) then Error "line_bytes must be a power of two"
   else if c.assoc <= 0 then Error "assoc must be positive"
-  else if c.size_bytes <= 0 || c.size_bytes mod (c.line_bytes * c.assoc) <> 0
+  else if c.size_bytes <= 0 || c.size_bytes > max_size_bytes then
+    Error (Printf.sprintf "size must be between 1 and %d bytes" max_size_bytes)
+  else if
+    (* [line_bytes * assoc] is only formed once it is known not to exceed
+       the size, so it cannot overflow *)
+    c.assoc > c.size_bytes / c.line_bytes
+    || c.size_bytes mod (c.line_bytes * c.assoc) <> 0
   then Error "size must be a multiple of line_bytes * assoc"
   else if not (is_pow2 (c.size_bytes / (c.line_bytes * c.assoc))) then
     Error "number of sets must be a power of two"

@@ -22,8 +22,10 @@ val default_l1 : geometry
 (** 32 KiB, 64-byte lines, 8-way (the paper's Q9550 L1D shape). *)
 
 val validate : geometry -> (unit, string) result
-(** [Error] explains a non-power-of-two line size, a non-positive field or
-    a size that is not [sets * assoc * line]-consistent. *)
+(** [Error] explains a non-power-of-two line size, a non-positive field, a
+    size above 16 MiB (the whole model is allocated up front, three words
+    per line) or a size that is not [sets * assoc * line]-consistent.
+    Total: no field, however large, makes it raise. *)
 
 type t
 

@@ -394,11 +394,11 @@ let bindings t =
                (b.producer.Symtab.id, b.consumer.Symtab.id)
          | c -> c)
 
-let to_dot ?(min_bytes = 1) t =
+let to_dot t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "digraph QDU {\n  rankdir=LR;\n  node [shape=box];\n";
   let nodes = Hashtbl.create 32 in
-  let want = List.filter (fun b -> b.bytes_incl >= min_bytes) (bindings t) in
+  let want = List.filter (fun b -> b.bytes_incl > 0) (bindings t) in
   List.iter
     (fun b ->
       Hashtbl.replace nodes b.producer.Symtab.name ();

@@ -74,10 +74,10 @@ type binding = {
 val bindings : t -> binding list
 (** Producer/consumer data-communication bindings, heaviest first. *)
 
-val to_dot : ?min_bytes:int -> t -> string
+val to_dot : t -> string
 (** The QDU (Quantitative Data Usage) graph in Graphviz DOT format: nodes are
     kernels, edges are bindings annotated with bytes and UnMA.  Edges moving
-    fewer than [min_bytes] (default 1) stack-inclusive bytes are elided. *)
+    no stack-inclusive bytes are elided. *)
 
 val shadow_pages : t -> int
 (** Allocated shadow pages, for footprint reporting. *)

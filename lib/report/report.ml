@@ -188,10 +188,10 @@ let figure_csv t ~metric ~kernels =
   in
   Tq_util.Csv_out.to_string (header :: rows)
 
-let chrome_trace ?(clock_hz = 1e9) t =
+let chrome_trace t =
   let interval = Tq.slice_interval t in
   let us_of_slice s =
-    float_of_int (s * interval) /. clock_hz *. 1e6
+    float_of_int (s * interval) /. G.clock_hz *. 1e6
   in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "[";

@@ -50,12 +50,12 @@ val figure_csv :
   string
 (** The same series as CSV (slice, one column per kernel) for re-plotting. *)
 
-val chrome_trace : ?clock_hz:float -> Tq_tquad.Tquad.t -> string
+val chrome_trace : Tq_tquad.Tquad.t -> string
 (** The kernel activity timeline as a Chrome trace-event JSON document
     (load via chrome://tracing or Perfetto): one track per kernel, one
     complete event per contiguous run of active slices, annotated with the
-    run's average bytes/instruction.  [clock_hz] (default 1e9) converts
-    instruction counts to microseconds. *)
+    run's average bytes/instruction.  Instruction counts become
+    microseconds at {!Tq_gprofsim.Gprofsim.clock_hz}. *)
 
 val profile_diff :
   before:Tq_gprofsim.Gprofsim.row list ->

@@ -208,7 +208,7 @@ let create ?workers ?(on_done = fun _ -> ()) ?default_deadline_s ~queue_limit
   | _ -> ());
   let workers =
     match workers with
-    | Some n when n >= 0 -> n
+    | Some n when n >= 0 -> min n (Domain.recommended_domain_count ())
     | Some _ -> invalid_arg "Jobs.create: negative workers"
     | None -> max 1 (Domain.recommended_domain_count () - 1)
   in

@@ -68,7 +68,10 @@ val create :
   unit ->
   t
 (** Start the pool.  [workers] defaults to
-    [Domain.recommended_domain_count - 1] (at least 1); [workers:0] spawns
+    [Domain.recommended_domain_count - 1] (at least 1) and is capped at
+    [Domain.recommended_domain_count], as replay caps its domains: more
+    domains than cores only add contention, and the runtime refuses to spawn
+    beyond its own limit.  [workers:0] spawns
     no domains — jobs then run only via {!step}, the deterministic mode the
     tests use.  [on_done id] fires after job [id]'s results are stored and
     waiters are woken, outside the manager lock (the server writes the

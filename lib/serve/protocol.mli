@@ -14,6 +14,10 @@
     kind, humans read the reason.  See docs/SERVE.md for the full request
     and response schemas. *)
 
+val max_frame : int
+(** 256 MiB: the largest frame payload read or written unless a caller
+    passes a tighter [max_frame]. *)
+
 exception Frame_error of string
 (** A malformed frame: oversized or negative length prefix, or a payload
     that is not valid JSON.  Distinct from [End_of_file]-style clean

@@ -311,10 +311,12 @@ let handle_replay s conn req =
           | Some _ -> Error "tools must be a list of strings"
         in
         let slice =
-          Option.value (Protocol.get_int "slice" req) ~default:10_000
+          Option.value (Protocol.get_int "slice" req)
+            ~default:Tq_tquad.Tquad.default_slice_interval
         in
         let period =
-          Option.value (Protocol.get_int "period" req) ~default:10_000
+          Option.value (Protocol.get_int "period" req)
+            ~default:Tq_gprofsim.Gprofsim.default_period
         in
         (* a client may ask for a tighter budget than the server default,
            never a looser one; [job_timeout_s <= 0] disables the server

@@ -131,15 +131,12 @@ let analyze (cfg : Cfg.t) =
   in
   (li, { name = code.Rcode.name; loops = loop_reports; accesses = !accesses })
 
-let analyze_program ?(all_images = false) (prog : Tq_vm.Program.t) =
+let analyze_program (prog : Tq_vm.Program.t) =
   let symtab = prog.Tq_vm.Program.symtab in
   let out = ref [] in
   Tq_vm.Symtab.iter
     (fun r ->
-      if
-        r.Tq_vm.Symtab.size > 0
-        && (all_images || r.Tq_vm.Symtab.is_main_image)
-      then begin
+      if r.Tq_vm.Symtab.size > 0 && r.Tq_vm.Symtab.is_main_image then begin
         let rc = Rcode.of_routine prog r in
         let cfg = Cfg.build rc in
         out := snd (analyze cfg) :: !out

@@ -46,8 +46,8 @@ type routine = {
 
 val analyze : Cfg.t -> Loopinfo.t * routine
 
-val analyze_program : ?all_images:bool -> Tq_vm.Program.t -> routine list
-(** Main-image routines by default. *)
+val analyze_program : Tq_vm.Program.t -> routine list
+(** The main-image routines. *)
 
 type stats = {
   st_loops : int;

@@ -158,20 +158,11 @@ let make_eval (cfg : Cfg.t) ~trust_data ~lookup =
         (* the code generator booleanizes comparisons ([sne r, r, 0]) and
            negates them ([seq r, r, 0]); fold both so loop guards stay
            reconstructible through the chain *)
-        let negate = function
-          | Isa.Slt -> Some Isa.Sge
-          | Isa.Sle -> Some Isa.Sgt
-          | Isa.Sgt -> Some Isa.Sle
-          | Isa.Sge -> Some Isa.Slt
-          | Isa.Seq -> Some Isa.Sne
-          | Isa.Sne -> Some Isa.Seq
-          | _ -> None (* no unsigned complement in the comparison set *)
-        in
         match (op, a, b) with
         | Isa.Sne, Cmp (c, x, y), Lin z when lin_is_const z && z.k = 0 ->
             Cmp (c, x, y)
         | Isa.Seq, Cmp (c, x, y), Lin z when lin_is_const z && z.k = 0 -> (
-            match negate c with Some c' -> Cmp (c', x, y) | None -> Top)
+            match Isa.negate_cmp c with Some c' -> Cmp (c', x, y) | None -> Top)
         | _ -> Top)
   in
   let value_of_def env j r =

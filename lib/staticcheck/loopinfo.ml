@@ -228,17 +228,8 @@ let infer_trip df l =
                         | Dataflow.Lin lv -> (Isa.Sne, lv)
                         | Dataflow.Top -> assert false
                       in
-                      let negate = function
-                        | Isa.Slt -> Some Isa.Sge
-                        | Isa.Sle -> Some Isa.Sgt
-                        | Isa.Sgt -> Some Isa.Sle
-                        | Isa.Sge -> Some Isa.Slt
-                        | Isa.Seq -> Some Isa.Sne
-                        | Isa.Sne -> Some Isa.Seq
-                        | _ -> None
-                      in
                       let opc =
-                        if continue_truthy then Some op else negate op
+                        if continue_truthy then Some op else Isa.negate_cmp op
                       in
                       match opc with
                       | None -> Tunknown "unsigned loop guard"

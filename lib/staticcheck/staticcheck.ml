@@ -572,11 +572,11 @@ let check_rcode ?bounds ?dataflow code = check_cfg ?bounds ?dataflow (Cfg.build 
 
 let check_items ~name items = check_rcode (Rcode.of_items ~name items)
 
-let check_program ?(all_images = true) ?bounds ?dataflow prog =
+let check_program ?bounds ?dataflow prog =
   let acc = ref [] in
   Symtab.iter
     (fun r ->
-      if (all_images || r.Symtab.is_main_image) && r.Symtab.size > 0 then
+      if r.Symtab.size > 0 then
         acc := check_rcode ?bounds ?dataflow (Rcode.of_routine prog r) :: !acc)
     prog.Program.symtab;
   List.concat (List.rev !acc)

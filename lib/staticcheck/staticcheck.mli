@@ -77,12 +77,11 @@ val check_items : name:string -> Tq_asm.Builder.item array -> diagnostic list
     its diagnostics must all be hard errors. *)
 
 val check_program :
-  ?all_images:bool ->
   ?bounds:bounds ->
   ?dataflow:bool ->
   Tq_vm.Program.t ->
   diagnostic list
-(** Check every routine of a linked program ([all_images:false] restricts
-    to main-image routines; [dataflow] defaults to [false], keeping the
+(** Check every routine of every image of a linked program ([dataflow]
+    defaults to [false], keeping the
     default contract identical to the structural checker).  Diagnostics
     are in symbol-table order, then by instruction index. *)

@@ -48,8 +48,11 @@ let kernel_stats t routine ~lo ~hi =
     max_rw_excl = Tquad.max_rw_in t routine ~incl:false ~lo ~hi;
   }
 
-let detect ?(threshold = 0.2) ?(window = 8) ?(gap = 1) ?(min_len = 4) t =
+let detect ?(threshold = 0.2) ?window ?gap ?min_len t =
   let n = Tquad.total_slices t in
+  let window = Option.value window ~default:(max 8 (n / 40)) in
+  let gap = Option.value gap ~default:(max 2 (window / 6)) in
+  let min_len = Option.value min_len ~default:(max 16 (n / 20)) in
   if n = 0 then []
   else begin
     let kernels = Tquad.kernels t in

@@ -38,12 +38,16 @@ val detect :
   ?min_len:int ->
   Tquad.t ->
   phase list
-(** Defaults: [threshold = 0.2], [window = 8], [gap = 1], [min_len = 4].
-    [gap] slices on either side of a candidate boundary are ignored when
-    comparing the windows, so the transition slices themselves (which often
-    carry traffic from both phases) do not mask the change.  Returns
-    contiguous phases covering slice 0 to the last active slice; the empty
-    list if the run produced no memory traffic. *)
+(** Defaults, for a run of [n] slices: [threshold = 0.2],
+    [window = max 8 (n / 40)], [gap = max 2 (window / 6)] (of the window
+    actually used) and [min_len = max 16 (n / 20)], so the window spans
+    several periods of a program's outer loop and per-period kernel rotation
+    is not mistaken for a phase change.  [gap] slices on either side of a
+    candidate boundary are ignored when comparing the windows, so the
+    transition slices themselves (which often carry traffic from both
+    phases) do not mask the change.  Returns contiguous phases covering
+    slice 0 to the last active slice; the empty list if the run produced no
+    memory traffic. *)
 
 val render : phase list -> string
 (** Human-readable multi-line summary (one block per phase). *)

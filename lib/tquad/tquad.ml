@@ -148,7 +148,10 @@ let shard =
       merge_into;
     }
 
-let attach ?(slice_interval = 10_000) ?(policy = Call_stack.Main_image_only) =
+let default_slice_interval = 10_000
+
+let attach ?(slice_interval = default_slice_interval)
+    ?(policy = Call_stack.Main_image_only) =
   Tq_trace.Tool.attach (create { slice_interval; policy }) consume
 
 type metric = Read_incl | Read_excl | Write_incl | Write_excl

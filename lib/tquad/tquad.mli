@@ -40,6 +40,10 @@ include
     with the boundary's stack, and merging adds the per-kernel per-slice
     byte counts (activity unions). *)
 
+val default_slice_interval : int
+(** 10_000 instructions: the slice interval of every tool front end that is
+    not given one. *)
+
 val attach :
   ?slice_interval:int ->
   ?policy:Tq_prof.Call_stack.policy ->
@@ -47,7 +51,7 @@ val attach :
   t
 (** [create] + {!Tq_trace.Probe.attach}: register instrumentation that
     feeds the engine's live event flow into {!consume}.  [slice_interval]
-    defaults to 10_000 instructions; [policy] to [Main_image_only]. *)
+    defaults to {!default_slice_interval}; [policy] to [Main_image_only]. *)
 
 type metric = Read_incl | Read_excl | Write_incl | Write_excl
 

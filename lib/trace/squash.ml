@@ -1,4 +1,4 @@
-module Leb = Tq_util.Leb128
+module Dyn_array = Tq_util.Dyn_array
 
 (* Record-time redundancy suppression (container v4).
 
@@ -40,8 +40,8 @@ module Leb = Tq_util.Leb128
 
 type field_enc =
   | Affine of int  (** the field advances by this stride every iteration *)
-  | Literal of string
-      (** concatenated SLEB128 per-iteration deltas, [iters - 1] of them *)
+  | Literal of int array
+      (** the per-iteration deltas, [iters - 1] of them *)
 
 (* A run commits once it covers [min_iters] iterations and [min_raw] raw
    events.  [max_body] caps a body (and the pending window); [max_raw] caps
@@ -96,7 +96,7 @@ type seg = { s_key : int; s_evs : Event.t list; s_n : int }
 type field = {
   mutable f_prev : int;  (* value in the latest completed iteration *)
   mutable f_stride : int;  (* meaningful once iters >= 2 *)
-  mutable f_lits : Buffer.t option;  (* [Some] = literal mode *)
+  mutable f_lits : int Dyn_array.t option;  (* [Some] = literal mode *)
 }
 
 type run = {
@@ -207,7 +207,7 @@ let flush_run t run =
       Array.map
         (fun f ->
           match f.f_lits with
-          | Some b -> Literal (Buffer.contents b)
+          | Some d -> Literal (Dyn_array.to_array d)
           | None -> Affine f.f_stride)
         run.r_fields
     in
@@ -279,14 +279,14 @@ let complete_iteration t run =
             (* the field just went irregular: materialize the deltas of the
                earlier iterations (all equal to the stride) and escape to
                literal mode *)
-            let b = Buffer.create 16 in
+            let d = Dyn_array.create ~dummy:0 () in
             for _ = 1 to run.r_iters - 1 do
-              Leb.write_s b fld.f_stride
+              Dyn_array.push d fld.f_stride
             done;
-            Leb.write_s b (v - fld.f_prev);
-            fld.f_lits <- Some b
+            Dyn_array.push d (v - fld.f_prev);
+            fld.f_lits <- Some d
           end
-      | Some b -> Leb.write_s b (v - fld.f_prev));
+      | Some d -> Dyn_array.push d (v - fld.f_prev));
       fld.f_prev <- v
     done;
   run.r_iters <- run.r_iters + 1;

@@ -29,8 +29,8 @@
 
 type field_enc =
   | Affine of int  (** the field advances by this stride every iteration *)
-  | Literal of string
-      (** concatenated SLEB128 per-iteration deltas, [iters - 1] of them *)
+  | Literal of int array
+      (** the per-iteration deltas, [iters - 1] of them *)
 
 val max_body : int
 (** Cap on a repeat's body length in events (512), also the pending-window

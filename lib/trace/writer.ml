@@ -199,13 +199,7 @@ let write_run w ~followed (body, iters, fields) =
       Array.map (function Squash.Affine s -> s | Literal _ -> 0) fields
     in
     let lits =
-      Array.map
-        (function
-          | Squash.Literal l ->
-              let pos = ref 0 in
-              Array.init (iters - 1) (fun _ -> Leb.read_s l pos)
-          | Affine _ -> [||])
-        fields
+      Array.map (function Squash.Literal l -> l | Affine _ -> [||]) fields
     in
     Squash.expand ~body ~iters ~literal ~stride ~lits sink
   in
@@ -226,7 +220,7 @@ let write_run w ~followed (body, iters, fields) =
     (fun f ->
       match f with
       | Squash.Affine stride -> Leb.write_s tables stride
-      | Squash.Literal lits -> Buffer.add_string tables lits)
+      | Squash.Literal lits -> Array.iter (Leb.write_s tables) lits)
     fields;
   let repeat_payload (bref, bcrc) =
     let p = Buffer.create (Buffer.length tables + 16) in

@@ -17,7 +17,7 @@ let bucket values width =
     out
   end
 
-let strip_chart ?(width = 96) ?(log_scale = true) ~title ~unit_label series =
+let strip_chart ?(width = 96) ~title ~unit_label series =
   if series = [] then invalid_arg "Ascii_chart.strip_chart: no series";
   let len = Array.length (snd (List.hd series)) in
   List.iter
@@ -28,10 +28,9 @@ let strip_chart ?(width = 96) ?(log_scale = true) ~title ~unit_label series =
              "Ascii_chart.strip_chart: series %s has length %d, expected %d"
              name (Array.length vs) len))
     series;
-  let scale x = if log_scale then log1p x else x in
   let global_max =
     List.fold_left
-      (fun acc (_, vs) -> Array.fold_left (fun a v -> max a (scale v)) acc vs)
+      (fun acc (_, vs) -> Array.fold_left (fun a v -> max a (log1p v)) acc vs)
       0. series
   in
   let name_w =
@@ -41,8 +40,8 @@ let strip_chart ?(width = 96) ?(log_scale = true) ~title ~unit_label series =
   Buffer.add_string buf title;
   Buffer.add_char buf '\n';
   Buffer.add_string buf
-    (Printf.sprintf "  (columns = time slices, intensity = %s%s)\n" unit_label
-       (if log_scale then ", log scale" else ""));
+    (Printf.sprintf "  (columns = time slices, intensity = %s, log scale)\n"
+       unit_label);
   List.iter
     (fun (name, vs) ->
       let peak = Array.fold_left max 0. vs in
@@ -54,7 +53,7 @@ let strip_chart ?(width = 96) ?(log_scale = true) ~title ~unit_label series =
           let g =
             if global_max <= 0. then 0
             else begin
-              let r = scale v /. global_max in
+              let r = log1p v /. global_max in
               if r <= 0. then 0
               else min 9 (1 + int_of_float (r *. 8.99))
             end

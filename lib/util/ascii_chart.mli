@@ -7,16 +7,15 @@
 
 val strip_chart :
   ?width:int ->
-  ?log_scale:bool ->
   title:string ->
   unit_label:string ->
   (string * float array) list ->
   string
 (** [strip_chart ~title ~unit_label series] renders one intensity strip per
     [(kernel, per-slice values)] pair.  All series must have equal length;
-    slices are averaged down to at most [width] columns (default 96).  With
-    [log_scale] (default true) glyph intensity encodes [log1p] of the value,
-    matching how the paper's figures remain readable across the >50x dynamic
-    range of bandwidths.  Each row is annotated with the series' peak value.
+    slices are averaged down to at most [width] columns (default 96).  Glyph
+    intensity encodes [log1p] of the value, matching how the paper's figures
+    remain readable across the >50x dynamic range of bandwidths.  Each row
+    is annotated with the series' peak value.
 
     @raise Invalid_argument if series lengths differ or the list is empty. *)

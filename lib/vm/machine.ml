@@ -93,29 +93,6 @@ let eval_binop t op a b =
         (if op = Isa.Div then "integer division by zero"
          else "integer remainder by zero")
 
-let eval_fbinop op a b =
-  match op with
-  | Isa.Fadd -> a +. b
-  | Fsub -> a -. b
-  | Fmul -> a *. b
-  | Fdiv -> a /. b
-
-let eval_funop op a =
-  match op with
-  | Isa.Fneg -> -.a
-  | Fabs -> Float.abs a
-  | Fsqrt -> Float.sqrt a
-  | Fsin -> sin a
-  | Fcos -> cos a
-  | Ffloor -> Float.floor a
-
-let eval_fcmp c a b =
-  match c with
-  | Isa.Feq -> a = b
-  | Fne -> a <> b
-  | Flt -> a < b
-  | Fle -> a <= b
-
 (* ---------- syscalls ---------- *)
 
 let sys_exit = Sysno.exit
@@ -237,13 +214,13 @@ let exec t ins =
       t.fregs.(d) <- t.fregs.(s);
       t.pc <- next
   | Fbin (op, d, a, b) ->
-      t.fregs.(d) <- eval_fbinop op t.fregs.(a) t.fregs.(b);
+      t.fregs.(d) <- Isa.eval_fop op t.fregs.(a) t.fregs.(b);
       t.pc <- next
   | Fun (op, d, s) ->
-      t.fregs.(d) <- eval_funop op t.fregs.(s);
+      t.fregs.(d) <- Isa.eval_funop op t.fregs.(s);
       t.pc <- next
   | Fcmp (c, d, a, b) ->
-      set_reg t d (if eval_fcmp c t.fregs.(a) t.fregs.(b) then 1 else 0);
+      set_reg t d (if Isa.eval_fcmp c t.fregs.(a) t.fregs.(b) then 1 else 0);
       t.pc <- next
   | I2f (d, s) ->
       t.fregs.(d) <- float_of_int (reg t s);

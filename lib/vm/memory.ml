@@ -223,10 +223,13 @@ let write_bytes t addr b =
     i := !i + chunk
   done
 
-let read_cstring t ?(max = 4096) addr =
+(* a guest string longer than this is taken to be unterminated *)
+let max_cstring = 4096
+
+let read_cstring t addr =
   let buf = Buffer.create 32 in
   let rec go i =
-    if i >= max then invalid_arg "Memory.read_cstring: unterminated"
+    if i >= max_cstring then invalid_arg "Memory.read_cstring: unterminated"
     else begin
       let c = get_u8 t (addr + i) in
       if c = 0 then Buffer.contents buf

@@ -44,9 +44,9 @@ val read_bytes : t -> int -> int -> bytes
 
 val write_bytes : t -> int -> bytes -> unit
 
-val read_cstring : t -> ?max:int -> int -> string
-(** Read a NUL-terminated string starting at the address (max default 4096).
-    @raise Invalid_argument if no NUL within [max] bytes. *)
+val read_cstring : t -> int -> string
+(** Read a NUL-terminated string starting at the address.
+    @raise Invalid_argument if no NUL within 4096 bytes. *)
 
 val page_count : t -> int
 (** Allocated pages, for footprint accounting. *)

@@ -436,23 +436,4 @@ let generate (s : Scenario.t) =
       ("{PI}", Printf.sprintf "%.17g" Float.pi);
     ]
   in
-  let replace_all text key value =
-    let kl = String.length key in
-    let buf = Buffer.create (String.length text) in
-    let i = ref 0 in
-    let n = String.length text in
-    while !i < n do
-      if !i + kl <= n && String.sub text !i kl = key then begin
-        Buffer.add_string buf value;
-        i := !i + kl
-      end
-      else begin
-        Buffer.add_char buf text.[!i];
-        incr i
-      end
-    done;
-    Buffer.contents buf
-  in
-  List.fold_left
-    (fun acc (key, value) -> replace_all acc key value)
-    template substitutions
+  Tq_minic.Driver.fill_template substitutions template

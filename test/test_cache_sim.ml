@@ -16,7 +16,22 @@ let test_config_validation () =
   Alcotest.(check bool) "bad assoc" true
     (bad { Cache.size_bytes = 1024; line_bytes = 64; assoc = 0 });
   Alcotest.(check bool) "non-pow2 sets" true
-    (bad { Cache.size_bytes = 3 * 64 * 2; line_bytes = 64; assoc = 2 })
+    (bad { Cache.size_bytes = 3 * 64 * 2; line_bytes = 64; assoc = 2 });
+  (* line_bytes * assoc would wrap to 0 (a division by zero) or to a
+     divisor of the size: refused without forming the product *)
+  Alcotest.(check bool) "assoc overflowing line * assoc" true
+    (bad { Cache.size_bytes = 32 * 1024; line_bytes = 64; assoc = 1 lsl 58 });
+  Alcotest.(check bool) "line above the size" true
+    (bad { Cache.size_bytes = 1024; line_bytes = 1 lsl 61; assoc = 2 });
+  (* the whole model is allocated up front: the size is capped at 16 MiB *)
+  Alcotest.(check bool) "16 MiB valid" true
+    (Cache.validate
+       { Cache.size_bytes = 16 * 1024 * 1024; line_bytes = 64; assoc = 8 }
+    = Ok ());
+  Alcotest.(check bool) "32 MiB refused" true
+    (bad { Cache.size_bytes = 32 * 1024 * 1024; line_bytes = 64; assoc = 8 });
+  Alcotest.(check bool) "max_int refused" true
+    (bad { Cache.size_bytes = max_int; line_bytes = 64; assoc = 8 })
 
 (* Sequential streaming through a big array: cold misses only, so the miss
    rate approaches bytes_per_access / line_bytes. *)

@@ -399,7 +399,9 @@ let test_tquad_activity_spans () =
 
 let test_tquad_phase_detection () =
   let t = tquad_run ~slice_interval:200 two_phase_src in
-  let phases = Tq_tquad.Phases.detect ~threshold:0.2 ~window:4 ~min_len:3 t in
+  let phases =
+    Tq_tquad.Phases.detect ~threshold:0.2 ~window:4 ~gap:1 ~min_len:3 t
+  in
   Alcotest.(check bool) "at least 2 phases" true (List.length phases >= 2);
   let has_kernel p name =
     List.exists

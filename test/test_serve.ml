@@ -185,6 +185,17 @@ let test_jobs_bounded_queue () =
   | Error (`Queue_full _) -> ()
   | Ok _ -> Alcotest.fail "submit after drain must be refused"
 
+(* The pool caps its workers at one per core, as replay caps its domains. *)
+let test_jobs_worker_cap () =
+  let cache = Lru.create ~capacity:(1024 * 1024) in
+  let hw = Domain.recommended_domain_count () in
+  let j = Jobs.create ~workers:(hw + 2) ~queue_limit:1 ~cache () in
+  let workers = (Jobs.stats j).Jobs.workers in
+  Jobs.drain j;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d workers <= %d recommended" workers hw)
+    true (workers <= hw)
+
 let test_jobs_results_match_direct_replay () =
   let prog, _ = Lazy.force fixture in
   let reader = fresh_reader () in
@@ -567,6 +578,8 @@ let suites =
           test_limiter_no_wait_when_full;
         Alcotest.test_case "jobs: bounded queue refuses past its limit" `Quick
           test_jobs_bounded_queue;
+        Alcotest.test_case "jobs: workers capped at one per core" `Quick
+          test_jobs_worker_cap;
         Alcotest.test_case "jobs: served results match a direct replay" `Quick
           test_jobs_results_match_direct_replay;
         Alcotest.test_case "jobs: repeat replays hit the chunk cache" `Quick

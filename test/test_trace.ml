@@ -602,6 +602,16 @@ let test_cli_positive_args () =
     (Test_dataflow.run_cli (Printf.sprintf "diff %s %s --period 0" src src));
   Alcotest.(check int) "check --bandwidth --slice 0: 2" 2
     (rc "check %s --bandwidth --slice 0");
+  (* cache geometry: non-positive or overflowing values, sizes above the
+     model's cap and inconsistent shapes are usage errors *)
+  Alcotest.(check int) "cache --size-kib 4: 0" 0 (rc "cache %s --size-kib 4");
+  List.iter
+    (fun arg ->
+      Alcotest.(check int) (Printf.sprintf "cache %s: 2" arg) 2
+        (Test_dataflow.run_cli (Printf.sprintf "cache %s %s" src arg)))
+    [ "--assoc 288230376151711744"; "--assoc 0"; "--assoc=-8"; "--line 0";
+      "--line 48"; "--size-kib 0"; "--size-kib 16385";
+      "--size-kib 9007199254740993"; "--size-kib=-32" ];
   let replay args =
     Test_dataflow.run_cli (Printf.sprintf "replay %s %s %s" trc src args)
   in
@@ -641,6 +651,9 @@ let test_cli_positive_args () =
   bad ~cmd:serve ~positive:false
     [ "domains"; "max-connections"; "idle-timeout"; "frame-timeout";
       "job-timeout" ];
+  (* 2^43 MiB is 2^63 bytes: the byte count would wrap *)
+  Alcotest.(check int) "serve --cache-mb 8796093022208: 2" 2
+    (Test_dataflow.run_cli (serve ^ " --cache-mb 8796093022208"));
   bad ~cmd:("client ping --socket " ^ sock) ~positive:false
     [ "retries"; "timeout" ];
   bad ~cmd:("client ping --socket " ^ sock) ~positive:true [ "backoff" ];
