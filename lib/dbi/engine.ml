@@ -274,7 +274,8 @@ let run_reference t fuel =
 let run ?(fuel = 2_000_000_000) t =
   t.running <- true;
   (try
-     if t.use_code_cache then run_cached t fuel else run_reference t fuel
+     Machine.guard t.m (fun () ->
+         if t.use_code_cache then run_cached t fuel else run_reference t fuel)
    with e ->
      t.running <- false;
      raise e);

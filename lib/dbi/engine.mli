@@ -85,7 +85,8 @@ val predicated : t -> Ins_view.view -> action -> action
 
 val run : ?fuel:int -> t -> unit
 (** Execute until halt. @raise Tq_vm.Executor.Out_of_fuel when the budget
-    (default 2e9) is exhausted. *)
+    (default 2e9) is exhausted, and {!Tq_vm.Machine.Trap} on a fault, guest
+    memory faults included, on either execution path. *)
 
 type stats = {
   compiled_traces : int;

@@ -53,7 +53,7 @@ val depth : t -> int -> int
 (** {2 The block solver}
 
     Every dataflow pass over a routine — the register and cell-constant
-    fixpoints of {!Dataflow}, and the verifier's register, stack, local and
+    fixpoints of {!Dataflow}, and the verifier's register, local and
     liveness checks — runs through these two functions.  Blocks are swept
     in id order (descending for {!backward}) until no state changes; a
     block's state only ever rises (the [join] of its old state and the new

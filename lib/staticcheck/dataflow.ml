@@ -388,9 +388,14 @@ type t = {
   cp : cp;
 }
 
+let registers (cfg : Cfg.t) =
+  make_eval cfg
+    ~trust_data:(cfg.Cfg.code.Rcode.base_addr <> None)
+    ~lookup:(fun _ _ -> None)
+
 let analyze (cfg : Cfg.t) =
   let trust_data = cfg.Cfg.code.Rcode.base_addr <> None in
-  let eval0 = make_eval cfg ~trust_data ~lookup:(fun _ _ -> None) in
+  let eval0 = registers cfg in
   let escapes = compute_escapes cfg eval0 in
   let frame_size = detect_frame cfg in
   (* two rounds: constants found by round one feed loads evaluated in round
@@ -432,38 +437,48 @@ type access = {
   a_cell : cell option;
 }
 
+type mem_op = {
+  m_base : int;
+  m_off : int;
+  m_width : Isa.width;
+  m_store : bool;
+  m_pred : int option;
+}
+
+let mem_op (i : Isa.ins) =
+  let mk ~base ~off ~width ~store ~pred =
+    Some { m_base = base; m_off = off; m_width = width; m_store = store; m_pred = pred }
+  in
+  match i with
+  | Isa.Load { width; base; off; pred; _ } -> mk ~base ~off ~width ~store:false ~pred
+  | Isa.Loads { width; base; off; _ } -> mk ~base ~off ~width ~store:false ~pred:None
+  | Isa.Store { width; base; off; pred; _ } -> mk ~base ~off ~width ~store:true ~pred
+  | Isa.Fload { base; off; pred; _ } -> mk ~base ~off ~width:Isa.W8 ~store:false ~pred
+  | Isa.Fstore { base; off; pred; _ } -> mk ~base ~off ~width:Isa.W8 ~store:true ~pred
+  | _ -> None
+
 let access t i =
-  let code = t.cfg.Cfg.code in
-  let mk ~base ~off ~width ~is_store ~pred =
-    let addr =
-      match lin_of (t.eval i base) with
-      | Some a -> Lin (lin_add a (const off))
-      | None -> Top
-    in
-    let cell =
-      match addr with
-      | Lin a -> (
-          match cell_of_lin a with
-          | Some (Data _) when not t.trust_data -> None
-          | c -> c)
-      | _ -> None
-    in
-    Some
+  Option.map
+    (fun m ->
+      let addr =
+        match lin_of (t.eval i m.m_base) with
+        | Some a -> Lin (lin_add a (const m.m_off))
+        | None -> Top
+      in
+      let cell =
+        match addr with
+        | Lin a -> (
+            match cell_of_lin a with
+            | Some (Data _) when not t.trust_data -> None
+            | c -> c)
+        | _ -> None
+      in
       {
         a_index = i;
-        a_width = Isa.width_bytes width;
-        a_is_store = is_store;
-        a_pred = pred <> None;
+        a_width = Isa.width_bytes m.m_width;
+        a_is_store = m.m_store;
+        a_pred = m.m_pred <> None;
         a_addr = addr;
         a_cell = cell;
-      }
-  in
-  match code.Rcode.ins.(i) with
-  | Isa.Load { width; base; off; pred; _ } -> mk ~base ~off ~width ~is_store:false ~pred
-  | Isa.Loads { width; base; off; _ } -> mk ~base ~off ~width ~is_store:false ~pred:None
-  | Isa.Store { width; base; off; pred; _ } -> mk ~base ~off ~width ~is_store:true ~pred
-  | Isa.Fload { base; off; pred; _ } ->
-      mk ~base ~off ~width:Isa.W8 ~is_store:false ~pred
-  | Isa.Fstore { base; off; pred; _ } ->
-      mk ~base ~off ~width:Isa.W8 ~is_store:true ~pred
-  | _ -> None
+      })
+    (mem_op t.cfg.Cfg.code.Rcode.ins.(i))

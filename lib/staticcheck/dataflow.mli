@@ -41,6 +41,13 @@ type lin = {
 
 type value = Lin of lin | Cmp of Tq_isa.Isa.binop * lin * lin | Top
 
+val registers : Cfg.t -> int -> int -> value
+(** [registers cfg i r]: the value of integer register [r] just before
+    instruction [i], from the register fixpoint alone (no load is folded
+    through a cell constant).  This is the first-round evaluator of
+    {!analyze}, and what the verifier's stack-depth and constant-address
+    checks read. *)
+
 type t
 
 val analyze : Cfg.t -> t
@@ -85,6 +92,18 @@ type access = {
 }
 
 val access : t -> int -> access option
+
+(** The operands of one of the five explicit memory opcodes ([Load],
+    [Loads], [Store], [Fload], [Fstore]; float accesses are 8 bytes). *)
+type mem_op = {
+  m_base : int;  (** base register *)
+  m_off : int;
+  m_width : Tq_isa.Isa.width;
+  m_store : bool;
+  m_pred : int option;  (** guard register of a predicated access *)
+}
+
+val mem_op : Tq_isa.Isa.ins -> mem_op option
 
 (* Shared helpers, also used by the other analysis modules. *)
 

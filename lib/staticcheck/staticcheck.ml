@@ -128,135 +128,55 @@ let check_use_before_def (cfg : Cfg.t) add =
     ~join:(fun (ai, af) (bi, bf) -> (ai land bi, af land bf))
     flow_block
 
-(* ---------- stack discipline ----------
+(* ---------- stack depth and constant addresses ----------
 
-   [sp] and [fp] are tracked as offsets from their entry values.  A [call]
-   is stack-neutral from the caller's view (the callee pops what the call
-   pushed), so any path reaching [ret] must restore sp to exactly its entry
-   value — otherwise the popped "return address" is some other slot.  Joins
-   that disagree degrade to Unknown, and Unknown at a [ret] is reported:
-   generated code must make balance provable. *)
+   Both checks read the lookup-free register evaluator
+   {!Dataflow.registers}, one pass over the reachable instructions.
 
-type avbase = Sp0 | Fp0
-type av = Rel of avbase * int | Unknown
+   A [call] is stack-neutral from the caller's view (the callee pops what
+   the call pushed), so every [ret] must see sp at exactly its entry value
+   — otherwise the popped "return address" is some other slot.  A depth the
+   evaluator cannot pin down (paths that disagree, an sp loaded or masked)
+   is reported as well: generated code must make balance provable.
 
-type sstate = { s_sp : av; s_fp : av }
-
-let av_meet a b = if a = b then a else Unknown
-
-let meet_state a b = { s_sp = av_meet a.s_sp b.s_sp; s_fp = av_meet a.s_fp b.s_fp }
-
-let value_of st r =
-  if r = Isa.reg_sp then st.s_sp else if r = Isa.reg_fp then st.s_fp else Unknown
-
-let set_value st r v =
-  if r = Isa.reg_sp then { st with s_sp = v }
-  else if r = Isa.reg_fp then { st with s_fp = v }
-  else st
-
-let stack_transfer st (i : Isa.ins) =
-  match i with
-  | Isa.Bin (op, rd, rs, Isa.Imm k)
-    when (rd = Isa.reg_sp || rd = Isa.reg_fp) && (op = Isa.Add || op = Isa.Sub) ->
-      let v =
-        match value_of st rs with
-        | Rel (b, o) -> Rel (b, if op = Isa.Add then o + k else o - k)
-        | Unknown -> Unknown
-      in
-      set_value st rd v
-  | Isa.Mov (rd, rs) when rd = Isa.reg_sp || rd = Isa.reg_fp ->
-      set_value st rd (value_of st rs)
-  | Isa.Call _ | Isa.Callr _ | Isa.Syscall _ -> st
-  | i ->
-      let _, _, wi, _ = Dataflow.uses_defs i in
-      List.fold_left (fun st r -> set_value st r Unknown) st wi
-
-let check_stack (cfg : Cfg.t) add =
-  let code = cfg.Cfg.code in
-  let flow_block ~report (blk : Cfg.block) st =
-    let st = ref st in
-    for i = blk.Cfg.first to blk.Cfg.last do
-      (if report && code.Rcode.flow.(i) = Rcode.Return then
-         match !st.s_sp with
-         | Rel (Sp0, 0) -> ()
-         | Rel (Sp0, k) ->
-             add i Stack_imbalance
-               (Printf.sprintf "ret with sp = entry%+d (unbalanced stack)" k)
-         | Rel (Fp0, _) | Unknown ->
-             add i Stack_imbalance
-               "ret with unprovable stack depth (sp not restored to its \
-                entry value)");
-      st := stack_transfer !st code.Rcode.ins.(i)
-    done;
-    !st
-  in
-  forward_check cfg
-    ~entry:{ s_sp = Rel (Sp0, 0); s_fp = Rel (Fp0, 0) }
-    ~join:meet_state flow_block
-
-(* ---------- provably bad constant addresses ----------
-
-   Block-local constant propagation; an access whose effective address is a
-   compile-time constant must land in static data, heap or stack.  Anything
-   below [Layout.data_base] (the null page and the text segment) or at or
-   above [Layout.stack_top] can never be legitimate data.  Predicated
-   accesses are exempt: their guard may never fire. *)
+   An access whose base register holds a compile-time constant must land
+   in static data, heap or stack.  Anything below [Layout.data_base] (the
+   null page and the text segment) or at or above [Layout.stack_top] can
+   never be legitimate data.  Predicated accesses are exempt: their guard
+   may never fire. *)
 
 let bad_const_addr ea = ea < Layout.data_base || ea >= Layout.stack_top
 
-let check_addresses (cfg : Cfg.t) add =
+let check_registers (cfg : Cfg.t) add =
   let code = cfg.Cfg.code in
-  let consts = Array.make Isa.num_regs None in
-  let reset () =
-    Array.fill consts 0 Isa.num_regs None;
-    consts.(Isa.reg_zero) <- Some 0
-  in
-  let def r v =
-    if r <> Isa.reg_zero then consts.(r) <- v
-  in
-  let access i ~base ~off ~pred ~what =
-    match pred with
-    | Some _ -> ()
-    | None -> (
-        match consts.(base) with
-        | Some c when bad_const_addr (c + off) ->
-            add i Bad_address
-              (Printf.sprintf "%s at constant address 0x%x, outside any \
-                               data/heap/stack region" what (c + off))
-        | _ -> ())
-  in
-  Array.iter
-    (fun (blk : Cfg.block) ->
-      if cfg.Cfg.reachable.(blk.Cfg.id) then begin
-        reset ();
-        for i = blk.Cfg.first to blk.Cfg.last do
-          (match code.Rcode.ins.(i) with
-          | Isa.Load { base; off; pred; _ } -> access i ~base ~off ~pred ~what:"load"
-          | Isa.Loads { base; off; _ } -> access i ~base ~off ~pred:None ~what:"load"
-          | Isa.Fload { base; off; pred; _ } -> access i ~base ~off ~pred ~what:"load"
-          | Isa.Store { base; off; pred; _ } -> access i ~base ~off ~pred ~what:"store"
-          | Isa.Fstore { base; off; pred; _ } -> access i ~base ~off ~pred ~what:"store"
-          | _ -> ());
-          (match code.Rcode.ins.(i) with
-          | Isa.Li (rd, n) -> def rd (Some n)
-          | Isa.Mov (rd, rs) -> def rd consts.(rs)
-          | Isa.Bin (op, rd, rs, o) ->
-              let ov =
-                match o with Isa.Imm k -> Some k | Isa.Reg r -> consts.(r)
-              in
-              let v =
-                match (op, consts.(rs), ov) with
-                | Isa.Add, Some a, Some b -> Some (a + b)
-                | Isa.Sub, Some a, Some b -> Some (a - b)
-                | _ -> None
-              in
-              def rd v
-          | i ->
-              let _, _, wi, _ = Dataflow.uses_defs i in
-              List.iter (fun r -> def r None) wi)
-        done
-      end)
-    cfg.Cfg.blocks
+  let reg = Dataflow.registers cfg in
+  for i = 0 to Rcode.n code - 1 do
+    if cfg.Cfg.reachable.(cfg.Cfg.block_of.(i)) then begin
+      (if code.Rcode.flow.(i) = Rcode.Return then
+         match reg i Isa.reg_sp with
+         | Dataflow.Lin { sp = 1; terms = []; k = 0 } -> ()
+         | Dataflow.Lin { sp = 1; terms = []; k } ->
+             add i Stack_imbalance
+               (Printf.sprintf "ret with sp = entry%+d (unbalanced stack)" k)
+         | _ ->
+             add i Stack_imbalance
+               "ret with unprovable stack depth (sp not restored to its \
+                entry value)");
+      match Dataflow.mem_op code.Rcode.ins.(i) with
+      | Some { m_pred = None; m_base; m_off; m_store; _ } -> (
+          match reg i m_base with
+          | Dataflow.Lin { sp = 0; terms = []; k }
+            when bad_const_addr (k + m_off) ->
+              add i Bad_address
+                (Printf.sprintf
+                   "%s at constant address 0x%x, outside any \
+                    data/heap/stack region"
+                   (if m_store then "store" else "load")
+                   (k + m_off))
+          | _ -> ())
+      | _ -> ()
+    end
+  done
 
 (* ---------- structural diagnostics from the flow facts ---------- *)
 
@@ -330,14 +250,9 @@ end)
 let local_cell = function Dataflow.Stack o when o < -8 -> true | _ -> false
 
 let fp_based code i =
-  match code.Rcode.ins.(i) with
-  | Isa.Load { base; _ }
-  | Isa.Loads { base; _ }
-  | Isa.Store { base; _ }
-  | Isa.Fload { base; _ }
-  | Isa.Fstore { base; _ } ->
-      base = Isa.reg_fp
-  | _ -> false
+  match Dataflow.mem_op code.Rcode.ins.(i) with
+  | Some m -> m.Dataflow.m_base = Isa.reg_fp
+  | None -> false
 
 (* The local cells accessed by the reachable instructions [keep] selects,
    numbered in address order of their first access. *)
@@ -563,8 +478,7 @@ let check_cfg ?bounds ?(dataflow = false) (cfg : Cfg.t) =
   check_unreachable cfg add;
   check_fall_through cfg add;
   check_use_before_def cfg add;
-  check_stack cfg add;
-  check_addresses cfg add;
+  check_registers cfg add;
   if dataflow then check_with_dataflow ?bounds cfg add;
   List.sort (fun a b -> compare (a.index, a.cls) (b.index, b.cls)) !diags
 

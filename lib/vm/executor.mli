@@ -7,4 +7,5 @@ exception Out_of_fuel of int
 
 val run : ?fuel:int -> Machine.t -> unit
 (** Step until the machine halts.  [fuel] (default 2_000_000_000) bounds the
-    number of instructions to catch runaway programs. *)
+    number of instructions to catch runaway programs.  A fault, guest
+    memory faults included, raises {!Machine.Trap}. *)

@@ -117,12 +117,21 @@ let alloc_fd t =
   in
   go 3
 
+let fd_index t n =
+  if n < 0 || n >= Array.length t.fds then trap t "bad file descriptor" else n
+
 let get_fd t n =
-  if n < 0 || n >= Array.length t.fds then trap t "bad file descriptor"
-  else
-    match t.fds.(n) with
-    | None -> trap t (Printf.sprintf "file descriptor %d not open" n)
-    | Some fd -> fd
+  match t.fds.(fd_index t n) with
+  | None -> trap t (Printf.sprintf "file descriptor %d not open" n)
+  | Some fd -> fd
+
+(* A byte count a syscall takes from the guest, checked before any buffer
+   is sized from it. *)
+let guest_len t what n =
+  if n < 0 || n > Vfs.max_file_size then
+    trap t
+      (Printf.sprintf "%s length %d outside 0..%d" what n Vfs.max_file_size)
+  else n
 
 let do_syscall t n =
   let a0 = reg t Isa.reg_a0
@@ -143,23 +152,20 @@ let do_syscall t n =
         ret n
   end
   else if n = sys_close then begin
-    (match t.fds.(a0) with
-    | Some fd -> Vfs.close t.filesystem fd
-    | None -> ());
-    if a0 >= 0 && a0 < Array.length t.fds then t.fds.(a0) <- None;
+    Option.iter (Vfs.close t.filesystem) t.fds.(fd_index t a0);
+    t.fds.(a0) <- None;
     ret 0
   end
   else if n = sys_read then begin
     let fd = get_fd t a0 in
-    let buf = Bytes.create (max 0 a2) in
-    let n = Vfs.read fd buf (max 0 a2) in
-    Memory.write_bytes t.memory a1 (Bytes.sub buf 0 n);
-    ret n
+    let data = Vfs.read fd (guest_len t "read" a2) in
+    Memory.write_bytes t.memory a1 data;
+    ret (Bytes.length data)
   end
   else if n = sys_write then begin
     let fd = get_fd t a0 in
-    let buf = Memory.read_bytes t.memory a1 (max 0 a2) in
-    ret (Vfs.write fd buf (max 0 a2))
+    let buf = Memory.read_bytes t.memory a1 (guest_len t "write" a2) in
+    match Vfs.write fd buf with Ok n -> ret n | Error msg -> trap t msg
   end
   else if n = sys_brk then begin
     if a0 > t.brk then t.brk <- a0;
@@ -175,7 +181,8 @@ let do_syscall t n =
     ret 0
   end
   else if n = sys_putstr then begin
-    Buffer.add_bytes t.console (Memory.read_bytes t.memory a0 a1);
+    Buffer.add_bytes t.console
+      (Memory.read_bytes t.memory a0 (guest_len t "putstr" a1));
     ret 0
   end
   else if n = sys_putchar then begin
@@ -183,8 +190,7 @@ let do_syscall t n =
     ret 0
   end
   else if n = sys_seek then begin
-    Vfs.seek (get_fd t a0) a1;
-    ret 0
+    match Vfs.seek (get_fd t a0) a1 with Ok () -> ret 0 | Error msg -> trap t msg
   end
   else if n = sys_fsize then ret (Vfs.fd_size (get_fd t a0))
   else if n = sys_clock then ret t.count
@@ -288,6 +294,11 @@ let exec t ins =
       t.is_halted <- true;
       if t.exit_status = None then t.exit_status <- Some 0);
   ()
+
+(* [exec] and the compiled closures move [pc] only after an instruction's
+   work, so a fault raised mid-instruction is charged to that instruction.
+   One handler around the whole loop costs nothing per instruction. *)
+let guard t run = try run () with Memory.Fault reason -> trap t reason
 
 (* ---------- closure compilation (threaded code) ---------- *)
 

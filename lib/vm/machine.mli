@@ -7,7 +7,8 @@
 
     [exec] executes a single already-fetched instruction; it is shared by the
     plain executor and by the DBI engine (which interleaves analysis-routine
-    calls with [exec]).  Faults raise [Trap]. *)
+    calls with [exec]).  Faults raise [Trap]; a guest memory fault surfaces
+    as [Trap] through {!guard}. *)
 
 exception Trap of { ip : int; reason : string }
 
@@ -58,6 +59,12 @@ val exec : t -> Tq_isa.Isa.ins -> unit
 (** Execute one instruction (must be the one at [ip]): updates registers,
     memory, [ip] and the retired-instruction counter.  Syscalls are handled
     inline; [exit] sets the halted flag. *)
+
+val guard : t -> (unit -> unit) -> unit
+(** [guard t run] runs an execution loop over [t] (one that calls {!exec}
+    or {!compile_ins} closures) and turns a guest memory fault
+    ({!Memory.Fault}) into a {!Trap} at the faulting instruction.  Every
+    loop that executes guest code runs inside it. *)
 
 val compile_ins : t -> Tq_isa.Isa.ins -> next:int -> (unit -> unit)
 (** [compile_ins t ins ~next] specializes [ins] (the instruction at address

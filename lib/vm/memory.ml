@@ -75,8 +75,20 @@ let find_page t idx =
     | None -> None
   end
 
-let check addr =
-  if addr < 0 then invalid_arg "Memory: negative address"
+exception Fault of string
+
+(* cold path: kept out of line so [check] stays one compare *)
+let[@inline never] negative addr =
+  raise (Fault (Printf.sprintf "memory fault: negative address %d" addr))
+
+let check addr = if addr < 0 then negative addr
+
+(* a block transfer of [len] bytes at [addr]: both ends must be addresses *)
+let check_range addr len =
+  if addr < 0 || len < 0 || addr > max_int - len then
+    raise
+      (Fault
+         (Printf.sprintf "memory fault: %d-byte block at address %d" len addr))
 
 let get_u8 t addr =
   check addr;
@@ -198,6 +210,7 @@ let store_f64 t addr v =
   end
 
 let read_bytes t addr len =
+  check_range addr len;
   let out = Bytes.make len '\000' in
   let i = ref 0 in
   while !i < len do
@@ -213,6 +226,7 @@ let read_bytes t addr len =
 
 let write_bytes t addr b =
   let len = Bytes.length b in
+  check_range addr len;
   let i = ref 0 in
   while !i < len do
     let a = addr + !i in
@@ -229,7 +243,12 @@ let max_cstring = 4096
 let read_cstring t addr =
   let buf = Buffer.create 32 in
   let rec go i =
-    if i >= max_cstring then invalid_arg "Memory.read_cstring: unterminated"
+    if i >= max_cstring then
+      raise
+        (Fault
+           (Printf.sprintf
+              "memory fault: no NUL within %d bytes of the string at 0x%x"
+              max_cstring addr))
     else begin
       let c = get_u8 t (addr + i) in
       if c = 0 then Buffer.contents buf

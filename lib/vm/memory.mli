@@ -7,10 +7,17 @@
 
 type t
 
+exception Fault of string
+(** A guest access the address space cannot serve: a negative address, a
+    block whose length is negative or runs past the largest address, or a
+    string with no NUL in reach.  Every accessor below raises it for a bad
+    address; the execution loops turn it into a {!Machine.Trap} at the
+    faulting instruction. *)
+
 val create : unit -> t
 
 val load : t -> width:Tq_isa.Isa.width -> int -> int
-(** Zero-extended load. @raise Invalid_argument on negative address. *)
+(** Zero-extended load. *)
 
 val loads : t -> width:Tq_isa.Isa.width -> int -> int
 (** Sign-extended load. *)
@@ -21,17 +28,14 @@ val store : t -> width:Tq_isa.Isa.width -> int -> int -> unit
 val load_w8 : t -> int -> int
 (** 8-byte zero-extended load with an aligned fast path: an 8-aligned
     access can never straddle a page, so the width dispatch and straddle
-    test are skipped.  Equivalent to [load ~width:W8].
-    @raise Invalid_argument on negative address. *)
+    test are skipped.  Equivalent to [load ~width:W8]. *)
 
 val store_w8 : t -> int -> int -> unit
 (** 8-byte store counterpart of {!load_w8}. *)
 
 val load_f64 : t -> int -> float
-(** @raise Invalid_argument on negative address. *)
 
 val store_f64 : t -> int -> float -> unit
-(** @raise Invalid_argument on negative address. *)
 
 type cache_stats = { hits : int; misses : int }
 
@@ -45,8 +49,8 @@ val read_bytes : t -> int -> int -> bytes
 val write_bytes : t -> int -> bytes -> unit
 
 val read_cstring : t -> int -> string
-(** Read a NUL-terminated string starting at the address.
-    @raise Invalid_argument if no NUL within 4096 bytes. *)
+(** Read a NUL-terminated string starting at the address; {!Fault} if no
+    NUL within 4096 bytes. *)
 
 val page_count : t -> int
 (** Allocated pages, for footprint accounting. *)

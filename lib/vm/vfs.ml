@@ -19,7 +19,7 @@ let list t =
 
 let openf t path ~writable =
   if writable then begin
-    let file = { data = Bytes.create 256; size = 0 } in
+    let file = { data = Bytes.make 256 '\000'; size = 0 } in
     Hashtbl.replace t.files path file;
     Ok { file; pos = 0; writable; path }
   end
@@ -28,11 +28,18 @@ let openf t path ~writable =
     | None -> Error (Printf.sprintf "no such file: %s" path)
     | Some file -> Ok { file; pos = 0; writable; path }
 
-let read fd buf len =
-  let n = max 0 (min len (fd.file.size - fd.pos)) in
-  Bytes.blit fd.file.data fd.pos buf 0 n;
-  fd.pos <- fd.pos + n;
-  n
+let max_file_size = 64 * 1024 * 1024
+
+let read fd len =
+  (* at or past the end of the file (a seek may leave the position there)
+     there is nothing to read *)
+  let n = min len (fd.file.size - fd.pos) in
+  if n <= 0 then Bytes.empty
+  else begin
+    let out = Bytes.sub fd.file.data fd.pos n in
+    fd.pos <- fd.pos + n;
+    out
+  end
 
 let ensure_capacity file n =
   if n > Bytes.length file.data then begin
@@ -45,16 +52,27 @@ let ensure_capacity file n =
     file.data <- data
   end
 
-let write fd buf len =
-  if not fd.writable then 0
+let write fd buf =
+  let len = Bytes.length buf in
+  if not fd.writable then Ok 0
+  else if len > max_file_size - fd.pos then
+    Error
+      (Printf.sprintf "write of %d bytes at %d passes the %d-byte file budget"
+         len fd.pos max_file_size)
   else begin
     ensure_capacity fd.file (fd.pos + len);
     Bytes.blit buf 0 fd.file.data fd.pos len;
     fd.pos <- fd.pos + len;
     if fd.pos > fd.file.size then fd.file.size <- fd.pos;
-    len
+    Ok len
   end
 
-let seek fd pos = fd.pos <- max 0 pos
+let seek fd pos =
+  if pos < 0 || pos > max_file_size then
+    Error
+      (Printf.sprintf "seek to %d outside the %d-byte file budget" pos
+         max_file_size)
+  else Ok (fd.pos <- pos)
+
 let fd_size fd = fd.file.size
 let close _t _fd = ()

@@ -25,13 +25,23 @@ val openf : t -> string -> writable:bool -> (fd, string) result
 (** Opening for write truncates/creates; opening for read fails if the file
     does not exist. *)
 
-val read : fd -> bytes -> int -> int
-(** [read fd buf len] reads at most [len] bytes into the front of [buf],
-    returning the count (0 at EOF). *)
+val max_file_size : int
+(** The file-size budget, 64 MiB: no file grows past it, and the syscall
+    layer refuses any length or position outside [0 .. max_file_size], so
+    no host buffer is ever sized from an unchecked guest value.  The
+    largest file the repository's programs write, wfs [large]'s
+    [output.wav], is 1,966,124 bytes. *)
 
-val write : fd -> bytes -> int -> int
+val read : fd -> int -> bytes
+(** [read fd len] returns the next at most [len] bytes (fewer at the end of
+    the file); the buffer is sized by what the file holds, not by [len]. *)
 
-val seek : fd -> int -> unit
+val write : fd -> bytes -> (int, string) result
+(** Writes the bytes at the position (0 on a read-only descriptor);
+    [Error] when the file would grow past {!max_file_size}. *)
+
+val seek : fd -> int -> (unit, string) result
+(** [Error] for a position outside [0 .. max_file_size]. *)
 
 val fd_size : fd -> int
 

@@ -211,6 +211,62 @@ let test_crafted_bad_address () =
   Alcotest.(check bool) "load from the null page" true
     (has_class Sc.Bad_address d)
 
+(* The stack-depth and constant-address checks read the register fixpoint,
+   so values flow through registers other than sp and across block
+   boundaries. *)
+
+let messages d = List.map (fun d -> d.Sc.message) d
+
+let test_crafted_stack_via_register () =
+  let items =
+    unit_of (fun b ->
+        Builder.ins b (Isa.Li (t0, 8));
+        Builder.ins b (Isa.Bin (Isa.Add, Isa.reg_sp, Isa.reg_sp, Isa.Reg t0));
+        Builder.ins b Isa.Ret)
+  in
+  Alcotest.(check (list string))
+    "sp moved by a register holding a constant"
+    [ "ret with sp = entry+8 (unbalanced stack)" ]
+    (messages (Sc.check_items ~name:"stk-reg" items))
+
+(* li t0, 8; a branch; the load through t0 sits in the join block *)
+let const_load_after_join ?pred () =
+  let b = Builder.create () in
+  let join = Builder.fresh_label b in
+  Builder.ins b (Isa.Li (t0, 8));
+  Builder.bnz b Isa.reg_rv join;
+  Builder.ins b Isa.Nop;
+  Builder.place b join;
+  Builder.ins b
+    (Isa.Load { width = Isa.W8; dst = t1; base = t0; off = 0; pred });
+  Builder.ins b Isa.Ret;
+  Builder.items b
+
+let test_crafted_bad_address_across_blocks () =
+  Alcotest.(check (list string))
+    "constant survives the join"
+    [ "load at constant address 0x8, outside any data/heap/stack region" ]
+    (messages (Sc.check_items ~name:"addr-join" (const_load_after_join ())));
+  Alcotest.(check (list string))
+    "predicated: the guard may never fire" []
+    (messages
+       (Sc.check_items ~name:"addr-pred"
+          (const_load_after_join ~pred:Isa.reg_rv ())))
+
+let test_crafted_bad_address_unreachable () =
+  let items =
+    unit_of (fun b ->
+        Builder.ins b Isa.Ret;
+        Builder.ins b (Isa.Li (t0, 8));
+        Builder.ins b
+          (Isa.Load { width = Isa.W8; dst = t1; base = t0; off = 0; pred = None });
+        Builder.ins b Isa.Ret)
+  in
+  Alcotest.(check (list string))
+    "only the unreachable block is reported"
+    [ "unreachable block of 3 instruction(s)" ]
+    (messages (Sc.check_items ~name:"addr-dead" items))
+
 let test_crafted_dynamic_flow () =
   let items =
     unit_of (fun b ->
@@ -313,6 +369,12 @@ let suites =
           test_crafted_entry_loop_stack;
         Alcotest.test_case "crafted: bad constant address" `Quick
           test_crafted_bad_address;
+        Alcotest.test_case "crafted: stack moved through a register" `Quick
+          test_crafted_stack_via_register;
+        Alcotest.test_case "crafted: bad constant address across a join"
+          `Quick test_crafted_bad_address_across_blocks;
+        Alcotest.test_case "crafted: bad constant address, unreachable"
+          `Quick test_crafted_bad_address_unreachable;
         Alcotest.test_case "crafted: dynamic flow" `Quick
           test_crafted_dynamic_flow;
         Alcotest.test_case "crafted: unreachable code" `Quick

@@ -459,17 +459,17 @@ let qcheck_memory_f64 =
 
 let test_memory_negative_f64 () =
   (* load_f64/store_f64 must reject negative addresses exactly like the
-     integer paths do *)
+     integer paths do: with the guest memory fault *)
   let mem = Memory.create () in
-  let expect_invalid name f =
+  let expect_fault name f =
     Alcotest.(check bool) name true
       (try
          ignore (f ());
          false
-       with Invalid_argument _ -> true)
+       with Memory.Fault _ -> true)
   in
-  expect_invalid "load_f64 negative" (fun () -> Memory.load_f64 mem (-8));
-  expect_invalid "store_f64 negative" (fun () ->
+  expect_fault "load_f64 negative" (fun () -> Memory.load_f64 mem (-8));
+  expect_fault "store_f64 negative" (fun () ->
       Memory.store_f64 mem (-8) 1.0;
       0.)
 
