@@ -39,7 +39,8 @@ let seeded period (prog : Tq_vm.Program.t) (stack, next_sample) =
   }
 
 let create period prog =
-  seeded period prog (Call_stack.create Call_stack.Track_all, period)
+  seeded period prog
+    (Call_stack.create prog.symtab Call_stack.Track_all, period)
 
 (* PC sampling (timer-interrupt analogue): a sample fires on the first
    instruction whose retired count reaches [next_sample].  The sampled

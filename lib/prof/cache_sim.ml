@@ -1,4 +1,3 @@
-module Isa = Tq_isa.Isa
 module Symtab = Tq_vm.Symtab
 module Event = Tq_trace.Event
 
@@ -147,33 +146,21 @@ let create { geometry; policy } (prog : Tq_vm.Program.t) =
     k_misses = Array.make n 0;
     k_writebacks = Array.make n 0;
     symtab = prog.symtab;
-    stack = Call_stack.create policy;
+    stack = Call_stack.create prog.symtab policy;
   }
+
+(* The tool's access function (see [Call_stack.attribute]). *)
+let demand t id ~write ~icount:_ ~sp:_ ~ea ~size =
+  on_access t id ea size ~write ~demand:true
 
 let consume t (ev : Event.t) =
   match ev with
-  | Event.Load { static; ea; size; _ } ->
-      let id = Call_stack.attribute_id t.stack t.symtab static in
-      if id >= 0 then on_access t id ea size ~write:false ~demand:true
-  | Event.Store { static; ea; size; _ } ->
-      let id = Call_stack.attribute_id t.stack t.symtab static in
-      if id >= 0 then on_access t id ea size ~write:true ~demand:true
-  | Event.Rtn_entry { routine; sp; _ } ->
-      Call_stack.on_entry t.stack (Symtab.by_id t.symtab routine) ~sp
-  | Event.Ret { sp; _ } -> Call_stack.on_ret t.stack ~sp
   | Event.Prefetch { ea; size; _ } ->
       (* prefetches warm the cache without counting as demand accesses *)
       on_access t 0 ea size ~write:false ~demand:false
-  | Event.Block_copy { static; src; dst; len; _ } ->
-      let id = Call_stack.attribute_id t.stack t.symtab static in
-      if id >= 0 then begin
-        on_access t id src len ~write:false ~demand:true;
-        on_access t id dst len ~write:true ~demand:true
-      end
-  | Event.Block_exec _ | Event.End _ -> ()
+  | _ -> Call_stack.attribute t.stack demand t ev
 
-let interest =
-  Event.[ KRtn_entry; KRet; KLoad; KStore; KBlock_copy; KPrefetch ]
+let interest = Event.KPrefetch :: Call_stack.interest
 
 (* replacement state is order-sensitive and has no merge *)
 let shard = None

@@ -4,12 +4,22 @@ type frame = { routine : Tq_vm.Symtab.routine; entry_sp : int }
 
 type t = {
   policy : policy;
+  symtab : Tq_vm.Symtab.t;
+  main : bool array;  (** per routine id: in the main image *)
   mutable frames : frame list;
 }
 
-let create policy = { policy; frames = [] }
+let create symtab policy =
+  {
+    policy;
+    symtab;
+    main =
+      Array.init (Tq_vm.Symtab.count symtab) (fun id ->
+          (Tq_vm.Symtab.by_id symtab id).is_main_image);
+    frames = [];
+  }
+
 let copy t = { t with policy = t.policy }
-let policy t = t.policy
 
 let tracked t (r : Tq_vm.Symtab.routine) =
   match t.policy with Track_all -> true | Main_image_only -> r.is_main_image
@@ -25,19 +35,44 @@ let on_ret t ~sp =
 let top t =
   match t.frames with [] -> None | f :: _ -> Some f.routine
 
-let attribute_id t symtab static =
+(* The kernel an access is charged to, over routine ids with [-1] meaning
+   "no routine"; allocation-free, for the per-access hot path. *)
+let attribute_id t static =
   match t.policy with
   | Track_all -> static
   | Main_image_only ->
-      if static >= 0 && (Tq_vm.Symtab.by_id symtab static).is_main_image then
-        static
+      if static >= 0 && t.main.(static) then static
       else (
         match t.frames with
         | [] -> -1
         | f :: _ -> f.routine.Tq_vm.Symtab.id)
 
+let attribute t access s (ev : Tq_trace.Event.t) =
+  match ev with
+  | Load { icount; static; ea; size; sp } ->
+      let k = attribute_id t static in
+      if k >= 0 then access s k ~write:false ~icount ~sp ~ea ~size
+  | Store { icount; static; ea; size; sp } ->
+      let k = attribute_id t static in
+      if k >= 0 then access s k ~write:true ~icount ~sp ~ea ~size
+  | Block_copy { icount; static; src; dst; len; sp } ->
+      let k = attribute_id t static in
+      if k >= 0 then begin
+        access s k ~write:false ~icount ~sp ~ea:src ~size:len;
+        access s k ~write:true ~icount ~sp ~ea:dst ~size:len
+      end
+  | Rtn_entry { routine; sp; _ } ->
+      on_entry t (Tq_vm.Symtab.by_id t.symtab routine) ~sp
+  | Ret { sp; _ } ->
+      (* emitted after the ret's own 8-byte stack read, which is therefore
+         charged to the returning routine *)
+      on_ret t ~sp
+  | Prefetch _ | Block_exec _ | End _ -> ()
+
+let interest = Tq_trace.Event.[ KRtn_entry; KRet; KLoad; KStore; KBlock_copy ]
+
 let prefix symtab policy =
-  let st = create policy in
+  let st = create symtab policy in
   let sink (ev : Tq_trace.Event.t) =
     match ev with
     | Rtn_entry { routine; sp; _ } ->
@@ -46,3 +81,14 @@ let prefix symtab policy =
     | _ -> ()
   in
   (sink, fun () -> copy st)
+
+let shard policy_of ~seeded ~merge_into =
+  Some
+    {
+      Tq_trace.Tool.prefix_wants = Tq_trace.Event.[ KRtn_entry; KRet ];
+      prefix =
+        (fun config prog ->
+          prefix prog.Tq_vm.Program.symtab (policy_of config));
+      seeded;
+      merge_into;
+    }

@@ -17,10 +17,8 @@ type policy =
 
 type t
 
-val create : policy -> t
-
-val policy : t -> policy
-(** The policy the stack was created with. *)
+val create : Tq_vm.Symtab.t -> policy -> t
+(** An empty stack over the program's routines. *)
 
 val on_entry : t -> Tq_vm.Symtab.routine -> sp:int -> unit
 (** Call from a routine-entry analysis event; [sp] is the stack pointer at
@@ -33,13 +31,33 @@ val on_ret : t -> sp:int -> unit
 val top : t -> Tq_vm.Symtab.routine option
 (** The innermost tracked frame. *)
 
-val attribute_id : t -> Tq_vm.Symtab.t -> int -> int
-(** [attribute_id t symtab static] resolves the kernel an event should be
-    charged to, over routine ids with [-1] meaning "no routine": under
-    [Track_all] it is [static], the routine statically containing the
-    instruction; under [Main_image_only], library-code events are charged
-    to the innermost main-image frame.  Allocation-free, for per-access hot
-    paths. *)
+val attribute :
+  t ->
+  ('s ->
+  int ->
+  write:bool ->
+  icount:int ->
+  sp:int ->
+  ea:int ->
+  size:int ->
+  unit) ->
+  's ->
+  Tq_trace.Event.t ->
+  unit
+(** [attribute t access s ev] is the one event front end of the
+    memory tools (tQUAD, QUAD, the cache simulator and the footprint tool).
+    [Rtn_entry] and [Ret] keep the stack in step; every load, every store
+    and both halves of a block copy (the source read, then the destination
+    write, each of the dynamic length, which may be 0) go to
+    [access s kernel ~write ~icount ~sp ~ea ~size], where [kernel] is the
+    routine id the access is charged to.  Under [Track_all] that is the
+    routine statically containing the instruction; under
+    [Main_image_only], library code is charged to the innermost main-image
+    frame, and an access with no such frame is dropped.  Other events are
+    ignored.  Allocation-free when [access] is a top-level function. *)
+
+val interest : Tq_trace.Event.kind list
+(** The event kinds {!attribute} reads. *)
 
 val prefix :
   Tq_vm.Symtab.t -> policy -> (Tq_trace.Event.t -> unit) * (unit -> t)
@@ -47,3 +65,12 @@ val prefix :
     keeps a fresh stack of the given policy in step with the
     [Rtn_entry]/[Ret] events it is fed (others are ignored), and a snapshot
     returning an independent copy of it. *)
+
+val shard :
+  ('config -> policy) ->
+  seeded:('config -> Tq_vm.Program.t -> t -> 'a) ->
+  merge_into:('a -> 'a -> unit) ->
+  ('config, t, 'a) Tq_trace.Tool.shard option
+(** The shard part of a tool whose only seed is its call stack: the
+    {!prefix} tracker of the config's policy over [Rtn_entry]/[Ret], and the
+    tool's own [seeded] and [merge_into]. *)

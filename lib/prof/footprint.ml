@@ -1,7 +1,5 @@
-module Isa = Tq_isa.Isa
 module Symtab = Tq_vm.Symtab
 module Layout = Tq_vm.Layout
-module Event = Tq_trace.Event
 module Bitset = Tq_util.Paged_bitset
 
 type region = Data | Heap | Stack
@@ -26,43 +24,22 @@ let seeded _ (prog : Tq_vm.Program.t) stack =
     stack;
   }
 
-let create policy prog = seeded policy prog (Call_stack.create policy)
+let create policy prog =
+  seeded policy prog (Call_stack.create prog.symtab policy)
 
-let mark t static ea n =
-  if n > 0 then begin
-    let id = Call_stack.attribute_id t.stack t.symtab static in
-    if id >= 0 then Bitset.add_range t.touched.(id) ea n
-  end
+(* The tool's access function (see [Call_stack.attribute]). *)
+let mark t id ~write:_ ~icount:_ ~sp:_ ~ea ~size =
+  if size > 0 then Bitset.add_range t.touched.(id) ea size
 
-let consume t (ev : Event.t) =
-  match ev with
-  | Event.Rtn_entry { routine; sp; _ } ->
-      Call_stack.on_entry t.stack (Symtab.by_id t.symtab routine) ~sp
-  | Event.Ret { sp; _ } -> Call_stack.on_ret t.stack ~sp
-  | Event.Load { static; ea; size; _ } -> mark t static ea size
-  | Event.Store { static; ea; size; _ } -> mark t static ea size
-  | Event.Block_copy { static; src; dst; len; _ } ->
-      mark t static src len;
-      mark t static dst len
-  | Event.Prefetch _ | Event.Block_exec _ | Event.End _ -> ()
-
-let interest =
-  Event.[ KRtn_entry; KRet; KLoad; KStore; KBlock_copy ]
+let consume t ev = Call_stack.attribute t.stack mark t ev
+let interest = Call_stack.interest
 
 (* Touched-address sets union; the [rows] sort reads the fixed id-indexed
    array, so tie order is identical to the sequential run's. *)
 let merge_into a b =
   Array.iteri (fun id bits -> Bitset.union a.touched.(id) bits) b.touched
 
-let shard =
-  Some
-    {
-      Tq_trace.Tool.prefix_wants = Event.[ KRtn_entry; KRet ];
-      prefix =
-        (fun policy prog -> Call_stack.prefix prog.Tq_vm.Program.symtab policy);
-      seeded;
-      merge_into;
-    }
+let shard = Call_stack.shard Fun.id ~seeded ~merge_into
 
 let attach ?(policy = Call_stack.Main_image_only) =
   Tq_trace.Tool.attach (create policy) consume

@@ -1,8 +1,6 @@
-module Isa = Tq_isa.Isa
 module Symtab = Tq_vm.Symtab
 module Layout = Tq_vm.Layout
 module Call_stack = Tq_prof.Call_stack
-module Event = Tq_trace.Event
 module Bitset = Tq_util.Paged_bitset
 
 type edge = {
@@ -72,10 +70,10 @@ let edge_of t key =
   end
 
 (* The loops below only keep per-byte work that genuinely varies per byte
-   (shadow producer changes; stack classification when the access straddles
-   the stack boundary).  Everything uniform over the access — and every
-   maximal run of one producer — is charged as one range/counter update,
-   byte-for-byte equivalent to a per-byte walk. *)
+   (shadow producer changes).  Everything uniform over the access — its
+   stack and global runs, and every maximal run of one producer — is
+   charged as one range/counter update, byte-for-byte equivalent to a
+   per-byte walk. *)
 
 let charge t kernel_id p addr len ~stack =
   t.out_incl.(p) <- t.out_incl.(p) + len;
@@ -120,73 +118,62 @@ let defer t c addr len ~stack =
     i := !i + n
   done
 
+(* Run-collapsed producer scan of [addr, addr + len), all stack area or all
+   global: fetch each shadow page once and charge maximal same-producer runs
+   in one go. *)
+let scan t kernel_id addr len ~stack =
+  let pos = ref 0 in
+  while !pos < len do
+    let a = addr + !pos in
+    let page = Shadow.page_ro t.shadow a in
+    let off = a land Shadow.page_mask in
+    let span = min (len - !pos) (Shadow.page_size - off) in
+    let k = ref 0 in
+    while !k < span do
+      let run0 = !k in
+      let p = Array.unsafe_get page (off + !k) in
+      incr k;
+      while !k < span && Array.unsafe_get page (off + !k) = p do
+        incr k
+      done;
+      if p >= 0 then charge t kernel_id p (a + run0) (!k - run0) ~stack
+      else if Array.length t.pending > 0 then
+        defer t kernel_id (a + run0) (!k - run0) ~stack
+    done;
+    pos := !pos + span
+  done
+
+(* An access is three runs, global / stack / global, any of them empty
+   (see [Layout.stack_lo]). *)
 let on_read t kernel_id ea size sp =
   t.touched.(kernel_id) <- true;
   if size > 0 then begin
-    let lo_stack = Layout.is_stack_addr ~sp ea in
-    let uniform = lo_stack = Layout.is_stack_addr ~sp (ea + size - 1) in
+    let lo = Layout.stack_lo ~sp ea size and hi = Layout.stack_hi ~sp ea size in
+    let stop = ea + size in
     t.in_incl.(kernel_id) <- t.in_incl.(kernel_id) + size;
+    t.in_excl.(kernel_id) <- t.in_excl.(kernel_id) + size - (hi - lo);
     Bitset.add_range t.read_unma_incl.(kernel_id) ea size;
-    if uniform then begin
-      if not lo_stack then begin
-        t.in_excl.(kernel_id) <- t.in_excl.(kernel_id) + size;
-        Bitset.add_range t.read_unma_excl.(kernel_id) ea size
-      end;
-      (* run-collapsed producer scan: fetch each shadow page once and charge
-         maximal same-producer runs in one go *)
-      let pos = ref 0 in
-      while !pos < size do
-        let addr = ea + !pos in
-        let page = Shadow.page_ro t.shadow addr in
-        let off = addr land Shadow.page_mask in
-        let span = min (size - !pos) (Shadow.page_size - off) in
-        let k = ref 0 in
-        while !k < span do
-          let run0 = !k in
-          let p = Array.unsafe_get page (off + !k) in
-          incr k;
-          while !k < span && Array.unsafe_get page (off + !k) = p do
-            incr k
-          done;
-          if p >= 0 then
-            charge t kernel_id p (addr + run0) (!k - run0) ~stack:lo_stack
-          else if Array.length t.pending > 0 then
-            defer t kernel_id (addr + run0) (!k - run0) ~stack:lo_stack
-        done;
-        pos := !pos + span
-      done
+    if lo = hi then begin
+      Bitset.add_range t.read_unma_excl.(kernel_id) ea size;
+      scan t kernel_id ea size ~stack:false
     end
-    else
-      (* straddles the stack boundary: rare, keep the per-byte walk *)
-      for i = 0 to size - 1 do
-        let addr = ea + i in
-        let is_stack = Layout.is_stack_addr ~sp addr in
-        if not is_stack then begin
-          t.in_excl.(kernel_id) <- t.in_excl.(kernel_id) + 1;
-          Bitset.add t.read_unma_excl.(kernel_id) addr
-        end;
-        let p = Shadow.get t.shadow addr in
-        if p >= 0 then charge t kernel_id p addr 1 ~stack:is_stack
-        else if Array.length t.pending > 0 then
-          defer t kernel_id addr 1 ~stack:is_stack
-      done
+    else if lo = ea && hi = stop then scan t kernel_id ea size ~stack:true
+    else begin
+      Bitset.add_range t.read_unma_excl.(kernel_id) ea (lo - ea);
+      Bitset.add_range t.read_unma_excl.(kernel_id) hi (stop - hi);
+      scan t kernel_id ea (lo - ea) ~stack:false;
+      scan t kernel_id lo (hi - lo) ~stack:true;
+      scan t kernel_id hi (stop - hi) ~stack:false
+    end
   end
 
 let on_write t kernel_id ea size sp =
   t.touched.(kernel_id) <- true;
   if size > 0 then begin
-    let lo_stack = Layout.is_stack_addr ~sp ea in
-    let uniform = lo_stack = Layout.is_stack_addr ~sp (ea + size - 1) in
+    let lo = Layout.stack_lo ~sp ea size and hi = Layout.stack_hi ~sp ea size in
     Bitset.add_range t.write_unma_incl.(kernel_id) ea size;
-    if uniform then begin
-      if not lo_stack then
-        Bitset.add_range t.write_unma_excl.(kernel_id) ea size
-    end
-    else
-      for i = 0 to size - 1 do
-        if not (Layout.is_stack_addr ~sp (ea + i)) then
-          Bitset.add t.write_unma_excl.(kernel_id) (ea + i)
-      done;
+    Bitset.add_range t.write_unma_excl.(kernel_id) ea (lo - ea);
+    Bitset.add_range t.write_unma_excl.(kernel_id) hi (ea + size - hi);
     Shadow.set_range t.shadow ea size kernel_id
   end
 
@@ -218,35 +205,19 @@ let make ~pending (prog : Tq_vm.Program.t) stack =
     last_pend = [||];
   }
 
-let create policy prog = make ~pending:false prog (Call_stack.create policy)
+let create policy prog =
+  make ~pending:false prog (Call_stack.create prog.symtab policy)
 
-(* A zero-length block copy still marks the kernel as touched (on_read /
-   on_write run with size 0), matching the original instrumentation where
-   the action fired regardless of the dynamic length. *)
-let consume t (ev : Event.t) =
-  match ev with
-  | Event.Load { static; ea; size; sp; _ } ->
-      let id = Call_stack.attribute_id t.stack t.symtab static in
-      if id >= 0 then on_read t id ea size sp
-  | Event.Store { static; ea; size; sp; _ } ->
-      let id = Call_stack.attribute_id t.stack t.symtab static in
-      if id >= 0 then on_write t id ea size sp
-  | Event.Rtn_entry { routine; sp; _ } ->
-      Call_stack.on_entry t.stack (Symtab.by_id t.symtab routine) ~sp
-  | Event.Ret { sp; _ } ->
-      (* return monitoring keeps the internal call stack consistent; the
-         event is emitted after the ret's own 8-byte stack read *)
-      Call_stack.on_ret t.stack ~sp
-  | Event.Block_copy { static; src; dst; len; sp; _ } ->
-      let id = Call_stack.attribute_id t.stack t.symtab static in
-      if id >= 0 then begin
-        on_read t id src len sp;
-        on_write t id dst len sp
-      end
-  | Event.Prefetch _ | Event.Block_exec _ | Event.End _ -> ()
+(* The tool's access function (see [Call_stack.attribute]).  A zero-length
+   block copy still marks the kernel as touched (on_read / on_write run with
+   size 0), matching the original instrumentation where the action fired
+   regardless of the dynamic length. *)
+let access t kernel_id ~write ~icount:_ ~sp ~ea ~size =
+  if write then on_write t kernel_id ea size sp
+  else on_read t kernel_id ea size sp
 
-let interest =
-  Event.[ KRtn_entry; KRet; KLoad; KStore; KBlock_copy ]
+let consume t ev = Call_stack.attribute t.stack access t ev
+let interest = Call_stack.interest
 
 (* One deferred block of consumer [c] against [a]'s shadow: each maximal run
    of counted bytes with one producer is one charge. *)
@@ -315,14 +286,8 @@ let merge_into a b =
 (* A mid-trace shard runs in pending mode: its producer-less reads wait in
    block counters for [merge_into] to resolve. *)
 let shard =
-  Some
-    {
-      Tq_trace.Tool.prefix_wants = Event.[ KRtn_entry; KRet ];
-      prefix =
-        (fun policy prog -> Call_stack.prefix prog.Tq_vm.Program.symtab policy);
-      seeded = (fun _ prog stack -> make ~pending:true prog stack);
-      merge_into;
-    }
+  Call_stack.shard Fun.id ~merge_into ~seeded:(fun _ prog stack ->
+      make ~pending:true prog stack)
 
 let attach ?(policy = Call_stack.Main_image_only) =
   Tq_trace.Tool.attach (create policy) consume

@@ -59,17 +59,6 @@ let page_ro t addr =
         p
     | None -> no_page
 
-let get t addr =
-  let idx = addr lsr page_bits in
-  if idx = t.last_idx then t.last_page.(addr land (page_size - 1))
-  else
-    match Hashtbl.find_opt t.pages idx with
-    | None -> -1
-    | Some p ->
-        t.last_idx <- idx;
-        t.last_page <- p;
-        p.(addr land (page_size - 1))
-
 let page_count t = Hashtbl.length t.pages
 
 (* Overlay [src] onto [dst]: every byte [src] saw written (producer >= 0)

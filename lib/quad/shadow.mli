@@ -15,9 +15,6 @@ val set_range : t -> int -> int -> int -> unit
     consecutive bytes — page-split [Array.fill]s, equivalent to [len]
     single-byte writes. *)
 
-val get : t -> int -> int
-(** [-1] if the byte has never been written. *)
-
 val page_size : int
 (** Bytes per shadow page (a power of two). *)
 

@@ -1,8 +1,6 @@
-module Isa = Tq_isa.Isa
 module Symtab = Tq_vm.Symtab
 module Layout = Tq_vm.Layout
 module Call_stack = Tq_prof.Call_stack
-module Event = Tq_trace.Event
 module Dyn = Tq_util.Dyn_array
 
 (* Per-kernel per-slice counters, grown on demand.  Four interleaved streams
@@ -38,34 +36,23 @@ let kdata_get t id =
       t.data.(id) <- Some k;
       k
 
-(* Split an access into stack-area and global bytes.  An access can straddle
-   the boundary only in the red zone; byte-exact accounting keeps the two
-   columns consistent with QUAD's. *)
-let split_bytes ~sp ea size =
-  if Layout.is_stack_addr ~sp ea = Layout.is_stack_addr ~sp (ea + size - 1) then
-    if Layout.is_stack_addr ~sp ea then (size, 0) else (0, size)
-  else begin
-    let stack = ref 0 in
-    for i = 0 to size - 1 do
-      if Layout.is_stack_addr ~sp (ea + i) then incr stack
-    done;
-    (!stack, size - !stack)
-  end
-
-let record t id ~read ~icount ~sp ea size =
-  let slice = icount / t.interval in
-  if slice > t.max_slice then t.max_slice <- slice;
-  t.any <- true;
-  let k = kdata_get t id in
-  let stack_bytes, global_bytes = split_bytes ~sp ea size in
-  ignore stack_bytes;
-  if read then begin
-    Dyn.add_at ( + ) k.kr_incl slice size;
-    if global_bytes > 0 then Dyn.add_at ( + ) k.kr_excl slice global_bytes
-  end
-  else begin
-    Dyn.add_at ( + ) k.kw_incl slice size;
-    if global_bytes > 0 then Dyn.add_at ( + ) k.kw_excl slice global_bytes
+(* The tool's access function (see [Call_stack.attribute]): excl counts the
+   access's global bytes only, byte-exact when it straddles the stack
+   boundary, consistently with QUAD. *)
+let record t id ~write ~icount ~sp ~ea ~size =
+  if size > 0 then begin
+    let slice = icount / t.interval in
+    if slice > t.max_slice then t.max_slice <- slice;
+    t.any <- true;
+    let k = kdata_get t id in
+    let global_bytes =
+      size - (Layout.stack_hi ~sp ea size - Layout.stack_lo ~sp ea size)
+    in
+    Dyn.add_at ( + ) (if write then k.kw_incl else k.kr_incl) slice size;
+    if global_bytes > 0 then
+      Dyn.add_at ( + )
+        (if write then k.kw_excl else k.kr_excl)
+        slice global_bytes
   end
 
 type config = { slice_interval : int; policy : Call_stack.policy }
@@ -83,37 +70,13 @@ let seeded config (prog : Tq_vm.Program.t) stack =
     any = false;
   }
 
-let create config prog = seeded config prog (Call_stack.create config.policy)
+let create config prog =
+  seeded config prog (Call_stack.create prog.symtab config.policy)
 
 (* EnterFC analogue on [Rtn_entry]; IncreaseRead/IncreaseWrite return
-    immediately on prefetches, so [Prefetch] events are discarded. *)
-let consume t (ev : Event.t) =
-  match ev with
-  | Event.Load { icount; static; ea; size; sp } ->
-      if size > 0 then begin
-        let id = Call_stack.attribute_id t.stack t.symtab static in
-        if id >= 0 then record t id ~read:true ~icount ~sp ea size
-      end
-  | Event.Store { icount; static; ea; size; sp } ->
-      if size > 0 then begin
-        let id = Call_stack.attribute_id t.stack t.symtab static in
-        if id >= 0 then record t id ~read:false ~icount ~sp ea size
-      end
-  | Event.Rtn_entry { routine; sp; _ } ->
-      Call_stack.on_entry t.stack (Symtab.by_id t.symtab routine) ~sp
-  | Event.Ret { sp; _ } -> Call_stack.on_ret t.stack ~sp
-  | Event.Block_copy { icount; static; src; dst; len; sp } ->
-      if len > 0 then begin
-        let id = Call_stack.attribute_id t.stack t.symtab static in
-        if id >= 0 then begin
-          record t id ~read:true ~icount ~sp src len;
-          record t id ~read:false ~icount ~sp dst len
-        end
-      end
-  | Event.Prefetch _ | Event.Block_exec _ | Event.End _ -> ()
-
-let interest =
-  Event.[ KRtn_entry; KRet; KLoad; KStore; KBlock_copy ]
+   immediately on prefetches, so [Prefetch] events are not read. *)
+let consume t ev = Call_stack.attribute t.stack record t ev
+let interest = Call_stack.interest
 
 (* Per-slice byte counts are pure sums, so a later trace range's state folds
    into an earlier one by elementwise addition; a kernel's presence (its
@@ -137,16 +100,7 @@ let merge_into a b =
           add ka.kw_excl kb.kw_excl)
     b.data
 
-let shard =
-  Some
-    {
-      Tq_trace.Tool.prefix_wants = Event.[ KRtn_entry; KRet ];
-      prefix =
-        (fun config prog ->
-          Call_stack.prefix prog.Tq_vm.Program.symtab config.policy);
-      seeded;
-      merge_into;
-    }
+let shard = Call_stack.shard (fun c -> c.policy) ~seeded ~merge_into
 
 let default_slice_interval = 10_000
 

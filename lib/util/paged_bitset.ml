@@ -33,18 +33,6 @@ let page_of t idx =
     p
   end
 
-let add t x =
-  if x < 0 then invalid_arg "Paged_bitset.add: negative";
-  let page = page_of t (x lsr page_bits) in
-  let off = x land (page_size - 1) in
-  let w = off lsr 5 and b = off land 31 in
-  let old = page.(w) in
-  let nw = old lor (1 lsl b) in
-  if nw <> old then begin
-    page.(w) <- nw;
-    t.count <- t.count + 1
-  end
-
 (* branch-free 32-bit popcount (words hold 32 bits, see header comment) *)
 let popcount32 x =
   let x = x - ((x lsr 1) land 0x55555555) in

@@ -9,11 +9,9 @@ type t
 
 val create : unit -> t
 
-val add : t -> int -> unit
-(** [add t x] inserts [x].  @raise Invalid_argument if [x < 0]. *)
-
 val add_range : t -> int -> int -> unit
-(** [add_range t x n] inserts [x], [x+1], ..., [x+n-1]. *)
+(** [add_range t x n] inserts [x], [x+1], ..., [x+n-1].
+    @raise Invalid_argument if [n > 0] and [x < 0]. *)
 
 val cardinal : t -> int
 (** Number of distinct members; O(1) (maintained incrementally). *)

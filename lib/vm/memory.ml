@@ -35,6 +35,19 @@ let create () =
 
 let cache_stats (m : t) = { hits = m.hits; misses = m.misses }
 
+exception Fault of string
+
+let max_bytes = 128 * 1024 * 1024
+let max_pages = max_bytes / page_size
+
+(* cold path: kept out of line so [page_of]'s miss path stays small *)
+let[@inline never] over_budget idx =
+  raise
+    (Fault
+       (Printf.sprintf
+          "memory fault: page at 0x%x would pass the %d-byte memory budget"
+          (idx lsl page_bits) max_bytes))
+
 (* Translation with allocate-on-miss (store side). *)
 let page_of t idx =
   let s = idx land tlb_mask in
@@ -48,6 +61,7 @@ let page_of t idx =
       match Hashtbl.find_opt t.pages idx with
       | Some p -> p
       | None ->
+          if Hashtbl.length t.pages >= max_pages then over_budget idx;
           let p = Bytes.make page_size '\000' in
           Hashtbl.add t.pages idx p;
           p
@@ -74,8 +88,6 @@ let find_page t idx =
         Some p
     | None -> None
   end
-
-exception Fault of string
 
 (* cold path: kept out of line so [check] stays one compare *)
 let[@inline never] negative addr =
@@ -211,6 +223,13 @@ let store_f64 t addr v =
 
 let read_bytes t addr len =
   check_range addr len;
+  if len > max_bytes then
+    raise
+      (Fault
+         (Printf.sprintf
+            "memory fault: %d-byte block at address %d exceeds the %d-byte \
+             memory budget"
+            len addr max_bytes));
   let out = Bytes.make len '\000' in
   let i = ref 0 in
   while !i < len do

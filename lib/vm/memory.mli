@@ -9,10 +9,18 @@ type t
 
 exception Fault of string
 (** A guest access the address space cannot serve: a negative address, a
-    block whose length is negative or runs past the largest address, or a
-    string with no NUL in reach.  Every accessor below raises it for a bad
-    address; the execution loops turn it into a {!Machine.Trap} at the
-    faulting instruction. *)
+    block whose length is negative or runs past the largest address, a
+    string with no NUL in reach, or an access past {!max_bytes}.  Every
+    accessor below raises it for a bad address; the execution loops turn it
+    into a {!Machine.Trap} at the faulting instruction. *)
+
+val max_bytes : int
+(** The guest memory budget: 128 MiB (134217728 bytes, 32768 pages), far
+    above what any of the repository's programs touches (wfs [large],
+    2,508 pages).  A store that would materialize a page past it, and a
+    {!read_bytes} block longer than it (a block move's copy), raise
+    {!Fault} before any host memory is allocated for them, so a guest
+    cannot grow the host's memory without bound. *)
 
 val create : unit -> t
 
@@ -44,7 +52,8 @@ val cache_stats : t -> cache_stats
     array compare, [misses] fell back to the page hashtable. *)
 
 val read_bytes : t -> int -> int -> bytes
-(** [read_bytes t addr len] copies out a range (zero where untouched). *)
+(** [read_bytes t addr len] copies out a range (zero where untouched);
+    {!Fault} if [len] exceeds {!max_bytes}. *)
 
 val write_bytes : t -> int -> bytes -> unit
 

@@ -48,6 +48,13 @@ let loops prog name =
 
 (* ---------- structural longest path over the loop nest ---------- *)
 
+(* Checked arithmetic on the non-negative instruction counts: a bound past
+   [max_int] is refused rather than wrapped, since a wrapped bound is no
+   longer an upper bound. *)
+let too_large ctx = fail "%s: WCET bound exceeds %d instructions" ctx max_int
+let add ctx a b = if a > max_int - b then too_large ctx else a + b
+let mul ctx a b = if b <> 0 && a > max_int / b then too_large ctx else a * b
+
 (* Longest path from [entry] in a DAG given node costs and an edge function;
    raises on a residual cycle (irreducible flow). *)
 let dag_longest ~n ~cost ~succs ~entry ~ctx =
@@ -61,7 +68,7 @@ let dag_longest ~n ~cost ~succs ~entry ~ctx =
         visiting.(v) <- true;
         let best_succ = List.fold_left (fun acc s -> max acc (go s)) 0 (succs v) in
         visiting.(v) <- false;
-        let c = cost v + best_succ in
+        let c = add ctx (cost v) best_succ in
         memo.(v) <- Some c;
         c
   in
@@ -97,7 +104,8 @@ let analyze prog ~bounds entry_name =
               let c = ref (b.Cfg.last - b.Cfg.first + 1) in
               for i = b.Cfg.first to b.Cfg.last do
                 match cfg.Cfg.code.Rcode.flow.(i) with
-                | Rcode.Call_known callee -> c := !c + routine_wcet callee
+                | Rcode.Call_known callee ->
+                    c := add name !c (routine_wcet callee)
                 | _ -> ()
               done;
               !c)
@@ -120,7 +128,8 @@ let analyze prog ~bounds entry_name =
           in
           let cost v =
             let l = cfg.Cfg.innermost.(v) in
-            if l = region then base_cost.(v) else bound.(l) * region_cost l
+            if l = region then base_cost.(v)
+            else mul name bound.(l) (region_cost l)
           in
           (* successors through representatives, excluding back edges to
              the region's entry and edges leaving the region *)

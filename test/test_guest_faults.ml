@@ -77,6 +77,20 @@ let src_past_budget =
   with_out
     (Printf.sprintf "seek(fd, %d); write(fd, b, 1);" Vfs.max_file_size)
 
+(* one byte stored per 4 KiB page, for as many pages as the budget holds:
+   with the stack and globals already resident, the last stores pass it *)
+let src_page_budget =
+  Printf.sprintf
+    "int main() { char *p; int i; p = (char*)0; p = p + 536870912;\n\
+    \  for (i = 0; i < %d; i = i + 1) { *p = 1; p = p + 4096; }\n\
+    \  return 0; }\n"
+    (Memory.max_bytes / 4096)
+
+(* a 1 TiB block move: traps before a host buffer is sized from it *)
+let src_memcpy_huge =
+  "char buf[16];\n\
+   int main() { memcpy(buf, buf, 1099511627776); return 0; }\n"
+
 let test_neg_deref () =
   expect_trap (compile src_neg_deref) ~reason:"negative address -800"
 
@@ -85,6 +99,18 @@ let test_memset () =
 
 let test_memcpy () =
   expect_trap (compile src_memcpy) ~reason:"8-byte block at address -64"
+
+let test_page_budget () =
+  expect_trap (compile src_page_budget)
+    ~reason:
+      (Printf.sprintf "would pass the %d-byte memory budget" Memory.max_bytes)
+
+let test_memcpy_huge () =
+  expect_trap (compile src_memcpy_huge)
+    ~reason:
+      (Printf.sprintf "1099511627776-byte block at address %d exceeds the \
+                       %d-byte memory budget"
+         Layout.data_base Memory.max_bytes)
 
 let test_open_unterminated () =
   expect_trap (compile src_open) ~reason:"no NUL within 4096 bytes"
@@ -186,6 +212,10 @@ let suites =
         Alcotest.test_case "negative address load" `Quick test_neg_deref;
         Alcotest.test_case "negative address store (memset)" `Quick test_memset;
         Alcotest.test_case "negative block move (memcpy)" `Quick test_memcpy;
+        Alcotest.test_case "store: a page past the memory budget" `Quick
+          test_page_budget;
+        Alcotest.test_case "block move (memcpy) of 1 TiB" `Quick
+          test_memcpy_huge;
         Alcotest.test_case "open: unterminated path" `Quick
           test_open_unterminated;
         Alcotest.test_case "close: descriptor out of range" `Quick
@@ -207,6 +237,10 @@ let suites =
           (cli_traps src_neg_deref);
         Alcotest.test_case "negative address store (memset)" `Quick
           (cli_traps src_memset);
+        Alcotest.test_case "store: a page past the memory budget" `Quick
+          (cli_traps src_page_budget);
+        Alcotest.test_case "block move (memcpy) of 1 TiB" `Quick
+          (cli_traps src_memcpy_huge);
         Alcotest.test_case "open: unterminated path" `Quick
           (cli_traps src_open);
         Alcotest.test_case "close(99)" `Quick (cli_traps (src_close 99));

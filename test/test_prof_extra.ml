@@ -10,7 +10,8 @@ let mk id name main =
 let top cs = Option.map (fun r -> r.Symtab.name) (Call_stack.top cs)
 
 let test_call_stack_basic () =
-  let cs = Call_stack.create Call_stack.Track_all in
+  let symtab = Symtab.build [ mk 0 "a" true; mk 1 "b" true ] in
+  let cs = Call_stack.create symtab Call_stack.Track_all in
   Alcotest.(check (option string)) "empty" None (top cs);
   Call_stack.on_entry cs (mk 0 "a" true) ~sp:1000;
   Call_stack.on_entry cs (mk 1 "b" true) ~sp:900;
@@ -26,12 +27,18 @@ let test_call_stack_basic () =
 let test_call_stack_policy () =
   let app = mk 0 "app" true and libfn = mk 1 "libfn" false in
   let symtab = Symtab.build [ app; libfn; mk 2 "other" true ] in
+  (* the kernel a one-byte load in routine [id] is charged to, if any *)
   let attribute cs id =
-    match Call_stack.attribute_id cs symtab id with
-    | -1 -> None
-    | id -> Some (Symtab.by_id symtab id).Symtab.name
+    let charged = ref None in
+    let access () k ~write:_ ~icount:_ ~sp:_ ~ea:_ ~size:_ =
+      charged := Some (Symtab.by_id symtab k).Symtab.name
+    in
+    Call_stack.attribute cs access ()
+      (Tq_trace.Event.Load
+         { icount = 0; static = id; ea = 0; size = 1; sp = 0 });
+    !charged
   in
-  let cs = Call_stack.create Call_stack.Main_image_only in
+  let cs = Call_stack.create symtab Call_stack.Main_image_only in
   Alcotest.(check (option string)) "no frame, nothing to charge" None
     (attribute cs 1);
   Call_stack.on_entry cs app ~sp:1000;
@@ -43,7 +50,7 @@ let test_call_stack_policy () =
     (attribute cs 1);
   Alcotest.(check (option string)) "main image attributed to itself"
     (Some "other") (attribute cs 2);
-  let cs_all = Call_stack.create Call_stack.Track_all in
+  let cs_all = Call_stack.create symtab Call_stack.Track_all in
   Alcotest.(check (option string)) "track_all uses static" (Some "libfn")
     (attribute cs_all 1)
 

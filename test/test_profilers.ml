@@ -131,7 +131,7 @@ let test_quad_dot () =
    must reproduce one sequential analyser's rows and bindings.  The reads of
    the later ranges hit bytes written only in earlier ones: a run that
    crosses 64-byte blocks and a 4 KiB page with a producer change inside, a
-   read straddling the stack boundary (per-byte stack classification), two
+   read straddling the stack boundary (the stack run split), two
    consumers on one block, a byte read twice, an address above 2^61, and
    bytes nobody wrote.  The later range also overwrites a byte it already
    read, which must not steal the earlier producer's charge. *)
@@ -184,7 +184,7 @@ let test_quad_pending_merge () =
   let shard evs =
     let t =
       sh.seeded Main_image_only prog
-        (Tq_prof.Call_stack.create Main_image_only)
+        (Tq_prof.Call_stack.create symtab Main_image_only)
     in
     List.iter (Q.consume t) evs;
     t
@@ -495,6 +495,270 @@ let test_tquad_prefetch_predication () =
   Alcotest.(check int) "only the true-predicate store counted" 8
     tot.Tq_tquad.Tquad.write_incl
 
+(* ---------- stack split: a per-byte oracle ---------- *)
+
+(* Random loads, stores and block copies (zero-length copies included)
+   within a few hundred bytes of either end of the stack area,
+   [sp - red_zone] and [stack_top], fed straight to tQUAD and QUAD and
+   checked against a model that classifies and charges every byte on its
+   own: tQUAD's incl/excl series per kernel, QUAD's rows and bindings. *)
+
+type access = {
+  kind : [ `Load | `Store | `Copy ];
+  kernel : int;
+  sp : int;
+  ea : int;  (** the source of a copy *)
+  dst : int;  (** the destination of a copy *)
+  size : int;
+}
+
+let gen_accesses =
+  let open QCheck.Gen in
+  let sp =
+    oneof
+      [
+        map (fun r -> Layout.stack_top - r) (int_range 0 400);
+        map (fun r -> Layout.stack_top - 0x1_0000 - r) (int_range 0 400);
+      ]
+  in
+  let near sp =
+    map2
+      (fun anchor off -> anchor + off)
+      (oneofl [ sp - Layout.stack_red_zone; Layout.stack_top ])
+      (int_range (-300) 300)
+  in
+  let access =
+    sp >>= fun sp ->
+    near sp >>= fun ea ->
+    near sp >>= fun dst ->
+    oneofl [ `Load; `Store; `Copy ] >>= fun kind ->
+    int_range 0 3 >>= fun kernel ->
+    (match kind with
+    | `Copy -> oneof [ return 0; int_range 1 400 ]
+    | _ -> oneofl [ 1; 2; 4; 8; 16; 24 ])
+    >|= fun size -> { kind; kernel; sp; ea; dst; size }
+  in
+  list_size (int_range 1 24) access
+
+let print_access a =
+  Printf.sprintf "%s k%d sp=top-%d ea=top%+d dst=top%+d size=%d"
+    (match a.kind with `Load -> "load" | `Store -> "store" | `Copy -> "copy")
+    a.kernel (Layout.stack_top - a.sp) (a.ea - Layout.stack_top)
+    (a.dst - Layout.stack_top) a.size
+
+let split_symtab =
+  Symtab.build
+    (List.init 4 (fun id ->
+         { Symtab.id; name = Printf.sprintf "k%d" id; entry = 0x1000 * (id + 1);
+           size = 0x100; image = "app"; is_main_image = true }))
+
+let split_interval = 10
+
+(* access [i] retires at icount [3 * i]: several accesses per slice *)
+let split_events accs =
+  List.concat
+    (List.mapi
+       (fun i a ->
+         let icount = 3 * i and static = a.kernel and sp = a.sp in
+         let ea = a.ea and size = a.size in
+         match a.kind with
+         | `Load -> [ Tq_trace.Event.Load { icount; static; ea; size; sp } ]
+         | `Store -> [ Tq_trace.Event.Store { icount; static; ea; size; sp } ]
+         | `Copy ->
+             [ Tq_trace.Event.Block_copy
+                 { icount; static; src = ea; dst = a.dst; len = size; sp } ])
+       accs)
+
+(* The model: every byte on its own, with the stack-area predicate written
+   out. *)
+let model_is_stack ~sp a =
+  a >= sp - Layout.stack_red_zone && a < Layout.stack_top
+
+(* tQUAD: per kernel, per slice, read/write incl/excl bytes *)
+let tquad_model accs =
+  let tbl = Hashtbl.create 8 in
+  let max_slice = ref (-1) in
+  let add k ~write slice ~sp ea size =
+    if size > 0 then begin
+      if slice > !max_slice then max_slice := slice;
+      let cur = Option.value ~default:[] (Hashtbl.find_opt tbl k) in
+      let row = ref cur in
+      for b = ea to ea + size - 1 do
+        let stack = model_is_stack ~sp b in
+        row := (write, slice, stack) :: !row
+      done;
+      Hashtbl.replace tbl k !row
+    end
+  in
+  List.iteri
+    (fun i a ->
+      let slice = 3 * i / split_interval in
+      match a.kind with
+      | `Load -> add a.kernel ~write:false slice ~sp:a.sp a.ea a.size
+      | `Store -> add a.kernel ~write:true slice ~sp:a.sp a.ea a.size
+      | `Copy ->
+          add a.kernel ~write:false slice ~sp:a.sp a.ea a.size;
+          add a.kernel ~write:true slice ~sp:a.sp a.dst a.size)
+    accs;
+  let n = !max_slice + 1 in
+  let series bytes ~write ~incl =
+    Array.init n (fun s ->
+        List.length
+          (List.filter
+             (fun (w, sl, stack) -> w = write && sl = s && (incl || not stack))
+             bytes))
+  in
+  Hashtbl.fold
+    (fun k bytes acc ->
+      ( Printf.sprintf "k%d" k,
+        [ series bytes ~write:false ~incl:true;
+          series bytes ~write:false ~incl:false;
+          series bytes ~write:true ~incl:true;
+          series bytes ~write:true ~incl:false ] )
+      :: acc)
+    tbl []
+  |> List.sort compare
+
+let split_prog =
+  { Program.code = [||]; entry = 0; data = []; data_end = 0;
+    symtab = split_symtab }
+
+let tquad_actual accs =
+  let module T = Tq_tquad.Tquad in
+  let t =
+    T.create
+      { T.slice_interval = split_interval; policy = Main_image_only }
+      split_prog
+  in
+  List.iter (T.consume t) (split_events accs);
+  List.map
+    (fun r ->
+      ( r.Symtab.name,
+        List.map (T.bytes_series t r)
+          [ T.Read_incl; T.Read_excl; T.Write_incl; T.Write_excl ] ))
+    (T.kernels t)
+  |> List.sort compare
+
+(* QUAD: a per-byte shadow, per-kernel counters and address sets, and
+   per-edge byte counts and address sets *)
+let quad_model accs =
+  let shadow = Hashtbl.create 256 in
+  let touched = Array.make 4 false in
+  let in_incl = Array.make 4 0 and in_excl = Array.make 4 0 in
+  let out_incl = Array.make 4 0 and out_excl = Array.make 4 0 in
+  let set () = Hashtbl.create 16 in
+  let sets () = Array.init 4 (fun _ -> set ()) in
+  let r_incl = sets () and r_excl = sets () in
+  let w_incl = sets () and w_excl = sets () in
+  let edges = Hashtbl.create 16 in
+  let read c ~sp ea size =
+    touched.(c) <- true;
+    for b = ea to ea + size - 1 do
+      let stack = model_is_stack ~sp b in
+      in_incl.(c) <- in_incl.(c) + 1;
+      Hashtbl.replace r_incl.(c) b ();
+      if not stack then begin
+        in_excl.(c) <- in_excl.(c) + 1;
+        Hashtbl.replace r_excl.(c) b ()
+      end;
+      match Hashtbl.find_opt shadow b with
+      | None -> ()
+      | Some p ->
+          let incl, excl, addrs =
+            match Hashtbl.find_opt edges (p, c) with
+            | Some e -> e
+            | None -> (0, 0, [])
+          in
+          out_incl.(p) <- out_incl.(p) + 1;
+          if not stack then out_excl.(p) <- out_excl.(p) + 1;
+          Hashtbl.replace edges (p, c)
+            (incl + 1, (if stack then excl else excl + 1), b :: addrs)
+    done
+  and write c ~sp ea size =
+    touched.(c) <- true;
+    for b = ea to ea + size - 1 do
+      Hashtbl.replace w_incl.(c) b ();
+      if not (model_is_stack ~sp b) then Hashtbl.replace w_excl.(c) b ();
+      Hashtbl.replace shadow b c
+    done
+  in
+  List.iter
+    (fun a ->
+      match a.kind with
+      | `Load -> read a.kernel ~sp:a.sp a.ea a.size
+      | `Store -> write a.kernel ~sp:a.sp a.ea a.size
+      | `Copy ->
+          read a.kernel ~sp:a.sp a.ea a.size;
+          write a.kernel ~sp:a.sp a.dst a.size)
+    accs;
+  let rows =
+    List.filter_map
+      (fun c ->
+        if not touched.(c) then None
+        else
+          Some
+            ( Printf.sprintf "k%d" c,
+              [ in_excl.(c); Hashtbl.length r_excl.(c);
+                out_excl.(c); Hashtbl.length w_excl.(c);
+                in_incl.(c); Hashtbl.length r_incl.(c);
+                out_incl.(c); Hashtbl.length w_incl.(c) ] ))
+      [ 0; 1; 2; 3 ]
+  in
+  let bindings =
+    Hashtbl.fold
+      (fun (p, c) (incl, excl, addrs) acc ->
+        ( Printf.sprintf "k%d" p, Printf.sprintf "k%d" c, excl, incl,
+          List.length (List.sort_uniq compare addrs) )
+        :: acc)
+      edges []
+    |> List.sort compare
+  in
+  (rows, bindings)
+
+let quad_actual accs =
+  let module Q = Tq_quad.Quad in
+  let q = Q.create Main_image_only split_prog in
+  List.iter (Q.consume q) (split_events accs);
+  let rows =
+    List.map
+      (fun (r : Q.krow) ->
+        ( r.routine.Symtab.name,
+          [ r.in_bytes; r.in_unma; r.out_bytes; r.out_unma; r.in_bytes_incl;
+            r.in_unma_incl; r.out_bytes_incl; r.out_unma_incl ] ))
+      (Q.rows q)
+  in
+  let bindings =
+    List.map
+      (fun (b : Q.binding) ->
+        ( b.producer.Symtab.name, b.consumer.Symtab.name, b.bytes,
+          b.bytes_incl, b.unma ))
+      (Q.bindings q)
+    |> List.sort compare
+  in
+  (rows, bindings)
+
+(* one copy whose destination covers the whole stack area: global below
+   [sp - red_zone], stack up to [stack_top], global above it *)
+let test_stack_split_covering () =
+  let top = Layout.stack_top in
+  let accs =
+    [ { kind = `Copy; kernel = 1; sp = top - 77; ea = top + 37; dst = top - 186;
+        size = 346 };
+      { kind = `Load; kernel = 2; sp = top - 77; ea = top - 200; size = 400;
+        dst = 0 } ]
+  in
+  Alcotest.(check bool) "tQUAD = per-byte model" true
+    (tquad_actual accs = tquad_model accs);
+  Alcotest.(check bool) "QUAD = per-byte model" true
+    (quad_actual accs = quad_model accs)
+
+let qcheck_stack_split =
+  QCheck.Test.make ~name:"stack split = per-byte model (tQUAD, QUAD)" ~count:300
+    (QCheck.make ~print:(QCheck.Print.list print_access) gen_accesses)
+    (fun accs ->
+      tquad_actual accs = tquad_model accs
+      && quad_actual accs = quad_model accs)
+
 let suites =
   [
     ( "quad",
@@ -526,5 +790,11 @@ let suites =
         Alcotest.test_case "library policy" `Quick test_tquad_library_policy;
         Alcotest.test_case "prefetch+predication" `Quick
           test_tquad_prefetch_predication;
+      ] );
+    ( "stack split",
+      [
+        Alcotest.test_case "an access covering the whole stack area" `Quick
+          test_stack_split_covering;
+        QCheck_alcotest.to_alcotest qcheck_stack_split;
       ] );
   ]

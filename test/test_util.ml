@@ -66,16 +66,16 @@ let members s =
 let test_bitset_basic () =
   let s = Paged_bitset.create () in
   Alcotest.(check int) "empty" 0 (Paged_bitset.cardinal s);
-  Paged_bitset.add s 0;
-  Paged_bitset.add s 63;
-  Paged_bitset.add s 64;
-  Paged_bitset.add s 1_000_000_007;
-  Paged_bitset.add s 63 (* duplicate *);
+  Paged_bitset.add_range s 0 1;
+  Paged_bitset.add_range s 63 1;
+  Paged_bitset.add_range s 64 1;
+  Paged_bitset.add_range s 1_000_000_007 1;
+  Paged_bitset.add_range s 63 1 (* duplicate *);
   Alcotest.(check int) "cardinal" 4 (Paged_bitset.cardinal s);
   Alcotest.(check (list int)) "members" [ 0; 63; 64; 1_000_000_007 ] (members s);
   Alcotest.check_raises "negative rejected"
-    (Invalid_argument "Paged_bitset.add: negative") (fun () ->
-      Paged_bitset.add s (-5))
+    (Invalid_argument "Paged_bitset.add_range: negative") (fun () ->
+      Paged_bitset.add_range s (-5) 1)
 
 let test_bitset_range_iter () =
   let s = Paged_bitset.create () in
@@ -87,8 +87,8 @@ let test_bitset_range_iter () =
 let test_bitset_sparse_pages () =
   let s = Paged_bitset.create () in
   (* Stack-like high addresses and low data addresses must not blow up. *)
-  Paged_bitset.add s 0x7f00_0000_0000;
-  Paged_bitset.add s 0x1000_0000;
+  Paged_bitset.add_range s 0x7f00_0000_0000 1;
+  Paged_bitset.add_range s 0x1000_0000 1;
   Alcotest.(check int) "cardinal" 2 (Paged_bitset.cardinal s);
   Alcotest.(check (list int)) "both members" [ 0x1000_0000; 0x7f00_0000_0000 ]
     (members s)
@@ -101,7 +101,7 @@ let qcheck_bitset_matches_set =
       let s = Paged_bitset.create () in
       let module IS = Set.Make (Int) in
       let ref_set = List.fold_left (fun acc x -> IS.add x acc) IS.empty xs in
-      List.iter (Paged_bitset.add s) xs;
+      List.iter (fun x -> Paged_bitset.add_range s x 1) xs;
       Paged_bitset.cardinal s = IS.cardinal ref_set
       && members s = IS.elements ref_set)
 
@@ -119,7 +119,7 @@ let qcheck_bitset_iter_words =
           (IS.singleton big) ranges
       in
       List.iter (fun (x, n) -> Paged_bitset.add_range s x n) ranges;
-      Paged_bitset.add s big;
+      Paged_bitset.add_range s big 1;
       Paged_bitset.iter_words
         (fun base word ->
           assert (base land 31 = 0 && word <> 0 && word lsr 32 = 0))

@@ -537,16 +537,32 @@ let test_symtab_overlap () =
 
 let test_layout_stack_classification () =
   let sp = Layout.stack_top - 256 in
-  Alcotest.(check bool) "local above sp" true
-    (Layout.is_stack_addr ~sp (sp + 16));
-  Alcotest.(check bool) "red zone below sp" true
-    (Layout.is_stack_addr ~sp (sp - 8));
-  Alcotest.(check bool) "global data" false
-    (Layout.is_stack_addr ~sp Layout.data_base);
-  Alcotest.(check bool) "heap" false
-    (Layout.is_stack_addr ~sp (Layout.data_base + 100_000));
-  Alcotest.(check bool) "beyond stack top" false
-    (Layout.is_stack_addr ~sp Layout.stack_top)
+  (* a one-byte access at [a] is stack area iff its stack run is that byte *)
+  let is_stack a = Layout.stack_hi ~sp a 1 - Layout.stack_lo ~sp a 1 = 1 in
+  Alcotest.(check bool) "local above sp" true (is_stack (sp + 16));
+  Alcotest.(check bool) "red zone below sp" true (is_stack (sp - 8));
+  Alcotest.(check bool) "global data" false (is_stack Layout.data_base);
+  Alcotest.(check bool) "heap" false (is_stack (Layout.data_base + 100_000));
+  Alcotest.(check bool) "beyond stack top" false (is_stack Layout.stack_top);
+  (* runs of accesses crossing either end of the stack area *)
+  let base = sp - Layout.stack_red_zone in
+  let run ea size =
+    (Layout.stack_lo ~sp ea size, Layout.stack_hi ~sp ea size)
+  in
+  Alcotest.(check (pair int int)) "straddles sp - red_zone" (base, base + 4)
+    (run (base - 4) 8);
+  Alcotest.(check (pair int int)) "straddles stack_top"
+    (Layout.stack_top - 4, Layout.stack_top)
+    (run (Layout.stack_top - 4) 8);
+  Alcotest.(check (pair int int)) "covers the whole stack area"
+    (base, Layout.stack_top)
+    (run (base - 8) (Layout.stack_top - base + 16));
+  Alcotest.(check (pair int int)) "all global: empty run at the end"
+    (Layout.data_base + 8, Layout.data_base + 8)
+    (run Layout.data_base 8);
+  Alcotest.(check (pair int int)) "above stack_top: empty run"
+    (Layout.stack_top + 8, Layout.stack_top + 8)
+    (run (Layout.stack_top + 8) 8)
 
 (* ---------- link errors ---------- *)
 

@@ -214,6 +214,39 @@ let test_cli_exit_codes () =
   Alcotest.(check int) "irreducible flow: 3" 3 (rc irreducible);
   List.iter Sys.remove [ loop; recursive; dynamic; irreducible ]
 
+(* A bound that does not fit in an int is refused, never wrapped: for one
+   loop the bound is [rest + b * iteration], exact up to the largest [b]
+   that fits, and one more is an [Analysis_error]. *)
+let test_overflow_refused () =
+  let prog = compile loop_src in
+  let at b =
+    Wcet.analyze prog ~bounds:(function "main" -> [ b ] | _ -> []) "_start"
+  in
+  let iteration = at 12 - at 11 in
+  let rest = at 11 - (11 * iteration) in
+  let largest = (max_int - rest) / iteration in
+  Alcotest.(check int) "largest bound that fits: exact"
+    (rest + (largest * iteration))
+    (at largest);
+  List.iter
+    (fun b ->
+      match at b with
+      | w -> Alcotest.failf "bound %d: got %d, expected Analysis_error" b w
+      | exception Wcet.Analysis_error msg ->
+          Alcotest.(check bool) ("names the overflow: " ^ msg) true
+            (Astring_contains.contains msg "WCET bound exceeds"))
+    [ largest + 1; max_int / 2; max_int ]
+
+(* the CLI exits 3 on a bound past max_int; one that fits still exits 0 *)
+let test_cli_overflow () =
+  let rc args = Test_dataflow.run_cli ("wcet " ^ args) in
+  Alcotest.(check int) "wfs tiny, --bound 1e9: 3" 3
+    (rc "--wfs tiny --bound 1000000000");
+  Alcotest.(check int) "pointer-chase, --bound 1e9: 3" 3
+    (rc "--app pointer-chase --bound 1000000000");
+  Alcotest.(check int) "wfs tiny, --bound 10000 still fits: 0" 0
+    (rc "--wfs tiny --bound 10000")
+
 (* the wfs application end-to-end: bound every loop, check soundness *)
 let test_wfs_soundness () =
   let scen = Tq_wfs.Scenario.tiny in
@@ -292,6 +325,10 @@ let suites =
         Alcotest.test_case "cfg shape" `Quick test_cfg_shape;
         Alcotest.test_case "wfs soundness" `Quick test_wfs_soundness;
         Alcotest.test_case "CLI exit codes (0/2/3)" `Quick test_cli_exit_codes;
+        Alcotest.test_case "overflowing bound refused" `Quick
+          test_overflow_refused;
+        Alcotest.test_case "CLI: overflowing bound exits 3" `Quick
+          test_cli_overflow;
         QCheck_alcotest.to_alcotest qcheck_trip_bounds_cover_run;
       ] );
   ]
