@@ -1,14 +1,14 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (Tables I-IV, Figs. 6-7), measures the instrumentation
-   slowdown (Section V-A), runs the design ablations, and exposes one
-   Bechamel micro-benchmark per experiment.
+   slowdown (Section V-A), runs the design ablations and extensions, and
+   the experiments whose numbers CI guards (replay, obs, serve, check).
 
    Usage:
      bench/main.exe                 run everything
-     bench/main.exe table1 ... fig7 overhead ablation bechamel
+     bench/main.exe table1 ... fig7 overhead ablation
                                     run selected experiments
-     bench/main.exe engine --json   execution-engine speedups, also written
-                                    to BENCH_engine.json
+     bench/main.exe replay --json   replay guards, also written to
+                                    BENCH_replay.json
      bench/main.exe --tiny ...      every wfs experiment on the tiny
                                     scenario (CI smoke runs) *)
 
@@ -146,8 +146,8 @@ let run_under ?use_code_cache target attach =
 (* ---------- profiler runs shared across experiments ----------
 
    Each (target, tool, config) runs once per process; the timed best-of
-   rounds of engine, replay and obs call [run_under] directly, because
-   repeating them is what they measure. *)
+   rounds of replay and obs make their own runs, because repeating them is
+   what they measure. *)
 
 let gprof =
   let runs = Hashtbl.create 4 in
@@ -366,26 +366,36 @@ let fig7 () =
 let overhead () =
   section "Instrumentation slowdown (paper Section V-A: 37.2x-68.95x)";
   (* "native" = the reference implementation compiled to host code *)
-  let scen = scen () in
-  let _, native_dt = timed (fun () -> ignore (Tq_wfs.Reference.render scen)) in
-  let m, plain_dt = timed (fun () -> Harness.run_plain scen) in
-  let instr = Machine.instr_count m in
-  let rows = ref [] in
-  let add name dt = rows := (name, dt) :: !rows in
-  add "native (reference, host code)" native_dt;
-  add "VM uninstrumented" plain_dt;
-  List.iter
-    (fun slice ->
-      add (Printf.sprintf "VM + tQUAD (slice %d)" slice) (tquad slice).dt)
-    [ 100_000; 2_000 ];
-  add "VM + QUAD (byte-granular shadow)" (quad ()).dt;
-  let all = List.rev !rows in
-  Printf.printf "%d simulated instructions\n" instr;
+  let target = wfs () in
+  let _, native_dt =
+    timed (fun () -> ignore (Tq_wfs.Reference.render (scen ())))
+  in
+  (* the VM baseline is the engine the instrumented rows run on (closure
+     compiled, chained, no tool attached); the fetch/dispatch interpreter
+     is its own row.  Every row times execution only, not compilation. *)
+  let interp = machine target in
+  let (), interp_dt =
+    timed (fun () -> Tq_vm.Executor.run ~fuel:(fuel target) interp)
+  in
+  let vm = run_under target ignore in
+  let rows =
+    [
+      ("native (reference, host code)", native_dt);
+      ("interpreter (Executor.run)", interp_dt);
+      ("VM uninstrumented (closure engine)", vm.dt);
+    ]
+    @ List.map
+        (fun slice ->
+          (Printf.sprintf "VM + tQUAD (slice %d)" slice, (tquad slice).dt))
+        [ 100_000; 2_000 ]
+    @ [ ("VM + QUAD (byte-granular shadow)", (quad ()).dt) ]
+  in
+  Printf.printf "%d simulated instructions\n" (Machine.instr_count interp);
   List.iter
     (fun (name, dt) ->
       Printf.printf "  %-36s %8.3fs  %8.1fx native  %6.2fx VM\n" name dt
-        (dt /. native_dt) (dt /. plain_dt))
-    all;
+        (dt /. native_dt) (dt /. vm.dt))
+    rows;
   Printf.printf
     "paper analogue: instrumented-vs-native factors; the paper reports \
      37.2x-68.95x for tQUAD on Pin depending on slice and stack options\n"
@@ -660,8 +670,6 @@ let replay_bench () =
      (chunk-parallel decode, mergeable tool shards)";
   let target = wfs ~scen:Scenario.tiny () in
   let prog = program target and fuel = fuel target in
-  let render_tquad = Tq_serve.Toolset.render_tquad ~slice:2_000 in
-  let render_quad = Tq_serve.Toolset.render_quad in
   (* record once ... *)
   let path = Filename.temp_file "tquad_bench" ".trc" in
   let events, record_dt =
@@ -673,13 +681,11 @@ let replay_bench () =
      verification (verify-at-most-once), so reusing one would let every
      round after the first skip the CRC work being measured. *)
   let fresh_reader ?verify () = Tq_trace.Reader.load ?verify path in
-  let r0 = fresh_reader () in
-  Printf.printf
-    "  recorded %s events in %s bytes (%.2fs; %d chunks)\n"
+  let plain_bytes = Tq_trace.Reader.byte_size (fresh_reader ()) in
+  Printf.printf "  recorded %s events in %s bytes (%.2fs)\n"
     (Tq_util.Text_table.int_cell events)
-    (Tq_util.Text_table.int_cell (Tq_trace.Reader.byte_size r0))
-    record_dt
-    (Tq_trace.Reader.n_chunks r0);
+    (Tq_util.Text_table.int_cell plain_bytes)
+    record_dt;
   (* ... replay every tool from the one trace, through the same job
      registry as the CLI and the daemon *)
   let jobs =
@@ -688,30 +694,29 @@ let replay_bench () =
         Result.get_ok (Tq_serve.Toolset.job ~prog ~slice:2_000 ~period:2_000 name))
       Tq_serve.Toolset.names
   in
-  (* interleaved best-of rounds ([keep_fastest]) over live tquad, live
-     quad, the sequential oracle and the sharded pipeline *)
-  let rounds = 5 in
-  let live_tquad = ref None and live_quad = ref None in
+  (* interleaved best-of rounds ([keep_fastest]) over the sequential oracle
+     and the sharded pipeline with and without CRC verification.  The CRC
+     guard compares two best-ofs a few percent apart, so that pair gets the
+     most rounds, and each round swaps which of the two runs first. *)
+  let seq_rounds = 5 and crc_rounds = 10 in
   let seq = ref None and sharded = ref None and noverify = ref None in
   let stats = ref None in
-  for _ = 1 to rounds do
-    keep_fastest live_tquad (fun () ->
-        render_tquad
-          (run_under target (fun eng -> Tq.attach ~slice_interval:2_000 eng))
-            .tool);
-    keep_fastest live_quad (fun () ->
-        render_quad (run_under target (fun eng -> Q.attach eng)).tool);
-    keep_fastest seq (fun () ->
-        Tq_trace.Replay.sequential (fresh_reader ()) jobs);
+  let verified () =
     keep_fastest sharded (fun () ->
         Tq_trace.Replay.parallel
           ~stats:(fun s -> stats := Some s)
-          (fresh_reader ()) jobs);
+          (fresh_reader ()) jobs)
+  and unverified () =
     keep_fastest noverify (fun () ->
         Tq_trace.Replay.parallel (fresh_reader ~verify:false ()) jobs)
+  in
+  for round = 1 to crc_rounds do
+    if round <= seq_rounds then
+      keep_fastest seq (fun () ->
+          Tq_trace.Replay.sequential (fresh_reader ()) jobs);
+    if round mod 2 = 0 then (verified (); unverified ())
+    else (unverified (); verified ())
   done;
-  let live_tquad, tquad_dt = Option.get !live_tquad in
-  let live_quad, quad_dt = Option.get !live_quad in
   let seq_results, seq_dt = Option.get !seq in
   let results, replay_dt = Option.get !sharded in
   let _, noverify_dt = Option.get !noverify in
@@ -737,7 +742,6 @@ let replay_bench () =
               ~path:cpath))
   in
   let cr0 = Tq_trace.Reader.load cpath in
-  let plain_bytes = Tq_trace.Reader.byte_size r0 in
   let comp_bytes = Tq_trace.Reader.byte_size cr0 in
   let byte_ratio = float_of_int plain_bytes /. float_of_int comp_bytes in
   let event_ratio =
@@ -755,7 +759,6 @@ let replay_bench () =
   let report results name =
     match List.assoc_opt name results with Some (Ok r) -> Some r | _ -> None
   in
-  let identical name live = report results name = Some live in
   (* the exactness bar: every job's report present and byte-identical to
      the sequential oracle's *)
   let matches_oracle results =
@@ -767,51 +770,31 @@ let replay_bench () =
   in
   let all_identical = matches_oracle results in
   let compress_identical = matches_oracle cseq_results in
-  let failures =
-    List.filter (fun (_, o) -> Result.is_error o) results |> List.length
-  in
   let domains_used, shards_used =
     match !stats with
     | Some s -> (s.Tq_trace.Replay.rs_domains, s.rs_shards)
     | None -> (1, 1)
   in
+  Printf.printf "  sequential oracle (one decode pass per tool): %.3fs\n" seq_dt;
   Printf.printf
-    "  replayed %d tools (%d domain(s), %d shard(s), %d hardware) in %.2fs\n"
-    (List.length results) domains_used shards_used
-    (Domain.recommended_domain_count ())
-    replay_dt;
-  Printf.printf "  sequential oracle (one decode pass per tool): %.2fs\n" seq_dt;
+    "  sharded replay of %d tools (%d domain(s), %d shard(s)): %.3fs (%.2fx \
+     vs sequential)\n"
+    (List.length jobs) domains_used shards_used replay_dt (seq_dt /. replay_dt);
   Printf.printf "  sharded reports byte-identical to sequential oracle: %b\n"
     all_identical;
-  Printf.printf "  tquad replay byte-identical to live run: %b\n"
-    (identical "tquad" live_tquad);
-  Printf.printf "  quad  replay byte-identical to live run: %b\n"
-    (identical "quad" live_quad);
-  let two_runs = tquad_dt +. quad_dt in
-  Printf.printf
-    "  2 instrumented runs (tquad %.2fs + quad %.2fs) = %.2fs; replay of all \
-     %d tools = %.2fs (%.2fx)\n"
-    tquad_dt quad_dt two_runs (List.length jobs) replay_dt
-    (two_runs /. replay_dt);
-  Printf.printf
-    "  amortization: record %.2fs once, then each further tool costs replay \
-     only (vs %.2fs per instrumented run)\n"
-    record_dt
-    (two_runs /. 2.);
   let crc_overhead_pct =
     if noverify_dt > 0. then (replay_dt -. noverify_dt) /. noverify_dt *. 100.
     else 0.
   in
   Printf.printf
-    "  CRC verification: replay %.3fs verified vs %.3fs unverified \
-     (%+.2f%% overhead; CRC runs inside the decode stage)\n"
-    replay_dt noverify_dt crc_overhead_pct;
+    "  CRC verification: best of %d, replay %.3fs verified vs %.3fs \
+     unverified (%+.2f%% overhead; CRC runs inside the decode stage)\n"
+    crc_rounds replay_dt noverify_dt crc_overhead_pct;
   List.iter
     (fun (shards, dt) ->
       Printf.printf "  shards=%d: %.3fs (%.2fx vs sequential)\n" shards dt
         (seq_dt /. dt))
     shard_table;
-  Printf.printf "  job failures during replay: %d\n" failures;
   Printf.printf
     "  compression (record --compress): %s -> %s bytes (%.2fx smaller, \
      %.2fx fewer stored events)\n"
@@ -827,13 +810,11 @@ let replay_bench () =
   json_emit "replay"
     [
       ("events", jint events);
-      ("tools", jint (List.length jobs));
       ("record_s", jfloat record_dt);
       ("replay_sequential_s", jfloat seq_dt);
       ("replay_verified_s", jfloat replay_dt);
       ("replay_unverified_s", jfloat noverify_dt);
       ("crc_overhead_pct", jfloat crc_overhead_pct);
-      ("speedup_vs_two_live_runs", jfloat (two_runs /. replay_dt));
       ("sharded_vs_sequential", jfloat (seq_dt /. replay_dt));
       ("domains_used", jint domains_used);
       ("shards_used", jint shards_used);
@@ -846,10 +827,7 @@ let replay_bench () =
                    ("wall_s", jfloat dt);
                    ("speedup_vs_sequential", jfloat (seq_dt /. dt)) ])
              shard_table) );
-      ("tquad_identical", jstr (string_of_bool (identical "tquad" live_tquad)));
-      ("quad_identical", jstr (string_of_bool (identical "quad" live_quad)));
       ("all_identical", jbool all_identical);
-      ("job_failures", jint failures);
       ("compress_record_s", jfloat crecord_dt);
       ("compress_bytes", jint comp_bytes);
       ("plain_bytes", jint plain_bytes);
@@ -858,107 +836,6 @@ let replay_bench () =
       ("compress_replay_sequential_s", jfloat cseq_dt);
       ("compress_replay_speedup", jfloat (seq_dt /. cseq_dt));
       ("compress_identical", jbool compress_identical);
-    ]
-
-(* ---------- execution engine: closure compilation + trace chaining ----- *)
-
-let engine_bench () =
-  section
-    "Execution engine: closure-compiled traces + chaining vs the reference \
-     interpreter";
-  let scen = scen () in
-  Printf.printf "(workload: %s)\n" (Scenario.describe scen);
-  let target = wfs ~scen () in
-  let fuel = fuel target in
-  let rounds = if !tiny_mode then 5 else 2 in
-  (* uninstrumented: plain fetch/dispatch interpreter vs threaded code;
-     instrumented: tQUAD attached, reference path vs chained closures *)
-  let run_tquad ~use_code_cache () =
-    let { tool = t; eng; _ } =
-      run_under ~use_code_cache target (fun eng ->
-          Tq.attach ~slice_interval:2_000 eng)
-    in
-    (R.figure t ~metric:Tq.Read_incl ~kernels:(Tq.kernels t) ~title:"fig" (), eng)
-  in
-  let interp = ref None and closure = ref None in
-  let reference = ref None and chained = ref None in
-  for _ = 1 to rounds do
-    keep_fastest interp (fun () ->
-        let m = machine target in
-        Tq_vm.Executor.run ~fuel m;
-        m);
-    keep_fastest closure (fun () ->
-        Engine.machine (run_under target ignore).eng);
-    keep_fastest reference (run_tquad ~use_code_cache:false);
-    keep_fastest chained (run_tquad ~use_code_cache:true)
-  done;
-  let m_interp, interp_dt = Option.get !interp in
-  let m_closure, closure_dt = Option.get !closure in
-  let (ref_report, _), ref_dt = Option.get !reference in
-  let (chained_report, eng_instr), chained_dt = Option.get !chained in
-  let n_instr = Machine.instr_count m_interp in
-  let arch_identical =
-    Machine.exit_code m_interp = Machine.exit_code m_closure
-    && Machine.stdout_contents m_interp = Machine.stdout_contents m_closure
-    && Machine.instr_count m_interp = Machine.instr_count m_closure
-  in
-  let ips dt = float_of_int n_instr /. dt in
-  let up_uninstr = interp_dt /. closure_dt in
-  Printf.printf "uninstrumented (%s instructions):\n"
-    (Tq_util.Text_table.int_cell n_instr);
-  Printf.printf "  %-34s %8.3fs  %12.0f ins/s\n" "interpreter (Executor.run)"
-    interp_dt (ips interp_dt);
-  Printf.printf "  %-34s %8.3fs  %12.0f ins/s  %5.2fx\n"
-    "closure engine (chained)" closure_dt (ips closure_dt) up_uninstr;
-  Printf.printf "  architectural results identical: %b\n" arch_identical;
-  let identical = ref_report = chained_report in
-  let up_instr = ref_dt /. chained_dt in
-  Printf.printf "instrumented (tQUAD, slice 2000):\n";
-  Printf.printf "  %-34s %8.3fs  %12.0f ins/s\n"
-    "reference (use_code_cache:false)" ref_dt (ips ref_dt);
-  Printf.printf "  %-34s %8.3fs  %12.0f ins/s  %5.2fx\n"
-    "chained closure engine" chained_dt (ips chained_dt) up_instr;
-  Printf.printf "  tQUAD report byte-identical: %b\n" identical;
-
-  (* engine + memory self-profile, tquad-selfprof style *)
-  let st = Engine.stats eng_instr in
-  let mc = Tq_vm.Memory.cache_stats (Machine.mem (Engine.machine eng_instr)) in
-  let pct a b = 100. *. float_of_int a /. float_of_int (max 1 (a + b)) in
-  let chain_pct = 100. *. float_of_int st.Engine.chain_hits
-                  /. float_of_int (max 1 st.Engine.lookups) in
-  Printf.printf
-    "selfprof: blocks=%d chain-hits=%d (%.1f%%) traces=%d closure-ins=%d \
-     page-cache=%.1f%% (%d/%d)\n"
-    st.Engine.lookups st.Engine.chain_hits chain_pct st.Engine.compiled_traces
-    st.Engine.closure_instructions
-    (pct mc.Tq_vm.Memory.hits mc.Tq_vm.Memory.misses)
-    mc.Tq_vm.Memory.hits
-    (mc.Tq_vm.Memory.hits + mc.Tq_vm.Memory.misses);
-
-  json_emit "engine"
-    [
-      ("experiment", jstr "engine");
-      ("scenario", jstr (Scenario.describe scen));
-      ("instructions", jint n_instr);
-      ("uninstr_interp_s", jfloat interp_dt);
-      ("uninstr_closure_s", jfloat closure_dt);
-      ("uninstr_speedup", jfloat up_uninstr);
-      ("uninstr_closure_ips", jfloat (ips closure_dt));
-      ("arch_identical", jbool arch_identical);
-      ("instr_reference_s", jfloat ref_dt);
-      ("instr_chained_s", jfloat chained_dt);
-      ("instr_speedup", jfloat up_instr);
-      ("instr_chained_ips", jfloat (ips chained_dt));
-      ("reports_identical", jbool identical);
-      ("engine_lookups", jint st.Engine.lookups);
-      ("engine_misses", jint st.Engine.misses);
-      ("engine_chain_hits", jint st.Engine.chain_hits);
-      ("engine_chain_hit_pct", jfloat chain_pct);
-      ("engine_compiled_traces", jint st.Engine.compiled_traces);
-      ("engine_closure_instructions", jint st.Engine.closure_instructions);
-      ("mem_cache_hits", jint mc.Tq_vm.Memory.hits);
-      ("mem_cache_misses", jint mc.Tq_vm.Memory.misses);
-      ("mem_cache_hit_pct", jfloat (pct mc.Tq_vm.Memory.hits mc.Tq_vm.Memory.misses));
     ]
 
 (* ---------- observability: disabled-path overhead ----------------------- *)
@@ -1219,69 +1096,12 @@ let serve_bench () =
     "  phase 2: burst of %d replays at rate 0.001/s: %d admitted, %d busy \
      (server counted %d rejections)\n"
     burst_requests !admitted !busy busy_rejections;
-  (* phase 3: a wire-level chaos storm — seeded malformed-frame strikes
-     against a third daemon with tight frame deadlines; the server must
-     answer every strike (never go unreachable or silent) and still serve a
-     clean full-toolset replay afterwards *)
-  let module W = Tq_faultgen.Wire in
-  let socket3 = tmp_socket () in
-  let cfg3 =
-    {
-      (Sv.default ~socket_path:socket3) with
-      Sv.workers = 1;
-      frame_timeout_s = 0.2;
-      idle_timeout_s = 5.;
-    }
-  in
-  let th3 = start_server cfg3 in
-  let chaos_rounds = if !tiny_mode then 16 else 64 in
-  let storm_events, storm_dt =
-    timed (fun () ->
-        W.storm ~socket:socket3 ~seed:42 ~rounds:chaos_rounds ())
-  in
-  let count p =
-    List.length (List.filter (fun e -> p e.W.verdict) storm_events)
-  in
-  let unreachable =
-    count (function W.Unreachable _ -> true | _ -> false)
-  in
-  let chaos_rejected = count (function W.Rejected _ -> true | _ -> false) in
-  let chaos_closed = count (function W.Closed -> true | _ -> false) in
-  let chaos_silent = count (function W.Silent -> true | _ -> false) in
-  let chaos_accepted = count (function W.Accepted -> true | _ -> false) in
-  let c3 = Result.get_ok (Cl.connect socket3) in
-  let id3 = Result.get_ok (Cl.upload ~program ~trace c3) in
-  let healthy_after_storm =
-    match Cl.replay ~slice:2_000 ~period:2_000 c3 id3 with
-    | Error e ->
-        fail ("phase 3 replay: " ^ e.Cl.reason);
-        false
-    | Ok jid -> (
-        match Cl.report ~wait:true c3 jid with
-        | Ok r -> r.Cl.failures = []
-        | Error e ->
-            fail ("phase 3 report: " ^ e.Cl.reason);
-            false)
-  in
-  let stats3 = Result.get_ok (Cl.stats c3) in
-  let reaped = int_of_float (num stats3 "reaped_connections") in
-  ignore (Cl.shutdown c3);
-  Cl.close c3;
-  Thread.join th3;
-  Printf.printf
-    "  phase 3: %d chaos strikes in %.2fs: %d rejected, %d closed, %d \
-     accepted, %d silent, %d unreachable (%d reaped)\n"
-    chaos_rounds storm_dt chaos_rejected chaos_closed chaos_accepted
-    chaos_silent unreachable reaped;
-  Printf.printf "  post-storm replay healthy: %b\n" healthy_after_storm;
   let ok =
     !errs = [] && failed = 0 && hit_rate > 0.5 && !busy > 0
     && !jobs_ok = clients * cycles
-    && unreachable = 0 && chaos_silent = 0 && healthy_after_storm
   in
   Printf.printf
-    "  acceptance (no failures, hit rate > 0.5, busy > 0, storm survived): \
-     %b\n"
+    "  acceptance (no failures, hit rate > 0.5, busy > 0): %b\n"
     ok;
   json_emit "serve"
     [
@@ -1306,91 +1126,8 @@ let serve_bench () =
       ("burst_admitted", jint !admitted);
       ("burst_busy", jint !busy);
       ("busy_rejections", jint busy_rejections);
-      ("chaos_rounds", jint chaos_rounds);
-      ("chaos_wall_s", jfloat storm_dt);
-      ("chaos_rejected", jint chaos_rejected);
-      ("chaos_closed", jint chaos_closed);
-      ("chaos_accepted", jint chaos_accepted);
-      ("chaos_silent", jint chaos_silent);
-      ("chaos_unreachable", jint unreachable);
-      ("chaos_reaped_connections", jint reaped);
-      ("chaos_healthy_after", jbool healthy_after_storm);
       ("acceptance_ok", jbool ok);
     ]
-
-(* ---------- bechamel micro-benchmarks (one Test.make per experiment) ---- *)
-
-let bechamel () =
-  section "Bechamel micro-benchmarks (tiny scenario, one test per experiment)";
-  let open Bechamel in
-  let tiny = wfs ~scen:Scenario.tiny () in
-  let run_gprof () =
-    ignore (G.flat_profile (run_under tiny (G.attach ~period:2_000)).tool)
-  in
-  let run_quad () =
-    ignore (Q.rows (run_under tiny (fun eng -> Q.attach eng)).tool)
-  in
-  let run_tquad slice_interval =
-    (run_under tiny (fun eng -> Tq.attach ~slice_interval eng)).tool
-  in
-  let run_tquad_table4 () =
-    ignore (R.phase_table (run_tquad 2_000) wfs_phase_groups)
-  in
-  let run_tquad_fig metric =
-    let t = run_tquad 10_000 in
-    ignore (R.figure t ~metric ~kernels:(Tq.kernels t) ~title:"fig" ())
-  in
-  let tests =
-    [
-      Test.make ~name:"table1_gprof_flat_profile" (Staged.stage run_gprof);
-      Test.make ~name:"table2_quad_bindings" (Staged.stage run_quad);
-      Test.make ~name:"table3_instrumented_profile"
-        (Staged.stage (fun () ->
-             run_gprof ();
-             run_tquad_table4 ()));
-      Test.make ~name:"table4_phases" (Staged.stage run_tquad_table4);
-      Test.make ~name:"fig6_read_incl"
-        (Staged.stage (fun () -> run_tquad_fig Tq.Read_incl));
-      Test.make ~name:"fig7_write_excl"
-        (Staged.stage (fun () -> run_tquad_fig Tq.Write_excl));
-      Test.make ~name:"overhead_plain_vm"
-        (Staged.stage (fun () ->
-             Tq_vm.Executor.run ~fuel:(fuel tiny) (machine tiny)));
-    ]
-  in
-  let test = Test.make_grouped ~name:"experiments" ~fmt:"%s %s" tests in
-  let benchmark () =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
-    in
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:50 ~quota:(Time.second 1.0) ~stabilize:false ()
-    in
-    let raw = Benchmark.all cfg instances test in
-    let results =
-      List.map (fun instance -> Analyze.all ols instance raw) instances
-    in
-    Analyze.merge ols instances results
-  in
-  let results = benchmark () in
-  Hashtbl.iter
-    (fun label tbl ->
-      Printf.printf "  measure: %s\n" label;
-      let rows =
-        Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) tbl []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-      in
-      List.iter
-        (fun (name, ols) ->
-          let est =
-            match Analyze.OLS.estimates ols with
-            | Some (e :: _) -> Printf.sprintf "%12.0f ns/run" e
-            | _ -> "estimate unavailable"
-          in
-          Printf.printf "    %-44s %s\n" name est)
-        rows)
-    results
 
 (* ---------- static bandwidth model: heuristic vs dataflow --------------- *)
 
@@ -1485,11 +1222,9 @@ let experiments =
     ("generality", generality);
     ("footprint", footprint);
     ("replay", replay_bench);
-    ("engine", engine_bench);
     ("obs", obs_bench);
     ("serve", serve_bench);
     ("check", check_bench);
-    ("bechamel", bechamel);
   ]
 
 let () =

@@ -1,8 +1,9 @@
 #!/bin/sh
 # SHA-256 of the stdout and of the stderr of `tquad check` and of
 # `tquad check --dataflow`, with the exit status, for every example, both
-# demo apps and the tiny wfs scenario.  CI regenerates this and diffs it
-# against the committed test/check_digests.txt: the static checker is
+# demo apps and the tiny wfs scenario.  `dune runtest` regenerates this
+# (test/dune) and diffs it against the committed test/check_digests.txt
+# (accept an intended change with `dune promote`): the static checker is
 # deterministic, so any changed diagnostic, summary line or exit code is a
 # behaviour change and must come with a digest update in the same commit.
 # (test/dataflow_baseline.txt keeps only the summary lines of

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Canonical summary of `tquad check --dataflow` over every example, both
 # demo apps and the tiny wfs scenario, followed by the `tquad wcet` loop
-# listing and bound of every example.  CI regenerates this and diffs it
-# against the committed test/dataflow_baseline.txt — any change to trip
+# listing and bound of every example.  `dune runtest` regenerates this
+# (test/dune) and diffs it against the committed test/dataflow_baseline.txt
+# (accept an intended change with `dune promote`) — any change to trip
 # counts, access-pattern classification, diagnostic totals, loop nests or
 # WCET bounds must come with a baseline update in the same commit.
 #

@@ -1,7 +1,8 @@
 #!/bin/sh
 # SHA-256 of each example executable's stdout, with its exit status.
-# CI regenerates this and diffs it against the committed
-# test/example_digests.txt: the examples are deterministic and reach the
+# `dune runtest` regenerates this (test/dune) and diffs it against the
+# committed test/example_digests.txt (accept an intended change with
+# `dune promote`): the examples are deterministic and reach the
 # compiler, the engine, the profilers, phase detection and the report
 # renderers, so any changed byte of their output is a behaviour change and
 # must come with a digest update in the same commit.

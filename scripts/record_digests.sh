@@ -1,8 +1,9 @@
 #!/bin/sh
 # SHA-256 of the `tquad record` output, plain (v3) and `--compress` (v4),
 # for the quickstart example, the tiny wfs scenario and both demo apps.
-# CI regenerates this and diffs it against the committed
-# test/record_digests.txt: the recorder and the container are
+# `dune runtest` regenerates this (test/dune) and diffs it against the
+# committed test/record_digests.txt (accept an intended change with
+# `dune promote`): the recorder and the container are
 # deterministic, so any byte that changes in a recording is a format change
 # and must come with a digest update (and a reader that still decodes the
 # old files) in the same commit.

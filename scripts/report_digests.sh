@@ -2,11 +2,12 @@
 # SHA-256 of the stdout, with the exit status, of every live tool report:
 # `tquad`, `quad`, `gprof`, `callgraph`, `mix`, `cache` and `footprint`,
 # plus `tquad --track-all --slice 2000` and `quad --track-all`, over every
-# example, the tiny wfs scenario and both demo apps.  CI regenerates this
-# and diffs it against the committed test/report_digests.txt: the live
-# tools are deterministic, so any changed byte of a report is a behaviour
-# change and must come with a digest update in the same commit.  (The
-# live-vs-replay smoke only compares two paths with each other, and
+# example, the tiny wfs scenario and both demo apps.  `dune runtest`
+# regenerates this (test/dune) and diffs it against the committed
+# test/report_digests.txt (accept an intended change with `dune promote`):
+# the live tools are deterministic, so any changed byte of a report is a
+# behaviour change and must come with a digest update in the same commit.
+# (CI's live-vs-replay smoke only compares two paths with each other, and
 # `--track-all` has no replay path; this pins the bytes themselves.)
 #
 # Usage: scripts/report_digests.sh <path-to-tquad_cli.exe>
