@@ -680,7 +680,7 @@ let replay_bench () =
   (* A fresh reader per timed run: the reader memoizes per-chunk CRC
      verification (verify-at-most-once), so reusing one would let every
      round after the first skip the CRC work being measured. *)
-  let fresh_reader ?verify () = Tq_trace.Reader.load ?verify path in
+  let fresh_reader () = Tq_trace.Reader.load path in
   let plain_bytes = Tq_trace.Reader.byte_size (fresh_reader ()) in
   Printf.printf "  recorded %s events in %s bytes (%.2fs)\n"
     (Tq_util.Text_table.int_cell events)
@@ -695,31 +695,36 @@ let replay_bench () =
       Tq_serve.Toolset.names
   in
   (* interleaved best-of rounds ([keep_fastest]) over the sequential oracle
-     and the sharded pipeline with and without CRC verification.  The CRC
-     guard compares two best-ofs a few percent apart, so that pair gets the
-     most rounds, and each round swaps which of the two runs first. *)
-  let seq_rounds = 5 and crc_rounds = 10 in
-  let seq = ref None and sharded = ref None and noverify = ref None in
+     and the sharded pipeline *)
+  let seq = ref None and sharded = ref None in
   let stats = ref None in
-  let verified () =
+  for _ = 1 to 5 do
+    keep_fastest seq (fun () ->
+        Tq_trace.Replay.sequential (fresh_reader ()) jobs);
     keep_fastest sharded (fun () ->
         Tq_trace.Replay.parallel
           ~stats:(fun s -> stats := Some s)
           (fresh_reader ()) jobs)
-  and unverified () =
-    keep_fastest noverify (fun () ->
-        Tq_trace.Replay.parallel (fresh_reader ~verify:false ()) jobs)
-  in
-  for round = 1 to crc_rounds do
-    if round <= seq_rounds then
-      keep_fastest seq (fun () ->
-          Tq_trace.Replay.sequential (fresh_reader ()) jobs);
-    if round mod 2 = 0 then (verified (); unverified ())
-    else (unverified (); verified ())
   done;
   let seq_results, seq_dt = Option.get !seq in
   let results, replay_dt = Option.get !sharded in
-  let _, noverify_dt = Option.get !noverify in
+  (* CRC cost: each round times [Reader.crc_check] over a fresh reader, and
+     a verified one-domain replay of every job.  On one domain every CRC
+     byte adds to the wall clock, so the ratio of the medians is the share
+     of the replay that verification costs. *)
+  let crc_rounds = 15 in
+  let crc_dts = Array.make crc_rounds 0. and one_dts = Array.make crc_rounds 0. in
+  for i = 0 to crc_rounds - 1 do
+    let r = fresh_reader () in
+    Gc.compact ();
+    crc_dts.(i) <- snd (timed (fun () -> Tq_trace.Reader.crc_check r));
+    let r = fresh_reader () in
+    Gc.compact ();
+    one_dts.(i) <-
+      snd (timed (fun () -> Tq_trace.Replay.parallel ~domains:1 r jobs))
+  done;
+  let median a = Tq_util.Stats.percentile a 50. in
+  let crc_dt = median crc_dts and one_domain_dt = median one_dts in
   (* shard-count scaling: same pipeline, fixed shard counts *)
   let shard_table =
     List.map
@@ -782,14 +787,11 @@ let replay_bench () =
     (List.length jobs) domains_used shards_used replay_dt (seq_dt /. replay_dt);
   Printf.printf "  sharded reports byte-identical to sequential oracle: %b\n"
     all_identical;
-  let crc_overhead_pct =
-    if noverify_dt > 0. then (replay_dt -. noverify_dt) /. noverify_dt *. 100.
-    else 0.
-  in
+  let crc_overhead_pct = crc_dt /. one_domain_dt *. 100. in
   Printf.printf
-    "  CRC verification: best of %d, replay %.3fs verified vs %.3fs \
-     unverified (%+.2f%% overhead; CRC runs inside the decode stage)\n"
-    crc_rounds replay_dt noverify_dt crc_overhead_pct;
+    "  CRC verification: median of %d, crc_check %.4fs vs one-domain \
+     verified replay %.3fs (%.2f%% of the replay)\n"
+    crc_rounds crc_dt one_domain_dt crc_overhead_pct;
   List.iter
     (fun (shards, dt) ->
       Printf.printf "  shards=%d: %.3fs (%.2fx vs sequential)\n" shards dt
@@ -813,7 +815,8 @@ let replay_bench () =
       ("record_s", jfloat record_dt);
       ("replay_sequential_s", jfloat seq_dt);
       ("replay_verified_s", jfloat replay_dt);
-      ("replay_unverified_s", jfloat noverify_dt);
+      ("crc_check_s", jfloat crc_dt);
+      ("replay_one_domain_s", jfloat one_domain_dt);
       ("crc_overhead_pct", jfloat crc_overhead_pct);
       ("sharded_vs_sequential", jfloat (seq_dt /. replay_dt));
       ("domains_used", jint domains_used);
@@ -1129,21 +1132,19 @@ let serve_bench () =
       ("acceptance_ok", jbool ok);
     ]
 
-(* ---------- static bandwidth model: heuristic vs dataflow --------------- *)
+(* ---------- static bandwidth model vs tQUAD ----------------------------- *)
 
-(* For every application: run once under tQUAD, then rank the kernels with
-   both static estimators and report each one's Kendall tau against the
-   measured per-kernel bytes.  The dataflow model must never rank worse
-   than the flat heuristic — [tau_regressions] counts the apps where it
-   does, and CI fails when it is non-zero. *)
+(* For every application: run once under tQUAD, rank the kernels with the
+   static model and report its Kendall tau against the measured per-kernel
+   bytes.  CI pins every tau to the committed BENCH_check.json: the static
+   analysis and the tiny runs are deterministic, so any drift is a change in
+   ranking. *)
 let check_bench () =
-  section "Static bandwidth model: heuristic vs dataflow rank agreement";
+  section "Static bandwidth model: rank agreement with tQUAD";
   let apps =
     [ ("wfs", wfs ()); ("image-pipeline", Image_pipeline);
       ("pointer-chase", Pointer_chase) ]
   in
-  let module E = Tq_staticcheck.Estimate in
-  let regressions = ref 0 in
   let entries =
     List.map
       (fun (name, target) ->
@@ -1152,57 +1153,24 @@ let check_bench () =
           bspan ~attrs:(fun () -> [ ("app", 0) ]) ("run:" ^ name) (fun () ->
               tquad ~target 2_000)
         in
-        let kernels = Tq.kernels t in
-        let dynamic r =
-          let tot = Tq.totals t r in
-          float_of_int (tot.Tq.read_incl + tot.Tq.write_incl)
+        let rows, dt =
+          timed (fun () -> Tq_staticcheck.Estimate.per_kernel prog)
         in
-        let tau_of rows =
-          let compared =
-            List.filter_map
-              (fun (row : E.row) ->
-                List.find_opt
-                  (fun k -> k.Symtab.id = row.E.routine.Symtab.id)
-                  kernels
-                |> Option.map (fun k -> (E.bytes row, dynamic k)))
-              rows
-          in
-          let srank = R.rank_of (List.map fst compared)
-          and drank = R.rank_of (List.map snd compared) in
-          (R.kendall_tau srank drank, List.length compared)
-        in
-        let rows_h, dt_h =
-          timed (fun () -> E.per_kernel ~mode:E.Heuristic prog)
-        in
-        let rows_d, dt_d =
-          timed (fun () -> E.per_kernel ~mode:E.Dataflow prog)
-        in
-        let tau_h, nk = tau_of rows_h in
-        let tau_d, _ = tau_of rows_d in
-        if tau_d < tau_h then incr regressions;
-        Printf.printf
-          "  %-16s %2d kernels  tau heuristic %+.2f (%.3fs)  tau dataflow \
-           %+.2f (%.3fs)  run %.2fs%s\n"
-          name nk tau_h dt_h tau_d dt_d run_dt
-          (if tau_d < tau_h then "  <-- REGRESSION" else "");
+        let compared = R.static_vs_measured rows t in
+        let tau = R.static_tau compared and nk = List.length compared in
+        Printf.printf "  %-16s %2d kernels  tau %+.2f (%.3fs)  run %.2fs\n" name
+          nk tau dt run_dt;
         Obs.Json.Obj
           [
             ("app", jstr name);
             ("kernels", jint nk);
-            ("tau_heuristic", jfloat tau_h);
-            ("tau_dataflow", jfloat tau_d);
-            ("static_heuristic_s", jfloat dt_h);
-            ("static_dataflow_s", jfloat dt_d);
+            ("tau_dataflow", jfloat tau);
+            ("static_dataflow_s", jfloat dt);
             ("run_s", jfloat run_dt);
           ])
       apps
   in
-  Printf.printf
-    "  dataflow trip counts and stride classes must not rank kernels worse \
-     than the flat heuristic: %d regression(s)\n"
-    !regressions;
-  json_emit "check"
-    [ ("apps", Obs.Json.List entries); ("tau_regressions", jint !regressions) ]
+  json_emit "check" [ ("apps", Obs.Json.List entries) ]
 
 (* ---------- driver ---------- *)
 

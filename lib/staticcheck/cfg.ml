@@ -195,8 +195,6 @@ let n_blocks t = Array.length t.blocks
 
 let dominates t = dominated ~idom:t.idom ~reachable:t.reachable
 
-let depth t b = match t.innermost.(b) with -1 -> 0 | l -> t.loops.(l).depth
-
 let forward t ~entry ~join ~equal ~transfer =
   let nb = n_blocks t in
   let in_ = Array.make nb None and out = Array.make nb None in

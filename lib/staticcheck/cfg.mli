@@ -47,9 +47,6 @@ val n_blocks : t -> int
 val dominates : t -> int -> int -> bool
 (** [dominates t a b]: block [a] dominates (reachable) block [b]. *)
 
-val depth : t -> int -> int
-(** Loop-nesting depth of a block: 0 outside every loop. *)
-
 (** {2 The block solver}
 
     Every dataflow pass over a routine — the register and cell-constant

@@ -2,12 +2,11 @@ module Isa = Tq_isa.Isa
 module Symtab = Tq_vm.Symtab
 module Program = Tq_vm.Program
 
+(* the floor weight of a loop whose trip count is not resolved *)
 let loop_weight = 32.
 
-type mode = Heuristic | Dataflow
-
-(* Weighted bytes by access pattern (dataflow mode only; call/ret and other
-   implicit stack traffic lands in [bk_scalar]). *)
+(* Weighted bytes by access pattern (call/ret and other implicit stack
+   traffic lands in [bk_scalar]). *)
 type buckets = {
   bk_sequential : float;
   bk_strided : float;
@@ -51,9 +50,7 @@ type row = {
   routine : Symtab.routine;
   reads : float;
   writes : float;
-  blocks : int;
   loops : int;
-  max_depth : int;
   trips_known : int;  (** loops with a constant or affine trip count *)
   trips_total : int;
   patterns : buckets;
@@ -81,58 +78,47 @@ type ctx = {
 
 (* [unknown_w] is shared across the program's routines: loops whose trip
    count the dataflow layer cannot pin down are weighted by the largest
-   constant trip resolved anywhere in the main image (floored at the
-   heuristic weight).  A data-dependent scan — a pointer chase, a
+   constant trip resolved anywhere in the main image (floored at
+   [loop_weight]).  A data-dependent scan — a pointer chase, a
    sentinel-terminated copy — usually walks the very structures the
    resolved loops built, so its iteration count is of that order, not of
-   the flat per-nesting-level guess. *)
-let ctx_of (cfg : Cfg.t) ~mode ~lw ~unknown_w =
-  match mode with
-  | Heuristic ->
-      {
-        block_weight =
-          (fun b -> lw ** float_of_int (Cfg.depth cfg b));
-        pattern_of = (fun _ -> None);
-        c_trips_known = 0;
-        c_trips_total = 0;
-        c_max_const = 0;
-      }
-  | Dataflow ->
-      let li, rep = Access.analyze cfg in
-      let loops = Loopinfo.loops li in
-      let pat = Hashtbl.create 32 in
-      List.iter
-        (fun (a : Access.acc) -> Hashtbl.replace pat a.Access.index a.Access.pattern)
-        rep.Access.accesses;
-      let known = ref 0 and max_const = ref 0 in
-      Array.iter
-        (fun l ->
-          match l.Loopinfo.l_trip with
-          | Loopinfo.Tconst n ->
-              incr known;
-              if n > !max_const then max_const := n
-          | Loopinfo.Taffine _ -> incr known
-          | Loopinfo.Tunknown _ -> ())
-        loops;
-      (* product of the trip weights of every enclosing loop, outermost
-         first *)
-      let rec weight j =
-        if j < 0 then 1.0
-        else
-          let f =
-            match loops.(j).Loopinfo.l_trip with
-            | Loopinfo.Tconst n -> float_of_int (max n 0)
-            | _ -> !unknown_w
-          in
-          weight loops.(j).Loopinfo.l_nest.Cfg.parent *. f
+   a flat per-nesting-level guess. *)
+let ctx_of (cfg : Cfg.t) ~unknown_w =
+  let li, rep = Access.analyze cfg in
+  let loops = Loopinfo.loops li in
+  let pat = Hashtbl.create 32 in
+  List.iter
+    (fun (a : Access.acc) -> Hashtbl.replace pat a.Access.index a.Access.pattern)
+    rep.Access.accesses;
+  let known = ref 0 and max_const = ref 0 in
+  Array.iter
+    (fun l ->
+      match l.Loopinfo.l_trip with
+      | Loopinfo.Tconst n ->
+          incr known;
+          if n > !max_const then max_const := n
+      | Loopinfo.Taffine _ -> incr known
+      | Loopinfo.Tunknown _ -> ())
+    loops;
+  (* product of the trip weights of every enclosing loop, outermost
+     first *)
+  let rec weight j =
+    if j < 0 then 1.0
+    else
+      let f =
+        match loops.(j).Loopinfo.l_trip with
+        | Loopinfo.Tconst n -> float_of_int (max n 0)
+        | _ -> !unknown_w
       in
-      {
-        block_weight = (fun b -> weight cfg.Cfg.innermost.(b));
-        pattern_of = Hashtbl.find_opt pat;
-        c_trips_known = !known;
-        c_trips_total = Array.length loops;
-        c_max_const = !max_const;
-      }
+      weight loops.(j).Loopinfo.l_nest.Cfg.parent *. f
+  in
+  {
+    block_weight = (fun b -> weight cfg.Cfg.innermost.(b));
+    pattern_of = Hashtbl.find_opt pat;
+    c_trips_known = !known;
+    c_trips_total = Array.length loops;
+    c_max_const = !max_const;
+  }
 
 (* Weighted (reads, writes, pattern buckets) of a routine's own code, plus
    its library call sites with the weight of the calling block. *)
@@ -171,7 +157,7 @@ let weigh (cfg : Cfg.t) ctx =
     cfg.Cfg.blocks;
   (!reads, !writes, !bks, !call_sites)
 
-let per_kernel ?(mode = Heuristic) ?loop_weight:(lw = loop_weight) prog =
+let per_kernel prog =
   let symtab = prog.Program.symtab in
   let cfgs = Hashtbl.create 32 in
   Symtab.iter
@@ -181,28 +167,26 @@ let per_kernel ?(mode = Heuristic) ?loop_weight:(lw = loop_weight) prog =
           (r, Cfg.build (Rcode.of_routine prog r)))
     symtab;
   let ctxs = Hashtbl.create 32 in
-  let unknown_w = ref lw in
+  let unknown_w = ref loop_weight in
   let ctx_for name cfg =
     match Hashtbl.find_opt ctxs name with
     | Some c -> c
     | None ->
-        let c = ctx_of cfg ~mode ~lw ~unknown_w in
+        let c = ctx_of cfg ~unknown_w in
         Hashtbl.replace ctxs name c;
         c
   in
   (* calibrate the unresolved-loop weight over the main image before any
      block is weighed (block_weight reads [unknown_w] at use time) *)
-  if mode = Dataflow then begin
-    let mx = ref 0 in
-    Hashtbl.iter
-      (fun name ((r : Symtab.routine), cfg) ->
-        if r.Symtab.is_main_image then begin
-          let c = ctx_for name cfg in
-          if c.c_max_const > !mx then mx := c.c_max_const
-        end)
-      cfgs;
-    unknown_w := Float.max lw (float_of_int !mx)
-  end;
+  let mx = ref 0 in
+  Hashtbl.iter
+    (fun name ((r : Symtab.routine), cfg) ->
+      if r.Symtab.is_main_image then begin
+        let c = ctx_for name cfg in
+        if c.c_max_const > !mx then mx := c.c_max_const
+      end)
+    cfgs;
+  unknown_w := Float.max loop_weight (float_of_int !mx);
   (* flat weighted bytes of a library routine, with callees folded in
      (librt routines are leaves today, but stay safe under recursion) *)
   let memo = Hashtbl.create 32 in
@@ -254,11 +238,7 @@ let per_kernel ?(mode = Heuristic) ?loop_weight:(lw = loop_weight) prog =
             routine = r;
             reads;
             writes;
-            blocks = Cfg.n_blocks cfg;
             loops = Array.length cfg.Cfg.loops;
-            max_depth =
-              Array.fold_left (fun d (l : Cfg.loop) -> max d l.Cfg.depth) 0
-                cfg.Cfg.loops;
             trips_known = ctx.c_trips_known;
             trips_total = ctx.c_trips_total;
             patterns = bks;
@@ -268,43 +248,26 @@ let per_kernel ?(mode = Heuristic) ?loop_weight:(lw = loop_weight) prog =
     symtab;
   List.rev !rows
 
-let render ?(mode = Heuristic) ?loop_weight:(lw = loop_weight) rows =
+let render rows =
   let buf = Buffer.create 512 in
-  (match mode with
-  | Heuristic ->
+  Buffer.add_string buf
+    (Printf.sprintf
+       "static bandwidth model (dataflow trip counts; weight >= %g where \
+        unresolved):\n"
+       loop_weight);
+  Buffer.add_string buf
+    (Printf.sprintf "  %-24s %6s %6s %14s %14s  %5s %5s %5s\n" "kernel" "loops"
+       "trips" "est. read B" "est. write B" "%seq" "%str" "%ind");
+  List.iter
+    (fun row ->
+      let total = bk_total row.patterns in
+      let pct x = if total <= 0. then 0. else 100. *. x /. total in
       Buffer.add_string buf
-        (Printf.sprintf
-           "static bandwidth estimate (loop weight %g per nesting level):\n"
-           lw);
-      Buffer.add_string buf
-        (Printf.sprintf "  %-24s %6s %6s %6s %14s %14s\n" "kernel" "blocks"
-           "loops" "depth" "est. read B" "est. write B");
-      List.iter
-        (fun row ->
-          Buffer.add_string buf
-            (Printf.sprintf "  %-24s %6d %6d %6d %14.0f %14.0f\n"
-               row.routine.Symtab.name row.blocks row.loops row.max_depth
-               row.reads row.writes))
-        rows
-  | Dataflow ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "static bandwidth model (dataflow trip counts; weight >= %g \
-            where unresolved):\n"
-           lw);
-      Buffer.add_string buf
-        (Printf.sprintf "  %-24s %6s %6s %14s %14s  %5s %5s %5s\n" "kernel"
-           "loops" "trips" "est. read B" "est. write B" "%seq" "%str" "%ind");
-      List.iter
-        (fun row ->
-          let total = bk_total row.patterns in
-          let pct x = if total <= 0. then 0. else 100. *. x /. total in
-          Buffer.add_string buf
-            (Printf.sprintf "  %-24s %6d %3d/%-3d %14.0f %14.0f  %5.1f %5.1f %5.1f\n"
-               row.routine.Symtab.name row.loops row.trips_known
-               row.trips_total row.reads row.writes
-               (pct row.patterns.bk_sequential)
-               (pct row.patterns.bk_strided)
-               (pct row.patterns.bk_indirect)))
-        rows);
+        (Printf.sprintf "  %-24s %6d %3d/%-3d %14.0f %14.0f  %5.1f %5.1f %5.1f\n"
+           row.routine.Symtab.name row.loops row.trips_known row.trips_total
+           row.reads row.writes
+           (pct row.patterns.bk_sequential)
+           (pct row.patterns.bk_strided)
+           (pct row.patterns.bk_indirect)))
+    rows;
   Buffer.contents buf

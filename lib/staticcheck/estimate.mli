@@ -1,23 +1,19 @@
-(** Static per-kernel bandwidth estimator, in two modes.
+(** Static per-kernel bandwidth model.
 
-    [Heuristic] (the original model): every reachable instruction's
+    Block weights are the product of the {e derived} trip counts
+    ({!Loopinfo}) of the loops containing the block: constant trip counts
+    are used exactly, and loops whose trip count is affine or unknown get
+    the largest constant trip count resolved anywhere in the main image,
+    floored at 32.  Every reachable instruction's
     statically-known memory traffic (load/store widths; prefetches excluded
-    and block moves counted as 0 bytes) is weighted by [loop_weight] raised
-    to the block's loop-nest depth.
+    and block moves counted as 0 bytes) is weighted by its block's weight
+    and also attributed to its {!Access} pattern class (sequential /
+    strided / indirect / scalar / unknown).
 
-    [Dataflow]: block weights are the product of the {e derived} trip
-    counts ({!Loopinfo}) of the loops containing the block — constant trip
-    counts are used exactly, affine and unknown ones fall back to the
-    heuristic weight — and every access's bytes are also attributed to its
-    {!Access} pattern class (sequential / strided / indirect / scalar /
-    unknown).
-
-    In both modes, library callees are folded into the calling kernel at
-    the call site's weight, mirroring tQUAD's main-image-only attribution,
-    so the rows are directly comparable — as a ranking, not as absolute
-    bytes — with the dynamic per-kernel totals. *)
-
-type mode = Heuristic | Dataflow
+    Library callees are folded into the calling kernel at the call site's
+    weight, mirroring tQUAD's main-image-only attribution, so the rows are
+    directly comparable — as a ranking, not as absolute bytes — with the
+    dynamic per-kernel totals. *)
 
 type buckets = {
   bk_sequential : float;
@@ -33,23 +29,18 @@ type row = {
   routine : Tq_vm.Symtab.routine;
   reads : float;  (** weighted read bytes *)
   writes : float;  (** weighted write bytes *)
-  blocks : int;
   loops : int;  (** natural-loop headers in the routine *)
-  max_depth : int;  (** deepest loop nesting *)
   trips_known : int;  (** loops with a constant or affine trip count *)
   trips_total : int;
-  patterns : buckets;  (** zero in [Heuristic] mode *)
+  patterns : buckets;
 }
-
-val loop_weight : float
-(** Default assumed trip weight per loop-nesting level. *)
 
 val bytes : row -> float
 (** [reads +. writes]. *)
 
-val per_kernel :
-  ?mode:mode -> ?loop_weight:float -> Tq_vm.Program.t -> row list
-(** One row per main-image routine, in symbol-table order.  Defaults
-    reproduce the original heuristic estimator exactly. *)
+val per_kernel : Tq_vm.Program.t -> row list
+(** One row per main-image routine, in symbol-table order. *)
 
-val render : ?mode:mode -> ?loop_weight:float -> row list -> string
+val render : row list -> string
+(** The model's table: loops, resolved trip counts, weighted read and write
+    bytes and the sequential / strided / indirect shares per kernel. *)

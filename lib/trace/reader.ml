@@ -29,7 +29,6 @@ type salvage = {
 type t = {
   raw : string;
   version : int;  (* 3 or 4 *)
-  verify : bool;
   chunks : chunk array;
   verified : bool array;
       (* verified.(i): chunk i's CRC has already matched once in this
@@ -240,7 +239,7 @@ let iter_repeat t ~offset h sink =
     | _ -> fail "chunk at %d: dangling body reference %d" offset bref
   in
   let d = parse_chunk ~v4:true raw bref in
-  if t.verify && not t.verified.(def_idx) then begin
+  if not t.verified.(def_idx) then begin
     check_crc ~v4:true raw bref d;
     t.verified.(def_idx) <- true
   end;
@@ -289,9 +288,9 @@ let iter_repeat t ~offset h sink =
     fail "chunk at %d: payload length mismatch" offset;
   Squash.expand ~body ~iters ~literal ~stride ~lits sink
 
-(* Decode chunk [idx]'s events.  The chunk's CRC is verified (unless the
-   reader was loaded with [~verify:false]) before any event is decoded, so a
-   corrupt payload surfaces as [Format_error], never as garbage events.  The
+(* Decode chunk [idx]'s events.  The chunk's CRC is verified before any
+   event is decoded, so a corrupt payload surfaces as [Format_error], never
+   as garbage events.  The
    verified bit of a chunk that passes is set, and a chunk whose bit is set
    skips the digest, so each chunk pays the CRC at most once per process no
    matter how many replay passes or domains walk the trace. *)
@@ -301,7 +300,7 @@ let iter_chunk t idx sink =
   let h = parse_chunk ~v4 t.raw c.c_offset in
   if h.n <> c.c_events || h.first_icount <> c.c_first_icount then
     fail "chunk at %d: header disagrees with index" c.c_offset;
-  if t.verify && not t.verified.(idx) then begin
+  if not t.verified.(idx) then begin
     check_crc ~v4 t.raw c.c_offset h;
     t.verified.(idx) <- true
   end;
@@ -351,9 +350,11 @@ let strict_index ~v4 raw =
     fail "index offset %d out of range" index_offset;
   let pos = ref index_offset in
   let n_chunks = leb_u raw pos in
-  (* a corrupted count must fail cleanly, not OOM in Array.init: every chunk
-     costs at least 5 bytes on disk *)
-  if n_chunks < 0 || n_chunks > len then fail "chunk count %d out of range" n_chunks;
+  (* a corrupted count must fail before Array.init allocates a word per
+     claimed chunk: each index entry is three LEB128 fields, at least 3
+     bytes, between the count and the trailer *)
+  if n_chunks < 0 || n_chunks > (len - tlen - 8 - !pos) / 3 then
+    fail "chunk count %d out of range" n_chunks;
   let off = ref 0 and ic = ref 0 and expect = ref hlen in
   let defs = Hashtbl.create 16 in
   let chunks =
@@ -469,7 +470,7 @@ let salvage_scan ~v4 raw =
       reason;
     } )
 
-let of_string ?(verify = true) ?(mode = Strict) raw =
+let of_string ?(mode = Strict) raw =
   let mlen = String.length Writer.magic in
   if String.length raw < mlen then fail "bad magic (file shorter than a header)";
   let v4 =
@@ -490,7 +491,6 @@ let of_string ?(verify = true) ?(mode = Strict) raw =
     {
       raw;
       version = (if v4 then 4 else 3);
-      verify;
       chunks;
       (* the forward scan only kept CRC-verified chunks, so a salvaged
          reader's chunks are all born verified *)
@@ -513,7 +513,7 @@ let of_string ?(verify = true) ?(mode = Strict) raw =
     { t with last_icount = !last_icount }
   end
 
-let load ?verify ?mode path = of_string ?verify ?mode (read_file path)
+let load ?mode path = of_string ?mode (read_file path)
 
 let iter t sink =
   for i = 0 to Array.length t.chunks - 1 do

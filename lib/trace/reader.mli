@@ -61,15 +61,15 @@ type salvage = {
   reason : string;  (** human-readable scan summary *)
 }
 
-val load : ?verify:bool -> ?mode:mode -> string -> t
+val load : ?mode:mode -> string -> t
 (** Read the whole file, validate magic and (in [Strict] mode) trailer and
-    index, decode the chunk index.  [verify] (default [true]) controls the
-    lazy per-chunk CRC check during iteration; salvage scanning always
-    verifies.
+    index, decode the chunk index.  Each chunk's CRC is checked lazily, the
+    first time the chunk is decoded (or by {!crc_check}); salvage scanning
+    verifies every chunk it keeps.
     @raise Format_error on a corrupt or truncated file.
     @raise Sys_error if the file cannot be read. *)
 
-val of_string : ?verify:bool -> ?mode:mode -> string -> t
+val of_string : ?mode:mode -> string -> t
 (** [load] on an in-memory container image (no file involved). *)
 
 val iter : t -> (Event.t -> unit) -> unit

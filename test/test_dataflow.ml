@@ -211,18 +211,12 @@ let test_estimator_ranks_big_loop () =
   let find rows n =
     List.find (fun (r : Estimate.row) -> r.Estimate.routine.Symtab.name = n) rows
   in
-  List.iter
-    (fun mode ->
-      let rows = Estimate.per_kernel ~mode prog in
-      let k = find rows "kern" and s = find rows "straight" in
-      Alcotest.(check bool)
-        "kern outweighs straight" true
-        (Estimate.bytes k > Estimate.bytes s))
-    [ Estimate.Heuristic; Estimate.Dataflow ];
-  (* dataflow mode knows the real trip count: 4096 iterations of a loop
-     reading 8 bytes dominates, far beyond the heuristic weight *)
-  let rows = Estimate.per_kernel ~mode:Estimate.Dataflow prog in
-  let k = find rows "kern" in
+  let rows = Estimate.per_kernel prog in
+  let k = find rows "kern" and s = find rows "straight" in
+  Alcotest.(check bool) "kern outweighs straight" true
+    (Estimate.bytes k > Estimate.bytes s);
+  (* the model knows the real trip count: 4096 iterations of a loop
+     reading 8 bytes dominates, far beyond the unresolved-loop floor *)
   Alcotest.(check bool) "trip-weighted bytes >= 4096*8" true
     (Estimate.bytes k >= 4096. *. 8.);
   Alcotest.(check int) "trips resolved" 1 k.Estimate.trips_known

@@ -186,6 +186,46 @@ let test_midrun_kill_salvage () =
          in
          has "finalized")
 
+(* ---------- the reader index's budget ---------- *)
+
+(* A chunk count the index region cannot hold must be refused before the
+   reader allocates a table for it.  Each index entry takes at least 3 bytes,
+   so a count equal to the file length claims about 3x more entries than
+   the whole file could list; the refusal must cost less than one byte per
+   claimed chunk, not a word. *)
+let test_index_count_budget () =
+  let path = Filename.temp_file "tq_fault" ".trc" in
+  let raw =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        let prog = Tq_apps.Apps.pointer_chase_program () in
+        let _n : int =
+          Tq_trace.Probe.record
+            (Tq_dbi.Engine.create (Tq_vm.Machine.create prog))
+            ~path
+        in
+        read_raw path)
+  in
+  let len = String.length raw in
+  let tlen = String.length Writer.trailer_magic in
+  let index_offset = Int64.to_int (String.get_int64_le raw (len - tlen - 8)) in
+  let pos = ref index_offset in
+  let _count : int = Tq_util.Leb128.read_u raw pos in
+  let b = Buffer.create (len + 8) in
+  Buffer.add_string b (String.sub raw 0 index_offset);
+  Tq_util.Leb128.write_u b len;
+  Buffer.add_string b (String.sub raw !pos (len - !pos));
+  let crafted = Buffer.contents b in
+  let before = Gc.allocated_bytes () in
+  (match Reader.of_string crafted with
+  | _ -> Alcotest.fail "a chunk count the index cannot hold was accepted"
+  | exception Reader.Format_error _ -> ());
+  let allocated = Gc.allocated_bytes () -. before in
+  if allocated >= float_of_int len then
+    Alcotest.failf "refusing a count of %d chunks allocated %.0f bytes" len
+      allocated
+
 (* ---------- determinism of the harness itself ---------- *)
 
 let test_sweep_deterministic () =
@@ -210,5 +250,7 @@ let suites =
           test_midrun_kill_salvage;
         Alcotest.test_case "seeded sweeps are deterministic" `Quick
           test_sweep_deterministic;
+        Alcotest.test_case "index: an oversized chunk count allocates nothing"
+          `Quick test_index_count_budget;
       ] );
   ]

@@ -403,7 +403,7 @@ let test_crc_check_corrupt () =
       let b = Bytes.of_string raw in
       let pos = Bytes.length b / 2 in
       Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x40));
-      let r = Reader.of_string ~verify:false (Bytes.to_string b) in
+      let r = Reader.of_string (Bytes.to_string b) in
       match Reader.crc_check r with
       | n -> Alcotest.failf "corrupt trace passed crc_check (%d chunks)" n
       | exception Reader.Format_error _ -> ())

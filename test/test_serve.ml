@@ -63,6 +63,39 @@ let fresh_reader () =
   let _, bytes = Lazy.force fixture in
   Reader.of_string bytes
 
+(* ---------- the chunk cache's per-event budget ---------- *)
+
+(* Every decoded chunk's cache weight covers its reachable heap bytes, so
+   the cache's capacity bounds what its entries hold: over wfs tiny, plain
+   (v3) and compressed (v4), and a 1024-node, 4-round pointer chase. *)
+let test_chunk_weight_covers_heap () =
+  let chase =
+    let path = Filename.temp_file "tq_serve_test" ".trc" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        let prog =
+          Tq_apps.Apps.pointer_chase_program ~nodes:1024 ~rounds:4 ()
+        in
+        let _events : int =
+          Probe.record (Engine.create (Machine.create prog)) ~path
+        in
+        In_channel.with_open_bin path In_channel.input_all)
+  in
+  let _, plain, compressed = Lazy.force Test_compress.wfs_recording in
+  List.iter
+    (fun (name, raw) ->
+      let r = Reader.of_string raw in
+      for i = 0 to Reader.n_chunks r - 1 do
+        let evs = Reader.chunk_events r i in
+        let bytes = Obj.reachable_words (Obj.repr evs) * (Sys.word_size / 8) in
+        if Jobs.chunk_weight evs < bytes then
+          Alcotest.failf "%s, chunk %d: weight %d < %d reachable bytes" name i
+            (Jobs.chunk_weight evs) bytes
+      done)
+    [ ("wfs tiny v3", plain); ("wfs tiny v4", compressed);
+      ("pointer-chase", chase) ]
+
 (* ---------- LRU ---------- *)
 
 let k i : Lru.key = (Int64.of_int 7, i)
@@ -572,6 +605,8 @@ let suites =
           test_lru_oversized_entry;
         Alcotest.test_case "lru: re-adding a resident key touches" `Quick
           test_lru_readd_touches;
+        Alcotest.test_case "lru: a chunk's weight covers its heap bytes"
+          `Quick test_chunk_weight_covers_heap;
         Alcotest.test_case "limiter: burst drains, clock refills, cap holds"
           `Quick test_limiter_burst_and_refill;
         Alcotest.test_case "limiter: full bucket needs no wait" `Quick

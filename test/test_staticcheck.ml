@@ -61,7 +61,9 @@ let test_cfg_loops () =
   Alcotest.(check bool) "has back edges" true
     (List.length (List.concat_map (fun (l : Cfg.loop) -> l.Cfg.latches)
        (Array.to_list cfg.Cfg.loops)) >= 2);
-  let maxd = Array.fold_left max 0 (Array.init (Cfg.n_blocks cfg) (Cfg.depth cfg)) in
+  let maxd =
+    Array.fold_left (fun d (l : Cfg.loop) -> max d l.Cfg.depth) 0 cfg.Cfg.loops
+  in
   Alcotest.(check int) "nest depth 2" 2 maxd;
   (match cfg.Cfg.loops with
   | [| outer; inner |] ->
@@ -327,8 +329,8 @@ let test_estimate_ranks_loops () =
     List.find (fun r -> r.Estimate.routine.Symtab.name = name) rows
   in
   let fill = find "fill" and sum2d = find "sum2d" and main = find "main" in
-  Alcotest.(check int) "fill has one loop" 1 fill.Estimate.max_depth;
-  Alcotest.(check int) "sum2d nests two" 2 sum2d.Estimate.max_depth;
+  Alcotest.(check int) "fill has one loop" 1 fill.Estimate.loops;
+  Alcotest.(check int) "sum2d has two loops" 2 sum2d.Estimate.loops;
   Alcotest.(check bool) "depth-2 kernel outweighs depth-1" true
     (Estimate.bytes sum2d > Estimate.bytes fill);
   Alcotest.(check bool) "all kernels estimated" true (List.length rows >= 3);

@@ -659,10 +659,8 @@ let test_cli_positive_args () =
   bad ~cmd:("client ping --socket " ^ sock) ~positive:true [ "backoff" ];
   bad ~cmd:("client replay 1 --socket " ^ sock) ~positive:false [ "deadline" ];
   bad ~cmd:("client chaos --socket " ^ sock) ~positive:true [ "rounds"; "wait" ];
-  bad ~cmd:("check " ^ src) ~positive:true [ "loop-weight" ];
   bad ~cmd:("wcet " ^ src) ~positive:false [ "bound" ];
-  Alcotest.(check int) "check --bandwidth --loop-weight 0.5: 0" 0
-    (rc "check %s --bandwidth --loop-weight 0.5");
+  Alcotest.(check int) "check --bandwidth: 0" 0 (rc "check %s --bandwidth");
   Alcotest.(check int) "wcet --bound 0: 0" 0 (rc "wcet %s --bound 0");
   Alcotest.(check int) "serve, zero disables the timeouts: bind fails, 3" 3
     (Test_dataflow.run_cli
