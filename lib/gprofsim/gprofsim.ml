@@ -85,6 +85,72 @@ let consume t (ev : Event.t) =
 
 let interest = Event.[ KRtn_entry; KRet; KBlock_exec ]
 
+(* The instructions a record covers without a gap, as [Some (base, d)]:
+   its body makes no call or return, and its blocks tile each iteration
+   — every block starts where the previous one ended, and every block
+   icount advances by the body's instruction count [d] — so iteration [i]
+   retires [base + i * d, base + (i + 1) * d).  [None] otherwise. *)
+let tiling (r : Tq_trace.Squash.repeat) =
+  let d =
+    Array.fold_left
+      (fun acc ev ->
+        match ev with Event.Block_exec { n; _ } -> acc + n | _ -> acc)
+      0 r.body
+  in
+  let base = ref (-1) and next = ref 0 and ok = ref true and f = ref 0 in
+  Array.iter
+    (fun ev ->
+      (match ev with
+      | Event.Rtn_entry _ | Event.Ret _ -> ok := false
+      | Event.Block_exec { icount; n; _ } ->
+          if !base < 0 then begin
+            base := icount;
+            next := icount
+          end;
+          (* a block's one field is its icount *)
+          if r.literal.(!f) || r.stride.(!f) <> d || icount <> !next then
+            ok := false;
+          next := icount + n
+      | _ -> ());
+      f := !f + Event.num_fields ev)
+    r.body;
+  if !ok then Some (!base, d) else None
+
+(* [next_sample] is a period multiple, so [sample_block] over gap-free
+   blocks samples exactly the period multiples from [next_sample] on:
+   each is found in its body block by arithmetic.  Declined: a record
+   that does not tile, or one with a sample pending from before its first
+   instruction (a gap, where [sample_block] samples off the multiples). *)
+let consume_repeat t (r : Tq_trace.Squash.repeat) =
+  match tiling r with
+  | None -> false
+  | Some (base, _) when base < 0 -> true  (* no block: nothing sampled *)
+  | Some (base, d) ->
+      t.next_sample >= base
+      && t.next_sample mod t.period = 0
+      && begin
+           let stop = base + (r.iters * d) in
+           let p = ref t.next_sample in
+           while !p < stop do
+             let o = base + ((!p - base) mod d) in
+             Array.iter
+               (function
+                 | Event.Block_exec { icount; addr; n }
+                   when o >= icount && o < icount + n -> (
+                     let pc = addr + ((o - icount) * Isa.ins_bytes) in
+                     match Symtab.find t.symtab pc with
+                     | Some rt ->
+                         t.samples.(rt.Symtab.id) <- t.samples.(rt.Symtab.id) + 1
+                     | None -> ())
+                 | _ -> ())
+               r.body;
+             t.n_samples <- t.n_samples + 1;
+             p := !p + t.period
+           done;
+           t.next_sample <- !p;
+           true
+         end
+
 (* All reported state is additive: sample/call counters and arc counts sum,
    and the renderers never read the stack or the sampling phase, so merged
    shards report exactly what one pass would have. *)

@@ -134,6 +134,10 @@ let check_replay v =
           List.iter
             (fun (k2, y) -> ignore (as_num (path ^ "." ^ k2) y))
             (as_obj path x)
+      | "repeats" ->
+          List.iter
+            (fun (k2, y) -> ignore (as_int (path ^ "." ^ k2) y))
+            (as_obj path x)
       | "timings" ->
           List.iteri
             (fun i tv ->

@@ -162,6 +162,10 @@ let consume t (ev : Event.t) =
 
 let interest = Event.KPrefetch :: Call_stack.interest
 
+(* Replacement state depends on the exact access order: every record goes
+   through [consume]. *)
+let consume_repeat _ _ = false
+
 (* replacement state is order-sensitive and has no merge *)
 let shard = None
 

@@ -56,6 +56,38 @@ val attribute :
     frame, and an access with no such frame is dropped.  Other events are
     ignored.  Allocation-free when [access] is a top-level function. *)
 
+val attribute_repeat :
+  t ->
+  ('s ->
+  int ->
+  write:bool ->
+  iters:int ->
+  icount:int ->
+  d_icount:int ->
+  sp:int ->
+  d_sp:int ->
+  ea:int ->
+  d_ea:int ->
+  size:int ->
+  unit) ->
+  's ->
+  Tq_trace.Squash.repeat ->
+  bool
+(** [attribute_repeat t run s r] is {!attribute} for a whole repeat record
+    in closed form: every access of [r]'s body goes to [run s] once, as an
+    affine run over the record's iterations, in body order (a block copy's
+    source run, then its destination run).  Iteration [i] of a run is the
+    access [kernel ~write ~icount:(icount + i * d_icount)
+    ~sp:(sp + i * d_sp) ~ea:(ea + i * d_ea) ~size], for
+    [0 <= i < iters]; [size] is the same every iteration and may be 0.
+    It declines — returns [false] before calling [run] — when the body
+    holds [Rtn_entry] or [Ret] (the stack, and with it an access's kernel,
+    would change between iterations), or an access field is literal, or a
+    block copy's length changes between iterations.  A tool whose [run]
+    adds to its state what [access] would over the iterations, in any
+    order, takes [r] in closed form by this.  Allocation-free when [run]
+    is a top-level function. *)
+
 val interest : Tq_trace.Event.kind list
 (** The event kinds {!attribute} reads. *)
 

@@ -32,6 +32,25 @@ let mark t id ~write:_ ~icount:_ ~sp:_ ~ea ~size =
   if size > 0 then Bitset.add_range t.touched.(id) ea size
 
 let consume t ev = Call_stack.attribute t.stack mark t ev
+
+(* The tool's run function (see [Call_stack.attribute_repeat]): accesses at
+   most [size] apart touch one interval; farther apart, [iters] ranges. *)
+let mark_run t id ~write:_ ~iters ~icount:_ ~d_icount:_ ~sp:_ ~d_sp:_ ~ea
+    ~d_ea ~size =
+  if size > 0 then begin
+    let bits = t.touched.(id) in
+    if abs d_ea <= size then begin
+      let last = ea + ((iters - 1) * d_ea) in
+      let lo = min ea last in
+      Bitset.add_range bits lo (max ea last - lo + size)
+    end
+    else
+      for i = 0 to iters - 1 do
+        Bitset.add_range bits (ea + (i * d_ea)) size
+      done
+  end
+
+let consume_repeat t r = Call_stack.attribute_repeat t.stack mark_run t r
 let interest = Call_stack.interest
 
 (* Touched-address sets union; the [rows] sort reads the fixed id-indexed

@@ -103,10 +103,12 @@ let summarize t addr n =
 (* [Block_exec] carries the block's address and retired-instruction count;
    a dispatched block always retires all of them, so refetching from the
    program image reproduces the executed stream exactly. *)
+let slot addr = (addr - Tq_vm.Layout.text_base) / Isa.ins_bytes
+
 let consume t (ev : Event.t) =
   match ev with
   | Event.Block_exec { addr; n; _ } -> (
-      let i = (addr - Tq_vm.Layout.text_base) / Isa.ins_bytes in
+      let i = slot addr in
       match t.blocks.(i) with
       | Some s when s.b_n = n -> s.b_execs <- s.b_execs + 1
       | prev ->
@@ -119,6 +121,33 @@ let consume t (ev : Event.t) =
   | _ -> ()
 
 let interest = Event.[ KBlock_exec ]
+
+(* A record's [Block_exec]s are structural — the same address and length
+   every iteration — so every record is taken: iteration 0 goes through
+   [consume], and when each body block then finds its own summary (no two
+   body blocks share an address with different lengths), the other
+   [iters - 1] iterations only add to the execution counts. *)
+let consume_repeat t (r : Tq_trace.Squash.repeat) =
+  Array.iter (consume t) r.body;
+  let own = function
+    | Event.Block_exec { addr; n; _ } -> (
+        match t.blocks.(slot addr) with Some s -> s.b_n = n | None -> false)
+    | _ -> true
+  in
+  if Array.for_all own r.body then
+    Array.iter
+      (function
+        | Event.Block_exec { addr; _ } -> (
+            match t.blocks.(slot addr) with
+            | Some s -> s.b_execs <- s.b_execs + r.iters - 1
+            | None -> ())
+        | _ -> ())
+      r.body
+  else
+    for _ = 2 to r.iters do
+      Array.iter (consume t) r.body
+    done;
+  true
 
 (* Execution counts add per block; a block re-summarized at a different
    length in the later range displaces the earlier summary exactly as a

@@ -219,6 +219,10 @@ let access t kernel_id ~write ~icount:_ ~sp ~ea ~size =
 let consume t ev = Call_stack.attribute t.stack access t ev
 let interest = Call_stack.interest
 
+(* Producer tracking keeps the last writer of every byte, which depends on
+   the order of the accesses: every record goes through [consume]. *)
+let consume_repeat _ _ = false
+
 (* One deferred block of consumer [c] against [a]'s shadow: each maximal run
    of counted bytes with one producer is one charge. *)
 let resolve_block a c blk counts =

@@ -59,7 +59,7 @@ type t = {
   queue : int Queue.t;
   jobs : (int, jrec) Hashtbl.t;
   queue_limit : int;
-  cache : Event.t array Lru.t;
+  cache : Reader.decoded Lru.t;
   on_done : int -> unit;
   default_deadline_s : float option;
   mutable next_id : int;
@@ -96,9 +96,19 @@ let checkpoint jr =
   | _ -> ()
 
 (* A decoded event is a boxed record of at most seven words (Block_copy)
-   plus its array slot, 64 bytes at most, so this weight is never below a
-   chunk's reachable size; real traces average about 54 bytes per event. *)
-let chunk_weight evs = (64 * Array.length evs) + 256
+   plus its array slot, 64 bytes at most; real traces average about 54
+   bytes per event.  A repeat chunk's record shares its body with the
+   events and adds its field tables: three words per field (literal flag,
+   stride, delta-table slot), one per literal delta, plus headers.  So this
+   weight is never below a chunk's reachable size. *)
+let chunk_weight (dc : Reader.decoded) =
+  (64 * Array.length dc.events)
+  + 256
+  +
+  match dc.repeat with
+  | None -> 0
+  | Some r ->
+      (8 * Array.fold_left (fun n l -> n + 3 + Array.length l) 0 r.lits) + 256
 
 let run_spec ~check cache spec =
   (* an unknown tool is a job whose factory fails: supervision reports it
@@ -119,11 +129,11 @@ let run_spec ~check cache spec =
   let chunk i =
     check ();
     match Lru.find cache (spec.trace_key, i) with
-    | Some evs -> evs
+    | Some dc -> dc
     | None ->
-        let evs = Reader.chunk_events spec.reader i in
-        Lru.add cache (spec.trace_key, i) ~weight:(chunk_weight evs) evs;
-        evs
+        let dc = Reader.chunk spec.reader i in
+        Lru.add cache (spec.trace_key, i) ~weight:(chunk_weight dc) dc;
+        dc
   in
   (* served jobs stay on their worker's domain: one ordered walk *)
   let stats = ref None in

@@ -64,7 +64,7 @@ val create :
   ?on_done:(int -> unit) ->
   ?default_deadline_s:float ->
   queue_limit:int ->
-  cache:Tq_trace.Event.t array Lru.t ->
+  cache:Tq_trace.Reader.decoded Lru.t ->
   unit ->
   t
 (** Start the pool.  [workers] defaults to
@@ -78,11 +78,12 @@ val create :
     job's manifest there).  [default_deadline_s] is the wall-clock budget
     applied to every job that does not carry its own (none by default). *)
 
-val chunk_weight : Tq_trace.Event.t array -> int
+val chunk_weight : Tq_trace.Reader.decoded -> int
 (** The weight, in estimated bytes, that a decoded chunk charges against
-    the shared cache's budget: [64 * events + 256].  It is at least the
-    chunk's reachable heap size (docs/METRICS.md, serve chunk cache), so
-    the cache's capacity bounds the memory its entries hold. *)
+    the shared cache's budget: [64 * events + 256], plus, for a repeat
+    chunk, [8 * (3 * fields + literal deltas) + 256] for its record.  It is
+    at least the chunk's reachable heap size (docs/METRICS.md, serve chunk
+    cache), so the cache's capacity bounds the memory its entries hold. *)
 
 val submit : ?deadline_s:float -> t -> spec -> (int, [ `Queue_full of int ]) result
 (** Enqueue; [Ok id] or [`Queue_full depth] when the bound is hit (also

@@ -87,7 +87,8 @@ val replay_section :
   Tq_obs.Json.t
 (** The canonical ["replay"] manifest section: [domains], then with
     [stats] the pipeline members (shards, batch, chunks, events,
-    peak_live_chunks, stage_s), then one [timings] entry per timing given
+    peak_live_chunks, repeats — the repeat deliveries taken [closed] form
+    and [expanded] — and stage_s), then one [timings] entry per timing given
     — [stats.rs_timings] for a pipeline run, {!Tq_trace.Replay.sequential}'s
     per-job timings (one domain) otherwise.  Shared by
     [tquad replay --metrics] and the serve daemon's per-job manifests. *)

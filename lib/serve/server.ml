@@ -59,7 +59,7 @@ type conn = {
 
 type t = {
   cfg : config;
-  cache : Event.t array Lru.t;
+  cache : Tq_trace.Reader.decoded Lru.t;
   jobs : Jobs.t;
   limiter : Limiter.t;
   lock : Mutex.t;  (* guards traces, requests, conns, connection counters *)

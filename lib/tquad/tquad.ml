@@ -55,6 +55,87 @@ let record t id ~write ~icount ~sp ~ea ~size =
         slice global_bytes
   end
 
+(* [n] iterations' bytes in one slice *)
+let add_slice t incl excl ~size ~global slice n =
+  if slice > t.max_slice then t.max_slice <- slice;
+  t.any <- true;
+  Dyn.add_at ( + ) incl slice (n * size);
+  if global > 0 then Dyn.add_at ( + ) excl slice (n * global)
+
+(* The bytes of [n] iterations at icounts [v0 + i * dv], all non-negative:
+   floor arithmetic per slice, one step per slice the run spans, not per
+   iteration. *)
+let add_iters t incl excl ~size ~global ~v0 ~dv ~n =
+  let width = t.interval in
+  if dv = 0 then add_slice t incl excl ~size ~global (v0 / width) n
+  else begin
+    (* walk the icounts in increasing order *)
+    let v0 = if dv > 0 then v0 else v0 + ((n - 1) * dv) and dv = abs dv in
+    let i = ref 0 in
+    while !i < n do
+      let slice = (v0 + (!i * dv)) / width in
+      (* the first iteration whose icount reaches the next slice *)
+      let next = min n ((((slice + 1) * width) - v0 + dv - 1) / dv) in
+      add_slice t incl excl ~size ~global slice (next - !i);
+      i := next
+    done
+  end
+
+(* The global bytes of iterations [lo..hi] of a run when they are all the
+   same — the accesses all lie wholly outside the stack area (below
+   [sp - stack_red_zone], or at or above [stack_top]), or wholly inside —
+   else [-1].  Each bound is linear in the iteration, so checking both end
+   iterations checks every one between. *)
+let uniform_global ~sp ~d_sp ~ea ~d_ea ~size lo hi =
+  let sp_lo = sp + (lo * d_sp) and sp_hi = sp + (hi * d_sp) in
+  let ea_lo = ea + (lo * d_ea) and ea_hi = ea + (hi * d_ea) in
+  let red = Layout.stack_red_zone and top = Layout.stack_top in
+  if
+    (ea_lo + size <= sp_lo - red && ea_hi + size <= sp_hi - red)
+    || (ea_lo >= top && ea_hi >= top)
+  then size
+  else if
+    ea_lo >= sp_lo - red && ea_hi >= sp_hi - red
+    && ea_lo + size <= top && ea_hi + size <= top
+  then 0
+  else -1
+
+(* Iterations [lo..hi] of a run: where the stack classification changes
+   along them, they are split in halves until each part is uniform or a
+   single access, which goes to [record]. *)
+let rec record_iters t id ~write ~incl ~excl ~icount ~d_icount ~sp ~d_sp ~ea
+    ~d_ea ~size lo hi =
+  let global = uniform_global ~sp ~d_sp ~ea ~d_ea ~size lo hi in
+  if global >= 0 then
+    add_iters t incl excl ~size ~global
+      ~v0:(icount + (lo * d_icount))
+      ~dv:d_icount ~n:(hi - lo + 1)
+  else if lo = hi then
+    record t id ~write
+      ~icount:(icount + (lo * d_icount))
+      ~sp:(sp + (lo * d_sp))
+      ~ea:(ea + (lo * d_ea))
+      ~size
+  else begin
+    let mid = (lo + hi) / 2 in
+    record_iters t id ~write ~incl ~excl ~icount ~d_icount ~sp ~d_sp ~ea ~d_ea
+      ~size lo mid;
+    record_iters t id ~write ~incl ~excl ~icount ~d_icount ~sp ~d_sp ~ea ~d_ea
+      ~size (mid + 1) hi
+  end
+
+(* The tool's run function (see [Call_stack.attribute_repeat]): the bytes
+   [record] would add over the run's iterations, slice by slice. *)
+let record_run t id ~write ~iters ~icount ~d_icount ~sp ~d_sp ~ea ~d_ea ~size
+    =
+  if size > 0 then begin
+    let k = kdata_get t id in
+    let incl = if write then k.kw_incl else k.kr_incl in
+    let excl = if write then k.kw_excl else k.kr_excl in
+    record_iters t id ~write ~incl ~excl ~icount ~d_icount ~sp ~d_sp ~ea ~d_ea
+      ~size 0 (iters - 1)
+  end
+
 type config = { slice_interval : int; policy : Call_stack.policy }
 type seed = Call_stack.t
 
@@ -77,6 +158,7 @@ let create config prog =
    immediately on prefetches, so [Prefetch] events are not read. *)
 let consume t ev = Call_stack.attribute t.stack record t ev
 let interest = Call_stack.interest
+let consume_repeat t r = Call_stack.attribute_repeat t.stack record_run t r
 
 (* Per-slice byte counts are pure sums, so a later trace range's state folds
    into an earlier one by elementwise addition; a kernel's presence (its

@@ -219,17 +219,17 @@ let read_u8 raw pos limit =
   incr pos;
   v
 
-(* Decode one repeat chunk and expand it to its [n] raw events: the body
-   decodes once from the body-def chunk it references (re-seeded at this
-   repeat's [first_icount] — the def's blob is icount-relative precisely so
-   many repeats can share it), the field tables are read, and
-   {!Squash.expand} rebuilds every iteration — one add per field for affine
-   strides, a pre-decoded literal delta otherwise.  This is the
-   replay-speedup path: iterations 1..N-1 pay no varint decoding for affine
-   fields (the common case).  The reference was cross-checked against the
-   def's payload CRC at load time; here only structural bounds are
-   re-validated, all before the first event reaches [sink]. *)
-let iter_repeat t ~offset h sink =
+(* Decode one repeat chunk into its record: the body decodes once from the
+   body-def chunk it references (re-seeded at this repeat's [first_icount]
+   — the def's blob is icount-relative precisely so many repeats can share
+   it) and the field tables are read; {!Squash.expand} then rebuilds every
+   iteration — one add per field for affine strides, a pre-decoded literal
+   delta otherwise.  This is the replay-speedup path: iterations 1..N-1 pay
+   no varint decoding for affine fields (the common case).  The reference
+   was cross-checked against the def's payload CRC at load time; here only
+   structural bounds are re-validated, all before the first event is
+   expanded. *)
+let decode_repeat t ~offset h =
   let raw = t.raw in
   let payload_end = h.pstart + h.plen in
   let b, iters, bref, _bcrc, tables_start = repeat_meta raw ~offset h in
@@ -286,14 +286,15 @@ let iter_repeat t ~offset h sink =
   done;
   if !pos <> payload_end then
     fail "chunk at %d: payload length mismatch" offset;
-  Squash.expand ~body ~iters ~literal ~stride ~lits sink
+  { Squash.body; iters; literal; stride; lits }
 
-(* Decode chunk [idx]'s events.  The chunk's CRC is verified before any
-   event is decoded, so a corrupt payload surfaces as [Format_error], never
-   as garbage events.  The
-   verified bit of a chunk that passes is set, and a chunk whose bit is set
-   skips the digest, so each chunk pays the CRC at most once per process no
-   matter how many replay passes or domains walk the trace. *)
+(* Decode chunk [idx]'s events into [sink], and return the repeat record
+   when it is a repeat chunk.  The chunk's CRC is verified before any event
+   is decoded, so a corrupt payload surfaces as [Format_error], never as
+   garbage events.  The verified bit of a chunk that passes is set, and a
+   chunk whose bit is set skips the digest, so each chunk pays the CRC at
+   most once per process no matter how many replay passes or domains walk
+   the trace. *)
 let iter_chunk t idx sink =
   let c = t.chunks.(idx) in
   let v4 = t.version = 4 in
@@ -305,8 +306,11 @@ let iter_chunk t idx sink =
     t.verified.(idx) <- true
   end;
   match h.kind with
-  | Body -> ()  (* referenced storage, not stream events *)
-  | Repeat -> iter_repeat t ~offset:c.c_offset h sink
+  | Body -> None  (* referenced storage, not stream events *)
+  | Repeat ->
+      let r = decode_repeat t ~offset:c.c_offset h in
+      Squash.expand r sink;
+      Some r
   | Plain ->
       let payload_end = h.pstart + h.plen in
       let pos = ref h.pstart in
@@ -325,7 +329,8 @@ let iter_chunk t idx sink =
         | exception Failure msg -> fail "%s" msg
       done;
       if !pos <> payload_end then
-        fail "chunk at %d: payload length mismatch" c.c_offset
+        fail "chunk at %d: payload length mismatch" c.c_offset;
+      None
 
 (* The trailer's 8-byte LE index offset, just before the trailer magic. *)
 let trailer_index_offset raw =
@@ -509,7 +514,7 @@ let of_string ?(mode = Strict) raw =
   if !li < 0 then t
   else begin
     let last_icount = ref 0 in
-    iter_chunk t !li (fun ev -> last_icount := Event.icount ev);
+    ignore (iter_chunk t !li (fun ev -> last_icount := Event.icount ev));
     { t with last_icount = !last_icount }
   end
 
@@ -517,7 +522,7 @@ let load ?mode path = of_string ?mode (read_file path)
 
 let iter t sink =
   for i = 0 to Array.length t.chunks - 1 do
-    iter_chunk t i sink
+    ignore (iter_chunk t i sink)
   done
 
 let crc_check t =
@@ -534,26 +539,34 @@ let crc_check t =
 let verified_chunks t =
   Array.fold_left (fun acc v -> if v then acc + 1 else acc) 0 t.verified
 
-(* Decode one chunk into an array — the serve layer's chunk cache entry.
-   The chunk is CRC-verified first (at most once per process, via the
-   verified bit all other passes share), so a cached entry is always a
-   decoded-and-verified chunk.  Repeat chunks expand to their raw events —
-   the cache, like the index, speaks decoded-event units. *)
-let chunk_events t idx =
+type decoded = { events : Event.t array; repeat : Squash.repeat option }
+
+(* Decode one chunk into an array — the replay pipeline's slot and the
+   serve layer's chunk cache entry.  The chunk is CRC-verified first (at
+   most once per process, via the verified bit all other passes share), so
+   a returned chunk is always decoded and verified.  Repeat chunks expand
+   to their raw events — the cache, like the index, speaks decoded-event
+   units — and keep their record beside them for the tools that take it in
+   closed form. *)
+let chunk t idx =
   if idx < 0 || idx >= Array.length t.chunks then
-    invalid_arg "Trace.Reader.chunk_events: chunk index out of range";
+    invalid_arg "Trace.Reader.chunk: chunk index out of range";
   let c = t.chunks.(idx) in
   let out = Array.make c.c_events (Event.End { icount = 0 }) in
   let k = ref 0 in
-  iter_chunk t idx
-    (fun ev ->
-      (* the count was cross-checked at load; a decoder yielding more events
-         than it must still surfaces as Format_error, not a bounds crash *)
-      if !k >= c.c_events then
-        fail "chunk at %d: more events than the index records" c.c_offset;
-      out.(!k) <- ev;
-      incr k);
-  out
+  let repeat =
+    iter_chunk t idx (fun ev ->
+        (* the count was cross-checked at load; a decoder yielding more
+           events than it must still surfaces as Format_error, not a bounds
+           crash *)
+        if !k >= c.c_events then
+          fail "chunk at %d: more events than the index records" c.c_offset;
+        out.(!k) <- ev;
+        incr k)
+  in
+  { events = out; repeat }
+
+let chunk_events t idx = (chunk t idx).events
 
 let chunk_event_count t idx =
   if idx < 0 || idx >= Array.length t.chunks then

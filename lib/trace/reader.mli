@@ -11,9 +11,9 @@
     chunk} holding the loop body's events (interned: one def serves every
     repeat of the same body) — is expanded transparently during iteration
     by {!Squash.expand}, the writer's own expander, so every consumer
-    ({!iter}, {!chunk_events}, and everything built on them: sequential,
+    ({!iter}, {!chunk}, and everything built on them: sequential,
     pipeline and salvage replay) sees the exact event stream the probe
-    emitted.  Body refs are cross-checked against the def's payload CRC at
+    emitted; {!chunk} also returns the decoded record itself.  Body refs are cross-checked against the def's payload CRC at
     load time, so a reference can never silently resolve to the wrong body;
     in [Salvage] mode a repeat chunk whose def was lost to corruption is
     dropped and counted.  All event counts exposed here ({!n_events},
@@ -32,7 +32,7 @@
     chunk surfaces as {!Format_error}, never as a decode crash or silently
     wrong events.  Each chunk is verified {e at most once per process}: the
     reader keeps a per-chunk verified bit shared by every iteration pass
-    ({!iter}, {!crc_check}, {!chunk_events}), so repeated
+    ({!iter}, {!crc_check}, {!chunk}), so repeated
     replays — or several replay domains walking the same reader — never pay
     the digest twice.  The bits are written without synchronization; a race
     between domains can at worst re-verify a chunk, never skip an unverified
@@ -84,16 +84,29 @@ val crc_check : t -> int
     timing.
     @raise Format_error on the first chunk whose CRC does not match. *)
 
-val chunk_events : t -> int -> Event.t array
-(** Decode chunk [i] (0-based, [0 <= i < ]{!n_chunks}) into an array of its
-    events, CRC-verifying it first if its verified bit is not yet set.
-    Chunks decode independently (the delta-codec state resets at every chunk
-    boundary), so this is the chunk-granular read behind
-    {!Replay.parallel}'s default chunk source and the serve layer's
-    decoded-chunk cache: a returned array is always a decoded-and-verified
-    chunk, and re-reading a chunk never re-verifies it.
+type decoded = {
+  events : Event.t array;  (** the chunk's raw events, expanded *)
+  repeat : Squash.repeat option;
+      (** [Some r] for a v4 repeat chunk: the record [events] expands *)
+}
+(** One decoded chunk: what the replay pipeline holds in a slot and the
+    serve layer's chunk cache holds per entry. *)
+
+val chunk : t -> int -> decoded
+(** Decode chunk [i] (0-based, [0 <= i < ]{!n_chunks}), CRC-verifying it
+    first if its verified bit is not yet set.  Chunks decode independently
+    (the delta-codec state resets at every chunk boundary), so this is the
+    chunk-granular read behind {!Replay.parallel}'s default chunk source
+    and the serve layer's decoded-chunk cache: a returned chunk is always
+    decoded and verified, and re-reading a chunk never re-verifies it.  A
+    repeat chunk comes back expanded {e and} with its record, so a tool
+    that takes records in closed form ({!Tool.S.consume_repeat}) can skip
+    the events.
     @raise Invalid_argument if the index is out of range.
     @raise Format_error if the chunk fails its CRC check or is malformed. *)
+
+val chunk_events : t -> int -> Event.t array
+(** [(chunk t i).events]. *)
 
 val chunk_event_count : t -> int -> int
 (** Number of events in chunk [i], straight from the chunk index — no decode,

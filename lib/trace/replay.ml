@@ -7,10 +7,14 @@
    trackers), and fans trace ranges of sharded tools out across domains, with
    per-range partial states merged left-to-right at the end. *)
 
+type sink = { on_event : Event.t -> unit; on_repeat : Squash.repeat -> bool }
+
+let events_only on_event = { on_event; on_repeat = (fun _ -> false) }
+
 type ('state, 'seed) shard_spec = {
   prefix_wants : Event.kind list;
   prefix : unit -> (Event.t -> unit) * (unit -> 'seed);
-  shard : 'seed -> (Event.t -> unit) * (unit -> 'state);
+  shard : 'seed -> sink * (unit -> 'state);
   merge : 'state -> 'state -> unit;
   render : 'state -> string;
 }
@@ -20,7 +24,7 @@ type sharded = Sharded : ('state, 'seed) shard_spec -> sharded
 type job = {
   name : string;
   wants : Event.kind list;
-  make : unit -> (Event.t -> unit) * (unit -> string);
+  make : unit -> sink * (unit -> string);
   sharded : sharded option;
 }
 
@@ -39,10 +43,16 @@ type run_stats = {
   rs_shard_s : float;
   rs_merge_s : float;
   rs_peak_live_chunks : int;
+  rs_repeat_closed : int;
+  rs_repeat_expanded : int;
   rs_timings : domain_timing list;
 }
 
 let job ?(wants = Event.all_kinds) ?sharded name make =
+  let make () =
+    let on_event, finish = make () in
+    (events_only on_event, finish)
+  in
   { name; wants; make; sharded }
 
 let capture exn = { exn; backtrace = Printexc.get_backtrace () }
@@ -98,7 +108,7 @@ let fuse = function
    not an abort of the caller. *)
 let run_job reader j =
   match
-    let sink, finish = j.make () in
+    let { on_event = sink; _ }, finish = j.make () in
     let wanted = wanted_tags j in
     if Array.for_all Fun.id wanted then Reader.iter reader sink
     else Reader.iter reader (fun ev -> if wanted.(Event.tag ev) then sink ev);
@@ -126,20 +136,32 @@ let sequential ?timings reader jobs =
       results
 
 (* One supervised job group — the routine behind both [supervised] and the
-   pipeline's ordered stage.  A member is the event tags its sink wants plus
-   a factory.  Building the group runs every factory under capture and fuses
-   one sink per event tag over the members that want it, so a tool never
-   sees (and never pays a call for) events it would discard.  Each sink is
-   guarded: a raising tool is retired from the rest of the pass (its sink
-   becomes a no-op) and comes back as its own [Error] instead of poisoning
-   the group.  [retire] records a member's first failure under [lock], then
-   calls [on_fail]: the pipeline passes its own mutex and a wake-up, since
-   its shard items retire jobs from other domains. *)
+   pipeline's ordered stage.  A member is the event tags its sink wants, a
+   factory, and whether it is a job (a sharded job's prefix tracker is not,
+   and is left out of the repeat-delivery counts).  Building the group runs
+   every factory under capture and fuses one sink per event tag over the
+   members that want it, so a tool never sees (and never pays a call for)
+   events it would discard.  Each sink is guarded: a raising tool is retired
+   from the rest of the pass (its sink becomes a no-op) and comes back as
+   its own [Error] instead of poisoning the group.  [retire] records a
+   member's first failure under [lock], then calls [on_fail]: the pipeline
+   passes its own mutex and a wake-up, since its shard items retire jobs
+   from other domains. *)
+type member = {
+  m_wants : bool array;
+  m_make : unit -> sink * (unit -> string);
+  m_job : bool;
+}
+
 type group = {
   alive : bool array;  (* written under the lock; guards read it unlocked *)
   retire : int -> failure -> unit;
   per_tag : (Event.t -> unit) array;  (* one fused sink per event tag *)
   n_sinks : int;  (* member sinks fused across all tags *)
+  offer_repeat : Squash.repeat -> (Event.t -> unit) array option * int * int;
+      (* offer a record to every live member: the fused per-tag sinks of the
+         members that declined it ([None] if none did), then how many job
+         members took it in closed form and how many declined *)
   finish : failure option -> outcome array;
       (* every live member's finish, under capture; [Some f] (the pass
          feeding the group died) fails every live member with [f] instead *)
@@ -148,8 +170,7 @@ type group = {
 let make_group ?(lock = Mutex.create ()) ?(on_fail = ignore) members =
   let made =
     Array.map
-      (fun (_, make) ->
-        match make () with m -> Ok m | exception e -> Error (capture e))
+      (fun m -> match m.m_make () with m -> Ok m | exception e -> Error (capture e))
       members
   in
   let failed = Array.map (function Ok _ -> None | Error f -> Some f) made in
@@ -164,18 +185,58 @@ let make_group ?(lock = Mutex.create ()) ?(on_fail = ignore) members =
   let guard i sink ev =
     if alive.(i) then try sink ev with e -> retire i (capture e)
   in
-  let n_sinks = ref 0 in
-  let per_tag =
-    Array.init Event.n_kinds (fun tag ->
-        let sinks = ref [] in
-        for i = Array.length members - 1 downto 0 do
-          match made.(i) with
-          | Ok (sink, _) when (fst members.(i)).(tag) ->
-              incr n_sinks;
-              sinks := guard i sink :: !sinks
-          | _ -> ()
-        done;
-        fuse (Array.of_list !sinks))
+  let wants_any = Array.map (fun m -> Array.exists Fun.id m.m_wants) members in
+  (* the fused per-tag sinks over the members [keep] selects *)
+  let fused keep =
+    let n = ref 0 in
+    let per_tag =
+      Array.init Event.n_kinds (fun tag ->
+          let sinks = ref [] in
+          for i = Array.length members - 1 downto 0 do
+            match made.(i) with
+            | Ok (sink, _) when keep i && members.(i).m_wants.(tag) ->
+                incr n;
+                sinks := guard i sink.on_event :: !sinks
+            | _ -> ()
+          done;
+          fuse (Array.of_list !sinks))
+    in
+    (per_tag, !n)
+  in
+  let per_tag, n_sinks = fused (fun _ -> true) in
+  (* A record is offered to each live member; those that decline get its
+     events through sinks fused over just them, built once per set of
+     decliners. *)
+  let by_decliners = Hashtbl.create 4 in
+  let offer_repeat r =
+    let decl = Array.make (Array.length members) false in
+    let closed = ref 0 and expanded = ref 0 in
+    Array.iteri
+      (fun i m ->
+        match made.(i) with
+        | Ok (sink, _) when alive.(i) && wants_any.(i) ->
+            let took =
+              try sink.on_repeat r
+              with e ->
+                retire i (capture e);
+                true
+            in
+            if not took then decl.(i) <- true;
+            if m.m_job && alive.(i) then
+              if took then incr closed else incr expanded
+        | _ -> ())
+      members;
+    let sinks =
+      if not (Array.exists Fun.id decl) then None
+      else
+        match Hashtbl.find_opt by_decliners decl with
+        | Some p -> Some p
+        | None ->
+            let p, _ = fused (fun i -> decl.(i)) in
+            Hashtbl.add by_decliners decl p;
+            Some p
+    in
+    (sinks, !closed, !expanded)
   in
   let finish fatal =
     Array.mapi
@@ -186,13 +247,12 @@ let make_group ?(lock = Mutex.create ()) ?(on_fail = ignore) members =
             match fin () with r -> Ok r | exception e -> Error (capture e)))
       made
   in
-  { alive; retire; per_tag; n_sinks = !n_sinks; finish }
+  { alive; retire; per_tag; n_sinks; offer_repeat; finish }
+
+let job_member j = { m_wants = wanted_tags j; m_make = j.make; m_job = true }
 
 let supervised ~iter jobs =
-  let g =
-    make_group
-      (Array.of_list (List.map (fun j -> (wanted_tags j, j.make)) jobs))
-  in
+  let g = make_group (Array.of_list (List.map job_member jobs)) in
   let fatal =
     match iter g.per_tag with () -> None | exception e -> Some (capture e)
   in
@@ -210,7 +270,7 @@ let supervised ~iter jobs =
 type shard_runner = {
   r_prefix_sink : Event.t -> unit;
   r_snapshot : int -> unit;  (* capture the seed for shard [k] *)
-  r_start : int -> (Event.t -> unit) * (unit -> unit);
+  r_start : int -> sink * (unit -> unit);
   r_finish : unit -> string;  (* fold-merge the shard states, render *)
 }
 
@@ -254,7 +314,7 @@ type item = {
   mutable i_pos : int;
   mutable i_busy : bool;
   mutable i_done : bool;
-  mutable i_run : ((Event.t -> unit) * (unit -> unit)) option;
+  mutable i_run : (sink * (unit -> unit)) option;
 }
 
 (* Event-balanced shard boundaries over the chunk index: boundary [k] is the
@@ -279,8 +339,8 @@ let shard_bounds reader n_chunks n_shards =
 
 type action =
   | Exit
-  | Ordered of int * Event.t array
-  | Work of item * Event.t array option
+  | Ordered of int * Reader.decoded
+  | Work of item * Reader.decoded option
   | Decode of int
 
 let run_pipeline ~domains ~n_shards ~window ~chunk reader jobs =
@@ -301,10 +361,13 @@ let run_pipeline ~domains ~n_shards ~window ~chunk reader jobs =
   let merge_wall = ref 0. in
   let member jx j =
     match sharded.(jx) with
-    | None -> (wanted_tags j, j.make)
+    | None -> job_member j
     | Some (Sharded spec as sh) ->
-        ( wanted_tags_of spec.prefix_wants,
-          fun () ->
+        {
+          m_wants = wanted_tags_of spec.prefix_wants;
+          m_job = false;
+          m_make =
+            (fun () ->
             let r = make_runner n_shards sh in
             (* seed shard 0 (trace start) and any empty leading shards now,
                before any event flows *)
@@ -318,7 +381,8 @@ let run_pipeline ~domains ~n_shards ~window ~chunk reader jobs =
               Fun.protect r.r_finish ~finally:(fun () ->
                   merge_wall := !merge_wall +. (Unix.gettimeofday () -. t0))
             in
-            (r.r_prefix_sink, finish) )
+            (events_only r.r_prefix_sink, finish));
+        }
   in
   let g =
     make_group ~lock:mu
@@ -421,13 +485,27 @@ let run_pipeline ~domains ~n_shards ~window ~chunk reader jobs =
   let decode_s = Array.make domains 0. in
   let ordered_s = Array.make domains 0. in
   let shard_s = Array.make domains 0. in
-  let do_ordered d i evs =
+  (* repeat deliveries (repeat chunk x job), per domain *)
+  let closed = Array.make domains 0 and expanded = Array.make domains 0 in
+  let do_ordered d i (dc : Reader.decoded) =
     let t0 = Unix.gettimeofday () in
-    if g.n_sinks > 0 then
-      for e = 0 to Array.length evs - 1 do
-        let ev = Array.unsafe_get evs e in
-        (Array.unsafe_get per_tag (Event.tag ev)) ev
-      done;
+    let sinks =
+      match dc.repeat with
+      | Some r when g.n_sinks > 0 ->
+          let sinks, c, x = g.offer_repeat r in
+          closed.(d) <- closed.(d) + c;
+          expanded.(d) <- expanded.(d) + x;
+          sinks
+      | _ -> if g.n_sinks > 0 then Some per_tag else None
+    in
+    Option.iter
+      (fun per_tag ->
+        let evs = dc.events in
+        for e = 0 to Array.length evs - 1 do
+          let ev = Array.unsafe_get evs e in
+          (Array.unsafe_get per_tag (Event.tag ev)) ev
+        done)
+      sinks;
     (* shard boundaries landing right after this chunk: snapshot every live
        runner's prefix state before publishing the advance, so a shard can
        only start once its seed exists.  Only the token holder touches
@@ -466,16 +544,29 @@ let run_pipeline ~domains ~n_shards ~window ~chunk reader jobs =
     let stop = ref false in
     while not !stop do
       match !current with
-      | Some evs when it.i_pos < it.i_hi ->
+      | Some (dc : Reader.decoded) when it.i_pos < it.i_hi ->
           (if alive.(jx) then
              match it.i_run with
              | Some (sink, _) -> (
                  let w = wants.(jx) in
                  try
-                   for i = 0 to Array.length evs - 1 do
-                     let ev = Array.unsafe_get evs i in
-                     if Array.unsafe_get w (Event.tag ev) then sink ev
-                   done
+                   let took =
+                     match dc.repeat with
+                     | None -> false
+                     | Some r ->
+                         let took = sink.on_repeat r in
+                         if took then closed.(d) <- closed.(d) + 1
+                         else expanded.(d) <- expanded.(d) + 1;
+                         took
+                   in
+                   if not took then begin
+                     let evs = dc.events in
+                     let sink = sink.on_event in
+                     for i = 0 to Array.length evs - 1 do
+                       let ev = Array.unsafe_get evs i in
+                       if Array.unsafe_get w (Event.tag ev) then sink ev
+                     done
+                   end
                  with e -> fail_job jx e)
              | None -> ());
           Mutex.lock mu;
@@ -600,6 +691,8 @@ let run_pipeline ~domains ~n_shards ~window ~chunk reader jobs =
       rs_shard_s = sum shard_s;
       rs_merge_s = !merge_wall;
       rs_peak_live_chunks = !peak_live;
+      rs_repeat_closed = Array.fold_left ( + ) 0 closed;
+      rs_repeat_expanded = Array.fold_left ( + ) 0 expanded;
       rs_timings =
         List.init domains (fun d ->
             {
@@ -635,7 +728,7 @@ let parallel ?domains ?shards ?batch ?chunk ?stats reader jobs_l =
       let window =
         match batch with Some b -> max 1 b | None -> max 4 (2 * d)
       in
-      let chunk = Option.value chunk ~default:(Reader.chunk_events reader) in
+      let chunk = Option.value chunk ~default:(Reader.chunk reader) in
       let results, st =
         run_pipeline ~domains:d ~n_shards ~window ~chunk reader jobs
       in

@@ -14,6 +14,18 @@
     run, so one broken analysis cannot take down the other tools'
     byte-identical reports. *)
 
+type sink = {
+  on_event : Event.t -> unit;
+  on_repeat : Squash.repeat -> bool;
+      (** take a whole v4 repeat record in closed form, or return [false]
+          to decline it; a declined record's events then go through
+          [on_event], one by one.  Returning [true] promises that the
+          tool's state now equals what [on_event] over {!Squash.expand}'s
+          events would have left.  {!parallel} offers every repeat chunk's
+          record; {!sequential} and {!supervised} never do. *)
+}
+(** A tool instance's two entry points (see {!Tool.S}). *)
+
 type ('state, 'seed) shard_spec = {
   prefix_wants : Event.kind list;
       (** event kinds the prefix tracker consumes; [[]] if the tool needs no
@@ -25,11 +37,12 @@ type ('state, 'seed) shard_spec = {
           state as a fresh, independent ['seed].  The snapshot is taken at
           each shard boundary, so it must be callable repeatedly and cheap —
           e.g. {!Tq_prof.Call_stack.prefix} for stack-dependent tools. *)
-  shard : 'seed -> (Event.t -> unit) * (unit -> 'state);
+  shard : 'seed -> sink * (unit -> 'state);
       (** Build one shard from the seed captured at its range's start: a sink
           fed the range's events (filtered by the job's [wants], in order
-          within the range) and a finaliser returning the shard's partial
-          state. *)
+          within the range; a repeat chunk's record first, its events only
+          if the record is declined) and a finaliser returning the shard's
+          partial state. *)
   merge : 'state -> 'state -> unit;
       (** [merge earlier later] absorbs [later] (the state of the adjacent
           {e later} trace range) into [earlier].  {!parallel} folds shard
@@ -57,7 +70,7 @@ type job = {
   wants : Event.kind list;
       (** event kinds the sink consumes; events of other kinds are never
           delivered to it *)
-  make : unit -> (Event.t -> unit) * (unit -> string);
+  make : unit -> sink * (unit -> string);
   sharded : sharded option;
       (** if present, {!parallel} may split this job across trace ranges *)
 }
@@ -78,7 +91,8 @@ val job :
   string ->
   (unit -> (Event.t -> unit) * (unit -> string)) ->
   job
-(** [wants] defaults to {!Event.all_kinds}.  Narrowing it to the kinds the
+(** A job over a plain event sink: its records are always declined.
+    [wants] defaults to {!Event.all_kinds}.  Narrowing it to the kinds the
     tool actually consumes (its [consume] match arms that do work) lets the
     replay driver skip the sink call for the rest; it must stay a superset
     of the consumed kinds or the tool silently loses events.  [sharded], if
@@ -112,6 +126,12 @@ type run_stats = {
       (** high-water mark of decoded chunks held at once — the pipeline's
           actual queue depth, bounded by the decode window plus in-flight
           consumers *)
+  rs_repeat_closed : int;
+      (** repeat deliveries (repeat chunk × job) a job took in closed form,
+          skipping the chunk's expanded events *)
+  rs_repeat_expanded : int;
+      (** repeat deliveries a job declined, consuming the expanded events;
+          a sharded job's prefix tracker is not counted *)
   rs_timings : domain_timing list;
       (** one entry per worker, caller's domain first: each worker's wall
           time, with every job listed on domain [0]'s row *)
@@ -156,7 +176,7 @@ val parallel :
   ?domains:int ->
   ?shards:int ->
   ?batch:int ->
-  ?chunk:(int -> Event.t array) ->
+  ?chunk:(int -> Reader.decoded) ->
   ?stats:(run_stats -> unit) ->
   Reader.t ->
   job list ->
@@ -164,7 +184,7 @@ val parallel :
 (** Replay through the sharded streaming pipeline — the one multi-tool
     replay engine, behind [tquad replay --all] and every served job.  Every
     chunk is decoded and CRC-verified {e exactly once} into a pooled slot
-    by [chunk] (default {!Reader.chunk_events}[ reader]; the serve layer
+    by [chunk] (default {!Reader.chunk}[ reader]; the serve layer
     passes a cache lookup with its cancellation checkpoint); the chunks then
     flow through two kinds of consumers running concurrently on one shared
     domain pool:
@@ -182,6 +202,12 @@ val parallel :
     (default [max 4 (2*domains)]) ahead of the slowest consumer, so memory
     stays bounded.  Results come back in job order, reports byte-identical
     to {!sequential}.
+
+    A repeat chunk's record is offered to each consumer before its events:
+    a shard item's sink, and each member of the ordered stage (a job's
+    sink or a prefix tracker), may take it in closed form and skip the
+    chunk's events ({!sink}[.on_repeat]); the rest walk the expanded
+    events as for any other chunk.
 
     [domains] defaults to [Domain.recommended_domain_count ()] and is
     always capped by it — decode and analysis share the one pool, so

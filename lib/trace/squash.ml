@@ -38,11 +38,6 @@ module Dyn_array = Tq_util.Dyn_array
    events one record may cover — a run at the cap is flushed and detection
    restarts, costing one uncompressed iteration per cap hit. *)
 
-type field_enc =
-  | Affine of int  (** the field advances by this stride every iteration *)
-  | Literal of int array
-      (** the per-iteration deltas, [iters - 1] of them *)
-
 (* A run commits once it covers [min_iters] iterations and [min_raw] raw
    events.  [max_body] caps a body (and the pending window); [max_raw] caps
    the raw events of one record.  The two caps are wire rules: the reader
@@ -52,18 +47,31 @@ let min_raw = 32
 let max_body = 512
 let max_raw = 65536
 
+type repeat = {
+  body : Event.t array;
+  iters : int;
+  literal : bool array;
+  stride : int array;
+  lits : int array array;
+}
+
+let field_offsets body =
+  let b = Array.length body in
+  let foff = Array.make (b + 1) 0 in
+  for k = 0 to b - 1 do
+    foff.(k + 1) <- foff.(k) + Event.num_fields body.(k)
+  done;
+  foff
+
 (* The one repeat expander, shared by the reader (decode) and the writer
    (pricing a run's plain encoding): iteration 0 is the body itself, and each
    further iteration advances every numeric field by its stride, or by its
    next literal delta when [literal.(f)], then rebuilds each body event from
    its slice of the fields.  One add per affine field and no closure per
    field: this loop is where compressed replay spends its time. *)
-let expand ~body ~iters ~literal ~stride ~lits sink =
+let expand { body; iters; literal; stride; lits } sink =
   let b = Array.length body in
-  let foff = Array.make (b + 1) 0 in
-  for k = 0 to b - 1 do
-    foff.(k + 1) <- foff.(k) + Event.num_fields body.(k)
-  done;
+  let foff = field_offsets body in
   let vals = Array.make (max foff.(b) 1) 0 in
   for k = 0 to b - 1 do
     ignore (Event.read_num_fields body.(k) vals foff.(k))
@@ -86,7 +94,7 @@ let expand ~body ~iters ~literal ~stride ~lits sink =
 
 type out = {
   out_plain : Event.t -> unit;
-  out_repeat : body:Event.t array -> iters:int -> fields:field_enc array -> unit;
+  out_repeat : repeat -> unit;
 }
 
 (* One closed segment: a boundary event (dictionary key [s_key]) plus the
@@ -174,10 +182,7 @@ let make_run body_segs =
       bound.(!k) <- true;
       k := !k + s.s_n)
     body_segs;
-  let foff = Array.make (b + 1) 0 in
-  for i = 0 to b - 1 do
-    foff.(i + 1) <- foff.(i) + Event.num_fields body.(i)
-  done;
+  let foff = field_offsets body in
   let nf = foff.(b) in
   let vals = Array.make (max nf 1) 0 in
   for i = 0 to b - 1 do
@@ -203,15 +208,24 @@ let make_run body_segs =
 
 let flush_run t run =
   if run.r_committed then begin
-    let fields =
-      Array.map
-        (fun f ->
-          match f.f_lits with
-          | Some d -> Literal (Dyn_array.to_array d)
-          | None -> Affine f.f_stride)
-        run.r_fields
-    in
-    t.o.out_repeat ~body:run.r_body ~iters:run.r_iters ~fields
+    let literal = Array.map (fun f -> f.f_lits <> None) run.r_fields in
+    t.o.out_repeat
+      {
+        body = run.r_body;
+        iters = run.r_iters;
+        literal;
+        stride =
+          Array.map
+            (fun f -> if f.f_lits = None then f.f_stride else 0)
+            run.r_fields;
+        lits =
+          Array.map
+            (fun f ->
+              match f.f_lits with
+              | Some d -> Dyn_array.to_array d
+              | None -> [||])
+            run.r_fields;
+      }
   end
   else begin
     Array.iter t.o.out_plain run.r_body;

@@ -5,10 +5,10 @@
     stack pointers, lengths) advancing — usually by a constant stride per
     iteration.  This module detects such runs online, as the probe emits
     events, and hands {!Writer} either plain events (in order) or whole
-    {e repeat records}: the body's events once, an iteration count, and per
-    numeric field either one affine stride or the literal per-iteration
-    deltas (see docs/TRACE.md for the wire encoding, {!Event.num_fields}
-    for the canonical field order).
+    {e repeat records} ({!repeat}): the body's events once, an iteration
+    count, and per numeric field either one affine stride or the literal
+    per-iteration deltas (see docs/TRACE.md for the wire encoding,
+    {!Event.num_fields} for the canonical field order).
 
     Detection is keyed on the block address: a candidate body is the
     segment window between two [Block_exec] events with the same [addr].
@@ -27,11 +27,6 @@
     iterations {e and} 32 raw events; shorter runs replay as plain events
     (tiny repeat chunks would cost more than they save). *)
 
-type field_enc =
-  | Affine of int  (** the field advances by this stride every iteration *)
-  | Literal of int array
-      (** the per-iteration deltas, [iters - 1] of them *)
-
 val max_body : int
 (** Cap on a repeat's body length in events (512), also the pending-window
     size.  A wire rule: {!Reader} refuses a repeat or body-def chunk whose
@@ -42,28 +37,33 @@ val max_raw : int
     decoder's per-chunk expansion.  A wire rule: {!Reader} refuses a repeat
     chunk with [B × iters] above it. *)
 
-val expand :
-  body:Event.t array ->
-  iters:int ->
-  literal:bool array ->
-  stride:int array ->
-  lits:int array array ->
-  (Event.t -> unit) ->
-  unit
-(** [expand ~body ~iters ~literal ~stride ~lits sink] passes a repeat's
-    [B × iters] raw events to [sink], in order: the body, then [iters - 1]
-    iterations in which every numeric field [f] (flattened
-    {!Event.num_fields} order over the body) advances by
-    [lits.(f).(i - 1)] when [literal.(f)], else by [stride.(f)].  The one
-    definition of what a repeat means: the reader decodes repeat chunks
+type repeat = {
+  body : Event.t array;  (** iteration 0, [B] events *)
+  iters : int;  (** iterations, body included ([>= 1]) *)
+  literal : bool array;
+      (** per numeric field (flattened {!Event.num_fields} order over the
+          body): [true] = the field takes its deltas from [lits] *)
+  stride : int array;  (** per field: the affine stride, when not literal *)
+  lits : int array array;
+      (** per field: the [iters - 1] per-iteration deltas, when literal *)
+}
+(** One repeat record: what a v4 repeat chunk means.  The suppressor emits
+    it, the writer prices and encodes it, the reader decodes it, and the
+    replay tools that take records in closed form
+    ({!Tool.S.consume_repeat}) read it. *)
+
+val expand : repeat -> (Event.t -> unit) -> unit
+(** [expand r sink] passes the record's [B × iters] raw events to [sink],
+    in order: the body, then [iters - 1] iterations in which every numeric
+    field [f] advances by [r.lits.(f).(i - 1)] when [r.literal.(f)], else
+    by [r.stride.(f)].  The one expander: the reader decodes repeat chunks
     through it and the writer prices a run's plain encoding through it. *)
 
 type out = {
   out_plain : Event.t -> unit;  (** one event the suppressor won't elide *)
-  out_repeat : body:Event.t array -> iters:int -> fields:field_enc array -> unit;
-      (** a committed run: [body] repeated [iters] times ([iters >= 2],
-          body included), [fields] aligned with the flattened
-          {!Event.num_fields} of the body's events *)
+  out_repeat : repeat -> unit;
+      (** a committed run: its body repeated [iters] times ([iters >= 2],
+          body included); a literal field's stride is [0] *)
 }
 
 type t

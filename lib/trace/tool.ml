@@ -12,12 +12,16 @@ module type S = sig
 
   val interest : Event.kind list
   val consume : t -> Event.t -> unit
+  val consume_repeat : t -> Squash.repeat -> bool
   val create : config -> Tq_vm.Program.t -> t
   val shard : (config, seed, t) shard option
 end
 
 let job (type c t) (module T : S with type config = c and type t = t) name
     (config : c) prog ~render =
+  let sink t =
+    { Replay.on_event = T.consume t; on_repeat = T.consume_repeat t }
+  in
   let sharded =
     Option.map
       (fun sh ->
@@ -28,15 +32,21 @@ let job (type c t) (module T : S with type config = c and type t = t) name
             shard =
               (fun seed ->
                 let t = sh.seeded config prog seed in
-                (T.consume t, fun () -> t));
+                (sink t, fun () -> t));
             merge = sh.merge_into;
             render;
           })
       T.shard
   in
-  Replay.job ~wants:T.interest ?sharded name (fun () ->
-      let t = T.create config prog in
-      (T.consume t, fun () -> render t))
+  {
+    Replay.name;
+    wants = T.interest;
+    sharded;
+    make =
+      (fun () ->
+        let t = T.create config prog in
+        (sink t, fun () -> render t));
+  }
 
 let attach create consume engine =
   let t = create (Tq_vm.Machine.program (Tq_dbi.Engine.machine engine)) in

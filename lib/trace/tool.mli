@@ -2,7 +2,8 @@
 
     QUAD, tQUAD, gprofsim, the instruction mix, the cache simulator and the
     footprint tool are companion analyses over a single event stream: each
-    is built from a config and the program, consumes {!Event.t}s, and —
+    is built from a config and the program, consumes {!Event.t}s (and,
+    where it can, whole v4 repeat records in closed form), and —
     where its state merges — splits into trace-range shards.  {!S} states
     that once; {!job} and {!attach} derive the replay job (plain and
     sharded paths) and the live attachment from it, so no tool wires
@@ -36,6 +37,20 @@ module type S = sig
 
   val consume : t -> Event.t -> unit
   (** Process one event — the one entry point for live and replayed runs. *)
+
+  val consume_repeat : t -> Squash.repeat -> bool
+  (** Take a whole v4 repeat record — a loop body, its iteration count and
+      its per-field strides — in closed form, or return [false] to decline
+      it, leaving [t] untouched; {!Replay.parallel} then feeds the record's
+      expanded events to {!consume}, one by one.  Taking it must leave [t]
+      as {!consume} over {!Squash.expand}'s events would have, so reports
+      stay byte-identical.  tQUAD and the footprint tool take records
+      whose bodies hold no [Rtn_entry]/[Ret] and whose access fields are
+      affine, gprofsim those whose blocks also tile each iteration without
+      a gap, the instruction mix every record; QUAD and the cache
+      simulator decline every record (docs/TRACE.md §6).  Only
+      {!Replay.parallel} offers records: the sequential oracle and live
+      runs always expand. *)
 
   val create : config -> Tq_vm.Program.t -> t
   (** A fresh analyser for a run starting at the first event. *)

@@ -28,7 +28,7 @@ type t = {
   body_dict : (string, int * int) Hashtbl.t;
       (* body blob -> (def chunk offset, def payload CRC) *)
   mutable dict_bytes : int;
-  mutable held : (Event.t array * int * Squash.field_enc array) option;
+  mutable held : Squash.repeat option;
       (* a committed run (body, iters, fields) waiting to learn whether
          plain events follow it — see [settle] *)
   mutable closed : bool;
@@ -178,7 +178,8 @@ let define_body w ~blob ~payload ~first_icount =
    floor ({!Event.min_encoded_bytes}) does not already exceed the repeat's
    cost is expanded ({!Squash.expand}, the reader's own expander) to price
    its plain encoding. *)
-let write_run w ~followed (body, iters, fields) =
+let write_run w ~followed (r : Squash.repeat) =
+  let body = r.body and iters = r.iters and literal = r.literal in
   let b = Array.length body in
   let first_icount = Event.icount body.(0) in
   let blob_buf = Buffer.create 256 in
@@ -191,23 +192,12 @@ let write_run w ~followed (body, iters, fields) =
     Buffer.add_string p blob;
     Buffer.contents p
   in
-  let literal =
-    Array.map (function Squash.Literal _ -> true | Affine _ -> false) fields
-  in
-  let expand sink =
-    let stride =
-      Array.map (function Squash.Affine s -> s | Literal _ -> 0) fields
-    in
-    let lits =
-      Array.map (function Squash.Literal l -> l | Affine _ -> [||]) fields
-    in
-    Squash.expand ~body ~iters ~literal ~stride ~lits sink
-  in
+  let expand = Squash.expand r in
   (* field tables: a literal-mode bitmap (bit f set = field f is literal;
      one mode byte per field would double the table cost of the dominant
      all-affine case), then each field's data in canonical order *)
   let tables = Buffer.create 64 in
-  let nf = Array.length fields in
+  let nf = Array.length literal in
   for byte = 0 to ((nf + 7) / 8) - 1 do
     let v = ref 0 in
     for bit = 0 to 7 do
@@ -216,12 +206,10 @@ let write_run w ~followed (body, iters, fields) =
     done;
     Buffer.add_uint8 tables !v
   done;
-  Array.iter
-    (fun f ->
-      match f with
-      | Squash.Affine stride -> Leb.write_s tables stride
-      | Squash.Literal lits -> Array.iter (Leb.write_s tables) lits)
-    fields;
+  for f = 0 to nf - 1 do
+    if literal.(f) then Array.iter (Leb.write_s tables) r.lits.(f)
+    else Leb.write_s tables r.stride.(f)
+  done;
   let repeat_payload (bref, bcrc) =
     let p = Buffer.create (Buffer.length tables + 16) in
     Leb.write_u p b;
@@ -315,9 +303,9 @@ let squash w =
                 settle w ~followed:true;
                 emit_plain w ev);
             out_repeat =
-              (fun ~body ~iters ~fields ->
+              (fun r ->
                 settle w ~followed:false;
-                w.held <- Some (body, iters, fields));
+                w.held <- Some r);
           }
       in
       w.squash <- Some sq;

@@ -626,9 +626,7 @@ let test_v4_writer_matches_golden () =
   let out =
     {
       Squash.out_plain = (fun ev -> w_chunks := `P ev :: !w_chunks);
-      Squash.out_repeat =
-        (fun ~body ~iters ~fields ->
-          w_chunks := `R (body, iters, fields) :: !w_chunks);
+      Squash.out_repeat = (fun r -> w_chunks := `R r :: !w_chunks);
     }
   in
   let sq = Squash.create out in
@@ -644,21 +642,17 @@ let test_v4_writer_matches_golden () =
   done;
   Squash.flush sq;
   let repeats =
-    List.filter_map
-      (function `R (b, i, f) -> Some (b, i, f) | `P _ -> None)
-      !w_chunks
+    List.filter_map (function `R r -> Some r | `P _ -> None) !w_chunks
   in
   match repeats with
-  | [ (body, iters, fields) ] ->
-      Alcotest.(check int) "body length" 2 (Array.length body);
-      Alcotest.(check int) "iterations" 16 iters;
+  | [ (r : Squash.repeat) ] ->
+      Alcotest.(check int) "body length" 2 (Array.length r.body);
+      Alcotest.(check int) "iterations" 16 r.iters;
       (* fields: Block_exec.icount, Load.icount, Load.ea, Load.sp *)
-      Alcotest.(check int) "field count" 4 (Array.length fields);
+      Alcotest.(check int) "field count" 4 (Array.length r.literal);
       Alcotest.(check bool) "all affine" true
-        (Array.for_all (function Squash.Affine _ -> true | _ -> false) fields);
-      (match fields.(2) with
-      | Squash.Affine s -> Alcotest.(check int) "ea stride" 8 s
-      | _ -> Alcotest.fail "ea field not affine")
+        (Array.for_all not r.literal);
+      Alcotest.(check int) "ea stride" 8 r.stride.(2)
   | l -> Alcotest.failf "expected exactly one repeat record, got %d" (List.length l)
 
 (* ---------- a v4 container is a function of its event stream ----------
@@ -703,6 +697,284 @@ let test_container_is_function_of_stream () =
   in
   check "pointer-chase" chase
 
+(* ---------- closed-form repeat records vs expansion ----------
+
+   tQUAD, the footprint tool, gprofsim and the instruction mix take a v4
+   repeat record in closed form ([Tool.S.consume_repeat]); QUAD and the
+   cache simulator expand it.  The closed form must leave a tool exactly
+   as [consume] over the expanded events would: after the same prefix and
+   suffix events, both render the same report.  Random records cover
+   negative and zero strides, slice and sampling-period boundaries inside
+   a body (small intervals), address runs crossing [sp - stack_red_zone]
+   and [stack_top], zero-length block copies, and bodies that must be
+   declined: a call or return, a literal field, a block copy whose length
+   moves, blocks that do not tile their iteration. *)
+
+module Layout = Tq_vm.Layout
+module Symtab = Tq_vm.Symtab
+
+let oracle_prog = lazy (Tq_wfs.Harness.compile Test_trace.micro_scen)
+
+type repeat_case = {
+  rc_repeat : Squash.repeat;
+  rc_prefix : Event.t list;
+  rc_suffix : Event.t list;
+  rc_slice : int;
+  rc_period : int;
+  rc_policy : Tq_prof.Call_stack.policy;
+  rc_calls : bool;  (* the body holds a Rtn_entry or a Ret *)
+  rc_access_declined : bool;
+      (* an access field is literal, or a block copy's length moves *)
+  rc_exec_declined : bool;
+      (* a block icount is literal, or the blocks do not tile *)
+}
+
+(* One random case, from a seed: the generator builds whole records with
+   their field tables, which QCheck's combinators would only obscure. *)
+let repeat_case seed =
+  let prog = Lazy.force oracle_prog in
+  let rs = Random.State.make [| seed |] in
+  let int n = Random.State.int rs n in
+  let pick l = List.nth l (int (List.length l)) in
+  let n_code = Array.length prog.Program.code in
+  let n_sym = Symtab.count prog.symtab in
+  let main_id =
+    let rec go i =
+      if i >= n_sym then 0
+      else if (Symtab.by_id prog.symtab i).Symtab.is_main_image then i
+      else go (i + 1)
+    in
+    go 0
+  in
+  let code_addr n = Layout.text_base + (4 * int (n_code - n)) in
+  let iters = 2 + int 39 in
+  let base = int 300 in
+  let top = Layout.stack_top and red = Layout.stack_red_zone in
+  (* body events with their per-field strides, in field order *)
+  let body = ref [] in
+  let push ev strides = body := (ev, strides) :: !body in
+  (* an address with its stride: global data, a run across the red-zone
+     edge of a moving stack pointer, or a run across [stack_top] *)
+  let address ~size =
+    match int 3 with
+    | 0 ->
+        let sp = top - 0x1000 - int 0x1000 in
+        let d =
+          pick [ 0; size; -size; size / 2; 4096; (-3 * size) - 1; int 33 - 16 ]
+        in
+        (0x1000_0000 + int 0x10000, d, sp, pick [ 0; 0; 8; -8 ])
+    | 1 ->
+        let sp = top - 0x10000 - int 0x1000 in
+        (sp - red + int 81 - 40, int 33 - 16, sp, pick [ 0; 8; -8; 16 ])
+    | _ -> (top + int 81 - 40, int 33 - 16, top - 0x100000, 0)
+  in
+  let cur = ref base and blocks = ref [] in
+  for _ = 0 to int 4 do
+    let n = 1 + int 12 in
+    let addr = code_addr n in
+    push (Event.Block_exec { icount = !cur; addr; n }) [ `Ic ];
+    blocks := n :: !blocks;
+    for _ = 1 to int 4 do
+      let icount = !cur + int n in
+      let static = int (n_sym + 1) - 1 in
+      match int 5 with
+      | 0 | 1 ->
+          let size = pick [ 0; 1; 2; 4; 8; 16 ] in
+          let ea, dea, sp, dsp = address ~size in
+          push
+            (Event.Load { icount; static; ea; size; sp })
+            [ `Ic; `V dea; `V dsp ]
+      | 2 | 3 ->
+          let size = pick [ 0; 1; 2; 4; 8; 16 ] in
+          let ea, dea, sp, dsp = address ~size in
+          push
+            (Event.Store { icount; static; ea; size; sp })
+            [ `Ic; `V dea; `V dsp ]
+      | _ ->
+          let len = if int 3 = 0 then 0 else int 64 in
+          let src, dsrc, sp, dsp = address ~size:len in
+          let dst, ddst, _, _ = address ~size:len in
+          let dlen = if int 8 = 0 then 1 + int 3 else 0 in
+          push
+            (Event.Block_copy { icount; static; src; dst; len; sp })
+            [ `Ic; `V dsrc; `V ddst; `V dlen; `V dsp ]
+    done;
+    cur := !cur + n
+  done;
+  let d = !cur - base in
+  let calls = int 6 = 0 in
+  if calls then begin
+    let icount = base + int d and sp = top - 0x2000 in
+    if int 2 = 0 then
+      push (Event.Rtn_entry { icount; routine = int n_sym; sp }) [ `Ic; `V 0 ]
+    else push (Event.Ret { icount; sp }) [ `Ic; `V 0 ]
+  end;
+  let body_l = List.rev !body in
+  let body = Array.of_list (List.map fst body_l) in
+  let strides =
+    Array.of_list
+      (List.concat_map
+         (fun (_, st) -> List.map (function `Ic -> d | `V v -> v) st)
+         body_l)
+  in
+  let nf = Array.length strides in
+  let foff = Array.make (Array.length body + 1) 0 in
+  Array.iteri
+    (fun k ev -> foff.(k + 1) <- foff.(k) + Event.num_fields ev)
+    body;
+  (* which body event owns field [f] *)
+  let owner f =
+    let k = ref 0 in
+    while foff.(!k + 1) <= f do incr k done;
+    body.(!k)
+  in
+  let is_access = function
+    | Event.Load _ | Event.Store _ | Event.Block_copy _ -> true
+    | _ -> false
+  in
+  let is_exec = function Event.Block_exec _ -> true | _ -> false in
+  let literal = Array.make nf false and lits = Array.make nf [||] in
+  let lit_access = ref false and lit_exec = ref false in
+  if int 5 = 0 then begin
+    let f = int nf in
+    literal.(f) <- true;
+    lits.(f) <- Array.init (iters - 1) (fun _ -> max 0 strides.(f) + int 5);
+    if is_access (owner f) then lit_access := true;
+    if is_exec (owner f) then lit_exec := true
+  end;
+  (* blocks that stop tiling: one block's icount stride off by one *)
+  let untiled = int 8 = 0 in
+  if untiled then begin
+    let k = ref (int (Array.length body)) in
+    while not (is_exec body.(!k)) do k := (!k + 1) mod Array.length body done;
+    strides.(foff.(!k)) <- d + 1
+  end;
+  let moving_len =
+    Array.exists Fun.id
+      (Array.mapi
+         (fun k ev ->
+           match ev with
+           | Event.Block_copy _ -> strides.(foff.(k) + 3) <> 0
+           | _ -> false)
+         body)
+  in
+  let stop = base + (iters * d) in
+  let prefix =
+    Event.Rtn_entry { icount = 0; routine = main_id; sp = top - 8 }
+    :: (if base > 0 then [ Event.Block_exec { icount = 0; addr = code_addr base; n = base } ]
+        else [])
+  in
+  let period = 3 + int 50 in
+  let suffix =
+    let n = 1 + int (2 * period) in
+    [ Event.Block_exec { icount = stop; addr = code_addr n; n };
+      Event.Load
+        { icount = stop; static = main_id; ea = 0x1000_0000; size = 4; sp = top - 8 } ]
+  in
+  {
+    rc_repeat = { Squash.body; iters; literal; stride = strides; lits };
+    rc_prefix = prefix;
+    rc_suffix = suffix;
+    rc_slice = 5 + int 60;
+    rc_period = period;
+    rc_policy = pick Tq_prof.Call_stack.[ Track_all; Main_image_only ];
+    rc_calls = calls;
+    rc_access_declined = !lit_access || moving_len;
+    rc_exec_declined = !lit_exec || untiled;
+  }
+
+let print_repeat_case seed =
+  let c = repeat_case seed in
+  let r = c.rc_repeat in
+  Printf.sprintf "seed %d: iters %d, slice %d, period %d\nbody: %s\nstrides: %s\nliteral: %s"
+    seed r.iters c.rc_slice c.rc_period
+    (String.concat "; " (Array.to_list (Array.map (Format.asprintf "%a" Event.pp) r.body)))
+    (String.concat " " (Array.to_list (Array.map string_of_int r.stride)))
+    (String.concat " "
+       (Array.to_list
+          (Array.mapi (fun f l -> if l then string_of_int f else "") r.literal)))
+
+(* The tool after prefix, record and suffix: the record taken in closed
+   form when [closed] and the tool takes it, else expanded into
+   [consume].  Returns whether it was taken and the report. *)
+let through (type c t)
+    (module T : Tq_trace.Tool.S with type config = c and type t = t)
+    (config : c) ~render c ~closed =
+  let t = T.create config (Lazy.force oracle_prog) in
+  List.iter (T.consume t) c.rc_prefix;
+  let taken = closed && T.consume_repeat t c.rc_repeat in
+  if not taken then Squash.expand c.rc_repeat (T.consume t);
+  List.iter (T.consume t) c.rc_suffix;
+  (taken, render t)
+
+(* every per-slice byte count, beyond the rendered totals *)
+let render_tquad_series t =
+  Test_trace.render_tquad t
+  ^ String.concat ""
+      (List.map
+         (fun r ->
+           String.concat ""
+             (List.map
+                (fun m ->
+                  String.concat " "
+                    (Array.to_list
+                       (Array.map string_of_int (Tq_tquad.Tquad.bytes_series t r m)))
+                  ^ "\n")
+                Tq_tquad.Tquad.[ Read_incl; Read_excl; Write_incl; Write_excl ]))
+         (Tq_tquad.Tquad.kernels t))
+
+let render_gprof_full g =
+  String.concat ""
+    (List.map
+       (fun (row : Tq_gprofsim.Gprofsim.row) ->
+         Printf.sprintf "%s %d %d\n" row.routine.Symtab.name row.samples row.calls)
+       (Tq_gprofsim.Gprofsim.flat_profile ~main_image_only:false g))
+  ^ Tq_gprofsim.Gprofsim.call_graph_report ~main_image_only:false g
+
+let render_mix_full m =
+  Tq_prof.Ins_mix.render m
+  ^ String.concat ""
+      (List.map
+         (fun ((r : Symtab.routine), counts) ->
+           r.name ^ ":"
+           ^ String.concat " " (Array.to_list (Array.map string_of_int counts))
+           ^ "\n")
+         (Tq_prof.Ins_mix.per_kernel m))
+
+let qcheck_repeat_closed_form =
+  QCheck.Test.make ~count:400
+    ~name:"closed-form repeat records report as their expansion"
+    (QCheck.make ~print:print_repeat_case QCheck.Gen.(int_bound 1_000_000_000))
+    (fun seed ->
+      let c = repeat_case seed in
+      let check name ~expect_taken run =
+        let taken, closed = run ~closed:true in
+        let _, expanded = run ~closed:false in
+        if closed <> expanded then
+          QCheck.Test.fail_reportf "%s: closed form\n%s\n<> expansion\n%s" name
+            closed expanded;
+        if taken <> expect_taken then
+          QCheck.Test.fail_reportf "%s: record %s, expected %s" name
+            (if taken then "taken" else "declined")
+            (if expect_taken then "taken" else "declined")
+      in
+      let attributed = not (c.rc_calls || c.rc_access_declined) in
+      check "tquad" ~expect_taken:attributed
+        (through
+           (module Tq_tquad.Tquad)
+           { Tq_tquad.Tquad.slice_interval = c.rc_slice; policy = c.rc_policy }
+           ~render:render_tquad_series c);
+      check "footprint" ~expect_taken:attributed
+        (through (module Tq_prof.Footprint) c.rc_policy
+           ~render:Tq_prof.Footprint.render c);
+      check "gprof"
+        ~expect_taken:(not (c.rc_calls || c.rc_exec_declined))
+        (through (module Tq_gprofsim.Gprofsim) c.rc_period
+           ~render:render_gprof_full c);
+      check "mix" ~expect_taken:true
+        (through (module Tq_prof.Ins_mix) () ~render:render_mix_full c);
+      true)
+
 let suites =
   [
     ( "compress",
@@ -714,6 +986,7 @@ let suites =
         Alcotest.test_case "reports byte-identical (seq + sharded)" `Quick
           test_report_identity;
         QCheck_alcotest.to_alcotest qcheck_compress_roundtrip;
+        QCheck_alcotest.to_alcotest qcheck_repeat_closed_form;
         Alcotest.test_case "affine loop commits repeat chunks" `Quick
           test_affine_loop_compresses;
         QCheck_alcotest.to_alcotest qcheck_minic_record_identity;

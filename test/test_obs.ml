@@ -318,6 +318,9 @@ let test_manifest_validate_negative () =
   invalid
     (with_member "replay"
        (Json.Obj [ ("stage_s", Json.Obj [ ("decode", Json.Str "slow") ]) ]));
+  invalid
+    (with_member "replay"
+       (Json.Obj [ ("repeats", Json.Obj [ ("closed", Json.Float 0.5) ]) ]));
   (* unknown sections and unknown members of known sections are allowed *)
   match
     Manifest.validate

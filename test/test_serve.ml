@@ -67,7 +67,8 @@ let fresh_reader () =
 
 (* Every decoded chunk's cache weight covers its reachable heap bytes, so
    the cache's capacity bounds what its entries hold: over wfs tiny, plain
-   (v3) and compressed (v4), and a 1024-node, 4-round pointer chase. *)
+   (v3) and compressed (v4, a repeat chunk keeping its record beside its
+   events), and a 1024-node, 4-round pointer chase. *)
 let test_chunk_weight_covers_heap () =
   let chase =
     let path = Filename.temp_file "tq_serve_test" ".trc" in
@@ -87,11 +88,11 @@ let test_chunk_weight_covers_heap () =
     (fun (name, raw) ->
       let r = Reader.of_string raw in
       for i = 0 to Reader.n_chunks r - 1 do
-        let evs = Reader.chunk_events r i in
-        let bytes = Obj.reachable_words (Obj.repr evs) * (Sys.word_size / 8) in
-        if Jobs.chunk_weight evs < bytes then
+        let dc = Reader.chunk r i in
+        let bytes = Obj.reachable_words (Obj.repr dc) * (Sys.word_size / 8) in
+        if Jobs.chunk_weight dc < bytes then
           Alcotest.failf "%s, chunk %d: weight %d < %d reachable bytes" name i
-            (Jobs.chunk_weight evs) bytes
+            (Jobs.chunk_weight dc) bytes
       done)
     [ ("wfs tiny v3", plain); ("wfs tiny v4", compressed);
       ("pointer-chase", chase) ]
@@ -566,7 +567,9 @@ let test_job_manifest_replay_section () =
   Alcotest.(check bool) "peak_live_chunks reported" true
     (int "peak_live_chunks" >= 1);
   Alcotest.(check bool) "stage times reported" true
-    (Json.member "stage_s" replay <> None)
+    (Json.member "stage_s" replay <> None);
+  Alcotest.(check bool) "repeat deliveries reported" true
+    (Json.member "repeats" replay <> None)
 
 let test_socket_rate_limit_busy () =
   let prog, bytes = Lazy.force fixture in

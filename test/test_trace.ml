@@ -480,7 +480,7 @@ let test_chunk_source () =
         ((fun _ -> failwith "early sink crash"), fun () -> "unreachable"))
   in
   let dying i =
-    if i = k then raise (Source_died i) else Reader.chunk_events r i
+    if i = k then raise (Source_died i) else Reader.chunk r i
   in
   let check_dead results =
     List.iter
@@ -506,7 +506,7 @@ let test_chunk_source () =
         | Some evs -> evs
         | None ->
             incr decodes;
-            let evs = Reader.chunk_events r i in
+            let evs = Reader.chunk r i in
             Hashtbl.add cache i evs;
             evs)
   in
