@@ -39,10 +39,10 @@ type ('state, 'seed) shard_spec = {
           e.g. {!Tq_prof.Call_stack.prefix} for stack-dependent tools. *)
   shard : 'seed -> sink * (unit -> 'state);
       (** Build one shard from the seed captured at its range's start: a sink
-          fed the range's events (filtered by the job's [wants], in order
-          within the range; a repeat chunk's record first, its events only
-          if the record is declined) and a finaliser returning the shard's
-          partial state. *)
+          fed the range's events of the job's [wants] kinds in order (a
+          repeat chunk's record first, its events only if the record is
+          declined; one walk of the range feeds every sharded job's shard)
+          and a finaliser returning the shard's partial state. *)
   merge : 'state -> 'state -> unit;
       (** [merge earlier later] absorbs [later] (the state of the adjacent
           {e later} trace range) into [earlier].  {!parallel} folds shard
@@ -87,18 +87,16 @@ type outcome = (string, failure) result
 
 val job :
   ?wants:Event.kind list ->
-  ?sharded:sharded ->
   string ->
   (unit -> (Event.t -> unit) * (unit -> string)) ->
   job
-(** A job over a plain event sink: its records are always declined.
-    [wants] defaults to {!Event.all_kinds}.  Narrowing it to the kinds the
-    tool actually consumes (its [consume] match arms that do work) lets the
-    replay driver skip the sink call for the rest; it must stay a superset
-    of the consumed kinds or the tool silently loses events.  [sharded], if
-    given, lets {!parallel} shard the job across trace ranges; the spec's
-    reports must be byte-identical to the [make] path's.  The analysis
-    tools get theirs from {!Tool.job}; a raw job is for ad-hoc sinks. *)
+(** A job over a plain event sink, not sharded: its records are always
+    declined.  [wants] defaults to {!Event.all_kinds}.  Narrowing it to the
+    kinds the tool actually consumes (its [consume] match arms that do work)
+    lets the replay driver skip the sink call for the rest; it must stay a
+    superset of the consumed kinds or the tool silently loses events.  The
+    analysis tools get their jobs, shard specs included, from {!Tool.job};
+    a raw job is for ad-hoc sinks. *)
 
 type domain_timing = {
   domain : int;  (** worker index; [0] is the caller's own domain *)
@@ -113,14 +111,15 @@ type domain_timing = {
 
 type run_stats = {
   rs_domains : int;  (** workers actually used (caller included) *)
-  rs_shards : int;  (** trace ranges per sharded job *)
+  rs_shards : int;  (** trace ranges, one item each when a job is sharded *)
   rs_batch : int;  (** decode window: chunks decoded ahead of the slowest
                        consumer (always [>= 1]) *)
   rs_chunks : int;
   rs_events : int;
   rs_decode_s : float;  (** summed across domains: chunk decode + CRC *)
   rs_ordered_s : float;  (** ordered stage: non-sharded sinks + seed prefix *)
-  rs_shard_s : float;  (** sharded tool sinks, summed across domains *)
+  rs_shard_s : float;  (** range items (sharded tools' sinks), summed
+                           across domains *)
   rs_merge_s : float;  (** post-join shard-state merges + renders *)
   rs_peak_live_chunks : int;
       (** high-water mark of decoded chunks held at once — the pipeline's
@@ -192,37 +191,45 @@ val parallel :
     - the {e ordered stage} — a single token walks the chunks in trace
       order, feeding non-sharded jobs' sinks and the sharded jobs' seed
       prefix trackers, and snapshotting shard seeds at range boundaries;
-    - {e shard items} — each sharded job is split into [shards]
-      event-balanced chunk ranges; a range starts once its seed is
+    - {e range items} — the trace is split into [shards] event-balanced
+      chunk ranges, and each range is one item: a supervised group of
+      every sharded job's shard for that range, built the same way as the
+      ordered stage's group.  A range starts once its seeds are
       snapshotted and consumes its chunks as they decode, possibly far
       ahead of the ordered token.
 
-    Decoded chunks are refcounted and freed once the ordered stage and
-    every sharded job have walked them; decode runs at most [batch] chunks
-    (default [max 4 (2*domains)]) ahead of the slowest consumer, so memory
-    stays bounded.  Results come back in job order, reports byte-identical
-    to {!sequential}.
+    Both walk a chunk through the same delivery: a repeat chunk's record
+    is offered first to each member of the group (a job's sink, a shard
+    or a prefix tracker), which may take it in closed form
+    ({!sink}[.on_repeat]); the chunk's events then go, through sinks fused
+    per event tag, to the members that declined it.  So each chunk is
+    walked at most twice, once by the ordered stage and once by its range,
+    however many tools are sharded.
 
-    A repeat chunk's record is offered to each consumer before its events:
-    a shard item's sink, and each member of the ordered stage (a job's
-    sink or a prefix tracker), may take it in closed form and skip the
-    chunk's events ({!sink}[.on_repeat]); the rest walk the expanded
-    events as for any other chunk.
+    A decoded chunk is freed once the ordered stage and its range have
+    walked it; decode runs at most [batch] chunks (default
+    [max 4 (2*domains)]) ahead of the slowest consumer, so memory stays
+    bounded.  Results come back in job order, reports byte-identical to
+    {!sequential}.
 
     [domains] defaults to [Domain.recommended_domain_count ()] and is
     always capped by it — decode and analysis share the one pool, so
     oversubscribing the machine only adds work.  The calling domain is
     worker [0] and [domains - 1] more are spawned, so a [domains = 1] run
     spawns none.  [shards] defaults to the domain count (capped at the
-    chunk count).  With one shard every job runs its plain [make] path in
-    the ordered stage, with no prefix tracker or merge: [~domains:1] with
-    default shards is one ordered walk on the calling domain.  [shards > 1]
-    with [domains = 1] still runs the full shard/merge path on the calling
-    domain, which keeps it exercisable on any machine.
+    chunk count), one range item per domain: the ranges are the only
+    parallelism beside the ordered stage and decode.  With one shard every
+    job runs its plain [make] path in the ordered stage, with no prefix
+    tracker or merge: [~domains:1] with default shards is one ordered walk
+    on the calling domain.  [shards > 1] with [domains = 1] still runs the
+    full shard/merge path on the calling domain, which keeps it
+    exercisable on any machine.
 
-    Supervision: a job whose factory, sink, merge or finish raises is
-    retired (its remaining shard ranges drain without work) and reported as
-    [Error]; the other jobs run to completion.  Only an exception from
+    Supervision: the ordered group and the range groups share each job's
+    liveness, so a job whose factory, sink, [on_repeat], merge or finish
+    raises in any of them is retired in all of them (its sinks in later
+    chunks and ranges do no work) and reported as its own [Error]; the
+    other jobs run to completion.  Only an exception from
     [chunk] (an unreadable trace raising {!Reader.Format_error}, or a
     caller's cancellation) fails every job still live; a job that had
     already failed keeps its own failure.  No exception escapes a domain.
