@@ -812,8 +812,15 @@ let replay_job prog ~slice ~period name =
       exit exit_usage
 
 (* Testing aid for the supervised-replay exit-code contract: wrap the named
-   job so its sink raises on the first event it sees. *)
+   job so its sink raises on the first event it sees.  Naming a tool the
+   run does not have is a usage error, not a silent no-op. *)
 let sabotage name jobs =
+  let names = List.map (fun (j : Tq_trace.Replay.job) -> j.name) jobs in
+  if not (List.mem name names) then begin
+    Printf.eprintf "replay: --fail-tool %s is not a tool of this run (%s)\n"
+      name (String.concat ", " names);
+    exit exit_usage
+  end;
   List.map
     (fun (j : Tq_trace.Replay.job) ->
       if j.Tq_trace.Replay.name <> name then j
@@ -899,7 +906,8 @@ let replay_cmd =
       & info [ "fail-tool" ] ~docv:"TOOL"
           ~doc:
             "Testing aid: make TOOL's replay job raise on its first event, \
-             to exercise the partial-failure exit code (4).")
+             to exercise the partial-failure exit code (4).  TOOL must be \
+             one of the run's tools (exit 2 otherwise).")
   in
   let run metrics trace program tool all domains shards batch slice period
       salvage fail_tool =
