@@ -34,6 +34,7 @@ let obs_metrics = ref Obs.Metrics.disabled
 let obs_state = ref None (* Some (path, subcommand) once --metrics is seen *)
 let obs_sections = ref [] (* manifest extra sections, newest first *)
 let obs_written = ref false
+let subcommand = ref "tquad" (* set by [obs_init], for error messages *)
 
 let obs_section name json =
   if Obs.Span.is_enabled !obs && not (List.mem_assoc name !obs_sections) then
@@ -53,12 +54,14 @@ let obs_flush () =
        with Sys_error msg -> Printf.eprintf "tquad: --metrics: %s\n" msg)
   | _ -> ()
 
-let obs_init subcommand = function
+let obs_init sub metrics =
+  subcommand := sub;
+  match metrics with
   | None -> ()
   | Some path ->
       obs := Obs.Span.create ();
       obs_metrics := Obs.Metrics.create ();
-      obs_state := Some (path, subcommand);
+      obs_state := Some (path, sub);
       at_exit obs_flush
 
 let span ?attrs name f = Obs.Span.with_span !obs ?attrs name f
@@ -96,19 +99,23 @@ let obs_engine_sections eng m =
          ("pages", Obs.Json.Int (Tq_vm.Memory.page_count mem)) ])
   end
 
-(* The manifest's ["trace"] section for a loaded reader; when observability
-   is on, also times a full CRC verification pass over every chunk. *)
-let obs_trace_section r =
+(* The manifest's ["trace"] section for a loaded reader.  With [verify]
+   ([record]'s post-write check, [trace-info]) it also times a full CRC
+   verification pass over every chunk; a replay leaves the CRC to its
+   decode stage, which pays it whether or not the run is metered. *)
+let obs_trace_section ~verify r =
   if Obs.Span.is_enabled !obs then begin
     let crc_verify_s =
-      match
-        span "crc-verify" (fun () ->
-            let t0 = Unix.gettimeofday () in
-            ignore (Tq_trace.Reader.crc_check r);
-            Unix.gettimeofday () -. t0)
-      with
-      | dt -> [ ("crc_verify_s", Obs.Json.Float dt) ]
-      | exception Tq_trace.Reader.Format_error _ -> []
+      if not verify then []
+      else
+        match
+          span "crc-verify" (fun () ->
+              let t0 = Unix.gettimeofday () in
+              ignore (Tq_trace.Reader.crc_check r);
+              Unix.gettimeofday () -. t0)
+        with
+        | dt -> [ ("crc_verify_s", Obs.Json.Float dt) ]
+        | exception Tq_trace.Reader.Format_error _ -> []
     in
     (* the section body is the shared codec (Tq_serve.Protocol), so the
        manifest, `trace-info --json` and the daemon's trace-info response
@@ -116,6 +123,27 @@ let obs_trace_section r =
     obs_section "trace"
       (Tq_serve.Protocol.trace_section ~extra:crc_verify_s r)
   end
+
+(* Exit-code contract (docs/CLI.md): 0 success, 1 the program failed (trap,
+   out of fuel; for [run], a non-zero or missing exit), 2 usage error, 3
+   input unreadable/unusable (a program that cannot be read or compiled, a
+   bad container, an unreadable/unwritable file, a fingerprint mismatch;
+   for wcet, control flow the analysis cannot bound), 4 partial failure
+   (the input was readable, but replay tools failed or check diagnostics
+   fired). *)
+let exit_usage = 2
+let exit_unreadable = 3
+let exit_partial = 4
+
+(* The one way the CLI writes a file: an unwritable path prints
+   "SUB: reason" on stderr and exits 3, like an unreadable input. *)
+let write_out path contents =
+  try
+    Out_channel.with_open_bin path (fun oc ->
+        Out_channel.output_string oc contents)
+  with Sys_error msg ->
+    Printf.eprintf "%s: %s\n" !subcommand msg;
+    exit exit_unreadable
 
 let read_file path =
   let ic = open_in_bin path in
@@ -143,9 +171,8 @@ let write_back ?(console = stdout) dir vfs before =
       List.iter
         (fun name ->
           if not (List.mem name before) then begin
-            let oc = open_out_bin (Filename.concat d name) in
-            output_string oc (Option.get (Vfs.contents vfs name));
-            close_out oc;
+            write_out (Filename.concat d name)
+              (Option.get (Vfs.contents vfs name));
             Printf.fprintf console "wrote %s\n" (Filename.concat d name)
           end)
         (Vfs.list vfs)
@@ -157,17 +184,6 @@ let finish ?(console = stdout) m =
   | Some c -> Printf.fprintf console "[exit code %d]\n" c
   | None -> Printf.fprintf console "[did not exit]\n");
   flush console
-
-(* Exit-code contract (docs/CLI.md): 0 success, 1 the program failed (trap,
-   out of fuel; for [run], a non-zero or missing exit), 2 usage error, 3
-   input unreadable/unusable (a program that cannot be read or compiled, a
-   bad container, an unreadable/unwritable file, a fingerprint mismatch;
-   for wcet, control flow the analysis cannot bound), 4 partial failure
-   (the input was readable, but replay tools failed or check diagnostics
-   fired). *)
-let exit_usage = 2
-let exit_unreadable = 3
-let exit_partial = 4
 
 (* ---------- the program ----------
 
@@ -389,7 +405,7 @@ let build_cmd =
   let run metrics program out =
     obs_init "build" metrics;
     let prog = (program ()).prog in
-    Tq_vm.Objfile.write_file out prog;
+    write_out out (Tq_vm.Objfile.encode prog);
     Printf.printf "wrote %s (%d instructions, %d symbols)\n" out
       (Array.length prog.Tq_vm.Program.code)
       (Tq_vm.Symtab.count prog.Tq_vm.Program.symtab)
@@ -495,9 +511,7 @@ let quad_cmd =
     match dot with
     | None -> ()
     | Some path ->
-        let oc = open_out path in
-        output_string oc (Tq_quad.Quad.to_dot q);
-        close_out oc;
+        write_out path (Tq_quad.Quad.to_dot q);
         Printf.printf "wrote %s\n" path
   in
   Cmd.v
@@ -543,17 +557,13 @@ let tquad_cmd =
     (match csv with
     | None -> ()
     | Some path ->
-        let oc = open_out path in
-        output_string oc
+        write_out path
           (Tq_report.Report.figure_csv t ~metric:Tq_tquad.Tquad.Read_incl ~kernels);
-        close_out oc;
         Printf.printf "wrote %s\n" path);
     match trace with
     | None -> ()
     | Some path ->
-        let oc = open_out path in
-        output_string oc (Tq_report.Report.chrome_trace t);
-        close_out oc;
+        write_out path (Tq_report.Report.chrome_trace t);
         Printf.printf "wrote %s\n" path
   in
   Cmd.v
@@ -714,7 +724,7 @@ let wcet_cmd =
 
 (* ---------- record / replay ---------- *)
 
-let load_reader ?mode ctx path =
+let load_reader ?mode ~verify ctx path =
   let r =
     span "load-trace" (fun () ->
         try Tq_trace.Reader.load ?mode path with
@@ -725,7 +735,7 @@ let load_reader ?mode ctx path =
             Printf.eprintf "%s: %s\n" ctx msg;
             exit exit_unreadable)
   in
-  obs_trace_section r;
+  obs_trace_section ~verify r;
   r
 
 let print_salvage ~ctx ~events (s : Tq_trace.Reader.salvage) =
@@ -775,7 +785,7 @@ let record_cmd =
         (Obs.Metrics.counter !obs_metrics ~unit_:"events" "events_recorded")
         events;
     finish m;
-    let r = load_reader "record" out in
+    let r = load_reader ~verify:true "record" out in
     Printf.printf "wrote %s: %d events, %d chunks, %d bytes (%d instructions)\n"
       out events
       (Tq_trace.Reader.n_chunks r)
@@ -871,7 +881,7 @@ let replay_cmd =
       & info [ "domains" ] ~docv:"N"
           ~doc:"Worker domains for --all (default: one per core; 1 with \
                 default --shards = one ordered pipeline walk on the calling \
-                domain).")
+                domain).  A usage error with --tool.")
   in
   let shards_arg =
     Arg.(
@@ -879,15 +889,7 @@ let replay_cmd =
       & info [ "shards" ] ~docv:"N"
           ~doc:"Trace ranges per shardable tool for --all (default: one per \
                 domain).  Tools that cannot shard consume the ordered chunk \
-                walk instead.")
-  in
-  let batch_arg =
-    Arg.(
-      value & opt (some positive_int) None
-      & info [ "batch" ] ~docv:"N"
-          ~doc:"Decode window: chunks decoded ahead of the slowest consumer \
-                (default: twice the domain count, at least 4).  Bounds \
-                replay's resident decoded-event memory.")
+                walk instead.  A usage error with --tool.")
   in
   let salvage_arg =
     Arg.(
@@ -909,16 +911,23 @@ let replay_cmd =
              to exercise the partial-failure exit code (4).  TOOL must be \
              one of the run's tools (exit 2 otherwise).")
   in
-  let run metrics trace program tool all domains shards batch slice period
-      salvage fail_tool =
+  let run metrics trace program tool all domains shards slice period salvage
+      fail_tool =
     obs_init "replay" metrics;
+    if tool <> None && (not all) && (domains <> None || shards <> None)
+    then begin
+      Printf.eprintf
+        "replay: --domains and --shards apply to --all only (--tool runs the \
+         sequential oracle on the calling domain)\n";
+      exit exit_usage
+    end;
     (* the trace stores routine ids and code addresses, not the image, so
        the program must be the recorded one (checked by fingerprint) *)
     let prog = (program ()).prog in
     let mode =
       if salvage then Tq_trace.Reader.Salvage else Tq_trace.Reader.Strict
     in
-    let reader = load_reader ~mode "replay" trace in
+    let reader = load_reader ~mode ~verify:false "replay" trace in
     (match Tq_trace.Reader.salvage_info reader with
     | Some s ->
         print_salvage ~ctx:"replay" ~events:(Tq_trace.Reader.n_events reader) s
@@ -960,27 +969,21 @@ let replay_cmd =
     let prepare jobs =
       match fail_tool with Some name -> sabotage name jobs | None -> jobs
     in
-    (* per-worker wall times (and, for --all, the pipeline's stats) feed
-       the manifest's ["replay"] section *)
-    let section ?stats timings =
-      obs_section "replay" (Tq_serve.Protocol.replay_section ?stats timings)
-    in
     match (tool, all) with
     | Some name, false ->
+        (* one job on the calling domain: the replay span is its time *)
         let jobs = prepare [ replay_job prog ~slice ~period name ] in
-        let results =
-          span "replay" (fun () ->
-              Tq_trace.Replay.sequential ~timings:section reader jobs)
-        in
-        finish_results results
+        finish_results
+          (span "replay" (fun () -> Tq_trace.Replay.sequential reader jobs))
     | None, true ->
         let jobs =
           prepare (List.map (replay_job prog ~slice ~period) all_tool_names)
         in
         let results =
           span "replay" (fun () ->
-              Tq_trace.Replay.parallel ?domains ?shards ?batch
-                ~stats:(fun s -> section ~stats:s s.Tq_trace.Replay.rs_timings)
+              Tq_trace.Replay.parallel ?domains ?shards
+                ~stats:(fun s ->
+                  obs_section "replay" (Tq_serve.Protocol.replay_section s))
                 reader jobs)
         in
         finish_results results
@@ -998,8 +1001,8 @@ let replay_cmd =
           survivors' reports were printed)")
     Term.(
       const run $ metrics_arg $ trace_pos_arg $ program ~pos:1 () $ tool_arg
-      $ all_arg $ domains_arg $ shards_arg $ batch_arg $ slice_arg
-      $ period_arg $ salvage_arg $ fail_tool_arg)
+      $ all_arg $ domains_arg $ shards_arg $ slice_arg $ period_arg
+      $ salvage_arg $ fail_tool_arg)
 
 (* ---------- trace inspection / fault injection ---------- *)
 
@@ -1066,12 +1069,14 @@ let trace_info_cmd =
       | None -> ()
     in
     let emit r = if json then print_json r else print_reader r in
-    if salvage then
-      emit (load_reader ~mode:Tq_trace.Reader.Salvage "trace-info" trace)
+    let salvaged () =
+      load_reader ~mode:Tq_trace.Reader.Salvage ~verify:true "trace-info" trace
+    in
+    if salvage then emit (salvaged ())
     else
       match span "load-trace" (fun () -> Tq_trace.Reader.load trace) with
       | r ->
-          obs_trace_section r;
+          obs_trace_section ~verify:true r;
           emit r
       | exception Sys_error msg ->
           Printf.eprintf "trace-info: %s\n" msg;
@@ -1082,7 +1087,7 @@ let trace_info_cmd =
           Printf.fprintf
             (if json then stderr else stdout)
             "%s: strict load failed: %s\n" trace msg;
-          emit (load_reader ~mode:Tq_trace.Reader.Salvage "trace-info" trace)
+          emit (salvaged ())
   in
   Cmd.v
     (Cmd.info "trace-info"
@@ -1134,11 +1139,6 @@ let faultgen_cmd =
       with Sys_error msg ->
         Printf.eprintf "faultgen: %s\n" msg;
         exit exit_unreadable
-    in
-    let write_out path bytes =
-      let oc = open_out_bin path in
-      output_string oc bytes;
-      close_out oc
     in
     let known_kinds =
       [ "bit-flip"; "truncate"; "dup-chunk"; "drop-chunk"; "corrupt-index";

@@ -138,17 +138,6 @@ let check_replay v =
           List.iter
             (fun (k2, y) -> ignore (as_int (path ^ "." ^ k2) y))
             (as_obj path x)
-      | "timings" ->
-          List.iteri
-            (fun i tv ->
-              let path = Printf.sprintf "replay.timings[%d]" i in
-              ignore (as_int (path ^ ".domain") (get path tv "domain"));
-              ignore (as_num (path ^ ".wall_s") (get path tv "wall_s"));
-              List.iteri
-                (fun j jv ->
-                  ignore (as_str (Printf.sprintf "%s.jobs[%d]" path j) jv))
-                (as_list (path ^ ".jobs") (get path tv "jobs")))
-            (as_list path x)
       | _ -> ())
     (as_obj "replay" v)
 

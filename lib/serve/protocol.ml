@@ -177,38 +177,24 @@ let trace_section ?(extra = []) r =
        ("last_icount", Json.Int (Reader.last_icount r)) ]
     @ compression @ salvage @ extra)
 
-let replay_section ?stats timings =
-  (* without stats this is the sequential oracle, which runs on one domain *)
-  let domains = match stats with Some s -> s.Replay.rs_domains | None -> 1 in
-  let pipeline =
-    match stats with
-    | None -> []
-    | Some s ->
-        [ ("shards", Json.Int s.rs_shards);
-          ("batch", Json.Int s.rs_batch);
-          ("chunks", Json.Int s.rs_chunks);
-          ("events", Json.Int s.rs_events);
-          ("peak_live_chunks", Json.Int s.rs_peak_live_chunks);
-          ( "repeats",
-            Json.Obj
-              [ ("closed", Json.Int s.rs_repeat_closed);
-                ("expanded", Json.Int s.rs_repeat_expanded) ] );
-          ( "stage_s",
-            Json.Obj
-              [ ("decode", Json.Float s.rs_decode_s);
-                ("ordered", Json.Float s.rs_ordered_s);
-                ("shard", Json.Float s.rs_shard_s);
-                ("merge", Json.Float s.rs_merge_s) ] ) ]
-  in
-  let timing (t : Replay.domain_timing) =
-    Json.Obj
-      [ ("domain", Json.Int t.domain);
-        ("jobs", Json.List (List.map (fun j -> Json.Str j) t.jobs));
-        ("wall_s", Json.Float t.wall_s) ]
-  in
+let replay_section (s : Replay.run_stats) =
   Json.Obj
-    ((("domains", Json.Int domains) :: pipeline)
-    @ [ ("timings", Json.List (List.map timing timings)) ])
+    [ ("domains", Json.Int s.rs_domains);
+      ("shards", Json.Int s.rs_shards);
+      ("batch", Json.Int s.rs_batch);
+      ("chunks", Json.Int s.rs_chunks);
+      ("events", Json.Int s.rs_events);
+      ("peak_live_chunks", Json.Int s.rs_peak_live_chunks);
+      ( "repeats",
+        Json.Obj
+          [ ("closed", Json.Int s.rs_repeat_closed);
+            ("expanded", Json.Int s.rs_repeat_expanded) ] );
+      ( "stage_s",
+        Json.Obj
+          [ ("decode", Json.Float s.rs_decode_s);
+            ("ordered", Json.Float s.rs_ordered_s);
+            ("shard", Json.Float s.rs_shard_s);
+            ("merge", Json.Float s.rs_merge_s) ] ) ]
 
 (* ---------- response shapes ---------- *)
 

@@ -81,17 +81,13 @@ val trace_section :
     [trace-info] response, so the three can never drift.  [extra] members
     are appended after the standard ones. *)
 
-val replay_section :
-  ?stats:Tq_trace.Replay.run_stats ->
-  Tq_trace.Replay.domain_timing list ->
-  Tq_obs.Json.t
-(** The canonical ["replay"] manifest section: [domains], then with
-    [stats] the pipeline members (shards, batch, chunks, events,
+val replay_section : Tq_trace.Replay.run_stats -> Tq_obs.Json.t
+(** The canonical ["replay"] manifest section of one pipeline run:
+    domains, shards, batch (the live-chunk budget), chunks, events,
     peak_live_chunks, repeats — the repeat deliveries taken [closed] form
-    and [expanded] — and stage_s), then one [timings] entry per timing given
-    — [stats.rs_timings] for a pipeline run, {!Tq_trace.Replay.sequential}'s
-    per-job timings (one domain) otherwise.  Shared by
-    [tquad replay --metrics] and the serve daemon's per-job manifests. *)
+    and [expanded] — and stage_s.  The one codec behind
+    [tquad replay --all --metrics] and the serve daemon's per-job
+    manifests. *)
 
 (** {1 Response shapes} *)
 

@@ -188,8 +188,7 @@ let write_job_manifest s id =
           in
           let replay =
             match Jobs.replay_stats s.jobs id with
-            | Some st ->
-                [ ("replay", Protocol.replay_section ~stats:st st.rs_timings) ]
+            | Some st -> [ ("replay", Protocol.replay_section st) ]
             | None -> []
           in
           let doc =

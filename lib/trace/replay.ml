@@ -32,7 +32,6 @@ type job = {
 
 type failure = { exn : exn; backtrace : string }
 type outcome = (string, failure) result
-type domain_timing = { domain : int; jobs : string list; wall_s : float }
 
 type run_stats = {
   rs_domains : int;
@@ -47,7 +46,6 @@ type run_stats = {
   rs_peak_live_chunks : int;
   rs_repeat_closed : int;
   rs_repeat_expanded : int;
-  rs_timings : domain_timing list;
 }
 
 let job ?(wants = Event.all_kinds) name make =
@@ -88,23 +86,8 @@ let run_job reader j =
   | report -> Ok report
   | exception e -> Error (capture e)
 
-let sequential ?timings reader jobs =
-  match timings with
-  | None -> List.map (fun j -> (j.name, run_job reader j)) jobs
-  | Some report ->
-      let timed = ref [] in
-      let results =
-        List.map
-          (fun j ->
-            let t0 = Unix.gettimeofday () in
-            let out = run_job reader j in
-            let wall_s = Unix.gettimeofday () -. t0 in
-            timed := { domain = 0; jobs = [ j.name ]; wall_s } :: !timed;
-            (j.name, out))
-          jobs
-      in
-      report (List.rev !timed);
-      results
+let sequential reader jobs =
+  List.map (fun j -> (j.name, run_job reader j)) jobs
 
 (* Job liveness and first failures, shared by every group over the same
    jobs: the pipeline's ordered group and each of its range groups retire a
@@ -349,7 +332,7 @@ type action =
   | Work of item * Reader.decoded option
   | Decode of int
 
-let run_pipeline ~domains ~n_shards ~window ~chunk reader jobs =
+let run_pipeline ~domains ~n_shards ~chunk reader jobs =
   let n = Array.length jobs in
   let c = Reader.n_chunks reader in
   let mu = Mutex.create () and cv = Condition.create () in
@@ -446,8 +429,10 @@ let run_pipeline ~domains ~n_shards ~window ~chunk reader jobs =
   let n_items = Array.length items in
   (* Shared pipeline state, all under [mu].  A chunk slot holds the decoded
      event array until both its consumers — the ordered pass and, if any
-     job is sharded, its range's item — have walked it, then is freed so
-     live decoded chunks stay bounded by the window. *)
+     job is sharded, its range's item — have walked it, then is freed.
+     Decode runs at most [window] chunks past the slowest consumer, so the
+     live chunks all lie in that window: it is their budget. *)
+  let window = max 4 (2 * domains) in
   let slots = Array.make c None in
   let refcnt = Array.make c (if n_items = 0 then 1 else 2) in
   let next_decode = ref 0 in
@@ -488,7 +473,6 @@ let run_pipeline ~domains ~n_shards ~window ~chunk reader jobs =
            Work (it, if it.i_pos < it.i_hi then slots.(it.i_pos) else None))
   in
   (* per-domain stage clocks: written only by their own worker *)
-  let wall = Array.make domains 0. in
   let decode_s = Array.make domains 0. in
   let ordered_s = Array.make domains 0. in
   let shard_s = Array.make domains 0. in
@@ -596,59 +580,57 @@ let run_pipeline ~domains ~n_shards ~window ~chunk reader jobs =
         Mutex.unlock mu
   in
   let worker d () =
-    let t0 = Unix.gettimeofday () in
-    (try
-       let rec loop () =
-         Mutex.lock mu;
-         let rec decide () =
-           if !fatal <> None || finished () then Exit
-           else if
-             (not !ordered_busy)
-             && !ordered_pos < c
-             && slots.(!ordered_pos) <> None
-           then begin
-             ordered_busy := true;
-             match slots.(!ordered_pos) with
-             | Some evs -> Ordered (!ordered_pos, evs)
-             | None -> assert false
-           end
-           else
-             match claim_item () with
-             | Some w -> w
-             | None ->
-                 if !next_decode < c && !next_decode < min_needed () + window
-                 then begin
-                   let i = !next_decode in
-                   incr next_decode;
-                   Decode i
-                 end
-                 else begin
-                   Condition.wait cv mu;
-                   decide ()
-                 end
-         in
-         let action = decide () in
-         Mutex.unlock mu;
-         match action with
-         | Exit -> ()
-         | Ordered (i, evs) ->
-             do_ordered d i evs;
-             loop ()
-         | Work (it, evs) ->
-             do_range d it evs;
-             loop ()
-         | Decode i ->
-             do_decode d i;
-             loop ()
-       in
-       loop ()
-     with e ->
-       (* backstop: no exception crosses a domain boundary un-accounted *)
-       Mutex.lock mu;
-       if !fatal = None then fatal := Some (capture e);
-       Condition.broadcast cv;
-       Mutex.unlock mu);
-    wall.(d) <- Unix.gettimeofday () -. t0
+    try
+      let rec loop () =
+        Mutex.lock mu;
+        let rec decide () =
+          if !fatal <> None || finished () then Exit
+          else if
+            (not !ordered_busy)
+            && !ordered_pos < c
+            && slots.(!ordered_pos) <> None
+          then begin
+            ordered_busy := true;
+            match slots.(!ordered_pos) with
+            | Some evs -> Ordered (!ordered_pos, evs)
+            | None -> assert false
+          end
+          else
+            match claim_item () with
+            | Some w -> w
+            | None ->
+                if !next_decode < c && !next_decode < min_needed () + window
+                then begin
+                  let i = !next_decode in
+                  incr next_decode;
+                  Decode i
+                end
+                else begin
+                  Condition.wait cv mu;
+                  decide ()
+                end
+        in
+        let action = decide () in
+        Mutex.unlock mu;
+        match action with
+        | Exit -> ()
+        | Ordered (i, evs) ->
+            do_ordered d i evs;
+            loop ()
+        | Work (it, evs) ->
+            do_range d it evs;
+            loop ()
+        | Decode i ->
+            do_decode d i;
+            loop ()
+      in
+      loop ()
+    with e ->
+      (* backstop: no exception crosses a domain boundary un-accounted *)
+      Mutex.lock mu;
+      if !fatal = None then fatal := Some (capture e);
+      Condition.broadcast cv;
+      Mutex.unlock mu
   in
   let spawned =
     List.init (domains - 1) (fun d -> Domain.spawn (worker (d + 1)))
@@ -672,22 +654,11 @@ let run_pipeline ~domains ~n_shards ~window ~chunk reader jobs =
       rs_peak_live_chunks = !peak_live;
       rs_repeat_closed = Array.fold_left ( + ) 0 closed;
       rs_repeat_expanded = Array.fold_left ( + ) 0 expanded;
-      rs_timings =
-        List.init domains (fun d ->
-            {
-              domain = d;
-              (* the pipeline shares every job across workers; list them
-                 once, on the caller's row *)
-              jobs =
-                (if d = 0 then Array.to_list (Array.map (fun j -> j.name) jobs)
-                 else []);
-              wall_s = wall.(d);
-            });
     }
   in
   (results, stats)
 
-let parallel ?domains ?shards ?batch ?chunk ?stats reader jobs_l =
+let parallel ?domains ?shards ?chunk ?stats reader jobs_l =
   match jobs_l with
   | [] -> []
   | _ ->
@@ -704,12 +675,9 @@ let parallel ?domains ?shards ?batch ?chunk ?stats reader jobs_l =
         | Some s -> max 1 (min s (max 1 c))
         | None -> max 1 (min d (max 1 c))
       in
-      let window =
-        match batch with Some b -> max 1 b | None -> max 4 (2 * d)
-      in
       let chunk = Option.value chunk ~default:(Reader.chunk reader) in
       let results, st =
-        run_pipeline ~domains:d ~n_shards ~window ~chunk reader jobs
+        run_pipeline ~domains:d ~n_shards ~chunk reader jobs
       in
       Option.iter (fun report -> report st) stats;
       List.mapi (fun i j -> (j.name, results.(i))) jobs_l

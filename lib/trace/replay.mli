@@ -98,22 +98,13 @@ val job :
     analysis tools get their jobs, shard specs included, from {!Tool.job};
     a raw job is for ad-hoc sinks. *)
 
-type domain_timing = {
-  domain : int;  (** worker index; [0] is the caller's own domain *)
-  jobs : string list;
-      (** names of the jobs the worker ran.  {!sequential} reports one entry
-          per job; the {!parallel} pipeline shares every job across its
-          workers and lists them all on domain [0]'s row. *)
-  wall_s : float;  (** wall time of the worker's whole stay in the pipeline *)
-}
-(** Where the replay wall time went.  The straggler's [wall_s] bounds the
-    run. *)
-
 type run_stats = {
   rs_domains : int;  (** workers actually used (caller included) *)
   rs_shards : int;  (** trace ranges, one item each when a job is sharded *)
-  rs_batch : int;  (** decode window: chunks decoded ahead of the slowest
-                       consumer (always [>= 1]) *)
+  rs_batch : int;
+      (** the decode window, [max 4 (2 * rs_domains)]: decode runs at most
+          this many chunks ahead of the slowest consumer, so it is also the
+          live-chunk budget *)
   rs_chunks : int;
   rs_events : int;
   rs_decode_s : float;  (** summed across domains: chunk decode + CRC *)
@@ -123,20 +114,18 @@ type run_stats = {
   rs_merge_s : float;  (** post-join shard-state merges + renders *)
   rs_peak_live_chunks : int;
       (** high-water mark of decoded chunks held at once — the pipeline's
-          actual queue depth, bounded by the decode window plus in-flight
-          consumers *)
+          actual queue depth, never above [rs_batch] *)
   rs_repeat_closed : int;
       (** repeat deliveries (repeat chunk × job) a job took in closed form,
           skipping the chunk's expanded events *)
   rs_repeat_expanded : int;
       (** repeat deliveries a job declined, consuming the expanded events;
           a sharded job's prefix tracker is not counted *)
-  rs_timings : domain_timing list;
-      (** one entry per worker, caller's domain first: each worker's wall
-          time, with every job listed on domain [0]'s row *)
 }
 (** One pipeline run's shape and per-stage cost, for the run manifest's
-    [replay] section and the bench's scaling tables. *)
+    [replay] section and the bench's scaling tables.  The run's wall time
+    is the caller's to take (the CLI's [replay] span); the stage clocks say
+    where it went. *)
 
 val failure_message : failure -> string
 (** One-line rendering of a failure ({!Reader.Format_error} is labelled as an
@@ -160,21 +149,15 @@ val supervised :
     finish raises is retired and reported as its own [Error]; an exception
     escaping [iter] itself fails every job still live.  Never raises. *)
 
-val sequential :
-  ?timings:(domain_timing list -> unit) ->
-  Reader.t ->
-  job list ->
-  (string * outcome) list
+val sequential : Reader.t -> job list -> (string * outcome) list
 (** Replay the trace once per job, in order, on the current domain — the
     oracle the sharded pipeline is checked against.  Never raises on a
     failing job or an unreadable trace — each job's result is its own
-    {!outcome}.  [timings], if given, receives one {!domain_timing} per job
-    (all on domain [0]) before the call returns. *)
+    {!outcome}. *)
 
 val parallel :
   ?domains:int ->
   ?shards:int ->
-  ?batch:int ->
   ?chunk:(int -> Reader.decoded) ->
   ?stats:(run_stats -> unit) ->
   Reader.t ->
@@ -207,10 +190,10 @@ val parallel :
     however many tools are sharded.
 
     A decoded chunk is freed once the ordered stage and its range have
-    walked it; decode runs at most [batch] chunks (default
-    [max 4 (2*domains)]) ahead of the slowest consumer, so memory stays
-    bounded.  Results come back in job order, reports byte-identical to
-    {!sequential}.
+    walked it; decode runs at most [max 4 (2*domains)] chunks ahead of
+    the slowest consumer, so at most that many decoded chunks are live at
+    once ({!run_stats}[.rs_batch]).  Results come back in job order,
+    reports byte-identical to {!sequential}.
 
     [domains] defaults to [Domain.recommended_domain_count ()] and is
     always capped by it — decode and analysis share the one pool, so
@@ -234,8 +217,8 @@ val parallel :
     caller's cancellation) fails every job still live; a job that had
     already failed keeps its own failure.  No exception escapes a domain.
 
-    [stats] receives the pipeline's {!run_stats}, per-worker wall times
-    included, before the call returns.  An empty job list returns [[]]
+    [stats] receives the pipeline's {!run_stats} before the call
+    returns.  An empty job list returns [[]]
     without touching the trace. *)
 
 val check_program : Reader.t -> Tq_vm.Program.t -> (unit, string) result

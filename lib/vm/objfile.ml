@@ -313,11 +313,6 @@ let decode s =
   in
   { Program.code; entry; data; data_end; symtab }
 
-let write_file path p =
-  let oc = open_out_bin path in
-  output_string oc (encode p);
-  close_out oc
-
 let is_objfile s =
   String.length s >= String.length magic
   && String.sub s 0 (String.length magic) = magic

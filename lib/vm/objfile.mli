@@ -22,8 +22,6 @@ val encode : Program.t -> string
 val decode : string -> Program.t
 (** @raise Format_error on a malformed or truncated image. *)
 
-val write_file : string -> Program.t -> unit
-
 val is_objfile : string -> bool
 (** Does the byte string start with the magic? *)
 

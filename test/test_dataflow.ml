@@ -288,9 +288,30 @@ let test_exit_codes () =
     [ ("run", ""); ("build", "-o " ^ out); ("disasm", ""); ("gprof", "");
       ("tquad", ""); ("wcet", ""); ("record", "-o " ^ out);
       ("replay " ^ trc, "--tool gprof"); ("check", "") ];
+  (* an output the CLI cannot write exits 3: each path's parent is a
+     regular file, which fails the open for any user *)
+  let unwritable = Filename.concat clean "x" in
+  let writer =
+    write_tmp ".mc"
+      "int main() { int fd; fd = open(\"sub/o.txt\", 1); close(fd); return \
+       0; }\n"
+  in
+  let dir = Filename.temp_dir "tq_dataflow" "" in
+  List.iter
+    (fun (what, args) ->
+      Alcotest.(check int) (what ^ ": 3") 3 (run_cli args))
+    [ ("build -o", Printf.sprintf "build %s -o %s" clean unwritable);
+      ("quad --dot", Printf.sprintf "quad %s --dot %s" clean unwritable);
+      ("tquad --csv", Printf.sprintf "tquad %s --csv %s" clean unwritable);
+      ("tquad --trace", Printf.sprintf "tquad %s --trace %s" clean unwritable);
+      ( "faultgen -o",
+        Printf.sprintf "faultgen %s --mutation bit-flip -o %s" trc unwritable );
+      (* the program creates sub/o.txt, and DIR has no sub/ to write it to *)
+      ("run --dir write-back", Printf.sprintf "run %s --dir %s" writer dir) ];
+  Sys.rmdir dir;
   List.iter
     (fun f -> if Sys.file_exists f then Sys.remove f)
-    [ clean; seven; diag; garbage; bad_asm; out; trc ]
+    [ clean; seven; diag; garbage; bad_asm; writer; out; trc ]
 
 let test_json_manifest () =
   let clean =

@@ -1,6 +1,6 @@
 (* lib/obs: JSON codec round-trips, metrics registry semantics, span
-   recording, manifest schema validation, and the replay timing hooks the
-   manifest's ["replay"] section is built from. *)
+   recording, manifest schema validation, and the CLI manifests' trace and
+   replay sections. *)
 
 module Json = Tq_obs.Json
 module Metrics = Tq_obs.Metrics
@@ -9,7 +9,6 @@ module Manifest = Tq_obs.Manifest
 module Event = Tq_trace.Event
 module Writer = Tq_trace.Writer
 module Reader = Tq_trace.Reader
-module Replay = Tq_trace.Replay
 
 (* ---------- JSON ---------- *)
 
@@ -253,12 +252,9 @@ let sample_manifest () =
         ( "replay",
           Json.Obj
             [ ("domains", Json.Int 2);
-              ( "timings",
-                Json.List
-                  [ Json.Obj
-                      [ ("domain", Json.Int 0);
-                        ("jobs", Json.List [ Json.Str "tquad" ]);
-                        ("wall_s", Json.Float 0.5) ] ] ) ] ) ]
+              ("batch", Json.Int 4);
+              ("peak_live_chunks", Json.Int 3);
+              ("stage_s", Json.Obj [ ("decode", Json.Float 0.5) ]) ] ) ]
     spans metrics
 
 let test_manifest_roundtrip () =
@@ -312,8 +308,6 @@ let test_manifest_validate_negative () =
   invalid (with_member "metrics" (Json.Obj []));
   invalid (with_member "engine" (Json.Obj [ ("lookups", Json.Str "three") ]));
   invalid (with_member "trace" (Json.Obj [ ("events", Json.Str "many") ]));
-  invalid
-    (with_member "replay" (Json.Obj [ ("timings", Json.List [ Json.Obj [] ]) ]));
   invalid (with_member "replay" (Json.Obj [ ("chunks", Json.Str "many") ]));
   invalid
     (with_member "replay"
@@ -372,7 +366,75 @@ let test_cli_manifest_validates () =
       | Error msg -> Alcotest.failf "pipeline manifest invalid: %s" msg);
       Alcotest.(check bool) "recorded events" true (events > 0))
 
-(* ---------- reader CRC check / replay timings ---------- *)
+(* A metered replay reports each number once: [--all] writes one replay
+   section, from the pipeline's stats, and leaves the CRC to its decode
+   stage instead of timing a full pass before it; [--tool] writes none, its
+   [replay] span being the time.  [record] keeps its post-write CRC
+   timing. *)
+let test_cli_replay_manifest () =
+  let src =
+    Test_dataflow.write_tmp ".mc"
+      "int a[64];\n\
+       int main() { for (int i = 0; i < 64; i = i + 1) a[i] = i; return 0; \
+       }\n"
+  in
+  let trc = Filename.temp_file "tq_obs" ".trc" in
+  let rec_m = Filename.temp_file "tq_obs" ".json" in
+  let all_m = Filename.temp_file "tq_obs" ".json" in
+  let tool_m = Filename.temp_file "tq_obs" ".json" in
+  let run args =
+    Alcotest.(check int) (args ^ ": 0") 0 (Test_dataflow.run_cli args)
+  in
+  run (Printf.sprintf "record %s -o %s --metrics %s" src trc rec_m);
+  run (Printf.sprintf "replay %s %s --all --metrics %s" trc src all_m);
+  run (Printf.sprintf "replay %s %s --tool gprof --metrics %s" trc src tool_m);
+  let load path =
+    let doc =
+      Json.of_string (In_channel.with_open_bin path In_channel.input_all)
+    in
+    (match Manifest.validate doc with
+    | Ok () -> ()
+    | Error msg -> Alcotest.failf "%s: invalid manifest: %s" path msg);
+    doc
+  in
+  let has doc path =
+    List.fold_left (fun d k -> Option.bind d (Json.member k)) (Some doc) path
+    <> None
+  in
+  let spans doc =
+    match Json.member "spans" doc with
+    | Some (Json.List l) ->
+        List.filter_map
+          (fun sp ->
+            match Json.member "name" sp with
+            | Some (Json.Str n) -> Some n
+            | _ -> None)
+          l
+    | _ -> Alcotest.fail "no spans"
+  in
+  let rec_doc = load rec_m and all_doc = load all_m in
+  let tool_doc = load tool_m in
+  Alcotest.(check bool) "record: trace.crc_verify_s" true
+    (has rec_doc [ "trace"; "crc_verify_s" ]);
+  Alcotest.(check bool) "record: crc-verify span" true
+    (List.mem "crc-verify" (spans rec_doc));
+  Alcotest.(check bool) "replay --all: replay.stage_s" true
+    (has all_doc [ "replay"; "stage_s" ]);
+  Alcotest.(check bool) "replay --all: replay.batch" true
+    (has all_doc [ "replay"; "batch" ]);
+  Alcotest.(check bool) "replay --all: no replay.timings" false
+    (has all_doc [ "replay"; "timings" ]);
+  Alcotest.(check bool) "replay --all: no trace.crc_verify_s" false
+    (has all_doc [ "trace"; "crc_verify_s" ]);
+  Alcotest.(check (list string)) "replay --all: spans"
+    [ "compile"; "load-trace"; "replay" ] (spans all_doc);
+  Alcotest.(check bool) "replay --tool: no replay section" false
+    (has tool_doc [ "replay" ]);
+  Alcotest.(check bool) "replay --tool: replay span" true
+    (List.mem "replay" (spans tool_doc));
+  List.iter Sys.remove [ src; trc; rec_m; all_m; tool_m ]
+
+(* ---------- reader CRC check ---------- *)
 
 let write_trace path =
   Writer.with_file ~chunk_bytes:128 path (fun w ->
@@ -411,67 +473,6 @@ let test_crc_check_corrupt () =
       | n -> Alcotest.failf "corrupt trace passed crc_check (%d chunks)" n
       | exception Reader.Format_error _ -> ())
 
-let count_jobs names =
-  List.map
-    (fun name ->
-      Replay.job name (fun () ->
-          let n = ref 0 in
-          ((fun _ -> incr n), fun () -> string_of_int !n)))
-    names
-
-let test_sequential_timings () =
-  let path = Filename.temp_file "tq_obs" ".trc" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      write_trace path;
-      let r = Reader.load path in
-      let timings = ref [] in
-      let results =
-        Replay.sequential
-          ~timings:(fun ts -> timings := ts)
-          r
-          (count_jobs [ "a"; "b" ])
-      in
-      Alcotest.(check int) "one timing per job" 2 (List.length !timings);
-      List.iter
-        (fun (t : Replay.domain_timing) ->
-          Alcotest.(check int) "sequential runs on domain 0" 0 t.Replay.domain;
-          Alcotest.(check bool) "wall time non-negative" true (t.wall_s >= 0.))
-        !timings;
-      Alcotest.(check bool) "job names recorded in run order" true
-        (List.map (fun (t : Replay.domain_timing) -> t.jobs) !timings
-        = [ [ "a" ]; [ "b" ] ]);
-      Alcotest.(check bool) "all jobs saw all events" true
-        (List.for_all (fun (_, o) -> o = Ok "201") results))
-
-let test_parallel_timings () =
-  let path = Filename.temp_file "tq_obs" ".trc" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      write_trace path;
-      let r = Reader.load path in
-      let timings = ref [] in
-      let results =
-        Replay.parallel ~domains:2
-          ~stats:(fun s -> timings := s.Replay.rs_timings)
-          r
-          (count_jobs [ "a"; "b"; "c" ])
-      in
-      Alcotest.(check bool) "all jobs complete" true
-        (List.for_all (fun (_, o) -> o = Ok "201") results);
-      let covered =
-        List.concat_map (fun (t : Replay.domain_timing) -> t.jobs) !timings
-        |> List.sort compare
-      in
-      Alcotest.(check (list string)) "every job appears in exactly one group"
-        [ "a"; "b"; "c" ] covered;
-      List.iter
-        (fun (t : Replay.domain_timing) ->
-          Alcotest.(check bool) "wall time non-negative" true (t.wall_s >= 0.))
-        !timings)
-
 let suites =
   [ ( "obs",
       [ QCheck_alcotest.to_alcotest qcheck_json_roundtrip;
@@ -496,11 +497,9 @@ let suites =
           test_manifest_validate_negative;
         Alcotest.test_case "manifest: real pipeline manifest validates" `Slow
           test_cli_manifest_validates;
+        Alcotest.test_case "manifest: replay sections, CRC where it is paid"
+          `Quick test_cli_replay_manifest;
         Alcotest.test_case "reader: crc_check counts chunks" `Quick
           test_crc_check;
         Alcotest.test_case "reader: crc_check catches corruption" `Quick
-          test_crc_check_corrupt;
-        Alcotest.test_case "replay: sequential timings" `Quick
-          test_sequential_timings;
-        Alcotest.test_case "replay: parallel timings" `Quick
-          test_parallel_timings ] ) ]
+          test_crc_check_corrupt ] ) ]

@@ -366,43 +366,52 @@ let outcomes_equal a b =
          | _ -> false)
        a b
 
-let reencode ~chunk_bytes evs =
+let reencode ?compress ~chunk_bytes evs =
   let path = Filename.temp_file "tq_shard" ".trc" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Writer.with_file ~chunk_bytes path (fun w ->
+      Writer.with_file ?compress ~chunk_bytes path (fun w ->
           List.iter (Writer.emit w) evs);
       In_channel.with_open_bin path In_channel.input_all)
 
 let gen_pipeline_shape =
   QCheck.Gen.(
-    quad
+    triple
       (int_range 256 4096) (* chunk_bytes: boundaries land anywhere *)
       (int_range 1 8) (* shards *)
-      (int_range 1 3) (* domains (capped by the machine) *)
-      (int_range 1 6) (* batch: decode window *))
+      (int_range 1 3) (* domains (capped by the machine) *))
 
 let arb_pipeline_shape =
   QCheck.make
-    ~print:(fun (cb, s, d, b) ->
-      Printf.sprintf "chunk_bytes=%d shards=%d domains=%d batch=%d" cb s d b)
+    ~print:(fun (cb, s, d) ->
+      Printf.sprintf "chunk_bytes=%d shards=%d domains=%d" cb s d)
     gen_pipeline_shape
 
+(* Each shape runs on a plain and a v4 encoding of the recording, and the
+   pipeline's decoded chunks must stay within its declared budget. *)
 let qcheck_sharded_identity =
   QCheck.Test.make
     ~name:"sharded replay = sequential for every tool (random chunks/shards)"
     ~count:12 arb_pipeline_shape
-    (fun (chunk_bytes, shards, domains, batch) ->
+    (fun (chunk_bytes, shards, domains) ->
       let prog, evs = Lazy.force micro_recording in
-      let raw = reencode ~chunk_bytes evs in
       let jobs = tool_jobs prog in
-      let seq = Replay.sequential (Reader.of_string raw) jobs in
-      let par =
-        Replay.parallel ~domains ~shards ~batch (Reader.of_string raw) jobs
-      in
-      List.for_all (fun (_, o) -> Result.is_ok o) seq
-      && outcomes_equal seq par)
+      List.for_all
+        (fun compress ->
+          let raw = reencode ~compress ~chunk_bytes evs in
+          let seq = Replay.sequential (Reader.of_string raw) jobs in
+          let stats = ref None in
+          let par =
+            Replay.parallel ~domains ~shards
+              ~stats:(fun s -> stats := Some s)
+              (Reader.of_string raw) jobs
+          in
+          let s = Option.get !stats in
+          List.for_all (fun (_, o) -> Result.is_ok o) seq
+          && outcomes_equal seq par
+          && s.Replay.rs_peak_live_chunks <= s.rs_batch)
+        [ false; true ])
 
 (* Same identity under salvage: corrupt the container, load what survives,
    and the pipeline must still agree with the sequential walk of the same
@@ -413,7 +422,7 @@ let qcheck_sharded_salvage_identity =
     ~name:"sharded replay = sequential under salvage of a corrupted trace"
     ~count:16
     (QCheck.pair arb_pipeline_shape QCheck.(int_bound 10_000))
-    (fun ((chunk_bytes, shards, domains, batch), seed) ->
+    (fun ((chunk_bytes, shards, domains), seed) ->
       let prog, evs = Lazy.force micro_recording in
       let raw = reencode ~chunk_bytes evs in
       let mutation = Tq_faultgen.Faultgen.random ~seed raw in
@@ -427,7 +436,7 @@ let qcheck_sharded_salvage_identity =
       | r1 ->
           let r2 = Reader.of_string ~mode:Reader.Salvage mutated in
           outcomes_equal (Replay.sequential r1 jobs)
-            (Replay.parallel ~domains ~shards ~batch r2 jobs))
+            (Replay.parallel ~domains ~shards r2 jobs))
 
 (* The wfs micro recording above touches little memory per shard, so its
    shards rarely read a byte an earlier shard wrote.  A pointer chase links
@@ -455,16 +464,15 @@ let qcheck_sharded_chase_identity =
     ~name:"sharded replay = sequential on a pointer chase (2-8 shards)"
     ~count:8
     (QCheck.make
-       ~print:(fun (cb, s, b) ->
-         Printf.sprintf "chunk_bytes=%d shards=%d batch=%d" cb s b)
-       QCheck.Gen.(triple (int_range 256 4096) (int_range 2 8) (int_range 1 6)))
-    (fun (chunk_bytes, shards, batch) ->
+       ~print:(fun (cb, s) -> Printf.sprintf "chunk_bytes=%d shards=%d" cb s)
+       QCheck.Gen.(pair (int_range 256 4096) (int_range 2 8)))
+    (fun (chunk_bytes, shards) ->
       let prog, evs = Lazy.force chase_recording in
       let raw = reencode ~chunk_bytes evs in
       let jobs = tool_jobs prog in
       let seq = Replay.sequential (Reader.of_string raw) jobs in
       let par =
-        Replay.parallel ~domains:1 ~shards ~batch (Reader.of_string raw) jobs
+        Replay.parallel ~domains:1 ~shards (Reader.of_string raw) jobs
       in
       List.for_all (fun (_, o) -> Result.is_ok o) seq
       && outcomes_equal seq par)
@@ -625,8 +633,13 @@ let test_cli_positive_args () =
   Alcotest.(check int) "replay --all --slice 0: 2" 2 (replay "--all --slice 0");
   Alcotest.(check int) "replay --tool gprof --period 0: 2" 2
     (replay "--tool gprof --period 0");
-  Alcotest.(check int) "replay --all --domains 1 --shards 2 --batch 1: 0" 0
-    (replay "--all --domains 1 --shards 2 --batch 1");
+  Alcotest.(check int) "replay --all --domains 1 --shards 2: 0" 0
+    (replay "--all --domains 1 --shards 2");
+  (* --tool runs the sequential oracle, which takes no pipeline shape *)
+  Alcotest.(check int) "replay --tool tquad --domains 2: 2" 2
+    (replay "--tool tquad --domains 2");
+  Alcotest.(check int) "replay --tool tquad --shards 3: 2" 2
+    (replay "--tool tquad --shards 3");
   (* --fail-tool must name a job of the run *)
   Alcotest.(check int) "replay --all --fail-tool quad: 4" 4
     (replay "--all --fail-tool quad");
@@ -638,8 +651,7 @@ let test_cli_positive_args () =
     (fun arg ->
       Alcotest.(check int) (Printf.sprintf "replay --all %s: 2" arg) 2
         (replay ("--all " ^ arg)))
-    [ "--domains 0"; "--domains=-3"; "--shards 0"; "--shards=-2"; "--batch 0";
-      "--batch=-5" ];
+    [ "--domains 0"; "--domains=-3"; "--shards 0"; "--shards=-2" ];
   (* serve and client options: the socket path's parent is a regular file,
      so a value the parser wrongly accepted ends in a bind/connect failure
      (3), never in a running daemon or a hang *)
