@@ -34,19 +34,6 @@ let get t i =
   check t i;
   t.data.(i)
 
-let ensure t n =
-  if n > t.len then begin
-    grow_to t n;
-    Array.fill t.data t.len (n - t.len) t.dummy;
-    t.len <- n
-  end
-
-let get_or t i default = if i >= 0 && i < t.len then t.data.(i) else default
-
-let add_at f t i x =
-  ensure t (i + 1);
-  t.data.(i) <- f t.data.(i) x
-
 let iteri f t =
   for i = 0 to t.len - 1 do
     f i t.data.(i)

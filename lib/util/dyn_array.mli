@@ -1,7 +1,8 @@
 (** Growable arrays.
 
-    A thin, allocation-conscious growable array used throughout the profilers
-    for per-slice series and event logs.  Amortised O(1) [push]. *)
+    A thin, allocation-conscious growable array: the squasher's literal
+    delta tables and the assembler's code buffers.  Amortised O(1)
+    [push]. *)
 
 type 'a t
 
@@ -16,13 +17,6 @@ val push : 'a t -> 'a -> unit
 val get : 'a t -> int -> 'a
 (** [get t i] is the [i]-th element.  @raise Invalid_argument if out of
     bounds. *)
-
-val get_or : 'a t -> int -> 'a -> 'a
-(** [get_or t i default] is [get t i] if in bounds, else [default]. *)
-
-val add_at : (int -> int -> int) -> int t -> int -> int -> unit
-(** [add_at f t i x] sets slot [i] to [f old x], extending with dummies as
-    needed (absent slots read as the dummy). *)
 
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 

@@ -7,9 +7,7 @@ let test_dyn_array_basic () =
     Dyn_array.push a (i * i)
   done;
   Alcotest.(check int) "length" 100 (Dyn_array.length a);
-  Alcotest.(check int) "get 7" 49 (Dyn_array.get a 7);
-  Alcotest.(check int) "get_or in" 81 (Dyn_array.get_or a 9 123);
-  Alcotest.(check int) "get_or out" 123 (Dyn_array.get_or a 100 123)
+  Alcotest.(check int) "get 7" 49 (Dyn_array.get a 7)
 
 let test_dyn_array_bounds () =
   let a = Dyn_array.create ~dummy:0 () in
@@ -20,17 +18,6 @@ let test_dyn_array_bounds () =
   Alcotest.check_raises "get negative"
     (Invalid_argument "Dyn_array: index -1 out of bounds [0,1)") (fun () ->
       ignore (Dyn_array.get a (-1)))
-
-let test_dyn_array_ensure_add_at () =
-  let a = Dyn_array.create ~dummy:0 () in
-  Dyn_array.add_at ( + ) a 4 0;
-  Alcotest.(check int) "add_at extends to the slot" 5 (Dyn_array.length a);
-  Alcotest.(check int) "dummy filled" 0 (Dyn_array.get a 3);
-  Dyn_array.add_at ( + ) a 10 7;
-  Alcotest.(check int) "add_at extends" 11 (Dyn_array.length a);
-  Alcotest.(check int) "add_at value" 7 (Dyn_array.get a 10);
-  Dyn_array.add_at ( + ) a 10 3;
-  Alcotest.(check int) "add_at accumulates" 10 (Dyn_array.get a 10)
 
 let test_dyn_array_fold_iter () =
   let a = Dyn_array.create ~dummy:0 () in
@@ -228,7 +215,6 @@ let suites =
       [
         Alcotest.test_case "basic" `Quick test_dyn_array_basic;
         Alcotest.test_case "bounds" `Quick test_dyn_array_bounds;
-        Alcotest.test_case "ensure/add_at" `Quick test_dyn_array_ensure_add_at;
         Alcotest.test_case "fold/iter" `Quick test_dyn_array_fold_iter;
         QCheck_alcotest.to_alcotest qcheck_dyn_array_matches_list;
       ] );
