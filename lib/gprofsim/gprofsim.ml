@@ -176,23 +176,41 @@ let shard =
       prefix =
         (fun period prog ->
           check_period period;
-          let stack_sink, stack =
+          let stack, snapshot =
             Call_stack.prefix prog.Tq_vm.Program.symtab Call_stack.Track_all
           in
           let next = ref period in
-          let sink (ev : Event.t) =
-            match ev with
-            | Event.Block_exec { icount; n; _ } ->
-                (* closed form of [sample_block]'s phase advance: after a
-                   block whose last instruction retires at [e >= next], the
-                   next sample lands on the first period multiple past [e] *)
-                if n > 0 then begin
-                  let e = icount + n - 1 in
-                  if e >= !next then next := period * ((e / period) + 1)
-                end
-            | _ -> stack_sink ev
+          (* closed form of [sample_block]'s phase advance: after a block
+             whose last instruction retires at [e >= next], the next sample
+             lands on the first period multiple past [e] *)
+          let block icount n =
+            if n > 0 then begin
+              let e = icount + n - 1 in
+              if e >= !next then next := period * ((e / period) + 1)
+            end
           in
-          (sink, fun () -> (stack (), !next)));
+          let on_event (ev : Event.t) =
+            match ev with
+            | Event.Block_exec { icount; n; _ } -> block icount n
+            | _ -> stack.on_event ev
+          in
+          (* a record's blocks, walked in order; its calls and returns go
+             to the stack tracker, which takes every record *)
+          let on_repeat (r : Tq_trace.Squash.repeat) =
+            ignore (stack.on_repeat r : bool);
+            let foff, v = Tq_trace.Squash.fields r in
+            for i = 0 to r.iters - 1 do
+              if i > 0 then Tq_trace.Squash.advance r v i;
+              for k = 0 to Array.length r.body - 1 do
+                match r.body.(k) with
+                | Event.Block_exec { n; _ } -> block v.(foff.(k)) n
+                | _ -> ()
+              done
+            done;
+            true
+          in
+          ( { Tq_trace.Replay.on_event; on_repeat },
+            fun () -> (snapshot (), !next) ));
       seeded;
       merge_into;
     }

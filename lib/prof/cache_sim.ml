@@ -153,18 +153,21 @@ let create { geometry; policy } (prog : Tq_vm.Program.t) =
 let demand t id ~write ~icount:_ ~sp:_ ~ea ~size =
   on_access t id ea size ~write ~demand:true
 
+(* prefetches warm the cache without counting as demand accesses *)
+let prefetch t ~ea ~size = on_access t 0 ea size ~write:false ~demand:false
+
 let consume t (ev : Event.t) =
   match ev with
-  | Event.Prefetch { ea; size; _ } ->
-      (* prefetches warm the cache without counting as demand accesses *)
-      on_access t 0 ea size ~write:false ~demand:false
+  | Event.Prefetch { ea; size; _ } -> prefetch t ~ea ~size
   | _ -> Call_stack.attribute t.stack demand t ev
 
 let interest = Event.KPrefetch :: Call_stack.interest
 
-(* Replacement state depends on the exact access order: every record goes
-   through [consume]. *)
-let consume_repeat _ _ = false
+(* Replacement state depends on the exact access order: a record is walked
+   in order, prefetches included, and never declined. *)
+let consume_repeat t r =
+  Call_stack.attribute_record t.stack demand prefetch t r;
+  true
 
 (* replacement state is order-sensitive and has no merge *)
 let shard = None

@@ -126,18 +126,68 @@ let attribute_repeat t run s (r : Tq_trace.Squash.repeat) =
        true
      end
 
+(* [attribute] over the events [Squash.expand r] yields, without building
+   them: the structure of body event [k] (constructor, [static], [size],
+   [routine]) and its numeric fields of iteration [i], read from the
+   walk's [vals] in {!Event.num_fields} order. *)
+let attribute_record t access prefetch s (r : Tq_trace.Squash.repeat) =
+  let foff, v = Tq_trace.Squash.fields r in
+  let body = r.body in
+  for i = 0 to r.iters - 1 do
+    if i > 0 then Tq_trace.Squash.advance r v i;
+    for k = 0 to Array.length body - 1 do
+      let f = foff.(k) in
+      match body.(k) with
+      | Load { static; size; _ } ->
+          let kn = attribute_id t static in
+          if kn >= 0 then
+            access s kn ~write:false ~icount:v.(f) ~sp:v.(f + 2)
+              ~ea:v.(f + 1) ~size
+      | Store { static; size; _ } ->
+          let kn = attribute_id t static in
+          if kn >= 0 then
+            access s kn ~write:true ~icount:v.(f) ~sp:v.(f + 2)
+              ~ea:v.(f + 1) ~size
+      | Block_copy { static; _ } ->
+          let kn = attribute_id t static in
+          if kn >= 0 then begin
+            let icount = v.(f) and len = v.(f + 3) and sp = v.(f + 4) in
+            access s kn ~write:false ~icount ~sp ~ea:v.(f + 1) ~size:len;
+            access s kn ~write:true ~icount ~sp ~ea:v.(f + 2) ~size:len
+          end
+      | Rtn_entry { routine; _ } ->
+          on_entry t (Tq_vm.Symtab.by_id t.symtab routine) ~sp:v.(f + 1)
+      | Ret _ -> on_ret t ~sp:v.(f + 1)
+      | Prefetch { size; _ } -> prefetch s ~ea:v.(f + 1) ~size
+      | Block_exec _ | End _ -> ()
+    done
+  done
+
 let interest = Tq_trace.Event.[ KRtn_entry; KRet; KLoad; KStore; KBlock_copy ]
+
+let moves_stack (r : Tq_trace.Squash.repeat) =
+  Array.exists
+    (function Tq_trace.Event.Rtn_entry _ | Ret _ -> true | _ -> false)
+    r.body
+
+let no_access () _ ~write:_ ~icount:_ ~sp:_ ~ea:_ ~size:_ = ()
+let no_prefetch () ~ea:_ ~size:_ = ()
 
 let prefix symtab policy =
   let st = create symtab policy in
-  let sink (ev : Tq_trace.Event.t) =
+  let on_event (ev : Tq_trace.Event.t) =
     match ev with
     | Rtn_entry { routine; sp; _ } ->
         on_entry st (Tq_vm.Symtab.by_id symtab routine) ~sp
     | Ret { sp; _ } -> on_ret st ~sp
     | _ -> ()
   in
-  (sink, fun () -> copy st)
+  (* a record that cannot move the stack leaves it as it is *)
+  let on_repeat r =
+    if moves_stack r then attribute_record st no_access no_prefetch () r;
+    true
+  in
+  ({ Tq_trace.Replay.on_event; on_repeat }, fun () -> copy st)
 
 let shard policy_of ~seeded ~merge_into =
   Some

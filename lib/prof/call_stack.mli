@@ -88,15 +88,43 @@ val attribute_repeat :
     order, takes [r] in closed form by this.  Allocation-free when [run]
     is a top-level function. *)
 
+val attribute_record :
+  t ->
+  ('s ->
+  int ->
+  write:bool ->
+  icount:int ->
+  sp:int ->
+  ea:int ->
+  size:int ->
+  unit) ->
+  ('s -> ea:int -> size:int -> unit) ->
+  's ->
+  Tq_trace.Squash.repeat ->
+  unit
+(** [attribute_record t access prefetch s r] is {!attribute} [t access s]
+    over every event {!Tq_trace.Squash.expand}[ r] yields, in the same
+    order, without building one: it walks the record's fields
+    ({!Tq_trace.Squash.fields}) iteration by iteration, keeps the stack in
+    step with the body's [Rtn_entry]/[Ret], sends every access to
+    [access], and sends each [Prefetch]'s address and size to
+    [prefetch s ~ea ~size].  It takes every record, whatever its fields
+    or calls, so a tool whose state depends on the order of its accesses
+    (QUAD's producers, the cache simulator's replacement state) takes
+    records by it.  Allocation-free per event when [access] and
+    [prefetch] are top-level functions. *)
+
 val interest : Tq_trace.Event.kind list
 (** The event kinds {!attribute} reads. *)
 
 val prefix :
-  Tq_vm.Symtab.t -> policy -> (Tq_trace.Event.t -> unit) * (unit -> t)
-(** The shard-seed prefix tracker of every stack-dependent tool: a sink that
-    keeps a fresh stack of the given policy in step with the
-    [Rtn_entry]/[Ret] events it is fed (others are ignored), and a snapshot
-    returning an independent copy of it. *)
+  Tq_vm.Symtab.t -> policy -> Tq_trace.Replay.sink * (unit -> t)
+(** The shard-seed prefix tracker of every stack-dependent tool: a sink
+    that keeps a fresh stack of the given policy in step with the
+    [Rtn_entry]/[Ret] events it is fed (others are ignored) and takes
+    every repeat record — by {!attribute_record}'s walk when the body
+    calls or returns, as a no-op otherwise — and a snapshot returning an
+    independent copy of the stack. *)
 
 val shard :
   ('config -> policy) ->

@@ -174,7 +174,10 @@ let shard =
   Some
     {
       Tq_trace.Tool.prefix_wants = [];
-      prefix = (fun () _ -> ((fun (_ : Event.t) -> ()), Fun.id));
+      prefix =
+        (fun () _ ->
+          ({ Tq_trace.Replay.on_event = ignore; on_repeat = (fun _ -> true) },
+           Fun.id));
       seeded = (fun () program () -> create () program);
       merge_into;
     }

@@ -220,8 +220,13 @@ let consume t ev = Call_stack.attribute t.stack access t ev
 let interest = Call_stack.interest
 
 (* Producer tracking keeps the last writer of every byte, which depends on
-   the order of the accesses: every record goes through [consume]. *)
-let consume_repeat _ _ = false
+   the order of the accesses: a record is walked in order, access by
+   access, and never declined.  QUAD discards prefetches. *)
+let no_prefetch _ ~ea:_ ~size:_ = ()
+
+let consume_repeat t r =
+  Call_stack.attribute_record t.stack access no_prefetch t r;
+  true
 
 (* One deferred block of consumer [c] against [a]'s shadow: each maximal run
    of counted bytes with one producer is one charge. *)

@@ -97,18 +97,20 @@ let checkpoint jr =
 
 (* A decoded event is a boxed record of at most seven words (Block_copy)
    plus its array slot, 64 bytes at most; real traces average about 54
-   bytes per event.  A repeat chunk's record shares its body with the
-   events and adds its field tables: three words per field (literal flag,
-   stride, delta-table slot), one per literal delta, plus headers.  So this
-   weight is never below a chunk's reachable size. *)
+   bytes per event.  A repeat chunk holds its record alone: its body's
+   events at that price, and its field tables at four words per field
+   (literal flag, stride, delta-table slot, a table's header) plus one
+   per literal delta.  So this weight is never below a chunk's reachable
+   size, and a repeat chunk weighs what it holds, not its expansion. *)
 let chunk_weight (dc : Reader.decoded) =
-  (64 * Array.length dc.events)
-  + 256
+  256
   +
-  match dc.repeat with
-  | None -> 0
-  | Some r ->
-      (8 * Array.fold_left (fun n l -> n + 3 + Array.length l) 0 r.lits) + 256
+  match dc with
+  | Events evs -> 64 * Array.length evs
+  | Record r ->
+      (64 * Array.length r.body)
+      + (8 * Array.fold_left (fun n l -> n + 4 + Array.length l) 0 r.lits)
+      + 256
 
 let run_spec ~check cache spec =
   (* an unknown tool is a job whose factory fails: supervision reports it

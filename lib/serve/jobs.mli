@@ -80,10 +80,11 @@ val create :
 
 val chunk_weight : Tq_trace.Reader.decoded -> int
 (** The weight, in estimated bytes, that a decoded chunk charges against
-    the shared cache's budget: [64 * events + 256], plus, for a repeat
-    chunk, [8 * (3 * fields + literal deltas) + 256] for its record.  It is
-    at least the chunk's reachable heap size (docs/METRICS.md, serve chunk
-    cache), so the cache's capacity bounds the memory its entries hold. *)
+    the shared cache's budget: [64 * events + 256] for a plain chunk; for
+    a repeat chunk, which holds its record alone, [64 * body events +
+    8 * (4 * fields + literal deltas) + 512].  It is at least the chunk's
+    reachable heap size (docs/METRICS.md, serve chunk cache), so the
+    cache's capacity bounds the memory its entries hold. *)
 
 val submit : ?deadline_s:float -> t -> spec -> (int, [ `Queue_full of int ]) result
 (** Enqueue; [Ok id] or [`Queue_full depth] when the bound is hit (also

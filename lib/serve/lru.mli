@@ -2,7 +2,7 @@
     index).
 
     The serve daemon's hot-trace accelerator: the first replay of a chunk
-    decodes (and CRC-verifies) it through {!Tq_trace.Reader.chunk_events};
+    decodes (and CRC-verifies) it through {!Tq_trace.Reader.chunk};
     every later replay of the same chunk — same job, another job, another
     client — hits the cache and pays neither the decode nor the digest.
     Capacity is a weight budget (estimated bytes); insertion evicts from the
@@ -10,7 +10,8 @@
 
     All operations are thread-safe (one internal mutex): the cache is shared
     by every worker domain of the job manager.  Values should be immutable
-    ({!Tq_trace.Event.t} arrays are treated as such by every consumer). *)
+    (decoded chunks — event arrays and repeat records — are treated as such
+    by every consumer). *)
 
 type 'v t
 

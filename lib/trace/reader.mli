@@ -9,14 +9,15 @@
     (redundancy-suppressed).  A v4 {e repeat chunk} — an iteration count,
     per-field stride/literal tables and a reference to the {e body-def
     chunk} holding the loop body's events (interned: one def serves every
-    repeat of the same body) — is expanded transparently during iteration
-    by {!Squash.expand}, the writer's own expander, so every consumer
-    ({!iter}, {!chunk}, and everything built on them: sequential,
-    pipeline and salvage replay) sees the exact event stream the probe
-    emitted; {!chunk} also returns the decoded record itself.  Body refs are cross-checked against the def's payload CRC at
-    load time, so a reference can never silently resolve to the wrong body;
-    in [Salvage] mode a repeat chunk whose def was lost to corruption is
-    dropped and counted.  All event counts exposed here ({!n_events},
+    repeat of the same body) — decodes to its {!Squash.repeat} record.
+    {!iter} and {!chunk_events} expand it through {!Squash.expand}, the
+    writer's own expander, so they see the exact event stream the probe
+    emitted; {!chunk} returns the record alone, for the replay pipeline
+    to expand only for the tools that decline it.  Body refs are
+    cross-checked against the def's payload CRC at load time, so a
+    reference can never silently resolve to the wrong body; in [Salvage]
+    mode a repeat chunk whose def was lost to corruption is dropped and
+    counted.  All event counts exposed here ({!n_events},
     {!chunk_event_count}, the index) are {e raw} (decoded) counts;
     {!stored_events} is the physically-encoded count.
 
@@ -84,11 +85,12 @@ val crc_check : t -> int
     timing.
     @raise Format_error on the first chunk whose CRC does not match. *)
 
-type decoded = {
-  events : Event.t array;  (** the chunk's raw events, expanded *)
-  repeat : Squash.repeat option;
-      (** [Some r] for a v4 repeat chunk: the record [events] expands *)
-}
+type decoded =
+  | Events of Event.t array
+      (** a plain chunk's events (none for a v4 body-def chunk) *)
+  | Record of Squash.repeat
+      (** a v4 repeat chunk's record, not expanded: {!Squash.expand}
+          yields its [B × iters] events *)
 (** One decoded chunk: what the replay pipeline holds in a slot and the
     serve layer's chunk cache holds per entry. *)
 
@@ -99,14 +101,16 @@ val chunk : t -> int -> decoded
     chunk-granular read behind {!Replay.parallel}'s default chunk source
     and the serve layer's decoded-chunk cache: a returned chunk is always
     decoded and verified, and re-reading a chunk never re-verifies it.  A
-    repeat chunk comes back expanded {e and} with its record, so a tool
-    that takes records in closed form ({!Tool.S.consume_repeat}) can skip
-    the events.
+    repeat chunk comes back as its record alone, after the CRC and every
+    structural check ({!Squash.max_body}, {!Squash.max_raw}, the body
+    reference, the field tables); expanding it is left to the consumers
+    that decline it.
     @raise Invalid_argument if the index is out of range.
     @raise Format_error if the chunk fails its CRC check or is malformed. *)
 
 val chunk_events : t -> int -> Event.t array
-(** [(chunk t i).events]. *)
+(** Chunk [i]'s raw events: {!chunk}, with a repeat chunk's record
+    expanded. *)
 
 val chunk_event_count : t -> int -> int
 (** Number of events in chunk [i], straight from the chunk index — no decode,

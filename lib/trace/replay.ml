@@ -2,11 +2,11 @@
    streaming pipeline behind [parallel].
 
    The pipeline (see DESIGN.md §8) decodes + CRC-verifies every chunk exactly
-   once into pooled event arrays, walks the chunks in order exactly once for
-   the order-sensitive work (non-sharded tools and the shard-seed prefix
-   trackers), and walks each trace range once for all sharded tools, the
-   ranges spread across domains and their partial states merged
-   left-to-right at the end.  Both walks hand a chunk to a supervised job
+   once into pooled slots (event arrays, or a repeat chunk's record), walks
+   the chunks in order exactly once for the order-sensitive work
+   (non-sharded tools and the shard-seed prefix trackers), and walks each
+   trace range once for all sharded tools, the ranges spread across domains
+   and their partial states merged left-to-right at the end.  Both walks hand a chunk to a supervised job
    group through the same [deliver]. *)
 
 type sink = { on_event : Event.t -> unit; on_repeat : Squash.repeat -> bool }
@@ -15,7 +15,7 @@ let events_only on_event = { on_event; on_repeat = (fun _ -> false) }
 
 type ('state, 'seed) shard_spec = {
   prefix_wants : Event.kind list;
-  prefix : unit -> (Event.t -> unit) * (unit -> 'seed);
+  prefix : unit -> sink * (unit -> 'seed);
   shard : 'seed -> sink * (unit -> 'state);
   merge : 'state -> 'state -> unit;
   render : 'state -> string;
@@ -392,7 +392,7 @@ let run_pipeline ~domains ~n_shards ~chunk reader jobs =
                 done;
                 spec.render root)
           in
-          (events_only prefix_sink, finish)
+          (prefix_sink, finish)
         in
         {
           m_job = jx;
@@ -478,29 +478,29 @@ let run_pipeline ~domains ~n_shards ~chunk reader jobs =
   let shard_s = Array.make domains 0. in
   (* repeat deliveries (repeat chunk x job), per domain *)
   let closed = Array.make domains 0 and expanded = Array.make domains 0 in
-  (* The one chunk delivery of the ordered stage and the range items: offer
-     a repeat chunk's record first, then feed the chunk's events to the
-     fused per-tag sinks of the members that declined it. *)
+  (* The one chunk delivery of the ordered stage and the range items: a
+     plain chunk's events go to the fused per-tag sinks; a repeat chunk's
+     record is offered to every member first, and [Squash.expand] streams
+     its events into the fused sinks of the members that declined it, if
+     any, building no array. *)
   let deliver d grp (dc : Reader.decoded) =
-    if grp.n_sinks > 0 then begin
-      let sinks =
-        match dc.repeat with
-        | None -> Some grp.per_tag
-        | Some r ->
-            let sinks, c, x = grp.offer_repeat r in
-            closed.(d) <- closed.(d) + c;
-            expanded.(d) <- expanded.(d) + x;
-            sinks
-      in
-      match sinks with
-      | None -> ()
-      | Some per_tag ->
-          let evs = dc.events in
+    if grp.n_sinks > 0 then
+      match dc with
+      | Events evs ->
+          let per_tag = grp.per_tag in
           for e = 0 to Array.length evs - 1 do
             let ev = Array.unsafe_get evs e in
             (Array.unsafe_get per_tag (Event.tag ev)) ev
           done
-    end
+      | Record r -> (
+          let sinks, c, x = grp.offer_repeat r in
+          closed.(d) <- closed.(d) + c;
+          expanded.(d) <- expanded.(d) + x;
+          match sinks with
+          | None -> ()
+          | Some per_tag ->
+              Squash.expand r (fun ev ->
+                  (Array.unsafe_get per_tag (Event.tag ev)) ev))
   in
   let do_ordered d i dc =
     let t0 = Unix.gettimeofday () in

@@ -30,12 +30,13 @@ type ('state, 'seed) shard_spec = {
   prefix_wants : Event.kind list;
       (** event kinds the prefix tracker consumes; [[]] if the tool needs no
           seed (its shards start from nothing) *)
-  prefix : unit -> (Event.t -> unit) * (unit -> 'seed);
+  prefix : unit -> sink * (unit -> 'seed);
       (** Build the prefix tracker: a sink fed every [prefix_wants] event of
           the trace {e in order} (it runs inside the pipeline's ordered
-          stage), and a snapshot function capturing the tracker's current
-          state as a fresh, independent ['seed].  The snapshot is taken at
-          each shard boundary, so it must be callable repeatedly and cheap —
+          stage), offered every repeat record first like any other sink,
+          and a snapshot function capturing the tracker's current state as
+          a fresh, independent ['seed].  The snapshot is taken at each
+          shard boundary, so it must be callable repeatedly and cheap —
           e.g. {!Tq_prof.Call_stack.prefix} for stack-dependent tools. *)
   shard : 'seed -> sink * (unit -> 'state);
       (** Build one shard from the seed captured at its range's start: a sink
@@ -181,11 +182,13 @@ val parallel :
       snapshotted and consumes its chunks as they decode, possibly far
       ahead of the ordered token.
 
-    Both walk a chunk through the same delivery: a repeat chunk's record
-    is offered first to each member of the group (a job's sink, a shard
-    or a prefix tracker), which may take it in closed form
-    ({!sink}[.on_repeat]); the chunk's events then go, through sinks fused
-    per event tag, to the members that declined it.  So each chunk is
+    Both walk a chunk through the same delivery.  A plain chunk's events
+    go through sinks fused per event tag.  A repeat chunk is decoded to
+    its record alone ({!Reader.decoded}), which is offered to each member
+    of the group (a job's sink, a shard or a prefix tracker); a member
+    takes it whole ({!sink}[.on_repeat]), and {!Squash.expand} streams the
+    record's events, through sinks fused per event tag, to the members
+    that declined it — only then, and into no array.  So each chunk is
     walked at most twice, once by the ordered stage and once by its range,
     however many tools are sharded.
 

@@ -63,32 +63,35 @@ let field_offsets body =
   done;
   foff
 
-(* The one repeat expander, shared by the reader (decode) and the writer
-   (pricing a run's plain encoding): iteration 0 is the body itself, and each
-   further iteration advances every numeric field by its stride, or by its
-   next literal delta when [literal.(f)], then rebuilds each body event from
-   its slice of the fields.  One add per affine field and no closure per
-   field: this loop is where compressed replay spends its time. *)
-let expand { body; iters; literal; stride; lits } sink =
-  let b = Array.length body in
-  let foff = field_offsets body in
-  let vals = Array.make (max foff.(b) 1) 0 in
-  for k = 0 to b - 1 do
-    ignore (Event.read_num_fields body.(k) vals foff.(k))
-  done;
-  for k = 0 to b - 1 do
-    sink body.(k)
-  done;
-  for i = 1 to iters - 1 do
-    for k = 0 to b - 1 do
-      let lo = foff.(k) in
-      let hi = foff.(k + 1) in
-      for f = lo to hi - 1 do
-        vals.(f) <-
-          vals.(f)
-          + (if literal.(f) then lits.(f).(i - 1) else stride.(f))
-      done;
-      sink (Event.with_num_fields body.(k) vals lo)
+(* The one walk over a record's fields, shared by the expander and by
+   every consumer that walks a record in order without building events:
+   [fields] gives iteration 0's numeric fields, [advance] moves them to the
+   next iteration — one add per field, its stride or its next literal
+   delta.  This loop is where compressed replay spends its time. *)
+let fields r =
+  let foff = field_offsets r.body in
+  let vals = Array.make foff.(Array.length r.body) 0 in
+  Array.iteri
+    (fun k ev -> ignore (Event.read_num_fields ev vals foff.(k)))
+    r.body;
+  (foff, vals)
+
+let advance { literal; stride; lits; _ } vals i =
+  for f = 0 to Array.length vals - 1 do
+    vals.(f) <-
+      vals.(f) + if literal.(f) then lits.(f).(i - 1) else stride.(f)
+  done
+
+(* Iteration 0 is the body itself; each later one rebuilds every body
+   event from its slice of the advanced fields. *)
+let expand r sink =
+  let foff, vals = fields r in
+  let body = r.body in
+  Array.iter sink body;
+  for i = 1 to r.iters - 1 do
+    advance r vals i;
+    for k = 0 to Array.length body - 1 do
+      sink (Event.with_num_fields body.(k) vals foff.(k))
     done
   done
 

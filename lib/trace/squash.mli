@@ -56,8 +56,38 @@ val expand : repeat -> (Event.t -> unit) -> unit
 (** [expand r sink] passes the record's [B × iters] raw events to [sink],
     in order: the body, then [iters - 1] iterations in which every numeric
     field [f] advances by [r.lits.(f).(i - 1)] when [r.literal.(f)], else
-    by [r.stride.(f)].  The one expander: the reader decodes repeat chunks
-    through it and the writer prices a run's plain encoding through it. *)
+    by [r.stride.(f)].  The one expander: {!Reader.iter}, the replay
+    pipeline (for the tools that decline a record) and the writer (pricing
+    a run's plain encoding) all expand through it. *)
+
+(** {2 The in-order field walk}
+
+    What {!expand} yields, without building an event: a consumer that
+    needs a record's events in order (QUAD's shadow memory, the cache
+    simulator's replacement state, a shard prefix tracker's call stack)
+    walks [iters] iterations over the body and reads iteration [i]'s
+    numeric fields from [vals] —
+
+    {[
+      let foff, vals = Squash.fields r in
+      for i = 0 to r.iters - 1 do
+        if i > 0 then Squash.advance r vals i;
+        (* body event k of iteration i: the structure of r.body.(k), its
+           numeric fields at vals.(foff.(k) ..) *)
+      done
+    ]}
+
+    — the same fields, in the same order, as {!Event.read_num_fields}
+    over the [k]-th event {!expand} passes in iteration [i]. *)
+
+val fields : repeat -> int array * int array
+(** [fields r] is [(foff, vals)]: [foff.(k)] is the offset of body event
+    [k]'s first numeric field ([foff.(B)] = the field count), and [vals]
+    (one slot per field) holds iteration 0's fields, read from the body. *)
+
+val advance : repeat -> int array -> int -> unit
+(** [advance r vals i] moves [vals] from iteration [i - 1]'s fields to
+    iteration [i]'s ([1 <= i < r.iters]). *)
 
 type out = {
   out_plain : Event.t -> unit;  (** one event the suppressor won't elide *)

@@ -1,6 +1,6 @@
 type ('config, 'seed, 't) shard = {
   prefix_wants : Event.kind list;
-  prefix : 'config -> Tq_vm.Program.t -> (Event.t -> unit) * (unit -> 'seed);
+  prefix : 'config -> Tq_vm.Program.t -> Replay.sink * (unit -> 'seed);
   seeded : 'config -> Tq_vm.Program.t -> 'seed -> 't;
   merge_into : 't -> 't -> unit;
 }

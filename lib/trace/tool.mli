@@ -12,7 +12,7 @@
 type ('config, 'seed, 't) shard = {
   prefix_wants : Event.kind list;
       (** event kinds [prefix] consumes; [[]] if shards need no seed *)
-  prefix : 'config -> Tq_vm.Program.t -> (Event.t -> unit) * (unit -> 'seed);
+  prefix : 'config -> Tq_vm.Program.t -> Replay.sink * (unit -> 'seed);
       (** the ordered prefix tracker and its snapshot — see
           {!Replay.shard_spec}[.prefix] *)
   seeded : 'config -> Tq_vm.Program.t -> 'seed -> 't;
@@ -40,15 +40,16 @@ module type S = sig
 
   val consume_repeat : t -> Squash.repeat -> bool
   (** Take a whole v4 repeat record — a loop body, its iteration count and
-      its per-field strides — in closed form, or return [false] to decline
-      it, leaving [t] untouched; {!Replay.parallel} then feeds the record's
-      expanded events to {!consume}, one by one.  Taking it must leave [t]
-      as {!consume} over {!Squash.expand}'s events would have, so reports
-      stay byte-identical.  tQUAD and the footprint tool take records
-      whose bodies hold no [Rtn_entry]/[Ret] and whose access fields are
-      affine, gprofsim those whose blocks also tile each iteration without
-      a gap, the instruction mix every record; QUAD and the cache
-      simulator decline every record (docs/TRACE.md §6).  Only
+      its per-field strides — or return [false] to decline it, leaving [t]
+      untouched; {!Replay.parallel} then feeds the record's expanded
+      events to {!consume}, one by one.  Taking it must leave [t] as
+      {!consume} over {!Squash.expand}'s events would have, so reports
+      stay byte-identical.  tQUAD and the footprint tool take, in closed
+      form, records whose bodies hold no [Rtn_entry]/[Ret] and whose
+      access fields are affine, gprofsim those whose blocks also tile each
+      iteration without a gap, the instruction mix every record; QUAD and
+      the cache simulator take every record by walking its fields in
+      order ({!Squash.fields}) (docs/TRACE.md §6).  Only
       {!Replay.parallel} offers records: the sequential oracle and live
       runs always expand. *)
 

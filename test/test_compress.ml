@@ -158,7 +158,7 @@ let range_bomb ~at =
       prefix =
         (fun () ->
           let snaps = ref 0 in
-          ( ignore,
+          ( { Replay.on_event = ignore; on_repeat = (fun _ -> true) },
             fun () ->
               let k = !snaps in
               incr snaps;
@@ -206,8 +206,11 @@ let test_range_failure at () =
    Every repeat chunk is offered once per job (a prefix tracker does not
    count), wherever the chunk's range falls: closed + expanded deliveries
    equal repeat chunks x jobs, and the closed share does not move with the
-   shard or domain count.  The jobs are the CLI's (tool defaults), so the
-   counts are the ones `replay --all --metrics` reports for this trace. *)
+   shard or domain count.  QUAD, the cache simulator and the instruction
+   mix take every record, so the expanded deliveries are the records
+   tQUAD, the footprint tool and gprofsim decline.  The jobs are the CLI's
+   (tool defaults), so the counts are the ones `replay --all --metrics`
+   reports for this trace. *)
 let test_repeat_conservation () =
   let prog, _, compressed = Lazy.force wfs_recording in
   let jobs =
@@ -235,7 +238,8 @@ let test_repeat_conservation () =
           if Result.is_error o then Alcotest.failf "%s: %s failed" what name)
         out;
       let s = Option.get !st in
-      Alcotest.(check int) (what ^ ": closed") 18_649 s.Replay.rs_repeat_closed;
+      Alcotest.(check int) (what ^ ": closed") 27_999 s.Replay.rs_repeat_closed;
+      Alcotest.(check int) (what ^ ": expanded") 51 s.rs_repeat_expanded;
       Alcotest.(check int) (what ^ ": closed + expanded = chunks x jobs")
         (repeat_chunks * List.length jobs)
         (s.rs_repeat_closed + s.rs_repeat_expanded))
@@ -825,7 +829,7 @@ let test_container_is_function_of_stream () =
 
    tQUAD, the footprint tool, gprofsim and the instruction mix take a v4
    repeat record in closed form ([Tool.S.consume_repeat]); QUAD and the
-   cache simulator expand it.  The closed form must leave a tool exactly
+   cache simulator walk it in order.  The closed form must leave a tool exactly
    as [consume] over the expanded events would: after the same prefix and
    suffix events, both render the same report.  Random records cover
    negative and zero strides, slice and sampling-period boundaries inside
@@ -1097,7 +1101,227 @@ let qcheck_repeat_closed_form =
            ~render:render_gprof_full c);
       check "mix" ~expect_taken:true
         (through (module Tq_prof.Ins_mix) () ~render:render_mix_full c);
+      check "quad" ~expect_taken:true
+        (through (module Tq_quad.Quad) c.rc_policy
+           ~render:Test_trace.render_quad c);
+      check "cache" ~expect_taken:true
+        (through
+           (module Tq_prof.Cache_sim)
+           { Tq_prof.Cache_sim.geometry = Tq_prof.Cache_sim.default_l1;
+             policy = c.rc_policy }
+           ~render:Tq_prof.Cache_sim.render c);
       true)
+
+(* ---------- the in-order record walk vs expansion ----------
+
+   QUAD, the cache simulator and the shard prefix trackers take every
+   record by walking its fields in order ([Squash.fields]/[advance])
+   instead of expanding it.  The walk must yield, event for event, what
+   [Squash.expand] yields and what the record means by definition (field
+   [f] of iteration [i] is the body's value plus the first [i] deltas);
+   [Call_stack.attribute_record] must hand [access] and [prefetch] exactly
+   what [attribute] and a prefetch arm would over the expanded events, in
+   order, and leave the same stack; and each prefix tracker must snapshot
+   the seed its event path would.  Random records mix every event kind,
+   affine and literal fields, calls and returns that pop or miss. *)
+
+module Call_stack = Tq_prof.Call_stack
+
+let random_record seed =
+  let prog = Lazy.force oracle_prog in
+  let rs = Random.State.make [| seed |] in
+  let int n = Random.State.int rs n in
+  let pick l = List.nth l (int (List.length l)) in
+  let n_sym = Symtab.count prog.Program.symtab in
+  let top = Layout.stack_top in
+  let icount = ref (int 1000) in
+  let body =
+    Array.init
+      (1 + int 12)
+      (fun _ ->
+        icount := !icount + int 5;
+        let icount = !icount and sp = top - (8 * (1 + int 4)) in
+        let ea = 0x1000_0000 + int 0x100 and static = int (n_sym + 1) - 1 in
+        match int 8 with
+        | 0 -> Event.Rtn_entry { icount; routine = int n_sym; sp }
+        | 1 -> Event.Ret { icount; sp }
+        | 2 -> Event.Load { icount; static; ea; size = int 9; sp }
+        | 3 -> Event.Store { icount; static; ea; size = int 9; sp }
+        | 4 ->
+            Event.Block_copy
+              { icount; static; src = ea; dst = ea + int 64; len = int 64; sp }
+        | 5 -> Event.Prefetch { icount; ea; size = 1 + int 64 }
+        | 6 ->
+            Event.Block_exec
+              { icount; addr = Layout.text_base + (4 * int 64); n = int 9 }
+        | _ -> Event.End { icount })
+  in
+  let nf = Array.fold_left (fun n ev -> n + Event.num_fields ev) 0 body in
+  let iters = 1 + int 20 in
+  let delta () = pick [ 0; 0; 8; -8; 16; int 17 - 8 ] in
+  let literal = Array.init nf (fun _ -> int 3 = 0) in
+  {
+    Squash.body;
+    iters;
+    literal;
+    stride = Array.map (fun l -> if l then 0 else delta ()) literal;
+    lits =
+      Array.map
+        (fun l -> if l then Array.init (iters - 1) (fun _ -> delta ()) else [||])
+        literal;
+  }
+
+let print_record seed =
+  let r = random_record seed in
+  Printf.sprintf "seed %d: iters %d\nbody: %s\nstrides: %s\nliteral: %s" seed
+    r.iters
+    (String.concat "; "
+       (Array.to_list (Array.map (Format.asprintf "%a" Event.pp) r.body)))
+    (String.concat " " (Array.to_list (Array.map string_of_int r.stride)))
+    (String.concat " "
+       (Array.to_list
+          (Array.mapi (fun f l -> if l then string_of_int f else "") r.literal)))
+
+(* The record's events by definition, from nothing but its tables. *)
+let spec_events (r : Squash.repeat) =
+  let b = Array.length r.body in
+  let foff = Array.make (b + 1) 0 in
+  Array.iteri (fun k ev -> foff.(k + 1) <- foff.(k) + Event.num_fields ev) r.body;
+  let v0 = Array.make foff.(b) 0 in
+  Array.iteri (fun k ev -> ignore (Event.read_num_fields ev v0 foff.(k))) r.body;
+  List.concat
+    (List.init r.iters (fun i ->
+         let v =
+           Array.mapi
+             (fun f x ->
+               if r.literal.(f) then
+                 Array.fold_left ( + ) x (Array.sub r.lits.(f) 0 i)
+               else x + (i * r.stride.(f)))
+             v0
+         in
+         List.mapi
+           (fun k ev -> Event.with_num_fields ev v foff.(k))
+           (Array.to_list r.body)))
+
+let walked_events (r : Squash.repeat) =
+  let foff, vals = Squash.fields r in
+  let out = ref [] in
+  for i = 0 to r.iters - 1 do
+    if i > 0 then Squash.advance r vals i;
+    Array.iteri
+      (fun k ev -> out := Event.with_num_fields ev vals foff.(k) :: !out)
+      r.body
+  done;
+  List.rev !out
+
+let expanded_events r =
+  let out = ref [] in
+  Squash.expand r (fun ev -> out := ev :: !out);
+  List.rev !out
+
+type logged =
+  | Access of int * bool * int * int * int * int
+  | Prefetched of int * int
+
+(* Everything the call-stack front end hands on for [r], after a prefix
+   that enters a main-image routine: by the walk, or over the expansion. *)
+let front_end policy (r : Squash.repeat) ~walk =
+  let prog = Lazy.force oracle_prog in
+  let st = Call_stack.create prog.Program.symtab policy in
+  let log = ref [] in
+  let access () k ~write ~icount ~sp ~ea ~size =
+    log := Access (k, write, icount, sp, ea, size) :: !log
+  in
+  let prefetch () ~ea ~size = log := Prefetched (ea, size) :: !log in
+  let consume (ev : Event.t) =
+    match ev with
+    | Prefetch { ea; size; _ } -> prefetch () ~ea ~size
+    | _ -> Call_stack.attribute st access () ev
+  in
+  let main =
+    List.find
+      (fun id -> (Symtab.by_id prog.symtab id).Symtab.is_main_image)
+      (List.init (Symtab.count prog.symtab) Fun.id)
+  in
+  consume (Event.Rtn_entry { icount = 0; routine = main; sp = Layout.stack_top });
+  if walk then Call_stack.attribute_record st access prefetch () r
+  else Squash.expand r consume;
+  (List.rev !log, st)
+
+(* A prefix tracker's seed after [r]: offered the record, or fed its
+   expansion. *)
+let seed_after (make : unit -> Replay.sink * (unit -> 's)) r ~walk : 's =
+  let sink, snapshot = make () in
+  if walk then
+    Alcotest.(check bool) "a prefix tracker takes every record" true
+      (sink.on_repeat r)
+  else Squash.expand r sink.on_event;
+  snapshot ()
+
+let qcheck_record_walk =
+  QCheck.Test.make ~count:300 ~name:"the in-order record walk equals expansion"
+    (QCheck.make ~print:print_record QCheck.Gen.(int_bound 1_000_000_000))
+    (fun seed ->
+      let r = random_record seed in
+      let spec = spec_events r in
+      if walked_events r <> spec then
+        QCheck.Test.fail_report "the field walk differs from the definition";
+      if expanded_events r <> spec then
+        QCheck.Test.fail_report "expand differs from the definition";
+      List.iter
+        (fun policy ->
+          let wl, ws = front_end policy r ~walk:true in
+          let el, es = front_end policy r ~walk:false in
+          if wl <> el then
+            QCheck.Test.fail_report "attribute_record: accesses differ";
+          if compare ws es <> 0 then
+            QCheck.Test.fail_report "attribute_record: stacks differ")
+        Call_stack.[ Track_all; Main_image_only ];
+      let prog = Lazy.force oracle_prog in
+      let stack () = Call_stack.prefix prog.Program.symtab Main_image_only in
+      if compare (seed_after stack r ~walk:true) (seed_after stack r ~walk:false)
+         <> 0
+      then QCheck.Test.fail_report "call-stack prefix: seeds differ";
+      let gprof () =
+        (Option.get Tq_gprofsim.Gprofsim.shard).prefix 7 prog
+      in
+      if compare (seed_after gprof r ~walk:true) (seed_after gprof r ~walk:false)
+         <> 0
+      then QCheck.Test.fail_report "gprofsim prefix: seeds differ";
+      true)
+
+(* QUAD and the cache simulator walk every record of wfs tiny v4, on every
+   shape of the pipeline, and report what the expanding sequential oracle
+   does. *)
+let test_record_walk_reports () =
+  let prog, _, compressed = Lazy.force wfs_recording in
+  let jobs () =
+    List.map
+      (fun name ->
+        Result.get_ok
+          (Tq_serve.Toolset.job ~prog
+             ~slice:Tq_tquad.Tquad.default_slice_interval
+             ~period:Tq_gprofsim.Gprofsim.default_period name))
+      [ "quad"; "cache" ]
+  in
+  let rc () = Reader.of_string compressed in
+  let seq = Replay.sequential (rc ()) (jobs ()) in
+  let repeat_chunks = Reader.repeat_chunks (rc ()) in
+  List.iter
+    (fun (domains, shards) ->
+      let what = Printf.sprintf "domains %d, shards %d" domains shards in
+      let st = ref None in
+      let par =
+        Replay.parallel ~domains ~shards ~stats:(fun s -> st := Some s) (rc ())
+          (jobs ())
+      in
+      Alcotest.(check bool) (what ^ ": reports = sequential") true
+        (outcomes_equal seq par);
+      let s = Option.get !st in
+      Alcotest.(check int) (what ^ ": every record walked")
+        (2 * repeat_chunks) s.Replay.rs_repeat_closed;
+      Alcotest.(check int) (what ^ ": none expanded") 0 s.rs_repeat_expanded)
+    (List.concat_map (fun shards -> [ (1, shards); (2, shards) ]) [ 1; 2; 3 ])
 
 let suites =
   [
@@ -1125,6 +1349,9 @@ let suites =
           test_repeat_conservation;
         QCheck_alcotest.to_alcotest qcheck_compress_roundtrip;
         QCheck_alcotest.to_alcotest qcheck_repeat_closed_form;
+        QCheck_alcotest.to_alcotest qcheck_record_walk;
+        Alcotest.test_case "QUAD and cache_sim walk records: = sequential"
+          `Quick test_record_walk_reports;
         Alcotest.test_case "affine loop commits repeat chunks" `Quick
           test_affine_loop_compresses;
         QCheck_alcotest.to_alcotest qcheck_minic_record_identity;

@@ -67,8 +67,8 @@ let fresh_reader () =
 
 (* Every decoded chunk's cache weight covers its reachable heap bytes, so
    the cache's capacity bounds what its entries hold: over wfs tiny, plain
-   (v3) and compressed (v4, a repeat chunk keeping its record beside its
-   events), and a 1024-node, 4-round pointer chase. *)
+   (v3) and compressed (v4, where a repeat chunk is its record alone), and
+   a 1024-node, 4-round pointer chase. *)
 let test_chunk_weight_covers_heap () =
   let chase =
     let path = Filename.temp_file "tq_serve_test" ".trc" in
@@ -84,18 +84,21 @@ let test_chunk_weight_covers_heap () =
         In_channel.with_open_bin path In_channel.input_all)
   in
   let _, plain, compressed = Lazy.force Test_compress.wfs_recording in
+  let records = ref 0 in
   List.iter
     (fun (name, raw) ->
       let r = Reader.of_string raw in
       for i = 0 to Reader.n_chunks r - 1 do
         let dc = Reader.chunk r i in
+        (match dc with Reader.Record _ -> incr records | Events _ -> ());
         let bytes = Obj.reachable_words (Obj.repr dc) * (Sys.word_size / 8) in
         if Jobs.chunk_weight dc < bytes then
           Alcotest.failf "%s, chunk %d: weight %d < %d reachable bytes" name i
             (Jobs.chunk_weight dc) bytes
       done)
     [ ("wfs tiny v3", plain); ("wfs tiny v4", compressed);
-      ("pointer-chase", chase) ]
+      ("pointer-chase", chase) ];
+  Alcotest.(check bool) "repeat chunks weighed" true (!records > 0)
 
 (* ---------- LRU ---------- *)
 
