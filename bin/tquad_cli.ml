@@ -50,8 +50,13 @@ let obs_flush () =
           ~extra:(List.rev !obs_sections)
           !obs !obs_metrics
       in
+      (* a manifest that cannot be written fails the run like any other
+         unwritable output (exit 3); [exit] from an [at_exit] function
+         runs the remaining ones, this one not again *)
       (try Obs.Manifest.write path doc
-       with Sys_error msg -> Printf.eprintf "tquad: --metrics: %s\n" msg)
+       with Sys_error msg ->
+         Printf.eprintf "tquad: --metrics: %s\n" msg;
+         exit 3)
   | _ -> ()
 
 let obs_init sub metrics =

@@ -304,6 +304,7 @@ let test_exit_codes () =
       ("quad --dot", Printf.sprintf "quad %s --dot %s" clean unwritable);
       ("tquad --csv", Printf.sprintf "tquad %s --csv %s" clean unwritable);
       ("tquad --trace", Printf.sprintf "tquad %s --trace %s" clean unwritable);
+      ("run --metrics", Printf.sprintf "run %s --metrics %s" clean unwritable);
       ( "faultgen -o",
         Printf.sprintf "faultgen %s --mutation bit-flip -o %s" trc unwritable );
       (* the program creates sub/o.txt, and DIR has no sub/ to write it to *)
