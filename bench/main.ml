@@ -763,8 +763,8 @@ let replay_bench () =
     /. float_of_int (max 1 (Tq_trace.Reader.stored_events cr0))
   in
   (* the sequential oracle expands every repeat; the two-shard pipeline
-     offers each record to the tools, which take it whole (in closed form
-     or by walking it) or have it expanded for them *)
+     hands each record to the tools, which take it whole (in closed form
+     or by walking it) *)
   let cseq = ref None and cpar = ref None in
   for _ = 1 to 3 do
     ignore

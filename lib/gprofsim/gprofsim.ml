@@ -118,38 +118,35 @@ let tiling (r : Tq_trace.Squash.repeat) =
 
 (* [next_sample] is a period multiple, so [sample_block] over gap-free
    blocks samples exactly the period multiples from [next_sample] on:
-   each is found in its body block by arithmetic.  Declined: a record
-   that does not tile, or one with a sample pending from before its first
-   instruction (a gap, where [sample_block] samples off the multiples). *)
+   each is found in its body block by arithmetic.  Expanded into
+   [consume]: a record that does not tile, or one with a sample pending
+   from before its first instruction (a gap, where [sample_block] samples
+   off the multiples). *)
 let consume_repeat t (r : Tq_trace.Squash.repeat) =
   match tiling r with
-  | None -> false
-  | Some (base, _) when base < 0 -> true  (* no block: nothing sampled *)
-  | Some (base, d) ->
-      t.next_sample >= base
-      && t.next_sample mod t.period = 0
-      && begin
-           let stop = base + (r.iters * d) in
-           let p = ref t.next_sample in
-           while !p < stop do
-             let o = base + ((!p - base) mod d) in
-             Array.iter
-               (function
-                 | Event.Block_exec { icount; addr; n }
-                   when o >= icount && o < icount + n -> (
-                     let pc = addr + ((o - icount) * Isa.ins_bytes) in
-                     match Symtab.find t.symtab pc with
-                     | Some rt ->
-                         t.samples.(rt.Symtab.id) <- t.samples.(rt.Symtab.id) + 1
-                     | None -> ())
-                 | _ -> ())
-               r.body;
-             t.n_samples <- t.n_samples + 1;
-             p := !p + t.period
-           done;
-           t.next_sample <- !p;
-           true
-         end
+  | Some (base, _) when base < 0 -> ()  (* no block: nothing sampled *)
+  | Some (base, d) when t.next_sample >= base && t.next_sample mod t.period = 0
+    ->
+      let stop = base + (r.iters * d) in
+      let p = ref t.next_sample in
+      while !p < stop do
+        let o = base + ((!p - base) mod d) in
+        Array.iter
+          (function
+            | Event.Block_exec { icount; addr; n }
+              when o >= icount && o < icount + n -> (
+                let pc = addr + ((o - icount) * Isa.ins_bytes) in
+                match Symtab.find t.symtab pc with
+                | Some rt ->
+                    t.samples.(rt.Symtab.id) <- t.samples.(rt.Symtab.id) + 1
+                | None -> ())
+            | _ -> ())
+          r.body;
+        t.n_samples <- t.n_samples + 1;
+        p := !p + t.period
+      done;
+      t.next_sample <- !p
+  | _ -> Tq_trace.Squash.expand r (consume t)
 
 (* All reported state is additive: sample/call counters and arc counts sum,
    and the renderers never read the stack or the sampling phase, so merged
@@ -197,7 +194,7 @@ let shard =
           (* a record's blocks, walked in order; its calls and returns go
              to the stack tracker, which takes every record *)
           let on_repeat (r : Tq_trace.Squash.repeat) =
-            ignore (stack.on_repeat r : bool);
+            stack.on_repeat r;
             let foff, v = Tq_trace.Squash.fields r in
             for i = 0 to r.iters - 1 do
               if i > 0 then Tq_trace.Squash.advance r v i;
@@ -206,8 +203,7 @@ let shard =
                 | Event.Block_exec { n; _ } -> block v.(foff.(k)) n
                 | _ -> ()
               done
-            done;
-            true
+            done
           in
           ( { Tq_trace.Replay.on_event; on_repeat },
             fun () -> (snapshot (), !next) ));

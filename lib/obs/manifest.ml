@@ -128,15 +128,11 @@ let check_replay v =
       let path = "replay." ^ k in
       match k with
       | "domains" | "shards" | "batch" | "chunks" | "events"
-      | "peak_live_chunks" ->
+      | "peak_live_chunks" | "repeats" ->
           ignore (as_int path x)
       | "stage_s" ->
           List.iter
             (fun (k2, y) -> ignore (as_num (path ^ "." ^ k2) y))
-            (as_obj path x)
-      | "repeats" ->
-          List.iter
-            (fun (k2, y) -> ignore (as_int (path ^ "." ^ k2) y))
             (as_obj path x)
       | _ -> ())
     (as_obj "replay" v)

@@ -164,10 +164,9 @@ let consume t (ev : Event.t) =
 let interest = Event.KPrefetch :: Call_stack.interest
 
 (* Replacement state depends on the exact access order: a record is walked
-   in order, prefetches included, and never declined. *)
+   in order, prefetches included. *)
 let consume_repeat t r =
-  Call_stack.attribute_record t.stack demand prefetch t r;
-  true
+  Call_stack.attribute_record t.stack demand prefetch t r
 
 (* replacement state is order-sensitive and has no merge *)
 let shard = None

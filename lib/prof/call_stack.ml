@@ -69,63 +69,6 @@ let attribute t access s (ev : Tq_trace.Event.t) =
       on_ret t ~sp
   | Prefetch _ | Block_exec _ | End _ -> ()
 
-(* A body is taken in closed form when it cannot move the stack (no
-   [Rtn_entry]/[Ret], so every access keeps its kernel across iterations)
-   and every field an access reads is affine, with a block copy's length
-   constant.  [f] walks the body's fields in {!Event.num_fields} order. *)
-let affine_body (r : Tq_trace.Squash.repeat) =
-  let affine g = not r.literal.(g) in
-  let ok = ref true and k = ref 0 and f = ref 0 in
-  while !ok && !k < Array.length r.body do
-    let ev = r.body.(!k) in
-    let f0 = !f in
-    (match ev with
-    | Rtn_entry _ | Ret _ -> ok := false
-    | Load _ | Store _ -> ok := affine f0 && affine (f0 + 1) && affine (f0 + 2)
-    | Block_copy _ ->
-        for g = f0 to f0 + 4 do
-          if not (affine g) then ok := false
-        done;
-        if r.stride.(f0 + 3) <> 0 then ok := false
-    | Prefetch _ | Block_exec _ | End _ -> ());
-    f := f0 + Tq_trace.Event.num_fields ev;
-    incr k
-  done;
-  !ok
-
-let attribute_repeat t run s (r : Tq_trace.Squash.repeat) =
-  affine_body r
-  && begin
-       let st = r.stride and iters = r.iters in
-       let f = ref 0 in
-       Array.iter
-         (fun (ev : Tq_trace.Event.t) ->
-           let f0 = !f in
-           (match ev with
-           | Load { icount; static; ea; size; sp } ->
-               let k = attribute_id t static in
-               if k >= 0 then
-                 run s k ~write:false ~iters ~icount ~d_icount:st.(f0) ~sp
-                   ~d_sp:st.(f0 + 2) ~ea ~d_ea:st.(f0 + 1) ~size
-           | Store { icount; static; ea; size; sp } ->
-               let k = attribute_id t static in
-               if k >= 0 then
-                 run s k ~write:true ~iters ~icount ~d_icount:st.(f0) ~sp
-                   ~d_sp:st.(f0 + 2) ~ea ~d_ea:st.(f0 + 1) ~size
-           | Block_copy { icount; static; src; dst; len; sp } ->
-               let k = attribute_id t static in
-               if k >= 0 then begin
-                 run s k ~write:false ~iters ~icount ~d_icount:st.(f0) ~sp
-                   ~d_sp:st.(f0 + 4) ~ea:src ~d_ea:st.(f0 + 1) ~size:len;
-                 run s k ~write:true ~iters ~icount ~d_icount:st.(f0) ~sp
-                   ~d_sp:st.(f0 + 4) ~ea:dst ~d_ea:st.(f0 + 2) ~size:len
-               end
-           | Rtn_entry _ | Ret _ | Prefetch _ | Block_exec _ | End _ -> ());
-           f := f0 + Tq_trace.Event.num_fields ev)
-         r.body;
-       true
-     end
-
 (* [attribute] over the events [Squash.expand r] yields, without building
    them: the structure of body event [k] (constructor, [static], [size],
    [routine]) and its numeric fields of iteration [i], read from the
@@ -163,6 +106,65 @@ let attribute_record t access prefetch s (r : Tq_trace.Squash.repeat) =
     done
   done
 
+let no_prefetch _ ~ea:_ ~size:_ = ()
+
+(* A body is taken in closed form when it cannot move the stack (no
+   [Rtn_entry]/[Ret], so every access keeps its kernel across iterations)
+   and every field an access reads is affine, with a block copy's length
+   constant.  [f] walks the body's fields in {!Event.num_fields} order. *)
+let affine_body (r : Tq_trace.Squash.repeat) =
+  let affine g = not r.literal.(g) in
+  let ok = ref true and k = ref 0 and f = ref 0 in
+  while !ok && !k < Array.length r.body do
+    let ev = r.body.(!k) in
+    let f0 = !f in
+    (match ev with
+    | Rtn_entry _ | Ret _ -> ok := false
+    | Load _ | Store _ -> ok := affine f0 && affine (f0 + 1) && affine (f0 + 2)
+    | Block_copy _ ->
+        for g = f0 to f0 + 4 do
+          if not (affine g) then ok := false
+        done;
+        if r.stride.(f0 + 3) <> 0 then ok := false
+    | Prefetch _ | Block_exec _ | End _ -> ());
+    f := f0 + Tq_trace.Event.num_fields ev;
+    incr k
+  done;
+  !ok
+
+(* A record off the closed form is walked in order, prefetches ignored as
+   [attribute] ignores them. *)
+let attribute_repeat t access run s (r : Tq_trace.Squash.repeat) =
+  if not (affine_body r) then attribute_record t access no_prefetch s r
+  else
+    let st = r.stride and iters = r.iters in
+    let f = ref 0 in
+    Array.iter
+      (fun (ev : Tq_trace.Event.t) ->
+        let f0 = !f in
+        (match ev with
+        | Load { icount; static; ea; size; sp } ->
+            let k = attribute_id t static in
+            if k >= 0 then
+              run s k ~write:false ~iters ~icount ~d_icount:st.(f0) ~sp
+                ~d_sp:st.(f0 + 2) ~ea ~d_ea:st.(f0 + 1) ~size
+        | Store { icount; static; ea; size; sp } ->
+            let k = attribute_id t static in
+            if k >= 0 then
+              run s k ~write:true ~iters ~icount ~d_icount:st.(f0) ~sp
+                ~d_sp:st.(f0 + 2) ~ea ~d_ea:st.(f0 + 1) ~size
+        | Block_copy { icount; static; src; dst; len; sp } ->
+            let k = attribute_id t static in
+            if k >= 0 then begin
+              run s k ~write:false ~iters ~icount ~d_icount:st.(f0) ~sp
+                ~d_sp:st.(f0 + 4) ~ea:src ~d_ea:st.(f0 + 1) ~size:len;
+              run s k ~write:true ~iters ~icount ~d_icount:st.(f0) ~sp
+                ~d_sp:st.(f0 + 4) ~ea:dst ~d_ea:st.(f0 + 2) ~size:len
+            end
+        | Rtn_entry _ | Ret _ | Prefetch _ | Block_exec _ | End _ -> ());
+        f := f0 + Tq_trace.Event.num_fields ev)
+      r.body
+
 let interest = Tq_trace.Event.[ KRtn_entry; KRet; KLoad; KStore; KBlock_copy ]
 
 let moves_stack (r : Tq_trace.Squash.repeat) =
@@ -171,7 +173,6 @@ let moves_stack (r : Tq_trace.Squash.repeat) =
     r.body
 
 let no_access () _ ~write:_ ~icount:_ ~sp:_ ~ea:_ ~size:_ = ()
-let no_prefetch () ~ea:_ ~size:_ = ()
 
 let prefix symtab policy =
   let st = create symtab policy in
@@ -184,8 +185,7 @@ let prefix symtab policy =
   in
   (* a record that cannot move the stack leaves it as it is *)
   let on_repeat r =
-    if moves_stack r then attribute_record st no_access no_prefetch () r;
-    true
+    if moves_stack r then attribute_record st no_access no_prefetch () r
   in
   ({ Tq_trace.Replay.on_event; on_repeat }, fun () -> copy st)
 

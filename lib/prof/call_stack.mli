@@ -61,6 +61,14 @@ val attribute_repeat :
   ('s ->
   int ->
   write:bool ->
+  icount:int ->
+  sp:int ->
+  ea:int ->
+  size:int ->
+  unit) ->
+  ('s ->
+  int ->
+  write:bool ->
   iters:int ->
   icount:int ->
   d_icount:int ->
@@ -72,21 +80,22 @@ val attribute_repeat :
   unit) ->
   's ->
   Tq_trace.Squash.repeat ->
-  bool
-(** [attribute_repeat t run s r] is {!attribute} for a whole repeat record
-    in closed form: every access of [r]'s body goes to [run s] once, as an
+  unit
+(** [attribute_repeat t access run s r] is {!attribute} [t access s] over
+    every event {!Tq_trace.Squash.expand}[ r] yields, in closed form where
+    it can be: every access of [r]'s body goes to [run s] once, as an
     affine run over the record's iterations, in body order (a block copy's
     source run, then its destination run).  Iteration [i] of a run is the
     access [kernel ~write ~icount:(icount + i * d_icount)
     ~sp:(sp + i * d_sp) ~ea:(ea + i * d_ea) ~size], for
-    [0 <= i < iters]; [size] is the same every iteration and may be 0.
-    It declines — returns [false] before calling [run] — when the body
-    holds [Rtn_entry] or [Ret] (the stack, and with it an access's kernel,
-    would change between iterations), or an access field is literal, or a
-    block copy's length changes between iterations.  A tool whose [run]
-    adds to its state what [access] would over the iterations, in any
-    order, takes [r] in closed form by this.  Allocation-free when [run]
-    is a top-level function. *)
+    [0 <= i < iters]; [size] is the same every iteration and may be 0.  A
+    body holding [Rtn_entry] or [Ret] (the stack, and with it an access's
+    kernel, would change between iterations), a literal access field or a
+    block copy whose length changes between iterations is walked in order
+    instead, by {!attribute_record} with no prefetch handler.  A tool
+    whose [run] adds to its state what [access] would over the
+    iterations, in any order, takes every record by this.
+    Allocation-free in closed form when [run] is a top-level function. *)
 
 val attribute_record :
   t ->
@@ -111,7 +120,8 @@ val attribute_record :
     [prefetch s ~ea ~size].  It takes every record, whatever its fields
     or calls, so a tool whose state depends on the order of its accesses
     (QUAD's producers, the cache simulator's replacement state) takes
-    records by it.  Allocation-free per event when [access] and
+    records by it, as {!attribute_repeat} does the records it cannot take
+    in closed form.  Allocation-free per event when [access] and
     [prefetch] are top-level functions. *)
 
 val interest : Tq_trace.Event.kind list

@@ -50,7 +50,7 @@ let mark_run t id ~write:_ ~iters ~icount:_ ~d_icount:_ ~sp:_ ~d_sp:_ ~ea
       done
   end
 
-let consume_repeat t r = Call_stack.attribute_repeat t.stack mark_run t r
+let consume_repeat t r = Call_stack.attribute_repeat t.stack mark mark_run t r
 let interest = Call_stack.interest
 
 (* Touched-address sets union; the [rows] sort reads the fixed id-indexed

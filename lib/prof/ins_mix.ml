@@ -146,8 +146,7 @@ let consume_repeat t (r : Tq_trace.Squash.repeat) =
   else
     for _ = 2 to r.iters do
       Array.iter (consume t) r.body
-    done;
-  true
+    done
 
 (* Execution counts add per block; a block re-summarized at a different
    length in the later range displaces the earlier summary exactly as a
@@ -176,8 +175,7 @@ let shard =
       Tq_trace.Tool.prefix_wants = [];
       prefix =
         (fun () _ ->
-          ({ Tq_trace.Replay.on_event = ignore; on_repeat = (fun _ -> true) },
-           Fun.id));
+          ({ Tq_trace.Replay.on_event = ignore; on_repeat = ignore }, Fun.id));
       seeded = (fun () program () -> create () program);
       merge_into;
     }

@@ -221,12 +221,11 @@ let interest = Call_stack.interest
 
 (* Producer tracking keeps the last writer of every byte, which depends on
    the order of the accesses: a record is walked in order, access by
-   access, and never declined.  QUAD discards prefetches. *)
+   access.  QUAD discards prefetches. *)
 let no_prefetch _ ~ea:_ ~size:_ = ()
 
 let consume_repeat t r =
-  Call_stack.attribute_record t.stack access no_prefetch t r;
-  true
+  Call_stack.attribute_record t.stack access no_prefetch t r
 
 (* One deferred block of consumer [c] against [a]'s shadow: each maximal run
    of counted bytes with one producer is one charge. *)

@@ -185,10 +185,7 @@ let replay_section (s : Replay.run_stats) =
       ("chunks", Json.Int s.rs_chunks);
       ("events", Json.Int s.rs_events);
       ("peak_live_chunks", Json.Int s.rs_peak_live_chunks);
-      ( "repeats",
-        Json.Obj
-          [ ("closed", Json.Int s.rs_repeat_closed);
-            ("expanded", Json.Int s.rs_repeat_expanded) ] );
+      ("repeats", Json.Int s.rs_repeats);
       ( "stage_s",
         Json.Obj
           [ ("decode", Json.Float s.rs_decode_s);

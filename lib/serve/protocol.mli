@@ -84,8 +84,7 @@ val trace_section :
 val replay_section : Tq_trace.Replay.run_stats -> Tq_obs.Json.t
 (** The canonical ["replay"] manifest section of one pipeline run:
     domains, shards, batch (the live-chunk budget), chunks, events,
-    peak_live_chunks, repeats — the repeat deliveries taken [closed] form
-    and [expanded] — and stage_s.  The one codec behind
+    peak_live_chunks, repeats (the repeat deliveries) and stage_s.  The one codec behind
     [tquad replay --all --metrics] and the serve daemon's per-job
     manifests. *)
 

@@ -159,7 +159,8 @@ let create config prog =
    immediately on prefetches, so [Prefetch] events are not read. *)
 let consume t ev = Call_stack.attribute t.stack record t ev
 let interest = Call_stack.interest
-let consume_repeat t r = Call_stack.attribute_repeat t.stack record_run t r
+let consume_repeat t r =
+  Call_stack.attribute_repeat t.stack record record_run t r
 
 (* Per-slice byte counts are pure sums, so a later trace range's state folds
    into an earlier one by elementwise addition; a kernel's presence (its

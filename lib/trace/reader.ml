@@ -223,9 +223,9 @@ let read_u8 raw pos limit =
    body-def chunk it references (re-seeded at this repeat's [first_icount]
    — the def's blob is icount-relative precisely so many repeats can share
    it) and the field tables are read.  The record is what replay hands
-   the tools: those that walk it ({!Squash.fields}) or take it in closed
-   form pay no per-event decoding at all, and {!Squash.expand} rebuilds
-   the events for the rest.  The reference was cross-checked against the
+   the tools, which walk it ({!Squash.fields}) or take it in closed form
+   and pay no per-event decoding; {!iter} and {!chunk_events} rebuild its
+   events with {!Squash.expand}.  The reference was cross-checked against the
    def's payload CRC at load time; here every structural bound is
    re-validated, before the record reaches any consumer. *)
 let decode_repeat t ~offset h =
@@ -561,8 +561,7 @@ let chunk_event_count t idx =
    process, via the verified bit all other passes share) and a repeat
    chunk's record passes every structural check of [decode_repeat], so a
    returned chunk is always verified and well-formed.  A repeat chunk
-   stays its record: expanding it is left to the consumers that decline
-   it. *)
+   stays its record, which its consumers take whole. *)
 let chunk t idx =
   if idx < 0 || idx >= Array.length t.chunks then
     invalid_arg "Trace.Reader.chunk: chunk index out of range";

@@ -12,8 +12,8 @@
     repeat of the same body) — decodes to its {!Squash.repeat} record.
     {!iter} and {!chunk_events} expand it through {!Squash.expand}, the
     writer's own expander, so they see the exact event stream the probe
-    emitted; {!chunk} returns the record alone, for the replay pipeline
-    to expand only for the tools that decline it.  Body refs are
+    emitted; {!chunk} returns the record alone, which the replay
+    pipeline hands whole to its consumers.  Body refs are
     cross-checked against the def's payload CRC at load time, so a
     reference can never silently resolve to the wrong body; in [Salvage]
     mode a repeat chunk whose def was lost to corruption is dropped and
@@ -89,7 +89,8 @@ type decoded =
   | Events of Event.t array
       (** a plain chunk's events (none for a v4 body-def chunk) *)
   | Record of Squash.repeat
-      (** a v4 repeat chunk's record, not expanded: {!Squash.expand}
+      (** a v4 repeat chunk's record, not expanded: every replay consumer
+          takes it whole ({!Replay.sink}[.on_repeat]); {!Squash.expand}
           yields its [B × iters] events *)
 (** One decoded chunk: what the replay pipeline holds in a slot and the
     serve layer's chunk cache holds per entry. *)
@@ -103,8 +104,7 @@ val chunk : t -> int -> decoded
     decoded and verified, and re-reading a chunk never re-verifies it.  A
     repeat chunk comes back as its record alone, after the CRC and every
     structural check ({!Squash.max_body}, {!Squash.max_raw}, the body
-    reference, the field tables); expanding it is left to the consumers
-    that decline it.
+    reference, the field tables), for its consumers to take whole.
     @raise Invalid_argument if the index is out of range.
     @raise Format_error if the chunk fails its CRC check or is malformed. *)
 

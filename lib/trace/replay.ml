@@ -9,9 +9,7 @@
    and their partial states merged left-to-right at the end.  Both walks hand a chunk to a supervised job
    group through the same [deliver]. *)
 
-type sink = { on_event : Event.t -> unit; on_repeat : Squash.repeat -> bool }
-
-let events_only on_event = { on_event; on_repeat = (fun _ -> false) }
+type sink = { on_event : Event.t -> unit; on_repeat : Squash.repeat -> unit }
 
 type ('state, 'seed) shard_spec = {
   prefix_wants : Event.kind list;
@@ -44,14 +42,26 @@ type run_stats = {
   rs_shard_s : float;
   rs_merge_s : float;
   rs_peak_live_chunks : int;
-  rs_repeat_closed : int;
-  rs_repeat_expanded : int;
+  rs_repeats : int;
 }
 
+let wanted_tags_of kinds =
+  let w = Array.make Event.n_kinds false in
+  List.iter (fun k -> w.(Event.kind_tag k) <- true) kinds;
+  w
+
+let wanted_tags j = wanted_tags_of j.wants
+
+(* A plain event sink takes a record by its expansion, filtered to the
+   kinds it wants as the fused per-tag sinks filter plain chunks. *)
 let job ?(wants = Event.all_kinds) name make =
+  let wanted = wanted_tags_of wants in
   let make () =
     let on_event, finish = make () in
-    (events_only on_event, finish)
+    let on_repeat r =
+      Squash.expand r (fun ev -> if wanted.(Event.tag ev) then on_event ev)
+    in
+    ({ on_event; on_repeat }, finish)
   in
   { name; wants; make; sharded = None }
 
@@ -64,13 +74,6 @@ let failure_message f =
 
 let is_trace_error f =
   match f.exn with Reader.Format_error _ -> true | _ -> false
-
-let wanted_tags_of kinds =
-  let w = Array.make Event.n_kinds false in
-  List.iter (fun k -> w.(Event.kind_tag k) <- true) kinds;
-  w
-
-let wanted_tags j = wanted_tags_of j.wants
 
 (* One job, one decode pass, every exception captured: a raising tool (or a
    trace that fails its CRC check mid-iteration) becomes this job's [Error],
@@ -117,7 +120,8 @@ let supervisor ?(lock = Mutex.create ()) ?(on_fail = ignore) n =
    deliveries count (a sharded job's prefix tracker's do not).  Building the
    group runs every live job's factory under capture and fuses one sink per
    event tag over the members that want it, so a tool never sees (and never
-   pays a call for) events it would discard.  Each sink is guarded: a
+   pays a call for) events it would discard; a repeat record goes whole to
+   every member that wants any event.  Each sink is guarded: a
    raising tool is retired (its sinks in every group become no-ops) and
    comes back as its own [Error] instead of poisoning the group. *)
 type member = {
@@ -130,10 +134,9 @@ type member = {
 type group = {
   per_tag : (Event.t -> unit) array;  (* one fused sink per event tag *)
   n_sinks : int;  (* member sinks fused across all tags *)
-  offer_repeat : Squash.repeat -> (Event.t -> unit) array option * int * int;
-      (* offer a record to every live member: the fused per-tag sinks of the
-         members that declined it ([None] if none did), then how many
-         counted members took it in closed form and how many declined *)
+  on_record : Squash.repeat -> int;
+      (* hand a record to every live member; how many counted members took
+         it *)
   finish : failure option -> string option array;
       (* every live member's finish, under capture: its report, or [None]
          for a retired job; [Some f] (the pass feeding the group died)
@@ -195,59 +198,38 @@ let make_group sup members =
           guard j5 s5 ev
     | sinks -> fun ev -> Array.iter (fun (j, s) -> guard j s ev) sinks
   in
-  let wants_any = Array.map (fun m -> Array.exists Fun.id m.m_wants) members in
-  (* the fused per-tag sinks over the members [keep] selects *)
-  let fused keep =
-    let n = ref 0 in
-    let per_tag =
-      Array.init Event.n_kinds (fun tag ->
-          let sinks = ref [] in
-          for i = Array.length members - 1 downto 0 do
-            match made.(i) with
-            | Some (sink, _) when keep i && members.(i).m_wants.(tag) ->
-                incr n;
-                sinks := (members.(i).m_job, sink.on_event) :: !sinks
-            | _ -> ()
-          done;
-          fuse (Array.of_list !sinks))
-    in
-    (per_tag, !n)
+  let n_sinks = ref 0 in
+  let per_tag =
+    Array.init Event.n_kinds (fun tag ->
+        let sinks = ref [] in
+        for i = Array.length members - 1 downto 0 do
+          match made.(i) with
+          | Some (sink, _) when members.(i).m_wants.(tag) ->
+              incr n_sinks;
+              sinks := (members.(i).m_job, sink.on_event) :: !sinks
+          | _ -> ()
+        done;
+        fuse (Array.of_list !sinks))
   in
-  let per_tag, n_sinks = fused (fun _ -> true) in
-  (* A record is offered to each live member; those that decline get its
-     events through sinks fused over just them, built once per set of
-     decliners. *)
-  let by_decliners = Hashtbl.create 4 in
-  let offer_repeat r =
-    let decl = Array.make (Array.length members) false in
-    let closed = ref 0 and expanded = ref 0 in
-    Array.iteri
-      (fun i m ->
-        let j = m.m_job in
-        match made.(i) with
-        | Some (sink, _) when alive.(j) && wants_any.(i) ->
-            let took =
-              try sink.on_repeat r
-              with e ->
-                retire j (capture e);
-                true
-            in
-            if not took then decl.(i) <- true;
-            if m.m_counted && alive.(j) then
-              if took then incr closed else incr expanded
-        | _ -> ())
-      members;
-    let sinks =
-      if not (Array.exists Fun.id decl) then None
-      else
-        match Hashtbl.find_opt by_decliners decl with
-        | Some p -> Some p
-        | None ->
-            let p, _ = fused (fun i -> decl.(i)) in
-            Hashtbl.add by_decliners decl p;
-            Some p
-    in
-    (sinks, !closed, !expanded)
+  let takers =
+    List.concat
+      (List.mapi
+         (fun i m ->
+           match made.(i) with
+           | Some (sink, _) when Array.exists Fun.id m.m_wants ->
+               [ (m.m_job, sink.on_repeat, m.m_counted) ]
+           | _ -> [])
+         (Array.to_list members))
+  in
+  let on_record r =
+    List.fold_left
+      (fun n (j, on_repeat, counted) ->
+        if not alive.(j) then n
+        else begin
+          (try on_repeat r with e -> retire j (capture e));
+          if counted && alive.(j) then n + 1 else n
+        end)
+      0 takers
   in
   let finish fatal =
     Array.mapi
@@ -265,7 +247,7 @@ let make_group sup members =
             None)
       members
   in
-  { per_tag; n_sinks; offer_repeat; finish }
+  { per_tag; n_sinks = !n_sinks; on_record; finish }
 
 (* A group's reports as job outcomes, for a group whose member [j] is job
    [j]: a job without a report was retired with its first failure. *)
@@ -477,12 +459,10 @@ let run_pipeline ~domains ~n_shards ~chunk reader jobs =
   let ordered_s = Array.make domains 0. in
   let shard_s = Array.make domains 0. in
   (* repeat deliveries (repeat chunk x job), per domain *)
-  let closed = Array.make domains 0 and expanded = Array.make domains 0 in
+  let repeats = Array.make domains 0 in
   (* The one chunk delivery of the ordered stage and the range items: a
-     plain chunk's events go to the fused per-tag sinks; a repeat chunk's
-     record is offered to every member first, and [Squash.expand] streams
-     its events into the fused sinks of the members that declined it, if
-     any, building no array. *)
+     plain chunk's events go to the fused per-tag sinks, a repeat chunk's
+     record to every member whole. *)
   let deliver d grp (dc : Reader.decoded) =
     if grp.n_sinks > 0 then
       match dc with
@@ -492,15 +472,7 @@ let run_pipeline ~domains ~n_shards ~chunk reader jobs =
             let ev = Array.unsafe_get evs e in
             (Array.unsafe_get per_tag (Event.tag ev)) ev
           done
-      | Record r -> (
-          let sinks, c, x = grp.offer_repeat r in
-          closed.(d) <- closed.(d) + c;
-          expanded.(d) <- expanded.(d) + x;
-          match sinks with
-          | None -> ()
-          | Some per_tag ->
-              Squash.expand r (fun ev ->
-                  (Array.unsafe_get per_tag (Event.tag ev)) ev))
+      | Record r -> repeats.(d) <- repeats.(d) + grp.on_record r
   in
   let do_ordered d i dc =
     let t0 = Unix.gettimeofday () in
@@ -652,8 +624,7 @@ let run_pipeline ~domains ~n_shards ~chunk reader jobs =
       rs_shard_s = sum shard_s;
       rs_merge_s = !merge_wall;
       rs_peak_live_chunks = !peak_live;
-      rs_repeat_closed = Array.fold_left ( + ) 0 closed;
-      rs_repeat_expanded = Array.fold_left ( + ) 0 expanded;
+      rs_repeats = Array.fold_left ( + ) 0 repeats;
     }
   in
   (results, stats)

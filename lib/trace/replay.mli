@@ -16,13 +16,12 @@
 
 type sink = {
   on_event : Event.t -> unit;
-  on_repeat : Squash.repeat -> bool;
-      (** take a whole v4 repeat record in closed form, or return [false]
-          to decline it; a declined record's events then go through
-          [on_event], one by one.  Returning [true] promises that the
-          tool's state now equals what [on_event] over {!Squash.expand}'s
-          events would have left.  {!parallel} offers every repeat chunk's
-          record; {!sequential} and {!supervised} never do. *)
+  on_repeat : Squash.repeat -> unit;
+      (** take a whole v4 repeat record: afterwards the tool's state must
+          equal what [on_event] over {!Squash.expand}'s events would have
+          left.  {!parallel} hands every repeat chunk's record to every
+          sink that wants any event; {!sequential} and {!supervised} never
+          do. *)
 }
 (** A tool instance's two entry points (see {!Tool.S}). *)
 
@@ -33,17 +32,16 @@ type ('state, 'seed) shard_spec = {
   prefix : unit -> sink * (unit -> 'seed);
       (** Build the prefix tracker: a sink fed every [prefix_wants] event of
           the trace {e in order} (it runs inside the pipeline's ordered
-          stage), offered every repeat record first like any other sink,
+          stage), handed every repeat record whole like any other sink,
           and a snapshot function capturing the tracker's current state as
           a fresh, independent ['seed].  The snapshot is taken at each
           shard boundary, so it must be callable repeatedly and cheap —
           e.g. {!Tq_prof.Call_stack.prefix} for stack-dependent tools. *)
   shard : 'seed -> sink * (unit -> 'state);
       (** Build one shard from the seed captured at its range's start: a sink
-          fed the range's events of the job's [wants] kinds in order (a
-          repeat chunk's record first, its events only if the record is
-          declined; one walk of the range feeds every sharded job's shard)
-          and a finaliser returning the shard's partial state. *)
+          fed the range's events of the job's [wants] kinds and its repeat
+          records, in order (one walk of the range feeds every sharded
+          job's shard), and a finaliser returning the shard's partial state. *)
   merge : 'state -> 'state -> unit;
       (** [merge earlier later] absorbs [later] (the state of the adjacent
           {e later} trace range) into [earlier].  {!parallel} folds shard
@@ -91,8 +89,9 @@ val job :
   string ->
   (unit -> (Event.t -> unit) * (unit -> string)) ->
   job
-(** A job over a plain event sink, not sharded: its records are always
-    declined.  [wants] defaults to {!Event.all_kinds}.  Narrowing it to the
+(** A job over a plain event sink, not sharded: it takes a repeat record
+    by {!Squash.expand}ing it into the sink, filtered to [wants].  [wants]
+    defaults to {!Event.all_kinds}.  Narrowing it to the
     kinds the tool actually consumes (its [consume] match arms that do work)
     lets the replay driver skip the sink call for the rest; it must stay a
     superset of the consumed kinds or the tool silently loses events.  The
@@ -116,12 +115,9 @@ type run_stats = {
   rs_peak_live_chunks : int;
       (** high-water mark of decoded chunks held at once — the pipeline's
           actual queue depth, never above [rs_batch] *)
-  rs_repeat_closed : int;
-      (** repeat deliveries (repeat chunk × job) a job took in closed form,
-          skipping the chunk's expanded events *)
-  rs_repeat_expanded : int;
-      (** repeat deliveries a job declined, consuming the expanded events;
-          a sharded job's prefix tracker is not counted *)
+  rs_repeats : int;
+      (** repeat deliveries: repeat chunks × the jobs that took them (a
+          sharded job's prefix tracker is not counted); 0 on a v3 trace *)
 }
 (** One pipeline run's shape and per-stage cost, for the run manifest's
     [replay] section and the bench's scaling tables.  The run's wall time
@@ -184,13 +180,11 @@ val parallel :
 
     Both walk a chunk through the same delivery.  A plain chunk's events
     go through sinks fused per event tag.  A repeat chunk is decoded to
-    its record alone ({!Reader.decoded}), which is offered to each member
-    of the group (a job's sink, a shard or a prefix tracker); a member
-    takes it whole ({!sink}[.on_repeat]), and {!Squash.expand} streams the
-    record's events, through sinks fused per event tag, to the members
-    that declined it — only then, and into no array.  So each chunk is
-    walked at most twice, once by the ordered stage and once by its range,
-    however many tools are sharded.
+    its record alone ({!Reader.decoded}), which each member of the group
+    (a job's sink, a shard or a prefix tracker) takes whole
+    ({!sink}[.on_repeat]).  So each chunk is walked at most twice, once by
+    the ordered stage and once by its range, however many tools are
+    sharded.
 
     A decoded chunk is freed once the ordered stage and its range have
     walked it; decode runs at most [max 4 (2*domains)] chunks ahead of

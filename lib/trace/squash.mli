@@ -49,16 +49,16 @@ type repeat = {
 }
 (** One repeat record: what a v4 repeat chunk means.  The suppressor emits
     it, the writer prices and encodes it, the reader decodes it, and the
-    replay tools that take records in closed form
-    ({!Tool.S.consume_repeat}) read it. *)
+    replay tools, which take every record ({!Tool.S.consume_repeat}),
+    read it. *)
 
 val expand : repeat -> (Event.t -> unit) -> unit
 (** [expand r sink] passes the record's [B × iters] raw events to [sink],
     in order: the body, then [iters - 1] iterations in which every numeric
     field [f] advances by [r.lits.(f).(i - 1)] when [r.literal.(f)], else
-    by [r.stride.(f)].  The one expander: {!Reader.iter}, the replay
-    pipeline (for the tools that decline a record) and the writer (pricing
-    a run's plain encoding) all expand through it. *)
+    by [r.stride.(f)].  The one expander: {!Reader.iter}, a raw
+    {!Replay.job}'s sink, gprofsim (for a record off its closed form) and
+    the writer (pricing a run's plain encoding) all expand through it. *)
 
 (** {2 The in-order field walk}
 

@@ -12,7 +12,7 @@ module type S = sig
 
   val interest : Event.kind list
   val consume : t -> Event.t -> unit
-  val consume_repeat : t -> Squash.repeat -> bool
+  val consume_repeat : t -> Squash.repeat -> unit
   val create : config -> Tq_vm.Program.t -> t
   val shard : (config, seed, t) shard option
 end

@@ -38,20 +38,19 @@ module type S = sig
   val consume : t -> Event.t -> unit
   (** Process one event — the one entry point for live and replayed runs. *)
 
-  val consume_repeat : t -> Squash.repeat -> bool
+  val consume_repeat : t -> Squash.repeat -> unit
   (** Take a whole v4 repeat record — a loop body, its iteration count and
-      its per-field strides — or return [false] to decline it, leaving [t]
-      untouched; {!Replay.parallel} then feeds the record's expanded
-      events to {!consume}, one by one.  Taking it must leave [t] as
-      {!consume} over {!Squash.expand}'s events would have, so reports
-      stay byte-identical.  tQUAD and the footprint tool take, in closed
-      form, records whose bodies hold no [Rtn_entry]/[Ret] and whose
-      access fields are affine, gprofsim those whose blocks also tile each
-      iteration without a gap, the instruction mix every record; QUAD and
-      the cache simulator take every record by walking its fields in
-      order ({!Squash.fields}) (docs/TRACE.md §6).  Only
-      {!Replay.parallel} offers records: the sequential oracle and live
-      runs always expand. *)
+      its per-field strides.  It must leave [t] as {!consume} over
+      {!Squash.expand}'s events would have, so reports stay
+      byte-identical.  tQUAD and the footprint tool take, in closed form,
+      records whose bodies hold no [Rtn_entry]/[Ret] and whose access
+      fields are affine, and walk the others' fields in order
+      ({!Squash.fields}); gprofsim takes in closed form those whose blocks
+      also tile each iteration without a gap, and expands the others; the
+      instruction mix takes every record in closed form; QUAD and the
+      cache simulator walk every record in order (docs/TRACE.md §6).  Only
+      {!Replay.parallel} hands tools records: the sequential oracle and
+      live runs feed {!consume} alone. *)
 
   val create : config -> Tq_vm.Program.t -> t
   (** A fresh analyser for a run starting at the first event. *)

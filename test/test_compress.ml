@@ -123,17 +123,20 @@ let test_report_identity () =
 
    A hand-made shard spec whose prefix tracker numbers its snapshots, so
    shard [k] is seeded with [k]; in every shard [>= 1] it raises [at] one
-   place: building the shard, per event, on the first repeat record
-   offered, or finishing the shard.  The job must fail alone: the six
+   place: building the shard, per event, on the first repeat record it
+   takes, or finishing the shard.  The job must fail alone: the six
    tools (five of them sharded over the same ranges) still equal the
    sequential oracle. *)
 
 exception Range_bomb of int
 
 let range_bomb ~at =
+  (* counts the events, a record's by its size *)
   let count () =
     let n = ref 0 in
-    (fun (_ : Event.t) -> incr n), n
+    ( { Replay.on_event = (fun _ -> incr n);
+        on_repeat = (fun r -> n := !n + (r.Squash.iters * Array.length r.body)) },
+      n )
   in
   let bomb k place = if k >= 1 && at = place then raise (Range_bomb k) in
   let shard k =
@@ -141,11 +144,11 @@ let range_bomb ~at =
     let sink, n = count () in
     let on_event ev =
       bomb k `Event;
-      sink ev
+      sink.on_event ev
     in
-    let on_repeat (_ : Squash.repeat) =
+    let on_repeat r =
       bomb k `Repeat;
-      false
+      sink.on_repeat r
     in
     ( { Replay.on_event; on_repeat },
       fun () ->
@@ -158,7 +161,7 @@ let range_bomb ~at =
       prefix =
         (fun () ->
           let snaps = ref 0 in
-          ( { Replay.on_event = ignore; on_repeat = (fun _ -> true) },
+          ( { Replay.on_event = ignore; on_repeat = ignore },
             fun () ->
               let k = !snaps in
               incr snaps;
@@ -174,8 +177,7 @@ let range_bomb ~at =
     make =
       (fun () ->
         let sink, n = count () in
-        ( { Replay.on_event = sink; on_repeat = (fun _ -> false) },
-          fun () -> string_of_int !n ));
+        (sink, fun () -> string_of_int !n));
     sharded = Some (Replay.Sharded spec);
   }
 
@@ -203,13 +205,10 @@ let test_range_failure at () =
 
 (* ---------- repeat deliveries: conserved and shard-invariant ----------
 
-   Every repeat chunk is offered once per job (a prefix tracker does not
-   count), wherever the chunk's range falls: closed + expanded deliveries
-   equal repeat chunks x jobs, and the closed share does not move with the
-   shard or domain count.  QUAD, the cache simulator and the instruction
-   mix take every record, so the expanded deliveries are the records
-   tQUAD, the footprint tool and gprofsim decline.  The jobs are the CLI's
-   (tool defaults), so the counts are the ones `replay --all --metrics`
+   Every repeat chunk goes whole to every job once (a prefix tracker does
+   not count), wherever the chunk's range falls: the deliveries equal
+   repeat chunks x jobs at every shard and domain count.  The jobs are the
+   CLI's (tool defaults), so the count is the one `replay --all --metrics`
    reports for this trace. *)
 let test_repeat_conservation () =
   let prog, _, compressed = Lazy.force wfs_recording in
@@ -238,11 +237,8 @@ let test_repeat_conservation () =
           if Result.is_error o then Alcotest.failf "%s: %s failed" what name)
         out;
       let s = Option.get !st in
-      Alcotest.(check int) (what ^ ": closed") 27_999 s.Replay.rs_repeat_closed;
-      Alcotest.(check int) (what ^ ": expanded") 51 s.rs_repeat_expanded;
-      Alcotest.(check int) (what ^ ": closed + expanded = chunks x jobs")
-        (repeat_chunks * List.length jobs)
-        (s.rs_repeat_closed + s.rs_repeat_expanded))
+      Alcotest.(check int) (what ^ ": deliveries = chunks x jobs")
+        (repeat_chunks * 6) s.Replay.rs_repeats)
     (List.concat_map
        (fun shards -> [ (1, shards); (2, shards) ])
        [ 1; 2; 3; 5 ])
@@ -827,16 +823,17 @@ let test_container_is_function_of_stream () =
 
 (* ---------- closed-form repeat records vs expansion ----------
 
-   tQUAD, the footprint tool, gprofsim and the instruction mix take a v4
-   repeat record in closed form ([Tool.S.consume_repeat]); QUAD and the
-   cache simulator walk it in order.  The closed form must leave a tool exactly
-   as [consume] over the expanded events would: after the same prefix and
-   suffix events, both render the same report.  Random records cover
-   negative and zero strides, slice and sampling-period boundaries inside
-   a body (small intervals), address runs crossing [sp - stack_red_zone]
-   and [stack_top], zero-length block copies, and bodies that must be
-   declined: a call or return, a literal field, a block copy whose length
-   moves, blocks that do not tile their iteration. *)
+   Every tool takes every v4 repeat record ([Tool.S.consume_repeat]):
+   tQUAD, the footprint tool, gprofsim and the instruction mix in closed
+   form where they can, QUAD and the cache simulator by walking it in
+   order.  Taking a record must leave a tool exactly as [consume] over the
+   expanded events would: after the same prefix and suffix events, both
+   render the same report.  Random records cover negative and zero
+   strides, slice and sampling-period boundaries inside a body (small
+   intervals), address runs crossing [sp - stack_red_zone] and
+   [stack_top], zero-length block copies, and bodies off the closed forms:
+   a call or return, a literal field, a block copy whose length moves,
+   blocks that do not tile their iteration. *)
 
 module Layout = Tq_vm.Layout
 module Symtab = Tq_vm.Symtab
@@ -851,10 +848,8 @@ type repeat_case = {
   rc_period : int;
   rc_policy : Tq_prof.Call_stack.policy;
   rc_calls : bool;  (* the body holds a Rtn_entry or a Ret *)
-  rc_access_declined : bool;
+  rc_access_walked : bool;
       (* an access field is literal, or a block copy's length moves *)
-  rc_exec_declined : bool;
-      (* a block icount is literal, or the blocks do not tile *)
 }
 
 (* One random case, from a seed: the generator builds whole records with
@@ -962,13 +957,12 @@ let repeat_case seed =
   in
   let is_exec = function Event.Block_exec _ -> true | _ -> false in
   let literal = Array.make nf false and lits = Array.make nf [||] in
-  let lit_access = ref false and lit_exec = ref false in
+  let lit_access = ref false in
   if int 5 = 0 then begin
     let f = int nf in
     literal.(f) <- true;
     lits.(f) <- Array.init (iters - 1) (fun _ -> max 0 strides.(f) + int 5);
-    if is_access (owner f) then lit_access := true;
-    if is_exec (owner f) then lit_exec := true
+    if is_access (owner f) then lit_access := true
   end;
   (* blocks that stop tiling: one block's icount stride off by one *)
   let untiled = int 8 = 0 in
@@ -1007,8 +1001,7 @@ let repeat_case seed =
     rc_period = period;
     rc_policy = pick Tq_prof.Call_stack.[ Track_all; Main_image_only ];
     rc_calls = calls;
-    rc_access_declined = !lit_access || moving_len;
-    rc_exec_declined = !lit_exec || untiled;
+    rc_access_walked = !lit_access || moving_len;
   }
 
 let print_repeat_case seed =
@@ -1022,18 +1015,17 @@ let print_repeat_case seed =
        (Array.to_list
           (Array.mapi (fun f l -> if l then string_of_int f else "") r.literal)))
 
-(* The tool after prefix, record and suffix: the record taken in closed
-   form when [closed] and the tool takes it, else expanded into
-   [consume].  Returns whether it was taken and the report. *)
+(* The tool's report after prefix, record and suffix: the record taken
+   whole when [closed], else expanded into [consume]. *)
 let through (type c t)
     (module T : Tq_trace.Tool.S with type config = c and type t = t)
     (config : c) ~render c ~closed =
   let t = T.create config (Lazy.force oracle_prog) in
   List.iter (T.consume t) c.rc_prefix;
-  let taken = closed && T.consume_repeat t c.rc_repeat in
-  if not taken then Squash.expand c.rc_repeat (T.consume t);
+  if closed then T.consume_repeat t c.rc_repeat
+  else Squash.expand c.rc_repeat (T.consume t);
   List.iter (T.consume t) c.rc_suffix;
-  (taken, render t)
+  render t
 
 (* every per-slice byte count, beyond the rendered totals *)
 let render_tquad_series t =
@@ -1069,48 +1061,60 @@ let render_mix_full m =
            ^ "\n")
          (Tq_prof.Ins_mix.per_kernel m))
 
+(* Cases through each of tQUAD's and the footprint tool's two branches in
+   one run: the closed form, and the in-order walk a call, a return or a
+   non-affine access field sends a record to. *)
+let closed_cases = ref 0
+let walked_cases = ref 0
+
 let qcheck_repeat_closed_form =
   QCheck.Test.make ~count:400
     ~name:"closed-form repeat records report as their expansion"
     (QCheck.make ~print:print_repeat_case QCheck.Gen.(int_bound 1_000_000_000))
     (fun seed ->
       let c = repeat_case seed in
-      let check name ~expect_taken run =
-        let taken, closed = run ~closed:true in
-        let _, expanded = run ~closed:false in
+      if c.rc_calls || c.rc_access_walked then incr walked_cases
+      else incr closed_cases;
+      let check name run =
+        let closed = run ~closed:true and expanded = run ~closed:false in
         if closed <> expanded then
-          QCheck.Test.fail_reportf "%s: closed form\n%s\n<> expansion\n%s" name
-            closed expanded;
-        if taken <> expect_taken then
-          QCheck.Test.fail_reportf "%s: record %s, expected %s" name
-            (if taken then "taken" else "declined")
-            (if expect_taken then "taken" else "declined")
+          QCheck.Test.fail_reportf "%s: record taken whole\n%s\n<> expansion\n%s"
+            name closed expanded
       in
-      let attributed = not (c.rc_calls || c.rc_access_declined) in
-      check "tquad" ~expect_taken:attributed
+      check "tquad"
         (through
            (module Tq_tquad.Tquad)
            { Tq_tquad.Tquad.slice_interval = c.rc_slice; policy = c.rc_policy }
            ~render:render_tquad_series c);
-      check "footprint" ~expect_taken:attributed
+      check "footprint"
         (through (module Tq_prof.Footprint) c.rc_policy
            ~render:Tq_prof.Footprint.render c);
       check "gprof"
-        ~expect_taken:(not (c.rc_calls || c.rc_exec_declined))
         (through (module Tq_gprofsim.Gprofsim) c.rc_period
            ~render:render_gprof_full c);
-      check "mix" ~expect_taken:true
-        (through (module Tq_prof.Ins_mix) () ~render:render_mix_full c);
-      check "quad" ~expect_taken:true
+      check "mix" (through (module Tq_prof.Ins_mix) () ~render:render_mix_full c);
+      check "quad"
         (through (module Tq_quad.Quad) c.rc_policy
            ~render:Test_trace.render_quad c);
-      check "cache" ~expect_taken:true
+      check "cache"
         (through
            (module Tq_prof.Cache_sim)
            { Tq_prof.Cache_sim.geometry = Tq_prof.Cache_sim.default_l1;
              policy = c.rc_policy }
            ~render:Tq_prof.Cache_sim.render c);
       true)
+
+let test_repeat_closed_form =
+  let name, speed, run = QCheck_alcotest.to_alcotest qcheck_repeat_closed_form in
+  ( name,
+    speed,
+    fun () ->
+      closed_cases := 0;
+      walked_cases := 0;
+      run ();
+      if !closed_cases = 0 || !walked_cases = 0 then
+        Alcotest.failf "tQUAD/footprint branches: %d closed-form, %d walked cases"
+          !closed_cases !walked_cases )
 
 (* ---------- the in-order record walk vs expansion ----------
 
@@ -1248,14 +1252,11 @@ let front_end policy (r : Squash.repeat) ~walk =
   else Squash.expand r consume;
   (List.rev !log, st)
 
-(* A prefix tracker's seed after [r]: offered the record, or fed its
+(* A prefix tracker's seed after [r]: handed the record, or fed its
    expansion. *)
 let seed_after (make : unit -> Replay.sink * (unit -> 's)) r ~walk : 's =
   let sink, snapshot = make () in
-  if walk then
-    Alcotest.(check bool) "a prefix tracker takes every record" true
-      (sink.on_repeat r)
-  else Squash.expand r sink.on_event;
+  if walk then sink.on_repeat r else Squash.expand r sink.on_event;
   snapshot ()
 
 let qcheck_record_walk =
@@ -1319,8 +1320,7 @@ let test_record_walk_reports () =
         (outcomes_equal seq par);
       let s = Option.get !st in
       Alcotest.(check int) (what ^ ": every record walked")
-        (2 * repeat_chunks) s.Replay.rs_repeat_closed;
-      Alcotest.(check int) (what ^ ": none expanded") 0 s.rs_repeat_expanded)
+        (2 * repeat_chunks) s.Replay.rs_repeats)
     (List.concat_map (fun shards -> [ (1, shards); (2, shards) ]) [ 1; 2; 3 ])
 
 let suites =
@@ -1348,7 +1348,7 @@ let suites =
         Alcotest.test_case "repeat deliveries conserved across shards" `Quick
           test_repeat_conservation;
         QCheck_alcotest.to_alcotest qcheck_compress_roundtrip;
-        QCheck_alcotest.to_alcotest qcheck_repeat_closed_form;
+        test_repeat_closed_form;
         QCheck_alcotest.to_alcotest qcheck_record_walk;
         Alcotest.test_case "QUAD and cache_sim walk records: = sequential"
           `Quick test_record_walk_reports;

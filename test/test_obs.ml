@@ -312,9 +312,10 @@ let test_manifest_validate_negative () =
   invalid
     (with_member "replay"
        (Json.Obj [ ("stage_s", Json.Obj [ ("decode", Json.Str "slow") ]) ]));
+  (* [repeats] is one count *)
   invalid
     (with_member "replay"
-       (Json.Obj [ ("repeats", Json.Obj [ ("closed", Json.Float 0.5) ]) ]));
+       (Json.Obj [ ("repeats", Json.Obj [ ("closed", Json.Int 1) ]) ]));
   (* unknown sections and unknown members of known sections are allowed *)
   match
     Manifest.validate

@@ -108,38 +108,68 @@ let qcheck_file_roundtrip =
           Reader.iter r (fun ev -> out := ev :: !out);
           List.rev !out = evs && Reader.n_events r = List.length evs))
 
+(* [evs] followed by a loop: the first few of its events behind a
+   [Block_exec] of a fresh block address, 32 to 40 times, every numeric
+   field advancing by its own stride (the instruction count by the body's
+   span), so a compressing writer commits it to repeat chunks. *)
+let with_loop evs =
+  let body =
+    Event.Block_exec { icount = 0; addr = 0x7fff_0000; n = 1 }
+    :: List.filteri (fun i _ -> i < 12) evs
+  in
+  let last l = List.fold_left (fun _ ev -> Event.icount ev) 0 l in
+  let start = last evs + 1 and span = last body + 1 in
+  (* every kind's first numeric field is its icount *)
+  let shift i ev =
+    let v = Array.make 5 0 in
+    let n = Event.read_num_fields ev v 0 in
+    v.(0) <- v.(0) + start + (i * span);
+    for f = 1 to n - 1 do
+      v.(f) <- v.(f) + (8 * i * f)
+    done;
+    Event.with_num_fields ev v 0
+  in
+  let iters = 32 + (List.length evs mod 9) in
+  evs @ List.concat (List.init iters (fun i -> List.map (shift i) body))
+
 (* A job sees exactly the kinds it wants: through the pipeline on one
    domain, one [~wants:[kind]] job per kind collects the events of its kind,
-   in trace order. *)
+   in trace order.  The stream ends in a loop and is written both plain and
+   compressed, so a raw job also takes repeat records. *)
 let qcheck_pipeline_partition =
   QCheck.Test.make ~name:"pipeline partitions by kind" ~count:60 arb_events
     (fun evs ->
+      let evs = with_loop evs in
       let path = Filename.temp_file "tq_trace" ".trc" in
       Fun.protect
         ~finally:(fun () -> Sys.remove path)
         (fun () ->
-          Writer.with_file ~chunk_bytes:256 path (fun w ->
-              List.iter (Writer.emit w) evs);
-          let r = Reader.load path in
-          let buckets = Array.make Event.n_kinds [] in
-          let jobs =
-            List.map
-              (fun kind ->
-                let tag = Event.kind_tag kind in
-                Replay.job ~wants:[ kind ] (string_of_int tag) (fun () ->
-                    ( (fun ev -> buckets.(tag) <- ev :: buckets.(tag)),
-                      fun () -> "" )))
-              Event.all_kinds
-          in
           List.for_all
-            (fun (_, o) -> o = Ok "")
-            (Replay.parallel ~domains:1 r jobs)
-          && List.for_all
-               (fun kind ->
-                 let tag = Event.kind_tag kind in
-                 List.rev buckets.(tag)
-                 = List.filter (fun ev -> Event.tag ev = tag) evs)
-               Event.all_kinds))
+            (fun compress ->
+              Writer.with_file ~chunk_bytes:256 ~compress path (fun w ->
+                  List.iter (Writer.emit w) evs);
+              let r = Reader.load path in
+              let buckets = Array.make Event.n_kinds [] in
+              let jobs =
+                List.map
+                  (fun kind ->
+                    let tag = Event.kind_tag kind in
+                    Replay.job ~wants:[ kind ] (string_of_int tag) (fun () ->
+                        ( (fun ev -> buckets.(tag) <- ev :: buckets.(tag)),
+                          fun () -> "" )))
+                  Event.all_kinds
+              in
+              ((not compress) || Reader.repeat_chunks r > 0)
+              && List.for_all
+                   (fun (_, o) -> o = Ok "")
+                   (Replay.parallel ~domains:1 r jobs)
+              && List.for_all
+                   (fun kind ->
+                     let tag = Event.kind_tag kind in
+                     List.rev buckets.(tag)
+                     = List.filter (fun ev -> Event.tag ev = tag) evs)
+                   Event.all_kinds)
+            [ false; true ]))
 
 let test_corrupt_trace () =
   let path = Filename.temp_file "tq_trace" ".trc" in
