@@ -2,6 +2,7 @@ module Symtab = Tq_vm.Symtab
 module Layout = Tq_vm.Layout
 module Call_stack = Tq_prof.Call_stack
 module Bitset = Tq_util.Paged_bitset
+module Int_table = Tq_util.Int_table
 
 type edge = {
   mutable e_bytes_excl : int;
@@ -31,8 +32,8 @@ type t = {
   read_unma_incl : Bitset.t array;
   write_unma_excl : Bitset.t array;
   write_unma_incl : Bitset.t array;
-  edges : (int, edge) Hashtbl.t;  (** key: producer * 2^20 + consumer *)
-  pending : (int, int array) Hashtbl.t array;
+  edges : edge Int_table.t;  (** key: producer * 2^20 + consumer *)
+  pending : int array Int_table.t array;
       (** per consumer routine id, keyed by block index [addr lsr 6] — the
           block index is the whole key, so any non-negative address fits.
           Empty unless the analyser runs in pending mode (mid-trace shards) *)
@@ -55,13 +56,13 @@ let edge_of t key =
   if key = t.last_edge_key then t.last_edge
   else begin
     let e =
-      match Hashtbl.find_opt t.edges key with
+      match Int_table.find_opt t.edges key with
       | Some e -> e
       | None ->
           let e =
             { e_bytes_excl = 0; e_bytes_incl = 0; e_addrs = Bitset.create () }
           in
-          Hashtbl.add t.edges key e;
+          Int_table.add t.edges key e;
           e
     in
     t.last_edge_key <- key;
@@ -88,11 +89,11 @@ let pend_block t c blk =
   else begin
     let tbl = t.pending.(c) in
     let counts =
-      match Hashtbl.find_opt tbl blk with
+      match Int_table.find_opt tbl blk with
       | Some a -> a
       | None ->
           let a = Array.make (2 * block_bytes) 0 in
-          Hashtbl.add tbl blk a;
+          Int_table.add tbl blk a;
           a
     in
     t.last_pend_consumer <- c;
@@ -107,7 +108,7 @@ let defer t c addr len ~stack =
   while !i < stop do
     let counts = pend_block t c (!i lsr block_bits) in
     let off = !i land block_mask in
-    let n = min (stop - !i) (block_bytes - off) in
+    let n = Int.min (stop - !i) (block_bytes - off) in
     for b = off to off + n - 1 do
       Array.unsafe_set counts b (Array.unsafe_get counts b + 1)
     done;
@@ -127,7 +128,7 @@ let scan t kernel_id addr len ~stack =
     let a = addr + !pos in
     let page = Shadow.page_ro t.shadow a in
     let off = a land Shadow.page_mask in
-    let span = min (len - !pos) (Shadow.page_size - off) in
+    let span = Int.min (len - !pos) (Shadow.page_size - off) in
     let k = ref 0 in
     while !k < span do
       let run0 = !k in
@@ -194,9 +195,9 @@ let make ~pending (prog : Tq_vm.Program.t) stack =
     read_unma_incl = Array.init n (fun _ -> Bitset.create ());
     write_unma_excl = Array.init n (fun _ -> Bitset.create ());
     write_unma_incl = Array.init n (fun _ -> Bitset.create ());
-    edges = Hashtbl.create 256;
+    edges = Int_table.create 256;
     pending =
-      (if pending then Array.init n (fun _ -> Hashtbl.create 16) else [||]);
+      (if pending then Array.init n (fun _ -> Int_table.create 16) else [||]);
     touched = Array.make n false;
     last_edge_key = -1;
     last_edge = no_edge;
@@ -269,7 +270,7 @@ let resolve_block a c blk counts =
    UnMA and edge address sets union, [b]'s shadow overwrites [a]'s where
    both wrote. *)
 let merge_into a b =
-  Array.iteri (fun c tbl -> Hashtbl.iter (resolve_block a c) tbl) b.pending;
+  Array.iteri (fun c tbl -> Int_table.iter (resolve_block a c) tbl) b.pending;
   let n = Array.length a.in_excl in
   for id = 0 to n - 1 do
     a.in_excl.(id) <- a.in_excl.(id) + b.in_excl.(id);
@@ -282,7 +283,7 @@ let merge_into a b =
     Bitset.union a.write_unma_incl.(id) b.write_unma_incl.(id);
     if b.touched.(id) then a.touched.(id) <- true
   done;
-  Hashtbl.iter
+  Int_table.iter
     (fun key eb ->
       let ea = edge_of a key in
       ea.e_bytes_excl <- ea.e_bytes_excl + eb.e_bytes_excl;
@@ -344,7 +345,7 @@ type binding = {
 }
 
 let bindings t =
-  Hashtbl.fold
+  Int_table.fold
     (fun key e acc ->
       let p = key lsr 20 and c = key land 0xfffff in
       {

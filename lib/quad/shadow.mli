@@ -2,9 +2,11 @@
 
     QUAD's central data structure: for every byte of the simulated address
     space it records which routine last wrote it, so that a later read can be
-    attributed as a producer→consumer data communication.  4 KiB pages are
-    allocated on first write, keeping the footprint proportional to the
-    application's working set. *)
+    attributed as a producer→consumer data communication.  A page covers
+    4 KiB of guest space and is allocated on first write, keeping the
+    footprint proportional to the application's working set; it holds one
+    OCaml int per byte, so it takes 32 KiB of heap.  Pages are found through
+    a {!Tq_util.Page_table}. *)
 
 type t
 
@@ -12,8 +14,8 @@ val create : unit -> t
 
 val set_range : t -> int -> int -> int -> unit
 (** [set_range t addr len producer_id] records the last writer of [len]
-    consecutive bytes — page-split [Array.fill]s, equivalent to [len]
-    single-byte writes. *)
+    consecutive bytes — one page translation per touched page, equivalent
+    to [len] single-byte writes. *)
 
 val page_size : int
 (** Bytes per shadow page (a power of two). *)

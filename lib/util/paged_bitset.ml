@@ -5,33 +5,18 @@ let page_bits = 15
 let page_size = 1 lsl page_bits (* bits per page *)
 let words_per_page = page_size / 32
 
-type t = {
-  pages : (int, int array) Hashtbl.t;
-  mutable count : int;
-  (* last page touched: adds are strongly page-local, so this skips the
-     hash lookup almost always *)
-  mutable last_idx : int;
-  mutable last_page : int array;
-}
+type t = { table : Page_table.t; mutable count : int }
 
-let create () =
-  { pages = Hashtbl.create 64; count = 0; last_idx = min_int; last_page = [||] }
+let blank = Array.make words_per_page 0
+let create () = { table = Page_table.create blank; count = 0 }
 
-let page_of t idx =
-  if idx = t.last_idx then t.last_page
-  else begin
-    let p =
-      match Hashtbl.find_opt t.pages idx with
-      | Some p -> p
-      | None ->
-          let p = Array.make words_per_page 0 in
-          Hashtbl.add t.pages idx p;
-          p
-    in
-    t.last_idx <- idx;
-    t.last_page <- p;
-    p
-  end
+(* the translation's hit test, here so it inlines (see [Page_table]) *)
+let[@inline] page_of t idx =
+  let tb = t.table in
+  let s = idx land Page_table.slot_mask in
+  if Array.unsafe_get tb.Page_table.tags s = idx then
+    Array.unsafe_get tb.Page_table.slots s
+  else Page_table.page tb idx
 
 (* branch-free 32-bit popcount (words hold 32 bits, see header comment) *)
 let popcount32 x =
@@ -67,11 +52,11 @@ let add_range t x n =
     while !i < stop do
       let page_idx = !i lsr page_bits in
       let page = page_of t page_idx in
-      let page_end = min stop ((page_idx + 1) lsl page_bits) in
+      let page_end = Int.min stop ((page_idx + 1) lsl page_bits) in
       while !i < page_end do
         let off = !i land (page_size - 1) in
         let w = off lsr 5 and b = off land 31 in
-        let span = min (32 - b) (page_end - !i) in
+        let span = Int.min (32 - b) (page_end - !i) in
         let mask = ((1 lsl span) - 1) lsl b in
         let old = page.(w) in
         let nw = old lor mask in
@@ -88,20 +73,19 @@ let add_range t x n =
 let cardinal t = t.count
 
 let iter_words f t =
-  let idxs = Hashtbl.fold (fun k _ acc -> k :: acc) t.pages [] in
-  let idxs = List.sort compare idxs in
+  let idxs = ref [] in
+  Page_table.iter (fun idx page -> idxs := (idx, page) :: !idxs) t.table;
   List.iter
-    (fun idx ->
-      let page = Hashtbl.find t.pages idx in
+    (fun (idx, page) ->
       let base = idx lsl page_bits in
       for w = 0 to words_per_page - 1 do
         let word = page.(w) in
         if word <> 0 then f (base + (w * 32)) word
       done)
-    idxs
+    (List.sort (fun (a, _) (b, _) -> Int.compare a b) !idxs)
 
 let union dst src =
-  Hashtbl.iter
+  Page_table.iter
     (fun idx src_page ->
       let dst_page = page_of dst idx in
       for w = 0 to words_per_page - 1 do
@@ -115,4 +99,4 @@ let union dst src =
           end
         end
       done)
-    src.pages
+    src.table

@@ -217,6 +217,130 @@ let test_quad_pending_merge () =
   Alcotest.(check bool) "stack bytes split incl from excl" true
     (pc2.bytes_incl > pc2.bytes)
 
+(* ---------- shadow memory: a per-byte model ---------- *)
+
+module Shadow = Tq_quad.Shadow
+
+(* Two shadows [a] and [b] against two tables from address to producer.
+   Addresses lie on pages whose indices are 64 apart — they share a slot of
+   the translation cache — near [data_base] and on both sides of
+   [stack_top]; an offset near 0 lands on either side of a page start, so
+   ranges straddle pages. *)
+type shadow_op =
+  | Set of bool * int * int * int  (** in [b]?, address, length, producer *)
+  | Read of bool * int * int  (** in [b]?, address, length *)
+  | Merge  (** [merge_into a b] *)
+
+let gen_shadow_ops =
+  let open QCheck.Gen in
+  let page = Shadow.page_size in
+  let stride = (Tq_util.Page_table.slot_mask + 1) * page in
+  let addr =
+    map3
+      (fun anchor j off -> anchor + (j * page) + off)
+      (oneofl
+         [ Layout.data_base; Layout.data_base + stride;
+           Layout.data_base + (3 * stride); Layout.stack_top;
+           Layout.stack_top - stride ])
+      (int_range (-1) 1)
+      (oneof [ int_range (-24) 24; int_bound (page - 1) ])
+  in
+  let len =
+    frequency
+      [ (6, int_range 1 16); (3, int_range 1 300); (1, int_range 1 (page + 64)) ]
+  in
+  let op =
+    frequency
+      [
+        ( 4,
+          map3
+            (fun (b, a) n p -> Set (b, a, n, p))
+            (pair bool addr) len (int_bound 5) );
+        (4, map3 (fun b a n -> Read (b, a, n)) bool addr len);
+        (1, return Merge);
+      ]
+  in
+  list_size (int_range 1 40) op
+
+let print_shadow_op =
+  let side b = if b then "b" else "a" in
+  function
+  | Set (b, a, n, p) -> Printf.sprintf "set %s 0x%x %d p%d" (side b) a n p
+  | Read (b, a, n) -> Printf.sprintf "read %s 0x%x %d" (side b) a n
+  | Merge -> "merge"
+
+(* every op keeps both shadows equal to their models: each read byte, and
+   the page count (reads allocate nothing) *)
+let shadow_agrees ops =
+  let a = Shadow.create () and b = Shadow.create () in
+  (* a model: producer by address, and the pages written *)
+  let model () = (Hashtbl.create 64, Hashtbl.create 8) in
+  let ma = model () and mb = model () in
+  let pick inb = if inb then (b, mb) else (a, ma) in
+  let write (bytes, pages) x p =
+    Hashtbl.replace bytes x p;
+    Hashtbl.replace pages (x / Shadow.page_size) ()
+  in
+  let reads_back (t, (bytes, _)) addr len =
+    let ok = ref true in
+    for x = addr to addr + len - 1 do
+      let page = Shadow.page_ro t x in
+      let want = Option.value ~default:(-1) (Hashtbl.find_opt bytes x) in
+      if page.(x land Shadow.page_mask) <> want then ok := false
+    done;
+    !ok
+  in
+  List.for_all
+    (fun op ->
+      let ok =
+        match op with
+        | Set (inb, addr, len, p) ->
+            let t, m = pick inb in
+            Shadow.set_range t addr len p;
+            for x = addr to addr + len - 1 do
+              write m x p
+            done;
+            true
+        | Read (inb, addr, len) -> reads_back (pick inb) addr len
+        | Merge ->
+            Shadow.merge_into a b;
+            Hashtbl.iter (write ma) (fst mb);
+            true
+      in
+      ok
+      && Shadow.page_count a = Hashtbl.length (snd ma)
+      && Shadow.page_count b = Hashtbl.length (snd mb))
+    ops
+  && Hashtbl.fold (fun x _ ok -> ok && reads_back (a, ma) x 1) (fst ma) true
+  && Hashtbl.fold (fun x _ ok -> ok && reads_back (b, mb) x 1) (fst mb) true
+
+let qcheck_shadow_model =
+  QCheck.Test.make
+    ~name:"shadow = per-byte model (set_range, page_ro, merge_into)" ~count:300
+    (QCheck.make ~print:(QCheck.Print.list print_shadow_op) gen_shadow_ops)
+    shadow_agrees
+
+(* A never-written page reads as -1 without allocating; once written it
+   reads its producer, and never-written pages still read -1 — also one
+   that shares the written page's cache slot. *)
+let test_shadow_read_write_read () =
+  let base = Layout.data_base and page = Shadow.page_size in
+  let alias = base + ((Tq_util.Page_table.slot_mask + 1) * page) in
+  let t = Shadow.create () in
+  let at addr = (Shadow.page_ro t addr).(addr land Shadow.page_mask) in
+  Alcotest.(check int) "unwritten page reads -1" (-1) (at (base + 5));
+  Alcotest.(check int) "reading allocates nothing" 0 (Shadow.page_count t);
+  Shadow.set_range t (base + 5) 2 3;
+  Alcotest.(check int) "written byte" 3 (at (base + 5));
+  Alcotest.(check int) "its unwritten neighbour" (-1) (at (base + 7));
+  Alcotest.(check int) "aliasing unwritten page" (-1) (at (alias + 5));
+  Alcotest.(check int) "fresh shadow" (-1)
+    ((Shadow.page_ro (Shadow.create ()) (base + 5)).(5));
+  Shadow.set_range t (alias + 5) 1 4;
+  Alcotest.(check int) "first page after the aliasing write" 3 (at (base + 5));
+  Alcotest.(check int) "the aliasing page" 4 (at (alias + 5));
+  Alcotest.(check int) "pages" 2 (Shadow.page_count t)
+
 (* ---------- gprofsim ---------- *)
 
 let gprof_src =
@@ -499,9 +623,12 @@ let test_tquad_prefetch_predication () =
 
 (* Random loads, stores and block copies (zero-length copies included)
    within a few hundred bytes of either end of the stack area,
-   [sp - red_zone] and [stack_top], fed straight to tQUAD and QUAD and
-   checked against a model that classifies and charges every byte on its
-   own: tQUAD's incl/excl series per kernel, QUAD's rows and bindings. *)
+   [sp - red_zone] and [stack_top], or of a global page start, fed straight
+   to tQUAD and QUAD and checked against a model that classifies and
+   charges every byte on its own: tQUAD's incl/excl series per kernel,
+   QUAD's rows and bindings.  The global pages share slots of QUAD's
+   translation caches: shadow pages 64 apart, and bitset pages (32 KiB)
+   64 apart. *)
 
 type access = {
   kind : [ `Load | `Store | `Copy ];
@@ -522,9 +649,14 @@ let gen_accesses =
       ]
   in
   let near sp =
+    let shadow_stride = (Tq_util.Page_table.slot_mask + 1) * Shadow.page_size in
     map2
       (fun anchor off -> anchor + off)
-      (oneofl [ sp - Layout.stack_red_zone; Layout.stack_top ])
+      (oneofl
+         ([ sp - Layout.stack_red_zone; Layout.stack_top ]
+         @ List.map
+             (fun k -> Layout.data_base + (k * shadow_stride))
+             [ 0; 1; 3; 8 ]))
       (int_range (-300) 300)
   in
   let access =
@@ -541,10 +673,9 @@ let gen_accesses =
   list_size (int_range 1 24) access
 
 let print_access a =
-  Printf.sprintf "%s k%d sp=top-%d ea=top%+d dst=top%+d size=%d"
+  Printf.sprintf "%s k%d sp=top-%d ea=0x%x dst=0x%x size=%d"
     (match a.kind with `Load -> "load" | `Store -> "store" | `Copy -> "copy")
-    a.kernel (Layout.stack_top - a.sp) (a.ea - Layout.stack_top)
-    (a.dst - Layout.stack_top) a.size
+    a.kernel (Layout.stack_top - a.sp) a.ea a.dst a.size
 
 let split_symtab =
   Symtab.build
@@ -715,10 +846,8 @@ let quad_model accs =
   in
   (rows, bindings)
 
-let quad_actual accs =
+let quad_result q =
   let module Q = Tq_quad.Quad in
-  let q = Q.create Main_image_only split_prog in
-  List.iter (Q.consume q) (split_events accs);
   let rows =
     List.map
       (fun (r : Q.krow) ->
@@ -736,6 +865,27 @@ let quad_actual accs =
     |> List.sort compare
   in
   (rows, bindings)
+
+let quad_actual accs =
+  let q = Tq_quad.Quad.create Main_image_only split_prog in
+  List.iter (Tq_quad.Quad.consume q) (split_events accs);
+  quad_result q
+
+(* the first [cut] accesses in one analyser, the rest in a pending-mode
+   shard seeded at the cut, folded back with [merge_into] *)
+let quad_two_ranges accs cut =
+  let module Q = Tq_quad.Quad in
+  let sh = Option.get Q.shard in
+  let a = Q.create Main_image_only split_prog in
+  let b =
+    sh.seeded Main_image_only split_prog
+      (Tq_prof.Call_stack.create split_symtab Main_image_only)
+  in
+  List.iteri
+    (fun i ev -> Q.consume (if i < cut then a else b) ev)
+    (split_events accs);
+  sh.merge_into a b;
+  quad_result a
 
 (* one copy whose destination covers the whole stack area: global below
    [sp - red_zone], stack up to [stack_top], global above it *)
@@ -759,6 +909,14 @@ let qcheck_stack_split =
       tquad_actual accs = tquad_model accs
       && quad_actual accs = quad_model accs)
 
+let qcheck_stack_split_two_ranges =
+  QCheck.Test.make ~name:"stack split = per-byte model (QUAD in two ranges)"
+    ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(pair (list print_access) int)
+       QCheck.Gen.(pair gen_accesses (int_bound 24)))
+    (fun (accs, cut) -> quad_two_ranges accs cut = quad_model accs)
+
 let suites =
   [
     ( "quad",
@@ -772,6 +930,12 @@ let suites =
         Alcotest.test_case "dot output" `Quick test_quad_dot;
         Alcotest.test_case "pending shard merge = sequential" `Quick
           test_quad_pending_merge;
+      ] );
+    ( "shadow",
+      [
+        Alcotest.test_case "read, write, read a page" `Quick
+          test_shadow_read_write_read;
+        QCheck_alcotest.to_alcotest qcheck_shadow_model;
       ] );
     ( "gprofsim",
       [
@@ -796,5 +960,6 @@ let suites =
         Alcotest.test_case "an access covering the whole stack area" `Quick
           test_stack_split_covering;
         QCheck_alcotest.to_alcotest qcheck_stack_split;
+        QCheck_alcotest.to_alcotest qcheck_stack_split_two_ranges;
       ] );
   ]

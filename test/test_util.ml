@@ -80,39 +80,91 @@ let test_bitset_sparse_pages () =
   Alcotest.(check (list int)) "both members" [ 0x1000_0000; 0x7f00_0000_0000 ]
     (members s)
 
+module IS = Set.Make (Int)
+
+(* Bit positions on pages 64 apart, which share a slot of the page table's
+   translation cache, and on their neighbours; an offset near 0 lands on
+   either side of a page start, so ranges cross from one page into the
+   next.  Mixed with the low pages 0-6. *)
+let gen_bit =
+  let open QCheck.Gen in
+  let page = 1 lsl 15 and slots = Page_table.slot_mask + 1 in
+  oneof
+    [
+      int_bound 200_000;
+      map3
+        (fun k j off -> ((3 + (k * slots) + j) * page) + off)
+        (int_range 0 3) (int_range 0 1)
+        (oneof [ int_range (-40) 40; int_bound (page - 1) ]);
+    ]
+
+let gen_ranges =
+  let open QCheck.Gen in
+  list_size (int_bound 20)
+    (pair gen_bit (frequency [ (19, int_bound 100); (1, int_bound 36_000) ]))
+
+let print_ranges = QCheck.Print.(list (pair int int))
+
+let set_of_ranges ranges =
+  List.fold_left
+    (fun acc (x, n) ->
+      let acc = ref acc in
+      for i = x to x + n - 1 do
+        acc := IS.add i !acc
+      done;
+      !acc)
+    IS.empty ranges
+
+let bitset_of_ranges ranges =
+  let s = Paged_bitset.create () in
+  List.iter (fun (x, n) -> Paged_bitset.add_range s x n) ranges;
+  s
+
+(* members in ascending order (so [iter_words]'s order is checked too) and
+   the cardinal, against the set *)
+let bitset_is s set =
+  members s = IS.elements set && Paged_bitset.cardinal s = IS.cardinal set
+
 let qcheck_bitset_matches_set =
   QCheck.Test.make ~name:"paged_bitset agrees with Set on adds and mems"
     ~count:200
-    QCheck.(list (int_bound 200_000))
+    (QCheck.make ~print:QCheck.Print.(list int) (QCheck.Gen.list gen_bit))
     (fun xs ->
       let s = Paged_bitset.create () in
-      let module IS = Set.Make (Int) in
-      let ref_set = List.fold_left (fun acc x -> IS.add x acc) IS.empty xs in
       List.iter (fun x -> Paged_bitset.add_range s x 1) xs;
-      Paged_bitset.cardinal s = IS.cardinal ref_set
-      && members s = IS.elements ref_set)
+      bitset_is s (IS.of_list xs))
 
 let qcheck_bitset_iter_words =
   QCheck.Test.make ~name:"paged_bitset iter_words agrees with Set on ranges"
     ~count:200
-    QCheck.(list (pair (int_bound 300_000) (int_bound 100)))
+    (QCheck.make ~print:print_ranges gen_ranges)
     (fun ranges ->
-      let s = Paged_bitset.create () in
-      let module IS = Set.Make (Int) in
       let big = (1 lsl 61) + 5 in
-      let ref_set =
-        List.fold_left
-          (fun acc (x, n) -> IS.union acc (IS.of_list (List.init n (( + ) x))))
-          (IS.singleton big) ranges
-      in
-      List.iter (fun (x, n) -> Paged_bitset.add_range s x n) ranges;
+      let s = bitset_of_ranges ranges in
       Paged_bitset.add_range s big 1;
       Paged_bitset.iter_words
         (fun base word ->
           assert (base land 31 = 0 && word <> 0 && word lsr 32 = 0))
         s;
-      members s = IS.elements ref_set
-      && Paged_bitset.cardinal s = IS.cardinal ref_set)
+      bitset_is s (IS.add big (set_of_ranges ranges)))
+
+(* [union] into a set that already holds pages, then more adds through the
+   cache [union] left behind *)
+let qcheck_bitset_union =
+  QCheck.Test.make ~name:"paged_bitset union agrees with Set" ~count:100
+    (QCheck.make
+       ~print:QCheck.Print.(triple print_ranges print_ranges print_ranges)
+       QCheck.Gen.(triple gen_ranges gen_ranges gen_ranges))
+    (fun (ra, rb, rc) ->
+      let a = bitset_of_ranges ra and b = bitset_of_ranges rb in
+      let sb = set_of_ranges rb in
+      let sab = IS.union (set_of_ranges ra) sb in
+      Paged_bitset.union a b;
+      let after_union = bitset_is a sab in
+      List.iter (fun (x, n) -> Paged_bitset.add_range a x n) rc;
+      after_union
+      && bitset_is a (IS.union sab (set_of_ranges rc))
+      && bitset_is b sb)
 
 let feq = Alcotest.float 1e-9
 
@@ -225,6 +277,7 @@ let suites =
         Alcotest.test_case "sparse pages" `Quick test_bitset_sparse_pages;
         QCheck_alcotest.to_alcotest qcheck_bitset_matches_set;
         QCheck_alcotest.to_alcotest qcheck_bitset_iter_words;
+        QCheck_alcotest.to_alcotest qcheck_bitset_union;
       ] );
     ( "util.stats",
       [
