@@ -692,8 +692,8 @@ let replay_bench () =
   let jobs =
     List.map
       (fun name ->
-        Result.get_ok (Tq_serve.Toolset.job ~prog ~slice:2_000 ~period:2_000 name))
-      Tq_serve.Toolset.names
+        Result.get_ok (Tq_report.Toolset.job ~prog ~slice:2_000 ~period:2_000 name))
+      Tq_report.Toolset.names
   in
   (* interleaved best-of rounds ([keep_fastest]) over the sequential oracle
      and the sharded pipeline; every round's pair is kept, so a guard that

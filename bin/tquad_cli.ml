@@ -122,11 +122,11 @@ let obs_trace_section ~verify r =
         | dt -> [ ("crc_verify_s", Obs.Json.Float dt) ]
         | exception Tq_trace.Reader.Format_error _ -> []
     in
-    (* the section body is the shared codec (Tq_serve.Protocol), so the
+    (* the section body is the shared codec (Tq_report.Toolset), so the
        manifest, `trace-info --json` and the daemon's trace-info response
        can never drift apart *)
     obs_section "trace"
-      (Tq_serve.Protocol.trace_section ~extra:crc_verify_s r)
+      (Tq_report.Toolset.trace_section ~extra:crc_verify_s r)
   end
 
 (* Exit-code contract (docs/CLI.md): 0 success, 1 the program failed (trap,
@@ -484,7 +484,7 @@ let gprof_cmd =
     let g, _ =
       run_under (program ()) dir (Tq_gprofsim.Gprofsim.attach ~period)
     in
-    print_string (Tq_serve.Toolset.render_gprof g)
+    print_string (Tq_report.Toolset.render_gprof g)
   in
   Cmd.v
     (Cmd.info "gprof" ~doc:"Profile a MiniC program with the sampling profiler")
@@ -512,7 +512,7 @@ let quad_cmd =
       else Tq_prof.Call_stack.Main_image_only
     in
     let q, _ = run_under (program ()) dir (Tq_quad.Quad.attach ~policy) in
-    print_string (Tq_serve.Toolset.render_quad q);
+    print_string (Tq_report.Toolset.render_quad q);
     match dot with
     | None -> ()
     | Some path ->
@@ -554,7 +554,7 @@ let tquad_cmd =
           Tq_tquad.Tquad.attach ~slice_interval:slice ~policy eng)
     in
     let kernels = Tq_tquad.Tquad.kernels t in
-    print_string (Tq_serve.Toolset.render_tquad ~slice t);
+    print_string (Tq_report.Toolset.render_tquad ~slice t);
     if phases then begin
       print_newline ();
       print_string (Tq_tquad.Phases.render (Tq_tquad.Phases.detect t))
@@ -582,7 +582,7 @@ let mix_cmd =
   let run metrics program dir =
     obs_init "mix" metrics;
     let mix, _ = run_under (program ()) dir Tq_prof.Ins_mix.attach in
-    print_string (Tq_serve.Toolset.render_mix mix)
+    print_string (Tq_report.Toolset.render_mix mix)
   in
   Cmd.v
     (Cmd.info "mix" ~doc:"Instruction-mix profile (loads/stores/ALU/branches)")
@@ -796,18 +796,16 @@ let record_cmd =
       (Tq_trace.Reader.n_chunks r)
       (Tq_trace.Reader.byte_size r)
       (Tq_trace.Reader.last_icount r);
-    if compress then begin
-      let stored = Tq_trace.Reader.stored_events r in
+    if compress then
       Printf.printf
         "  compressed: %d of %d events stored (%.2fx event ratio; %d plain + \
          %d repeat + %d body chunks)\n"
-        stored events
-        (if stored = 0 then 1.0
-         else float_of_int events /. float_of_int stored)
+        (Tq_trace.Reader.stored_events r)
+        events
+        (Tq_trace.Reader.event_ratio r)
         (Tq_trace.Reader.plain_chunks r)
         (Tq_trace.Reader.repeat_chunks r)
         (Tq_trace.Reader.body_chunks r)
-    end
   in
   Cmd.v
     (Cmd.info "record"
@@ -817,10 +815,10 @@ let record_cmd =
     Term.(
       const run $ metrics_arg $ program () $ dir_arg $ out_arg $ compress_arg)
 
-let all_tool_names = Tq_serve.Toolset.names
+let all_tool_names = Tq_report.Toolset.names
 
 let replay_job prog ~slice ~period name =
-  match Tq_serve.Toolset.job ~prog ~slice ~period name with
+  match Tq_report.Toolset.job ~prog ~slice ~period name with
   | Ok j -> j
   | Error msg ->
       Printf.eprintf "replay: %s\n" msg;
@@ -988,7 +986,7 @@ let replay_cmd =
           span "replay" (fun () ->
               Tq_trace.Replay.parallel ?domains ?shards
                 ~stats:(fun s ->
-                  obs_section "replay" (Tq_serve.Protocol.replay_section s))
+                  obs_section "replay" (Tq_report.Toolset.replay_section s))
                 reader jobs)
         in
         finish_results results
@@ -1036,7 +1034,7 @@ let trace_info_cmd =
       let doc =
         Obs.Manifest.make ~tool:"tquad" ~subcommand:"trace-info"
           ~argv:(Array.to_list Sys.argv)
-          ~extra:[ ("trace", Tq_serve.Protocol.trace_section r) ]
+          ~extra:[ ("trace", Tq_report.Toolset.trace_section r) ]
           Obs.Span.disabled Obs.Metrics.disabled
       in
       print_string (Obs.Json.to_string doc)
@@ -1053,14 +1051,12 @@ let trace_info_cmd =
         (if Int64.equal fp 0L then " (program unknown to the recorder)" else "");
       Printf.printf "  last icount %d\n" (Tq_trace.Reader.last_icount r);
       (if Tq_trace.Reader.version r = 4 then
-         let stored = Tq_trace.Reader.stored_events r in
-         let events = Tq_trace.Reader.n_events r in
          Printf.printf
            "  compression: %d of %d events stored (%.2fx); chunks: %d plain, \
             %d repeat, %d body-def\n"
-           stored events
-           (if stored = 0 then 1.0
-            else float_of_int events /. float_of_int stored)
+           (Tq_trace.Reader.stored_events r)
+           (Tq_trace.Reader.n_events r)
+           (Tq_trace.Reader.event_ratio r)
            (Tq_trace.Reader.plain_chunks r)
            (Tq_trace.Reader.repeat_chunks r)
            (Tq_trace.Reader.body_chunks r));
@@ -1145,14 +1141,27 @@ let faultgen_cmd =
         Printf.eprintf "faultgen: %s\n" msg;
         exit exit_unreadable
     in
+    let v4_kinds = [ "flip-kind"; "corrupt-repeat" ] in
     let known_kinds =
       [ "bit-flip"; "truncate"; "dup-chunk"; "drop-chunk"; "corrupt-index";
-        "corrupt-trailer"; "strip-tail"; "flip-kind"; "corrupt-repeat" ]
+        "corrupt-trailer"; "strip-tail" ]
+      @ v4_kinds
     in
     let gen_named kind =
       if not (List.mem kind known_kinds) then begin
         Printf.eprintf "faultgen: unknown mutation %s (have: %s)\n" kind
           (String.concat ", " known_kinds);
+        exit exit_usage
+      end;
+      (* the seeded draw never picks a v4-only kind on a v3 container *)
+      if
+        List.mem kind v4_kinds
+        && String.starts_with ~prefix:Tq_trace.Writer.magic raw
+      then begin
+        Printf.eprintf
+          "faultgen: %s needs a v4 container (record with --compress); this \
+           one is v3\n"
+          kind;
         exit exit_usage
       end;
       (* draw seeded candidates until one of the requested kind comes up;
@@ -1850,7 +1859,7 @@ let client_cmd =
             ~doc:"Per-strike wait for the server's answer.")
     in
     let run socket seed rounds wait_s =
-      let module W = Tq_faultgen.Wire in
+      let module W = Tq_serve.Wire in
       let events = W.storm ~wait_s ~socket ~seed ~rounds () in
       List.iteri
         (fun i (e : W.event) ->

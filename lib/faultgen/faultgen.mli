@@ -66,8 +66,8 @@ val sweep : seed:int -> count:int -> string -> (mutation * string) list
 (** {2 Seeded generator}
 
     The self-contained LCG (Java's 48-bit parameters) behind every seeded
-    draw here and in [Wire]: reproducible from the seed alone, independent
-    of [Random]'s global state. *)
+    draw here and in the daemon's wire chaos harness: reproducible from the
+    seed alone, independent of [Random]'s global state. *)
 
 type rng
 

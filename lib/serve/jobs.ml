@@ -1,6 +1,7 @@
 module Reader = Tq_trace.Reader
 module Event = Tq_trace.Event
 module Replay = Tq_trace.Replay
+module Toolset = Tq_report.Toolset
 
 type spec = {
   trace_key : int64;

@@ -17,7 +17,7 @@ type spec = {
   trace_key : int64;  (** cache-key namespace, from {!Protocol.trace_key} *)
   reader : Tq_trace.Reader.t;
   prog : Tq_vm.Program.t;
-  tools : string list;  (** validated against {!Toolset.names} by the caller *)
+  tools : string list;  (** validated against {!Tq_report.Toolset.names} by the caller *)
   slice : int;
   period : int;
 }

@@ -1,6 +1,4 @@
 module Json = Tq_obs.Json
-module Reader = Tq_trace.Reader
-module Replay = Tq_trace.Replay
 
 let max_frame = 256 * 1024 * 1024
 
@@ -138,60 +136,6 @@ let trace_key s =
   !h
 
 let trace_id s = Printf.sprintf "%016Lx" (trace_key s)
-
-(* ---------- shared sections ---------- *)
-
-let trace_section ?(extra = []) r =
-  let salvage =
-    match Reader.salvage_info r with
-    | None -> []
-    | Some s ->
-        [ ( "salvage",
-            Json.Obj
-              [ ("salvaged_chunks", Json.Int s.Reader.salvaged_chunks);
-                ("dropped_chunks", Json.Int s.dropped_chunks);
-                ("dropped_bytes", Json.Int s.dropped_bytes);
-                ("reason", Json.Str s.reason) ] ) ]
-  in
-  (* the v4 redundancy-suppression accounting; present for every version
-     (a v3 trace reports stored = events and zero repeat/body chunks) so
-     consumers need no version-conditional parsing *)
-  let compression =
-    let stored = Reader.stored_events r in
-    let events = Reader.n_events r in
-    [ ("stored_events", Json.Int stored);
-      ("plain_chunks", Json.Int (Reader.plain_chunks r));
-      ("repeat_chunks", Json.Int (Reader.repeat_chunks r));
-      ("body_chunks", Json.Int (Reader.body_chunks r));
-      ( "event_ratio",
-        Json.Float
-          (if stored = 0 then 1.0
-           else float_of_int events /. float_of_int stored) ) ]
-  in
-  Json.Obj
-    ([ ("version", Json.Int (Reader.version r));
-       ("events", Json.Int (Reader.n_events r));
-       ("chunks", Json.Int (Reader.n_chunks r));
-       ("bytes", Json.Int (Reader.byte_size r));
-       ("fingerprint", Json.Str (Printf.sprintf "%016Lx" (Reader.fingerprint r)));
-       ("last_icount", Json.Int (Reader.last_icount r)) ]
-    @ compression @ salvage @ extra)
-
-let replay_section (s : Replay.run_stats) =
-  Json.Obj
-    [ ("domains", Json.Int s.rs_domains);
-      ("shards", Json.Int s.rs_shards);
-      ("batch", Json.Int s.rs_batch);
-      ("chunks", Json.Int s.rs_chunks);
-      ("events", Json.Int s.rs_events);
-      ("peak_live_chunks", Json.Int s.rs_peak_live_chunks);
-      ("repeats", Json.Int s.rs_repeats);
-      ( "stage_s",
-        Json.Obj
-          [ ("decode", Json.Float s.rs_decode_s);
-            ("ordered", Json.Float s.rs_ordered_s);
-            ("shard", Json.Float s.rs_shard_s);
-            ("merge", Json.Float s.rs_merge_s) ] ) ]
 
 (* ---------- response shapes ---------- *)
 

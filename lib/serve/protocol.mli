@@ -1,5 +1,7 @@
-(** Wire protocol of the serve daemon — framing, trace identity and the
-    shared response shapes.
+(** Wire protocol of the serve daemon — framing, trace identity, the
+    response shapes and the request accessors.  The ["trace"] and
+    ["replay"] sections the responses carry are {!Tq_report.Toolset}'s
+    codecs, shared with the CLI.
 
     One frame = a 4-byte big-endian length followed by that many bytes of
     {!Tq_obs.Json} text.  Both directions use the same framing; binary
@@ -69,24 +71,6 @@ val trace_key : string -> int64
 val trace_id : string -> string
 (** {!trace_key} rendered as 16 lowercase hex digits — the [id] clients
     quote in [trace-info] and [replay] requests. *)
-
-(** {1 Shared sections} *)
-
-val trace_section :
-  ?extra:(string * Tq_obs.Json.t) list -> Tq_trace.Reader.t -> Tq_obs.Json.t
-(** The canonical ["trace"] description of a loaded reader — version,
-    events, chunks, bytes, program fingerprint, last icount, plus salvage
-    statistics when present.  One codec path shared by the CLI's manifest
-    ["trace"] section, [tquad trace-info --json] and the serve daemon's
-    [trace-info] response, so the three can never drift.  [extra] members
-    are appended after the standard ones. *)
-
-val replay_section : Tq_trace.Replay.run_stats -> Tq_obs.Json.t
-(** The canonical ["replay"] manifest section of one pipeline run:
-    domains, shards, batch (the live-chunk budget), chunks, events,
-    peak_live_chunks, repeats (the repeat deliveries) and stage_s.  The one codec behind
-    [tquad replay --all --metrics] and the serve daemon's per-job
-    manifests. *)
 
 (** {1 Response shapes} *)
 

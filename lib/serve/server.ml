@@ -3,6 +3,7 @@ module Obs = Tq_obs
 module Reader = Tq_trace.Reader
 module Replay = Tq_trace.Replay
 module Event = Tq_trace.Event
+module Toolset = Tq_report.Toolset
 
 type config = {
   socket_path : string;
@@ -188,7 +189,7 @@ let write_job_manifest s id =
           in
           let replay =
             match Jobs.replay_stats s.jobs id with
-            | Some st -> [ ("replay", Protocol.replay_section st) ]
+            | Some st -> [ ("replay", Toolset.replay_section st) ]
             | None -> []
           in
           let doc =
@@ -229,7 +230,7 @@ let handle_upload s req =
           Protocol.ok
             [ ("id", Json.Str id);
               ("known", Json.Bool true);
-              ("trace", Protocol.trace_section e.reader) ]
+              ("trace", Toolset.trace_section e.reader) ]
       | None -> (
           match Reader.of_string bytes with
           | exception Reader.Format_error msg ->
@@ -271,7 +272,7 @@ let handle_upload s req =
                     Protocol.ok
                       [ ("id", Json.Str id);
                         ("known", Json.Bool false);
-                        ("trace", Protocol.trace_section reader) ])))
+                        ("trace", Toolset.trace_section reader) ])))
 
 let handle_trace_info s req =
   match Protocol.get_str "id" req with
@@ -283,7 +284,7 @@ let handle_trace_info s req =
           Protocol.ok
             [ ("id", Json.Str id);
               ("name", Json.Str e.name);
-              ("trace", Protocol.trace_section e.reader) ])
+              ("trace", Toolset.trace_section e.reader) ])
 
 let handle_replay s conn req =
   if s.stop then Protocol.error Protocol.shutting_down "server is draining"

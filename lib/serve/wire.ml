@@ -1,10 +1,10 @@
 module Json = Tq_obs.Json
 
 (* Everything here hand-rolls the wire format on purpose: the module exists
-   to attack Tq_serve.Protocol's framing, so it must not frame through it.
+   to attack Protocol's framing, so it must not frame through it.
    One frame = 4-byte big-endian length + that many bytes of JSON. *)
 
-let max_frame = Tq_serve.Protocol.max_frame
+let max_frame = Protocol.max_frame
 
 type mutation =
   | Torn_header of { keep : int }
@@ -23,9 +23,9 @@ let slug = function
   | Stall_then_resume _ -> "stall-resume"
 
 (* Faultgen's seeded LCG: chaos must be reproducible from the seed alone. *)
-let rng = Faultgen.rng
-let next = Faultgen.next
-let pick = Faultgen.pick
+let rng = Tq_faultgen.Faultgen.rng
+let next = Tq_faultgen.Faultgen.next
+let pick = Tq_faultgen.Faultgen.pick
 
 let random ~seed =
   let r = rng seed in

@@ -1,6 +1,6 @@
 (** Deterministic, seeded fault injection at the serve protocol's wire
-    level — the transport-layer sibling of {!Faultgen}'s container
-    mutations.
+    level — the transport-layer sibling of {!Tq_faultgen.Faultgen}'s
+    container mutations, kept beside the protocol it attacks.
 
     The robustness contract under test: for {e any} byte stream a peer
     sends, the serve daemon must stay alive and answer the next healthy
@@ -11,7 +11,7 @@
     drives the same strikes through [tquad client chaos].
 
     Everything here hand-rolls the framing on purpose — the module exists
-    to attack [Tq_serve.Protocol], so it must not frame through it.  All
+    to attack {!Protocol}, so it must not frame through it.  All
     generation is reproducible from the seed alone. *)
 
 type mutation =

@@ -585,6 +585,10 @@ let salvage_info t = t.salvage
 let stored_events t =
   Array.fold_left (fun acc c -> acc + c.c_stored) 0 t.chunks
 
+let event_ratio t =
+  let stored = stored_events t in
+  if stored = 0 then 1.0 else float_of_int (n_events t) /. float_of_int stored
+
 let plain_chunks t =
   Array.fold_left
     (fun acc c -> if c.c_kind = Plain then acc + 1 else acc)

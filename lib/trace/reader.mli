@@ -144,8 +144,11 @@ val version : t -> int
 val stored_events : t -> int
 (** Events physically encoded in the container: plain events plus one body
     per body-def chunk (a body shared by many repeats is counted once).
-    [= n_events] for v3; [n_events t / stored_events t] is the
-    event-level compression ratio of a v4 trace. *)
+    [= n_events] for v3. *)
+
+val event_ratio : t -> float
+(** [n_events t / stored_events t], the event-level compression ratio of a
+    v4 trace: [1.0] for v3, and for a trace that stores no event. *)
 
 val plain_chunks : t -> int
 (** Plain event chunks in the container ([= n_chunks] for v3). *)

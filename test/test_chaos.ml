@@ -12,11 +12,11 @@ module Replay = Tq_trace.Replay
 module Probe = Tq_trace.Probe
 module Lru = Tq_serve.Lru
 module Protocol = Tq_serve.Protocol
-module Toolset = Tq_serve.Toolset
+module Toolset = Tq_report.Toolset
 module Jobs = Tq_serve.Jobs
 module Server = Tq_serve.Server
 module Client = Tq_serve.Client
-module Wire = Tq_faultgen.Wire
+module Wire = Tq_serve.Wire
 module Json = Tq_obs.Json
 
 (* ---------- fixture: test_serve's recording ---------- *)

@@ -216,10 +216,10 @@ let test_repeat_conservation () =
     List.map
       (fun name ->
         Result.get_ok
-          (Tq_serve.Toolset.job ~prog
+          (Tq_report.Toolset.job ~prog
              ~slice:Tq_tquad.Tquad.default_slice_interval
              ~period:Tq_gprofsim.Gprofsim.default_period name))
-      Tq_serve.Toolset.names
+      Tq_report.Toolset.names
   in
   let repeat_chunks = Reader.repeat_chunks (Reader.of_string compressed) in
   Alcotest.(check int) "repeat chunks in wfs tiny v4" 4675 repeat_chunks;
@@ -1300,7 +1300,7 @@ let test_record_walk_reports () =
     List.map
       (fun name ->
         Result.get_ok
-          (Tq_serve.Toolset.job ~prog
+          (Tq_report.Toolset.job ~prog
              ~slice:Tq_tquad.Tquad.default_slice_interval
              ~period:Tq_gprofsim.Gprofsim.default_period name))
       [ "quad"; "cache" ]

@@ -14,7 +14,7 @@ module Probe = Tq_trace.Probe
 module Lru = Tq_serve.Lru
 module Limiter = Tq_serve.Limiter
 module Protocol = Tq_serve.Protocol
-module Toolset = Tq_serve.Toolset
+module Toolset = Tq_report.Toolset
 module Jobs = Tq_serve.Jobs
 module Server = Tq_serve.Server
 module Client = Tq_serve.Client
@@ -455,7 +455,12 @@ let test_socket_roundtrip () =
       (match Json.member "events" info with
       | Some (Json.Int n) ->
           Alcotest.(check int) "event count" (Reader.n_events reader) n
-      | _ -> Alcotest.fail "trace-info carries no event count")
+      | _ -> Alcotest.fail "trace-info carries no event count");
+      (* the daemon and the CLI share one codec: the served section is
+         exactly the local rendering of the same bytes *)
+      Alcotest.(check string) "served trace = Toolset.trace_section"
+        (Json.to_string (Toolset.trace_section reader))
+        (Json.to_string info)
   | Error e -> Alcotest.fail ("trace-info: " ^ e.Client.reason));
   (* replay through every tool; reports must match a direct replay *)
   let jid =

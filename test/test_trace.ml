@@ -577,7 +577,7 @@ let interests =
   ]
 
 let registry_job prog name =
-  match Tq_serve.Toolset.job ~prog ~slice ~period name with
+  match Tq_report.Toolset.job ~prog ~slice ~period name with
   | Ok j -> j
   | Error msg -> Alcotest.fail msg
 
@@ -587,7 +587,7 @@ let test_registry () =
   let prog, _ = Lazy.force micro_recording in
   Alcotest.(check (list string))
     "the six tools, in canonical order" (List.map fst interests)
-    Tq_serve.Toolset.names;
+    Tq_report.Toolset.names;
   List.iter
     (fun name ->
       let j = registry_job prog name in
@@ -598,8 +598,8 @@ let test_registry () =
       Alcotest.(check bool)
         (name ^ ": sharded unless cache") (name <> "cache")
         (Option.is_some j.sharded))
-    Tq_serve.Toolset.names;
-  match Tq_serve.Toolset.job ~prog ~slice ~period "nosuch" with
+    Tq_report.Toolset.names;
+  match Tq_report.Toolset.job ~prog ~slice ~period "nosuch" with
   | Ok _ -> Alcotest.fail "unknown tool accepted"
   | Error msg ->
       List.iter
@@ -607,7 +607,7 @@ let test_registry () =
           Alcotest.(check bool)
             ("error lists " ^ name) true
             (Astring_contains.contains msg name))
-        Tq_serve.Toolset.names
+        Tq_report.Toolset.names
 
 (* The [interest] contract: a tool does no work on the kinds it leaves out,
    so delivering every event kind changes no report — on the plain path
@@ -615,7 +615,7 @@ let test_registry () =
 let test_interest_contract () =
   let prog, evs = Lazy.force micro_recording in
   let raw = reencode ~chunk_bytes:1024 evs in
-  let jobs = List.map (registry_job prog) Tq_serve.Toolset.names in
+  let jobs = List.map (registry_job prog) Tq_report.Toolset.names in
   let all_kinds =
     List.map (fun (j : Replay.job) -> { j with wants = Event.all_kinds }) jobs
   in
@@ -665,6 +665,26 @@ let test_cli_positive_args () =
     (replay "--tool gprof --period 0");
   Alcotest.(check int) "replay --all --domains 1 --shards 2: 0" 0
     (replay "--all --domains 1 --shards 2");
+  (* the v4-only faultgen kinds on a v3 container: a usage error that says
+     the kind needs v4 *)
+  let err = Filename.temp_file "tq_cli" ".err" in
+  List.iter
+    (fun kind ->
+      let rc =
+        Sys.command
+          (Printf.sprintf "%s faultgen %s --mutation %s -o %s.bad >/dev/null 2>%s"
+             (Test_dataflow.cli_path ()) trc kind trc err)
+      in
+      Alcotest.(check int) (Printf.sprintf "faultgen --mutation %s, v3: 2" kind)
+        2 rc;
+      let msg = In_channel.with_open_bin err In_channel.input_all in
+      Alcotest.(check bool)
+        (Printf.sprintf "faultgen --mutation %s, v3: stderr names v4 (%s)" kind
+           (String.trim msg))
+        true
+        (Astring_contains.contains msg "v4"))
+    [ "flip-kind"; "corrupt-repeat" ];
+  Sys.remove err;
   (* --tool runs the sequential oracle, which takes no pipeline shape *)
   Alcotest.(check int) "replay --tool tquad --domains 2: 2" 2
     (replay "--tool tquad --domains 2");
