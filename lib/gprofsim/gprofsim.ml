@@ -64,24 +64,38 @@ let sample_block t ~icount ~addr ~n =
       end
     done
 
+(* call accounting at routine granularity *)
+let enter t routine ~sp =
+  let r = Symtab.by_id t.symtab routine in
+  t.calls.(routine) <- t.calls.(routine) + 1;
+  (match Call_stack.top t.stack with
+  | Some caller ->
+      let key = arc_key caller.Symtab.id routine in
+      Hashtbl.replace t.arc_counts key
+        (1 + Option.value ~default:0 (Hashtbl.find_opt t.arc_counts key))
+  | None -> ());
+  Call_stack.on_entry t.stack r ~sp
+
 let consume t (ev : Event.t) =
   match ev with
   | Event.Block_exec { icount; addr; n } -> sample_block t ~icount ~addr ~n
-  | Event.Rtn_entry { routine; sp; _ } ->
-      (* call accounting at routine granularity *)
-      let r = Symtab.by_id t.symtab routine in
-      t.calls.(routine) <- t.calls.(routine) + 1;
-      (match Call_stack.top t.stack with
-      | Some caller ->
-          let key = arc_key caller.Symtab.id routine in
-          Hashtbl.replace t.arc_counts key
-            (1 + Option.value ~default:0 (Hashtbl.find_opt t.arc_counts key))
-      | None -> ());
-      Call_stack.on_entry t.stack r ~sp
+  | Event.Rtn_entry { routine; sp; _ } -> enter t routine ~sp
   | Event.Ret { sp; _ } -> Call_stack.on_ret t.stack ~sp
   | Event.Load _ | Event.Store _ | Event.Block_copy _ | Event.Prefetch _
   | Event.End _ ->
       ()
+
+(* [consume] over a chunk's columns: a block's address is in [ea], its
+   length in [size] (see [Tq_trace.Cols]). *)
+let consume_plain t (c : Tq_trace.Cols.t) =
+  for i = 0 to Tq_trace.Cols.length c - 1 do
+    match Tq_trace.Cols.tag c i with
+    | 6 (* block_exec *) ->
+        sample_block t ~icount:c.icount.(i) ~addr:c.ea.(i) ~n:c.size.(i)
+    | 0 (* rtn_entry *) -> enter t c.static.(i) ~sp:c.sp.(i)
+    | 1 (* ret *) -> Call_stack.on_ret t.stack ~sp:c.sp.(i)
+    | _ -> ()
+  done
 
 let interest = Event.[ KRtn_entry; KRet; KBlock_exec ]
 
@@ -191,6 +205,15 @@ let shard =
             | Event.Block_exec { icount; n; _ } -> block icount n
             | _ -> stack.on_event ev
           in
+          (* the blocks and the stack are independent: the stack tracker
+             takes the chunk whole, then the blocks are walked *)
+          let on_plain (c : Tq_trace.Cols.t) =
+            stack.on_plain c;
+            for i = 0 to Tq_trace.Cols.length c - 1 do
+              if Tq_trace.Cols.tag c i = 6 (* block_exec *) then
+                block c.icount.(i) c.size.(i)
+            done
+          in
           (* a record's blocks, walked in order; its calls and returns go
              to the stack tracker, which takes every record *)
           let on_repeat (r : Tq_trace.Squash.repeat) =
@@ -205,7 +228,7 @@ let shard =
               done
             done
           in
-          ( { Tq_trace.Replay.on_event; on_repeat },
+          ( { Tq_trace.Replay.on_event; on_plain; on_repeat },
             fun () -> (snapshot (), !next) ));
       seeded;
       merge_into;

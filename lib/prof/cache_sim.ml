@@ -163,8 +163,10 @@ let consume t (ev : Event.t) =
 
 let interest = Event.KPrefetch :: Call_stack.interest
 
-(* Replacement state depends on the exact access order: a record is walked
-   in order, prefetches included. *)
+(* Replacement state depends on the exact access order: a chunk or a
+   record is walked in order, prefetches included. *)
+let consume_plain t c = Call_stack.attribute_plain t.stack demand prefetch t c
+
 let consume_repeat t r =
   Call_stack.attribute_record t.stack demand prefetch t r
 

@@ -69,6 +69,38 @@ let attribute t access s (ev : Tq_trace.Event.t) =
       on_ret t ~sp
   | Prefetch _ | Block_exec _ | End _ -> ()
 
+(* [attribute] over a plain chunk's columns (see [Tq_trace.Cols] for which
+   column holds which field), with [attribute_record]'s prefetch hook.  The
+   arrays are read once per chunk; [i < n] is within every column. *)
+let attribute_plain t access prefetch s (c : Tq_trace.Cols.t) =
+  let icount = c.icount and static = c.static and ea = c.ea in
+  let size = c.size and sp = c.sp and dst = c.dst in
+  for i = 0 to Tq_trace.Cols.length c - 1 do
+    match Tq_trace.Cols.tag c i with
+    | 2 (* load *) ->
+        let k = attribute_id t static.(i) in
+        if k >= 0 then
+          access s k ~write:false ~icount:icount.(i) ~sp:sp.(i) ~ea:ea.(i)
+            ~size:size.(i)
+    | 3 (* store *) ->
+        let k = attribute_id t static.(i) in
+        if k >= 0 then
+          access s k ~write:true ~icount:icount.(i) ~sp:sp.(i) ~ea:ea.(i)
+            ~size:size.(i)
+    | 4 (* block copy: the source read, then the destination write *) ->
+        let k = attribute_id t static.(i) in
+        if k >= 0 then begin
+          let icount = icount.(i) and len = size.(i) and sp = sp.(i) in
+          access s k ~write:false ~icount ~sp ~ea:ea.(i) ~size:len;
+          access s k ~write:true ~icount ~sp ~ea:dst.(i) ~size:len
+        end
+    | 0 (* rtn_entry *) ->
+        on_entry t (Tq_vm.Symtab.by_id t.symtab static.(i)) ~sp:sp.(i)
+    | 1 (* ret *) -> on_ret t ~sp:sp.(i)
+    | 5 (* prefetch *) -> prefetch s ~ea:ea.(i) ~size:size.(i)
+    | _ (* block_exec, end *) -> ()
+  done
+
 (* [attribute] over the events [Squash.expand r] yields, without building
    them: the structure of body event [k] (constructor, [static], [size],
    [routine]) and its numeric fields of iteration [i], read from the
@@ -183,11 +215,22 @@ let prefix symtab policy =
     | Ret { sp; _ } -> on_ret st ~sp
     | _ -> ()
   in
+  (* a chunk without a call or return leaves the stack as it is *)
+  let on_plain (c : Tq_trace.Cols.t) =
+    if c.calls > 0 then
+      for i = 0 to Tq_trace.Cols.length c - 1 do
+        match Tq_trace.Cols.tag c i with
+        | 0 (* rtn_entry *) ->
+            on_entry st (Tq_vm.Symtab.by_id symtab c.static.(i)) ~sp:c.sp.(i)
+        | 1 (* ret *) -> on_ret st ~sp:c.sp.(i)
+        | _ -> ()
+      done
+  in
   (* a record that cannot move the stack leaves it as it is *)
   let on_repeat r =
     if moves_stack r then attribute_record st no_access no_prefetch () r
   in
-  ({ Tq_trace.Replay.on_event; on_repeat }, fun () -> copy st)
+  ({ Tq_trace.Replay.on_event; on_plain; on_repeat }, fun () -> copy st)
 
 let shard policy_of ~seeded ~merge_into =
   Some

@@ -56,6 +56,30 @@ val attribute :
     frame, and an access with no such frame is dropped.  Other events are
     ignored.  Allocation-free when [access] is a top-level function. *)
 
+val attribute_plain :
+  t ->
+  ('s ->
+  int ->
+  write:bool ->
+  icount:int ->
+  sp:int ->
+  ea:int ->
+  size:int ->
+  unit) ->
+  ('s -> ea:int -> size:int -> unit) ->
+  's ->
+  Tq_trace.Cols.t ->
+  unit
+(** [attribute_plain t access prefetch s c] is {!attribute} [t access s]
+    over every event of the plain chunk [c], in order, read from its
+    columns without building one, and sends each [Prefetch]'s address and
+    size to [prefetch s ~ea ~size] as {!attribute_record} does: the memory
+    tools' {!Tq_trace.Tool.S}[.consume_plain].  Allocation-free when
+    [access] and [prefetch] are top-level functions. *)
+
+val no_prefetch : 's -> ea:int -> size:int -> unit
+(** The prefetch handler of a tool that discards prefetches. *)
+
 val attribute_repeat :
   t ->
   ('s ->
@@ -131,8 +155,10 @@ val prefix :
   Tq_vm.Symtab.t -> policy -> Tq_trace.Replay.sink * (unit -> t)
 (** The shard-seed prefix tracker of every stack-dependent tool: a sink
     that keeps a fresh stack of the given policy in step with the
-    [Rtn_entry]/[Ret] events it is fed (others are ignored) and takes
-    every repeat record — by {!attribute_record}'s walk when the body
+    [Rtn_entry]/[Ret] events it is fed (others are ignored), reads them
+    out of every plain chunk's columns (a chunk with none,
+    {!Tq_trace.Cols.t}[.calls = 0], is skipped), and takes every repeat
+    record — by {!attribute_record}'s walk when the body
     calls or returns, as a no-op otherwise — and a snapshot returning an
     independent copy of the stack. *)
 

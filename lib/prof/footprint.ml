@@ -33,6 +33,9 @@ let mark t id ~write:_ ~icount:_ ~sp:_ ~ea ~size =
 
 let consume t ev = Call_stack.attribute t.stack mark t ev
 
+let consume_plain t c =
+  Call_stack.attribute_plain t.stack mark Call_stack.no_prefetch t c
+
 (* The tool's run function (see [Call_stack.attribute_repeat]): accesses at
    most [size] apart touch one interval; farther apart, [iters] ranges. *)
 let mark_run t id ~write:_ ~iters ~icount:_ ~d_icount:_ ~sp:_ ~d_sp:_ ~ea

@@ -105,20 +105,27 @@ let summarize t addr n =
    program image reproduces the executed stream exactly. *)
 let slot addr = (addr - Tq_vm.Layout.text_base) / Isa.ins_bytes
 
+let block t ~addr ~n =
+  let i = slot addr in
+  match t.blocks.(i) with
+  | Some s when s.b_n = n -> s.b_execs <- s.b_execs + 1
+  | prev ->
+      let s = summarize t addr n in
+      (match prev with
+      | Some old -> t.displaced <- old :: t.displaced
+      | None -> ());
+      t.blocks.(i) <- Some s;
+      s.b_execs <- 1
+
 let consume t (ev : Event.t) =
-  match ev with
-  | Event.Block_exec { addr; n; _ } -> (
-      let i = slot addr in
-      match t.blocks.(i) with
-      | Some s when s.b_n = n -> s.b_execs <- s.b_execs + 1
-      | prev ->
-          let s = summarize t addr n in
-          (match prev with
-          | Some old -> t.displaced <- old :: t.displaced
-          | None -> ());
-          t.blocks.(i) <- Some s;
-          s.b_execs <- 1)
-  | _ -> ()
+  match ev with Event.Block_exec { addr; n; _ } -> block t ~addr ~n | _ -> ()
+
+(* a block's address is in the [ea] column, its length in [size] *)
+let consume_plain t (c : Tq_trace.Cols.t) =
+  for i = 0 to Tq_trace.Cols.length c - 1 do
+    if Tq_trace.Cols.tag c i = 6 (* block_exec *) then
+      block t ~addr:c.ea.(i) ~n:c.size.(i)
+  done
 
 let interest = Event.[ KBlock_exec ]
 
@@ -175,7 +182,9 @@ let shard =
       Tq_trace.Tool.prefix_wants = [];
       prefix =
         (fun () _ ->
-          ({ Tq_trace.Replay.on_event = ignore; on_repeat = ignore }, Fun.id));
+          ( { Tq_trace.Replay.on_event = ignore; on_plain = ignore;
+              on_repeat = ignore },
+            Fun.id ));
       seeded = (fun () program () -> create () program);
       merge_into;
     }

@@ -221,12 +221,13 @@ let consume t ev = Call_stack.attribute t.stack access t ev
 let interest = Call_stack.interest
 
 (* Producer tracking keeps the last writer of every byte, which depends on
-   the order of the accesses: a record is walked in order, access by
-   access.  QUAD discards prefetches. *)
-let no_prefetch _ ~ea:_ ~size:_ = ()
+   the order of the accesses: a chunk or a record is walked in order,
+   access by access.  QUAD discards prefetches. *)
+let consume_plain t c =
+  Call_stack.attribute_plain t.stack access Call_stack.no_prefetch t c
 
 let consume_repeat t r =
-  Call_stack.attribute_record t.stack access no_prefetch t r
+  Call_stack.attribute_record t.stack access Call_stack.no_prefetch t r
 
 (* One deferred block of consumer [c] against [a]'s shadow: each maximal run
    of counted bytes with one producer is one charge. *)

@@ -96,18 +96,20 @@ let checkpoint jr =
       raise (Deadline_exceeded (Option.value jr.budget_s ~default:0.))
   | _ -> ()
 
-(* A decoded event is a boxed record of at most seven words (Block_copy)
-   plus its array slot, 64 bytes at most; real traces average about 54
-   bytes per event.  A repeat chunk holds its record alone: its body's
-   events at that price, and its field tables at four words per field
-   (literal flag, stride, delta-table slot, a table's header) plus one
-   per literal delta.  So this weight is never below a chunk's reachable
-   size, and a repeat chunk weighs what it holds, not its expansion. *)
+(* A plain chunk is its columns: six int columns and a kind byte per
+   event slot, 49 bytes, plus 152 bytes of headers (the record, seven
+   column headers and padding, the [Plain] box).  A repeat chunk holds its
+   record alone: its body's boxed events at 64 bytes each (at most seven
+   words for a Block_copy plus its array slot), and its field tables at
+   four words per field (literal flag, stride, delta-table slot, a table's
+   header) plus one per literal delta.  So this weight is never below a
+   chunk's reachable size, and a repeat chunk weighs what it holds, not
+   its expansion. *)
 let chunk_weight (dc : Reader.decoded) =
   256
   +
   match dc with
-  | Events evs -> 64 * Array.length evs
+  | Plain c -> 49 * Array.length c.Tq_trace.Cols.icount
   | Record r ->
       (64 * Array.length r.body)
       + (8 * Array.fold_left (fun n l -> n + 4 + Array.length l) 0 r.lits)

@@ -80,7 +80,8 @@ val create :
 
 val chunk_weight : Tq_trace.Reader.decoded -> int
 (** The weight, in estimated bytes, that a decoded chunk charges against
-    the shared cache's budget: [64 * events + 256] for a plain chunk; for
+    the shared cache's budget: [49 * events + 256] for a plain chunk (its
+    columns, {!Tq_trace.Cols}, at their exact size); for
     a repeat chunk, which holds its record alone, [64 * body events +
     8 * (4 * fields + literal deltas) + 512].  It is at least the chunk's
     reachable heap size (docs/METRICS.md, serve chunk cache), so the

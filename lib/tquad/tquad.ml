@@ -159,6 +159,10 @@ let create config prog =
    immediately on prefetches, so [Prefetch] events are not read. *)
 let consume t ev = Call_stack.attribute t.stack record t ev
 let interest = Call_stack.interest
+
+let consume_plain t c =
+  Call_stack.attribute_plain t.stack record Call_stack.no_prefetch t c
+
 let consume_repeat t r =
   Call_stack.attribute_repeat t.stack record record_run t r
 

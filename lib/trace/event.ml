@@ -289,65 +289,3 @@ let min_encoded_bytes = function
   | Rtn_entry _ | Prefetch _ | Block_exec _ -> 3
   | Load _ | Store _ -> 5
   | Block_copy _ -> 6
-
-let get_sp st s pos =
-  st.s_sp <- st.s_sp + Leb.read_s s pos;
-  st.s_sp
-
-let get_ea st s pos =
-  st.s_ea <- st.s_ea + Leb.read_s s pos;
-  st.s_ea
-
-let read_u8 s pos =
-  if !pos >= String.length s then raise (Leb.Truncated !pos);
-  let v = Char.code s.[!pos] in
-  incr pos;
-  v
-
-let decode st s pos =
-  let b = read_u8 s pos in
-  let d = b lsr 3 in
-  let icount =
-    st.s_icount + (if d < icount_escape then d else Leb.read_u s pos)
-  in
-  st.s_icount <- icount;
-  (* integer match so the dispatch compiles to a jump table — decode is the
-     replay hot path *)
-  match b land 7 with
-  | 2 (* tag_load *) ->
-      let static = Leb.read_u s pos - 1 in
-      let ea = get_ea st s pos in
-      let size = Leb.read_u s pos in
-      let sp = get_sp st s pos in
-      Load { icount; static; ea; size; sp }
-  | 3 (* tag_store *) ->
-      let static = Leb.read_u s pos - 1 in
-      let ea = get_ea st s pos in
-      let size = Leb.read_u s pos in
-      let sp = get_sp st s pos in
-      Store { icount; static; ea; size; sp }
-  | 0 (* tag_rtn_entry *) ->
-      let routine = Leb.read_u s pos in
-      let sp = get_sp st s pos in
-      Rtn_entry { icount; routine; sp }
-  | 1 (* tag_ret *) ->
-      let sp = get_sp st s pos in
-      Ret { icount; sp }
-  | 4 (* tag_block_copy *) ->
-      let static = Leb.read_u s pos - 1 in
-      let src = st.s_ea + Leb.read_s s pos in
-      let dst = src + Leb.read_s s pos in
-      st.s_ea <- dst;
-      let len = Leb.read_u s pos in
-      let sp = get_sp st s pos in
-      Block_copy { icount; static; src; dst; len; sp }
-  | 5 (* tag_prefetch *) ->
-      let ea = get_ea st s pos in
-      let size = Leb.read_u s pos in
-      Prefetch { icount; ea; size }
-  | 6 (* tag_block_exec *) ->
-      st.s_baddr <- st.s_baddr + Leb.read_s s pos;
-      let n = Leb.read_u s pos in
-      Block_exec { icount; addr = st.s_baddr; n }
-  | _ (* tag_end: [b land 7] is exhaustive over the 8 tags *) ->
-      End { icount }

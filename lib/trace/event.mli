@@ -127,9 +127,6 @@ val min_encoded_bytes : t -> int
     its tag byte and one byte per further field. *)
 
 val encode : state -> Buffer.t -> t -> unit
-(** @raise Invalid_argument if [icount] regresses w.r.t. the state. *)
-
-val decode : state -> string -> int ref -> t
-(** @raise Tq_util.Leb128.Truncated on short input.  (Every tag-byte value
-    decodes as some event; corrupted payloads are caught by the chunk
-    length check in {!Reader}.) *)
+(** @raise Invalid_argument if [icount] regresses w.r.t. the state.  The
+    decoder is {!Cols.decode}, which writes a chunk's events into
+    columns. *)

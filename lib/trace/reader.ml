@@ -227,8 +227,9 @@ let read_u8 raw pos limit =
    and pay no per-event decoding; {!iter} and {!chunk_events} rebuild its
    events with {!Squash.expand}.  The reference was cross-checked against the
    def's payload CRC at load time; here every structural bound is
-   re-validated, before the record reaches any consumer. *)
-let decode_repeat t ~offset h =
+   re-validated, before the record reaches any consumer.  The body decodes
+   through [cols], scratch columns the record does not keep. *)
+let decode_repeat t cols ~offset h =
   let raw = t.raw in
   let payload_end = h.pstart + h.plen in
   let b, iters, bref, _bcrc, tables_start = repeat_meta raw ~offset h in
@@ -246,15 +247,17 @@ let decode_repeat t ~offset h =
   let db = leb_u raw dpos in
   if db <> b then
     fail "chunk at %d: body length disagrees with its def at %d" offset bref;
-  let st = Event.fresh_state ~icount:h.first_icount () in
-  let body = Array.make b (Event.End { icount = 0 }) in
-  for k = 0 to b - 1 do
-    match Event.decode st raw dpos with
-    | ev -> body.(k) <- ev
-    | exception Leb.Truncated p -> fail "truncated event at %d" p
-    | exception Failure msg -> fail "%s" msg
-  done;
-  if !dpos <> d.pstart + d.plen then fail "chunk at %d: body overruns its def" bref;
+  (* no per-event bound inside the def: a body running past its payload
+     shows in the end position *)
+  (match
+     Cols.decode cols raw ~pos:!dpos ~stop:(String.length raw)
+       ~icount:h.first_icount b
+   with
+  | p ->
+      if p <> d.pstart + d.plen then
+        fail "chunk at %d: body overruns its def" bref
+  | exception Leb.Truncated p -> fail "truncated event at %d" p);
+  let body = Array.init b (Cols.get cols) in
   let nf = Array.fold_left (fun n ev -> n + Event.num_fields ev) 0 body in
   let pos = ref tables_start in
   let literal = Array.make (max nf 1) false in
@@ -305,33 +308,34 @@ let open_chunk t idx =
   end;
   (c, h)
 
-(* Decode plain chunk [c]'s events into [sink]. *)
-let iter_plain t c h sink =
+(* Decode plain chunk [c] into [cols].  Only decode failures are container
+   corruption: the caller hands the columns to a sink afterwards, so an
+   exception raised by the sink itself (a replayed tool crashing) passes
+   through untouched and replay supervision can attribute it to the tool,
+   not the trace. *)
+let decode_plain t c h cols =
   let payload_end = h.pstart + h.plen in
-  let pos = ref h.pstart in
-  let st = Event.fresh_state ~icount:h.first_icount () in
-  (* only decode failures are container corruption; an exception raised by
-     the sink itself (a replayed tool crashing) must pass through untouched
-     so replay supervision can attribute it to the tool, not the trace *)
-  for _ = 1 to h.n do
-    match Event.decode st t.raw pos with
-    | ev ->
-        if !pos > payload_end then
-          fail "chunk at %d: event overruns the payload" c.c_offset;
-        sink ev
-    | exception Leb.Truncated p -> fail "truncated event at %d" p
-    | exception Failure msg -> fail "%s" msg
-  done;
-  if !pos <> payload_end then
-    fail "chunk at %d: payload length mismatch" c.c_offset
+  match
+    Cols.decode cols t.raw ~pos:h.pstart ~stop:payload_end
+      ~icount:h.first_icount h.n
+  with
+  | p when p > payload_end ->
+      fail "chunk at %d: event overruns the payload" c.c_offset
+  | p when p <> payload_end ->
+      fail "chunk at %d: payload length mismatch" c.c_offset
+  | _ -> ()
+  | exception Leb.Truncated p -> fail "truncated event at %d" p
 
-(* Chunk [idx]'s events into [sink], a repeat chunk's expanded. *)
-let iter_chunk t idx sink =
+(* Chunk [idx]'s events into [sink], a plain chunk's decoded through
+   [cols], a repeat chunk's expanded. *)
+let iter_chunk t idx cols sink =
   let c, h = open_chunk t idx in
   match h.kind with
   | Body -> ()  (* referenced storage, not stream events *)
-  | Repeat -> Squash.expand (decode_repeat t ~offset:c.c_offset h) sink
-  | Plain -> iter_plain t c h sink
+  | Repeat -> Squash.expand (decode_repeat t cols ~offset:c.c_offset h) sink
+  | Plain ->
+      decode_plain t c h cols;
+      Cols.iter cols sink
 
 (* The trailer's 8-byte LE index offset, just before the trailer magic. *)
 let trailer_index_offset raw =
@@ -515,15 +519,21 @@ let of_string ?(mode = Strict) raw =
   if !li < 0 then t
   else begin
     let last_icount = ref 0 in
-    iter_chunk t !li (fun ev -> last_icount := Event.icount ev);
+    iter_chunk t !li (Cols.create 0) (fun ev -> last_icount := Event.icount ev);
     { t with last_icount = !last_icount }
   end
 
 let load ?mode path = of_string ?mode (read_file path)
 
+let max_plain_events t =
+  Array.fold_left
+    (fun m c -> if c.c_kind = Plain then max m c.c_events else m)
+    0 t.chunks
+
 let iter t sink =
+  let cols = Cols.create (max_plain_events t) in
   for i = 0 to Array.length t.chunks - 1 do
-    iter_chunk t i sink
+    iter_chunk t i cols sink
   done
 
 let crc_check t =
@@ -540,7 +550,7 @@ let crc_check t =
 let verified_chunks t =
   Array.fold_left (fun acc v -> if v then acc + 1 else acc) 0 t.verified
 
-type decoded = Events of Event.t array | Record of Squash.repeat
+type decoded = Plain of Cols.t | Record of Squash.repeat
 
 (* The [n] events [feed] passes to its sink, as an array. *)
 let collect n feed =
@@ -560,19 +570,39 @@ let chunk_event_count t idx =
    chunk cache entry.  The chunk is CRC-verified first (at most once per
    process, via the verified bit all other passes share) and a repeat
    chunk's record passes every structural check of [decode_repeat], so a
-   returned chunk is always verified and well-formed.  A repeat chunk
-   stays its record, which its consumers take whole. *)
-let chunk t idx =
+   returned chunk is always verified and well-formed.  A plain chunk
+   decodes into [cols]; a repeat chunk stays its record, which its
+   consumers take whole, its body decoded through [cols]. *)
+let chunk_into t cols idx =
   if idx < 0 || idx >= Array.length t.chunks then
     invalid_arg "Trace.Reader.chunk: chunk index out of range";
   let c, h = open_chunk t idx in
   match h.kind with
-  | Repeat -> Record (decode_repeat t ~offset:c.c_offset h)
-  | Body -> Events [||]
-  (* [open_chunk] checked the header's count, [h.n], against the index *)
-  | Plain -> Events (collect c.c_events (iter_plain t c h))
+  | Repeat -> Record (decode_repeat t cols ~offset:c.c_offset h)
+  | Body -> Plain (Cols.create 0)
+  | Plain ->
+      decode_plain t c h cols;
+      Plain cols
 
-let chunk_events t idx = collect (chunk_event_count t idx) (iter_chunk t idx)
+(* [open_chunk] checks the header's count, [h.n], against the index, so
+   the fresh columns are the chunk's exact size *)
+let chunk t idx =
+  let n =
+    if idx >= 0 && idx < Array.length t.chunks && t.chunks.(idx).c_kind = Plain
+    then t.chunks.(idx).c_events
+    else 0
+  in
+  chunk_into t (Cols.create n) idx
+
+(* [chunk_events]' columns: one scratch buffer per domain, grown to the
+   largest chunk it has decoded.  Only the boxed events leave the call,
+   and no caller code runs while the buffer is in use. *)
+let scratch = Domain.DLS.new_key (fun () -> Cols.create 0)
+
+let chunk_events t idx =
+  match chunk_into t (Domain.DLS.get scratch) idx with
+  | Plain cols -> Array.init (Cols.length cols) (Cols.get cols)
+  | Record r -> collect (chunk_event_count t idx) (Squash.expand r)
 
 let fingerprint t = t.fingerprint
 let n_events t = t.n_events

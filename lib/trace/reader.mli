@@ -13,7 +13,9 @@
     {!iter} and {!chunk_events} expand it through {!Squash.expand}, the
     writer's own expander, so they see the exact event stream the probe
     emitted; {!chunk} returns the record alone, which the replay
-    pipeline hands whole to its consumers.  Body refs are
+    pipeline hands whole to its consumers.  A plain chunk decodes into
+    columns ({!Cols}, the one plain-payload decoder), which {!chunk}
+    returns as they are and {!iter} and {!chunk_events} box.  Body refs are
     cross-checked against the def's payload CRC at load time, so a
     reference can never silently resolve to the wrong body; in [Salvage]
     mode a repeat chunk whose def was lost to corruption is dropped and
@@ -74,7 +76,10 @@ val of_string : ?mode:mode -> string -> t
 (** [load] on an in-memory container image (no file involved). *)
 
 val iter : t -> (Event.t -> unit) -> unit
-(** Replay events in recording order.
+(** Replay events in recording order, boxed ({!Cols.get}): each plain
+    chunk is decoded whole into one reused column buffer before its
+    events reach the sink, so an exception from the sink is never taken
+    for a decode failure.
     @raise Format_error if a chunk fails its CRC check or is malformed. *)
 
 val crc_check : t -> int
@@ -86,8 +91,10 @@ val crc_check : t -> int
     @raise Format_error on the first chunk whose CRC does not match. *)
 
 type decoded =
-  | Events of Event.t array
-      (** a plain chunk's events (none for a v4 body-def chunk) *)
+  | Plain of Cols.t
+      (** a plain chunk's events, as columns (none for a v4 body-def
+          chunk): every replay consumer takes them whole
+          ({!Replay.sink}[.on_plain]) *)
   | Record of Squash.repeat
       (** a v4 repeat chunk's record, not expanded: every replay consumer
           takes it whole ({!Replay.sink}[.on_repeat]); {!Squash.expand}
@@ -99,18 +106,35 @@ val chunk : t -> int -> decoded
 (** Decode chunk [i] (0-based, [0 <= i < ]{!n_chunks}), CRC-verifying it
     first if its verified bit is not yet set.  Chunks decode independently
     (the delta-codec state resets at every chunk boundary), so this is the
-    chunk-granular read behind {!Replay.parallel}'s default chunk source
-    and the serve layer's decoded-chunk cache: a returned chunk is always
-    decoded and verified, and re-reading a chunk never re-verifies it.  A
-    repeat chunk comes back as its record alone, after the CRC and every
-    structural check ({!Squash.max_body}, {!Squash.max_raw}, the body
-    reference, the field tables), for its consumers to take whole.
+    chunk-granular read behind the serve layer's decoded-chunk cache: a
+    returned chunk is always decoded and verified, and re-reading a chunk
+    never re-verifies it.  A plain chunk comes back in fresh columns of
+    its exact size, for the caller to keep.  A repeat chunk comes back as
+    its record alone, after the CRC and every structural check
+    ({!Squash.max_body}, {!Squash.max_raw}, the body reference, the field
+    tables), for its consumers to take whole.
     @raise Invalid_argument if the index is out of range.
-    @raise Format_error if the chunk fails its CRC check or is malformed. *)
+    @raise Format_error if the chunk fails its CRC check or is malformed:
+    an event running past the end of the file or of its payload, or a
+    payload longer than its events. *)
+
+val chunk_into : t -> Cols.t -> int -> decoded
+(** {!chunk}, with a plain chunk decoded into the given columns, which it
+    grows if they are too short ({!max_plain_events} never is) and whose
+    previous contents it replaces: [Plain cols].  A repeat chunk's body
+    decodes through them too, and its record keeps none of them.
+    {!Replay.parallel}'s default chunk source, which reuses a buffer once
+    no consumer holds its chunk. *)
+
+val max_plain_events : t -> int
+(** The most events any plain chunk holds (from the chunk index): a
+    {!Cols} buffer of that size takes every plain chunk without growing. *)
 
 val chunk_events : t -> int -> Event.t array
-(** Chunk [i]'s raw events: {!chunk}, with a repeat chunk's record
-    expanded. *)
+(** Chunk [i]'s raw events, boxed: {!chunk} with a plain chunk's columns
+    read out by {!Cols.get} and a repeat chunk's record expanded.  The
+    columns are a scratch buffer of the calling domain's, which keeps the
+    size of the largest chunk it has held. *)
 
 val chunk_event_count : t -> int -> int
 (** Number of events in chunk [i], straight from the chunk index — no decode,

@@ -2,14 +2,19 @@
    streaming pipeline behind [parallel].
 
    The pipeline (see DESIGN.md §8) decodes + CRC-verifies every chunk exactly
-   once into pooled slots (event arrays, or a repeat chunk's record), walks
-   the chunks in order exactly once for the order-sensitive work
-   (non-sharded tools and the shard-seed prefix trackers), and walks each
-   trace range once for all sharded tools, the ranges spread across domains
-   and their partial states merged left-to-right at the end.  Both walks hand a chunk to a supervised job
-   group through the same [deliver]. *)
+   once into pooled slots (a plain chunk's columns, or a repeat chunk's
+   record), walks the chunks in order exactly once for the order-sensitive
+   work (non-sharded tools and the shard-seed prefix trackers), and walks
+   each trace range once for all sharded tools, the ranges spread across
+   domains and their partial states merged left-to-right at the end.  Both
+   walks hand a whole chunk to each member of a supervised job group in one
+   guarded call. *)
 
-type sink = { on_event : Event.t -> unit; on_repeat : Squash.repeat -> unit }
+type sink = {
+  on_event : Event.t -> unit;
+  on_plain : Cols.t -> unit;
+  on_repeat : Squash.repeat -> unit;
+}
 
 type ('state, 'seed) shard_spec = {
   prefix_wants : Event.kind list;
@@ -52,16 +57,21 @@ let wanted_tags_of kinds =
 
 let wanted_tags j = wanted_tags_of j.wants
 
-(* A plain event sink takes a record by its expansion, filtered to the
-   kinds it wants as the fused per-tag sinks filter plain chunks. *)
+(* A plain event sink takes a chunk's columns and a record by their boxed
+   events, filtered to the kinds it wants. *)
 let job ?(wants = Event.all_kinds) name make =
   let wanted = wanted_tags_of wants in
   let make () =
     let on_event, finish = make () in
+    let on_plain c =
+      for i = 0 to Cols.length c - 1 do
+        if wanted.(Cols.tag c i) then on_event (Cols.get c i)
+      done
+    in
     let on_repeat r =
       Squash.expand r (fun ev -> if wanted.(Event.tag ev) then on_event ev)
     in
-    ({ on_event; on_repeat }, finish)
+    ({ on_event; on_plain; on_repeat }, finish)
   in
   { name; wants; make; sharded = None }
 
@@ -118,12 +128,12 @@ let supervisor ?(lock = Mutex.create ()) ?(on_fail = ignore) n =
    pipeline's ordered stage and its range items.  A member is a job index,
    the event tags its sink wants, a factory, and whether its repeat
    deliveries count (a sharded job's prefix tracker's do not).  Building the
-   group runs every live job's factory under capture and fuses one sink per
-   event tag over the members that want it, so a tool never sees (and never
-   pays a call for) events it would discard; a repeat record goes whole to
-   every member that wants any event.  Each sink is guarded: a
-   raising tool is retired (its sinks in every group become no-ops) and
-   comes back as its own [Error] instead of poisoning the group. *)
+   group runs every live job's factory under capture; every member that
+   wants any event takes each delivery whole, a plain chunk's columns or a
+   repeat record, in one guarded call: a raising tool is retired (its
+   sinks in every group become no-ops) and comes back as its own [Error]
+   instead of poisoning the group, and the other members still take the
+   whole chunk. *)
 type member = {
   m_job : int;
   m_wants : bool array;
@@ -131,12 +141,10 @@ type member = {
   m_counted : bool;
 }
 
+type taker = { member : member; sink : sink }
+
 type group = {
-  per_tag : (Event.t -> unit) array;  (* one fused sink per event tag *)
-  n_sinks : int;  (* member sinks fused across all tags *)
-  on_record : Squash.repeat -> int;
-      (* hand a record to every live member; how many counted members took
-         it *)
+  takers : taker array;  (* the members with a sink that want any event *)
   finish : failure option -> string option array;
       (* every live member's finish, under capture: its report, or [None]
          for a retired job; [Some f] (the pass feeding the group died)
@@ -157,79 +165,14 @@ let make_group sup members =
               None)
       members
   in
-  let guard j sink ev =
-    if alive.(j) then try sink ev with e -> retire j (capture e)
-  in
-  (* One guarded call per (job, sink) pair, unrolled for the common
-     arities: the dispatch runs once per event, and a direct [guard] call
-     per sink beats an Array.iter or a closure per sink. *)
-  let fuse = function
-    | [||] -> fun (_ : Event.t) -> ()
-    | [| (j0, s0) |] -> fun ev -> guard j0 s0 ev
-    | [| (j0, s0); (j1, s1) |] ->
-        fun ev ->
-          guard j0 s0 ev;
-          guard j1 s1 ev
-    | [| (j0, s0); (j1, s1); (j2, s2) |] ->
-        fun ev ->
-          guard j0 s0 ev;
-          guard j1 s1 ev;
-          guard j2 s2 ev
-    | [| (j0, s0); (j1, s1); (j2, s2); (j3, s3) |] ->
-        fun ev ->
-          guard j0 s0 ev;
-          guard j1 s1 ev;
-          guard j2 s2 ev;
-          guard j3 s3 ev
-    | [| (j0, s0); (j1, s1); (j2, s2); (j3, s3); (j4, s4) |] ->
-        fun ev ->
-          guard j0 s0 ev;
-          guard j1 s1 ev;
-          guard j2 s2 ev;
-          guard j3 s3 ev;
-          guard j4 s4 ev
-    | [| (j0, s0); (j1, s1); (j2, s2); (j3, s3); (j4, s4); (j5, s5) |] ->
-        fun ev ->
-          guard j0 s0 ev;
-          guard j1 s1 ev;
-          guard j2 s2 ev;
-          guard j3 s3 ev;
-          guard j4 s4 ev;
-          guard j5 s5 ev
-    | sinks -> fun ev -> Array.iter (fun (j, s) -> guard j s ev) sinks
-  in
-  let n_sinks = ref 0 in
-  let per_tag =
-    Array.init Event.n_kinds (fun tag ->
-        let sinks = ref [] in
-        for i = Array.length members - 1 downto 0 do
-          match made.(i) with
-          | Some (sink, _) when members.(i).m_wants.(tag) ->
-              incr n_sinks;
-              sinks := (members.(i).m_job, sink.on_event) :: !sinks
-          | _ -> ()
-        done;
-        fuse (Array.of_list !sinks))
-  in
   let takers =
-    List.concat
-      (List.mapi
-         (fun i m ->
+    Array.to_list members
+    |> List.mapi (fun i member ->
            match made.(i) with
-           | Some (sink, _) when Array.exists Fun.id m.m_wants ->
-               [ (m.m_job, sink.on_repeat, m.m_counted) ]
-           | _ -> [])
-         (Array.to_list members))
-  in
-  let on_record r =
-    List.fold_left
-      (fun n (j, on_repeat, counted) ->
-        if not alive.(j) then n
-        else begin
-          (try on_repeat r with e -> retire j (capture e));
-          if counted && alive.(j) then n + 1 else n
-        end)
-      0 takers
+           | Some (sink, _) when Array.exists Fun.id member.m_wants ->
+               Some { member; sink }
+           | _ -> None)
+    |> List.filter_map Fun.id |> Array.of_list
   in
   let finish fatal =
     Array.mapi
@@ -247,7 +190,26 @@ let make_group sup members =
             None)
       members
   in
-  { per_tag; n_sinks = !n_sinks; on_record; finish }
+  { takers; finish }
+
+(* Hand [x] to a live member's entry point [f]; a raise retires it. *)
+let guard sup { member = { m_job = j; _ }; _ } f x =
+  if sup.alive.(j) then try f x with e -> sup.retire j (capture e)
+
+(* Hand a whole chunk to every live member; how many counted members took
+   a repeat record. *)
+let deliver sup g (dc : Reader.decoded) =
+  match dc with
+  | Plain cols ->
+      Array.iter (fun tk -> guard sup tk tk.sink.on_plain cols) g.takers;
+      0
+  | Record r ->
+      Array.fold_left
+        (fun n tk ->
+          guard sup tk tk.sink.on_repeat r;
+          if tk.member.m_counted && sup.alive.(tk.member.m_job) then n + 1
+          else n)
+        0 g.takers
 
 (* A group's reports as job outcomes, for a group whose member [j] is job
    [j]: a job without a report was retired with its first failure. *)
@@ -261,11 +223,22 @@ let outcomes sup reports =
 let job_member j job =
   { m_job = j; m_wants = wanted_tags job; m_make = job.make; m_counted = true }
 
+(* The live oracle's per-event delivery: one sink per event tag, over the
+   members that want it. *)
 let supervised ~iter jobs =
   let sup = supervisor (List.length jobs) in
   let g = make_group sup (Array.of_list (List.mapi job_member jobs)) in
+  let per_tag =
+    Array.init Event.n_kinds (fun tag ->
+        let takers =
+          List.filter
+            (fun tk -> tk.member.m_wants.(tag))
+            (Array.to_list g.takers)
+        in
+        fun ev -> List.iter (fun tk -> guard sup tk tk.sink.on_event ev) takers)
+  in
   let fatal =
-    match iter g.per_tag with () -> None | exception e -> Some (capture e)
+    match iter per_tag with () -> None | exception e -> Some (capture e)
   in
   List.map2
     (fun j o -> (j.name, o))
@@ -312,7 +285,7 @@ type action =
   | Exit
   | Ordered of int * Reader.decoded
   | Work of item * Reader.decoded option
-  | Decode of int
+  | Decode of int * Cols.t option
 
 let run_pipeline ~domains ~n_shards ~chunk reader jobs =
   let n = Array.length jobs in
@@ -410,12 +383,18 @@ let run_pipeline ~domains ~n_shards ~chunk reader jobs =
   in
   let n_items = Array.length items in
   (* Shared pipeline state, all under [mu].  A chunk slot holds the decoded
-     event array until both its consumers — the ordered pass and, if any
-     job is sharded, its range's item — have walked it, then is freed.
-     Decode runs at most [window] chunks past the slowest consumer, so the
-     live chunks all lie in that window: it is their budget. *)
+     chunk until both its consumers — the ordered pass and, if any job is
+     sharded, its range's item — have walked it, then is freed.  Decode
+     runs at most [window] chunks past the slowest consumer, so the live
+     chunks all lie in that window: it is their budget.  Without a
+     caller's [chunk], a slot's chunk is decoded into a column buffer
+     ([bufs]) that goes back to the [free] pool when the slot is freed, so
+     at most [window] buffers ever exist, each sized for the largest plain
+     chunk. *)
   let window = max 4 (2 * domains) in
   let slots = Array.make c None in
+  let bufs = Array.make c None in
+  let free = ref [] in
   let refcnt = Array.make c (if n_items = 0 then 1 else 2) in
   let next_decode = ref 0 in
   let ordered_pos = ref 0 in
@@ -432,6 +411,8 @@ let run_pipeline ~domains ~n_shards ~chunk reader jobs =
     refcnt.(i) <- refcnt.(i) - 1;
     if refcnt.(i) = 0 then begin
       slots.(i) <- None;
+      Option.iter (fun b -> free := b :: !free) bufs.(i);
+      bufs.(i) <- None;
       decr live_slots
     end
   in
@@ -460,23 +441,9 @@ let run_pipeline ~domains ~n_shards ~chunk reader jobs =
   let shard_s = Array.make domains 0. in
   (* repeat deliveries (repeat chunk x job), per domain *)
   let repeats = Array.make domains 0 in
-  (* The one chunk delivery of the ordered stage and the range items: a
-     plain chunk's events go to the fused per-tag sinks, a repeat chunk's
-     record to every member whole. *)
-  let deliver d grp (dc : Reader.decoded) =
-    if grp.n_sinks > 0 then
-      match dc with
-      | Events evs ->
-          let per_tag = grp.per_tag in
-          for e = 0 to Array.length evs - 1 do
-            let ev = Array.unsafe_get evs e in
-            (Array.unsafe_get per_tag (Event.tag ev)) ev
-          done
-      | Record r -> repeats.(d) <- repeats.(d) + grp.on_record r
-  in
   let do_ordered d i dc =
     let t0 = Unix.gettimeofday () in
-    deliver d g dc;
+    repeats.(d) <- repeats.(d) + deliver sup g dc;
     (* shard boundaries landing right after this chunk: snapshot every live
        sharded job's prefix state before publishing the advance, so a range can
        only start once its seeds exist.  Only the token holder touches
@@ -510,7 +477,7 @@ let run_pipeline ~domains ~n_shards ~chunk reader jobs =
     in
     let rec walk = function
       | Some dc when it.i_pos < it.i_hi ->
-          deliver d grp dc;
+          repeats.(d) <- repeats.(d) + deliver sup grp dc;
           Mutex.lock mu;
           release_chunk it.i_pos;
           it.i_pos <- it.i_pos + 1;
@@ -534,12 +501,20 @@ let run_pipeline ~domains ~n_shards ~chunk reader jobs =
     walk first;
     shard_s.(d) <- shard_s.(d) +. (Unix.gettimeofday () -. t0)
   in
-  let do_decode d i =
+  let plain_cap = Reader.max_plain_events reader in
+  let do_decode d i buf =
     let t0 = Unix.gettimeofday () in
-    match chunk i with
-    | evs ->
+    match
+      match chunk with
+      | Some chunk -> (chunk i, None)
+      | None ->
+          let b = match buf with Some b -> b | None -> Cols.create plain_cap in
+          (Reader.chunk_into reader b i, Some b)
+    with
+    | dc, b ->
         Mutex.lock mu;
-        slots.(i) <- Some evs;
+        slots.(i) <- Some dc;
+        bufs.(i) <- b;
         incr live_slots;
         if !live_slots > !peak_live then peak_live := !live_slots;
         Condition.broadcast cv;
@@ -564,7 +539,7 @@ let run_pipeline ~domains ~n_shards ~chunk reader jobs =
           then begin
             ordered_busy := true;
             match slots.(!ordered_pos) with
-            | Some evs -> Ordered (!ordered_pos, evs)
+            | Some dc -> Ordered (!ordered_pos, dc)
             | None -> assert false
           end
           else
@@ -575,7 +550,12 @@ let run_pipeline ~domains ~n_shards ~chunk reader jobs =
                 then begin
                   let i = !next_decode in
                   incr next_decode;
-                  Decode i
+                  (* a pooled buffer, if one is free *)
+                  match !free with
+                  | b :: rest ->
+                      free := rest;
+                      Decode (i, Some b)
+                  | [] -> Decode (i, None)
                 end
                 else begin
                   Condition.wait cv mu;
@@ -586,14 +566,14 @@ let run_pipeline ~domains ~n_shards ~chunk reader jobs =
         Mutex.unlock mu;
         match action with
         | Exit -> ()
-        | Ordered (i, evs) ->
-            do_ordered d i evs;
+        | Ordered (i, dc) ->
+            do_ordered d i dc;
             loop ()
-        | Work (it, evs) ->
-            do_range d it evs;
+        | Work (it, dc) ->
+            do_range d it dc;
             loop ()
-        | Decode i ->
-            do_decode d i;
+        | Decode (i, buf) ->
+            do_decode d i buf;
             loop ()
       in
       loop ()
@@ -646,7 +626,6 @@ let parallel ?domains ?shards ?chunk ?stats reader jobs_l =
         | Some s -> max 1 (min s (max 1 c))
         | None -> max 1 (min d (max 1 c))
       in
-      let chunk = Option.value chunk ~default:(Reader.chunk reader) in
       let results, st =
         run_pipeline ~domains:d ~n_shards ~chunk reader jobs
       in

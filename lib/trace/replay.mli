@@ -16,14 +16,22 @@
 
 type sink = {
   on_event : Event.t -> unit;
+      (** take one event: {!sequential} and {!supervised} feed a sink
+          through this alone *)
+  on_plain : Cols.t -> unit;
+      (** take a whole plain chunk's columns: afterwards the tool's state
+          must equal what [on_event] over {!Cols.get}'s events, in order,
+          would have left.  The columns are only the sink's to read during
+          the call (the pipeline reuses the buffer). *)
   on_repeat : Squash.repeat -> unit;
       (** take a whole v4 repeat record: afterwards the tool's state must
           equal what [on_event] over {!Squash.expand}'s events would have
-          left.  {!parallel} hands every repeat chunk's record to every
-          sink that wants any event; {!sequential} and {!supervised} never
-          do. *)
+          left. *)
 }
-(** A tool instance's two entry points (see {!Tool.S}). *)
+(** A tool instance's three entry points (see {!Tool.S}).  {!parallel}
+    hands every chunk whole to every sink that wants any event, a plain
+    chunk to [on_plain] and a repeat chunk's record to [on_repeat];
+    {!sequential} and {!supervised} only ever call [on_event]. *)
 
 type ('state, 'seed) shard_spec = {
   prefix_wants : Event.kind list;
@@ -89,8 +97,9 @@ val job :
   string ->
   (unit -> (Event.t -> unit) * (unit -> string)) ->
   job
-(** A job over a plain event sink, not sharded: it takes a repeat record
-    by {!Squash.expand}ing it into the sink, filtered to [wants].  [wants]
+(** A job over a plain event sink, not sharded: it takes a plain chunk's
+    columns by boxing their events ({!Cols.get}) and a repeat record by
+    {!Squash.expand}ing it into the sink, both filtered to [wants].  [wants]
     defaults to {!Event.all_kinds}.  Narrowing it to the
     kinds the tool actually consumes (its [consume] match arms that do work)
     lets the replay driver skip the sink call for the rest; it must stay a
@@ -144,7 +153,10 @@ val supervised :
     its tag.  The group is built by the same routine as {!parallel}'s
     ordered stage, so supervision matches: a job whose factory, sink or
     finish raises is retired and reported as its own [Error]; an exception
-    escaping [iter] itself fails every job still live.  Never raises. *)
+    escaping [iter] itself fails every job still live.  Each sink hands
+    an event to its members one guarded call each: this per-event path
+    serves the live oracle, which no replay timing covers.  Never
+    raises. *)
 
 val sequential : Reader.t -> job list -> (string * outcome) list
 (** Replay the trace once per job, in order, on the current domain — the
@@ -163,8 +175,12 @@ val parallel :
 (** Replay through the sharded streaming pipeline — the one multi-tool
     replay engine, behind [tquad replay --all] and every served job.  Every
     chunk is decoded and CRC-verified {e exactly once} into a pooled slot
-    by [chunk] (default {!Reader.chunk}[ reader]; the serve layer
-    passes a cache lookup with its cancellation checkpoint); the chunks then
+    by [chunk].  By default that is {!Reader.chunk_into}[ reader] into a
+    column buffer the pipeline reuses once the chunk's slot is freed, so
+    decoding a plain chunk allocates nothing once the pool is built; a
+    caller's [chunk] (the serve layer passes a cache lookup with its
+    cancellation checkpoint) returns chunks it owns, which the pipeline
+    never writes to.  The chunks then
     flow through two kinds of consumers running concurrently on one shared
     domain pool:
 
@@ -178,18 +194,19 @@ val parallel :
       snapshotted and consumes its chunks as they decode, possibly far
       ahead of the ordered token.
 
-    Both walk a chunk through the same delivery.  A plain chunk's events
-    go through sinks fused per event tag.  A repeat chunk is decoded to
-    its record alone ({!Reader.decoded}), which each member of the group
-    (a job's sink, a shard or a prefix tracker) takes whole
-    ({!sink}[.on_repeat]).  So each chunk is walked at most twice, once by
+    Both walk a chunk through the same delivery: each member of the group
+    (a job's sink, a shard or a prefix tracker) that wants any event takes
+    the whole chunk in one guarded call, a plain chunk's columns by
+    {!sink}[.on_plain], a repeat chunk's record ({!Reader.decoded}) by
+    {!sink}[.on_repeat].  So each chunk is walked at most twice, once by
     the ordered stage and once by its range, however many tools are
     sharded.
 
-    A decoded chunk is freed once the ordered stage and its range have
-    walked it; decode runs at most [max 4 (2*domains)] chunks ahead of
-    the slowest consumer, so at most that many decoded chunks are live at
-    once ({!run_stats}[.rs_batch]).  Results come back in job order,
+    A decoded chunk is freed (its buffer back in the pool) once the
+    ordered stage and its range have walked it; decode runs at most
+    [max 4 (2*domains)] chunks ahead of the slowest consumer, so at most
+    that many decoded chunks, and column buffers, are live at once
+    ({!run_stats}[.rs_batch]).  Results come back in job order,
     reports byte-identical to {!sequential}.
 
     [domains] defaults to [Domain.recommended_domain_count ()] and is
@@ -206,10 +223,11 @@ val parallel :
     exercisable on any machine.
 
     Supervision: the ordered group and the range groups share each job's
-    liveness, so a job whose factory, sink, [on_repeat], merge or finish
-    raises in any of them is retired in all of them (its sinks in later
-    chunks and ranges do no work) and reported as its own [Error]; the
-    other jobs run to completion.  Only an exception from
+    liveness, so a job whose factory, [on_plain], [on_repeat], merge or
+    finish raises in any of them is retired in all of them (its sinks in
+    later chunks and ranges do no work, and it takes none of the rest of
+    the chunk it raised in) and reported as its own [Error]; the other
+    jobs run to completion, each taking every chunk whole.  Only an exception from
     [chunk] (an unreadable trace raising {!Reader.Format_error}, or a
     caller's cancellation) fails every job still live; a job that had
     already failed keeps its own failure.  No exception escapes a domain.

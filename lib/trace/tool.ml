@@ -12,6 +12,7 @@ module type S = sig
 
   val interest : Event.kind list
   val consume : t -> Event.t -> unit
+  val consume_plain : t -> Cols.t -> unit
   val consume_repeat : t -> Squash.repeat -> unit
   val create : config -> Tq_vm.Program.t -> t
   val shard : (config, seed, t) shard option
@@ -20,7 +21,11 @@ end
 let job (type c t) (module T : S with type config = c and type t = t) name
     (config : c) prog ~render =
   let sink t =
-    { Replay.on_event = T.consume t; on_repeat = T.consume_repeat t }
+    {
+      Replay.on_event = T.consume t;
+      on_plain = T.consume_plain t;
+      on_repeat = T.consume_repeat t;
+    }
   in
   let sharded =
     Option.map

@@ -2,8 +2,9 @@
 
     QUAD, tQUAD, gprofsim, the instruction mix, the cache simulator and the
     footprint tool are companion analyses over a single event stream: each
-    is built from a config and the program, consumes {!Event.t}s (and,
-    where it can, whole v4 repeat records in closed form), and —
+    is built from a config and the program, consumes {!Event.t}s, whole
+    plain chunks as columns ({!Cols}) and whole v4 repeat records (in
+    closed form where it can), and —
     where its state merges — splits into trace-range shards.  {!S} states
     that once; {!job} and {!attach} derive the replay job (plain and
     sharded paths) and the live attachment from it, so no tool wires
@@ -36,7 +37,16 @@ module type S = sig
   (** Event kinds {!consume} does work on; replay delivers no others. *)
 
   val consume : t -> Event.t -> unit
-  (** Process one event — the one entry point for live and replayed runs. *)
+  (** Process one event: the entry point of live runs and of the
+      sequential oracle. *)
+
+  val consume_plain : t -> Cols.t -> unit
+  (** Take a whole plain chunk's columns.  It must leave [t] as {!consume}
+      over the chunk's events ({!Cols.get}), in order, would have, so
+      reports stay byte-identical.  The four memory tools take it through
+      {!Tq_prof.Call_stack.attribute_plain}, gprofsim and the instruction
+      mix by their own loop over the kinds they read.  Only
+      {!Replay.parallel} hands tools columns. *)
 
   val consume_repeat : t -> Squash.repeat -> unit
   (** Take a whole v4 repeat record — a loop body, its iteration count and

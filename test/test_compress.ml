@@ -135,6 +135,7 @@ let range_bomb ~at =
   let count () =
     let n = ref 0 in
     ( { Replay.on_event = (fun _ -> incr n);
+        on_plain = (fun c -> n := !n + Tq_trace.Cols.length c);
         on_repeat = (fun r -> n := !n + (r.Squash.iters * Array.length r.body)) },
       n )
   in
@@ -150,7 +151,8 @@ let range_bomb ~at =
       bomb k `Repeat;
       sink.on_repeat r
     in
-    ( { Replay.on_event; on_repeat },
+    ( { Replay.on_event; on_plain = (fun c -> Tq_trace.Cols.iter c on_event);
+        on_repeat },
       fun () ->
         bomb k `Finish;
         n )
@@ -161,7 +163,7 @@ let range_bomb ~at =
       prefix =
         (fun () ->
           let snaps = ref 0 in
-          ( { Replay.on_event = ignore; on_repeat = ignore },
+          ( { Replay.on_event = ignore; on_plain = ignore; on_repeat = ignore },
             fun () ->
               let k = !snaps in
               incr snaps;
@@ -184,8 +186,8 @@ let range_bomb ~at =
 let test_range_failure at () =
   let prog, _, compressed = Lazy.force wfs_recording in
   let rc () = Reader.of_string compressed in
-  (* first in the job list, so its raise is mid-way through each fused
-     event delivery of its range *)
+  (* first in the job list, so it raises before the other shards of its
+     range take the chunk *)
   let jobs () = range_bomb ~at :: replay_jobs prog in
   let seq = Replay.sequential (rc ()) (replay_jobs prog) in
   List.iter
@@ -739,6 +741,81 @@ let check_crafted_refused raw () =
         ("--all"
         :: List.map (( ^ ) "--tool ")
              [ "tquad"; "quad"; "gprof"; "mix"; "cache"; "footprint" ]))
+
+(* ---------- crafted plain payloads: where each decode failure lands ----
+
+   Valid CRCs and chunk bounds around a plain payload that does not hold
+   the events its header claims: the column decoder must fail exactly as
+   the boxed event decoder did, with the same message at the same place —
+   [Reader.chunk] of the damaged chunk, every boxed read of it, and the
+   pipeline, which reports it as the trace's failure. *)
+
+let crafted_events =
+  [
+    Event.Store { icount = 0; static = 1; ea = 0x1000; size = 8; sp = 0x8000 };
+    Event.Ret { icount = 3; sp = 0x8000 };
+  ]
+
+(* A plain chunk of [payload] claiming [n] events, then a plain [End]; the
+   damaged chunk's offset. *)
+let crafted_plain ~n payload =
+  let off = ref 0 in
+  let raw =
+    assemble ~v4:false (fun add_chunk ->
+        off := add_chunk ~kind:'\xA7' ~n ~first_icount:0 payload;
+        ignore
+          (add_chunk ~kind:'\xA7' ~n:1 ~first_icount:10
+             (encode_events ~icount:10 [ Event.End { icount = 10 } ])))
+  in
+  (raw, !off)
+
+let test_crafted_plain_payloads () =
+  let full = encode_events ~icount:0 crafted_events in
+  let cut = String.sub full 0 (String.length full - 1) in
+  let fails what expect f =
+    match f () with
+    | _ -> Alcotest.failf "%s: decoded" what
+    | exception Reader.Format_error msg ->
+        Alcotest.(check string) what expect msg
+  in
+  List.iter
+    (fun (what, n, payload, expect) ->
+      let raw, off = crafted_plain ~n payload in
+      let expect = Printf.sprintf expect off in
+      let r = Reader.of_string raw in
+      fails (what ^ ": Reader.chunk") expect (fun () -> Reader.chunk r 0);
+      fails (what ^ ": Reader.chunk_events") expect (fun () ->
+          Reader.chunk_events r 0);
+      fails (what ^ ": Reader.iter") expect (fun () -> Reader.iter r ignore);
+      let counted = Replay.job "count" (fun () -> (ignore, fun () -> "")) in
+      match Replay.parallel ~domains:1 (Reader.of_string raw) [ counted ] with
+      | [ (_, Error f) ] ->
+          Alcotest.(check string) (what ^ ": the pipeline")
+            ("trace unreadable: " ^ expect) (Replay.failure_message f)
+      | _ -> Alcotest.failf "%s: the pipeline decoded" what)
+    [
+      ( "last event cut short", 2, cut,
+        "chunk at %d: event overruns the payload" );
+      ( "one event more than the payload holds", 3, full,
+        "chunk at %d: event overruns the payload" );
+      ( "bytes after the last event", 1, full,
+        "chunk at %d: payload length mismatch" );
+    ];
+  (* the damaged chunk ends the file (no index, no trailer): its cut event
+     runs off the end, which a salvage load finds when it decodes the last
+     chunk for the trace's final instruction count *)
+  let raw =
+    assemble ~v4:false (fun add_chunk ->
+        ignore (add_chunk ~kind:'\xA7' ~n:2 ~first_icount:0 cut))
+  in
+  let tlen = String.length Writer.trailer_magic in
+  let torn =
+    String.sub raw 0
+      (Int64.to_int (String.get_int64_le raw (String.length raw - tlen - 8)))
+  in
+  fails "event cut by the end of the file: salvage load"
+    (Printf.sprintf "truncated event at %d" (String.length torn))
+    (fun () -> Reader.of_string ~mode:Reader.Salvage torn)
 
 (* The v4 writer's own output for a fixed stream is pinned byte-for-byte
    against the same hand-assembly — writer drift breaks old readers. *)
@@ -1374,5 +1451,7 @@ let suites =
           `Quick (check_crafted_refused (build_overclaiming_plain ()));
         Alcotest.test_case "crafted: repeat beyond the squasher's caps" `Quick
           (check_crafted_refused (build_overcapped_repeat ()));
+        Alcotest.test_case "crafted: plain payload decode failures" `Quick
+          test_crafted_plain_payloads;
       ] );
   ]

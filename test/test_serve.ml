@@ -90,7 +90,7 @@ let test_chunk_weight_covers_heap () =
       let r = Reader.of_string raw in
       for i = 0 to Reader.n_chunks r - 1 do
         let dc = Reader.chunk r i in
-        (match dc with Reader.Record _ -> incr records | Events _ -> ());
+        (match dc with Reader.Record _ -> incr records | Plain _ -> ());
         let bytes = Obj.reachable_words (Obj.repr dc) * (Sys.word_size / 8) in
         if Jobs.chunk_weight dc < bytes then
           Alcotest.failf "%s, chunk %d: weight %d < %d reachable bytes" name i

@@ -6,6 +6,7 @@
 open Tq_vm
 open Tq_dbi
 module Event = Tq_trace.Event
+module Cols = Tq_trace.Cols
 module Writer = Tq_trace.Writer
 module Reader = Tq_trace.Reader
 module Replay = Tq_trace.Replay
@@ -37,7 +38,7 @@ let gen_events =
           map3
             (fun s (src, dst) (len, sp) -> `Copy (s, src, dst, len, sp))
             static (pair addr addr)
-            (pair (int_bound 4096) addr) );
+            (pair (frequency [ (1, return 0); (3, int_bound 4096) ]) addr) );
         (1, map2 (fun ea size -> `Prefetch (ea, size)) addr (int_bound 64));
         (2, map2 (fun a n -> `Exec (a, n)) addr (int_range 1 30));
       ]
@@ -66,6 +67,17 @@ let arb_events = QCheck.make ~print:(fun evs ->
     String.concat "; " (List.map (Format.asprintf "%a" Event.pp) evs))
     gen_events
 
+(* [evs] written by the [Writer] in chunks of about [chunk_bytes], as a
+   container image. *)
+let reencode ?compress ~chunk_bytes evs =
+  let path = Filename.temp_file "tq_shard" ".trc" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Writer.with_file ?compress ~chunk_bytes path (fun w ->
+          List.iter (Writer.emit w) evs);
+      In_channel.with_open_bin path In_channel.input_all)
+
 (* ---------- codec ---------- *)
 
 let qcheck_leb_roundtrip =
@@ -81,17 +93,22 @@ let qcheck_leb_roundtrip =
       let s' = Tq_util.Leb128.read_s str pos in
       u = u' && s = s' && !pos = String.length str)
 
+(* The column decoder inverts the encoder: decoded into a reused buffer
+   (first too short, then holding an earlier stream's columns), the events
+   read back boxed are the stream, and the decode ends on its last byte. *)
 let qcheck_codec_roundtrip =
+  let buf = Cols.create 1 in
   QCheck.Test.make ~name:"event codec: decode o encode = id" ~count:200
     arb_events (fun evs ->
-      let buf = Buffer.create 1024 in
+      let enc = Buffer.create 1024 in
       let st = Event.fresh_state () in
-      List.iter (Event.encode st buf) evs;
-      let s = Buffer.contents buf in
-      let st = Event.fresh_state () in
-      let pos = ref 0 in
-      let out = List.map (fun _ -> Event.decode st s pos) evs in
-      out = evs && !pos = String.length s)
+      List.iter (Event.encode st enc) evs;
+      let s = Buffer.contents enc in
+      let n = List.length evs in
+      let stop = String.length s in
+      Cols.decode buf s ~pos:0 ~stop ~icount:0 n = stop
+      && Cols.length buf = n
+      && List.init n (Cols.get buf) = evs)
 
 let qcheck_file_roundtrip =
   (* tiny chunks force many chunk boundaries (state resets, index entries) *)
@@ -131,6 +148,113 @@ let with_loop evs =
   in
   let iters = 32 + (List.length evs mod 9) in
   evs @ List.concat (List.init iters (fun i -> List.map (shift i) body))
+
+(* What a plain chunk's columns must reproduce, counted over a run: a
+   stream the check passes without each feature present proves little. *)
+type feature =
+  [ `Icount_escape
+  | `Negative_ea
+  | `Negative_sp
+  | `Negative_addr
+  | `No_routine
+  | `Empty_copy ]
+
+let features : (feature, unit) Hashtbl.t = Hashtbl.create 8
+
+let note_features evs =
+  let note f = Hashtbl.replace features f () in
+  let ea = ref 0 and sp = ref 0 and baddr = ref 0 and ic = ref 0 in
+  List.iter
+    (fun (ev : Event.t) ->
+      if Event.icount ev - !ic >= 31 then note `Icount_escape;
+      ic := Event.icount ev;
+      let ea_at e = if e < !ea then note `Negative_ea; ea := e in
+      let sp_at s = if s < !sp then note `Negative_sp; sp := s in
+      match ev with
+      | Rtn_entry { sp; _ } | Ret { sp; _ } -> sp_at sp
+      | Load { static; ea; sp; _ } | Store { static; ea; sp; _ } ->
+          if static = -1 then note `No_routine;
+          ea_at ea;
+          sp_at sp
+      | Block_copy { static; src; dst; len; sp; _ } ->
+          if static = -1 then note `No_routine;
+          if len = 0 then note `Empty_copy;
+          ea_at src;
+          ea_at dst;
+          sp_at sp
+      | Prefetch { ea; _ } -> ea_at ea
+      | Block_exec { addr; _ } ->
+          if addr < !baddr then note `Negative_addr;
+          baddr := addr
+      | End _ -> ())
+    evs
+
+(* Every chunk of a random stream written by the [Writer] — v3, and v4
+   where the stream ends in a loop — read back chunk by chunk: a plain
+   chunk's [Cols.get] at every index, in fresh exact-size columns
+   ([Reader.chunk]) and in one buffer reused across chunks
+   ([Reader.chunk_into]), and a repeat chunk's expansion, concatenate to
+   the stream. *)
+let qcheck_plain_columns =
+  let qt =
+    QCheck.Test.make ~name:"plain chunks: Cols.get = the encoded events"
+      ~count:100
+      (QCheck.pair arb_events (QCheck.int_range 64 1024))
+      (fun (evs, chunk_bytes) ->
+        (* the shrinker leaves the range *)
+        let chunk_bytes = max 64 chunk_bytes in
+        let evs = with_loop evs in
+        note_features evs;
+        List.for_all
+          (fun compress ->
+            let r =
+              Reader.of_string (reencode ~compress ~chunk_bytes evs)
+            in
+            let buf = Cols.create 0 in
+            let out = ref [] and plain = ref 0 in
+            for i = 0 to Reader.n_chunks r - 1 do
+              match (Reader.chunk r i, Reader.chunk_into r buf i) with
+              | Plain c, Plain b ->
+                  if Cols.length c > 0 then incr plain;
+                  if Cols.length c <> Reader.chunk_event_count r i
+                     || Cols.length b <> Cols.length c
+                  then QCheck.Test.fail_report "column count";
+                  let calls = ref 0 in
+                  for k = 0 to Cols.length c - 1 do
+                    if Cols.tag c k <= 1 then incr calls
+                  done;
+                  if c.calls <> !calls || b.calls <> !calls then
+                    QCheck.Test.fail_report "call count";
+                  for k = 0 to Cols.length c - 1 do
+                    if Cols.get b k <> Cols.get c k then
+                      QCheck.Test.fail_report "reused buffer differs";
+                    out := Cols.get c k :: !out
+                  done
+              | Record rr, Record _ ->
+                  Tq_trace.Squash.expand rr (fun ev -> out := ev :: !out)
+              | _ -> QCheck.Test.fail_report "chunk kinds differ"
+            done;
+            (compress || !plain > 0) && List.rev !out = evs)
+          [ false; true ])
+  in
+  let name, speed, run = QCheck_alcotest.to_alcotest qt in
+  ( name,
+    speed,
+    fun () ->
+      Hashtbl.reset features;
+      run ();
+      List.iter
+        (fun (f, what) ->
+          if not (Hashtbl.mem features f) then
+            Alcotest.failf "no stream held %s" what)
+        [
+          (`Icount_escape, "an icount escape");
+          (`Negative_ea, "a negative ea delta");
+          (`Negative_sp, "a negative sp delta");
+          (`Negative_addr, "a negative block-address delta");
+          (`No_routine, "static = -1");
+          (`Empty_copy, "a zero-length block copy");
+        ] )
 
 (* A job sees exactly the kinds it wants: through the pipeline on one
    domain, one [~wants:[kind]] job per kind collects the events of its kind,
@@ -395,15 +519,6 @@ let outcomes_equal a b =
              Replay.failure_message f1 = Replay.failure_message f2
          | _ -> false)
        a b
-
-let reencode ?compress ~chunk_bytes evs =
-  let path = Filename.temp_file "tq_shard" ".trc" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Writer.with_file ?compress ~chunk_bytes path (fun w ->
-          List.iter (Writer.emit w) evs);
-      In_channel.with_open_bin path In_channel.input_all)
 
 let gen_pipeline_shape =
   QCheck.Gen.(
@@ -849,6 +964,7 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_codec_roundtrip;
         QCheck_alcotest.to_alcotest qcheck_file_roundtrip;
         QCheck_alcotest.to_alcotest qcheck_pipeline_partition;
+        qcheck_plain_columns;
         Alcotest.test_case "corrupt file rejected" `Quick test_corrupt_trace;
         Alcotest.test_case "record: reader stats sane" `Quick
           test_record_reader_stats;
