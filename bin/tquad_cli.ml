@@ -817,8 +817,8 @@ let record_cmd =
 
 let all_tool_names = Tq_report.Toolset.names
 
-let replay_job prog ~slice ~period name =
-  match Tq_report.Toolset.job ~prog ~slice ~period name with
+let replay_job ?policy prog ~slice ~period name =
+  match Tq_report.Toolset.job ?policy ~prog ~slice ~period name with
   | Ok j -> j
   | Error msg ->
       Printf.eprintf "replay: %s\n" msg;
@@ -914,9 +914,13 @@ let replay_cmd =
              to exercise the partial-failure exit code (4).  TOOL must be \
              one of the run's tools (exit 2 otherwise).")
   in
-  let run metrics trace program tool all domains shards slice period salvage
-      fail_tool =
+  let run metrics trace program tool all domains shards slice period track_all
+      salvage fail_tool =
     obs_init "replay" metrics;
+    let policy =
+      if track_all then Tq_prof.Call_stack.Track_all
+      else Tq_prof.Call_stack.Main_image_only
+    in
     if tool <> None && (not all) && (domains <> None || shards <> None)
     then begin
       Printf.eprintf
@@ -975,12 +979,13 @@ let replay_cmd =
     match (tool, all) with
     | Some name, false ->
         (* one job on the calling domain: the replay span is its time *)
-        let jobs = prepare [ replay_job prog ~slice ~period name ] in
+        let jobs = prepare [ replay_job ~policy prog ~slice ~period name ] in
         finish_results
           (span "replay" (fun () -> Tq_trace.Replay.sequential reader jobs))
     | None, true ->
         let jobs =
-          prepare (List.map (replay_job prog ~slice ~period) all_tool_names)
+          prepare
+            (List.map (replay_job ~policy prog ~slice ~period) all_tool_names)
         in
         let results =
           span "replay" (fun () ->
@@ -1005,7 +1010,7 @@ let replay_cmd =
     Term.(
       const run $ metrics_arg $ trace_pos_arg $ program ~pos:1 () $ tool_arg
       $ all_arg $ domains_arg $ shards_arg $ slice_arg $ period_arg
-      $ salvage_arg $ fail_tool_arg)
+      $ track_all_arg $ salvage_arg $ fail_tool_arg)
 
 (* ---------- trace inspection / fault injection ---------- *)
 

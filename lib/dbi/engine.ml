@@ -56,7 +56,7 @@ type t = {
   cache : (int, ctrace) Hashtbl.t;
   mutable ins_instrumenters : (Ins_view.view -> action list) list; (* reversed *)
   mutable rtn_instrumenters : (Symtab.routine -> action list) list;
-  mutable trace_instrumenters : (addr:int -> n:int -> action list) list;
+  mutable trace_instrumenters : (Ins_view.view array -> (int * action) list) list;
   mutable running : bool;
   mutable n_traces : int;
   mutable n_compiled_ins : int;
@@ -106,51 +106,60 @@ let predicated t v a =
 
 let max_trace_len = 128
 
-(* Instrumentation step, shared by both paths: show every instruction of the
-   basic block at [addr0] to the registered callbacks, collect the analysis
-   actions.  Runs once per block per compile. *)
+(* Instrumentation step, shared by both paths: walk the basic block at
+   [addr0] into instruction views, show the whole block to the trace
+   callbacks and every instruction to the routine and instruction
+   callbacks, and collect each slot's analysis actions in that order.  Runs
+   once per block per compile. *)
 let compile t addr0 =
   let prog = Machine.program t.m in
   let symtab = prog.Program.symtab in
-  let ins_fns = List.rev t.ins_instrumenters in
-  let rtn_fns = List.rev t.rtn_instrumenters in
-  let slots = ref [] in
+  let views = ref [] in
   let n = ref 0 in
   let addr = ref addr0 in
   let stop = ref false in
   while not !stop do
     let ins = Program.fetch prog !addr in
     let routine = Symtab.find symtab !addr in
-    let view = { Ins_view.v_ins = ins; v_addr = !addr; v_routine = routine } in
-    let rtn_actions =
-      if Ins_view.is_routine_entry view then
-        match routine with
-        | Some r -> List.concat_map (fun f -> f r) rtn_fns
-        | None -> []
-      else []
-    in
-    let ins_actions = List.concat_map (fun f -> f view) ins_fns in
-    let actions = Array.of_list (rtn_actions @ ins_actions) in
-    slots := { actions; s_ins = ins } :: !slots;
+    views := { Ins_view.v_ins = ins; v_addr = !addr; v_routine = routine } :: !views;
     incr n;
     if Tq_isa.Isa.is_control ins || !n >= max_trace_len then stop := true
     else addr := !addr + Tq_isa.Isa.ins_bytes
   done;
-  let trace = Array.of_list (List.rev !slots) in
-  (match List.rev t.trace_instrumenters with
-  | [] -> ()
-  | trace_fns ->
-      let n = Array.length trace in
-      let block_actions =
-        List.concat_map (fun f -> f ~addr:addr0 ~n) trace_fns
-      in
-      if block_actions <> [] then begin
-        let s0 = trace.(0) in
-        trace.(0) <-
-          { s0 with actions = Array.append (Array.of_list block_actions) s0.actions }
-      end);
+  let views = Array.of_list (List.rev !views) in
+  let n = Array.length views in
+  (* per slot, the trace callbacks' actions, reversed *)
+  let block = Array.make n [] in
+  List.iter
+    (fun f ->
+      List.iter
+        (fun (i, a) ->
+          if i < 0 || i >= n then
+            invalid_arg "Engine: trace action outside its block";
+          block.(i) <- a :: block.(i))
+        (f views))
+    (List.rev t.trace_instrumenters);
+  let ins_fns = List.rev t.ins_instrumenters in
+  let rtn_fns = List.rev t.rtn_instrumenters in
+  let trace =
+    Array.mapi
+      (fun i view ->
+        let rtn_actions =
+          match view.Ins_view.v_routine with
+          | Some r when Ins_view.is_routine_entry view ->
+              List.concat_map (fun f -> f r) rtn_fns
+          | _ -> []
+        in
+        let ins_actions = List.concat_map (fun f -> f view) ins_fns in
+        {
+          actions =
+            Array.of_list (List.rev_append block.(i) (rtn_actions @ ins_actions));
+          s_ins = view.v_ins;
+        })
+      views
+  in
   t.n_traces <- t.n_traces + 1;
-  t.n_compiled_ins <- t.n_compiled_ins + Array.length trace;
+  t.n_compiled_ins <- t.n_compiled_ins + n;
   trace
 
 (* Closure-compile an instrumented block: fuse each slot's action array with

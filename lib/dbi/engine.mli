@@ -22,6 +22,8 @@
     which the differential tests verify on fuzzed programs.
 
     Mirrors of the Pin API used in the paper (Fig. 3-5):
+    - [add_trace_instrumenter] ~ [TRACE_AddInstrumentFunction] (one callback
+      per block, actions on any of its slots)
     - [add_ins_instrumenter]  ~ [INS_AddInstrumentFunction]
     - [add_rtn_instrumenter]  ~ [RTN_AddInstrumentFunction] (fires at routine
       entry)
@@ -65,15 +67,26 @@ val add_rtn_instrumenter : t -> (Tq_vm.Symtab.routine -> action list) -> unit
     control reaches the routine's entry instruction, before any
     instruction-level actions for it. *)
 
-val add_trace_instrumenter : t -> (addr:int -> n:int -> action list) -> unit
+val add_trace_instrumenter :
+  t -> (Ins_view.view array -> (int * action) list) -> unit
 (** Trace (basic-block) granularity instrumentation, Pin's
-    [TRACE_AddInstrumentFunction] analogue.  The callback sees the block's
-    start address and its instruction count at compile time; the returned
-    actions run on every execution of the block, before any routine- or
-    instruction-level actions of its first instruction.  Because the ISA
-    ends a block at {e any} control-transfer instruction (including
-    [Syscall] and [Halt]), a dispatched block always retires all [n]
-    instructions.  The start address names the compiled trace: the code
+    [TRACE_AddInstrumentFunction] with its BBL → INS walk.  At compile
+    time the callback sees the block's instruction views, in order ([views.(0)]
+    is the block's start address), and returns [(slot, action)] pairs:
+    each action runs on every execution of the block, before slot [slot]'s
+    instruction — at a slot, trace actions (in registration order, then in
+    list order) run before its routine-entry actions, which run before its
+    instruction actions.  A slot outside the block raises
+    [Invalid_argument] at compile time.  Must be called before [run].
+
+    Because the ISA ends a block at {e any} control-transfer instruction
+    (including [Syscall] and [Halt]), a dispatched block retires all its
+    instructions unless one of them traps or the fuel runs out: an action
+    on slot [i] then runs only if slots [0..i-1] retired.  At slot [i]'s
+    actions, [Machine.instr_count] is the block's starting count plus [i],
+    and a register no earlier slot writes still holds its value at block
+    entry — which lets one action on the last slot stand for analysis of
+    the whole block.  The start address names the compiled trace: the code
     cache is keyed by it and never evicts (and the reference path compiles
     the same block from the same address every time), so one address is
     one trace for the whole run; the v4 recorder keys repeated loop bodies

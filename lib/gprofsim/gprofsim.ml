@@ -237,7 +237,7 @@ let shard =
 let default_period = 10_000
 
 let attach ?(period = default_period) =
-  Tq_trace.Tool.attach (create period) consume
+  Tq_trace.Tool.attach ~wants:interest (create period) consume
 
 (* ---------- flat profile with gprof time propagation ---------- *)
 

@@ -174,7 +174,7 @@ let consume_repeat t r =
 let shard = None
 
 let attach ?(geometry = default_l1) ?(policy = Call_stack.Main_image_only) =
-  Tq_trace.Tool.attach (create { geometry; policy }) consume
+  Tq_trace.Tool.attach ~wants:interest (create { geometry; policy }) consume
 
 type krow = {
   routine : Symtab.routine;

@@ -64,7 +64,7 @@ let merge_into a b =
 let shard = Call_stack.shard Fun.id ~seeded ~merge_into
 
 let attach ?(policy = Call_stack.Main_image_only) =
-  Tq_trace.Tool.attach (create policy) consume
+  Tq_trace.Tool.attach ~wants:interest (create policy) consume
 
 type region_stats = { unique_bytes : int; pages : int; lo : int; hi : int }
 

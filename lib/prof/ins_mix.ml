@@ -219,7 +219,7 @@ let snapshot t =
   List.iter fold t.displaced;
   (totals, kernels)
 
-let attach = Tq_trace.Tool.attach (create ()) consume
+let attach = Tq_trace.Tool.attach ~wants:interest (create ()) consume
 
 let per_kernel t =
   let _, kernels = snapshot t in

@@ -300,7 +300,7 @@ let shard =
       make ~pending:true prog stack)
 
 let attach ?(policy = Call_stack.Main_image_only) =
-  Tq_trace.Tool.attach (create policy) consume
+  Tq_trace.Tool.attach ~wants:interest (create policy) consume
 
 type krow = {
   routine : Symtab.routine;

@@ -65,10 +65,11 @@ let render_mix mix =
   Buffer.contents buf
 
 (* One row per tool, in canonical order: its module, config and renderer,
-   given the tquad slice and the gprof period.  [Tool.job] derives the rest
-   — wants, the plain path and, for every tool but cache (its replacement
-   state has no merge, so it replays on the ordered walk), the shard spec
-   [Replay.parallel] splits the trace with. *)
+   given the tquad slice, the gprof period and the memory tools' call-stack
+   policy.  [Tool.job] derives the rest — wants, the plain path and, for
+   every tool but cache (its replacement state has no merge, so it replays
+   on the ordered walk), the shard spec [Replay.parallel] splits the trace
+   with. *)
 let table =
   let open Tq_prof in
   let row (type c t)
@@ -76,32 +77,34 @@ let table =
       (config : c) render ~prog name =
     Tq_trace.Tool.job (module T) name config prog ~render
   in
-  let policy = Call_stack.Main_image_only in
   [ ( "tquad",
-      fun ~slice ~period:_ ->
+      fun ~slice ~period:_ ~policy ->
         row (module Tq_tquad.Tquad)
           { Tq_tquad.Tquad.slice_interval = slice; policy }
           (render_tquad ~slice) );
     ( "quad",
-      fun ~slice:_ ~period:_ -> row (module Tq_quad.Quad) policy render_quad );
+      fun ~slice:_ ~period:_ ~policy ->
+        row (module Tq_quad.Quad) policy render_quad );
     ( "gprof",
-      fun ~slice:_ ~period ->
+      fun ~slice:_ ~period ~policy:_ ->
         row (module Tq_gprofsim.Gprofsim) period render_gprof );
-    ("mix", fun ~slice:_ ~period:_ -> row (module Ins_mix) () render_mix);
+    ( "mix",
+      fun ~slice:_ ~period:_ ~policy:_ -> row (module Ins_mix) () render_mix );
     ( "cache",
-      fun ~slice:_ ~period:_ ->
+      fun ~slice:_ ~period:_ ~policy ->
         row (module Cache_sim)
           { Cache_sim.geometry = Cache_sim.default_l1; policy }
           Cache_sim.render );
     ( "footprint",
-      fun ~slice:_ ~period:_ -> row (module Footprint) policy Footprint.render )
-  ]
+      fun ~slice:_ ~period:_ ~policy ->
+        row (module Footprint) policy Footprint.render ) ]
 
 let names = List.map fst table
 
-let job ~prog ~slice ~period name =
+let job ?(policy = Tq_prof.Call_stack.Main_image_only) ~prog ~slice ~period
+    name =
   match List.assoc_opt name table with
-  | Some row -> Ok (row ~slice ~period ~prog name)
+  | Some row -> Ok (row ~slice ~period ~policy ~prog name)
   | None ->
       Error
         (Printf.sprintf "unknown tool %s (have: %s)" name

@@ -12,6 +12,7 @@ val names : string list
     [tquad; quad; gprof; mix; cache; footprint]. *)
 
 val job :
+  ?policy:Tq_prof.Call_stack.policy ->
   prog:Tq_vm.Program.t ->
   slice:int ->
   period:int ->
@@ -20,8 +21,9 @@ val job :
 (** Build the named tool's replay job with {!Tq_trace.Tool.job}, from the
     tool's {!Tq_trace.Tool.S} module, its config and its renderer.  [slice]
     is the tquad time-slice interval (instructions), [period] the gprof
-    sampling period; the other configs are the defaults (main-image
-    attribution, {!Tq_prof.Cache_sim.default_l1}).  Every tool except
+    sampling period, [policy] (default [Main_image_only]) the call-stack
+    policy of tquad, quad, cache and footprint; the cache geometry is
+    {!Tq_prof.Cache_sim.default_l1}.  Every tool except
     [cache] carries its shard capability, so {!Tq_trace.Replay.parallel}
     can split the trace into chunk ranges; cache simulation is
     order-sensitive and replays on the ordered walk.  [Error] names the

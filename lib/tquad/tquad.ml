@@ -1,5 +1,8 @@
+module Isa = Tq_isa.Isa
 module Symtab = Tq_vm.Symtab
 module Layout = Tq_vm.Layout
+module Machine = Tq_vm.Machine
+module Engine = Tq_dbi.Engine
 module Call_stack = Tq_prof.Call_stack
 
 type metric = Read_incl | Read_excl | Write_incl | Write_excl
@@ -186,9 +189,144 @@ let shard = Call_stack.shard (fun c -> c.policy) ~seeded ~merge_into
 
 let default_slice_interval = 10_000
 
+(* ---------- live block summary ---------- *)
+
+(* Live, a block's frame accesses are summed once per block compile and
+   charged by one action on the block's last slot, instead of one probe
+   event each.  A frame access is a non-predicated load or store addressed
+   off [sp] or [fp] in a routine whose accesses are charged to itself (a
+   main-image routine, or any under [Track_all]), in a block where no slot
+   before the last writes [sp] or [fp]: at the last slot both still hold
+   their block-entry values, so every frame access's address and stack
+   pointer can be read there, and its icount is the slot's offset from the
+   block's start. *)
+
+let frame_reg r = r = Isa.reg_sp || r = Isa.reg_fp
+
+let writes_frame : Isa.ins -> bool = function
+  | Li (r, _) | Mov (r, _) | Bin (_, r, _, _) | Fcmp (_, r, _, _) | F2i (r, _)
+  | Load { dst = r; _ } | Loads { dst = r; _ } ->
+      frame_reg r
+  | Call _ | Callr _ | Ret -> true
+  | _ -> false
+
+(* Offsets beyond this stay per access: with a base register between 0 and
+   [stack_top], the fast path's bound arithmetic then cannot overflow. *)
+let max_frame_off = 1 lsl 40
+
+(* the base register and offset of a frame load or store *)
+let frame_operand : Isa.ins -> (int * int) option = function
+  | Load { base; off; pred = None; _ }
+  | Loads { base; off; _ }
+  | Fload { base; off; pred = None; _ }
+  | Store { base; off; pred = None; _ }
+  | Fstore { base; off; pred = None; _ }
+    when frame_reg base && abs off <= max_frame_off ->
+      Some (base, off)
+  | _ -> None
+
+type frame_access = {
+  slot : int;
+  kernel : int;
+  write : bool;
+  base : int;
+  off : int;
+  size : int;
+}
+
+let frame_accesses policy views =
+  List.concat
+    (List.mapi
+       (fun slot v ->
+         let ins = Engine.Ins_view.ins v in
+         match (frame_operand ins, Engine.Ins_view.routine v) with
+         | Some (base, off), Some r
+           when policy = Call_stack.Track_all || r.Symtab.is_main_image ->
+             let rd = Isa.mem_read_bytes ins in
+             let write = rd = 0 in
+             let size = if write then Isa.mem_write_bytes ins else rd in
+             [ { slot; kernel = r.Symtab.id; write; base; off; size } ]
+         | _ -> [])
+       (Array.to_list views))
+
+(* The lowest offset and highest end of the accesses off [reg]
+   ([max_int, min_int] when there are none). *)
+let extent accs reg =
+  List.fold_left
+    (fun (lo, hi) a ->
+      if a.base = reg then (min lo a.off, max hi (a.off + a.size)) else (lo, hi))
+    (max_int, min_int) accs
+
+(* Every access off base value [b] within [off_lo, off_hi) lies in the
+   stack area [\[lo, stack_top\]] (vacuous when there are none). *)
+let in_frame b ~lo off_lo off_hi =
+  off_lo > off_hi
+  || b >= 0 && b <= Layout.stack_top
+     && b + off_lo >= lo
+     && b + off_hi <= Layout.stack_top
+
+(* The claim: the block's frame accesses and the one action that charges
+   them.  When all of them lie in the stack area and in one slice (the fast
+   path), the block's bytes per kernel and direction go in as incl with
+   excl 0 — what [record] would add; otherwise each access goes through
+   [record] with its own icount and address. *)
+let summarize m policy t views : Tq_trace.Probe.claim =
+  let n = Array.length views in
+  let moves v = writes_frame (Engine.Ins_view.ins v) in
+  match
+    if Array.exists moves (Array.sub views 0 (n - 1)) then []
+    else frame_accesses policy views
+  with
+  | [] -> { slots = []; actions = [] }
+  | accs ->
+      let slots = List.map (fun a -> a.slot) accs in
+      let first = List.hd slots and last = List.fold_left max 0 slots in
+      let sp_lo, sp_hi = extent accs Isa.reg_sp in
+      let fp_lo, fp_hi = extent accs Isa.reg_fp in
+      (* the block's bytes per (kernel, pair offset) *)
+      let groups =
+        List.fold_left
+          (fun acc a ->
+            let key = (a.kernel, if a.write then 2 else 0) in
+            match List.assoc_opt key acc with
+            | Some b -> (key, b + a.size) :: List.remove_assoc key acc
+            | None -> (key, a.size) :: acc)
+          [] accs
+      in
+      let charge () =
+        let ic0 = Machine.instr_count m - (n - 1) in
+        let sp = Machine.sp m in
+        let lo = sp - Layout.stack_red_zone in
+        let slice = (ic0 + first) / t.interval in
+        if
+          in_frame sp ~lo sp_lo sp_hi
+          && in_frame (Machine.reg m Isa.reg_fp) ~lo fp_lo fp_hi
+          && (ic0 + last) / t.interval = slice
+        then begin
+          if slice > t.max_slice then t.max_slice <- slice;
+          t.any <- true;
+          List.iter
+            (fun ((kernel, pair), bytes) ->
+              add_pair t kernel ((4 * slice) + pair) bytes 0)
+            groups
+        end
+        else
+          List.iter
+            (fun a ->
+              record t a.kernel ~write:a.write ~icount:(ic0 + a.slot) ~sp
+                ~ea:(Machine.reg m a.base + a.off)
+                ~size:a.size)
+            accs
+      in
+      { slots; actions = [ (n - 1, charge) ] }
+
 let attach ?(slice_interval = default_slice_interval)
-    ?(policy = Call_stack.Main_image_only) =
-  Tq_trace.Tool.attach (create { slice_interval; policy }) consume
+    ?(policy = Call_stack.Main_image_only) engine =
+  Tq_trace.Tool.attach
+    ~claim:(summarize (Engine.machine engine) policy)
+    ~wants:interest
+    (create { slice_interval; policy })
+    consume engine
 
 let slice_interval t = t.interval
 let total_slices t = t.max_slice + 1

@@ -50,8 +50,25 @@ val attach :
   Tq_dbi.Engine.t ->
   t
 (** [create] + {!Tq_trace.Probe.attach}: register instrumentation that
-    feeds the engine's live event flow into {!consume}.  [slice_interval]
-    defaults to {!default_slice_interval}; [policy] to [Main_image_only]. *)
+    feeds the engine's live event flow into {!consume}, except for each
+    block's {e frame accesses}, which a block summary takes
+    ({!Tq_trace.Probe.claim}).  A frame access is a non-predicated
+    [Load]/[Loads]/[Fload]/[Store]/[Fstore] with base [sp] or [fp] in a
+    main-image routine (any routine under [Track_all]), in a block where
+    no instruction before the last writes [sp] or [fp].  Their bytes are
+    summed per kernel and direction when the block is compiled; one action
+    on the block's last slot adds them as stack bytes (excl 0) when every
+    one lies in [\[sp - stack_red_zone, stack_top\]] and all their icounts
+    fall in one slice, and charges each one with its exact address and
+    icount otherwise.  Either way a run that halts leaves the state
+    {!consume} over the probe's full stream would (the replayed report).
+
+    A run that stops inside a block — a trap, or
+    {!Tq_vm.Executor.Out_of_fuel} — never reaches that block's last slot:
+    the frame accesses the block retired before stopping are not charged,
+    so such a run's live state is not a report (the CLI exits 1 without
+    rendering one).  [slice_interval] defaults to
+    {!default_slice_interval}; [policy] to [Main_image_only]. *)
 
 type metric = Read_incl | Read_excl | Write_incl | Write_excl
 

@@ -7,19 +7,43 @@
     bit-identical to a live one: both consume the same stream, produced by
     the same instrumentation.
 
-    Emission order mirrors the engine's action order: [Block_exec] at block
-    dispatch, then per instruction [Rtn_entry] (at routine entries), the
-    memory events, and [Ret] last.  Predicated accesses are emitted only when
+    Emission order: [Block_exec] at block dispatch, then per instruction
+    [Rtn_entry] (at routine entries), the memory events, and [Ret] last.  Predicated accesses are emitted only when
     the guard is true ([INS_InsertPredicatedCall] semantics); prefetches
     come out as [Prefetch]; block copies carry their dynamic length. *)
 
-val attach : Tq_dbi.Engine.t -> (Event.t -> unit) -> unit
-(** Register the probe's instrumentation.  Must be called before the engine
+type claim = {
+  slots : int list;
+      (** slots of the block whose [Load]/[Store] events the tool takes
+          itself: the probe emits none for them (their other events —
+          [Rtn_entry], [Ret] — still come out) *)
+  actions : (int * Tq_dbi.Engine.action) list;
+      (** the tool's own actions, on slots of the block as
+          {!Tq_dbi.Engine.add_trace_instrumenter} places them; at a slot
+          they run after the probe's events *)
+}
+(** A tool's block summary: the accesses of one block it accounts for at
+    block granularity rather than one event each. *)
+
+val attach :
+  ?wants:Event.kind list ->
+  ?claim:(Tq_dbi.Engine.Ins_view.view array -> claim) ->
+  Tq_dbi.Engine.t ->
+  (Event.t -> unit) ->
+  unit
+(** Register the probe's instrumentation: one trace instrumenter that walks
+    each block at compile time and instruments only what is asked for.
+    [wants] (default every kind) names the event kinds the sink reads; no
+    other kind is instrumented, so a tool pays for nothing it drops.
+    [claim], called once per block compile with the block's views, lets a
+    tool take some of the block's loads and stores as a block summary
+    ({!claim}); the default claims none.  Must be called before the engine
     runs.  Multiple probes (one per live tool) may coexist on one engine;
-    each synthesizes its own stream.  The recorder is [attach] with
-    {!Writer.emit} as the sink: a [Block_exec]'s address names the
-    engine's compiled trace (the code cache is keyed by it), so the v4
-    suppressor needs nothing from the engine beyond the event itself. *)
+    each synthesizes its own stream.  The recorder is [attach] with every
+    kind, no claim and {!Writer.emit} as the sink: a [Block_exec]'s address
+    names the engine's compiled trace (the code cache is keyed by it), so
+    the v4 suppressor needs nothing from the engine beyond the event
+    itself. *)
 
 val record :
   ?fuel:int ->

@@ -53,7 +53,8 @@ let job (type c t) (module T : S with type config = c and type t = t) name
         (sink t, fun () -> render t));
   }
 
-let attach create consume engine =
+let attach ?claim ~wants create consume engine =
   let t = create (Tq_vm.Machine.program (Tq_dbi.Engine.machine engine)) in
-  Probe.attach engine (consume t);
+  Probe.attach ~wants ?claim:(Option.map (fun f -> f t) claim) engine
+    (consume t);
   t

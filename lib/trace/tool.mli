@@ -83,7 +83,16 @@ val job :
     [render]. *)
 
 val attach :
-  (Tq_vm.Program.t -> 't) -> ('t -> Event.t -> unit) -> Tq_dbi.Engine.t -> 't
-(** [attach create consume engine] builds the analyser over the engine's
-    program and feeds it the live event flow through {!Probe.attach} — every
-    tool's [attach].  Must happen before the engine runs. *)
+  ?claim:('t -> Tq_dbi.Engine.Ins_view.view array -> Probe.claim) ->
+  wants:Event.kind list ->
+  (Tq_vm.Program.t -> 't) ->
+  ('t -> Event.t -> unit) ->
+  Tq_dbi.Engine.t ->
+  't
+(** [attach ~wants:T.interest create consume engine] builds the analyser
+    over the engine's program and feeds it the live event flow through
+    {!Probe.attach}[ ~wants] — every tool's [attach].  [claim] is the
+    tool's block summary over the built analyser: the accesses it claims
+    reach the tool through its own actions, not through [consume] (tQUAD's
+    frame accesses, {!Probe.claim}).  Must happen before the engine
+    runs. *)

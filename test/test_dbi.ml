@@ -245,6 +245,114 @@ let test_instrumenter_registration_frozen () =
         ]);
   Engine.run eng
 
+(* ---------- trace instrumentation ---------- *)
+
+(* The per-slot action order: at every executed instruction, the trace
+   callbacks' actions for its slot (registration order, then list order),
+   then its routine-entry actions, then its instruction actions. *)
+let test_trace_action_order ~use_code_cache () =
+  let m = Machine.create (program ()) in
+  let eng = Engine.create ~use_code_cache m in
+  let log = ref [] in
+  let note tag addr () = log := (tag, addr) :: !log in
+  let slot_addrs views = Array.to_list (Array.map Engine.Ins_view.addr views) in
+  Engine.add_ins_instrumenter eng (fun v ->
+      [ note "ins" (Engine.Ins_view.addr v) ]);
+  Engine.add_trace_instrumenter eng (fun views ->
+      List.concat
+        (List.mapi
+           (fun i a -> [ (i, note "t1a" a); (i, note "t1b" a) ])
+           (slot_addrs views)));
+  Engine.add_rtn_instrumenter eng (fun r -> [ note "rtn" r.Symtab.entry ]);
+  Engine.add_trace_instrumenter eng (fun views ->
+      (* listed last slot first: the slot, not the list position, places it *)
+      List.rev (List.mapi (fun i a -> (i, note "t2" a)) (slot_addrs views)));
+  Engine.run eng;
+  let log = List.rev !log in
+  let entries = Hashtbl.create 4 in
+  Symtab.iter
+    (fun r -> Hashtbl.replace entries r.Symtab.entry ())
+    (Machine.program m).Program.symtab;
+  let expected =
+    List.concat_map
+      (fun (tag, a) ->
+        if tag <> "ins" then []
+        else
+          [ ("t1a", a); ("t1b", a); ("t2", a) ]
+          @ (if Hashtbl.mem entries a then [ ("rtn", a) ] else [])
+          @ [ ("ins", a) ])
+      log
+  in
+  Alcotest.(check int) "one ins action per retired instruction"
+    (Machine.instr_count m)
+    (List.length (List.filter (fun (t, _) -> t = "ins") log));
+  Alcotest.(check (list (pair string int))) "per-slot action order" expected log
+
+(* The views a trace callback sees are the block as the program holds it:
+   consecutive addresses from the block start, [Program.fetch]'s
+   instructions, [Symtab.find]'s routines, a control transfer last and only
+   last. *)
+let test_trace_views ~use_code_cache () =
+  let prog = program () in
+  let m = Machine.create prog in
+  let eng = Engine.create ~use_code_cache m in
+  let blocks = ref 0 in
+  Engine.add_trace_instrumenter eng (fun views ->
+      incr blocks;
+      let n = Array.length views in
+      let a0 = Engine.Ins_view.addr views.(0) in
+      Alcotest.(check int) "block starts at the dispatch address"
+        (Machine.ip m) a0;
+      Array.iteri
+        (fun i v ->
+          let a = Engine.Ins_view.addr v in
+          Alcotest.(check int) "consecutive addresses"
+            (a0 + (i * Isa.ins_bytes))
+            a;
+          Alcotest.(check bool) "Program.fetch" true
+            (Engine.Ins_view.ins v = Program.fetch prog a);
+          Alcotest.(check bool) "Symtab.find" true
+            (Engine.Ins_view.routine v = Symtab.find prog.Program.symtab a);
+          Alcotest.(check bool) "control transfer last" (i = n - 1)
+            (Isa.is_control (Engine.Ins_view.ins v)))
+        views;
+      []);
+  Engine.run eng;
+  Alcotest.(check bool) "callback saw blocks" true (!blocks > 0)
+
+let test_trace_registration_frozen ~use_code_cache () =
+  let m = Machine.create (program ()) in
+  let eng = Engine.create ~use_code_cache m in
+  let refused = ref 0 in
+  Engine.add_trace_instrumenter eng (fun _ ->
+      [
+        ( 0,
+          fun () ->
+            match Engine.add_trace_instrumenter eng (fun _ -> []) with
+            | () -> Alcotest.fail "expected Invalid_argument"
+            | exception Invalid_argument _ -> incr refused );
+      ]);
+  Engine.run eng;
+  Alcotest.(check bool) "registration refused while running" true
+    (!refused > 0)
+
+let test_trace_slot_outside_block ~use_code_cache () =
+  let m = Machine.create (program ()) in
+  let eng = Engine.create ~use_code_cache m in
+  Engine.add_trace_instrumenter eng (fun views ->
+      [ (Array.length views, fun () -> ()) ]);
+  match Engine.run eng with
+  | () -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument _ -> ()
+
+let on_both_paths name f =
+  List.map
+    (fun (path, use_code_cache) ->
+      Alcotest.test_case
+        (Printf.sprintf "%s (%s)" name path)
+        `Quick (f ~use_code_cache))
+    [ ("code cache", true); ("reference", false) ]
+
 let suites =
   [
     ( "dbi.engine",
@@ -262,5 +370,10 @@ let suites =
         Alcotest.test_case "transparency" `Quick test_uninstrumented_equivalence;
         Alcotest.test_case "frozen registration" `Quick
           test_instrumenter_registration_frozen;
-      ] );
+      ]
+      @ on_both_paths "trace action order" test_trace_action_order
+      @ on_both_paths "trace views" test_trace_views
+      @ on_both_paths "frozen trace registration" test_trace_registration_frozen
+      @ on_both_paths "trace slot outside its block" test_trace_slot_outside_block
+    );
   ]
