@@ -21,11 +21,12 @@ let create symtab policy =
 
 let copy t = { t with policy = t.policy }
 
-let tracked t (r : Tq_vm.Symtab.routine) =
-  match t.policy with Track_all -> true | Main_image_only -> r.is_main_image
+let charged_to_itself policy (r : Tq_vm.Symtab.routine) =
+  match policy with Track_all -> true | Main_image_only -> r.is_main_image
 
 let on_entry t routine ~sp =
-  if tracked t routine then t.frames <- { routine; entry_sp = sp } :: t.frames
+  if charged_to_itself t.policy routine then
+    t.frames <- { routine; entry_sp = sp } :: t.frames
 
 let on_ret t ~sp =
   match t.frames with

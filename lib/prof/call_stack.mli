@@ -15,6 +15,14 @@ type policy =
           to the innermost main-image frame (the paper's "exclude OS and
           library routine calls" option) *)
 
+val charged_to_itself : policy -> Tq_vm.Symtab.routine -> bool
+(** Whether the policy charges an access of routine [r]'s code to [r]
+    itself, whatever the stack holds: under [Track_all] always, under
+    [Main_image_only] when [r] is in the main image.  Such an access's
+    kernel is known where the instruction is instrumented, so a live tool
+    can fix it when the block compiles; the routines this holds for are
+    also the ones the stack pushes. *)
+
 type t
 
 val create : Tq_vm.Symtab.t -> policy -> t

@@ -1,5 +1,8 @@
+module Isa = Tq_isa.Isa
 module Symtab = Tq_vm.Symtab
 module Layout = Tq_vm.Layout
+module Machine = Tq_vm.Machine
+module Engine = Tq_dbi.Engine
 module Call_stack = Tq_prof.Call_stack
 module Bitset = Tq_util.Paged_bitset
 module Int_table = Tq_util.Int_table
@@ -178,6 +181,128 @@ let on_write t kernel_id ea size sp =
     Shadow.set_range t.shadow ea size kernel_id
   end
 
+(* ---------- live per-slot actions ---------- *)
+
+(* Live, a load or store of a routine charged to itself
+   ([Call_stack.charged_to_itself]) reaches QUAD through an action on its
+   own slot with the kernel fixed when the block compiles, not through a
+   probe event and [Call_stack.attribute].  Each such action keeps a memo
+   of its last run: the address, the stack pointer, and for a read the
+   one producer of the whole access, if it had one ([-1] otherwise), with
+   that producer's edge into the slot's kernel.  The kernel and size are
+   fixed per slot and [sp] fixes the stack/global split, so a run with the
+   memo's address and stack pointer would add nothing to the UnMA sets,
+   which only grow; a read whose whole access has the memo's producer
+   again would add nothing to that edge's address set.  Those adds are
+   skipped; counters, the producer scan and the shadow writes always run.
+   A negative address raises in the first add, so the initial
+   [m_ea = -1] never stands for a run that happened. *)
+type memo = {
+  mutable m_ea : int;
+  mutable m_sp : int;
+  mutable m_p : int;
+  mutable m_e : edge;
+}
+
+let new_memo () = { m_ea = -1; m_sp = min_int; m_p = -1; m_e = no_edge }
+
+(* The routine that last wrote every byte of [addr, addr + len), when one
+   did, else [-1]. *)
+let sole_producer t addr len =
+  let off = addr land Shadow.page_mask in
+  if off + len > Shadow.page_size then -1
+  else begin
+    let page = Shadow.page_ro t.shadow addr in
+    let p = Array.unsafe_get page off in
+    let k = ref 1 in
+    while !k < len && Array.unsafe_get page (off + !k) = p do
+      incr k
+    done;
+    if !k = len then p else -1
+  end
+
+(* [on_read] of a claimed slot's access ([size > 0]); an access with one
+   producer is one charge, its stack and global runs summed. *)
+let read_slot t memo kernel_id ea size sp =
+  t.touched.(kernel_id) <- true;
+  let lo = Layout.stack_lo ~sp ea size and hi = Layout.stack_hi ~sp ea size in
+  let global = size - (hi - lo) in
+  t.in_incl.(kernel_id) <- t.in_incl.(kernel_id) + size;
+  t.in_excl.(kernel_id) <- t.in_excl.(kernel_id) + global;
+  let seen = ea = memo.m_ea && sp = memo.m_sp in
+  if not seen then begin
+    Bitset.add_range t.read_unma_incl.(kernel_id) ea size;
+    Bitset.add_range t.read_unma_excl.(kernel_id) ea (lo - ea);
+    Bitset.add_range t.read_unma_excl.(kernel_id) hi (ea + size - hi);
+    memo.m_ea <- ea;
+    memo.m_sp <- sp
+  end;
+  let p = sole_producer t ea size in
+  if p >= 0 then begin
+    t.out_incl.(p) <- t.out_incl.(p) + size;
+    t.out_excl.(p) <- t.out_excl.(p) + global;
+    let again = p = memo.m_p in
+    let e = if again then memo.m_e else edge_of t (edge_key p kernel_id) in
+    e.e_bytes_incl <- e.e_bytes_incl + size;
+    e.e_bytes_excl <- e.e_bytes_excl + global;
+    if not (seen && again) then Bitset.add_range e.e_addrs ea size;
+    memo.m_e <- e
+  end
+  else begin
+    (* the three runs as [on_read] scans them *)
+    scan t kernel_id ea (lo - ea) ~stack:false;
+    scan t kernel_id lo (hi - lo) ~stack:true;
+    scan t kernel_id hi (ea + size - hi) ~stack:false
+  end;
+  memo.m_p <- p
+
+(* [on_write] of a claimed slot's access ([size > 0]). *)
+let write_slot t memo kernel_id ea size sp =
+  t.touched.(kernel_id) <- true;
+  if not (ea = memo.m_ea && sp = memo.m_sp) then begin
+    let lo = Layout.stack_lo ~sp ea size and hi = Layout.stack_hi ~sp ea size in
+    Bitset.add_range t.write_unma_incl.(kernel_id) ea size;
+    Bitset.add_range t.write_unma_excl.(kernel_id) ea (lo - ea);
+    Bitset.add_range t.write_unma_excl.(kernel_id) hi (ea + size - hi);
+    memo.m_ea <- ea;
+    memo.m_sp <- sp
+  end;
+  Shadow.set_range t.shadow ea size kernel_id
+
+(* The claim: every load and store of a routine charged to itself, one
+   action per direction on its own slot; block copies stay on events, and
+   QUAD discards prefetches.  At a slot the actions run after the probe's [Rtn_entry] and
+   [Ret]: their kernel is fixed, so the call stack does not matter to
+   them, and no other access of the slot reaches QUAD. *)
+let claim engine policy t views : Tq_trace.Probe.claim =
+  let m = Engine.machine engine in
+  let slots = ref [] and actions = ref [] in
+  Array.iteri
+    (fun i v ->
+      let ins = Engine.Ins_view.ins v in
+      match Engine.Ins_view.routine v with
+      | Some r
+        when Call_stack.charged_to_itself policy r && not (Isa.is_prefetch ins)
+        ->
+          let kernel = r.Symtab.id in
+          let rd = Isa.mem_read_bytes ins and wr = Isa.mem_write_bytes ins in
+          let add f = actions := (i, Engine.predicated engine v f) :: !actions in
+          if rd > 0 then begin
+            let memo = new_memo () in
+            add (fun () ->
+                read_slot t memo kernel (Machine.read_ea m ins) rd (Machine.sp m))
+          end;
+          if wr > 0 then begin
+            let memo = new_memo () in
+            add (fun () ->
+                write_slot t memo kernel (Machine.write_ea m ins) wr
+                  (Machine.sp m))
+          end;
+          if rd > 0 || wr > 0 then slots := i :: !slots
+      | _ -> ())
+    views;
+  { slots = !slots; actions = List.rev !actions }
+
 type config = Call_stack.policy
 type seed = Call_stack.t
 
@@ -299,8 +424,9 @@ let shard =
   Call_stack.shard Fun.id ~merge_into ~seeded:(fun _ prog stack ->
       make ~pending:true prog stack)
 
-let attach ?(policy = Call_stack.Main_image_only) =
-  Tq_trace.Tool.attach ~wants:interest (create policy) consume
+let attach ?(policy = Call_stack.Main_image_only) engine =
+  Tq_trace.Tool.attach ~claim:(claim engine policy) ~wants:interest
+    (create policy) consume engine
 
 type krow = {
   routine : Symtab.routine;

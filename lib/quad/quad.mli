@@ -45,7 +45,18 @@ val attach :
   ?policy:Tq_prof.Call_stack.policy -> Tq_dbi.Engine.t -> t
 (** Register QUAD's instrumentation on the engine (must happen before the
     engine runs): [create] + {!Tq_trace.Probe.attach}.  [policy] defaults to
-    [Main_image_only]. *)
+    [Main_image_only].
+
+    Every load and store of a routine whose accesses are charged to itself
+    ({!Tq_prof.Call_stack.charged_to_itself}) is claimed: it reaches QUAD
+    through an action on its own slot, with its kernel fixed when the
+    block compiles, and no probe event.  A claimed slot skips the UnMA and
+    binding address-set adds that its previous run already made (same
+    address and stack pointer, and for a binding the same producer of the
+    whole access).  Block copies, [Rtn_entry]/[Ret], and the accesses
+    [Main_image_only] charges to the innermost main-image frame (library
+    code) stay on events.  Since every action runs at its own slot, the
+    state after a trap or a fuel stop mid-block is the per-access one. *)
 
 type krow = {
   routine : Tq_vm.Symtab.routine;

@@ -240,8 +240,8 @@ let frame_accesses policy views =
        (fun slot v ->
          let ins = Engine.Ins_view.ins v in
          match (frame_operand ins, Engine.Ins_view.routine v) with
-         | Some (base, off), Some r
-           when policy = Call_stack.Track_all || r.Symtab.is_main_image ->
+         | Some (base, off), Some r when Call_stack.charged_to_itself policy r
+           ->
              let rd = Isa.mem_read_bytes ins in
              let write = rd = 0 in
              let size = if write then Isa.mem_write_bytes ins else rd in

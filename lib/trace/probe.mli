@@ -22,8 +22,9 @@ type claim = {
           {!Tq_dbi.Engine.add_trace_instrumenter} places them; at a slot
           they run after the probe's events *)
 }
-(** A tool's block summary: the accesses of one block it accounts for at
-    block granularity rather than one event each. *)
+(** A tool's claim on one block: the accesses it accounts for with its
+    own actions rather than one event each — as one block summary
+    (tQUAD's frame accesses) or as one action per access (QUAD). *)
 
 val attach :
   ?wants:Event.kind list ->
@@ -36,7 +37,7 @@ val attach :
     [wants] (default every kind) names the event kinds the sink reads; no
     other kind is instrumented, so a tool pays for nothing it drops.
     [claim], called once per block compile with the block's views, lets a
-    tool take some of the block's loads and stores as a block summary
+    tool take some of the block's loads and stores with its own actions
     ({!claim}); the default claims none.  Must be called before the engine
     runs.  Multiple probes (one per live tool) may coexist on one engine;
     each synthesizes its own stream.  The recorder is [attach] with every

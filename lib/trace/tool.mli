@@ -92,7 +92,7 @@ val attach :
 (** [attach ~wants:T.interest create consume engine] builds the analyser
     over the engine's program and feeds it the live event flow through
     {!Probe.attach}[ ~wants] — every tool's [attach].  [claim] is the
-    tool's block summary over the built analyser: the accesses it claims
-    reach the tool through its own actions, not through [consume] (tQUAD's
-    frame accesses, {!Probe.claim}).  Must happen before the engine
-    runs. *)
+    tool's claim over the built analyser: the accesses it claims reach the
+    tool through its own actions, not through [consume] (tQUAD's frame
+    accesses, QUAD's per-slot actions; {!Probe.claim}).  Must happen
+    before the engine runs. *)

@@ -1,20 +1,25 @@
 (* Live instrumentation against independent oracles.
 
-   The probe instruments only the event kinds its sink asks for, and live
-   tQUAD takes a block's frame accesses as one block summary instead of
-   one event each.  Both are checked against a recording of the same run
-   (the recorder asks for every kind and claims nothing): each tool's live
-   stream is the recorded stream filtered by the tool's interest, and live
-   tQUAD's whole state is [Replay.sequential]'s over the recording, on
-   fuzzed MiniC and on assembly shaped to hit every rule of the summary
+   The probe instruments only the event kinds its sink asks for; live
+   tQUAD takes a block's frame accesses as one block summary, and live
+   QUAD takes the loads and stores of routines charged to themselves as
+   one memoized action per slot, instead of one event each.  All are
+   checked against a recording of the same run (the recorder asks for
+   every kind and claims nothing): each tool's live stream is the recorded
+   stream filtered by the tool's interest, and live tQUAD's and QUAD's
+   whole states are [Replay.sequential]'s over the recording, on fuzzed
+   MiniC and on assembly shaped to hit every rule of the claims
    (predicated frame accesses, sp/fp written mid-block, frames below the
-   red zone and across [stack_top], library frames under both policies),
-   at slice intervals that make summaries straddle slices. *)
+   red zone and across [stack_top], library frames under both policies,
+   a slot that reads one address under stack pointers that split it
+   differently), at slice intervals that make summaries straddle
+   slices. *)
 
 open Tq_vm
 open Tq_trace
 module Engine = Tq_dbi.Engine
 module Tq = Tq_tquad.Tquad
+module Quad = Tq_quad.Quad
 module Cs = Tq_prof.Call_stack
 
 (* [k] over what [attach] returned and the recording of one run of [prog]
@@ -98,7 +103,7 @@ let test_wants prog () =
             true (expected = !seen))
         streams)
 
-(* ---------- live tQUAD = sequential replay of a recording ---------- *)
+(* ---------- live tQUAD and QUAD = sequential replay ---------- *)
 
 (* tQUAD's whole observable state: the slice count and every kernel's four
    per-slice byte series. *)
@@ -117,47 +122,30 @@ let dump t =
     (Tq.kernels t);
   Buffer.contents b
 
-let configs =
-  List.concat_map
-    (fun policy -> List.map (fun slice -> (slice, policy)) [ 1; 7; 2000 ])
-    [ Cs.Main_image_only; Cs.Track_all ]
-
-let config_name (slice, policy) =
-  Printf.sprintf "slice %d, %s" slice
-    (match policy with Cs.Track_all -> "track-all" | Main_image_only -> "main")
-
-(* One run per engine path with a live tQUAD per config beside the
-   recorder; each must equal the sequential replay of that recording. *)
-let live_equals_replay prog =
+(* One run per engine path with a live analyser of tool [T] per config
+   beside the recorder; each must render what the sequential replay of
+   that recording renders. *)
+let live_equals_replay (type c t)
+    (module T : Tool.S with type config = c and type t = t) ~attach ~render
+    ~name configs prog =
   List.for_all
     (fun use_code_cache ->
       with_recording ~use_code_cache prog
-        (fun eng ->
-          List.map
-            (fun (slice_interval, policy) ->
-              Tq.attach ~slice_interval ~policy eng)
-            configs)
+        (fun eng -> List.map (attach eng) configs)
         (fun lives reader ->
           let jobs =
-            List.map
-              (fun ((slice_interval, policy) as c) ->
-                Tool.job
-                  (module Tq)
-                  (config_name c)
-                  { Tq.slice_interval; policy }
-                  prog ~render:dump)
-              configs
+            List.map (fun c -> Tool.job (module T) (name c) c prog ~render) configs
           in
           List.for_all2
             (fun live (name, replayed) ->
               match replayed with
-              | Ok r when r = dump live -> true
+              | Ok r when r = render live -> true
               | Ok r ->
                   QCheck.Test.fail_reportf
-                    "%s, %s: live tQUAD differs from replay\nlive:\n%s\nreplay:\n%s"
+                    "%s, %s: live differs from replay\nlive:\n%s\nreplay:\n%s"
                     name
                     (if use_code_cache then "code cache" else "reference")
-                    (dump live) r
+                    (render live) r
               | Error f ->
                   QCheck.Test.fail_reportf "%s: replay failed: %s" name
                     (Replay.failure_message f))
@@ -165,11 +153,52 @@ let live_equals_replay prog =
             (Replay.sequential reader jobs)))
     [ true; false ]
 
+let policy_name = function Cs.Track_all -> "track-all" | Main_image_only -> "main"
+let policies = [ Cs.Main_image_only; Cs.Track_all ]
+
+let tquad_equals_replay =
+  live_equals_replay
+    (module Tq)
+    ~attach:(fun eng { Tq.slice_interval; policy } ->
+      Tq.attach ~slice_interval ~policy eng)
+    ~render:dump
+    ~name:(fun { Tq.slice_interval; policy } ->
+      Printf.sprintf "tquad, slice %d, %s" slice_interval (policy_name policy))
+    (List.concat_map
+       (fun policy ->
+         List.map (fun slice_interval -> { Tq.slice_interval; policy }) [ 1; 7; 2000 ])
+       policies)
+
+(* QUAD's whole observable state: its rows, bindings and QDU graph. *)
+let quad_dump q =
+  let b = Buffer.create 1024 in
+  List.iter
+    (fun (r : Quad.krow) ->
+      Printf.bprintf b "%s %d %d %d %d %d %d %d %d\n" r.routine.name r.in_bytes
+        r.in_unma r.out_bytes r.out_unma r.in_bytes_incl r.in_unma_incl
+        r.out_bytes_incl r.out_unma_incl)
+    (Quad.rows q);
+  List.iter
+    (fun (e : Quad.binding) ->
+      Printf.bprintf b "%s -> %s %d %d %d\n" e.producer.name e.consumer.name
+        e.bytes e.bytes_incl e.unma)
+    (Quad.bindings q);
+  Buffer.add_string b (Quad.to_dot q);
+  Buffer.contents b
+
+let quad_equals_replay =
+  live_equals_replay
+    (module Quad)
+    ~attach:(fun eng policy -> Quad.attach ~policy eng)
+    ~render:quad_dump
+    ~name:(fun policy -> "quad, " ^ policy_name policy)
+    policies
+
 let qcheck_minic =
   QCheck.Test.make ~name:"fuzzed MiniC: live tQUAD == replay of its recording"
     ~count:25
     (QCheck.make ~print:Fun.id Test_differential.gen_minic)
-    (fun src -> live_equals_replay (Test_differential.compile src))
+    (fun src -> tquad_equals_replay (Test_differential.compile src))
 
 (* A main routine whose first block moves fp and sp mid-block around frame
    accesses, a loop whose body block has frame accesses off both registers
@@ -255,7 +284,83 @@ let qcheck_frames =
     ~name:"frame asm: live tQUAD == replay of its recording" ~count:60
     (QCheck.make ~print:print_frame gen_frame)
     (fun (p1, p2, iters, adj, offs) ->
-      live_equals_replay (frame_asm ~p1 ~p2 ~iters ~adj ~offs))
+      tquad_equals_replay (frame_asm ~p1 ~p2 ~iters ~adj ~offs))
+
+(* ---------- live QUAD's per-slot claim ---------- *)
+
+let qcheck_quad_minic =
+  QCheck.Test.make ~name:"fuzzed MiniC: live QUAD == replay of its recording"
+    ~count:25
+    (QCheck.make ~print:Fun.id Test_differential.gen_minic)
+    (fun src -> quad_equals_replay (Test_differential.compile src))
+
+let qcheck_quad_frames =
+  QCheck.Test.make ~name:"frame asm: live QUAD == replay of its recording"
+    ~count:40
+    (QCheck.make ~print:print_frame gen_frame)
+    (fun (p1, p2, iters, adj, offs) ->
+      quad_equals_replay (frame_asm ~p1 ~p2 ~iters ~adj ~offs))
+
+(* [rd]'s one load reads the address [off] bytes off a fixed base [x20]
+   while the stack pointer rises by [step] per iteration, so the red zone's
+   bound sweeps up past it: one slot reads one address as stack bytes,
+   then straddling, then as global bytes.  Within an iteration [rd] runs
+   twice at one stack pointer, once after [wa] and once after [wb] wrote
+   the address, so one slot reads one address at one stack pointer from
+   two producers in turn. *)
+let split_asm ~iters ~step ~off ~load =
+  Printf.sprintf
+    {|
+.image split
+.func _start
+  sub  x2, x2, 512
+  mov  x20, x2
+  li   x12, %d
+loop:
+  call wa
+  call rd
+  call wb
+  call rd
+  add  x2, x2, %d
+  sub  x12, x12, 1
+  bnz  x12, loop
+  li   x4, 0
+  syscall 0
+.endfunc
+.func wa
+  sd   x12, %d(x20)
+  ret
+.endfunc
+.func wb
+  sd   x2, %d(x20)
+  ret
+.endfunc
+.func rd
+  %s   x13, %d(x20)
+  ret
+.endfunc
+|}
+    iters step off off load off
+  |> Tq_asm.Asm_parse.parse
+  |> fun o -> Tq_asm.Link.link [ o ]
+
+let gen_split =
+  let open QCheck.Gen in
+  quad (int_range 2 4)
+    (oneofl [ 4; 8; 16; 64 ])
+    (* below the return addresses the calls push at [x20 - 8] and up *)
+    (oneofl [ -80; -76; -72; -68; -64; -40; -24; -16 ])
+    (oneofl [ "ld"; "lws"; "lh"; "lb" ])
+
+let qcheck_quad_split =
+  QCheck.Test.make
+    ~name:"split asm: live QUAD == replay of its recording" ~count:30
+    (QCheck.make
+       ~print:(fun (iters, step, off, load) ->
+         Printf.sprintf "iters=%d step=%d off=%d load=%s" iters step off load)
+       gen_split)
+    (fun (iters, step, off, load) ->
+      quad_equals_replay (split_asm ~iters ~step ~off ~load))
 
 (* ---------- runs that stop mid-block ---------- *)
 
@@ -306,6 +411,30 @@ let test_trap_mid_block () =
   Alcotest.(check int) "tquad exits 1" 1 status;
   Alcotest.(check string) "and renders no report" "" stdout
 
+(* Live QUAD's actions run at their own slots, so after a trap or a fuel
+   stop mid-block its state is the per-access path's (a probe feeding
+   [Quad.consume]) exactly: on [trap_asm], and on [frame_asm] stopped at
+   every instruction count up to its end. *)
+let quad_stops_exact prog fuels () =
+  List.iter
+    (fun policy ->
+      List.iter
+        (fun fuel ->
+          let eng = Engine.create (Machine.create prog) in
+          let live = Quad.attach ~policy eng in
+          let per_access = Quad.create policy prog in
+          Probe.attach eng (Quad.consume per_access);
+          (match Engine.run ?fuel eng with
+          | () -> if fuel = None then Alcotest.fail "expected a trap"
+          | exception (Machine.Trap _ | Executor.Out_of_fuel _) -> ());
+          Alcotest.(check string)
+            (Printf.sprintf "%s, fuel %s: live QUAD = per-access QUAD"
+               (policy_name policy)
+               (Option.fold ~none:"none" ~some:string_of_int fuel))
+            (quad_dump per_access) (quad_dump live))
+        fuels)
+    policies
+
 let suites =
   [
     ( "live",
@@ -318,5 +447,23 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_frames;
         Alcotest.test_case "trap mid-block: live state is not a report" `Quick
           test_trap_mid_block;
+        QCheck_alcotest.to_alcotest qcheck_quad_minic;
+        QCheck_alcotest.to_alcotest qcheck_quad_frames;
+        QCheck_alcotest.to_alcotest qcheck_quad_split;
+        Alcotest.test_case "prefetch asm: live QUAD == replay (no claim)"
+          `Quick (fun () ->
+            Alcotest.(check bool)
+              "live = replay" true
+              (quad_equals_replay
+                 (Tq_asm.Link.link [ Tq_asm.Asm_parse.parse prefetch_asm ])));
+        Alcotest.test_case "trap mid-block: live QUAD = per-access" `Quick
+          (quad_stops_exact
+             (Tq_asm.Link.link [ Tq_asm.Asm_parse.parse trap_asm ])
+             [ None ]);
+        Alcotest.test_case "fuel stops: live QUAD = per-access" `Quick
+          (quad_stops_exact
+             (frame_asm ~p1:1 ~p2:0 ~iters:3 ~adj:64
+                ~offs:[ -72; -16; -8; 0; 8; -68; 16; -16 ])
+             (List.init 60 Option.some));
       ] );
   ]
